@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .formulas import And, Formula, Fusion, Imp, Neg, Or, ParseError, Var
-from .models import ModelStructure, TooManyValuations, tables_for
+from .models import ModelStructure, TooManyValuations, UnassignedVariable, tables_for
 
 __all__ = [
     "RATerm", "RVar", "Join", "Meet", "Compl", "Conv", "Comp",
@@ -40,10 +40,6 @@ __all__ = [
     "parse_chain", "check_chain",
     "TARSKI_AXIOMS", "DERIVED_LAWS", "law_names", "get_law",
 ]
-
-
-class UnassignedVariable(KeyError):
-    pass
 
 
 # ------------------------------------------------------------------

@@ -22,6 +22,15 @@ class UsageError(Exception):
     pass
 
 
+def _checked(make, *args, **kwargs):
+    """Build an object from command-line values; a ValueError its
+    constructor raises is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, default=_jsonable))
@@ -102,8 +111,8 @@ def cmd_check(args) -> int:
 
 def cmd_prove(args) -> int:
     goal = _resolve_formula(args.formula)
-    budget = search.SearchBudget(max_depth=args.depth, max_index=args.max_index,
-                                 max_nodes=args.nodes)
+    budget = _checked(search.SearchBudget, max_depth=args.depth,
+                      max_index=args.max_index, max_nodes=args.nodes)
     outcome = search.search_proof(goal, budget)
     if outcome.proved:
         script = format_proof_script("found", outcome.proof)
@@ -217,12 +226,12 @@ def cmd_translate(args) -> int:
 
 def _resolve_algebra(arg: str):
     if arg.lower().startswith("proper:"):
-        return algebra.ProperAlgebra(int(arg.split(":", 1)[1]))
+        return _checked(lambda: algebra.ProperAlgebra(int(arg.split(":", 1)[1])))
     return algebra.ComplexAlgebra(_resolve_structure(arg))
 
 
 def cmd_algebra_test(args) -> int:
-    alg = algebra.ProperAlgebra(args.base)
+    alg = _checked(algebra.ProperAlgebra, args.base)
     path = Path(args.identity)
     if path.exists():
         laws = [algebra.Law(f"step{i}", s.lhs, s.rel, s.rhs)
@@ -321,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Proof checking, proof search, finite countermodels and "
                     "relation-algebra verification for a bounded-variable "
                     "relevance logic.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count (outputs are identical regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

@@ -13,7 +13,8 @@ from __future__ import annotations
 from .formulas import And, Formula, Imp, Neg, Or, desugar_fusion, print_formula
 from .sequents import (
     AndR, Assertion, Axiom, Cut, ImpL, ImpR, NegL, NegR, OrL, Proof,
-    Sequent, check_proof, permute_indices, substitute_proof,
+    Sequent, check_proof, goal_sequent, permute_indices, rule_of,
+    substitute_proof,
 )
 
 __all__ = ["apply_derived_rule", "PremiseMismatch", "InvalidInput",
@@ -54,7 +55,7 @@ def _admit(proof: Proof, what: str) -> Formula:
     if not report.valid:
         raise InvalidInput(f"{what} fails to check: {report.first_error}")
     f = conclusion_formula(proof)
-    target = _seq((), (Assertion(f, 0, 0),))
+    target = goal_sequent(f)
     if all(seq != target for seq, _ in proof.lines):
         raise InvalidInput(f"{what} never derives => ({print_formula(f)})[0,0]")
     return f
@@ -72,7 +73,7 @@ class _Builder:
         offset = len(self.lines)
         found = None
         for seq, just in proof.lines:
-            self.lines.append((seq, _shift(just, offset)))
+            self.lines.append((seq, rule_of(just).shifted(just, offset)))
             if seq == target:
                 found = len(self.lines)
         if found is None:
@@ -86,22 +87,10 @@ class _Builder:
     def done(self, goal: Formula) -> Proof:
         return Proof(lines=self.lines, bound=self.bound, goal=goal)
 
-
-def _shift(just, offset: int):
-    kind = type(just)
-    if isinstance(just, (Cut, OrL, AndR, ImpL)):
-        if isinstance(just, Cut):
-            return Cut(just.ref1 + offset, just.ref2 + offset, just.cut)
-        return kind(just.ref1 + offset, just.ref2 + offset)
-    if isinstance(just, ImpR):
-        return ImpR(just.ref + offset, just.eigen)
-    if isinstance(just, Axiom):
-        return just
-    return kind(just.ref + offset)
-
-
-def _goal_line(f: Formula) -> Sequent:
-    return _seq((), (_a(f, 0, 0),))
+    def discharge(self, line: int, goal: Imp) -> Proof:
+        """Finish with => (goal)[0,0] by impR on line, at eigen index 1."""
+        self.add(goal_sequent(goal), ImpR(line, 1))
+        return self.done(goal)
 
 
 def _need(condition: bool, message: str):
@@ -119,6 +108,21 @@ def _max_bound(*proofs: Proof, at_least: int = 2) -> int:
     return max([at_least] + [p.bound for p in proofs])
 
 
+def _detach(b: _Builder, f: Imp, i: int, j: int, k: int, imp) -> int:
+    """From Γ => (A -> B)[i,j] derive Γ, (A)[k,i] => (B)[k,j]: two axioms,
+    impL and a cut on the implication.  imp is the line that proves it, or a
+    (proof, sequent) pair to splice in just before the cut."""
+    fa, fb = f.left, f.right
+    l1 = b.add(_seq((_a(fa, k, i),), (_a(fa, k, i),)), Axiom())
+    l2 = b.add(_seq((_a(fb, k, j),), (_a(fb, k, j),)), Axiom())
+    l3 = b.add(_seq((_a(f, i, j), _a(fa, k, i)), (_a(fb, k, j),)), ImpL(l1, l2))
+    if not isinstance(imp, int):
+        imp = b.splice(*imp)
+    gamma = b.lines[imp - 1][0].left
+    return b.add(_seq(gamma | {_a(fa, k, i)}, (_a(fb, k, j),)),
+                 Cut(imp, l3, _a(f, i, j)))
+
+
 # ------------------------------------------------------------------
 # The rules
 # ------------------------------------------------------------------
@@ -126,9 +130,9 @@ def _max_bound(*proofs: Proof, at_least: int = 2) -> int:
 def _adjunction(pa: Proof, pb: Proof) -> Proof:
     fa, fb = _admit(pa, "first input"), _admit(pb, "second input")
     b = _Builder(_max_bound(pa, pb, at_least=1))
-    la = b.splice(pa, _goal_line(fa))
-    lb = b.splice(pb, _goal_line(fb))
-    b.add(_goal_line(And(fa, fb)), AndR(la, lb))
+    la = b.splice(pa, goal_sequent(fa))
+    lb = b.splice(pb, goal_sequent(fb))
+    b.add(goal_sequent(And(fa, fb)), AndR(la, lb))
     return b.done(And(fa, fb))
 
 
@@ -138,11 +142,11 @@ def _modusponens(pimp: Proof, pa: Proof) -> Proof:
     _need(fimp.left == fa, "second input must prove the antecedent")
     fb = fimp.right
     b = _Builder(_max_bound(pimp, pa, at_least=1))
-    limp = b.splice(pimp, _goal_line(fimp))
-    la = b.splice(pa, _goal_line(fa))
+    limp = b.splice(pimp, goal_sequent(fimp))
+    la = b.splice(pa, goal_sequent(fa))
     l3 = b.add(_seq((_a(fb, 0, 0),), (_a(fb, 0, 0),)), Axiom())
     l4 = b.add(_seq((_a(fimp, 0, 0),), (_a(fb, 0, 0),)), ImpL(la, l3))
-    b.add(_goal_line(fb), Cut(limp, l4, _a(fimp, 0, 0)))
+    b.add(goal_sequent(fb), Cut(limp, l4, _a(fimp, 0, 0)))
     return b.done(fb)
 
 
@@ -153,8 +157,8 @@ def _disjunctivesyllogism(por: Proof, pneg: Proof) -> Proof:
           "second input must prove the negated left disjunct")
     fa, fb = forr.left, forr.right
     b = _Builder(_max_bound(por, pneg, at_least=1))
-    lor = b.splice(por, _goal_line(forr))
-    lneg = b.splice(pneg, _goal_line(fneg))
+    lor = b.splice(por, goal_sequent(forr))
+    lneg = b.splice(pneg, goal_sequent(fneg))
     l1 = b.add(_seq((_a(fa, 0, 0),), (_a(fa, 0, 0),)), Axiom())
     l2 = b.add(_seq((_a(fb, 0, 0),), (_a(fb, 0, 0),)), Axiom())
     l3 = b.add(_seq((_a(forr, 0, 0),), (_a(fa, 0, 0), _a(fb, 0, 0))),
@@ -162,7 +166,7 @@ def _disjunctivesyllogism(por: Proof, pneg: Proof) -> Proof:
     l4 = b.add(_seq((), (_a(fa, 0, 0), _a(fb, 0, 0))),
                Cut(lor, l3, _a(forr, 0, 0)))
     l5 = b.add(_seq((_a(fneg, 0, 0),), (_a(fb, 0, 0),)), NegL(l4))
-    b.add(_goal_line(fb), Cut(lneg, l5, _a(fneg, 0, 0)))
+    b.add(goal_sequent(fb), Cut(lneg, l5, _a(fneg, 0, 0)))
     return b.done(fb)
 
 
@@ -173,24 +177,11 @@ def _transitivity(p1: Proof, p2: Proof) -> Proof:
     _need(f1.right == f2.left, "middle formulas must agree")
     fa, fb, fc = f1.left, f1.right, f2.right
     b = _Builder(_max_bound(p1, p2))
-    l1 = b.splice(p1, _goal_line(f1))
-    l2 = b.add(_seq((_a(fa, 1, 0),), (_a(fa, 1, 0),)), Axiom())
-    l3 = b.add(_seq((_a(fb, 1, 0),), (_a(fb, 1, 0),)), Axiom())
-    l4 = b.add(_seq((_a(f1, 0, 0), _a(fa, 1, 0)), (_a(fb, 1, 0),)),
-               ImpL(l2, l3))
-    l5 = b.add(_seq((_a(fa, 1, 0),), (_a(fb, 1, 0),)),
-               Cut(l1, l4, _a(f1, 0, 0)))
-    l6 = b.splice(p2, _goal_line(f2))
-    l7 = b.add(_seq((_a(fb, 1, 0),), (_a(fb, 1, 0),)), Axiom())
-    l8 = b.add(_seq((_a(fc, 1, 0),), (_a(fc, 1, 0),)), Axiom())
-    l9 = b.add(_seq((_a(f2, 0, 0), _a(fb, 1, 0)), (_a(fc, 1, 0),)),
-               ImpL(l7, l8))
-    l10 = b.add(_seq((_a(fb, 1, 0),), (_a(fc, 1, 0),)),
-                Cut(l6, l9, _a(f2, 0, 0)))
+    l5 = _detach(b, f1, 0, 0, 1, b.splice(p1, goal_sequent(f1)))
+    l10 = _detach(b, f2, 0, 0, 1, b.splice(p2, goal_sequent(f2)))
     l11 = b.add(_seq((_a(fa, 1, 0),), (_a(fc, 1, 0),)),
                 Cut(l5, l10, _a(fb, 1, 0)))
-    b.add(_goal_line(Imp(fa, fc)), ImpR(l11, 1))
-    return b.done(Imp(fa, fc))
+    return b.discharge(l11, Imp(fa, fc))
 
 
 def _contraposition(p: Proof) -> Proof:
@@ -199,17 +190,10 @@ def _contraposition(p: Proof) -> Proof:
     fa, fb = f.left, f.right
     b = _Builder(_max_bound(p))
     l1 = b.splice(_swap(p, 0, 1), _seq((), (_a(f, 1, 1),)))
-    l2 = b.add(_seq((_a(fa, 0, 1),), (_a(fa, 0, 1),)), Axiom())
-    l3 = b.add(_seq((_a(fb, 0, 1),), (_a(fb, 0, 1),)), Axiom())
-    l4 = b.add(_seq((_a(fa, 0, 1), _a(f, 1, 1)), (_a(fb, 0, 1),)),
-               ImpL(l2, l3))
-    l5 = b.add(_seq((_a(fa, 0, 1),), (_a(fb, 0, 1),)),
-               Cut(l1, l4, _a(f, 1, 1)))
+    l5 = _detach(b, f, 1, 1, 0, l1)
     l6 = b.add(_seq((), (_a(fb, 0, 1), _a(Neg(fa), 1, 0))), NegR(l5))
     l7 = b.add(_seq((_a(Neg(fb), 1, 0),), (_a(Neg(fa), 1, 0),)), NegL(l6))
-    goal = Imp(Neg(fb), Neg(fa))
-    b.add(_goal_line(goal), ImpR(l7, 1))
-    return b.done(goal)
+    return b.discharge(l7, Imp(Neg(fb), Neg(fa)))
 
 
 def _contraposition2(p: Proof) -> Proof:
@@ -227,9 +211,7 @@ def _contraposition2(p: Proof) -> Proof:
     l6 = b.add(_seq((_a(fb, 1, 0), _a(fa, 0, 1)), ()),
                Cut(l1, l5, _a(f, 1, 1)))
     l7 = b.add(_seq((_a(fb, 1, 0),), (_a(Neg(fa), 1, 0),)), NegR(l6))
-    goal = Imp(fb, Neg(fa))
-    b.add(_goal_line(goal), ImpR(l7, 1))
-    return b.done(goal)
+    return b.discharge(l7, Imp(fb, Neg(fa)))
 
 
 def _cutrule(p1: Proof, p2: Proof) -> Proof:
@@ -243,26 +225,14 @@ def _cutrule(p1: Proof, p2: Proof) -> Proof:
     _need(f2.left == fb and f2.right.left == fc and f2.right.right == fa,
           "premises must be A&B->C and B->C|A over matching formulas")
     b = _Builder(_max_bound(p1, p2))
-    l1 = b.add(_seq((_a(fb, 1, 0),), (_a(fb, 1, 0),)), Axiom())
-    l2 = b.add(_seq((_a(f2.right, 1, 0),), (_a(f2.right, 1, 0),)), Axiom())
-    l3 = b.add(_seq((_a(f2, 0, 0), _a(fb, 1, 0)), (_a(f2.right, 1, 0),)),
-               ImpL(l1, l2))
-    l4 = b.splice(p2, _goal_line(f2))
-    l5 = b.add(_seq((_a(fb, 1, 0),), (_a(f2.right, 1, 0),)),
-               Cut(l4, l3, _a(f2, 0, 0)))
+    l5 = _detach(b, f2, 0, 0, 1, (p2, goal_sequent(f2)))
     l6 = b.add(_seq((_a(fc, 1, 0),), (_a(fc, 1, 0),)), Axiom())
     l7 = b.add(_seq((_a(fa, 1, 0),), (_a(fa, 1, 0),)), Axiom())
     l8 = b.add(_seq((_a(f2.right, 1, 0),), (_a(fc, 1, 0), _a(fa, 1, 0))),
                OrL(l6, l7))
     l9 = b.add(_seq((_a(fb, 1, 0),), (_a(fc, 1, 0), _a(fa, 1, 0))),
                Cut(l5, l8, _a(f2.right, 1, 0)))
-    l10 = b.add(_seq((_a(f1.left, 1, 0),), (_a(f1.left, 1, 0),)), Axiom())
-    l11 = b.add(_seq((_a(fc, 1, 0),), (_a(fc, 1, 0),)), Axiom())
-    l12 = b.add(_seq((_a(f1, 0, 0), _a(f1.left, 1, 0)), (_a(fc, 1, 0),)),
-                ImpL(l10, l11))
-    l13 = b.splice(p1, _goal_line(f1))
-    l14 = b.add(_seq((_a(f1.left, 1, 0),), (_a(fc, 1, 0),)),
-                Cut(l13, l12, _a(f1, 0, 0)))
+    l14 = _detach(b, f1, 0, 0, 1, (p1, goal_sequent(f1)))
     l15 = b.add(_seq((_a(fa, 1, 0),), (_a(fa, 1, 0),)), Axiom())
     l16 = b.add(_seq((_a(fb, 1, 0),), (_a(fb, 1, 0),)), Axiom())
     l17 = b.add(_seq((_a(fa, 1, 0), _a(fb, 1, 0)), (_a(f1.left, 1, 0),)),
@@ -271,9 +241,7 @@ def _cutrule(p1: Proof, p2: Proof) -> Proof:
                 Cut(l17, l14, _a(f1.left, 1, 0)))
     l19 = b.add(_seq((_a(fb, 1, 0),), (_a(fc, 1, 0),)),
                 Cut(l9, l18, _a(fa, 1, 0)))
-    goal = Imp(fb, fc)
-    b.add(_goal_line(goal), ImpR(l19, 1))
-    return b.done(goal)
+    return b.discharge(l19, Imp(fb, fc))
 
 
 def _erule(p: Proof, fb: Formula) -> Proof:
@@ -283,9 +251,7 @@ def _erule(p: Proof, fb: Formula) -> Proof:
     l1 = b.splice(_swap(p, 0, 1), _seq((), (_a(fa, 1, 1),)))
     l2 = b.add(_seq((_a(fb, 1, 0),), (_a(fb, 1, 0),)), Axiom())
     l3 = b.add(_seq((_a(Imp(fa, fb), 1, 0),), (_a(fb, 1, 0),)), ImpL(l1, l2))
-    goal = Imp(Imp(fa, fb), fb)
-    b.add(_goal_line(goal), ImpR(l3, 1))
-    return b.done(goal)
+    return b.discharge(l3, Imp(Imp(fa, fb), fb))
 
 
 def _suffixing(p: Proof, fc: Formula) -> Proof:
@@ -308,9 +274,7 @@ def _suffixing(p: Proof, fc: Formula) -> Proof:
                Cut(l7, l6, _a(fb, 2, 1)))
     l9 = b.add(_seq((_a(Imp(fb, fc), 1, 0),), (_a(Imp(fa, fc), 1, 0),)),
                ImpR(l8, 2))
-    goal = Imp(Imp(fb, fc), Imp(fa, fc))
-    b.add(_goal_line(goal), ImpR(l9, 1))
-    return b.done(goal)
+    return b.discharge(l9, Imp(Imp(fb, fc), Imp(fa, fc)))
 
 
 def _cycling(p: Proof) -> Proof:
@@ -320,28 +284,15 @@ def _cycling(p: Proof) -> Proof:
     fa, fb, fc = f.left, f.right.left, f.right.right
     fbc = f.right
     b = _Builder(_max_bound(p, at_least=3))
-    l1 = b.add(_seq((_a(fa, 0, 2),), (_a(fa, 0, 2),)), Axiom())
-    l2 = b.add(_seq((_a(fbc, 0, 2),), (_a(fbc, 0, 2),)), Axiom())
-    l3 = b.add(_seq((_a(f, 2, 2), _a(fa, 0, 2)), (_a(fbc, 0, 2),)),
-               ImpL(l1, l2))
-    l4 = b.splice(_swap(p, 0, 2), _seq((), (_a(f, 2, 2),)))
-    l5 = b.add(_seq((_a(fa, 0, 2),), (_a(fbc, 0, 2),)),
-               Cut(l4, l3, _a(f, 2, 2)))
-    l6 = b.add(_seq((_a(fb, 1, 0),), (_a(fb, 1, 0),)), Axiom())
-    l7 = b.add(_seq((_a(fc, 1, 2),), (_a(fc, 1, 2),)), Axiom())
-    l8 = b.add(_seq((_a(fbc, 0, 2), _a(fb, 1, 0)), (_a(fc, 1, 2),)),
-               ImpL(l6, l7))
-    l9 = b.add(_seq((_a(fa, 0, 2), _a(fb, 1, 0)), (_a(fc, 1, 2),)),
-               Cut(l5, l8, _a(fbc, 0, 2)))
+    l5 = _detach(b, f, 2, 2, 0, (_swap(p, 0, 2), _seq((), (_a(f, 2, 2),))))
+    l9 = _detach(b, fbc, 0, 2, 1, l5)
     l10 = b.add(_seq((_a(fb, 1, 0),), (_a(fc, 1, 2), _a(Neg(fa), 2, 0))),
                 NegR(l9))
     l11 = b.add(_seq((_a(fb, 1, 0), _a(Neg(fc), 2, 1)), (_a(Neg(fa), 2, 0),)),
                 NegL(l10))
     l12 = b.add(_seq((_a(fb, 1, 0),), (_a(Imp(Neg(fc), Neg(fa)), 1, 0),)),
                 ImpR(l11, 2))
-    goal = Imp(fb, Imp(Neg(fc), Neg(fa)))
-    b.add(_goal_line(goal), ImpR(l12, 1))
-    return b.done(goal)
+    return b.discharge(l12, Imp(fb, Imp(Neg(fc), Neg(fa))))
 
 
 def _prefixingR(p: Proof, fc: Formula) -> Proof:

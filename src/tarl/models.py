@@ -61,14 +61,16 @@ class ClosureViolation(AssertionError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelStructure:
     name: str
     elements: tuple[str, ...]
     zero: str
     star: dict[str, str]
     triples: frozenset[tuple[str, str, str]]
-    _tables: "_Tables | None" = field(default=None, repr=False, compare=False)
+    # built on first use by tables_for; the fields it derives from are frozen
+    _tables: "_Tables | None" = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if self.zero not in self.elements:
@@ -192,7 +194,7 @@ class _Tables:
 
 def tables_for(m: ModelStructure) -> _Tables:
     if m._tables is None:
-        m._tables = _Tables(m)
+        object.__setattr__(m, "_tables", _Tables(m))
     return m._tables
 
 

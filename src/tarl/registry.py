@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .derived import DERIVED_RULES
 from .formulas import Formula, parse_formula
 from .models import ModelStructure, structure_from_table
 from .sequents import Proof, parse_proof_script
@@ -209,16 +210,9 @@ for _id in ["A4", "A7", "t11", "T6", "T8", "t7", "t9", "t13", "t14",
 for _id in ["prefixingA", "t10", "T19", "tq", "assocfusion"]:
     _CORPUS_OBJECTS[_id] = frozenset({0, 1, 2, 3})
 
-CORPUS_IDS = ["t6", "A1", "A2", "A3", "A5", "A6", "comm1", "comm2",
-              "assoc1", "assoc2", "A8", "T9s", "T10", "A9", "t3", "T2",
-              "t4", "t5", "t5a", "T11", "A4", "A7", "t11", "T6", "T8",
-              "t7", "t9", "t13", "t14", "T12", "T15s", "reflection",
-              "tqq", "prefixingA", "t10", "T19", "tq", "assocfusion"]
+CORPUS_IDS = list(_CORPUS_OBJECTS)
 
-DERIVED_RULE_NAMES = ["adjunction", "modusponens", "disjunctivesyllogism",
-                      "transitivity", "contraposition", "contraposition2",
-                      "cut", "erule", "suffixing", "cycling", "prefixingR",
-                      "affixing", "monotonicfusion"]
+DERIVED_RULE_NAMES = list(DERIVED_RULES)
 
 _CORPUS_CACHE: dict[str, CorpusEntry] = {}
 

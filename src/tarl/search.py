@@ -1,10 +1,15 @@
 """Bounded backward proof search for the sequent calculus.
 
-Backward chaining from the goal sequent.  Invertible steps (andL, orR,
-negL, negR, and impR with the least unused index) are applied eagerly;
-branching steps (orL, andR, impL over every candidate index) are explored
-depth-first.  Cut is never applied.  Loops are detected on canonical forms
-of sequents modulo index renaming, and every returned proof re-checks.
+Backward chaining from the goal sequent, reading the rule table of
+``sequents`` backward: a row's premise function, given a principal of the
+goal and an index k, yields each premise's actives, and the premise is the
+goal with the principal removed (kept, for impL) and the actives added.
+Invertible rows are applied eagerly, without backtracking: first those
+whose principal is on the left (andL, negL), then on the right (orR, negR),
+then impR with the least unused index.  Otherwise the branching rows are
+explored depth-first in table order: orL, andR, then impL over every index
+k.  Cut is never applied.  Loops are detected on canonical forms of
+sequents modulo index renaming, and every returned proof re-checks.
 """
 
 from __future__ import annotations
@@ -12,10 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .formulas import And, Formula, Imp, Neg, Or, desugar_fusion
+from .formulas import Formula
 from .sequents import (
-    AndL, AndR, Assertion, Axiom, ImpL, ImpR, Justification, NegL, NegR,
-    OrL, OrR, Proof, Sequent, check_proof,
+    RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof, goal_sequent,
 )
 
 __all__ = ["SearchBudget", "SearchOutcome", "search_proof"]
@@ -45,16 +49,6 @@ class SearchOutcome:
         return self.status == "proved"
 
 
-class _Node:
-    __slots__ = ("sequent", "rule", "children", "eigen")
-
-    def __init__(self, sequent, rule, children=(), eigen=None):
-        self.sequent = sequent
-        self.rule = rule
-        self.children = children
-        self.eigen = eigen
-
-
 class _Budget:
     def __init__(self, budget: SearchBudget):
         self.max_nodes = budget.max_nodes
@@ -66,6 +60,7 @@ class _Budget:
         return self.nodes <= self.max_nodes
 
 
+_AXIOM = RULE_NAMED["axiom"]
 _intern: dict = {}
 
 
@@ -100,76 +95,54 @@ def _fresh_index(seq: Sequent, avoid: tuple[int, int], max_index: int) -> int | 
     return None
 
 
-def _invert(seq: Sequent, max_index: int):
-    """One invertible backward step, or None."""
-    for a in sorted(seq.left, key=Assertion.key):
-        if isinstance(a.formula, And):
-            new = Sequent(seq.left - {a}
-                          | {Assertion(a.formula.left, a.i, a.j),
-                             Assertion(a.formula.right, a.i, a.j)},
-                          seq.right)
-            return new, "andL", None
-        if isinstance(a.formula, Neg):
-            new = Sequent(seq.left - {a},
-                          seq.right | {Assertion(a.formula.body, a.j, a.i)})
-            return new, "negL", None
-    for a in sorted(seq.right, key=Assertion.key):
-        if isinstance(a.formula, Or):
-            new = Sequent(seq.left,
-                          seq.right - {a}
-                          | {Assertion(a.formula.left, a.i, a.j),
-                             Assertion(a.formula.right, a.i, a.j)})
-            return new, "orR", None
-        if isinstance(a.formula, Neg):
-            new = Sequent(seq.left | {Assertion(a.formula.body, a.j, a.i)},
-                          seq.right - {a})
-            return new, "negR", None
-    for a in sorted(seq.right, key=Assertion.key):
-        if isinstance(a.formula, Imp):
-            k = _fresh_index(seq, (a.i, a.j), max_index)
-            if k is None:
-                continue
-            new = Sequent(seq.left | {Assertion(a.formula.left, k, a.i)},
-                          seq.right - {a}
-                          | {Assertion(a.formula.right, k, a.j)})
-            return new, ("impR", a), k
-    return None
+# invertible rows in the order tried: left, right, then eigen-index rows
+_INVERTIBLE = [phase for phase in (
+    [r for r in RULES if r.invertible and r.side == side and bool(r.index) == eigen]
+    for eigen in (False, True) for side in ("left", "right")) if phase]
+_BRANCHING = [r for r in RULES if r.side and not r.invertible]
 
 
-def _branches(seq: Sequent, max_index: int):
-    """Branching alternatives: each is (rule, principal, [subgoals], eigen)."""
-    out = []
-    for a in sorted(seq.left, key=Assertion.key):
-        if isinstance(a.formula, Or):
-            left = Sequent(seq.left - {a}
-                           | {Assertion(a.formula.left, a.i, a.j)}, seq.right)
-            right = Sequent(seq.left - {a}
-                            | {Assertion(a.formula.right, a.i, a.j)}, seq.right)
-            out.append(("orL", a, [left, right], None))
-    for a in sorted(seq.right, key=Assertion.key):
-        if isinstance(a.formula, And):
-            left = Sequent(seq.left, seq.right - {a}
-                           | {Assertion(a.formula.left, a.i, a.j)})
-            right = Sequent(seq.left, seq.right - {a}
-                            | {Assertion(a.formula.right, a.i, a.j)})
-            out.append(("andR", a, [left, right], None))
-    for a in sorted(seq.left, key=Assertion.key):
-        if isinstance(a.formula, Imp):
-            for k in range(max_index):
-                p1 = Sequent(seq.left,
-                             seq.right | {Assertion(a.formula.left, k, a.i)})
-                p2 = Sequent(seq.left | {Assertion(a.formula.right, k, a.j)},
-                             seq.right)
-                out.append(("impL", a, [p1, p2], None))
-    return out
+def _backward(rule: Rule, seq: Sequent, principal: Assertion,
+              k: int | None) -> list[Sequent]:
+    """The premises from which rule concludes seq with this principal."""
+    left, right = seq.left, seq.right
+    if not rule.keeps_principal:
+        if rule.side == "left":
+            left = left - {principal}
+        else:
+            right = right - {principal}
+    return [Sequent(left | act_left, right | act_right)
+            for act_left, act_right in rule.actives(principal, k, rule.refs)]
+
+
+def _steps(seq: Sequent, max_index: int):
+    """Backward steps (rule, k, premises) to try in turn: the first
+    invertible one alone, or else every branching one."""
+    ordered = {"left": sorted(seq.left, key=Assertion.key),
+               "right": sorted(seq.right, key=Assertion.key)}
+    for phase in _INVERTIBLE:
+        for a in ordered[phase[0].side]:
+            for rule in phase:
+                if not isinstance(a.formula, rule.conn):
+                    continue
+                k = _fresh_index(seq, (a.i, a.j), max_index) if rule.index else None
+                if rule.index is None or k is not None:
+                    yield rule, k, _backward(rule, seq, a, k)
+                    return
+    for rule in _BRANCHING:
+        for a in ordered[rule.side]:
+            if isinstance(a.formula, rule.conn):
+                for k in range(max_index) if rule.index else (None,):
+                    yield rule, k, _backward(rule, seq, a, k)
 
 
 def _prove(seq: Sequent, depth: int, seen: frozenset, budget: _Budget,
-           max_index: int, fail_cache: dict) -> _Node | None:
+           max_index: int, fail_cache: dict) -> tuple | None:
+    """A proof tree of seq, each node (sequent, rule, k, children), or None."""
     if not budget.tick():
         raise _OutOfNodes()
     if seq.is_axiom():
-        return _Node(seq, "axiom")
+        return seq, _AXIOM, None, ()
     if depth <= 0:
         budget.cutoff = True
         return None
@@ -180,25 +153,16 @@ def _prove(seq: Sequent, depth: int, seen: frozenset, budget: _Budget,
         return None
     seen = seen | {key}
 
-    step = _invert(seq, max_index)
-    if step is not None:
-        new, rule, eigen = step
-        child = _prove(new, depth - 1, seen, budget, max_index, fail_cache)
-        if child is not None:
-            return _Node(seq, rule, (child,), eigen)
-        fail_cache[key] = depth
-        return None
-
-    for rule, principal, subgoals, eigen in _branches(seq, max_index):
+    for rule, k, premises in _steps(seq, max_index):
         children = []
-        for sub in subgoals:
+        for sub in premises:
             child = _prove(sub, depth - 1, seen, budget, max_index, fail_cache)
             if child is None:
                 children = None
                 break
             children.append(child)
         if children is not None:
-            return _Node(seq, (rule, principal), tuple(children), eigen)
+            return seq, rule, k, children
     fail_cache[key] = depth
     return None
 
@@ -207,44 +171,19 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _linearize(node: _Node, lines: list, index: dict) -> int:
-    if node.sequent in index:
-        return index[node.sequent]
-    child_refs = [_linearize(c, lines, index) for c in node.children]
-    just = _make_justification(node, child_refs)
-    lines.append((node.sequent, just))
-    index[node.sequent] = len(lines)
+def _linearize(node: tuple, lines: list, index: dict) -> int:
+    seq, rule, k, children = node
+    if seq in index:
+        return index[seq]
+    refs = [_linearize(child, lines, index) for child in children]
+    lines.append((seq, rule.make(refs, k)))
+    index[seq] = len(lines)
     return len(lines)
-
-
-def _make_justification(node: _Node, refs: list[int]) -> Justification:
-    rule = node.rule
-    if rule == "axiom":
-        return Axiom()
-    if rule == "andL":
-        return AndL(refs[0])
-    if rule == "negL":
-        return NegL(refs[0])
-    if rule == "orR":
-        return OrR(refs[0])
-    if rule == "negR":
-        return NegR(refs[0])
-    if isinstance(rule, tuple) and rule[0] == "impR":
-        return ImpR(refs[0], node.eigen)
-    kind, _principal = rule
-    if kind == "orL":
-        return OrL(refs[0], refs[1])
-    if kind == "andR":
-        return AndR(refs[0], refs[1])
-    if kind == "impL":
-        return ImpL(refs[0], refs[1])
-    raise AssertionError(f"unknown search rule {rule!r}")
 
 
 def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
     """Search for a proof of => (goal)[0,0]; fusion is desugared first."""
-    core = desugar_fusion(goal)
-    root_seq = Sequent.of((), (Assertion(core, 0, 0),))
+    root_seq = goal_sequent(goal)
     tracker = _Budget(budget)
     fail_cache: dict = {}
     try:

@@ -1,4 +1,4 @@
-"""Sequents of indexed assertions and the bounded-variable proof checker.
+"""Sequents of indexed assertions, the rule table and the proof checker.
 
 An assertion (A)[i,j] is a fusion-free formula tagged with two object
 indices below the proof's bound (4 by default, configurable 1..8).  A proof
@@ -17,16 +17,28 @@ applied to earlier lines.  The rules:
                          Γ => Δ, (A->B)[i,j], provided k differs from i and j
                          and appears nowhere in Γ, Δ
 
-Contexts are sets, so a cut (or other) assertion may legitimately survive in
-the conclusion when it also occurs in a context; the checker tries every
-reading.  For two-premise rules the reference order is immaterial.
+Each rule is one row of RULES, the only place that says what a rule does.
+A row gives the script name, justification class and number of line
+references; the principal's side and connective; the index the rule takes
+(any k for impL, the eigen index for impR); and the premise function, which
+maps the principal (A)[i,j] (for cut, the cut assertion) and k to each
+premise's left and right actives.
+
+The checker reads a row forward.  With base the union of the premise sides
+less their actives, each conclusion side must lie between base plus the
+principal and that plus the actives: contexts are sets, so an active may
+also belong to the context.  impR's actives carry the fresh eigen index, so
+none may stay; weaken's conclusion may add anything.  For two-premise rules
+the reference order is immaterial.  The search (search.py) reads the same
+rows backward.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from itertools import starmap
+from typing import Callable, Iterable, Sequence
 
 from .formulas import (
     Formula, Imp, And, Or, Neg, ParseError,
@@ -36,10 +48,11 @@ from .formulas import (
 __all__ = [
     "Assertion", "Sequent", "Proof", "CheckReport", "RuleError",
     "Axiom", "Cut", "Weaken", "OrL", "OrR", "AndL", "AndR",
-    "NegL", "NegR", "ImpL", "ImpR", "Justification",
-    "check_step", "check_proof", "permute_indices", "objects_level",
-    "substitute_proof", "parse_proof_script", "format_proof_script",
-    "NotABijection", "InvalidProof",
+    "NegL", "NegR", "ImpL", "ImpR", "Justification", "Rule", "RULES",
+    "RULE_NAMED", "rule_of", "goal_sequent", "check_step", "check_proof",
+    "permute_indices", "objects_level", "substitute_proof",
+    "parse_proof_script", "format_proof_script", "NotABijection",
+    "InvalidProof",
 ]
 
 DEFAULT_BOUND = 4
@@ -92,6 +105,11 @@ def is_axiom(s: Sequent) -> bool:
     return s.is_axiom()
 
 
+def goal_sequent(f: Formula) -> Sequent:
+    """=> (F)[0,0], the sequent a proof of F derives; fusion is desugared."""
+    return Sequent.of((), (Assertion(desugar_fusion(f), 0, 0),))
+
+
 # ------------------------------------------------------------------
 # Justifications
 # ------------------------------------------------------------------
@@ -102,63 +120,141 @@ class Axiom:
 
 
 @dataclass(frozen=True)
-class Cut:
-    ref1: int
-    ref2: int
-    cut: Assertion | None = None  # scripts leave it implicit; combinators name it
-
-
-@dataclass(frozen=True)
-class Weaken:
+class _OneRef:
     ref: int
 
 
 @dataclass(frozen=True)
-class OrL:
+class _TwoRefs:
     ref1: int
     ref2: int
 
 
-@dataclass(frozen=True)
-class OrR:
-    ref: int
+class Weaken(_OneRef):
+    """weaken r"""
+
+
+class OrR(_OneRef):
+    """orR r"""
+
+
+class AndL(_OneRef):
+    """andL r"""
+
+
+class NegL(_OneRef):
+    """negL r"""
+
+
+class NegR(_OneRef):
+    """negR r"""
+
+
+class OrL(_TwoRefs):
+    """orL r1 r2"""
+
+
+class AndR(_TwoRefs):
+    """andR r1 r2"""
+
+
+class ImpL(_TwoRefs):
+    """impL r1 r2"""
 
 
 @dataclass(frozen=True)
-class AndL:
-    ref: int
-
-
-@dataclass(frozen=True)
-class AndR:
-    ref1: int
-    ref2: int
-
-
-@dataclass(frozen=True)
-class NegL:
-    ref: int
-
-
-@dataclass(frozen=True)
-class NegR:
-    ref: int
-
-
-@dataclass(frozen=True)
-class ImpL:
-    ref1: int
-    ref2: int
-
-
-@dataclass(frozen=True)
-class ImpR:
-    ref: int
+class ImpR(_OneRef):
     eigen: int
+
+
+@dataclass(frozen=True)
+class Cut(_TwoRefs):
+    cut: Assertion | None = None  # scripts leave it implicit; combinators name it
 
 
 Justification = (Axiom | Cut | Weaken | OrL | OrR | AndL | AndR
                  | NegL | NegR | ImpL | ImpR)
+
+
+# ------------------------------------------------------------------
+# The rule table
+# ------------------------------------------------------------------
+
+_REF_FIELDS = ((), ("ref",), ("ref1", "ref2"))
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of the rule table; the module docstring says how it is read."""
+    name: str                      # the rule's name in proof scripts
+    just: type                     # its justification class
+    refs: int                      # number of premise line references
+    side: str | None = None        # "left"/"right": the principal's side
+    conn: type | None = None       # the principal's connective
+    premises: Callable | None = None  # see RULES
+    index: str | None = None       # "any" k below the bound, or the "eigen" one
+    invertible: bool = False       # search applies it without backtracking
+    keeps_principal: bool = False  # a backward step leaves the principal in
+    widens: bool = False           # the conclusion may add any assertion
+
+    def refs_of(self, just) -> list[int]:
+        return [getattr(just, name) for name in _REF_FIELDS[self.refs]]
+
+    def shifted(self, just, offset: int):
+        """just with each line reference moved on by offset."""
+        return replace(just, **{name: getattr(just, name) + offset
+                                for name in _REF_FIELDS[self.refs]})
+
+    def make(self, refs: Sequence[int], k: int | None = None):
+        return self.just(*refs, k) if self.index == "eigen" else self.just(*refs)
+
+    def actives(self, principal: Assertion | None, k: int | None,
+                n: int) -> list[tuple[frozenset, frozenset]]:
+        """Each of the n premises' left and right active assertions."""
+        if self.premises is None:
+            return [(frozenset(), frozenset())] * n
+        return [(frozenset(starmap(Assertion, left)),
+                 frozenset(starmap(Assertion, right)))
+                for left, right in self.premises(principal.formula, principal.i,
+                                                 principal.j, k)]
+
+
+# premises: (A, i, j, k) -> [(left actives, right actives) per premise], the
+# principal being (A)[i,j], the cut assertion for cut; actives are triples
+# (formula, i, j)
+RULES = (
+    Rule("axiom", Axiom, 0),
+    Rule("weaken", Weaken, 1, widens=True),
+    Rule("cut", Cut, 2,
+         premises=lambda f, i, j, k: [([], [(f, i, j)]), ([(f, i, j)], [])]),
+    Rule("andL", AndL, 1, "left", And, invertible=True,
+         premises=lambda f, i, j, k: [([(f.left, i, j), (f.right, i, j)], [])]),
+    Rule("negL", NegL, 1, "left", Neg, invertible=True,
+         premises=lambda f, i, j, k: [([], [(f.body, j, i)])]),
+    Rule("orR", OrR, 1, "right", Or, invertible=True,
+         premises=lambda f, i, j, k: [([], [(f.left, i, j), (f.right, i, j)])]),
+    Rule("negR", NegR, 1, "right", Neg, invertible=True,
+         premises=lambda f, i, j, k: [([(f.body, j, i)], [])]),
+    Rule("impR", ImpR, 1, "right", Imp, index="eigen", invertible=True,
+         premises=lambda f, i, j, k: [([(f.left, k, i)], [(f.right, k, j)])]),
+    Rule("orL", OrL, 2, "left", Or,
+         premises=lambda f, i, j, k: [([(f.left, i, j)], []), ([(f.right, i, j)], [])]),
+    Rule("andR", AndR, 2, "right", And,
+         premises=lambda f, i, j, k: [([], [(f.left, i, j)]), ([], [(f.right, i, j)])]),
+    Rule("impL", ImpL, 2, "left", Imp, index="any", keeps_principal=True,
+         premises=lambda f, i, j, k: [([], [(f.left, k, i)]), ([(f.right, k, j)], [])]),
+)
+
+RULE_NAMED = {rule.name: rule for rule in RULES}
+_RULE_OF = {rule.just: rule for rule in RULES}
+
+
+def rule_of(just) -> Rule:
+    """The table row of a justification."""
+    try:
+        return _RULE_OF[type(just)]
+    except KeyError:
+        raise TypeError(f"not a justification: {just!r}") from None
 
 
 @dataclass
@@ -172,9 +268,7 @@ class Proof:
         return self.lines[-1][0]
 
     def goal_sequent(self) -> Sequent | None:
-        if self.goal is None:
-            return None
-        return Sequent.of((), (Assertion(desugar_fusion(self.goal), 0, 0),))
+        return None if self.goal is None else goal_sequent(self.goal)
 
 
 @dataclass
@@ -211,14 +305,8 @@ class InvalidProof(ValueError):
 
 
 # ------------------------------------------------------------------
-# Rule checking
+# Rule checking: the table read forward
 # ------------------------------------------------------------------
-
-def _context_variants(side: frozenset, active: Assertion):
-    # set semantics: the active assertion may or may not also belong to the
-    # surrounding context, so either reading of the premise is legitimate
-    return (side - {active}, side)
-
 
 def _get(earlier: Sequence[Sequent], ref: int, line_no: int) -> Sequent:
     if not 1 <= ref <= len(earlier):
@@ -226,164 +314,79 @@ def _get(earlier: Sequence[Sequent], ref: int, line_no: int) -> Sequent:
     return earlier[ref - 1]
 
 
+def _principals(rule: Rule, concl: Sequent, just, prems: list[Sequent],
+                bound: int) -> list[tuple[Assertion | None, int | None]]:
+    """The (principal, k) pairs a line may apply its rule to."""
+    if rule.premises is None:
+        return [(None, None)]
+    if rule.side is None:  # cut: the named assertion, or any the premises share
+        if just.cut is not None:
+            return [(just.cut, None)]
+        p, q = prems
+        return [(x, None) for x in (p.right & q.left) | (q.right & p.left)]
+    ks = (range(bound) if rule.index == "any"
+          else (just.eigen,) if rule.index == "eigen" else (None,))
+    return [(p, k) for p in getattr(concl, rule.side)
+            if isinstance(p.formula, rule.conn) for k in ks]
+
+
+def _least(rule: Rule, principal: Assertion | None, k: int | None,
+           prems: Sequence[Sequent]):
+    """For each order of the premises that holds the actives, yield the
+    conclusion's least reading, left and right: the premise sides less their
+    actives, plus the principal.  Also yield the actives."""
+    actives = rule.actives(principal, k, len(prems))
+    for order in (prems, prems[::-1])[:len(prems)]:  # either premise first
+        left, right = set(), set()
+        for prem, (act_left, act_right) in zip(order, actives):
+            if not (act_left <= prem.left and act_right <= prem.right):
+                break
+            left |= prem.left - act_left
+            right |= prem.right - act_right
+        else:
+            if rule.side:
+                (left if rule.side == "left" else right).add(principal)
+            yield left, right, actives
+
+
+def _fits(rule: Rule, have: frozenset, least: set, actives, side: int) -> bool:
+    """least <= have <= least + the actives on this side, in one pass over
+    have.  impR keeps no active, as its actives carry the fresh eigen index;
+    weaken may add anything."""
+    extra = have - least
+    if len(have) - len(extra) != len(least):  # part of least is missing
+        return False
+    return rule.widens or not extra or (
+        rule.index != "eigen" and extra <= set().union(*(a[side] for a in actives)))
+
+
 def _check_rule(concl: Sequent, just: Justification,
                 earlier: Sequence[Sequent], line_no: int, bound: int) -> None:
-    if isinstance(just, Axiom):
-        if not concl.is_axiom():
-            raise RuleError(line_no, "NotAxiom", "no assertion common to both sides")
-        return
-
-    if isinstance(just, Weaken):
-        prem = _get(earlier, just.ref, line_no)
-        if concl.left >= prem.left and concl.right >= prem.right:
+    rule = _RULE_OF.get(type(just))
+    if rule is None:
+        raise RuleError(line_no, "ShapeMismatch", f"unknown rule {just!r}")
+    prems = [_get(earlier, ref, line_no) for ref in rule.refs_of(just)]
+    if not prems:
+        if concl.is_axiom():
             return
-        raise RuleError(line_no, "ShapeMismatch", "not a superset of the premise")
-
-    if isinstance(just, (NegL, NegR)):
-        prem = _get(earlier, just.ref, line_no)
-        principal_side = concl.left if isinstance(just, NegL) else concl.right
-        prem_active_side = prem.right if isinstance(just, NegL) else prem.left
-        for principal in principal_side:
-            if not isinstance(principal.formula, Neg):
+        raise RuleError(line_no, "NotAxiom", "no assertion common to both sides")
+    if rule.index == "eigen" and not 0 <= just.eigen < bound:
+        raise RuleError(line_no, "IndexOutOfBound", f"eigen index {just.eigen}")
+    stale = False
+    for principal, k in _principals(rule, concl, just, prems, bound):
+        for left, right, actives in _least(rule, principal, k, prems):
+            if not (_fits(rule, concl.left, left, actives, 0)
+                    and _fits(rule, concl.right, right, actives, 1)):
                 continue
-            active = Assertion(principal.formula.body, principal.j, principal.i)
-            if active not in prem_active_side:
-                continue
-            for rest in _context_variants(prem_active_side, active):
-                if isinstance(just, NegL):
-                    if concl.left == prem.left | {principal} and concl.right == rest:
-                        return
-                else:
-                    if concl.right == prem.right | {principal} and concl.left == rest:
-                        return
-        raise RuleError(line_no, "ShapeMismatch", "negation rule shape")
-
-    if isinstance(just, (OrR, AndL)):
-        prem = _get(earlier, just.ref, line_no)
-        if isinstance(just, OrR):
-            conn, principal_side, prem_side = Or, concl.right, prem.right
-        else:
-            conn, principal_side, prem_side = And, concl.left, prem.left
-        for principal in principal_side:
-            f = principal.formula
-            if not isinstance(f, conn):
-                continue
-            a = Assertion(f.left, principal.i, principal.j)
-            b = Assertion(f.right, principal.i, principal.j)
-            if a not in prem_side or b not in prem_side:
-                continue
-            for rest_a in _context_variants(prem_side, a):
-                for rest in _context_variants(rest_a, b):
-                    got = rest | {principal}
-                    if isinstance(just, OrR):
-                        if concl.right == got and concl.left == prem.left:
-                            return
-                    else:
-                        if concl.left == got and concl.right == prem.right:
-                            return
-        raise RuleError(line_no, "ShapeMismatch",
-                        "orR/andL shape" if isinstance(just, OrR) else "andL shape")
-
-    if isinstance(just, (OrL, AndR)):
-        p1 = _get(earlier, just.ref1, line_no)
-        p2 = _get(earlier, just.ref2, line_no)
-        conn = Or if isinstance(just, OrL) else And
-        principal_side = concl.left if isinstance(just, OrL) else concl.right
-        for principal in principal_side:
-            f = principal.formula
-            if not isinstance(f, conn):
-                continue
-            a = Assertion(f.left, principal.i, principal.j)
-            b = Assertion(f.right, principal.i, principal.j)
-            for first, second in ((p1, p2), (p2, p1)):
-                if isinstance(just, OrL):
-                    if a not in first.left or b not in second.left:
-                        continue
-                    for v1 in _context_variants(first.left, a):
-                        for v2 in _context_variants(second.left, b):
-                            if (concl.left == v1 | v2 | {principal}
-                                    and concl.right == first.right | second.right):
-                                return
-                else:
-                    if a not in first.right or b not in second.right:
-                        continue
-                    for v1 in _context_variants(first.right, a):
-                        for v2 in _context_variants(second.right, b):
-                            if (concl.right == v1 | v2 | {principal}
-                                    and concl.left == first.left | second.left):
-                                return
-        raise RuleError(line_no, "ShapeMismatch",
-                        "orL shape" if isinstance(just, OrL) else "andR shape")
-
-    if isinstance(just, ImpL):
-        p1 = _get(earlier, just.ref1, line_no)
-        p2 = _get(earlier, just.ref2, line_no)
-        for principal in concl.left:
-            f = principal.formula
-            if not isinstance(f, Imp):
-                continue
-            i, j = principal.i, principal.j
-            for first, second in ((p1, p2), (p2, p1)):
-                for k in range(bound):
-                    a = Assertion(f.left, k, i)
-                    b = Assertion(f.right, k, j)
-                    if a not in first.right or b not in second.left:
-                        continue
-                    for v1 in _context_variants(first.right, a):
-                        for v2 in _context_variants(second.left, b):
-                            if (concl.left == first.left | v2 | {principal}
-                                    and concl.right == v1 | second.right):
-                                return
-        raise RuleError(line_no, "ShapeMismatch", "impL shape")
-
-    if isinstance(just, ImpR):
-        prem = _get(earlier, just.ref, line_no)
-        k = just.eigen
-        if not 0 <= k < bound:
-            raise RuleError(line_no, "IndexOutOfBound", f"eigen index {k}")
-        eigen_trouble = False
-        for principal in concl.right:
-            f = principal.formula
-            if not isinstance(f, Imp):
-                continue
-            i, j = principal.i, principal.j
-            a = Assertion(f.left, k, i)
-            b = Assertion(f.right, k, j)
-            if a not in prem.left or b not in prem.right:
-                continue
-            gamma = prem.left - {a}
-            delta = prem.right - {b}
-            if concl.left != gamma or concl.right != delta | {principal}:
-                continue
-            rest = Sequent(gamma, delta)
-            if k == i or k == j or k in rest.indices():
-                eigen_trouble = True
+            # the principal carries i and j, so this keeps k apart from them too
+            if rule.index == "eigen" and any(k in (a.i, a.j) for a in left | right):
+                stale = True
                 continue
             return
-        if eigen_trouble:
-            raise RuleError(line_no, "EigenvariableViolation",
-                            f"index {k} not fresh")
-        raise RuleError(line_no, "ShapeMismatch", "impR shape")
-
-    if isinstance(just, Cut):
-        p1 = _get(earlier, just.ref1, line_no)
-        p2 = _get(earlier, just.ref2, line_no)
-        for prem_r, prem_l in ((p1, p2), (p2, p1)):
-            if just.cut is not None:
-                candidates = {just.cut}
-            else:
-                candidates = prem_r.right & prem_l.left
-            for x in candidates:
-                if x not in prem_r.right or x not in prem_l.left:
-                    continue
-                for v_r in _context_variants(prem_r.right, x):
-                    for v_l in _context_variants(prem_l.left, x):
-                        if (concl.left == prem_r.left | v_l
-                                and concl.right == v_r | prem_l.right):
-                            return
-        raise RuleError(line_no, "ShapeMismatch", "cut shape")
-
-    raise RuleError(line_no, "ShapeMismatch", f"unknown rule {just!r}")
+    if stale:
+        raise RuleError(line_no, "EigenvariableViolation",
+                        f"index {just.eigen} not fresh")
+    raise RuleError(line_no, "ShapeMismatch", f"{rule.name} shape")
 
 
 def check_step(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
@@ -432,51 +435,43 @@ def objects_level(proof: Proof) -> int:
 # Transformations
 # ------------------------------------------------------------------
 
+def _relabel(proof: Proof, assertion: Callable[[Assertion], Assertion],
+             index: Callable[[int], int] | None, goal: Formula | None) -> Proof:
+    """Map every assertion, including those a justification names (a cut's),
+    and every eigen index of a proof."""
+
+    def sequent(s: Sequent) -> Sequent:
+        return Sequent(frozenset(map(assertion, s.left)),
+                       frozenset(map(assertion, s.right)))
+
+    def just(j: Justification) -> Justification:
+        changes = {name: assertion(v) for name, v in vars(j).items()
+                   if isinstance(v, Assertion)}
+        if index is not None and rule_of(j).index == "eigen":
+            changes["eigen"] = index(j.eigen)
+        return replace(j, **changes) if changes else j
+
+    return Proof(lines=[(sequent(s), just(j)) for s, j in proof.lines],
+                 bound=proof.bound, goal=goal)
+
+
 def permute_indices(proof: Proof, perm: dict[int, int]) -> Proof:
     """Apply a bijection on 0..bound-1 to every index, eigen indices included."""
     domain = set(range(proof.bound))
     if set(perm) != domain or set(perm.values()) != domain:
         raise NotABijection(f"{perm!r} is not a bijection on 0..{proof.bound - 1}")
-
-    def redo_assertion(a: Assertion) -> Assertion:
-        return Assertion(a.formula, perm[a.i], perm[a.j])
-
-    def redo_sequent(s: Sequent) -> Sequent:
-        return Sequent(frozenset(map(redo_assertion, s.left)),
-                       frozenset(map(redo_assertion, s.right)))
-
-    def redo_just(j: Justification) -> Justification:
-        if isinstance(j, ImpR):
-            return ImpR(j.ref, perm[j.eigen])
-        if isinstance(j, Cut) and j.cut is not None:
-            return Cut(j.ref1, j.ref2, redo_assertion(j.cut))
-        return j
-
     # the goal lives at indices 0,0, so it survives only if 0 stays put
-    goal = proof.goal if perm[0] == 0 else None
-    return Proof(lines=[(redo_sequent(s), redo_just(j)) for s, j in proof.lines],
-                 bound=proof.bound, goal=goal)
+    return _relabel(proof, lambda a: Assertion(a.formula, perm[a.i], perm[a.j]),
+                    perm.__getitem__, proof.goal if perm[0] == 0 else None)
 
 
 def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
     """Instantiate a schematic proof; rule applications survive substitution."""
     core_map = {name: desugar_fusion(f) for name, f in mapping.items()}
-
-    def redo_assertion(a: Assertion) -> Assertion:
-        return Assertion(substitute(a.formula, core_map), a.i, a.j)
-
-    def redo_sequent(s: Sequent) -> Sequent:
-        return Sequent(frozenset(map(redo_assertion, s.left)),
-                       frozenset(map(redo_assertion, s.right)))
-
-    def redo_just(j: Justification) -> Justification:
-        if isinstance(j, Cut) and j.cut is not None:
-            return Cut(j.ref1, j.ref2, redo_assertion(j.cut))
-        return j
-
     goal = substitute(proof.goal, mapping) if proof.goal is not None else None
-    return Proof(lines=[(redo_sequent(s), redo_just(j)) for s, j in proof.lines],
-                 bound=proof.bound, goal=goal)
+    return _relabel(proof,
+                    lambda a: Assertion(substitute(a.formula, core_map), a.i, a.j),
+                    None, goal)
 
 
 # ------------------------------------------------------------------
@@ -486,9 +481,6 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # lemma <name> [: <formula>] [bound <n>]
 # <k>. <sequent> ; <rule> [<refs>] [k=<idx>]
 # with sequents written  (formula)[i,j], ... => ...
-
-_ASSERTION_RE = re.compile(r"\s*\(")
-
 
 def _split_assertions(side: str, offset: int) -> list[Assertion]:
     out = []
@@ -532,11 +524,6 @@ def _parse_sequent(text: str, offset: int) -> Sequent:
                       _split_assertions(right_text, offset + len(left_text) + 2))
 
 
-_RULES_ONE_REF = {"weaken": Weaken, "orR": OrR, "andL": AndL,
-                  "negL": NegL, "negR": NegR}
-_RULES_TWO_REF = {"cut": Cut, "orL": OrL, "andR": AndR, "impL": ImpL}
-
-
 def _parse_justification(text: str, line_no: int, offset: int) -> Justification:
     parts = text.split()
     if not parts:
@@ -552,25 +539,16 @@ def _parse_justification(text: str, line_no: int, offset: int) -> Justification:
             refs.append(int(arg))
         else:
             raise ParseError(offset, "a line reference or k=<idx>", arg)
-    if name == "axiom":
-        return Axiom()
-    if name == "impR":
-        if eigen is None:
-            raise ParseError(offset, "k=<idx> on impR")
-        ref = refs[0] if refs else line_no - 1
-        return ImpR(ref, eigen)
-    if name in _RULES_ONE_REF:
-        ref = refs[0] if refs else line_no - 1
-        return _RULES_ONE_REF[name](ref)
-    if name in _RULES_TWO_REF:
-        if len(refs) == 2:
-            r1, r2 = refs
-        elif not refs:
-            r1, r2 = line_no - 2, line_no - 1
-        else:
-            raise ParseError(offset, f"zero or two references on {name}")
-        return _RULES_TWO_REF[name](r1, r2)
-    raise ParseError(offset, "a rule name", name)
+    rule = RULE_NAMED.get(name)
+    if rule is None:
+        raise ParseError(offset, "a rule name", name)
+    if rule.index == "eigen" and eigen is None:
+        raise ParseError(offset, f"k=<idx> on {name}")
+    if rule.refs == 2 and len(refs) not in (0, 2):
+        raise ParseError(offset, f"zero or two references on {name}")
+    # omitted references name the immediately preceding lines
+    refs = refs[:rule.refs] or [line_no - n for n in range(rule.refs, 0, -1)]
+    return rule.make(refs, eigen)
 
 
 def parse_proof_script(text: str) -> tuple[str, Proof]:
@@ -613,29 +591,11 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
 
 
 def _format_justification(j: Justification) -> str:
-    if isinstance(j, Axiom):
-        return "axiom"
-    if isinstance(j, Weaken):
-        return f"weaken {j.ref}"
-    if isinstance(j, OrR):
-        return f"orR {j.ref}"
-    if isinstance(j, AndL):
-        return f"andL {j.ref}"
-    if isinstance(j, NegL):
-        return f"negL {j.ref}"
-    if isinstance(j, NegR):
-        return f"negR {j.ref}"
-    if isinstance(j, OrL):
-        return f"orL {j.ref1} {j.ref2}"
-    if isinstance(j, AndR):
-        return f"andR {j.ref1} {j.ref2}"
-    if isinstance(j, ImpL):
-        return f"impL {j.ref1} {j.ref2}"
-    if isinstance(j, Cut):
-        return f"cut {j.ref1} {j.ref2}"
-    if isinstance(j, ImpR):
-        return f"impR {j.ref} k={j.eigen}"
-    raise TypeError(f"not a justification: {j!r}")
+    rule = rule_of(j)
+    words = [rule.name, *map(str, rule.refs_of(j))]
+    if rule.index == "eigen":
+        words.append(f"k={j.eigen}")
+    return " ".join(words)
 
 
 def format_proof_script(name: str, proof: Proof) -> str:

@@ -271,3 +271,9 @@ def test_soundness_bridge_sample():
     # a couple of corpus theorems, checked by the algebra route
     for entry in list_corpus()[:6]:
         assert verified_in_algebra(CK["K3"], entry.proof.goal).passed
+
+
+def test_one_unassigned_variable_error():
+    from tarl import algebra, models
+
+    assert algebra.UnassignedVariable is models.UnassignedVariable

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tarl.cli import main
 from tarl.registry import data_dir
 
@@ -180,3 +182,21 @@ def test_data_dir_override(tmp_path, monkeypatch, capsys):
         assert code == 0
     finally:
         registry._CORPUS_CACHE.clear()
+
+
+CHAIN = str(data_dir() / "chains" / "ra4.chain")
+
+
+@pytest.mark.parametrize("argv", [
+    ("prove", "a", "--max-index", "0"),
+    ("prove", "a", "--depth", "0"),
+    ("prove", "a", "--nodes", "0"),
+    ("algebra-test", "ra1", "--base", "1"),
+    ("chain", "proper:9", CHAIN),
+    ("chain", "proper:x", CHAIN),
+])
+def test_bad_arguments_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

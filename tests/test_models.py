@@ -369,3 +369,18 @@ def test_model_file_crosscheck_mismatch():
     bad = (dump_model_file(K4).rstrip() + "\ntriples\n0 0 0\nend\n")
     with pytest.raises(Exception):
         load_model_file(bad)
+
+
+def test_copied_structure_gets_fresh_tables():
+    import dataclasses
+
+    tables_for(K3)
+    fewer = frozenset(sorted(K3.triples)[1:])
+    copy = dataclasses.replace(K3, triples=fewer)
+    tab = tables_for(copy)
+    assert tab is not tables_for(K3)
+    for x, y in itertools.product(all_subsets(copy), repeat=2):
+        fused = tab.fus[tab.mask_of(copy, x)][tab.mask_of(copy, y)]
+        assert tab.subset_of(copy, fused) == op_fusion(copy, x, y)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        K3.triples = fewer
