@@ -517,6 +517,8 @@ def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0,
               cap: int = 2 ** 20) -> IdentityResult:
     """Semantic check of a law (with premises) in one algebra: exhaustively
     on complex algebras, on seeded random samples in proper ones."""
+    if trials < 1:  # a sampled law would pass after checking nothing
+        raise ValueError(f"trials must be at least 1, got {trials}")
     names = law.all_variables()
     if isinstance(alg, ComplexAlgebra):
         tab = tables_for(alg.structure)

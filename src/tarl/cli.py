@@ -23,8 +23,8 @@ class UsageError(Exception):
 
 
 def _checked(make, *args, **kwargs):
-    """Build an object from command-line values; a ValueError its
-    constructor raises is a usage error."""
+    """Build an object from, or call a function on, command-line values; a
+    ValueError it raises is a usage error."""
     try:
         return make(*args, **kwargs)
     except ValueError as e:
@@ -114,14 +114,13 @@ def cmd_prove(args) -> int:
     budget = _checked(search.SearchBudget, max_depth=args.depth,
                       max_index=args.max_index, max_nodes=args.nodes)
     outcome = search.search_proof(goal, budget)
+    payload = {"status": outcome.status, **outcome.counters()}
     if outcome.proved:
         script = format_proof_script("found", outcome.proof)
-        _emit(args, {"status": outcome.status, "nodes": outcome.nodes,
-                     "lines": len(outcome.proof.lines), "script": script},
+        _emit(args, {**payload, "lines": len(outcome.proof.lines), "script": script},
               script.rstrip())
         return 0
-    _emit(args, {"status": outcome.status, "nodes": outcome.nodes},
-          f"{outcome.status} after {outcome.nodes} nodes")
+    _emit(args, payload, f"{outcome.status} after {outcome.nodes} nodes")
     return 1
 
 
@@ -245,7 +244,7 @@ def cmd_algebra_test(args) -> int:
     results = []
     ok = True
     for law in laws:
-        r = algebra.holds_law(alg, law, trials=args.trials, seed=args.seed)
+        r = _checked(algebra.holds_law, alg, law, trials=args.trials, seed=args.seed)
         ok &= r.passed
         results.append({"law": law.name, "passed": r.passed,
                         "checked": r.checked,
@@ -262,8 +261,8 @@ def cmd_algebra_test(args) -> int:
 def cmd_chain(args) -> int:
     alg = _resolve_algebra(args.algebra)
     steps = algebra.parse_chain(Path(args.chain_file).read_text())
-    report = algebra.check_chain({args.algebra: alg}, steps,
-                                 trials=args.trials, seed=args.seed)
+    report = _checked(algebra.check_chain, {args.algebra: alg}, steps,
+                      trials=args.trials, seed=args.seed)
     lines = []
     for i, step in enumerate(report.steps, 1):
         status = "Pass" if step.passed else "FAIL"

@@ -214,7 +214,8 @@ CORPUS_IDS = list(_CORPUS_OBJECTS)
 
 DERIVED_RULE_NAMES = list(DERIVED_RULES)
 
-_CORPUS_CACHE: dict[str, CorpusEntry] = {}
+# keyed on the data directory too, so that a change of TARL_DATA reloads
+_CORPUS_CACHE: dict[tuple[Path, str], CorpusEntry] = {}
 
 
 def corpus_ids() -> list[str]:
@@ -224,14 +225,14 @@ def corpus_ids() -> list[str]:
 def get_corpus_entry(lemma_id: str) -> CorpusEntry:
     if lemma_id not in _CORPUS_OBJECTS:
         raise UnknownName(lemma_id)
-    if lemma_id not in _CORPUS_CACHE:
-        path = data_dir() / "corpus" / f"{lemma_id}.prf"
+    key = (data_dir(), lemma_id)
+    if key not in _CORPUS_CACHE:
+        path = key[0] / "corpus" / f"{lemma_id}.prf"
         name, proof = parse_proof_script(path.read_text())
         if name != lemma_id:
             raise ValueError(f"{path} declares lemma {name!r}")
-        _CORPUS_CACHE[lemma_id] = CorpusEntry(lemma_id, proof,
-                                              _CORPUS_OBJECTS[lemma_id])
-    return _CORPUS_CACHE[lemma_id]
+        _CORPUS_CACHE[key] = CorpusEntry(lemma_id, proof, _CORPUS_OBJECTS[lemma_id])
+    return _CORPUS_CACHE[key]
 
 
 def list_corpus() -> list[CorpusEntry]:

@@ -389,15 +389,21 @@ def _check_rule(concl: Sequent, just: Justification,
     raise RuleError(line_no, "ShapeMismatch", f"{rule.name} shape")
 
 
-def check_step(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
-               bound: int = DEFAULT_BOUND) -> None:
-    """Validate one line against earlier sequents; raises RuleError if bad."""
+def _check_line(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
+                bound: int, indices: frozenset[int]) -> None:
+    """check_step, given the indices of the line's sequent."""
     concl, just = line
     line_no = len(earlier) + 1
-    for idx in concl.indices():
+    for idx in indices:
         if not 0 <= idx < bound:
             raise RuleError(line_no, "IndexOutOfBound", f"index {idx}")
     _check_rule(concl, just, earlier, line_no, bound)
+
+
+def check_step(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
+               bound: int = DEFAULT_BOUND) -> None:
+    """Validate one line against earlier sequents; raises RuleError if bad."""
+    _check_line(earlier, line, bound, line[0].indices())
 
 
 def check_proof(proof: Proof) -> CheckReport:
@@ -407,10 +413,11 @@ def check_proof(proof: Proof) -> CheckReport:
     first_error = None
     for n, line in enumerate(proof.lines, start=1):
         seq, _ = line
-        objects |= seq.indices()
+        indices = seq.indices()
+        objects |= indices
         if first_error is None:
             try:
-                check_step(earlier, line, proof.bound)
+                _check_line(earlier, line, proof.bound, indices)
             except RuleError as e:
                 first_error = (n, f"{e.kind}: {e.detail}" if e.detail else e.kind)
         earlier.append(seq)

@@ -141,6 +141,14 @@ def test_ra9_random_trials():
     assert holds_law(ProperAlgebra(3), law, trials=500, seed=1).passed
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sampled_laws_need_a_trial(trials):
+    with pytest.raises(ValueError):
+        holds_law(ProperAlgebra(3), get_law("ra1"), trials=trials)
+    with pytest.raises(ValueError):
+        verified_in_algebra(ProperAlgebra(3), parse_formula("p -> p"), trials=trials)
+
+
 def test_mingle_counterexample_on_proper_base():
     # the mingle axiom needs transitive relations; random relations refute it
     f = get_formula("ming").formula

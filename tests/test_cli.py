@@ -72,6 +72,18 @@ def test_prove_failure(capsys):
     assert "not_found" in out or "budget_exhausted" in out
 
 
+@pytest.mark.parametrize("argv, status", [
+    (("a & b -> a",), "proved"),
+    (("ming", "--depth", "10"), "not_found"),
+])
+def test_prove_json_reports_the_search_counters(capsys, argv, status):
+    code, out, _ = run(capsys, "prove", *argv, "--json")
+    payload = json.loads(out)
+    assert payload["status"] == status
+    assert payload["nodes"] == sum(payload[name] for name in (
+        "axioms", "cutoffs", "loop_prunes", "cache_prunes", "expansions"))
+
+
 def test_valid_pass(capsys):
     code, out, _ = run(capsys, "valid", "K3", "contr")
     assert code == 0
@@ -194,6 +206,9 @@ CHAIN = str(data_dir() / "chains" / "ra4.chain")
     ("algebra-test", "ra1", "--base", "1"),
     ("chain", "proper:9", CHAIN),
     ("chain", "proper:x", CHAIN),
+    ("algebra-test", "ra1", "--trials", "0"),
+    ("algebra-test", "ra1", "--trials", "-5"),
+    ("chain", "proper:3", CHAIN, "--trials", "0"),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import shutil
 import time
 
 import pytest
@@ -99,6 +100,18 @@ def test_t6_details():
     report = check_proof(entry.proof)
     assert report.objects_used == {0}
     assert report.level == 1
+
+
+def test_corpus_follows_a_change_of_data_directory(tmp_path, monkeypatch):
+    assert len(get_corpus_entry("t6").proof.lines) == 3  # cached from the default
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    script = copy / "corpus" / "t6.prf"
+    script.write_text(script.read_text().replace("; orR", "; orR\n4. => (a | ~a)[0,0] ; weaken"))
+    monkeypatch.setenv("TARL_DATA", str(copy))
+    assert len(get_corpus_entry("t6").proof.lines) == 4
+    monkeypatch.delenv("TARL_DATA")
+    assert len(get_corpus_entry("t6").proof.lines) == 3
 
 
 def test_model_files_match_registry():

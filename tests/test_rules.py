@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarl.formulas import And, Imp, Neg, Or, Var, parse_formula
-from tarl.search import _backward, _fresh_index
+from tarl.search import _Table, _backward, _fresh_index
 from tarl.sequents import RULES, Assertion, RuleError, Sequent, check_step
 
 BOUND = 4
@@ -37,6 +37,8 @@ def principal_of(rule, data):
 @given(data=st.data(), left=contexts, right=contexts)
 def test_backward_step_rechecks_forward(rule, data, left, right):
     principal = principal_of(rule, data)
+    table = _Table(principal.formula)  # search builds premises from its table
+    principal = Assertion(table.goal, principal.i, principal.j)
     if rule.side == "left":
         concl = Sequent(left | {principal}, right)
     else:
@@ -47,7 +49,7 @@ def test_backward_step_rechecks_forward(rule, data, left, right):
             return
     else:
         k = data.draw(indices) if rule.index else None
-    premises = _backward(rule, concl, principal, k)
+    premises = _backward(rule, concl, principal, k, table)
     assert len(premises) == rule.refs
     just = rule.make(list(range(1, rule.refs + 1)), k)
     check_step(premises, (concl, just), BOUND)  # raises RuleError on failure
