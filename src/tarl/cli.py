@@ -51,7 +51,7 @@ def _jsonable(obj):
 def _resolve_structure(arg: str) -> models.ModelStructure:
     path = Path(arg)
     if path.exists():
-        m = models.load_model_file(path.read_text())
+        m = _checked(models.load_model_file, path.read_text())
         if arg.upper() in registry.structure_names():
             print(f"warning: file {arg} shadows built-in structure "
                   f"{arg.upper()}", file=sys.stderr)

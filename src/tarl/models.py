@@ -11,7 +11,11 @@ and a distinguished element 0.  Subsets of K form an algebra under
 and a formula is interpreted by structural recursion, with variables mapped
 to subsets subject to heredity (truth propagates along R0-successors).  The
 structure postulates (p1..p6 and friends) are audited, never assumed, so
-deliberately defective structures can be represented and inspected.
+deliberately defective structures can be represented and inspected.  The
+audit works on a batch of relations at once, held as a (B, n, n, n) boolean
+tensor: R o R is a batched boolean matrix product and every postulate is
+one indexed comparison, so `check_postulates` is a batch of one and
+`enumerate_structures` audits thousands of candidates per call.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ __all__ = [
 ]
 
 DEFAULT_VALUATION_CAP = 2 ** 20
+
+# candidates audited together by enumerate_structures; bounds its memory
+_CHUNK = 1024
 
 POSTULATE_NAMES = ("p1", "p2", "p3", "p4", "p5", "p6",
                    "comm", "p3prime", "p5prime", "normal", "crstar", "peirce")
@@ -73,10 +80,15 @@ class ModelStructure:
                                       compare=False)
 
     def __post_init__(self):
+        if len(set(self.elements)) != len(self.elements):
+            raise ValueError("elements must be distinct")
         if self.zero not in self.elements:
             raise ValueError("zero must be an element")
         if set(self.star) != set(self.elements):
             raise ValueError("star must be a total map on the elements")
+        outside = set(self.star.values()) - set(self.elements)
+        if outside:
+            raise ValueError(f"star maps to unknown element {min(outside)}")
         for t in self.triples:
             for e in t:
                 if e not in self.elements:
@@ -386,74 +398,86 @@ class PostulateReport:
         return all(self.flags[n] for n in names)
 
 
+def _compose(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out[i, a, b, c, d] iff some x has left[i, a, b, x] and right[i, x, c, d],
+    as one batched matrix product (float32 counts are exact up to 2**24)."""
+    B, n = left.shape[:2]
+    counts = (left.astype(np.float32).reshape(B, n * n, n)
+              @ right.astype(np.float32).reshape(B, n, n * n))
+    return counts.reshape(B, n, n, n, n) > 0
+
+
+def _failures(R: np.ndarray, star: np.ndarray, zero: int,
+              names) -> dict[str, np.ndarray]:
+    """Where each named postulate fails, for a batch of relations on 0..n-1.
+
+    R[i, a, b, c] says that R a b c holds in relation i; star[a] is the index
+    of a*, and zero the index of 0.  In the tensor of a postulate, entry
+    [i, *w] is true iff the tuple w of element indices, in the order of the
+    postulate's quantifiers, is a counterexample in relation i; for peirce, w
+    is a missing image (c, b*, a) of a triple R a b c.  C order of w is
+    element order, so the first true entry is the least witness."""
+    B, n = R.shape[:2]
+    e = np.arange(n)
+    wanted = set(names)
+    if wanted & {"p3", "p3prime", "p4"}:
+        r2 = _compose(R, R)          # R2 a b c d: R a b x and R x c d
+
+    def every(fail):                 # a failure that does not depend on R
+        return np.broadcast_to(fail, (B,) + fail.shape)
+
+    def r2_assoc():                  # R2' a b c d: R b c x and R a x d
+        return _compose(R, R.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
+
+    def peirce_images():             # some R a b c has image (c, b*, a) = (u, v, w)
+        hits = (star == e[:, None]).astype(np.float32)       # [v, b]: b* = v
+        return hits @ R.transpose(0, 3, 2, 1).astype(np.float32) > 0
+
+    table = {
+        "p1": lambda: ~R[:, zero, e, e],
+        "p2": lambda: ~R[:, e, e, e],
+        "p3": lambda: r2 & ~r2.transpose(0, 1, 3, 2, 4),
+        "p4": lambda: r2[:, zero] & ~R,
+        "p5": lambda: R & ~R[:, :, star][:, :, :, star].transpose(0, 1, 3, 2),
+        "p6": lambda: every(star[star] != e),
+        "comm": lambda: R & ~R.transpose(0, 2, 1, 3),
+        "p3prime": lambda: r2 & ~r2_assoc(),
+        "p5prime": lambda: R & ~R[:, star][:, :, :, star].transpose(0, 2, 3, 1),
+        "normal": lambda: every((e == zero) & (star[zero] != zero)),
+        "crstar": lambda: R[:, zero] != (e[:, None] == e),
+        "peirce": lambda: peirce_images() & ~R,
+    }
+    return {name: table[name]() for name in POSTULATE_NAMES if name in wanted}
+
+
+def _tensor(m: ModelStructure) -> tuple[np.ndarray, np.ndarray, int]:
+    """The relation of `m` as a batch of one, its star as indices, 0's index."""
+    idx = {e: i for i, e in enumerate(m.elements)}
+    n = len(m.elements)
+    R = np.zeros((1, n, n, n), dtype=bool)
+    for t in m.triples:
+        R[(0,) + tuple(idx[e] for e in t)] = True
+    star = np.array([idx[m.star[e]] for e in m.elements])
+    return R, star, idx[m.zero]
+
+
 def check_postulates(m: ModelStructure) -> PostulateReport:
-    """Decide every postulate by exhaustive quantification; witnesses are the
-    lexicographically least failures in element order."""
-    elems = m.elements
-    order = {e: i for i, e in enumerate(elems)}
-    R = m.triples
-    star = m.star
-    zero = m.zero
-
-    def r2(a, b, c, d):
-        return any((a, b, x) in R and (x, c, d) in R for x in elems)
-
-    def r2_assoc(a, b, c, d):
-        return any((b, c, x) in R and (a, x, d) in R for x in elems)
-
+    """Decide every postulate on `m` as a batch of one.  Witnesses are the
+    lexicographically least failures in element order; `peirce_missing` is
+    every missing Peirce image, in element order."""
+    R, star, zero = _tensor(m)
     flags: dict[str, bool] = {}
     witnesses: dict[str, tuple] = {}
-
-    def record(name, witness):
-        if name not in witnesses:
-            flags[name] = False
-            witnesses[name] = witness
-
-    for name in POSTULATE_NAMES:
-        flags[name] = True
-
-    for a in elems:
-        if (zero, a, a) not in R:
-            record("p1", (a,))
-        if (a, a, a) not in R:
-            record("p2", (a,))
-        if star[star[a]] != a:
-            record("p6", (a,))
-    if star[zero] != zero:
-        record("normal", (zero,))
-    for a in elems:
-        for b in elems:
-            have = (zero, a, b) in R
-            if have != (a == b):
-                record("crstar", (a, b))
-    for (a, b, c) in sorted(R, key=lambda t: tuple(order[e] for e in t)):
-        if (a, star[c], star[b]) not in R:
-            record("p5", (a, b, c))
-        if (star[c], a, star[b]) not in R:
-            record("p5prime", (a, b, c))
-        if (b, a, c) not in R:
-            record("comm", (a, b, c))
-    for a, b, c, d in itertools.product(elems, repeat=4):
-        if r2(a, b, c, d):
-            if not r2(a, c, b, d):
-                record("p3", (a, b, c, d))
-            if not r2_assoc(a, b, c, d):
-                record("p3prime", (a, b, c, d))
-    for a, b, c in itertools.product(elems, repeat=3):
-        if r2(zero, a, b, c) and (a, b, c) not in R:
-            record("p4", (a, b, c))
-    missing = set()
-    for (x, y, z) in R:
-        image = (z, star[y], x)
-        if image not in R:
-            flags["peirce"] = False
-            missing.add(image)
-    if missing and "peirce" not in witnesses:
-        witnesses["peirce"] = min(
-            (t for t in missing), key=lambda t: tuple(order[e] for e in t))
-    missing_sorted = tuple(sorted(missing,
-                                  key=lambda t: tuple(order[e] for e in t)))
-    return PostulateReport(flags, witnesses, missing_sorted)
+    missing: tuple = ()
+    for name, fail in _failures(R, star, zero, POSTULATE_NAMES).items():
+        where = [tuple(m.elements[i] for i in w)
+                 for w in np.argwhere(fail[0]).tolist()]
+        flags[name] = not where
+        if where:
+            witnesses[name] = where[0]
+        if name == "peirce":
+            missing = tuple(where)
+    return PostulateReport(flags, witnesses, missing)
 
 
 # ------------------------------------------------------------------
@@ -520,20 +544,16 @@ def _involutions(n: int, fix_zero: bool):
         yield from go(items, [])
 
 
-def enumerate_structures(size: int, required, force: bool = False):
-    """Yield every structure on `size` elements whose audit passes the
-    required postulates.  Exhaustive over the raw encoding (no isomorphism
-    reduction); star maps and triple sets are backtracked with p1/p2/crstar
-    seeding and orbit closure for p5/p5'/comm."""
-    required = frozenset(required)
-    unknown = required - set(POSTULATE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown postulates: {sorted(unknown)}")
-    if size > 3 and not force:
-        raise Unsupported("sizes above 3 need force=True")
-    elems = tuple(str(i) for i in range(size))
+def _candidates(size: int, required: frozenset):
+    """The candidate relations of an enumeration, as (star, R) pairs: star is
+    the index array of an involution and R a (C, size, size, size) boolean
+    tensor of at most `_CHUNK` relations.  p1/p2/crstar seed triples in or
+    out, and p5/p5'/comm close triples into orbits; every union of the free
+    orbits with the seeded ones is a candidate, in ascending order of its
+    free-orbit bitmask."""
     idx = range(size)
-    count = 0
+    all_triples = list(itertools.product(idx, repeat=3))
+    position = {t: i for i, t in enumerate(all_triples)}
     for star in _involutions(size, fix_zero=("normal" in required)):
         forced_in = set()
         forced_out = set()
@@ -550,7 +570,6 @@ def enumerate_structures(size: int, required, force: bool = False):
             transforms.append(lambda t: (star[t[2]], t[0], star[t[1]]))
         if "comm" in required:
             transforms.append(lambda t: (t[1], t[0], t[2]))
-        all_triples = list(itertools.product(idx, repeat=3))
         orbit_of = {}
         orbits = []
         for t in all_triples:
@@ -583,23 +602,53 @@ def enumerate_structures(size: int, required, force: bool = False):
                 free.append(orbit)
         if conflict:
             continue
-        base = set().union(*fixed_in) if fixed_in else set()
-        for bits in range(1 << len(free)):
-            triples_idx = set(base)
-            for i, orbit in enumerate(free):
-                if bits >> i & 1:
-                    triples_idx |= orbit
-            m = ModelStructure(
+        # a candidate's word takes free orbit i iff its bit i is set
+        base = np.zeros(len(all_triples), dtype=bool)
+        is_free = np.zeros(len(all_triples), dtype=bool)
+        bit = np.zeros(len(all_triples), dtype=np.uint64)
+        for t in itertools.chain.from_iterable(fixed_in):
+            base[position[t]] = True
+        for i, orbit in enumerate(free):
+            for t in orbit:
+                is_free[position[t]] = True
+                bit[position[t]] = i
+        star_idx = np.array([star[a] for a in idx])
+        total = 1 << len(free)
+        for lo in range(0, total, _CHUNK):
+            words = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
+            R = base | is_free & (words[:, None] >> bit & 1).astype(bool)
+            yield star_idx, R.reshape(-1, size, size, size)
+
+
+def enumerate_structures(size: int, required, force: bool = False):
+    """Yield every structure on `size` elements whose audit passes the
+    required postulates, named enum{size}_0, enum{size}_1, ...  Exhaustive
+    over the raw encoding of `_candidates` (no isomorphism reduction).  Each
+    chunk of candidates is audited as one boolean tensor, for the required
+    postulates only, and a structure is built only for those that pass."""
+    required = frozenset(required)
+    unknown = required - set(POSTULATE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown postulates: {sorted(unknown)}")
+    if size < 1:
+        raise ValueError(f"a structure needs at least one element, not {size}")
+    if size > 3 and not force:
+        raise Unsupported("sizes above 3 need force=True")
+    elems = tuple(str(i) for i in range(size))
+    named = list(itertools.product(elems, repeat=3))
+    count = 0
+    for star, R in _candidates(size, required):
+        ok = np.ones(len(R), dtype=bool)
+        for fail in _failures(R, star, 0, required).values():
+            ok &= ~fail.reshape(len(R), -1).any(axis=1)
+        for row in R[ok].reshape(-1, size ** 3):
+            yield ModelStructure(
                 name=f"enum{size}_{count}",
                 elements=elems,
                 zero=elems[0],
-                star={elems[a]: elems[star[a]] for a in idx},
-                triples=frozenset((elems[a], elems[b], elems[c])
-                                  for (a, b, c) in triples_idx))
-            report = check_postulates(m)
-            if report.passes(required):
-                count += 1
-                yield m
+                star={elems[a]: elems[b] for a, b in enumerate(star.tolist())},
+                triples=frozenset(named[t] for t in np.flatnonzero(row)))
+            count += 1
 
 
 # ------------------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from tarl.cli import main
-from tarl.registry import data_dir
+from tarl.models import check_postulates
+from tarl.registry import data_dir, get_structure
 
 
 def run(capsys, *argv):
@@ -168,6 +169,17 @@ def test_sharing_disjoint(capsys):
     assert "K4 refutes" in out
 
 
+def test_postulates_json_holds_plain_values(capsys):
+    code, out, _ = run(capsys, "postulates", "K1", "--json")
+    payload = json.loads(out)
+    report = check_postulates(get_structure("K1"))
+    assert code == 0
+    assert payload["flags"] == report.flags
+    assert all(type(ok) is bool for ok in payload["flags"].values())
+    assert payload["witnesses"] == {k: list(v) for k, v in report.witnesses.items()}
+    assert payload["peirce_missing"] == [list(t) for t in report.peirce_missing]
+
+
 def test_model_file_resolution(tmp_path, capsys):
     src = (data_dir() / "models" / "K4.model").read_text()
     path = tmp_path / "mine.model"
@@ -199,6 +211,20 @@ def test_data_dir_override(tmp_path, monkeypatch, capsys):
 CHAIN = str(data_dir() / "chains" / "ra4.chain")
 
 
+class BadModel(str):
+    """A model file's text, passed on the command line as a file's path."""
+
+    def write(self, directory) -> str:
+        path = directory / "bad.model"
+        path.write_text(self)
+        return str(path)
+
+
+def bad_model(elements, star, triple):
+    return BadModel(f"model bad\nelements {elements}\nzero 0\nstar {star}\n"
+                    f"triples\n0 0 0\n{triple}\nend\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("prove", "a", "--max-index", "0"),
     ("prove", "a", "--depth", "0"),
@@ -209,8 +235,12 @@ CHAIN = str(data_dir() / "chains" / "ra4.chain")
     ("algebra-test", "ra1", "--trials", "0"),
     ("algebra-test", "ra1", "--trials", "-5"),
     ("chain", "proper:3", CHAIN, "--trials", "0"),
+    ("postulates", bad_model("0 a", "0:0 a:a", "0 a zz")),
+    ("postulates", bad_model("0 a", "0:0 a:zz", "0 a a")),
+    ("postulates", bad_model("0 a a", "0:0 a:a", "0 a a")),
 ])
-def test_bad_arguments_exit_2_with_one_error_line(capsys, argv):
+def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
+    argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

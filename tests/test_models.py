@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from tarl import models
 from tarl.formulas import parse_formula
 from tarl.gen import random_formula
+from tarl.groups import PARTITIONS, build_atom_structure
 from tarl.models import (
-    Shared, SemanticWitness, TooManyValuations, Unsupported, Valuation,
+    POSTULATE_NAMES, ModelStructure, PostulateReport, Shared,
+    SemanticWitness, TooManyValuations, Unsupported, Valuation,
     check_postulates, composition_table, dump_model_file,
     enumerate_structures, find_invalidating_singletons, hereditary_subsets,
     interpret, is_hereditary, load_model_file, op_fusion, op_implies,
@@ -259,6 +263,107 @@ def test_failed_flags_carry_witnesses():
                 assert name in r.witnesses, (m.name, name)
 
 
+def oracle_postulates(m):
+    """The audit as a per-structure loop over every quantified tuple: the
+    reference the tensor audit must agree with, witnesses included."""
+    elems = m.elements
+    order = {e: i for i, e in enumerate(elems)}
+    R = m.triples
+    star = m.star
+    zero = m.zero
+
+    def r2(a, b, c, d):
+        return any((a, b, x) in R and (x, c, d) in R for x in elems)
+
+    def r2_assoc(a, b, c, d):
+        return any((b, c, x) in R and (a, x, d) in R for x in elems)
+
+    def key(t):
+        return tuple(order[e] for e in t)
+
+    flags = dict.fromkeys(POSTULATE_NAMES, True)
+    witnesses = {}
+
+    def record(name, witness):
+        if name not in witnesses:
+            flags[name] = False
+            witnesses[name] = witness
+
+    for a in elems:
+        if (zero, a, a) not in R:
+            record("p1", (a,))
+        if (a, a, a) not in R:
+            record("p2", (a,))
+        if star[star[a]] != a:
+            record("p6", (a,))
+    if star[zero] != zero:
+        record("normal", (zero,))
+    for a, b in itertools.product(elems, repeat=2):
+        if ((zero, a, b) in R) != (a == b):
+            record("crstar", (a, b))
+    for (a, b, c) in sorted(R, key=key):
+        if (a, star[c], star[b]) not in R:
+            record("p5", (a, b, c))
+        if (star[c], a, star[b]) not in R:
+            record("p5prime", (a, b, c))
+        if (b, a, c) not in R:
+            record("comm", (a, b, c))
+    for a, b, c, d in itertools.product(elems, repeat=4):
+        if r2(a, b, c, d):
+            if not r2(a, c, b, d):
+                record("p3", (a, b, c, d))
+            if not r2_assoc(a, b, c, d):
+                record("p3prime", (a, b, c, d))
+    for a, b, c in itertools.product(elems, repeat=3):
+        if r2(zero, a, b, c) and (a, b, c) not in R:
+            record("p4", (a, b, c))
+    missing = sorted({(z, star[y], x) for (x, y, z) in R} - R, key=key)
+    if missing:
+        record("peirce", missing[0])
+    return PostulateReport(flags, witnesses, tuple(missing))
+
+
+def _random_structure(rng, n):
+    """Elements named out of sorted order, 0 anywhere, any total star map
+    (involution or not) and a relation of random density."""
+    elements = tuple(rng.sample(["0", "e", "a", "b*", "c", "b", "a*"], n))
+    star = {e: rng.choice(elements) for e in elements}
+    density = rng.choice([0.05, 0.3, 0.6, 0.9])
+    triples = frozenset(t for t in itertools.product(elements, repeat=3)
+                        if rng.random() < density)
+    return ModelStructure("r", elements, rng.choice(elements), star, triples)
+
+
+def _audit_cases():
+    rng = random.Random(20)
+    cases = [_random_structure(rng, 1 + k % 5) for k in range(1000)]
+    for n in range(1, 6):
+        m = _random_structure(rng, n)
+        full = frozenset(itertools.product(m.elements, repeat=3))
+        for triples in (frozenset(), full):
+            for star in (m.star, {e: e for e in m.elements}):
+                cases.append(ModelStructure("x", m.elements, m.zero, star,
+                                            triples))
+    cases += ALL + [build_atom_structure(p) for p in PARTITIONS]
+    return cases
+
+
+def test_audit_agrees_with_oracle():
+    for m in _audit_cases():
+        got, want = check_postulates(m), oracle_postulates(m)
+        assert got.flags == want.flags, m
+        assert got.witnesses == want.witnesses, m
+        assert got.peirce_missing == want.peirce_missing, m
+
+
+def test_audit_reports_plain_values():
+    for m in ALL + [build_atom_structure(PARTITIONS[0])]:
+        r = check_postulates(m)
+        assert all(type(ok) is bool for ok in r.flags.values())
+        for t in [*r.witnesses.values(), *r.peirce_missing]:
+            assert type(t) is tuple and all(type(e) is str for e in t)
+
+
 # ------------------------------------------------------------------
 # Variable sharing
 # ------------------------------------------------------------------
@@ -346,6 +451,78 @@ def test_enumerate_heredity_propagation():
 def test_enumerate_size_guard():
     with pytest.raises(Unsupported):
         next(enumerate_structures(4, {"p1"}))
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_enumerate_needs_an_element(size):
+    with pytest.raises(ValueError):
+        next(enumerate_structures(size, ()))
+
+
+P1_P6 = ("p1", "p2", "p3", "p4", "p5", "p6")
+# every size-2 query of the benchmark's enumerate workload and its size-3
+# queries with few candidates
+FAST_QUERIES = [(2, ()), (2, ("p1",)), (2, ("comm",)), (2, ("normal",)),
+                (2, P1_P6), (3, P1_P6 + ("comm",)),
+                (3, P1_P6 + ("normal", "comm")), (3, ("crstar", "p5", "comm"))]
+
+
+def _listing(structures):
+    return [(m.name, sorted(m.star.items()), sorted(m.triples))
+            for m in structures]
+
+
+@pytest.mark.parametrize("size,required", FAST_QUERIES)
+def test_enumeration_is_candidates_filtered_by_oracle(size, required):
+    elems = tuple(str(i) for i in range(size))
+    expected = []
+    for star, R in models._candidates(size, frozenset(required)):
+        for rel in R:
+            m = ModelStructure(
+                f"enum{size}_{len(expected)}", elems, "0",
+                {elems[a]: elems[b] for a, b in enumerate(star)},
+                frozenset(tuple(elems[i] for i in t)
+                          for t in zip(*rel.nonzero())))
+            if oracle_postulates(m).passes(required):
+                expected.append(m)
+    assert _listing(enumerate_structures(size, required)) == _listing(expected)
+
+
+@pytest.mark.parametrize("size,required", [q for q in FAST_QUERIES if q[0] == 2])
+def test_size2_enumeration_is_every_passing_structure(size, required):
+    elems = ("0", "1")
+    expected = set()
+    for image in itertools.permutations(elems):
+        star = dict(zip(elems, image))
+        if any(star[star[e]] != e for e in elems):
+            continue
+        for bits in range(1 << 8):
+            triples = frozenset(t for i, t in enumerate(
+                itertools.product(elems, repeat=3)) if bits >> i & 1)
+            m = ModelStructure("b", elems, "0", star, triples)
+            if oracle_postulates(m).passes(required):
+                expected.add((tuple(sorted(star.items())), triples))
+    found = [(tuple(sorted(m.star.items())), m.triples)
+             for m in enumerate_structures(size, required)]
+    assert len(found) == len(set(found))
+    assert set(found) == expected
+
+
+# sha256 of the repr of [(sorted star items, sorted triples)] over the 29
+# structures, recorded from the enumerator that audited one candidate at a
+# time with the oracle's loops
+DIGEST_3_P1_P6 = "fb23438a26f87f91e78010ae80758c02dbe670af6e077f66cbfb9a5f18505c85"
+
+
+def test_size3_p1_to_p6_enumeration_is_pinned():
+    found = list(enumerate_structures(3, P1_P6))
+    assert len(found) == 29
+    digest = hashlib.sha256(repr([(sorted(m.star.items()), sorted(m.triples))
+                                  for m in found]).encode()).hexdigest()
+    assert digest == DIGEST_3_P1_P6
+    assert [m.name for m in found] == [f"enum3_{i}" for i in range(29)]
+    for m in found:
+        assert oracle_postulates(m).passes(P1_P6)
 
 
 # ------------------------------------------------------------------
