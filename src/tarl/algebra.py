@@ -11,6 +11,13 @@ Two kinds of finite algebra are supported:
     is the star image, the identity is {0}.  Carriers are tiny, so
     identities are tested exhaustively.
 
+One recursion evaluates a term over a batch of assignments; converse,
+relative product and the constants come from the carrier: lookups in the
+structure's mask tables for complex algebras, boolean n x n matrices
+stacked along a leading batch axis for proper ones.  Laws are tested one
+batch at a time (the whole valuation grid of a complex algebra, blocks of
+500 samples of a proper one), and `eval_term` is a batch of one.
+
 The term grammar is  `+` join, `.` meet, prefix `-` complement, postfix `^`
 converse, `;` relative product, constants `id`, `0`, `1`, with precedence
 `- ^` > `;` > `.` > `+`.  Chain files hold one `lhs (=|<=) rhs ; tag` step
@@ -27,7 +34,9 @@ from typing import Iterable
 import numpy as np
 
 from .formulas import And, Formula, Fusion, Imp, Neg, Or, ParseError, Var
-from .models import ModelStructure, TooManyValuations, UnassignedVariable, tables_for
+from .models import (
+    ModelStructure, UnassignedVariable, _grid_rows, _valuation_grid, tables_for,
+)
 
 __all__ = [
     "RATerm", "RVar", "Join", "Meet", "Compl", "Conv", "Comp",
@@ -328,135 +337,132 @@ def sample_relations(n: int, names: Iterable[str], seed: int,
     """Counter-based sampling: each (seed, trial, name) fixes one relation."""
     out = {}
     for name in names:
-        rng = random.Random(f"{seed}:{trial}:{name}")
-        bits = rng.getrandbits(n * n)
+        bits = _sample_bits(n, name, seed, trial)
         out[name] = frozenset((i, j) for i in range(n) for j in range(n)
                               if bits >> (i * n + j) & 1)
     return out
+
+
+def _sample_bits(n: int, name: str, seed: int, trial: int) -> int:
+    """The sampled relation as n*n bits; bit i*n + j holds the pair (i, j)."""
+    return random.Random(f"{seed}:{trial}:{name}").getrandbits(n * n)
 
 
 # ------------------------------------------------------------------
 # Evaluation
 # ------------------------------------------------------------------
 
-def _eval_proper(t: RATerm, env: dict, n: int) -> frozenset:
-    if isinstance(t, RVar):
-        if t.name not in env:
-            raise UnassignedVariable(t.name)
-        return frozenset(env[t.name])
-    if isinstance(t, Join):
-        return _eval_proper(t.left, env, n) | _eval_proper(t.right, env, n)
-    if isinstance(t, Meet):
-        return _eval_proper(t.left, env, n) & _eval_proper(t.right, env, n)
-    if isinstance(t, Compl):
-        full = {(i, j) for i in range(n) for j in range(n)}
-        return frozenset(full - _eval_proper(t.body, env, n))
-    if isinstance(t, Conv):
-        return frozenset((j, i) for (i, j) in _eval_proper(t.body, env, n))
-    if isinstance(t, Comp):
-        left = _eval_proper(t.left, env, n)
-        right = _eval_proper(t.right, env, n)
-        adj: dict[int, set[int]] = {}
-        for (i, j) in right:
-            adj.setdefault(i, set()).add(j)
-        return frozenset((i, k) for (i, j) in left for k in adj.get(j, ()))
-    if isinstance(t, Ident):
-        return frozenset((i, i) for i in range(n))
-    if isinstance(t, Zero):
-        return frozenset()
-    if isinstance(t, One):
-        return frozenset((i, j) for i in range(n) for j in range(n))
-    raise TypeError(f"not a term: {t!r}")
+class _Masks:
+    """The carrier of a complex algebra: subsets of K as bitmasks."""
+    axes = ()                        # one element is one mask
+
+    def __init__(self, m: ModelStructure):
+        self.m = m
+        self.tab = tab = tables_for(m)
+        self.ident = 1 << tab.zero_bit
+        self.zero = 0
+        self.one = tab.all_mask
+
+    def conv(self, x):
+        return self.tab.star[x]
+
+    def comp(self, x, y):
+        return self.tab.fus[y, x]    # X;Y is fusion in the opposite order
+
+    def encode(self, value) -> int:
+        return self.tab.mask_of(self.m, value)
+
+    def decode(self, x) -> frozenset[str]:
+        return self.tab.subset_of(self.m, int(x))
+
+    def batches(self, names: list[str], trials: int, seed: int, cap: int):
+        """The whole assignment grid as one batch: carriers are exhausted."""
+        size = self.tab.size
+        rows = _grid_rows(size, names, cap)
+        return [(len(rows), _valuation_grid(names, size, rows))]
 
 
-def _eval_complex_mask(t: RATerm, env: dict, tab) -> int:
+class _Matrices:
+    """The carrier of a proper algebra: relations as boolean n x n matrices."""
+    axes = (-2, -1)                  # one element is one matrix
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ident = np.eye(n, dtype=bool)
+        self.zero = np.zeros((n, n), dtype=bool)
+        self.one = np.ones((n, n), dtype=bool)
+
+    def conv(self, x):
+        return np.swapaxes(x, -1, -2)
+
+    def comp(self, x, y):
+        return (x.astype(np.uint8) @ y.astype(np.uint8)) > 0
+
+    def encode(self, pairs) -> np.ndarray:
+        mat = np.zeros((self.n, self.n), dtype=bool)
+        for (i, j) in pairs:
+            mat[i, j] = True
+        return mat
+
+    def decode(self, x) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, np.argwhere(x).tolist()))
+
+    def batches(self, names: list[str], trials: int, seed: int, cap: int):
+        """Blocks of at most 500 seeded samples, in trial order."""
+        n = self.n
+        shifts = np.arange(n * n)
+        for start in range(0, trials, 500):
+            block = range(start, min(start + 500, trials))
+            yield len(block), {
+                name: (np.array([_sample_bits(n, name, seed, t) for t in block])[:, None]
+                       >> shifts & 1).astype(bool).reshape(-1, n, n)
+                for name in names}
+
+
+def _carrier(alg):
+    if isinstance(alg, ProperAlgebra):
+        return _Matrices(alg.base_size)
+    return _Masks(alg.structure)
+
+
+def _eval(t: RATerm, env: dict, c):
+    """The value of `t` under a batch of assignments in carrier `c`."""
     if isinstance(t, RVar):
         if t.name not in env:
             raise UnassignedVariable(t.name)
         return env[t.name]
     if isinstance(t, Join):
-        return _eval_complex_mask(t.left, env, tab) | _eval_complex_mask(t.right, env, tab)
+        return _eval(t.left, env, c) | _eval(t.right, env, c)
     if isinstance(t, Meet):
-        return _eval_complex_mask(t.left, env, tab) & _eval_complex_mask(t.right, env, tab)
+        return _eval(t.left, env, c) & _eval(t.right, env, c)
     if isinstance(t, Compl):
-        return tab.all_mask ^ _eval_complex_mask(t.body, env, tab)
+        return c.one ^ _eval(t.body, env, c)
     if isinstance(t, Conv):
-        return tab.star_mask[_eval_complex_mask(t.body, env, tab)]
+        return c.conv(_eval(t.body, env, c))
     if isinstance(t, Comp):
-        # X;Y is fusion in the opposite order
-        left = _eval_complex_mask(t.left, env, tab)
-        right = _eval_complex_mask(t.right, env, tab)
-        return tab.fus[right][left]
+        return c.comp(_eval(t.left, env, c), _eval(t.right, env, c))
     if isinstance(t, Ident):
-        return 1 << tab.zero_bit
+        return c.ident
     if isinstance(t, Zero):
-        return 0
+        return c.zero
     if isinstance(t, One):
-        return tab.all_mask
+        return c.one
     raise TypeError(f"not a term: {t!r}")
 
 
 def eval_term(alg, assignment: dict, t: RATerm):
-    """Bottom-up evaluation of one assignment; returns a carrier element
-    (a set of pairs for proper algebras, a subset of K for complex ones)."""
-    if isinstance(alg, ProperAlgebra):
-        return _eval_proper(t, assignment, alg.base_size)
-    tab = tables_for(alg.structure)
-    env = {name: tab.mask_of(alg.structure, val)
-           for name, val in assignment.items()}
-    return tab.subset_of(alg.structure, _eval_complex_mask(t, env, tab))
+    """Evaluation of one assignment, as a batch of one; returns a carrier
+    element (a set of pairs for proper algebras, a subset of K for complex
+    ones)."""
+    c = _carrier(alg)
+    env = {name: c.encode(value) for name, value in assignment.items()}
+    return c.decode(_eval(t, env, c))
 
 
-def _eval_complex_vec(t: RATerm, env: dict, tab) -> np.ndarray:
-    if isinstance(t, RVar):
-        if t.name not in env:
-            raise UnassignedVariable(t.name)
-        return env[t.name]
-    if isinstance(t, Join):
-        return _eval_complex_vec(t.left, env, tab) | _eval_complex_vec(t.right, env, tab)
-    if isinstance(t, Meet):
-        return _eval_complex_vec(t.left, env, tab) & _eval_complex_vec(t.right, env, tab)
-    if isinstance(t, Compl):
-        return tab.all_mask ^ _eval_complex_vec(t.body, env, tab)
-    if isinstance(t, Conv):
-        return tab.star_np[_eval_complex_vec(t.body, env, tab)]
-    if isinstance(t, Comp):
-        left = _eval_complex_vec(t.left, env, tab)
-        right = _eval_complex_vec(t.right, env, tab)
-        return tab.fus_np[right, left]
-    if isinstance(t, Ident):
-        return np.int64(1 << tab.zero_bit)
-    if isinstance(t, Zero):
-        return np.int64(0)
-    if isinstance(t, One):
-        return np.int64(tab.all_mask)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _eval_proper_vec(t: RATerm, env: dict, n: int, trials: int) -> np.ndarray:
-    if isinstance(t, RVar):
-        if t.name not in env:
-            raise UnassignedVariable(t.name)
-        return env[t.name]
-    if isinstance(t, Join):
-        return _eval_proper_vec(t.left, env, n, trials) | _eval_proper_vec(t.right, env, n, trials)
-    if isinstance(t, Meet):
-        return _eval_proper_vec(t.left, env, n, trials) & _eval_proper_vec(t.right, env, n, trials)
-    if isinstance(t, Compl):
-        return ~_eval_proper_vec(t.body, env, n, trials)
-    if isinstance(t, Conv):
-        return _eval_proper_vec(t.body, env, n, trials).transpose(0, 2, 1)
-    if isinstance(t, Comp):
-        left = _eval_proper_vec(t.left, env, n, trials).astype(np.uint8)
-        right = _eval_proper_vec(t.right, env, n, trials).astype(np.uint8)
-        return (left @ right) > 0
-    if isinstance(t, Ident):
-        return np.broadcast_to(np.eye(n, dtype=bool), (trials, n, n))
-    if isinstance(t, Zero):
-        return np.zeros((trials, n, n), dtype=bool)
-    if isinstance(t, One):
-        return np.ones((trials, n, n), dtype=bool)
-    raise TypeError(f"not a term: {t!r}")
+def _related(rel: str, lhs, rhs, axes: tuple) -> np.ndarray:
+    """Per assignment, whether lhs REL rhs; `axes` are those of one element."""
+    ok = np.equal(lhs if rel == "=" else lhs | rhs, rhs)
+    return ok.all(axis=axes) if axes else ok
 
 
 # ------------------------------------------------------------------
@@ -489,80 +495,28 @@ class Law:
         return sorted(out)
 
 
-def _complex_grid(tab, names, cap):
-    total = tab.size ** len(names)
-    if total > cap:
-        raise TooManyValuations(f"{total} assignments exceeds cap {cap}")
-    rows = np.arange(total)
-    env = {}
-    for pos, name in enumerate(names):
-        stride = tab.size ** (len(names) - 1 - pos)
-        env[name] = (rows // stride) % tab.size
-    return env, total
-
-
-def _relation_ok_masks(rel: str, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if rel == "=":
-        return lhs == rhs
-    return (lhs | rhs) == rhs
-
-
-def _relation_ok_bool(rel: str, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if rel == "=":
-        return (lhs == rhs).all(axis=(1, 2))
-    return (lhs | rhs == rhs).all(axis=(1, 2))
-
-
 def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0,
               cap: int = 2 ** 20) -> IdentityResult:
     """Semantic check of a law (with premises) in one algebra: exhaustively
-    on complex algebras, on seeded random samples in proper ones."""
+    on complex algebras, on seeded random samples in proper ones.  The
+    counterexample is the first failing assignment; `checked` counts the
+    assignments that meet the premises, up to the batch that fails."""
     if trials < 1:  # a sampled law would pass after checking nothing
         raise ValueError(f"trials must be at least 1, got {trials}")
     names = law.all_variables()
-    if isinstance(alg, ComplexAlgebra):
-        tab = tables_for(alg.structure)
-        env, total = _complex_grid(tab, names, cap)
-        keep = np.ones(total, dtype=bool)
-        for (l, rel, r) in law.premises:
-            keep &= _relation_ok_masks(rel, _eval_complex_vec(l, env, tab),
-                                       _eval_complex_vec(r, env, tab))
-        good = _relation_ok_masks(law.rel,
-                                  _eval_complex_vec(law.lhs, env, tab),
-                                  _eval_complex_vec(law.rhs, env, tab))
-        bad = np.nonzero(keep & ~good)[0]
-        if bad.size == 0:
-            return IdentityResult(True, checked=int(keep.sum()))
-        row = int(bad[0])
-        ce = {name: tab.subset_of(alg.structure, int(env[name][row]))
-              for name in names}
-        return IdentityResult(False, ce, int(keep.sum()))
-    n = alg.base_size
+    c = _carrier(alg)
     checked = 0
-    for start in range(0, trials, 500):
-        block = min(500, trials - start)
-        env = {}
-        for name in names:
-            mats = np.zeros((block, n, n), dtype=bool)
-            for t in range(block):
-                rel = sample_relations(n, [name], seed, start + t)[name]
-                for (i, j) in rel:
-                    mats[t, i, j] = True
-            env[name] = mats
-        keep = np.ones(block, dtype=bool)
+    for size, env in c.batches(names, trials, seed, cap):
+        keep = np.ones(size, dtype=bool)
         for (l, rel, r) in law.premises:
-            keep &= _relation_ok_bool(rel, _eval_proper_vec(l, env, n, block),
-                                      _eval_proper_vec(r, env, n, block))
-        good = _relation_ok_bool(law.rel,
-                                 _eval_proper_vec(law.lhs, env, n, block),
-                                 _eval_proper_vec(law.rhs, env, n, block))
+            keep &= _related(rel, _eval(l, env, c), _eval(r, env, c), c.axes)
+        good = _related(law.rel, _eval(law.lhs, env, c), _eval(law.rhs, env, c), c.axes)
         bad = np.nonzero(keep & ~good)[0]
         checked += int(keep.sum())
         if bad.size:
-            t = int(bad[0])
-            ce = {name: frozenset(zip(*map(list, np.nonzero(env[name][t]))))
-                  for name in names}
-            return IdentityResult(False, ce, checked)
+            row = int(bad[0])
+            return IdentityResult(False, {name: c.decode(env[name][row]) for name in names},
+                                  checked)
     return IdentityResult(True, checked=checked)
 
 
@@ -579,12 +533,9 @@ def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
     for one assignment if given, otherwise quantified over the carrier."""
     term = translate(f)
     if assignment is not None:
-        value = eval_term(alg, assignment, term)
-        if isinstance(alg, ProperAlgebra):
-            diag = {(i, i) for i in range(alg.base_size)}
-            ok = diag <= set(value)
-        else:
-            ok = alg.structure.zero in value
+        c = _carrier(alg)
+        env = {name: c.encode(value) for name, value in assignment.items()}
+        ok = bool(_related("<=", c.ident, _eval(term, env, c), c.axes))
         return IdentityResult(ok, None if ok else dict(assignment), 1)
     return holds_identity(alg, IDENT, "<=", term, trials, seed, cap)
 

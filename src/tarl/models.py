@@ -8,8 +8,11 @@ and a distinguished element 0.  Subsets of K form an algebra under
     X*     = {x* : x in X}
     ~X     = K minus X*
 
-and a formula is interpreted by structural recursion, with variables mapped
-to subsets subject to heredity (truth propagates along R0-successors).  The
+with variables mapped to subsets subject to heredity (truth propagates
+along R0-successors).  Subsets are bitmasks, each operation is one int64
+lookup table, and one recursion evaluates a formula over an array of
+valuations: the whole grid for `valid_in`, chunks of the singleton grid
+for `find_invalidating_singletons`, a batch of one for `interpret`.  The
 structure postulates (p1..p6 and friends) are audited, never assumed, so
 deliberately defective structures can be represented and inspected.  The
 audit works on a batch of relations at once, held as a (B, n, n, n) boolean
@@ -47,6 +50,8 @@ DEFAULT_VALUATION_CAP = 2 ** 20
 
 # candidates audited together by enumerate_structures; bounds its memory
 _CHUNK = 1024
+# grid rows evaluated together by find_invalidating_singletons
+_GRID_CHUNK = 1 << 16
 
 POSTULATE_NAMES = ("p1", "p2", "p3", "p4", "p5", "p6",
                    "comm", "p3prime", "p5prime", "normal", "crstar", "peirce")
@@ -132,6 +137,15 @@ def composition_table(m: ModelStructure) -> dict[tuple[str, str], frozenset[str]
 # Bitmask tables; subsets of K are masks over the element order
 # ------------------------------------------------------------------
 
+def _unions(rows: np.ndarray) -> np.ndarray:
+    """out[mask] is the OR of rows[i] over the elements i of mask: the table
+    for mask | 1 << i is the table for mask OR-ed with row i."""
+    out = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[1 << i:2 << i] = out[:1 << i] | row
+    return out
+
+
 class _Tables:
     def __init__(self, m: ModelStructure):
         n = len(m.elements)
@@ -143,56 +157,23 @@ class _Tables:
         self.all_mask = size - 1
         self.zero_bit = m.index(m.zero)
         idx = {e: i for i, e in enumerate(m.elements)}
-        single = [[0] * n for _ in range(n)]
-        for (x, y, z) in m.triples:
-            single[idx[x]][idx[y]] |= 1 << idx[z]
-        fus = [[0] * size for _ in range(size)]
-        for mx in range(size):
-            for my in range(size):
-                acc = 0
-                for i in range(n):
-                    if mx >> i & 1:
-                        row = single[i]
-                        for j in range(n):
-                            if my >> j & 1:
-                                acc |= row[j]
-                fus[mx][my] = acc
-        star = [0] * size
-        for mk in range(size):
-            acc = 0
-            for i in range(n):
-                if mk >> i & 1:
-                    acc |= 1 << idx[m.star[m.elements[i]]]
-            star[mk] = acc
-        neg = [self.all_mask ^ s for s in star]
-        # z is in X->Y iff every pair (x, y) with R z x y and x in X has y in Y
-        pairs_by_z = [[] for _ in range(n)]
+        single = np.zeros((n, n), dtype=np.int64)    # [x, y]: {x} o {y}
+        need = np.zeros((n, n), dtype=np.int64)      # [x, z]: the y with R z x y
         for (a, b, c) in m.triples:
-            pairs_by_z[idx[a]].append((idx[b], idx[c]))
-        req = [[0] * size for _ in range(n)]
+            single[idx[a], idx[b]] |= 1 << idx[c]
+            need[idx[b], idx[a]] |= 1 << idx[c]
+        self.fus = np.ascontiguousarray(_unions(_unions(single).T).T)
+        self.star = _unions(np.array([1 << idx[m.star[e]] for e in m.elements]))
+        self.neg = self.all_mask ^ self.star
+        # z is in X->Y iff every y with R z x y for some x in X is in Y
+        req = _unions(need)
+        masks = np.arange(size)
+        self.imp = np.zeros((size, size), dtype=np.int64)
         for z in range(n):
-            for mx in range(size):
-                acc = 0
-                for (x, y) in pairs_by_z[z]:
-                    if mx >> x & 1:
-                        acc |= 1 << y
-                req[z][mx] = acc
-        imp = [[0] * size for _ in range(size)]
-        for mx in range(size):
-            for my in range(size):
-                acc = 0
-                for z in range(n):
-                    if req[z][mx] & ~my & self.all_mask == 0:
-                        acc |= 1 << z
-                imp[mx][my] = acc
-        self.fus = fus
-        self.imp = imp
-        self.star_mask = star
-        self.neg = neg
-        self.fus_np = np.array(fus, dtype=np.int64)
-        self.imp_np = np.array(imp, dtype=np.int64)
-        self.star_np = np.array(star, dtype=np.int64)
-        self.neg_np = np.array(neg, dtype=np.int64)
+            self.imp |= ((req[:, z, None] & ~masks) == 0).astype(np.int64) << z
+        # X is hereditary iff {0} o X is within X
+        closed = self.fus[1 << self.zero_bit] & ~masks == 0
+        self.hereditary = tuple(np.flatnonzero(closed).tolist())
 
     def mask_of(self, m: ModelStructure, subset) -> int:
         acc = 0
@@ -262,30 +243,26 @@ def is_hereditary(m: ModelStructure, v: Valuation) -> bool:
 
 def hereditary_subsets(m: ModelStructure) -> list[int]:
     """Masks closed under R0-successors, ascending (lexicographic) order."""
-    t = tables_for(m)
-    succ = [(m.index(b), m.index(c)) for (a, b, c) in m.triples if a == m.zero]
-    out = []
-    for mask in range(t.size):
-        if all(not (mask >> a & 1 and not mask >> b & 1) for (a, b) in succ):
-            out.append(mask)
-    return out
+    return list(tables_for(m).hereditary)
 
 
-def _interpret_mask(f: Formula, env: dict[str, int], t: _Tables) -> int:
+def _interpret_vec(f: Formula, env: dict, t: _Tables):
+    """J(f) as masks, one per valuation: each variable maps to an array of
+    masks (or one mask, a batch of one), and every operation is a lookup."""
     if isinstance(f, Var):
         if f.name not in env:
             raise UnassignedVariable(f.name)
         return env[f.name]
     if isinstance(f, Neg):
-        return t.neg[_interpret_mask(f.body, env, t)]
+        return t.neg[_interpret_vec(f.body, env, t)]
     if isinstance(f, And):
-        return _interpret_mask(f.left, env, t) & _interpret_mask(f.right, env, t)
+        return _interpret_vec(f.left, env, t) & _interpret_vec(f.right, env, t)
     if isinstance(f, Or):
-        return _interpret_mask(f.left, env, t) | _interpret_mask(f.right, env, t)
+        return _interpret_vec(f.left, env, t) | _interpret_vec(f.right, env, t)
     if isinstance(f, Imp):
-        return t.imp[_interpret_mask(f.left, env, t)][_interpret_mask(f.right, env, t)]
+        return t.imp[_interpret_vec(f.left, env, t), _interpret_vec(f.right, env, t)]
     if isinstance(f, Fusion):
-        return t.fus[_interpret_mask(f.left, env, t)][_interpret_mask(f.right, env, t)]
+        return t.fus[_interpret_vec(f.left, env, t), _interpret_vec(f.right, env, t)]
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -293,46 +270,37 @@ def interpret(m: ModelStructure, v: Valuation, f: Formula) -> frozenset[str]:
     """J(f): the set of elements where f holds; fusion is interpreted directly."""
     t = tables_for(m)
     env = {name: t.mask_of(m, val) for name, val in v.assignment.items()}
-    return t.subset_of(m, _interpret_mask(f, env, t))
+    return t.subset_of(m, int(_interpret_vec(f, env, t)))
 
 
 def verified(m: ModelStructure, v: Valuation, f: Formula) -> bool:
     return m.zero in interpret(m, v, f)
 
 
-def _interpret_vec(f: Formula, env: dict[str, np.ndarray], t: _Tables) -> np.ndarray:
-    if isinstance(f, Var):
-        if f.name not in env:
-            raise UnassignedVariable(f.name)
-        return env[f.name]
-    if isinstance(f, Neg):
-        return t.neg_np[_interpret_vec(f.body, env, t)]
-    if isinstance(f, And):
-        return _interpret_vec(f.left, env, t) & _interpret_vec(f.right, env, t)
-    if isinstance(f, Or):
-        return _interpret_vec(f.left, env, t) | _interpret_vec(f.right, env, t)
-    if isinstance(f, Imp):
-        return t.imp_np[_interpret_vec(f.left, env, t), _interpret_vec(f.right, env, t)]
-    if isinstance(f, Fusion):
-        return t.fus_np[_interpret_vec(f.left, env, t), _interpret_vec(f.right, env, t)]
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _valuation_grid(names: list[str], allowed: list[int],
-                    cap: int) -> dict[str, np.ndarray]:
-    """Columns for every assignment of allowed masks, first name most
-    significant, so row order is the lexicographic order of assignments."""
-    base = len(allowed)
+def _grid_rows(base: int, names: list[str], cap: int) -> np.ndarray:
+    """Every row of a grid of `base` ** len(names) valuations, if the cap allows."""
     total = base ** len(names)
     if total > cap:
         raise TooManyValuations(f"{total} valuations exceeds cap {cap}")
+    return np.arange(total)
+
+
+def _valuation_grid(names: list[str], base: int, rows: np.ndarray,
+                    allowed: list[int] | None = None) -> dict[str, np.ndarray]:
+    """Columns for the given rows of the grid of every assignment of `base`
+    masks (the list `allowed`, or else 0..base-1), first name most
+    significant, so row order is the lexicographic order of assignments."""
+    env = {name: rows // base ** (len(names) - 1 - pos) % base
+           for pos, name in enumerate(names)}
+    if allowed is None:
+        return env
     allowed_np = np.array(allowed, dtype=np.int64)
-    rows = np.arange(total)
-    env = {}
-    for pos, name in enumerate(names):
-        stride = base ** (len(names) - 1 - pos)
-        env[name] = allowed_np[(rows // stride) % base]
-    return env
+    return {name: allowed_np[digits] for name, digits in env.items()}
+
+
+def _valuation(m: ModelStructure, t: _Tables, env: dict[str, np.ndarray],
+               row: int) -> Valuation:
+    return Valuation({name: t.subset_of(m, int(col[row])) for name, col in env.items()})
 
 
 @dataclass
@@ -346,41 +314,34 @@ class ValidityResult:
 
 def valid_in(m: ModelStructure, f: Formula,
              cap: int = DEFAULT_VALUATION_CAP) -> ValidityResult:
-    """Exhaustive check over every heredity-closed valuation."""
+    """Exhaustive check over every heredity-closed valuation; the witness is
+    the lexicographically first failing one."""
     t = tables_for(m)
     names = sorted(variables(f))
-    allowed = hereditary_subsets(m)
-    if not names:
-        env: dict[str, np.ndarray] = {}
-        value = _interpret_mask(f, {}, t)
-        ok = bool(value >> t.zero_bit & 1)
-        return ValidityResult(ok, None if ok else Valuation({}))
-    env = _valuation_grid(names, allowed, cap)
+    allowed = t.hereditary
+    rows = _grid_rows(len(allowed), names, cap)
+    env = _valuation_grid(names, len(allowed), rows, allowed)
     value = _interpret_vec(f, env, t)
     failing = np.nonzero((value >> t.zero_bit & 1) == 0)[0]
     if failing.size == 0:
         return ValidityResult(True)
-    row = int(failing[0])
-    witness = Valuation({name: t.subset_of(m, int(env[name][row]))
-                         for name in names})
-    return ValidityResult(False, witness)
+    return ValidityResult(False, _valuation(m, t, env, int(failing[0])))
 
 
 def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuation]:
     """All singleton-valued valuations sending the whole formula to the
-    empty set, in lexicographic order of the assignments."""
+    empty set, in lexicographic order of the assignments.  The grid of
+    hereditary singletons is walked in row chunks, so it needs no cap."""
     t = tables_for(m)
     names = sorted(variables(f))
-    singles = [1 << i for i in range(t.n)]
-    hered = set(hereditary_subsets(m))
+    singles = [1 << i for i in range(t.n) if 1 << i in t.hereditary]
+    total = len(singles) ** len(names)
     out = []
-    for combo in itertools.product(singles, repeat=len(names)):
-        if any(mask not in hered for mask in combo):
-            continue
-        env = dict(zip(names, combo))
-        if _interpret_mask(f, env, t) == 0:
-            out.append(Valuation({name: t.subset_of(m, mask)
-                                  for name, mask in env.items()}))
+    for lo in range(0, total, _GRID_CHUNK):
+        rows = np.arange(lo, min(lo + _GRID_CHUNK, total))
+        env = _valuation_grid(names, len(singles), rows, singles)
+        empty = np.nonzero(_interpret_vec(f, env, t) == 0)[0]
+        out.extend(_valuation(m, t, env, int(row)) for row in empty)
     return out
 
 
@@ -621,11 +582,13 @@ def _candidates(size: int, required: frozenset):
 
 
 def enumerate_structures(size: int, required, force: bool = False):
-    """Yield every structure on `size` elements whose audit passes the
-    required postulates, named enum{size}_0, enum{size}_1, ...  Exhaustive
-    over the raw encoding of `_candidates` (no isomorphism reduction).  Each
-    chunk of candidates is audited as one boolean tensor, for the required
-    postulates only, and a structure is built only for those that pass."""
+    """Yield every structure on `size` elements with an involutive star
+    whose audit passes the required postulates, named enum{size}_0,
+    enum{size}_1, ...  Star maps that are not involutions are never tried,
+    even when p6 is not required.  Exhaustive over the raw encoding of
+    `_candidates` (no isomorphism reduction).  Each chunk of candidates is
+    audited as one boolean tensor, for the required postulates only, and a
+    structure is built only for those that pass."""
     required = frozenset(required)
     unknown = required - set(POSTULATE_NAMES)
     if unknown:
@@ -662,6 +625,7 @@ def load_model_file(text: str) -> ModelStructure:
     star: dict[str, str] | None = None
     triples: set[tuple[str, str, str]] | None = None
     table_rows: list[list[frozenset[str]]] | None = None
+    seen: set[str] = set()
     lines = text.splitlines()
     i = 0
     while i < len(lines):
@@ -670,6 +634,9 @@ def load_model_file(text: str) -> ModelStructure:
         if not line:
             continue
         head, _, rest = line.partition(" ")
+        if head in seen:
+            raise ParseError(i, f"one '{head}' line", head)
+        seen.add(head)
         if head == "model":
             name = rest.strip()
         elif head == "elements":
@@ -680,6 +647,8 @@ def load_model_file(text: str) -> ModelStructure:
             star = {}
             for pair in rest.split():
                 a, _, b = pair.partition(":")
+                if a in star:
+                    raise ParseError(i, "one image per element in 'star'", pair)
                 star[a] = b
         elif head == "triples":
             triples = set()

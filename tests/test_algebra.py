@@ -1,16 +1,19 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
+from tarl import algebra
 from tarl.algebra import (
-    ComplexAlgebra, DERIVED_LAWS, Law, ProperAlgebra, TARSKI_AXIOMS,
-    check_chain, eval_term, get_law, holds_law, parse_chain,
-    parse_ra_term, print_ra_term, sample_relations, translate,
-    verified_in_algebra,
+    IDENT, ONE, ZERO, Comp, Compl, ComplexAlgebra, Conv, DERIVED_LAWS, Ident,
+    Join, Law, Meet, One, ProperAlgebra, RVar, TARSKI_AXIOMS, Zero,
+    check_chain, eval_term, get_law, holds_law, parse_chain, parse_ra_term,
+    print_ra_term, sample_relations, translate, verified_in_algebra,
 )
 from tarl.formulas import desugar_fusion, parse_formula
 from tarl.gen import random_formula
-from tarl.models import Valuation, interpret
+from tarl.models import TooManyValuations, Valuation, interpret, op_fusion, op_star
 from tarl.registry import data_dir, get_formula, get_structure, list_corpus
 
 CK = {name: ComplexAlgebra(get_structure(name))
@@ -134,6 +137,12 @@ def test_conditional_law_filters_premises():
     assert holds_law(CK["K3"], law).passed
     unconditional = Law("broken", law.lhs, law.rel, law.rhs)
     assert not holds_law(CK["K3"], unconditional).passed
+
+
+def test_exhaustive_laws_respect_the_cap():
+    with pytest.raises(TooManyValuations):
+        holds_law(CK["K5"], get_law("refleq"), cap=16 ** 4 - 1)
+    assert holds_law(CK["K5"], get_law("refleq"), cap=16 ** 4).checked > 0
 
 
 def test_ra9_random_trials():
@@ -285,3 +294,154 @@ def test_one_unassigned_variable_error():
     from tarl import algebra, models
 
     assert algebra.UnassignedVariable is models.UnassignedVariable
+
+
+# ------------------------------------------------------------------
+# Differential tests against set-based oracles
+# ------------------------------------------------------------------
+
+def proper_oracle(t, env: dict, n: int) -> frozenset:
+    """A term's value in the proper algebra on 0..n-1, over sets of pairs."""
+    if isinstance(t, RVar):
+        return frozenset(env[t.name])
+    if isinstance(t, Join):
+        return proper_oracle(t.left, env, n) | proper_oracle(t.right, env, n)
+    if isinstance(t, Meet):
+        return proper_oracle(t.left, env, n) & proper_oracle(t.right, env, n)
+    if isinstance(t, Compl):
+        full = {(i, j) for i in range(n) for j in range(n)}
+        return frozenset(full - proper_oracle(t.body, env, n))
+    if isinstance(t, Conv):
+        return frozenset((j, i) for (i, j) in proper_oracle(t.body, env, n))
+    if isinstance(t, Comp):
+        left = proper_oracle(t.left, env, n)
+        right = proper_oracle(t.right, env, n)
+        adj: dict[int, set[int]] = {}
+        for (i, j) in right:
+            adj.setdefault(i, set()).add(j)
+        return frozenset((i, k) for (i, j) in left for k in adj.get(j, ()))
+    if isinstance(t, Ident):
+        return frozenset((i, i) for i in range(n))
+    if isinstance(t, Zero):
+        return frozenset()
+    if isinstance(t, One):
+        return frozenset((i, j) for i in range(n) for j in range(n))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def complex_oracle(m, t, env: dict) -> frozenset:
+    """A term's value in the complex algebra of m, from the set operations:
+    X;Y is Y o X, converse is the star image, id is {0}."""
+    if isinstance(t, RVar):
+        return frozenset(env[t.name])
+    if isinstance(t, Join):
+        return complex_oracle(m, t.left, env) | complex_oracle(m, t.right, env)
+    if isinstance(t, Meet):
+        return complex_oracle(m, t.left, env) & complex_oracle(m, t.right, env)
+    if isinstance(t, Compl):
+        return frozenset(m.elements) - complex_oracle(m, t.body, env)
+    if isinstance(t, Conv):
+        return op_star(m, complex_oracle(m, t.body, env))
+    if isinstance(t, Comp):
+        return op_fusion(m, complex_oracle(m, t.right, env),
+                         complex_oracle(m, t.left, env))
+    if isinstance(t, Ident):
+        return frozenset({m.zero})
+    if isinstance(t, Zero):
+        return frozenset()
+    if isinstance(t, One):
+        return frozenset(m.elements)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def random_term(rng, size: int, names):
+    """A random term of `size` nodes whose leaves include id, 0 and 1."""
+    if size <= 1:
+        return rng.choice([RVar(name) for name in names] + [IDENT, ZERO, ONE])
+    if size == 2 or rng.random() < 0.3:
+        return rng.choice((Compl, Conv))(random_term(rng, size - 1, names))
+    left = rng.randint(1, size - 2)
+    return rng.choice((Join, Meet, Comp))(random_term(rng, left, names),
+                                          random_term(rng, size - 1 - left, names))
+
+
+def random_law(rng, names) -> Law:
+    premises = ()
+    if rng.random() < 0.4:
+        premises = ((random_term(rng, 3, names), "<=", random_term(rng, 3, names)),)
+    return Law("random", random_term(rng, rng.randint(1, 8), names),
+               rng.choice(["=", "<="]), random_term(rng, rng.randint(1, 8), names),
+               premises)
+
+
+def oracle_verdict(law: Law, envs, value):
+    """(passed, counterexample, checked) of a law over the assignments
+    `envs` in order, with `value(term, env)` as the evaluator; every
+    assignment is one batch, so `checked` counts all that meet the premises."""
+    def related(rel, lhs, rhs):
+        return lhs == rhs if rel == "=" else lhs <= rhs
+
+    checked, counterexample = 0, None
+    for env in envs:
+        if all(related(rel, value(l, env), value(r, env)) for (l, rel, r) in law.premises):
+            checked += 1
+            if counterexample is None and not related(law.rel, value(law.lhs, env),
+                                                      value(law.rhs, env)):
+                counterexample = env
+    return counterexample is None, counterexample, checked
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5])
+def test_proper_terms_agree_with_set_oracle(base):
+    rng = random.Random(base)
+    alg = ProperAlgebra(base)
+    carrier = algebra._carrier(alg)
+    names = ["x", "y", "z"]
+    for k in range(60):
+        t = random_term(rng, rng.randint(1, 12), names)
+        envs = [sample_relations(base, names, seed=base, trial=10 * k + i) for i in range(10)]
+        want = [proper_oracle(t, env, base) for env in envs]
+        assert [eval_term(alg, env, t) for env in envs] == want
+        batch = {name: np.array([carrier.encode(env[name]) for env in envs]) for name in names}
+        got = np.broadcast_to(algebra._eval(t, batch, carrier), (len(envs), base, base))
+        assert [carrier.decode(value) for value in got] == want
+
+
+def test_proper_laws_agree_with_set_oracle():
+    rng = random.Random(21)
+    for k in range(48):
+        base = 2 + k % 4
+        law = random_law(rng, ["x", "y"])
+        envs = [sample_relations(base, law.all_variables(), seed=k, trial=trial)
+                for trial in range(40)]
+        got = holds_law(ProperAlgebra(base), law, trials=40, seed=k)
+        want = oracle_verdict(law, envs, lambda t, env: proper_oracle(t, env, base))
+        assert (got.passed, got.counterexample, got.checked) == want, (base, law)
+
+
+@pytest.mark.parametrize("name", ["K1", "K2", "K3", "K4", "K5"])
+def test_complex_terms_agree_with_set_oracle(name):
+    rng = random.Random(name)
+    m = get_structure(name)
+    subsets = [frozenset(c) for r in range(len(m.elements) + 1)
+               for c in itertools.combinations(m.elements, r)]
+    for _ in range(150):
+        t = random_term(rng, rng.randint(1, 12), ["x", "y", "z"])
+        env = {v: rng.choice(subsets) for v in ("x", "y", "z")}
+        assert eval_term(CK[name], env, t) == complex_oracle(m, t, env)
+
+
+def test_complex_laws_agree_with_set_oracle():
+    rng = random.Random(22)
+    for k in range(40):
+        m = get_structure(f"K{1 + k % 5}")
+        law = random_law(rng, ["x", "y"])
+        # assignments in the lexicographic order of their masks
+        subsets = [frozenset(e for i, e in enumerate(m.elements) if mask >> i & 1)
+                   for mask in range(1 << len(m.elements))]
+        names = law.all_variables()
+        envs = [dict(zip(names, combo))
+                for combo in itertools.product(subsets, repeat=len(names))]
+        got = holds_law(ComplexAlgebra(m), law)
+        want = oracle_verdict(law, envs, lambda t, env: complex_oracle(m, t, env))
+        assert (got.passed, got.counterexample, got.checked) == want, (m.name, law)

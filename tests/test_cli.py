@@ -138,6 +138,19 @@ def test_algebra_test_named_law(capsys):
     assert "Pass" in out
 
 
+def test_algebra_test_counterexamples_hold_plain_ints(tmp_path, capsys):
+    chain = tmp_path / "comm.chain"
+    chain.write_text("x;y = y;x ; comm\n")
+    argv = ("algebra-test", str(chain), "--base", "2", "--trials", "20")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "Counterexample" in out and "np." not in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["results"][0]["counterexample"] == {
+        "x": [[0, 1], [1, 0], [1, 1]], "y": [[0, 0], [1, 0]]}
+
+
 def test_algebra_test_unknown_name(capsys):
     code, _, err = run(capsys, "algebra-test", "zzz")
     assert code == 2
@@ -238,6 +251,8 @@ def bad_model(elements, star, triple):
     ("postulates", bad_model("0 a", "0:0 a:a", "0 a zz")),
     ("postulates", bad_model("0 a", "0:0 a:zz", "0 a a")),
     ("postulates", bad_model("0 a a", "0:0 a:a", "0 a a")),
+    ("postulates", bad_model("0 a", "0:0 a:a 0:a", "0 a a")),
+    ("postulates", BadModel(bad_model("0 a", "0:0 a:a", "0 a a") + "zero a\n")),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

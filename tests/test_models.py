@@ -2,10 +2,11 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from tarl import models
-from tarl.formulas import parse_formula
+from tarl.formulas import And, Fusion, Imp, Neg, Or, Var, parse_formula, variables
 from tarl.gen import random_formula
 from tarl.groups import PARTITIONS, build_atom_structure
 from tarl.models import (
@@ -362,6 +363,118 @@ def test_audit_reports_plain_values():
         assert all(type(ok) is bool for ok in r.flags.values())
         for t in [*r.witnesses.values(), *r.peirce_missing]:
             assert type(t) is tuple and all(type(e) is str for e in t)
+
+
+# ------------------------------------------------------------------
+# Differential tests against the set-valued operations
+# ------------------------------------------------------------------
+
+def formula_oracle(m, env, f) -> frozenset:
+    """J(f) under one assignment, from op_neg, op_implies and op_fusion."""
+    if isinstance(f, Var):
+        return frozenset(env[f.name])
+    if isinstance(f, Neg):
+        return op_neg(m, formula_oracle(m, env, f.body))
+    left, right = formula_oracle(m, env, f.left), formula_oracle(m, env, f.right)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    if isinstance(f, Imp):
+        return op_implies(m, left, right)
+    if isinstance(f, Fusion):
+        return op_fusion(m, left, right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _semantic_cases():
+    """K1..K5 and random structures that need not meet any postulate (any
+    star map, 0 anywhere, so heredity cuts the valuations down)."""
+    rng = random.Random(30)
+    return ALL + [_random_structure(rng, 1 + k % 5) for k in range(40)]
+
+
+def _by_mask(m):
+    """Every subset of m, in the order of its mask over the elements."""
+    return [frozenset(e for i, e in enumerate(m.elements) if mask >> i & 1)
+            for mask in range(1 << len(m.elements))]
+
+
+def test_tables_agree_with_set_operations():
+    rng = random.Random(34)
+    for m in _semantic_cases():
+        t = tables_for(m)
+        subsets = _by_mask(m)
+        pairs = list(itertools.product(range(t.size), repeat=2))
+        for x, y in rng.sample(pairs, min(len(pairs), 300)):
+            xs, ys = subsets[x], subsets[y]
+            assert t.subset_of(m, t.fus[x, y]) == op_fusion(m, xs, ys), m
+            assert t.subset_of(m, t.imp[x, y]) == op_implies(m, xs, ys), m
+        for x, xs in enumerate(subsets):
+            assert t.subset_of(m, t.star[x]) == op_star(m, xs), m
+            assert t.subset_of(m, t.neg[x]) == op_neg(m, xs), m
+        assert t.hereditary == tuple(
+            x for x, xs in enumerate(subsets) if is_hereditary(m, Valuation({"p": xs})))
+        assert all(a.dtype == np.int64 for a in (t.fus, t.imp, t.star, t.neg))
+
+
+def test_formulas_agree_with_set_oracle():
+    rng = random.Random(31)
+    for m in _semantic_cases():
+        t = tables_for(m)
+        subsets = _by_mask(m)
+        for _ in range(25):
+            f = random_formula(rng, rng.randint(1, 10), ["p", "q"])
+            envs = [{"p": rng.choice(subsets), "q": rng.choice(subsets)} for _ in range(8)]
+            want = [formula_oracle(m, env, f) for env in envs]
+            assert [interpret(m, Valuation(env), f) for env in envs] == want
+            batch = {v: np.array([t.mask_of(m, env[v]) for env in envs]) for v in ("p", "q")}
+            got = models._interpret_vec(f, batch, t)
+            assert [t.subset_of(m, int(mask)) for mask in got] == want
+
+
+def per_combination_singletons(m, f) -> list[Valuation]:
+    """The singleton search as a loop over every combination, skipping
+    non-hereditary ones, with the set-valued operations as evaluator."""
+    names = sorted(variables(f))
+    out = []
+    for combo in itertools.product([frozenset({e}) for e in m.elements],
+                                   repeat=len(names)):
+        v = Valuation(dict(zip(names, combo)))
+        if is_hereditary(m, v) and not formula_oracle(m, v.assignment, f):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [7, models._GRID_CHUNK])
+def test_singleton_search_agrees_with_per_combination_loop(monkeypatch, chunk):
+    monkeypatch.setattr(models, "_GRID_CHUNK", chunk)
+    rng = random.Random(32)
+    for m in _semantic_cases():
+        for _ in range(12):
+            f = random_formula(rng, rng.randint(1, 9), ["p", "q", "r"][:rng.randint(1, 3)])
+            got = find_invalidating_singletons(m, f)
+            assert ([v.assignment for v in got]
+                    == [v.assignment for v in per_combination_singletons(m, f)]), (m, f)
+
+
+def test_valid_in_witness_is_first_failing_valuation():
+    rng = random.Random(33)
+    for m in _semantic_cases():
+        subsets = _by_mask(m)
+        for _ in range(12):
+            f = random_formula(rng, rng.randint(1, 9), ["p", "q"][:rng.randint(1, 2)])
+            names = sorted(variables(f))
+            first = None
+            for combo in itertools.product(subsets, repeat=len(names)):
+                v = Valuation(dict(zip(names, combo)))
+                if is_hereditary(m, v) and m.zero not in formula_oracle(m, v.assignment, f):
+                    first = v
+                    break
+            got = valid_in(m, f)
+            assert got.valid == (first is None), (m, f)
+            if first is not None:
+                assert got.witness.assignment == first.assignment, (m, f)
 
 
 # ------------------------------------------------------------------
