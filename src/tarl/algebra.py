@@ -44,7 +44,7 @@ __all__ = [
     "parse_ra_term", "print_ra_term", "term_variables", "translate",
     "ProperAlgebra", "ComplexAlgebra", "UnassignedVariable",
     "eval_term", "holds_identity", "holds_law", "verified_in_algebra",
-    "random_proper_algebra", "sample_relations", "RelationSampler",
+    "sample_relations",
     "IdentityResult", "Law", "ChainStep", "ChainReport", "StepResult",
     "parse_chain", "check_chain",
     "TARSKI_AXIOMS", "DERIVED_LAWS", "law_names", "get_law",
@@ -310,26 +310,6 @@ class ComplexAlgebra:
 
     def describe(self) -> str:
         return f"complex algebra of {self.structure.name}"
-
-
-@dataclass(frozen=True)
-class RelationSampler:
-    """A proper algebra bundled with its deterministic relation sampler;
-    assignments depend only on (seed, trial, variable name), so results do
-    not change with worker count or evaluation order."""
-    algebra: ProperAlgebra
-    seed: int
-
-    def assignment(self, names: Iterable[str], trial: int) -> dict:
-        return sample_relations(self.algebra.base_size, names, self.seed, trial)
-
-    def assignments(self, names: Iterable[str], count: int, start: int = 0):
-        for trial in range(start, start + count):
-            yield self.assignment(names, trial)
-
-
-def random_proper_algebra(base_size: int, seed: int) -> RelationSampler:
-    return RelationSampler(ProperAlgebra(base_size), seed)
 
 
 def sample_relations(n: int, names: Iterable[str], seed: int,

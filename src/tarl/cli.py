@@ -57,7 +57,7 @@ def _resolve_structure(arg: str) -> models.ModelStructure:
                   f"{arg.upper()}", file=sys.stderr)
         return m
     try:
-        return registry.get_structure(arg)
+        return _checked(registry.get_structure, arg)
     except registry.UnknownStructure:
         raise UsageError(f"unknown model {arg!r} (not a file, not built in)")
 
@@ -398,8 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UsageError, models.TooManyValuations,
-            models.Unsupported, OSError) as e:
+    except (ParseError, UsageError, models.TooManyValuations, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

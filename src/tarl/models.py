@@ -36,8 +36,7 @@ from .formulas import (
 __all__ = [
     "ModelStructure", "Valuation", "PostulateReport", "ValidityResult",
     "Shared", "SemanticWitness", "ClosureViolation", "UnassignedVariable",
-    "TooManyValuations", "Unsupported",
-    "structure_from_table", "composition_table",
+    "TooManyValuations", "composition_table",
     "op_fusion", "op_implies", "op_star", "op_neg",
     "interpret", "verified", "valid_in", "find_invalidating_singletons",
     "is_hereditary", "hereditary_subsets", "check_postulates",
@@ -62,10 +61,6 @@ class UnassignedVariable(KeyError):
 
 
 class TooManyValuations(ValueError):
-    pass
-
-
-class Unsupported(ValueError):
     pass
 
 
@@ -109,19 +104,6 @@ class ModelStructure:
         """Equality up to renaming nothing: same elements, star, 0, triples."""
         return (self.elements == other.elements and self.zero == other.zero
                 and self.star == other.star and self.triples == other.triples)
-
-
-def structure_from_table(name: str, elements: tuple[str, ...], zero: str,
-                         star: dict[str, str],
-                         table: list[list[set[str]]]) -> ModelStructure:
-    """Build a structure from its singleton composition table."""
-    triples = set()
-    for x, row in zip(elements, table):
-        for y, cell in zip(elements, row):
-            for z in cell:
-                triples.add((x, y, z))
-    return ModelStructure(name, tuple(elements), zero, dict(star),
-                          frozenset(triples))
 
 
 def composition_table(m: ModelStructure) -> dict[tuple[str, str], frozenset[str]]:
@@ -485,7 +467,7 @@ def variable_sharing_certificate(a: Formula, b: Formula):
 
 
 # ------------------------------------------------------------------
-# Structure enumeration (auditable brute force, sizes 2..3)
+# Structure enumeration (auditable brute force under a candidate cap)
 # ------------------------------------------------------------------
 
 def _involutions(n: int, fix_zero: bool):
@@ -511,19 +493,23 @@ def _candidates(size: int, required: frozenset):
     tensor of at most `_CHUNK` relations.  p1/p2/crstar seed triples in or
     out, and p5/p5'/comm close triples into orbits; every union of the free
     orbits with the seeded ones is a candidate, in ascending order of its
-    free-orbit bitmask."""
+    free-orbit bitmask.  The orbits of every star map are found first, so a
+    query of more than DEFAULT_VALUATION_CAP candidates raises
+    TooManyValuations before any chunk is built."""
     idx = range(size)
     all_triples = list(itertools.product(idx, repeat=3))
     position = {t: i for i, t in enumerate(all_triples)}
+    forced_in = set()
+    forced_out = set()
+    if "p1" in required or "crstar" in required:
+        forced_in |= {(0, a, a) for a in idx}
+    if "p2" in required:
+        forced_in |= {(a, a, a) for a in idx}
+    if "crstar" in required:
+        forced_out |= {(0, a, b) for a in idx for b in idx if a != b}
+    forced = forced_in | forced_out
+    plans = []                       # (star, seeded orbits, free orbits)
     for star in _involutions(size, fix_zero=("normal" in required)):
-        forced_in = set()
-        forced_out = set()
-        if "p1" in required or "crstar" in required:
-            forced_in |= {(0, a, a) for a in idx}
-        if "p2" in required:
-            forced_in |= {(a, a, a) for a in idx}
-        if "crstar" in required:
-            forced_out |= {(0, a, b) for a in idx for b in idx if a != b}
         transforms = []
         if "p5" in required:
             transforms.append(lambda t: (t[0], star[t[2]], star[t[1]]))
@@ -548,21 +534,16 @@ def _candidates(size: int, required: frozenset):
             orbits.append(frozenset(orbit))
             for u in orbit:
                 orbit_of[u] = orbit
-        fixed_in = []
-        free = []
-        conflict = False
-        for orbit in orbits:
-            has_in = bool(orbit & forced_in)
-            has_out = bool(orbit & forced_out)
-            if has_in and has_out:
-                conflict = True
-                break
-            if has_in:
-                fixed_in.append(orbit)
-            elif not has_out:
-                free.append(orbit)
-        if conflict:
+        if any(o & forced_in and o & forced_out for o in orbits):
             continue
+        plans.append((star,
+                      [o for o in orbits if o & forced_in],
+                      [o for o in orbits if not o & forced]))
+    total = sum(1 << len(free) for _, _, free in plans)
+    if total > DEFAULT_VALUATION_CAP:
+        raise TooManyValuations(
+            f"{total} candidates exceeds cap {DEFAULT_VALUATION_CAP}")
+    for star, fixed_in, free in plans:
         # a candidate's word takes free orbit i iff its bit i is set
         base = np.zeros(len(all_triples), dtype=bool)
         is_free = np.zeros(len(all_triples), dtype=bool)
@@ -574,29 +555,28 @@ def _candidates(size: int, required: frozenset):
                 is_free[position[t]] = True
                 bit[position[t]] = i
         star_idx = np.array([star[a] for a in idx])
-        total = 1 << len(free)
-        for lo in range(0, total, _CHUNK):
-            words = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
+        count = 1 << len(free)
+        for lo in range(0, count, _CHUNK):
+            words = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
             R = base | is_free & (words[:, None] >> bit & 1).astype(bool)
             yield star_idx, R.reshape(-1, size, size, size)
 
 
-def enumerate_structures(size: int, required, force: bool = False):
+def enumerate_structures(size: int, required):
     """Yield every structure on `size` elements with an involutive star
     whose audit passes the required postulates, named enum{size}_0,
     enum{size}_1, ...  Star maps that are not involutions are never tried,
     even when p6 is not required.  Exhaustive over the raw encoding of
-    `_candidates` (no isomorphism reduction).  Each chunk of candidates is
-    audited as one boolean tensor, for the required postulates only, and a
-    structure is built only for those that pass."""
+    `_candidates` (no isomorphism reduction), which refuses a query of more
+    than DEFAULT_VALUATION_CAP candidates with TooManyValuations.  Each chunk
+    of candidates is audited as one boolean tensor, for the required
+    postulates only, and a structure is built only for those that pass."""
     required = frozenset(required)
     unknown = required - set(POSTULATE_NAMES)
     if unknown:
         raise ValueError(f"unknown postulates: {sorted(unknown)}")
     if size < 1:
         raise ValueError(f"a structure needs at least one element, not {size}")
-    if size > 3 and not force:
-        raise Unsupported("sizes above 3 need force=True")
     elems = tuple(str(i) for i in range(size))
     named = list(itertools.product(elems, repeat=3))
     count = 0

@@ -1,10 +1,11 @@
 """Built-in data: the finite structures K1..K5, named formulas, proof corpus.
 
-The five structures are stored as their singleton composition tables (row x,
-column y holds {x} o {y}); the ternary relation is recovered as
-R x y z  iff  z in {x} o {y}.  Proof scripts live under data/corpus, one
-file per lemma, and are cross-checked against the expected objects column.
-The TARL_DATA environment variable overrides the data directory.
+Each structure is one model file under data/models, holding both its
+singleton composition table (row x, column y holds {x} o {y}) and its
+triples R x y z, which the loader cross-checks; the file's `model` line must
+name the structure.  Proof scripts live under data/corpus, one file per
+lemma, and are cross-checked against the expected objects column.  The
+TARL_DATA environment variable overrides the data directory for both.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .derived import DERIVED_RULES
 from .formulas import Formula, parse_formula
-from .models import ModelStructure, structure_from_table
+from .models import ModelStructure, load_model_file
 from .sequents import Proof, parse_proof_script
 
 __all__ = [
@@ -56,83 +57,32 @@ def data_dir() -> Path:
 
 
 # ------------------------------------------------------------------
-# Structures: elements ordered (0, a, b, b*) resp. (0, a, a*); star fixes 0
-# and a and swaps the starred pair.  Tables give {x} o {y} per row/column.
+# Structures: one model file each under data/models
 # ------------------------------------------------------------------
 
-_O, _A, _B, _BS = "0", "a", "b", "b*"
-_AS = "a*"
+STRUCTURE_NAMES = ("K1", "K2", "K3", "K4", "K5")
 
-_TABLES = {
-    "K1": (
-        (_O, _A, _B, _BS),
-        {_O: _O, _A: _A, _B: _BS, _BS: _B},
-        [
-            [{_O}, {_A}, {_B}, {_BS}],
-            [{_A}, {_O, _A, _B}, {_B, _BS}, {_A, _B, _BS}],
-            [{_B}, {_B, _BS}, {_A, _B, _BS}, {_O, _A, _B, _BS}],
-            [{_BS}, {_A, _B, _BS}, {_O, _A, _B, _BS}, {_A, _B, _BS}],
-        ],
-    ),
-    "K2": (
-        (_O, _A, _B, _BS),
-        {_O: _O, _A: _A, _B: _BS, _BS: _B},
-        [
-            [{_O}, {_A}, {_B}, {_BS}],
-            [{_A}, {_O, _A, _B, _BS}, {_A, _B, _BS}, {_A, _B, _BS}],
-            [{_B}, {_A, _B, _BS}, {_A, _B, _BS}, {_O, _A, _B, _BS}],
-            [{_BS}, {_A, _B, _BS}, {_O, _A, _B, _BS}, {_A, _BS}],
-        ],
-    ),
-    "K3": (
-        (_O, _A, _B, _BS),
-        {_O: _O, _A: _A, _B: _BS, _BS: _B},
-        [
-            [{_O}, {_A}, {_B}, {_BS}],
-            [{_A}, {_O, _A, _B, _BS}, {_A, _B, _BS}, {_A, _B, _BS}],
-            [{_B}, {_A, _B, _BS}, {_A, _B, _BS}, {_O, _A, _B, _BS}],
-            [{_BS}, {_A, _B, _BS}, {_O, _A, _B, _BS}, {_A, _B, _BS}],
-        ],
-    ),
-    "K4": (
-        (_O, _A, _AS),
-        {_O: _O, _A: _AS, _AS: _A},
-        [
-            [{_O}, {_A}, {_AS}],
-            [{_A}, {_A}, {_O, _A, _AS}],
-            [{_AS}, {_O, _A, _AS}, {_AS}],
-        ],
-    ),
-    # K5 is oriented to agree with the published countermodel valuation
-    # lists; the published composition table is its mirror image under the
-    # relabelling b <-> b* (the two presentations are isomorphic).
-    "K5": (
-        (_O, _A, _B, _BS),
-        {_O: _O, _A: _A, _B: _BS, _BS: _B},
-        [
-            [{_O}, {_A}, {_B}, {_BS}],
-            [{_A}, {_O, _A, _B, _BS}, {_A}, {_A, _BS}],
-            [{_B}, {_A, _B}, {_B}, {_O, _B, _BS}],
-            [{_BS}, {_A}, {_O, _A, _B, _BS}, {_BS}],
-        ],
-    ),
-}
-
-_STRUCTURES: dict[str, ModelStructure] = {}
+# keyed on the data directory too, so that a change of TARL_DATA reloads;
+# each name then yields one object, which keeps the tables cached on it
+_STRUCTURE_CACHE: dict[tuple[Path, str], ModelStructure] = {}
 
 
 def get_structure(name: str) -> ModelStructure:
     key = name.upper()
-    if key not in _TABLES:
+    if key not in STRUCTURE_NAMES:
         raise UnknownStructure(name)
-    if key not in _STRUCTURES:
-        elements, star, table = _TABLES[key]
-        _STRUCTURES[key] = structure_from_table(key, elements, "0", star, table)
-    return _STRUCTURES[key]
+    cache_key = (data_dir(), key)
+    if cache_key not in _STRUCTURE_CACHE:
+        path = cache_key[0] / "models" / f"{key}.model"
+        m = load_model_file(path.read_text())
+        if m.name != key:
+            raise ValueError(f"{path} declares model {m.name!r}")
+        _STRUCTURE_CACHE[cache_key] = m
+    return _STRUCTURE_CACHE[cache_key]
 
 
 def structure_names() -> list[str]:
-    return sorted(_TABLES)
+    return list(STRUCTURE_NAMES)
 
 
 # ------------------------------------------------------------------
@@ -172,9 +122,10 @@ _FORMULA_TEXTS = {
                    "refuted in K1 and K2, so outside the Anderson-Belnap "
                    "system R"),
     "l5shorter": (_L5_TEXT,
-                  "a law of binary relations conjectured to need 5 objects; "
-                  "kept unproved (no 5-line proof is shipped), subscripted "
-                  "variables are encoded as distinct identifiers a01..a43"),
+                  "transcription of a law conjectured to need 5 objects; "
+                  "as shipped it is refuted in proper algebras of binary "
+                  "relations, so it is kept unproved; subscripted variables "
+                  "are encoded as distinct identifiers a01..a43"),
 }
 
 _FORMULAS: dict[str, NamedFormula] = {}

@@ -177,17 +177,6 @@ def test_sampling_is_deterministic():
     assert c["x"] != a["x"]
 
 
-def test_relation_sampler_bundle():
-    from tarl.algebra import random_proper_algebra
-    sampler = random_proper_algebra(3, seed=5)
-    first = list(sampler.assignments(["x"], count=3))
-    again = list(sampler.assignments(["x"], count=3))
-    assert first == again
-    assert sampler.assignment(["x"], 1) == first[1]
-    law = get_law("ra7")
-    assert holds_law(sampler.algebra, law, trials=200, seed=sampler.seed).passed
-
-
 # ------------------------------------------------------------------
 # verified_in_algebra
 # ------------------------------------------------------------------

@@ -221,6 +221,21 @@ def test_data_dir_override(tmp_path, monkeypatch, capsys):
         registry._CORPUS_CACHE.clear()
 
 
+@pytest.mark.parametrize("model_file", [None, "K3"])
+def test_builtin_structure_missing_from_data_dir(tmp_path, monkeypatch, capsys,
+                                                 model_file):
+    # no models/ at all, or a K4.model that declares another structure
+    if model_file:
+        (tmp_path / "models").mkdir()
+        text = (data_dir() / "models" / f"{model_file}.model").read_text()
+        (tmp_path / "models" / "K4.model").write_text(text)
+    monkeypatch.setenv("TARL_DATA", str(tmp_path))
+    code, out, err = run(capsys, "valid", "K4", "contra")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 CHAIN = str(data_dir() / "chains" / "ra4.chain")
 
 

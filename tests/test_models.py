@@ -11,7 +11,7 @@ from tarl.gen import random_formula
 from tarl.groups import PARTITIONS, build_atom_structure
 from tarl.models import (
     POSTULATE_NAMES, ModelStructure, PostulateReport, Shared,
-    SemanticWitness, TooManyValuations, Unsupported, Valuation,
+    SemanticWitness, TooManyValuations, Valuation,
     check_postulates, composition_table, dump_model_file,
     enumerate_structures, find_invalidating_singletons, hereditary_subsets,
     interpret, is_hereditary, load_model_file, op_fusion, op_implies,
@@ -562,8 +562,10 @@ def test_enumerate_heredity_propagation():
 
 
 def test_enumerate_size_guard():
-    with pytest.raises(Unsupported):
-        next(enumerate_structures(4, {"p1"}))
+    # 10 * 2**60 and 4 * 2**27 candidates: refused before any is built
+    for size, required in ((4, {"p1"}), (3, ())):
+        with pytest.raises(TooManyValuations, match="candidates exceeds cap"):
+            next(enumerate_structures(size, required))
 
 
 @pytest.mark.parametrize("size", [0, -1])
@@ -636,6 +638,15 @@ def test_size3_p1_to_p6_enumeration_is_pinned():
     assert [m.name for m in found] == [f"enum3_{i}" for i in range(29)]
     for m in found:
         assert oracle_postulates(m).passes(P1_P6)
+
+
+def test_size4_enumeration_under_the_cap():
+    # the postulates K1..K4 meet leave 512 candidates at size 4
+    required = P1_P6 + ("comm", "normal", "crstar")
+    assert sum(len(R) for _, R in models._candidates(4, frozenset(required))) == 512
+    found = list(enumerate_structures(4, required))
+    assert len(found) == 256
+    assert all(oracle_postulates(m).passes(required) for m in found)
 
 
 # ------------------------------------------------------------------

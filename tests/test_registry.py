@@ -1,13 +1,23 @@
+import hashlib
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
-from tarl.formulas import parse_formula, variables
-from tarl.models import composition_table, load_model_file
+from tarl import registry
+from tarl.algebra import ProperAlgebra, verified_in_algebra
+from tarl.formulas import (
+    Imp, Var, desugar_fusion, parse_formula, substitute, variables,
+)
+from tarl.models import (
+    ModelStructure, check_postulates, composition_table, dump_model_file,
+    load_model_file, valid_in,
+)
 from tarl.registry import (
-    UnknownName, UnknownStructure, corpus_ids, data_dir, get_corpus_entry,
-    get_formula, get_structure, list_corpus,
+    UnknownName, UnknownStructure, corpus_ids, data_dir, formula_names,
+    get_corpus_entry, get_formula, get_structure, list_corpus,
+    structure_names,
 )
 from tarl.sequents import check_proof
 
@@ -114,8 +124,107 @@ def test_corpus_follows_a_change_of_data_directory(tmp_path, monkeypatch):
     assert len(get_corpus_entry("t6").proof.lines) == 3
 
 
-def test_model_files_match_registry():
-    for name in ("K1", "K2", "K3", "K4", "K5"):
-        path = data_dir() / "models" / f"{name}.model"
-        loaded = load_model_file(path.read_text())
-        assert loaded.same_as(get_structure(name))
+# sha256 of the repr of (elements, zero, sorted star items, sorted triples),
+# recorded from the composition tables the registry held before it read
+# data/models
+STRUCTURE_DIGESTS = {
+    "K1": "160ac7848df2c8e0928f4c51faab778337844b6eca7fdf4b017b9e10e2e4b03d",
+    "K2": "3c19e4d6c47eb6af9882c43e617bdea560a48ad68fa5b5cd2a7c34973e97e9a5",
+    "K3": "2384c50bd47c552b10fc06eab51cdea4b07ba615e140f3ddd0ff984dbc7e60d4",
+    "K4": "a1e0e47ff91194b9e981ba810e07c77ae9602d561524efe4d01a687027260547",
+    "K5": "d9bddd8c4456c3470a34980b0284db54c177e47b246eaf7f469ee799da3a74b6",
+}
+
+
+def test_builtin_structures_are_pinned():
+    assert structure_names() == list(STRUCTURE_DIGESTS)
+    for name, digest in STRUCTURE_DIGESTS.items():
+        m = get_structure(name)
+        assert m.name == name
+        key = (m.elements, m.zero, sorted(m.star.items()), sorted(m.triples))
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == digest, name
+        assert get_structure(name.lower()) is m    # one object keeps its tables
+
+
+def test_structures_follow_a_change_of_data_directory(tmp_path, monkeypatch):
+    original = get_structure("K4")
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    path = copy / "models" / "K4.model"
+    edited = load_model_file(path.read_text())
+    edited = ModelStructure("K4", edited.elements, edited.zero, edited.star,
+                            edited.triples - {("a", "a", "a")})
+    path.write_text(dump_model_file(edited))
+    monkeypatch.setenv("TARL_DATA", str(copy))
+    assert get_structure("K4").same_as(edited)
+    assert not get_structure("K4").same_as(original)
+    monkeypatch.delenv("TARL_DATA")
+    assert get_structure("K4") is original
+
+
+def test_structure_file_must_name_its_structure(tmp_path, monkeypatch):
+    (tmp_path / "models").mkdir()
+    text = (data_dir() / "models" / "K3.model").read_text()
+    (tmp_path / "models" / "K4.model").write_text(text)
+    monkeypatch.setenv("TARL_DATA", str(tmp_path))
+    with pytest.raises(ValueError, match="declares model 'K3'"):
+        get_structure("K4")
+
+
+# Each named formula's note, as the engines see it: in which built-in
+# structures it is valid, whether proper algebras refute it, and the objects
+# of its corpus proof (None: none is shipped).  A note that changes must
+# change here too.
+PROPER_BASES = (2, 3, 4)
+NOTE_CLAIMS = {
+    # "needs commuting relations": K5 is the only non-commutative built-in
+    "contra": ({"K1", "K2", "K3", "K4"}, True, None),
+    "perm": ({"K1", "K2", "K3", "K4"}, True, None),
+    "suff": ({"K1", "K2", "K3", "K4"}, True, None),
+    "mp": ({"K1", "K2", "K3", "K4"}, True, None),
+    # "density of every relation": binary relations need not be dense
+    "contr": ({"K1", "K2", "K3", "K4", "K5"}, True, None),
+    "reduc": ({"K1", "K2", "K3", "K4", "K5"}, True, None),
+    # "transitivity of every relation"
+    "ming": (set(), True, None),
+    "reflectionA": (set(), True, None),
+    "reflectionB": (set(), True, None),
+    # "provable with 3 objects but refuted in K1 and K2"
+    "reflection": ({"K3", "K4", "K5"}, False, {0, 1, 2}),
+    # "refuted in proper algebras ... kept unproved"; too many variables
+    # for exhaustive validity in K1..K5
+    "l5shorter": (None, True, None),
+}
+
+
+def test_formula_notes_agree_with_the_engines():
+    assert sorted(NOTE_CLAIMS) == formula_names()
+    assert [n for n in structure_names()
+            if not check_postulates(get_structure(n)).flags["comm"]] == ["K5"]
+    assert get_formula("reflection").formula == Imp(
+        get_formula("reflectionA").formula, get_formula("reflectionB").formula)
+    for name, (valid_in_k, refuted_in_proper, objects) in NOTE_CLAIMS.items():
+        f = get_formula(name).formula
+        if valid_in_k is not None:
+            assert {k for k in structure_names()
+                    if valid_in(get_structure(k), f).valid} == valid_in_k, name
+        refuted = {b for b in PROPER_BASES if not verified_in_algebra(
+            ProperAlgebra(b), f, trials=500, seed=1).passed}
+        assert refuted == (set(PROPER_BASES) if refuted_in_proper else set()), name
+        if objects is None:
+            assert name not in corpus_ids(), name
+        else:
+            proof = get_corpus_entry(name).proof
+            renamed = substitute(f, {v: Var(a) for v, a in zip("pqrs", "abcd")})
+            assert proof.goal == desugar_fusion(renamed), name
+            assert check_proof(proof).objects_used == objects
+
+
+def test_package_data_globs_cover_the_data_directory():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(registry.__file__).parent
+    config = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    globs = config["tool"]["setuptools"]["package-data"]["tarl"]
+    shipped = {p for g in globs for p in package.glob(g)}
+    files = {p for p in (package / "data").rglob("*") if p.is_file()}
+    assert files and files <= shipped, sorted(map(str, files - shipped))
