@@ -26,14 +26,15 @@ per line and are verified step by step and end to end.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .formulas import And, Formula, Fusion, Imp, Neg, Or, ParseError, Var
+from .formulas import And, Formula, Fusion, Imp, Neg, Or, ParseError, Var, variables
 from .models import (
     ModelStructure, UnassignedVariable, _grid_rows, _valuation_grid, tables_for,
 )
@@ -481,9 +482,14 @@ def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0,
     on complex algebras, on seeded random samples in proper ones.  The
     counterexample is the first failing assignment; `checked` counts the
     assignments that meet the premises, up to the batch that fails."""
+    return _holds(alg, law, law.all_variables(), trials, seed, cap)
+
+
+def _holds(alg, law: Law, names: Sequence[str], trials: int, seed: int,
+           cap: int) -> IdentityResult:
+    """holds_law, given the law's variable names."""
     if trials < 1:  # a sampled law would pass after checking nothing
         raise ValueError(f"trials must be at least 1, got {trials}")
-    names = law.all_variables()
     c = _carrier(alg)
     checked = 0
     for size, env in c.batches(names, trials, seed, cap):
@@ -511,13 +517,20 @@ def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
                         cap: int = 2 ** 20) -> IdentityResult:
     """Identity-containment of the translated formula: id <= translate(f),
     for one assignment if given, otherwise quantified over the carrier."""
-    term = translate(f)
+    law, names = _identity_law(f)
     if assignment is not None:
         c = _carrier(alg)
         env = {name: c.encode(value) for name, value in assignment.items()}
-        ok = bool(_related("<=", c.ident, _eval(term, env, c), c.axes))
+        ok = bool(_related("<=", c.ident, _eval(law.rhs, env, c), c.axes))
         return IdentityResult(ok, None if ok else dict(assignment), 1)
-    return holds_identity(alg, IDENT, "<=", term, trials, seed, cap)
+    return _holds(alg, law, names, trials, seed, cap)
+
+
+@functools.lru_cache(maxsize=1024)
+def _identity_law(f: Formula) -> tuple[Law, tuple[str, ...]]:
+    """id <= translate(f) and its variable names; formulas are interned and
+    immutable, so an entry cannot go stale."""
+    return Law("adhoc", IDENT, "<=", translate(f)), tuple(sorted(variables(f)))
 
 
 # ------------------------------------------------------------------

@@ -11,12 +11,25 @@ so precedence is ~ > o > & > | > ->, implication associates to the right and
 the other binary connectives to the left.  The Unicode spellings of the
 connectives are accepted as aliases on input.  Fusion is definable:
 A o B abbreviates ~(A -> ~B), and ``desugar_fusion`` performs that rewrite.
+
+Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): a constructor looks its class and children up in one
+table with weak values and returns the live node if there is one, so each
+formula exists once and equality is identity.  No node outlives its last
+reference, so the table cannot grow for the life of the process.  A node
+stores its hash and whether it is fusion-free when it is built, and caches
+its printed text, built from its children's texts, and its variables on
+first use.  Nodes are immutable; pickling and copying return the interned
+node.  ``parse_formula`` is memoised by text.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
-from dataclasses import dataclass
+import threading
+import weakref
 
 __all__ = [
     "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
@@ -25,51 +38,125 @@ __all__ = [
     "substitute",
 ]
 
+_IDENT = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
-@dataclass(frozen=True)
+# every live node, keyed on (class, *children); children are interned, so a
+# lookup hashes them by their stored hash and compares them by identity
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_LOCK = threading.Lock()  # two threads must not both make a missing node
+_SERIAL = itertools.count()
+_set = object.__setattr__
+
+
 class Formula:
-    """Base class; formulas are immutable and compared structurally."""
+    """Base class of the interned, immutable formula nodes.
+
+    Each node is built once (see the module docstring), so equality is
+    identity.  A node keeps its hash, the same as a frozen dataclass of its
+    fields would have, its ``uid`` (a serial number never reused in this
+    process) and whether it is fusion-free; its printed text and its
+    variables are filled in on first use."""
+
+    __slots__ = ("_hash", "_core", "uid", "_text", "_vars", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
-@dataclass(frozen=True)
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def _intern(key: tuple) -> Formula:
+    """The node of key = (class, *children): the live one, or a new one."""
+    cls, *children = key
+    with _LOCK:
+        node = _TABLE.get(key)
+        if node is not None:
+            return node
+        if cls is Var:
+            name = children[0]
+            if not (isinstance(name, str) and _IDENT.fullmatch(name)) or name == "o":
+                raise ValueError(f"bad variable name: {name!r}")
+            core, text = True, name
+        else:
+            for child in children:
+                if not isinstance(child, Formula):
+                    raise TypeError(f"not a formula: {child!r}")
+            core = cls is not Fusion and all(child._core for child in children)
+            text = None
+        node = object.__new__(cls)
+        for field, child in zip(cls._fields, children):
+            _set(node, field, child)
+        _set(node, "_hash", hash(key[1:]))
+        _set(node, "_core", core)
+        _set(node, "uid", next(_SERIAL))
+        _set(node, "_text", text)
+        _set(node, "_vars", None)
+        _TABLE[key] = node
+        return node
+
+
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
 
-    def __post_init__(self):
-        if not re.fullmatch(r"[a-z][a-zA-Z0-9_]*", self.name) or self.name == "o":
-            raise ValueError(f"bad variable name: {self.name!r}")
+    def __new__(cls, name: str):
+        key = (cls, name)
+        return _TABLE.get(key) or _intern(key)
 
 
-@dataclass(frozen=True)
 class Neg(Formula):
-    body: Formula
+    __slots__ = ("body",)
+    _fields = ("body",)
+
+    def __new__(cls, body: Formula):
+        key = (cls, body)
+        return _TABLE.get(key) or _intern(key)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        return _TABLE.get(key) or _intern(key)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fusion(Formula):
-    left: Formula
-    right: Formula
+class Imp(_Binary):
+    __slots__ = ()
+
+
+class Fusion(_Binary):
+    __slots__ = ()
 
 
 class ParseError(ValueError):
@@ -90,98 +177,77 @@ class ParseError(ValueError):
 _ALIASES = {"∧": " & ", "∨": " | ", "→": " -> ", "¬": " ~", "∘": " o ",
             "～": " ~"}
 
-_TOKEN_RE = re.compile(r"\s*(->|[~&|()]|[a-z][a-zA-Z0-9_]*)")
+# a token, or else the first character that starts none; the matches tile
+# the text up to trailing white space
+_TOKEN_RE = re.compile(r"\s*(?:(->|[~&|()]|[a-z][a-zA-Z0-9_]*)|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    for uni, ascii_ in _ALIASES.items():
-        text = text.replace(uni, ascii_)
+    if not text.isascii():
+        for uni, ascii_ in _ALIASES.items():
+            text = text.replace(uni, ascii_)
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(pos, "a connective, '(' or an identifier", stripped[0])
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        token, bad = m.groups()
+        if bad:
+            raise ParseError(m.start(), "a connective, '(' or an identifier", bad)
+        tokens.append((token, m.start(1)))
     return tokens
 
 
+# each binary connective's binding level and class; only -> associates right
+_BINARY = {"->": (1, Imp), "|": (2, Or), "&": (3, And), "o": (4, Fusion)}
+
+
 class _Parser:
+    """Precedence climbing over the grammar of the module docstring."""
+
     def __init__(self, tokens: list[tuple[str, int]], length: int):
-        self.tokens = tokens
+        self.tokens = tokens + [(None, length)]  # end of input, at its offset
         self.pos = 0
-        self.length = length
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def here(self) -> int:
-        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.length
-
-    def eat(self) -> str:
-        tok = self.tokens[self.pos][0]
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        if self.peek() != tok:
-            raise ParseError(self.here(), repr(tok), self.peek() or "end of input")
-        self.eat()
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.eat()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.eat()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.fus()
-        while self.peek() == "&":
-            self.eat()
-            f = And(f, self.fus())
-        return f
-
-    def fus(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "o":
-            self.eat()
-            f = Fusion(f, self.unary())
-        return f
+    def binary(self, least: int) -> Formula:
+        """A formula whose binary connectives bind at level least or above."""
+        left = self.unary()
+        while True:
+            op = _BINARY.get(self.tokens[self.pos][0])
+            if op is None or op[0] < least:
+                return left
+            level, cls = op
+            self.pos += 1
+            left = cls(left, self.binary(level if cls is Imp else level + 1))
 
     def unary(self) -> Formula:
-        tok = self.peek()
+        tok, at = self.tokens[self.pos]
+        self.pos += 1
         if tok == "~":
-            self.eat()
             return Neg(self.unary())
         if tok == "(":
-            self.eat()
-            f = self.imp()
-            self.expect(")")
+            f = self.binary(1)
+            tok, at = self.tokens[self.pos]
+            if tok != ")":
+                raise ParseError(at, "')'", tok or "end of input")
+            self.pos += 1
             return f
-        if tok is not None and re.fullmatch(r"[a-z][a-zA-Z0-9_]*", tok) and tok != "o":
-            self.eat()
+        if tok is not None and tok != "o" and _IDENT.fullmatch(tok):
             return Var(tok)
-        raise ParseError(self.here(), "'~', '(' or an identifier", tok or "end of input")
+        raise ParseError(at, "'~', '(' or an identifier", tok or "end of input")
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the ASCII (or Unicode-aliased) syntax into a Formula."""
+    """Parse the ASCII (or Unicode-aliased) syntax into a Formula; memoised
+    by text (a ParseError is raised afresh each time)."""
+    return _parse(text)
+
+
+# the memo sits behind a plain function, which perfbench's tracer can wrap
+@functools.lru_cache(maxsize=4096)
+def _parse(text: str) -> Formula:
     parser = _Parser(_tokenize(text), len(text))
-    f = parser.imp()
-    if parser.peek() is not None:
-        raise ParseError(parser.here(), "end of input", parser.peek())
+    f = parser.binary(1)
+    tok, at = parser.tokens[parser.pos]
+    if tok is not None:
+        raise ParseError(at, "end of input", tok)
     return f
 
 
@@ -189,41 +255,30 @@ def parse_formula(text: str) -> Formula:
 # Printer
 # ------------------------------------------------------------------
 
-def _level(f: Formula) -> int:
-    if isinstance(f, Imp):
-        return 1
-    if isinstance(f, Or):
-        return 2
-    if isinstance(f, And):
-        return 3
-    if isinstance(f, Fusion):
-        return 4
-    return 5  # Neg and Var never need wrapping below a binary operator
+# a connective's binding level (Neg and Var are never wrapped), and for each
+# binary one its spelling and the least level each operand keeps unwrapped
+_LEVEL = {Imp: 1, Or: 2, And: 3, Fusion: 4, Neg: 5, Var: 5}
+_INFIX = {Imp: (" -> ", 2, 1), Or: (" | ", 2, 3), And: (" & ", 3, 4),
+          Fusion: (" o ", 4, 5)}
 
 
-def _render(f: Formula, strength: int) -> str:
-    if isinstance(f, Var):
-        text = f.name
-    elif isinstance(f, Neg):
-        text = "~" + _render(f.body, 5)
-    elif isinstance(f, Imp):
-        text = _render(f.left, 2) + " -> " + _render(f.right, 1)
-    elif isinstance(f, Or):
-        text = _render(f.left, 2) + " | " + _render(f.right, 3)
-    elif isinstance(f, And):
-        text = _render(f.left, 3) + " & " + _render(f.right, 4)
-    elif isinstance(f, Fusion):
-        text = _render(f.left, 4) + " o " + _render(f.right, 5)
-    else:  # pragma: no cover - the AST is closed
-        raise TypeError(f"not a formula: {f!r}")
-    if _level(f) < strength:
-        return "(" + text + ")"
-    return text
+def _operand(f: Formula, strength: int) -> str:
+    text = print_formula(f)
+    return "(" + text + ")" if _LEVEL[type(f)] < strength else text
 
 
 def print_formula(f: Formula) -> str:
-    """Minimal-parenthesis rendering; parse_formula(print_formula(f)) == f."""
-    return _render(f, 0)
+    """Minimal-parenthesis rendering; parse_formula(print_formula(f)) == f.
+    Built once per node, from its children's texts."""
+    text = f._text
+    if text is None:
+        if isinstance(f, Neg):
+            text = "~" + _operand(f.body, 5)
+        else:
+            op, left, right = _INFIX[type(f)]
+            text = _operand(f.left, left) + op + _operand(f.right, right)
+        _set(f, "_text", text)
+    return text
 
 
 # ------------------------------------------------------------------
@@ -231,34 +286,33 @@ def print_formula(f: Formula) -> str:
 # ------------------------------------------------------------------
 
 def desugar_fusion(f: Formula) -> Formula:
-    """Replace every fusion A o B by ~(A -> ~B), bottom up."""
-    if isinstance(f, Var):
+    """Replace every fusion A o B by ~(A -> ~B), bottom up; a fusion-free
+    formula comes back as it is."""
+    if f._core:
         return f
     if isinstance(f, Neg):
         return Neg(desugar_fusion(f.body))
     if isinstance(f, Fusion):
         return Neg(Imp(desugar_fusion(f.left), Neg(desugar_fusion(f.right))))
-    cls = type(f)
-    return cls(desugar_fusion(f.left), desugar_fusion(f.right))
+    return type(f)(desugar_fusion(f.left), desugar_fusion(f.right))
 
 
 def is_core(f: Formula) -> bool:
     """True when f contains no fusion node."""
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, Neg):
-        return is_core(f.body)
-    if isinstance(f, Fusion):
-        return False
-    return is_core(f.left) and is_core(f.right)
+    return f._core
 
 
 def variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, Neg):
-        return variables(f.body)
-    return variables(f.left) | variables(f.right)
+    names = f._vars
+    if names is None:
+        if isinstance(f, Var):
+            names = frozenset((f.name,))
+        elif isinstance(f, Neg):
+            names = variables(f.body)
+        else:
+            names = variables(f.left) | variables(f.right)
+        _set(f, "_vars", names)
+    return names
 
 
 def shared_variables(a: Formula, b: Formula) -> frozenset[str]:
@@ -271,6 +325,4 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
         return mapping.get(f.name, f)
     if isinstance(f, Neg):
         return Neg(substitute(f.body, mapping))
-    cls = type(f)
-    return cls(substitute(f.left, mapping), substitute(f.right, mapping))
-
+    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))

@@ -493,9 +493,10 @@ def _candidates(size: int, required: frozenset):
     tensor of at most `_CHUNK` relations.  p1/p2/crstar seed triples in or
     out, and p5/p5'/comm close triples into orbits; every union of the free
     orbits with the seeded ones is a candidate, in ascending order of its
-    free-orbit bitmask.  The orbits of every star map are found first, so a
-    query of more than DEFAULT_VALUATION_CAP candidates raises
-    TooManyValuations before any chunk is built."""
+    free-orbit bitmask.  The orbits of the star maps are found first, one
+    map at a time, and a query raises TooManyValuations at the first map
+    that takes the count past DEFAULT_VALUATION_CAP, before any chunk is
+    built."""
     idx = range(size)
     all_triples = list(itertools.product(idx, repeat=3))
     position = {t: i for i, t in enumerate(all_triples)}
@@ -509,6 +510,7 @@ def _candidates(size: int, required: frozenset):
         forced_out |= {(0, a, b) for a in idx for b in idx if a != b}
     forced = forced_in | forced_out
     plans = []                       # (star, seeded orbits, free orbits)
+    total = 0
     for star in _involutions(size, fix_zero=("normal" in required)):
         transforms = []
         if "p5" in required:
@@ -536,13 +538,12 @@ def _candidates(size: int, required: frozenset):
                 orbit_of[u] = orbit
         if any(o & forced_in and o & forced_out for o in orbits):
             continue
-        plans.append((star,
-                      [o for o in orbits if o & forced_in],
-                      [o for o in orbits if not o & forced]))
-    total = sum(1 << len(free) for _, _, free in plans)
-    if total > DEFAULT_VALUATION_CAP:
-        raise TooManyValuations(
-            f"{total} candidates exceeds cap {DEFAULT_VALUATION_CAP}")
+        free = [o for o in orbits if not o & forced]
+        total += 1 << len(free)
+        if total > DEFAULT_VALUATION_CAP:
+            raise TooManyValuations(
+                f"more than {DEFAULT_VALUATION_CAP} candidates (the cap)")
+        plans.append((star, [o for o in orbits if o & forced_in], free))
     for star, fixed_in, free in plans:
         # a candidate's word takes free orbit i iff its bit i is set
         base = np.zeros(len(all_triples), dtype=bool)

@@ -20,10 +20,11 @@ indices by signature, so only indices with equal signatures are permuted
 (individualisation by invariants, as in McKay and Piperno, "Practical
 graph isomorphism, II", 2014).
 
-Each search owns a table (``_Table``) that hash-conses the goal: every
-formula the search meets is a shared subterm, with an integer id and its
-printed text made once, and every assertion is made once, so sequent set
-operations reuse stored hashes.  The outcome counts how each node ended.
+Formulas are hash-consed (``formulas``), so the signatures use each
+formula's ``uid`` and steps are ordered by its cached text.  Each search
+owns a table (``_Table``) in which every assertion is made once, so
+sequent set operations reuse stored hashes.  The outcome counts how each
+node ended.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from itertools import chain, groupby, permutations, product, starmap
 from dataclasses import dataclass
 
-from .formulas import Formula, Neg, Var, desugar_fusion, print_formula
+from .formulas import Formula, desugar_fusion
 from .sequents import RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof
 
 __all__ = ["SearchBudget", "SearchOutcome", "search_proof"]
@@ -100,54 +101,28 @@ _AXIOM = RULE_NAMED["axiom"]
 
 
 class _Table:
-    """One search's formulas and assertions, each made once.
+    """One search's one-element assertion sets and canonical forms.
 
-    The goal is hash-consed: equal subformulas become one shared object,
-    and every formula the search meets is one of them, as premises take
-    the principal's parts.  Each formula gets an integer id, which the
-    canonical forms use, and its printed text, by which steps are ordered.
     Each assertion is made once, as a one-element set; sequents are unions
     and differences of these sets, which reuse the stored hashes, so an
     assertion is hashed once per search and not once per node."""
 
-    def __init__(self, goal: Formula):
-        self._shared: dict[Formula, Formula] = {}
-        self._formulas: dict[int, tuple[int, str]] = {}  # by id(formula)
-        self._singles: dict[tuple[int, int, int], frozenset[Assertion]] = {}
-        self._assertions: dict[int, tuple[tuple, tuple]] = {}  # by id(assertion)
-        self.goal = self._share(goal)
-
-    def _share(self, f: Formula) -> Formula:
-        if isinstance(f, Neg):
-            f = Neg(self._share(f.body))
-        elif not isinstance(f, Var):
-            f = type(f)(self._share(f.left), self._share(f.right))
-        f = self._shared.setdefault(f, f)
-        if id(f) not in self._formulas:
-            self._formulas[id(f)] = (len(self._formulas), print_formula(f))
-        return f
+    def __init__(self):
+        self._singles: dict[tuple[Formula, int, int], frozenset[Assertion]] = {}
 
     def single(self, f: Formula, i: int, j: int) -> frozenset[Assertion]:
-        """{(f)[i,j]}, for a formula of this table."""
-        key = (id(f), i, j)
+        """{(f)[i,j]}."""
+        key = (f, i, j)
         one = self._singles.get(key)
         if one is None:
-            a = Assertion(f, i, j)
-            fid, text = self._formulas[id(f)]
-            self._assertions[id(a)] = ((fid, i, j), (text, i, j))
-            one = self._singles[key] = frozenset((a,))
+            one = self._singles[key] = frozenset((Assertion(f, i, j),))
         return one
-
-    def sort_key(self, a: Assertion) -> tuple[str, int, int]:
-        """Assertion.key, with the text printed once."""
-        return self._assertions[id(a)][1]
 
     def canonical(self, seq: Sequent) -> tuple:
         """The canonical form of seq (see the module docstring); a
         signature's position is 0 for i, 1 for j and 2 for both."""
-        info = self._assertions
-        sides = ([info[id(a)][0] for a in seq.left],
-                 [info[id(a)][0] for a in seq.right])
+        sides = ([(a.formula.uid, a.i, a.j) for a in seq.left],
+                 [(a.formula.uid, a.i, a.j) for a in seq.right])
         occurs: dict[int, list] = {}
         for s, side in enumerate(sides):
             for f, i, j in side:
@@ -204,8 +179,8 @@ def _backward(rule: Rule, seq: Sequent, principal: Assertion, k: int | None,
 def _steps(seq: Sequent, max_index: int, table: _Table):
     """Backward steps (rule, k, premises) to try in turn: the first
     invertible one alone, or else every branching one."""
-    ordered = {"left": sorted(seq.left, key=table.sort_key),
-               "right": sorted(seq.right, key=table.sort_key)}
+    ordered = {"left": sorted(seq.left, key=Assertion.key),
+               "right": sorted(seq.right, key=Assertion.key)}
     for phase in _INVERTIBLE:
         for a in ordered[phase[0].side]:
             for rule in phase:
@@ -278,8 +253,8 @@ def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> Search
 
 def _search(goal: Formula, budget: SearchBudget, fail_cache: dict) -> SearchOutcome:
     """search_proof, with the failure cache passed in."""
-    table = _Table(desugar_fusion(goal))
-    root_seq = Sequent(frozenset(), table.single(table.goal, 0, 0))
+    table = _Table()
+    root_seq = Sequent(frozenset(), table.single(desugar_fusion(goal), 0, 0))
     tracker = _Budget(budget)
     try:
         tree = _prove(root_seq, budget.max_depth, frozenset(), tracker, table,

@@ -476,9 +476,15 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
     """Instantiate a schematic proof; rule applications survive substitution."""
     core_map = {name: desugar_fusion(f) for name, f in mapping.items()}
     goal = substitute(proof.goal, mapping) if proof.goal is not None else None
-    return _relabel(proof,
-                    lambda a: Assertion(substitute(a.formula, core_map), a.i, a.j),
-                    None, goal)
+    formulas: dict[Formula, Formula] = {}  # each distinct formula once
+
+    def assertion(a: Assertion) -> Assertion:
+        f = formulas.get(a.formula)
+        if f is None:
+            f = formulas[a.formula] = substitute(a.formula, core_map)
+        return Assertion(f, a.i, a.j)
+
+    return _relabel(proof, assertion, None, goal)
 
 
 # ------------------------------------------------------------------
@@ -489,37 +495,35 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # <k>. <sequent> ; <rule> [<refs>] [k=<idx>]
 # with sequents written  (formula)[i,j], ... => ...
 
-def _split_assertions(side: str, offset: int) -> list[Assertion]:
+_GAP = re.compile(r"[ \t,]*")
+_PAREN = re.compile(r"[()]")
+_INDICES = re.compile(r"\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]")
+_EIGEN = re.compile(r"k\s*=\s*(\d+)")
+_REF = re.compile(r"\d+")
+_LINE = re.compile(r"(\d+)\s*\.\s*(.*?)\s*;\s*(.*)$")
+
+
+def _split_assertions(text: str, offset: int) -> list[Assertion]:
     out = []
-    pos = 0
-    text = side
+    pos = _GAP.match(text).end()
     while pos < len(text):
-        while pos < len(text) and text[pos] in " \t,":
-            pos += 1
-        if pos >= len(text):
-            break
         if text[pos] != "(":
             raise ParseError(offset + pos, "'(' starting an assertion", text[pos])
-        depth = 0
         start = pos
-        while pos < len(text):
-            if text[pos] == "(":
-                depth += 1
-            elif text[pos] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            pos += 1
-        if depth != 0:
+        depth = 0
+        for paren in _PAREN.finditer(text, start):
+            depth += 1 if paren.group() == "(" else -1
+            if depth == 0:
+                pos = paren.end()
+                break
+        else:
             raise ParseError(offset + start, "balanced parentheses")
-        formula_text = text[start + 1:pos]
-        pos += 1
-        m = re.match(r"\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]", text[pos:])
+        m = _INDICES.match(text, pos)
         if not m:
             raise ParseError(offset + pos, "'[i,j]' after assertion formula")
-        pos += m.end()
-        f = desugar_fusion(parse_formula(formula_text))
+        f = desugar_fusion(parse_formula(text[start + 1:pos - 1]))
         out.append(Assertion(f, int(m.group(1)), int(m.group(2))))
+        pos = _GAP.match(text, m.end()).end()
     return out
 
 
@@ -539,10 +543,10 @@ def _parse_justification(text: str, line_no: int, offset: int) -> Justification:
     eigen = None
     refs = []
     for arg in args:
-        m = re.fullmatch(r"k\s*=\s*(\d+)", arg)
+        m = _EIGEN.fullmatch(arg)
         if m:
             eigen = int(m.group(1))
-        elif re.fullmatch(r"\d+", arg):
+        elif _REF.fullmatch(arg):
             refs.append(int(arg))
         else:
             raise ParseError(offset, "a line reference or k=<idx>", arg)
@@ -583,7 +587,7 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
                 if not 1 <= bound <= MAX_BOUND:
                     raise ParseError(offset, f"bound between 1 and {MAX_BOUND}")
             continue
-        m = re.match(r"(\d+)\s*\.\s*(.*?)\s*;\s*(.*)$", stripped)
+        m = _LINE.match(stripped)
         if not m:
             raise ParseError(offset, "'<k>. <sequent> ; <rule>'")
         line_no = int(m.group(1))

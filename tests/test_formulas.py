@@ -1,9 +1,13 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tarl import formulas as formulas_module
 from tarl.formulas import (
     And, Fusion, Imp, Neg, Or, ParseError, Var,
     desugar_fusion, is_core, parse_formula, print_formula,
@@ -108,6 +112,13 @@ def test_bad_variable_name():
         Var("o")
 
 
+def test_non_string_variable_name():
+    with pytest.raises(ValueError, match="^bad variable name: 3$"):
+        Var(3)
+    with pytest.raises(TypeError):
+        Neg("p")
+
+
 def test_seeded_roundtrip_bulk():
     rng = random.Random(20250810)
     for size in range(1, 15):
@@ -136,3 +147,83 @@ def formulas(draw, max_size=10):
 @given(formulas())
 def test_roundtrip_property(f):
     assert parse_formula(print_formula(f)) == f
+
+
+# ------------------------------------------------------------------
+# Interning
+# ------------------------------------------------------------------
+
+def shape(f):
+    """f as nested tuples, built without touching any cached value."""
+    if isinstance(f, Var):
+        return ("Var", f.name)
+    if isinstance(f, Neg):
+        return ("Neg", shape(f.body))
+    return (type(f).__name__, shape(f.left), shape(f.right))
+
+
+def relatives(f, g):
+    """f, g and formulas built from them by each route that builds nodes."""
+    out = [f, g, desugar_fusion(f), parse_formula(print_formula(g)),
+           substitute(f, {"p": g}), substitute(g, {"q": Var("p"), "r": f})]
+    out += [desugar_fusion(h) for h in out]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(max_size=6), formulas(max_size=6))
+def test_identity_equality_is_structural_equality(f, g):
+    built = relatives(f, g)
+    for a in built:
+        for b in built:
+            same = shape(a) == shape(b)
+            assert (a is b) == same
+            assert (a == b) == same
+            assert (print_formula(a) == print_formula(b)) == same
+            if same:
+                assert hash(a) == hash(b)
+
+
+def test_hash_is_that_of_the_fields():
+    f = parse_formula("p & ~q")
+    assert hash(f) == hash((f.left, f.right))
+    assert hash(f.right) == hash((f.right.body,))
+    assert hash(Var("p")) == hash(("p",))
+
+
+def test_pickle_and_copy_return_the_interned_node():
+    f = parse_formula("(p o q) & r -> ~s")
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy({"key": [f]})["key"][0] is f
+
+
+def test_nodes_are_immutable():
+    f = parse_formula("p -> q")
+    with pytest.raises(AttributeError):
+        f.left = Var("r")
+    with pytest.raises(AttributeError):
+        del f.right
+    assert repr(f) == "Imp(left=Var(name='p'), right=Var(name='q'))"
+
+
+def test_intern_table_shrinks_after_the_last_reference_goes():
+    gc.collect()
+    before = len(formulas_module._TABLE)
+    names = [f"unshared{k}" for k in range(40)]  # no other test uses these
+    f = Var(names[0])
+    for name in names[1:]:
+        f = Imp(And(f, Var(name)), Neg(Var(name)))
+    print_formula(f), variables(f)
+    assert len(formulas_module._TABLE) >= before + 4 * len(names) - 3
+    del f
+    gc.collect()
+    assert len(formulas_module._TABLE) <= before
+
+
+def test_parse_error_is_raised_again_with_its_position():
+    for _ in range(2):
+        with pytest.raises(ParseError) as e:
+            parse_formula("p & (q -> ")
+        assert e.value.position == 10

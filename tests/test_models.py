@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -564,8 +565,17 @@ def test_enumerate_heredity_propagation():
 def test_enumerate_size_guard():
     # 10 * 2**60 and 4 * 2**27 candidates: refused before any is built
     for size, required in ((4, {"p1"}), (3, ())):
-        with pytest.raises(TooManyValuations, match="candidates exceeds cap"):
+        with pytest.raises(TooManyValuations, match="more than 1048576 candidates"):
             next(enumerate_structures(size, required))
+
+
+def test_enumerate_refuses_a_large_query_at_once():
+    # the first star map alone passes the cap; finding the orbits of every
+    # star map at size 9 took seconds
+    start = time.perf_counter()
+    with pytest.raises(TooManyValuations):
+        next(enumerate_structures(9, {"p5", "comm"}))
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("size", [0, -1])

@@ -37,8 +37,7 @@ def principal_of(rule, data):
 @given(data=st.data(), left=contexts, right=contexts)
 def test_backward_step_rechecks_forward(rule, data, left, right):
     principal = principal_of(rule, data)
-    table = _Table(principal.formula)  # search builds premises from its table
-    principal = Assertion(table.goal, principal.i, principal.j)
+    table = _Table()  # search builds premises from its table
     if rule.side == "left":
         concl = Sequent(left | {principal}, right)
     else:

@@ -157,8 +157,9 @@ def _random_sequent(rng, table, pool, bound):
 @pytest.mark.parametrize("bound", [4, 6])
 def test_canonical_form_matches_the_injection_oracle(bound):
     rng = random.Random(bound)
-    table = search._Table(parse_formula("(a -> b) & ~(b -> a)"))
-    pool = _subformulas(table.goal, [])[:3]  # few formulas: more tied indices
+    table = search._Table()
+    goal = parse_formula("(a -> b) & ~(b -> a)")
+    pool = _subformulas(goal, [])[:3]  # few formulas: more tied indices
     fids: dict = {}
     oracle_of: dict = {}
     ours_of: dict = {}
