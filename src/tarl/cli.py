@@ -117,7 +117,8 @@ def cmd_prove(args) -> int:
     payload = {"status": outcome.status, **outcome.counters()}
     if outcome.proved:
         script = format_proof_script("found", outcome.proof)
-        _emit(args, {**payload, "lines": len(outcome.proof.lines), "script": script},
+        _emit(args, {**payload, "lines": len(outcome.proof.lines), "script": script,
+                     "objects": sorted(outcome.objects), "level": outcome.level},
               script.rstrip())
         return 0
     _emit(args, payload, f"{outcome.status} after {outcome.nodes} nodes")

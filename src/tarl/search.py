@@ -14,17 +14,24 @@ A sequent's canonical form is a key that two sequents share exactly when a
 renaming of indices maps one onto the other; it detects loops (a key
 already on the branch) and indexes the failure cache (a key that failed
 with at least as much depth left).  Each index gets a signature that no
-renaming changes, the sorted (side, formula id, position) of its
-occurrences, and the key is the least encoding over the rankings of the
+renaming changes, the sorted codes of its occurrences (formula, side and
+position), and the key is the least encoding over the rankings of the
 indices by signature, so only indices with equal signatures are permuted
 (individualisation by invariants, as in McKay and Piperno, "Practical
-graph isomorphism, II", 2014).
+graph isomorphism, II", 2014).  Keys and signatures are made of ints:
+the key is the sorted tuple of one int per assertion (see ``_Table``).
 
-Formulas are hash-consed (``formulas``), so the signatures use each
-formula's ``uid`` and steps are ordered by its cached text.  Each search
-owns a table (``_Table``) in which every assertion is made once, so
-sequent set operations reuse stored hashes.  The outcome counts how each
-node ended.
+An impL premise whose actives are already in the context equals its
+conclusion.  Such a sequent is a loop prune without a key: its key is
+its parent's, which is on the branch.  On the benchmark's prove workload
+about three in five of the sequents that reach the loop test are of this
+kind, so a key is computed for two in five.
+
+Formulas are hash-consed (``formulas``), so the codes use each formula's
+``uid`` and steps are ordered by its cached text.  Each search owns a
+table (``_Table``) in which every assertion is made once, so sequent set
+operations reuse stored hashes.  The outcome counts how each node ended
+and how many keys were computed.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ class SearchBudget:
 
 
 _COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
-             "expansions")
+             "expansions", "canonical_forms")
 
 
 @dataclass
@@ -61,7 +68,10 @@ class SearchOutcome:
     one of an axiom leaf, a depth cutoff, a loop prune (its canonical form
     is on the current branch), a cache prune (it failed before with at
     least this depth left) or an expansion, except the one that runs out
-    of nodes: nodes is their sum, plus 1 when the node budget ran out."""
+    of nodes: nodes is their sum, plus 1 when the node budget ran out.
+    canonical_forms, the number of keys computed, is not part of that sum.
+    A found proof comes with the objects (indices) it uses; its level is
+    their number."""
     status: str  # "proved" | "not_found" | "budget_exhausted"
     proof: Proof | None = None
     nodes: int = 0
@@ -70,10 +80,16 @@ class SearchOutcome:
     loop_prunes: int = 0
     cache_prunes: int = 0
     expansions: int = 0
+    canonical_forms: int = 0
+    objects: frozenset[int] | None = None
 
     @property
     def proved(self) -> bool:
         return self.status == "proved"
+
+    @property
+    def level(self) -> int | None:
+        return None if self.objects is None else len(self.objects)
 
     def counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in _COUNTERS}
@@ -87,14 +103,15 @@ class _Budget:
         self.max_index = budget.max_index
         self.nodes = self.axioms = self.cutoffs = 0
         self.loop_prunes = self.cache_prunes = self.expansions = 0
+        self.canonical_forms = 0
 
     def tick(self) -> bool:
         self.nodes += 1
         return self.nodes <= self.max_nodes
 
-    def outcome(self, status: str, proof: Proof | None = None) -> SearchOutcome:
-        return SearchOutcome(status, proof,
-                             *(getattr(self, name) for name in _COUNTERS))
+    def outcome(self, status: str, **found) -> SearchOutcome:
+        return SearchOutcome(status, **{name: getattr(self, name) for name in _COUNTERS},
+                             **found)
 
 
 _AXIOM = RULE_NAMED["axiom"]
@@ -118,28 +135,38 @@ class _Table:
             one = self._singles[key] = frozenset((Assertion(f, i, j),))
         return one
 
-    def canonical(self, seq: Sequent) -> tuple:
-        """The canonical form of seq (see the module docstring); a
-        signature's position is 0 for i, 1 for j and 2 for both."""
-        sides = ([(a.formula.uid, a.i, a.j) for a in seq.left],
-                 [(a.formula.uid, a.i, a.j) for a in seq.right])
-        occurs: dict[int, list] = {}
-        for s, side in enumerate(sides):
-            for f, i, j in side:
-                if i == j:
-                    occurs.setdefault(i, []).append((s, f, 2))
-                else:
-                    occurs.setdefault(i, []).append((s, f, 0))
-                    occurs.setdefault(j, []).append((s, f, 1))
+    def canonical(self, seq: Sequent) -> tuple[int, ...]:
+        """The canonical form of seq (see the module docstring): the sorted
+        codes ``(uid << 1 | side) << 6 | rank_i << 3 | rank_j`` of its
+        assertions, with side 0 for the left and 1 for the right.  The
+        ranks fit 3 bits because seq uses at most 8 indices (``max_index``
+        is at most 8).  An index's signature holds ``(uid << 1 | side) << 2
+        | position`` per occurrence, position 0 for i, 1 for j and 2 for
+        both.  When no two signatures are equal there is one ranking."""
+        codes = [(a.formula.uid << 1, a.i, a.j) for a in seq.left]
+        codes += [(a.formula.uid << 1 | 1, a.i, a.j) for a in seq.right]
+        occurs: dict[int, list[int]] = {}
+        for code, i, j in codes:
+            code <<= 2
+            if i == j:
+                occurs.setdefault(i, []).append(code | 2)
+            else:
+                occurs.setdefault(i, []).append(code)
+                occurs.setdefault(j, []).append(code | 1)
         for sig in occurs.values():
             sig.sort()
         order = sorted(occurs, key=occurs.__getitem__)
-        ties = [list(g) for _, g in groupby(order, key=occurs.__getitem__)]
+        ties = [tuple(g) for _, g in groupby(order, key=occurs.__getitem__)]
+        if len(ties) == len(order):
+            rankings = [order]
+        else:
+            rankings = [list(chain.from_iterable(ranking))
+                        for ranking in product(*map(permutations, ties))]
         best = None
-        for ranking in product(*map(permutations, ties)):
-            rank = dict(zip(chain.from_iterable(ranking), range(len(order))))
-            key = tuple(tuple(sorted([(f, rank[i], rank[j]) for f, i, j in side]))
-                        for side in sides)
+        for ranking in rankings:
+            rank = dict(zip(ranking, range(len(ranking))))
+            key = tuple(sorted([code << 6 | rank[i] << 3 | rank[j]
+                                for code, i, j in codes]))
             if best is None or key < best:
                 best = key
         return best
@@ -197,9 +224,10 @@ def _steps(seq: Sequent, max_index: int, table: _Table):
                     yield rule, k, _backward(rule, seq, a, k, table)
 
 
-def _prove(seq: Sequent, depth: int, seen: frozenset, budget: _Budget,
-           table: _Table, fail_cache: dict) -> tuple | None:
-    """A proof tree of seq, each node (sequent, rule, k, children), or None."""
+def _prove(seq: Sequent, parent: Sequent | None, depth: int, seen: frozenset,
+           budget: _Budget, table: _Table, fail_cache: dict) -> tuple | None:
+    """A proof tree of seq, a premise of parent, each node (sequent, rule,
+    k, children), or None."""
     if not budget.tick():
         raise _OutOfNodes()
     if seq.is_axiom():
@@ -208,7 +236,11 @@ def _prove(seq: Sequent, depth: int, seen: frozenset, budget: _Budget,
     if depth <= 0:
         budget.cutoffs += 1
         return None
+    if seq == parent:  # parent's key is in seen
+        budget.loop_prunes += 1
+        return None
     key = table.canonical(seq)
+    budget.canonical_forms += 1
     if key in seen:
         budget.loop_prunes += 1
         return None
@@ -221,7 +253,7 @@ def _prove(seq: Sequent, depth: int, seen: frozenset, budget: _Budget,
     for rule, k, premises in _steps(seq, budget.max_index, table):
         children = []
         for sub in premises:
-            child = _prove(sub, depth - 1, seen, budget, table, fail_cache)
+            child = _prove(sub, seq, depth - 1, seen, budget, table, fail_cache)
             if child is None:
                 children = None
                 break
@@ -257,7 +289,7 @@ def _search(goal: Formula, budget: SearchBudget, fail_cache: dict) -> SearchOutc
     root_seq = Sequent(frozenset(), table.single(desugar_fusion(goal), 0, 0))
     tracker = _Budget(budget)
     try:
-        tree = _prove(root_seq, budget.max_depth, frozenset(), tracker, table,
+        tree = _prove(root_seq, None, budget.max_depth, frozenset(), tracker, table,
                       fail_cache)
     except _OutOfNodes:
         return tracker.outcome("budget_exhausted")
@@ -269,4 +301,4 @@ def _search(goal: Formula, budget: SearchBudget, fail_cache: dict) -> SearchOutc
     report = check_proof(proof)
     if not report.valid:  # pragma: no cover - soundness guard
         raise AssertionError(f"search produced a bad proof: {report.first_error}")
-    return tracker.outcome("proved", proof)
+    return tracker.outcome("proved", proof=proof, objects=report.objects_used)

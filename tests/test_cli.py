@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,13 @@ def test_prove_json_reports_the_search_counters(capsys, argv, status):
     assert payload["status"] == status
     assert payload["nodes"] == sum(payload[name] for name in (
         "axioms", "cutoffs", "loop_prunes", "cache_prunes", "expansions"))
+    assert 0 < payload["canonical_forms"] <= payload["nodes"]
+
+
+def test_prove_json_reports_the_proof_level(capsys):
+    code, out, _ = run(capsys, "prove", "a & b -> a", "--json")
+    payload = json.loads(out)
+    assert (payload["objects"], payload["level"]) == ([0, 1], 2)
 
 
 def test_valid_pass(capsys):
@@ -275,3 +286,21 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _python_m_tarl(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-m", "tarl", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_tarl_runs_the_cli():
+    done = _python_m_tarl("prove", "a -> a")
+    assert done.returncode == 0
+    assert done.stdout.startswith("lemma found")
+    bad = _python_m_tarl("prove", "a ->")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error: ")

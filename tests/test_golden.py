@@ -1,8 +1,12 @@
-"""Pinned proof scripts: every corpus proof, a seeded substitution instance
-of each, and each derived rule's output on corpus premises, formatted with
-format_proof_script and compared byte for byte with tests/golden.
+"""Pinned outputs, compared byte for byte with tests/golden:
 
-To record the file again after an intended change of output:
+- proof_scripts.txt: every corpus proof, a seeded substitution instance of
+  each, and each derived rule's output on corpus premises, formatted with
+  format_proof_script;
+- search_outcomes.txt: proof search on the corpus goals and on seeded
+  random formulas, with each outcome's status, node counters and proof.
+
+To record the files again after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,9 +18,14 @@ from tarl.derived import apply_derived_rule
 from tarl.formulas import Neg, Var, parse_formula, variables
 from tarl.gen import random_core_formula
 from tarl.registry import get_corpus_entry, list_corpus
+from tarl.search import SearchBudget, search_proof
 from tarl.sequents import format_proof_script, substitute_proof
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "proof_scripts.txt"
+SEARCH_GOLDEN = Path(__file__).resolve().parent / "golden" / "search_outcomes.txt"
+# the counters that say how each node ended; nodes is their sum
+_NODE_COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
+                  "expansions")
 
 
 def _premise(lemma, sub=None):
@@ -63,9 +72,30 @@ def proof_scripts() -> str:
     return "\n".join(out)
 
 
+def search_outcomes() -> str:
+    budget = SearchBudget(max_nodes=5000)
+    rng = random.Random(8)
+    goals = [(entry.lemma_id, entry.proof.goal) for entry in list_corpus()]
+    goals += [(f"random{n}", random_core_formula(rng, rng.randint(6, 12), ("p", "q")))
+              for n in range(40)]
+    out = []
+    for name, goal in goals:
+        outcome = search_proof(goal, budget)
+        counts = " ".join(f"{c}={getattr(outcome, c)}" for c in _NODE_COUNTERS)
+        out.append(f"# {name} {outcome.status} {counts}\n")
+        if outcome.proved:
+            out.append(format_proof_script(name, outcome.proof))
+    return "".join(out)
+
+
 def test_proof_scripts_are_unchanged():
     assert proof_scripts() == GOLDEN.read_text()
 
 
+def test_search_outcomes_are_unchanged():
+    assert search_outcomes() == SEARCH_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(proof_scripts())
+    SEARCH_GOLDEN.write_text(search_outcomes())

@@ -7,7 +7,7 @@ from tarl import search
 from tarl.formulas import parse_formula
 from tarl.gen import random_core_formula
 from tarl.models import valid_in
-from tarl.registry import get_formula, get_structure
+from tarl.registry import get_formula, get_structure, list_corpus
 from tarl.search import SearchBudget, search_proof
 from tarl.sequents import Sequent, check_proof
 
@@ -103,6 +103,35 @@ def test_every_node_is_counted_once(text, budget, ran_out):
     assert (out.nodes > budget.max_nodes) == ran_out
     assert out.nodes == (c["axioms"] + c["cutoffs"] + c["loop_prunes"]
                          + c["cache_prunes"] + c["expansions"] + ran_out)
+    # every expanded or cache-pruned node has a key; axioms, cutoffs and
+    # premises equal to their conclusion do not
+    assert (c["cache_prunes"] + c["expansions"] <= c["canonical_forms"]
+            <= c["nodes"] - c["axioms"] - c["cutoffs"])
+
+
+def test_a_premise_equal_to_its_conclusion_gets_no_key():
+    # impL keeps its principal, so a premise whose active is already in
+    # the context is its conclusion again: a loop prune found without a key
+    c = search_proof(parse_formula("(p -> q) -> (q -> r) -> p -> r"),
+                     SearchBudget(max_depth=6)).counters()
+    assert c["loop_prunes"] > 0
+    assert c["canonical_forms"] < c["nodes"] - c["axioms"] - c["cutoffs"]
+
+
+@pytest.mark.parametrize("max_index", [2, 3, 4])
+def test_proof_level_is_the_objects_the_proof_uses(max_index):
+    budget = SearchBudget(max_index=max_index, max_nodes=2000)
+    proved = 0
+    for entry in list_corpus():
+        out = search_proof(entry.proof.goal, budget)
+        if not out.proved:
+            assert out.objects is None and out.level is None
+            continue
+        proved += 1
+        used = check_proof(out.proof).objects_used
+        assert out.objects == used
+        assert out.level == len(used) <= max_index
+    assert proved >= 15
 
 
 def _oracle_key(seq, max_index, fids):
@@ -139,7 +168,7 @@ def _renamed(table, seq, ren):
     return Sequent.of(move(seq.left), move(seq.right))
 
 
-def _random_sequent(rng, table, pool, bound):
+def _random_sequent(rng, table, pool, bound, max_used):
     used = rng.sample(range(bound), rng.randint(1, 3))
 
     def side():
@@ -147,16 +176,18 @@ def _random_sequent(rng, table, pool, bound):
                 for a in table.single(rng.choice(pool), rng.choice(used), rng.choice(used))]
     seq = Sequent.of(side(), side())
     spare = [x for x in range(bound) if x not in used]
-    if len(spare) >= len(used) and rng.random() < 0.5:
+    if len(spare) >= len(used) and 2 * len(used) <= max_used and rng.random() < 0.5:
         # add a copy on fresh indices: each index ties with its image
         copy = _renamed(table, seq, dict(zip(used, rng.sample(spare, len(used)))))
         seq = Sequent(seq.left | copy.left, seq.right | copy.right)
     return seq
 
 
-@pytest.mark.parametrize("bound", [4, 6])
+@pytest.mark.parametrize("bound", [4, 6, 8])
 def test_canonical_form_matches_the_injection_oracle(bound):
     rng = random.Random(bound)
+    # at bound 8 the oracle's injections are many: use at most 4 indices
+    max_used = 4 if bound == 8 else bound
     table = search._Table()
     goal = parse_formula("(a -> b) & ~(b -> a)")
     pool = _subformulas(goal, [])[:3]  # few formulas: more tied indices
@@ -164,7 +195,7 @@ def test_canonical_form_matches_the_injection_oracle(bound):
     oracle_of: dict = {}
     ours_of: dict = {}
     for _ in range(150):
-        seq = _random_sequent(rng, table, pool, bound)
+        seq = _random_sequent(rng, table, pool, bound, max_used)
         used = sorted(seq.indices())
         image = rng.sample(range(bound), len(used))
         variants = [seq, _renamed(table, seq, dict(zip(used, image)))]
@@ -181,6 +212,27 @@ def test_canonical_form_matches_the_injection_oracle(bound):
             assert oracle_of.setdefault(key, oracle) == oracle
             assert ours_of.setdefault(oracle, key) == key
     assert len(ours_of) < 3 * 150  # classes did meet
+
+
+def test_canonical_form_reads_back_as_a_renaming():
+    # each code read back by its fields, (uid << 1 | side) << 6 | rank_i << 3
+    # | rank_j, gives a sequent with the same key: no field overflows into
+    # the next, also when ranks reach 7
+    table = search._Table()
+    a = parse_formula("a")
+    chain = Sequent.of([x for n in range(7) for x in table.single(a, n, n + 1)])
+    rng = random.Random(8)
+    pool = _subformulas(parse_formula("(a -> b) & ~(b -> a)"), [])
+    for seq in [chain] + [_random_sequent(rng, table, pool, 8, 8) for _ in range(50)]:
+        key = table.canonical(seq)
+        formula = {x.formula.uid: x.formula for x in seq.left | seq.right}
+        sides = ([], [])
+        for code in key:
+            sides[code >> 6 & 1].extend(table.single(formula[code >> 7], code >> 3 & 7,
+                                                     code & 7))
+        assert table.canonical(Sequent.of(*sides)) == key
+    key = table.canonical(chain)
+    assert {code >> 3 & 7 for code in key} | {code & 7 for code in key} == set(range(8))
 
 
 class _NeverStores(dict):
