@@ -22,7 +22,7 @@ from .models import (
 )
 from .algebra import (
     RATerm, translate, parse_ra_term, print_ra_term, eval_term,
-    holds_identity, holds_law, verified_in_algebra, check_chain,
+    holds_law, verified_in_algebra, check_chain,
     parse_chain, ProperAlgebra, ComplexAlgebra,
     TARSKI_AXIOMS, DERIVED_LAWS,
 )

@@ -20,8 +20,13 @@ batch at a time (the whole valuation grid of a complex algebra, blocks of
 
 The term grammar is  `+` join, `.` meet, prefix `-` complement, postfix `^`
 converse, `;` relative product, constants `id`, `0`, `1`, with precedence
-`- ^` > `;` > `.` > `+`.  Chain files hold one `lhs (=|<=) rhs ; tag` step
-per line and are verified step by step and end to end.
+`- ^` > `;` > `.` > `+`: the table `TERMS` of the parser and printer that
+formulas use (`tarl.formulas.Grammar`).  A name is read whole (`idle` is a
+variable), and printing a variable named like a constant raises ValueError.
+Terms are frozen dataclasses, not interned like formulas: an interned
+version made a cold `translate` about 8 times slower.  Chain files hold one
+`lhs (=|<=) rhs ; tag` step per line, read as laws named by their tag, and
+are verified step by step and end to end.
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .formulas import And, Formula, Fusion, Imp, Neg, Or, ParseError, Var, variables
+from .formulas import (
+    And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError, Var, variables,
+)
 from .models import (
     ModelStructure, UnassignedVariable, _grid_rows, _valuation_grid, tables_for,
 )
@@ -42,11 +49,11 @@ from .models import (
 __all__ = [
     "RATerm", "RVar", "Join", "Meet", "Compl", "Conv", "Comp",
     "Ident", "Zero", "One", "IDENT", "ZERO", "ONE",
-    "parse_ra_term", "print_ra_term", "term_variables", "translate",
+    "TERMS", "parse_ra_term", "print_ra_term", "term_variables", "translate",
     "ProperAlgebra", "ComplexAlgebra", "UnassignedVariable",
-    "eval_term", "holds_identity", "holds_law", "verified_in_algebra",
+    "eval_term", "holds_law", "verified_in_algebra",
     "sample_relations",
-    "IdentityResult", "Law", "ChainStep", "ChainReport", "StepResult",
+    "IdentityResult", "Law", "ChainReport", "StepResult",
     "parse_chain", "check_chain",
     "TARSKI_AXIOMS", "DERIVED_LAWS", "law_names", "get_law",
 ]
@@ -114,138 +121,20 @@ IDENT = Ident()
 ZERO = Zero()
 ONE = One()
 
-_RA_TOKEN = re.compile(r"\s*(id|[a-z][a-zA-Z0-9_]*|[-+.;^()01])")
+TERMS = Grammar(
+    symbols=r"[-+.;^()01]",
+    binary={"+": (1, Join, " + "), ".": (2, Meet, " . "), ";": (3, Comp, ";")},
+    right=None, prefix={"-": Compl}, postfix={"^": Conv},
+    constants={"id": IDENT, "0": ZERO, "1": ONE}, variable=RVar,
+    bad_token="a relation-algebra token", bad_operand="a term", aliases={})
 
 
 def parse_ra_term(text: str) -> RATerm:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _RA_TOKEN.match(text, pos)
-        if not m:
-            if not text[pos:].strip():
-                break
-            raise ParseError(pos, "a relation-algebra token", text[pos:].strip()[0])
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-
-    state = {"pos": 0}
-
-    def peek():
-        return tokens[state["pos"]][0] if state["pos"] < len(tokens) else None
-
-    def eat():
-        tok = tokens[state["pos"]][0]
-        state["pos"] += 1
-        return tok
-
-    def where():
-        return tokens[state["pos"]][1] if state["pos"] < len(tokens) else len(text)
-
-    def expr():
-        t = meet()
-        while peek() == "+":
-            eat()
-            t = Join(t, meet())
-        return t
-
-    def meet():
-        t = comp()
-        while peek() == ".":
-            eat()
-            t = Meet(t, comp())
-        return t
-
-    def comp():
-        t = unary()
-        while peek() == ";":
-            eat()
-            t = Comp(t, unary())
-        return t
-
-    def unary():
-        if peek() == "-":
-            eat()
-            return Compl(unary())
-        return postfix()
-
-    def postfix():
-        t = atom()
-        while peek() == "^":
-            eat()
-            t = Conv(t)
-        return t
-
-    def atom():
-        tok = peek()
-        if tok == "(":
-            eat()
-            t = expr()
-            if peek() != ")":
-                raise ParseError(where(), "')'", peek() or "end of input")
-            eat()
-            return t
-        if tok == "id":
-            eat()
-            return IDENT
-        if tok == "0":
-            eat()
-            return ZERO
-        if tok == "1":
-            eat()
-            return ONE
-        if tok is not None and re.fullmatch(r"[a-z][a-zA-Z0-9_]*", tok):
-            eat()
-            return RVar(tok)
-        raise ParseError(where(), "a term", tok or "end of input")
-
-    t = expr()
-    if peek() is not None:
-        raise ParseError(where(), "end of input", peek())
-    return t
-
-
-def _ra_level(t: RATerm) -> int:
-    if isinstance(t, Join):
-        return 1
-    if isinstance(t, Meet):
-        return 2
-    if isinstance(t, Comp):
-        return 3
-    return 4
-
-
-def _ra_render(t: RATerm, strength: int) -> str:
-    if isinstance(t, RVar):
-        text = t.name
-    elif isinstance(t, Ident):
-        text = "id"
-    elif isinstance(t, Zero):
-        text = "0"
-    elif isinstance(t, One):
-        text = "1"
-    elif isinstance(t, Compl):
-        text = "-" + _ra_render(t.body, 4)
-    elif isinstance(t, Conv):
-        inner = _ra_render(t.body, 4)
-        if isinstance(t.body, (Compl, Conv)):
-            inner = "(" + inner + ")"
-        text = inner + "^"
-    elif isinstance(t, Join):
-        text = _ra_render(t.left, 1) + " + " + _ra_render(t.right, 2)
-    elif isinstance(t, Meet):
-        text = _ra_render(t.left, 2) + " . " + _ra_render(t.right, 3)
-    elif isinstance(t, Comp):
-        text = _ra_render(t.left, 3) + ";" + _ra_render(t.right, 4)
-    else:  # pragma: no cover
-        raise TypeError(f"not a term: {t!r}")
-    if _ra_level(t) < strength:
-        return "(" + text + ")"
-    return text
+    return TERMS.parse(text)
 
 
 def print_ra_term(t: RATerm) -> str:
-    return _ra_render(t, 0)
+    return TERMS.show(t, print_ra_term)
 
 
 def term_variables(t: RATerm) -> frozenset[str]:
@@ -506,12 +395,6 @@ def _holds(alg, law: Law, names: Sequence[str], trials: int, seed: int,
     return IdentityResult(True, checked=checked)
 
 
-def holds_identity(alg, lhs: RATerm, rel: str, rhs: RATerm,
-                   trials: int = 1000, seed: int = 0,
-                   cap: int = 2 ** 20) -> IdentityResult:
-    return holds_law(alg, Law("adhoc", lhs, rel, rhs), trials, seed, cap)
-
-
 def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
                         trials: int = 500, seed: int = 0,
                         cap: int = 2 ** 20) -> IdentityResult:
@@ -537,17 +420,9 @@ def _identity_law(f: Formula) -> tuple[Law, tuple[str, ...]]:
 # Chains
 # ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainStep:
-    lhs: RATerm
-    rel: str
-    rhs: RATerm
-    tag: str
-
-
 @dataclass
 class StepResult:
-    step: ChainStep
+    step: Law                        # named by the step's tag
     results: dict[str, IdentityResult]
 
     @property
@@ -567,10 +442,19 @@ class ChainReport:
                 and all(seg[3] is None or seg[3].passed for seg in self.segments))
 
 
-def parse_chain(text: str) -> list[ChainStep]:
-    """One step per line: `lhs (=|<=) rhs ; tag`.  The tag separator is a
-    semicolon surrounded by spaces, distinguishing it from relative product
-    (written without spaces)."""
+def _relation(text: str, line: str = "") -> tuple[RATerm, str, RATerm]:
+    """The terms and relation of `lhs (=|<=) rhs`; a ParseError shows
+    `line`, the whole line, if given."""
+    m = re.match(r"(.*?)(<=|=)(.*)$", text)
+    if not m:
+        raise ParseError(0, "'lhs = rhs' or 'lhs <= rhs'", line or text)
+    return parse_ra_term(m.group(1)), m.group(2), parse_ra_term(m.group(3))
+
+
+def parse_chain(text: str) -> list[Law]:
+    """One step per line: `lhs (=|<=) rhs ; tag`, read as a law named by its
+    tag.  The tag separator is a semicolon surrounded by spaces,
+    distinguishing it from relative product (written without spaces)."""
     steps = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -579,20 +463,15 @@ def parse_chain(text: str) -> list[ChainStep]:
         body, sep, tag = line.rpartition(" ; ")
         if not sep:
             body, tag = line, ""
-        m = re.match(r"(.*?)(<=|=)(.*)$", body)
-        if not m:
-            raise ParseError(0, "'lhs = rhs' or 'lhs <= rhs'", line)
-        steps.append(ChainStep(parse_ra_term(m.group(1)), m.group(2),
-                               parse_ra_term(m.group(3)), tag.strip()))
+        steps.append(Law(tag.strip(), *_relation(body, line)))
     return steps
 
 
-def check_chain(algs: dict[str, object], steps: list[ChainStep],
+def check_chain(algs: dict[str, object], steps: list[Law],
                 trials: int = 500, seed: int = 0) -> ChainReport:
     out = []
     for step in steps:
-        results = {name: holds_identity(alg, step.lhs, step.rel, step.rhs,
-                                        trials=trials, seed=seed)
+        results = {name: holds_law(alg, step, trials=trials, seed=seed)
                    for name, alg in algs.items()}
         out.append(StepResult(step, results))
     segments = []
@@ -605,8 +484,8 @@ def check_chain(algs: dict[str, object], steps: list[ChainStep],
         combined = "=" if all(s.rel == "=" for s in steps[start:end + 1]) else "<="
         end_to_end = None
         if end > start:
-            checks = [holds_identity(alg, steps[start].lhs, combined,
-                                     steps[end].rhs, trials=trials, seed=seed)
+            segment = Law("adhoc", steps[start].lhs, combined, steps[end].rhs)
+            checks = [holds_law(alg, segment, trials=trials, seed=seed)
                       for alg in algs.values()]
             ok = all(c.passed for c in checks)
             end_to_end = IdentityResult(ok, None if ok else
@@ -622,15 +501,7 @@ def check_chain(algs: dict[str, object], steps: list[ChainStep],
 # ------------------------------------------------------------------
 
 def _law(name: str, text: str, premise_texts=()) -> Law:
-    m = re.match(r"(.*?)(<=|=)(.*)$", text)
-    lhs, rel, rhs = m.group(1), m.group(2), m.group(3)
-    premises = []
-    for p in premise_texts:
-        pm = re.match(r"(.*?)(<=|=)(.*)$", p)
-        premises.append((parse_ra_term(pm.group(1)), pm.group(2),
-                         parse_ra_term(pm.group(3))))
-    return Law(name, parse_ra_term(lhs), rel, parse_ra_term(rhs),
-               tuple(premises))
+    return Law(name, *_relation(text), tuple(map(_relation, premise_texts)))
 
 
 TARSKI_AXIOMS = {

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import algebra, models, registry, search
-from .formulas import Formula, ParseError, parse_formula, print_formula
+from .formulas import FORMULAS, Formula, Neg, ParseError, Var, parse_formula, print_formula
 from .sequents import check_proof, format_proof_script, parse_proof_script
 
 
@@ -74,13 +74,12 @@ def _fmt_valuation(v: models.Valuation) -> str:
 
 
 def _ast(f: Formula) -> dict:
-    kind = type(f).__name__
-    if kind == "Var":
+    if isinstance(f, Var):
         return {"var": f.name}
-    if kind == "Neg":
-        return {"op": "~", "body": _ast(f.body)}
-    ops = {"And": "&", "Or": "|", "Imp": "->", "Fusion": "o"}
-    return {"op": ops[kind], "left": _ast(f.left), "right": _ast(f.right)}
+    op = FORMULAS.spelling[type(f)]
+    if isinstance(f, Neg):
+        return {"op": op, "body": _ast(f.body)}
+    return {"op": op, "left": _ast(f.left), "right": _ast(f.right)}
 
 
 # ------------------------------------------------------------------
@@ -217,10 +216,8 @@ def cmd_corpus(args) -> int:
 
 def cmd_translate(args) -> int:
     f = _resolve_formula(args.formula)
-    term = algebra.translate(f)
-    _emit(args, {"formula": print_formula(f),
-                 "term": algebra.print_ra_term(term)},
-          algebra.print_ra_term(term))
+    term = _checked(algebra.print_ra_term, algebra.translate(f))
+    _emit(args, {"formula": print_formula(f), "term": term}, term)
     return 0
 
 
@@ -268,14 +265,14 @@ def cmd_chain(args) -> int:
     for i, step in enumerate(report.steps, 1):
         status = "Pass" if step.passed else "FAIL"
         lines.append(f"step {i}: {step.step.lhs} {step.step.rel} "
-                     f"{step.step.rhs}  [{step.step.tag}]  {status}")
+                     f"{step.step.rhs}  [{step.step.name}]  {status}")
     for (a, b, rel, end) in report.segments:
         if end is not None:
             lines.append(f"end-to-end {a + 1}..{b + 1} ({rel}): "
                          f"{'Pass' if end.passed else 'FAIL'}")
     _emit(args, {"passed": report.passed,
                  "steps": [{"lhs": str(s.step.lhs), "rel": s.step.rel,
-                            "rhs": str(s.step.rhs), "tag": s.step.tag,
+                            "rhs": str(s.step.rhs), "tag": s.step.name,
                             "passed": s.passed} for s in report.steps]},
           "\n".join(lines))
     return 0 if report.passed else 1

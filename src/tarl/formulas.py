@@ -12,6 +12,12 @@ the other binary connectives to the left.  The Unicode spellings of the
 connectives are accepted as aliases on input.  Fusion is definable:
 A o B abbreviates ~(A -> ~B), and ``desugar_fusion`` performs that rewrite.
 
+The parser and the printer are written once, in ``Grammar``: one tokenizer,
+one precedence-climbing parser and one minimal-parenthesis printer, driven
+by a table of tokens, binding levels and node classes.  ``FORMULAS`` is the
+table of this syntax; ``tarl.algebra.TERMS`` is that of relation-algebra
+terms.
+
 Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): a constructor looks its class and children up in one
 table with weak values and returns the live node if there is one, so each
@@ -33,12 +39,12 @@ import weakref
 
 __all__ = [
     "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
-    "ParseError", "parse_formula", "print_formula",
+    "ParseError", "Grammar", "FORMULAS", "parse_formula", "print_formula",
     "desugar_fusion", "is_core", "variables", "shared_variables",
     "substitute",
 ]
 
-_IDENT = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 # every live node, keyed on (class, *children); children are interned, so a
 # lookup hashes them by their stored hash and compares them by identity
@@ -94,10 +100,7 @@ def _intern(key: tuple) -> Formula:
         if node is not None:
             return node
         if cls is Var:
-            name = children[0]
-            if not (isinstance(name, str) and _IDENT.fullmatch(name)) or name == "o":
-                raise ValueError(f"bad variable name: {name!r}")
-            core, text = True, name
+            core, text = True, FORMULAS.name(children[0])
         else:
             for child in children:
                 if not isinstance(child, Formula):
@@ -171,67 +174,146 @@ class ParseError(ValueError):
 
 
 # ------------------------------------------------------------------
-# Lexer / parser
+# Grammars: one parser and one printer, driven by a table
 # ------------------------------------------------------------------
 
-_ALIASES = {"∧": " & ", "∨": " | ", "→": " -> ", "¬": " ~", "∘": " o ",
-            "～": " ~"}
+class Grammar:
+    """The surface syntax of one kind of tree, as tables read by one
+    tokenizer, one precedence-climbing parser and one printer.
 
-# a token, or else the first character that starts none; the matches tile
-# the text up to trailing white space
-_TOKEN_RE = re.compile(r"\s*(?:(->|[~&|()]|[a-z][a-zA-Z0-9_]*)|(\S))")
+    `symbols` is the regular expression of the tokens other than names
+    (lower-case identifiers).  `binary` maps a token to (level, class,
+    printed form); a higher level binds tighter, and every class associates
+    to the left except `right`.  `prefix` and `postfix` map a token to a
+    one-operand class, `constants` a token to its node; a postfix operator
+    binds tighter than a prefix one, both tighter than any binary one, and
+    parentheses group.  A name that is no operator or constant is a
+    `variable`.  `bad_token` and `bad_operand` say what was expected where a
+    character starts no token and where an operand is missing; `aliases`
+    are replaced before tokenizing."""
 
+    def __init__(self, *, symbols: str, binary: dict, right: type | None,
+                 prefix: dict, postfix: dict, constants: dict, variable: type,
+                 bad_token: str, bad_operand: str, aliases: dict):
+        # a token, or else the first character that starts none; the
+        # matches tile the text up to trailing white space
+        self.token = re.compile(rf"\s*(?:({symbols}|{_NAME.pattern})|(\S))")
+        self.binary, self.right = binary, right
+        self.prefix, self.postfix, self.constants = prefix, postfix, constants
+        self.variable = variable
+        self.bad_token, self.bad_operand = bad_token, bad_operand
+        self.aliases = aliases
+        self.reserved = frozenset(tok for tok in (*binary, *constants) if _NAME.fullmatch(tok))
+        self.spelling = {**{cls: tok for tok, (_, cls, _) in binary.items()},
+                         **{cls: tok for tok, cls in (*prefix.items(), *postfix.items())},
+                         **{type(node): tok for tok, node in constants.items()}}
+        # for printing: each class's binding level (one-operand nodes bind at
+        # unary, leaves at atom), and each operator's text around and between
+        # its operands with the least level each operand keeps unwrapped
+        unary = max(level for level, _, _ in binary.values()) + 1
+        self.atom = unary + 1
+        self.level = {cls: level for level, cls, _ in binary.values()}
+        self.level.update((cls, unary) for cls in (*prefix.values(), *postfix.values()))
+        self.infix = {cls: (shown, level + (cls is right), level + (cls is not right))
+                      for level, cls, shown in binary.values()}
+        self.affix = {**{cls: (tok, unary, "") for tok, cls in prefix.items()},
+                      **{cls: ("", self.atom, tok) for tok, cls in postfix.items()}}
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    if not text.isascii():
-        for uni, ascii_ in _ALIASES.items():
-            text = text.replace(uni, ascii_)
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        token, bad = m.groups()
-        if bad:
-            raise ParseError(m.start(), "a connective, '(' or an identifier", bad)
-        tokens.append((token, m.start(1)))
-    return tokens
+    def name(self, name) -> str:
+        """name, if it can be a variable's: a name that is no token."""
+        if not (isinstance(name, str) and _NAME.fullmatch(name)) or name in self.reserved:
+            raise ValueError(f"bad variable name: {name!r}")
+        return name
 
+    def parse(self, text: str):
+        length = len(text)  # where the end of input is reported: before aliasing
+        if self.aliases and not text.isascii():
+            for alias, token in self.aliases.items():
+                text = text.replace(alias, token)
+        tokens = []
+        for m in self.token.finditer(text):
+            token, bad = m.groups()
+            if bad:
+                raise ParseError(m.start(), self.bad_token, bad)
+            tokens.append((token, m.start(1)))
+        parser = _Parser(self, tokens, length)
+        node = parser.binary(1)
+        tok, at = parser.tokens[parser.pos]
+        if tok is not None:
+            raise ParseError(at, "end of input", tok)
+        return node
 
-# each binary connective's binding level and class; only -> associates right
-_BINARY = {"->": (1, Imp), "|": (2, Or), "&": (3, And), "o": (4, Fusion)}
+    def show(self, node, operand) -> str:
+        """Minimal-parenthesis rendering of node, given operand(child), the
+        text of a child."""
+        cls = type(node)
+        if cls in self.infix:
+            shown, left, right = self.infix[cls]
+            return (self._wrap(node.left, left, operand) + shown
+                    + self._wrap(node.right, right, operand))
+        if cls in self.affix:
+            before, strength, after = self.affix[cls]
+            return before + self._wrap(node.body, strength, operand) + after
+        if cls is self.variable:
+            return self.name(node.name)
+        return self.spelling[cls]
+
+    def _wrap(self, node, strength: int, operand) -> str:
+        text = operand(node)
+        return "(" + text + ")" if self.level.get(type(node), self.atom) < strength else text
 
 
 class _Parser:
-    """Precedence climbing over the grammar of the module docstring."""
+    """Precedence climbing over one grammar's tokens."""
 
-    def __init__(self, tokens: list[tuple[str, int]], length: int):
+    def __init__(self, grammar: Grammar, tokens: list[tuple[str, int]], length: int):
+        self.g = grammar
         self.tokens = tokens + [(None, length)]  # end of input, at its offset
         self.pos = 0
 
-    def binary(self, least: int) -> Formula:
-        """A formula whose binary connectives bind at level least or above."""
+    def binary(self, least: int):
+        """A tree whose binary operators bind at level least or above."""
         left = self.unary()
         while True:
-            op = _BINARY.get(self.tokens[self.pos][0])
+            op = self.g.binary.get(self.tokens[self.pos][0])
             if op is None or op[0] < least:
                 return left
-            level, cls = op
+            level, cls, _ = op
             self.pos += 1
-            left = cls(left, self.binary(level if cls is Imp else level + 1))
+            left = cls(left, self.binary(level if cls is self.g.right else level + 1))
 
-    def unary(self) -> Formula:
+    def unary(self):
+        g = self.g
         tok, at = self.tokens[self.pos]
         self.pos += 1
-        if tok == "~":
-            return Neg(self.unary())
+        if tok in g.prefix:
+            return g.prefix[tok](self.unary())
         if tok == "(":
-            f = self.binary(1)
+            node = self.binary(1)
             tok, at = self.tokens[self.pos]
             if tok != ")":
                 raise ParseError(at, "')'", tok or "end of input")
             self.pos += 1
-            return f
-        if tok is not None and tok != "o" and _IDENT.fullmatch(tok):
-            return Var(tok)
-        raise ParseError(at, "'~', '(' or an identifier", tok or "end of input")
+        elif tok in g.constants:
+            node = g.constants[tok]
+        elif tok is not None and tok not in g.reserved and _NAME.fullmatch(tok):
+            node = g.variable(tok)
+        else:
+            raise ParseError(at, g.bad_operand, tok or "end of input")
+        while self.tokens[self.pos][0] in g.postfix:
+            node = g.postfix[self.tokens[self.pos][0]](node)
+            self.pos += 1
+        return node
+
+
+FORMULAS = Grammar(
+    symbols=r"->|[~&|()]",
+    binary={"->": (1, Imp, " -> "), "|": (2, Or, " | "), "&": (3, And, " & "),
+            "o": (4, Fusion, " o ")},
+    right=Imp, prefix={"~": Neg}, postfix={}, constants={}, variable=Var,
+    bad_token="a connective, '(' or an identifier",
+    bad_operand="'~', '(' or an identifier",
+    aliases={"∧": " & ", "∨": " | ", "→": " -> ", "¬": " ~", "∘": " o ", "～": " ~"})
 
 
 def parse_formula(text: str) -> Formula:
@@ -241,30 +323,7 @@ def parse_formula(text: str) -> Formula:
 
 
 # the memo sits behind a plain function, which perfbench's tracer can wrap
-@functools.lru_cache(maxsize=4096)
-def _parse(text: str) -> Formula:
-    parser = _Parser(_tokenize(text), len(text))
-    f = parser.binary(1)
-    tok, at = parser.tokens[parser.pos]
-    if tok is not None:
-        raise ParseError(at, "end of input", tok)
-    return f
-
-
-# ------------------------------------------------------------------
-# Printer
-# ------------------------------------------------------------------
-
-# a connective's binding level (Neg and Var are never wrapped), and for each
-# binary one its spelling and the least level each operand keeps unwrapped
-_LEVEL = {Imp: 1, Or: 2, And: 3, Fusion: 4, Neg: 5, Var: 5}
-_INFIX = {Imp: (" -> ", 2, 1), Or: (" | ", 2, 3), And: (" & ", 3, 4),
-          Fusion: (" o ", 4, 5)}
-
-
-def _operand(f: Formula, strength: int) -> str:
-    text = print_formula(f)
-    return "(" + text + ")" if _LEVEL[type(f)] < strength else text
+_parse = functools.lru_cache(maxsize=4096)(FORMULAS.parse)
 
 
 def print_formula(f: Formula) -> str:
@@ -272,11 +331,7 @@ def print_formula(f: Formula) -> str:
     Built once per node, from its children's texts."""
     text = f._text
     if text is None:
-        if isinstance(f, Neg):
-            text = "~" + _operand(f.body, 5)
-        else:
-            op, left, right = _INFIX[type(f)]
-            text = _operand(f.left, left) + op + _operand(f.right, right)
+        text = FORMULAS.show(f, print_formula)
         _set(f, "_text", text)
     return text
 

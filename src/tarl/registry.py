@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .derived import DERIVED_RULES
 from .formulas import Formula, parse_formula
 from .models import ModelStructure, load_model_file
 from .sequents import Proof, parse_proof_script
@@ -23,7 +22,6 @@ __all__ = [
     "NamedFormula", "CorpusEntry", "UnknownStructure", "UnknownName",
     "get_structure", "structure_names", "get_formula", "formula_names",
     "get_corpus_entry", "list_corpus", "corpus_ids", "data_dir",
-    "DERIVED_RULE_NAMES",
 ]
 
 
@@ -161,16 +159,12 @@ for _id in ["A4", "A7", "t11", "T6", "T8", "t7", "t9", "t13", "t14",
 for _id in ["prefixingA", "t10", "T19", "tq", "assocfusion"]:
     _CORPUS_OBJECTS[_id] = frozenset({0, 1, 2, 3})
 
-CORPUS_IDS = list(_CORPUS_OBJECTS)
-
-DERIVED_RULE_NAMES = list(DERIVED_RULES)
-
 # keyed on the data directory too, so that a change of TARL_DATA reloads
 _CORPUS_CACHE: dict[tuple[Path, str], CorpusEntry] = {}
 
 
 def corpus_ids() -> list[str]:
-    return list(CORPUS_IDS)
+    return list(_CORPUS_OBJECTS)
 
 
 def get_corpus_entry(lemma_id: str) -> CorpusEntry:
@@ -187,4 +181,4 @@ def get_corpus_entry(lemma_id: str) -> CorpusEntry:
 
 
 def list_corpus() -> list[CorpusEntry]:
-    return [get_corpus_entry(i) for i in CORPUS_IDS]
+    return [get_corpus_entry(i) for i in _CORPUS_OBJECTS]

@@ -37,6 +37,37 @@ def test_term_print_roundtrip():
         assert parse_ra_term(print_ra_term(t)) == t
 
 
+def test_names_that_begin_with_id_are_variables():
+    # the identifier is read whole; only the whole word `id` is the constant
+    assert parse_ra_term("idx") == RVar("idx")
+    assert parse_ra_term("idle;x") == Comp(RVar("idle"), RVar("x"))
+    assert parse_ra_term("identity^") == Conv(RVar("identity"))
+    assert parse_ra_term("id;idx") == Comp(IDENT, RVar("idx"))
+    for text in ("idx", "idle;x", "identity^"):
+        assert print_ra_term(parse_ra_term(text)) == text
+    idle = translate(parse_formula("idle -> q"))
+    assert parse_ra_term(print_ra_term(idle)) == idle
+
+
+@pytest.mark.parametrize("name", ["id", "0", "1", "X", ""])
+def test_a_variable_spelled_as_a_token_does_not_print(name):
+    with pytest.raises(ValueError):
+        print_ra_term(RVar(name))
+    with pytest.raises(ValueError):
+        print_ra_term(Join(RVar("x"), Conv(RVar(name))))
+
+
+def test_a_variable_named_id_is_evaluated_by_name():
+    # translate(id -> ~q ...) has an RVar("id") that cannot be printed, but
+    # evaluation reads variables by name, so the verdict is that of contra
+    renamed = parse_formula("(id -> ~q) -> (q -> ~id)")
+    assert verified_in_algebra(CK["K3"], renamed).passed
+    res = verified_in_algebra(CK["K5"], renamed)
+    want = verified_in_algebra(CK["K5"], get_formula("contra").formula)
+    assert (res.passed, res.checked) == (want.passed, want.checked)
+    assert res.counterexample == {"id": want.counterexample["p"], "q": want.counterexample["q"]}
+
+
 def test_translate_implication_is_residuation():
     assert translate(parse_formula("p -> q")) == parse_ra_term("-(p^;-q)")
 

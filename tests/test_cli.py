@@ -279,6 +279,8 @@ def bad_model(elements, star, triple):
     ("postulates", bad_model("0 a a", "0:0 a:a", "0 a a")),
     ("postulates", bad_model("0 a", "0:0 a:a 0:a", "0 a a")),
     ("postulates", BadModel(bad_model("0 a", "0:0 a:a", "0 a a") + "zero a\n")),
+    ("translate", "id -> q"),
+    ("translate", "id -> q", "--json"),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

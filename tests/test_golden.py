@@ -4,7 +4,11 @@
   each, and each derived rule's output on corpus premises, formatted with
   format_proof_script;
 - search_outcomes.txt: proof search on the corpus goals and on seeded
-  random formulas, with each outcome's status, node counters and proof.
+  random formulas, with each outcome's status, node counters and proof;
+- terms.txt: seeded fuzzed formula and relation-algebra texts, each with its
+  printed form and repr or its ParseError, and the printed translation of
+  every corpus goal, every named formula and seeded random formulas, and
+  every law.
 
 To record the files again after an intended change of output:
 
@@ -14,15 +18,20 @@ To record the files again after an intended change of output:
 import random
 from pathlib import Path
 
+from tarl.algebra import (
+    IDENT, ONE, ZERO, Comp, Compl, Conv, Join, Meet, RVar, get_law, law_names,
+    parse_ra_term, print_ra_term, translate,
+)
 from tarl.derived import apply_derived_rule
-from tarl.formulas import Neg, Var, parse_formula, variables
-from tarl.gen import random_core_formula
-from tarl.registry import get_corpus_entry, list_corpus
+from tarl.formulas import Neg, ParseError, Var, parse_formula, print_formula, variables
+from tarl.gen import random_core_formula, random_formula
+from tarl.registry import formula_names, get_corpus_entry, get_formula, list_corpus
 from tarl.search import SearchBudget, search_proof
 from tarl.sequents import format_proof_script, substitute_proof
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "proof_scripts.txt"
 SEARCH_GOLDEN = Path(__file__).resolve().parent / "golden" / "search_outcomes.txt"
+TERMS_GOLDEN = Path(__file__).resolve().parent / "golden" / "terms.txt"
 # the counters that say how each node ended; nodes is their sum
 _NODE_COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
                   "expansions")
@@ -88,6 +97,73 @@ def search_outcomes() -> str:
     return "".join(out)
 
 
+# pieces of fuzzed texts: tokens, near-tokens, Unicode aliases, white space
+# and characters that start no token
+_FORMULA_PIECES = ("p", "q", "r1", "o", "oo", "id", "~", "&", "|", "->", "-", ">",
+                   "(", ")", " ", "  ", "\t", "∧", "∨", "→", "¬", "∘", "～", "$", "P")
+_TERM_PIECES = ("x", "y", "z1", "i", "id", "idx", "idle", "identity", "o", "0", "1",
+                "10", "+", ".", ";", "-", "^", "(", ")", " ", "  ", "\t", "&", "$", "X")
+
+
+def _random_term(rng, size):
+    if size <= 1:
+        return rng.choice((RVar("x"), RVar("y"), RVar("zz"), IDENT, ZERO, ONE))
+    if size == 2 or rng.random() < 0.3:
+        return rng.choice((Compl, Conv))(_random_term(rng, size - 1))
+    left = rng.randint(1, size - 2)
+    return rng.choice((Join, Meet, Comp))(_random_term(rng, left),
+                                          _random_term(rng, size - 1 - left))
+
+
+def _fuzzed(rng, printed, pieces):
+    """A printed form after up to two edits, each inserting a piece or
+    deleting one or two characters, or else a text of random pieces."""
+    if rng.random() < 0.4:
+        return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
+    text = printed
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            text = text[:at] + rng.choice(pieces) + text[at:]
+        else:
+            text = text[:at] + text[at + rng.randint(1, 2):]
+    return text
+
+
+def _parsed(kind, text, parse, show):
+    try:
+        node = parse(text)
+    except ParseError as e:
+        return f"{kind} {text!r} ! {e.position} {e.expected!r} {e.found!r}\n"
+    return f"{kind} {text!r} = {show(node)} {node!r}\n"
+
+
+def terms() -> str:
+    rng = random.Random(9)
+    out = []
+    for _ in range(1000):
+        printed = print_formula(random_formula(rng, rng.randint(1, 7), ("p", "q", "r1")))
+        out.append(_parsed("F", _fuzzed(rng, printed, _FORMULA_PIECES),
+                           parse_formula, print_formula))
+    for _ in range(1000):
+        printed = print_ra_term(_random_term(rng, rng.randint(1, 7)))
+        out.append(_parsed("R", _fuzzed(rng, printed, _TERM_PIECES),
+                           parse_ra_term, print_ra_term))
+    goals = [(entry.lemma_id, entry.proof.goal) for entry in list_corpus()]
+    goals += [(name, get_formula(name).formula) for name in formula_names()]
+    goals += [(f"random{n}", random_formula(rng, rng.randint(1, 12), ("p", "q", "r", "s")))
+              for n in range(300)]
+    for name, goal in goals:
+        out.append(f"T {name} {print_ra_term(translate(goal))}\n")
+    for name in law_names():
+        law = get_law(name)
+        premises = "".join(f" if {print_ra_term(l)} {rel} {print_ra_term(r)}"
+                           for (l, rel, r) in law.premises)
+        out.append(f"L {name} {print_ra_term(law.lhs)} {law.rel} "
+                   f"{print_ra_term(law.rhs)}{premises}\n")
+    return "".join(out)
+
+
 def test_proof_scripts_are_unchanged():
     assert proof_scripts() == GOLDEN.read_text()
 
@@ -96,6 +172,11 @@ def test_search_outcomes_are_unchanged():
     assert search_outcomes() == SEARCH_GOLDEN.read_text()
 
 
+def test_terms_are_unchanged():
+    assert terms() == TERMS_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(proof_scripts())
     SEARCH_GOLDEN.write_text(search_outcomes())
+    TERMS_GOLDEN.write_text(terms())
