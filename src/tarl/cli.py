@@ -129,10 +129,10 @@ def cmd_valid(args) -> int:
     f = _resolve_formula(args.formula)
     result = models.valid_in(m, f)
     if result.valid:
-        _emit(args, {"model": m.name, "valid": True},
+        _emit(args, {"model": m.name, "valid": True, "valuations": result.valuations},
               f"valid in {m.name}")
         return 0
-    _emit(args, {"model": m.name, "valid": False,
+    _emit(args, {"model": m.name, "valid": False, "valuations": result.valuations,
                  "witness": {k: v for k, v in result.witness.assignment.items()}},
           f"invalid; witness {_fmt_valuation(result.witness)}")
     return 1

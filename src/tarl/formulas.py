@@ -190,7 +190,8 @@ class Grammar:
     parentheses group.  A name that is no operator or constant is a
     `variable`.  `bad_token` and `bad_operand` say what was expected where a
     character starts no token and where an operand is missing; `aliases`
-    are replaced before tokenizing."""
+    map a text to its spelling before tokenizing, and error positions are
+    still offsets into the text as given."""
 
     def __init__(self, *, symbols: str, binary: dict, right: type | None,
                  prefix: dict, postfix: dict, constants: dict, variable: type,
@@ -203,6 +204,7 @@ class Grammar:
         self.variable = variable
         self.bad_token, self.bad_operand = bad_token, bad_operand
         self.aliases = aliases
+        self.alias = re.compile("|".join(map(re.escape, aliases))) if aliases else None
         self.reserved = frozenset(tok for tok in (*binary, *constants) if _NAME.fullmatch(tok))
         self.spelling = {**{cls: tok for tok, (_, cls, _) in binary.items()},
                          **{cls: tok for tok, cls in (*prefix.items(), *postfix.items())},
@@ -226,22 +228,41 @@ class Grammar:
         return name
 
     def parse(self, text: str):
-        length = len(text)  # where the end of input is reported: before aliasing
-        if self.aliases and not text.isascii():
-            for alias, token in self.aliases.items():
-                text = text.replace(alias, token)
+        """The tree of text; a ParseError's position is an offset into text."""
+        origin = None  # offsets in text of the characters after aliasing
+        if self.alias and not text.isascii():
+            text, origin = self._unalias(text)
         tokens = []
         for m in self.token.finditer(text):
             token, bad = m.groups()
             if bad:
-                raise ParseError(m.start(), self.bad_token, bad)
+                at = m.start(2)
+                raise ParseError(origin[at] if origin else at, self.bad_token, bad)
             tokens.append((token, m.start(1)))
-        parser = _Parser(self, tokens, length)
+        tokens.append((None, len(text)))  # end of input, at its offset
+        if origin:
+            tokens = [(token, origin[at]) for token, at in tokens]
+        parser = _Parser(self, tokens)
         node = parser.binary(1)
         tok, at = parser.tokens[parser.pos]
         if tok is not None:
             raise ParseError(at, "end of input", tok)
         return node
+
+    def _unalias(self, text: str) -> tuple[str, list[int]]:
+        """text with each alias replaced by its spelling, and the offset in
+        text of each character of the result and of its end: every
+        character of a spelling comes from the alias's offset."""
+        out, origin, last = [], [], 0
+        for m in self.alias.finditer(text):
+            spelling = self.aliases[m.group()]
+            out += text[last:m.start()], spelling
+            origin += range(last, m.start())
+            origin += [m.start()] * len(spelling)
+            last = m.end()
+        out.append(text[last:])
+        origin += range(last, len(text) + 1)
+        return "".join(out), origin
 
     def show(self, node, operand) -> str:
         """Minimal-parenthesis rendering of node, given operand(child), the
@@ -266,9 +287,9 @@ class Grammar:
 class _Parser:
     """Precedence climbing over one grammar's tokens."""
 
-    def __init__(self, grammar: Grammar, tokens: list[tuple[str, int]], length: int):
+    def __init__(self, grammar: Grammar, tokens: list[tuple[str | None, int]]):
         self.g = grammar
-        self.tokens = tokens + [(None, length)]  # end of input, at its offset
+        self.tokens = tokens  # ending with (None, the offset of the end)
         self.pos = 0
 
     def binary(self, least: int):

@@ -289,6 +289,7 @@ def _valuation(m: ModelStructure, t: _Tables, env: dict[str, np.ndarray],
 class ValidityResult:
     valid: bool
     witness: Valuation | None = None
+    valuations: int = 0              # grid rows evaluated
 
     def __bool__(self) -> bool:
         return self.valid
@@ -297,7 +298,8 @@ class ValidityResult:
 def valid_in(m: ModelStructure, f: Formula,
              cap: int = DEFAULT_VALUATION_CAP) -> ValidityResult:
     """Exhaustive check over every heredity-closed valuation; the witness is
-    the lexicographically first failing one."""
+    the lexicographically first failing one, and `valuations` counts the
+    grid rows evaluated."""
     t = tables_for(m)
     names = sorted(variables(f))
     allowed = t.hereditary
@@ -306,8 +308,8 @@ def valid_in(m: ModelStructure, f: Formula,
     value = _interpret_vec(f, env, t)
     failing = np.nonzero((value >> t.zero_bit & 1) == 0)[0]
     if failing.size == 0:
-        return ValidityResult(True)
-    return ValidityResult(False, _valuation(m, t, env, int(failing[0])))
+        return ValidityResult(True, valuations=len(rows))
+    return ValidityResult(False, _valuation(m, t, env, int(failing[0])), len(rows))
 
 
 def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuation]:

@@ -1,5 +1,10 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from tarl.gen import random_formula
 from tarl.models import TooManyValuations, Valuation, interpret, op_fusion, op_star
 from tarl.registry import data_dir, get_formula, get_structure, list_corpus
 
+SRC = Path(algebra.__file__).resolve().parent.parent
 CK = {name: ComplexAlgebra(get_structure(name))
       for name in ("K1", "K2", "K3", "K4", "K5")}
 
@@ -206,6 +212,64 @@ def test_sampling_is_deterministic():
     assert a == b
     c = sample_relations(4, ["x"], seed=9, trial=18)
     assert c["x"] != a["x"]
+
+
+def test_batched_samples_do_not_depend_on_block_boundaries():
+    # trials 499 and 500 sit on either side of the first block boundary
+    carrier = algebra._carrier(ProperAlgebra(4))
+    rows = np.concatenate([env["y"] for _, env in carrier.batches(["x", "y"], 1200, 6, 0)])
+    assert rows.shape == (1200, 4, 4)
+    for t in (0, 499, 500, 1199):
+        assert carrier.decode(rows[t]) == sample_relations(4, ["y"], seed=6, trial=t)["y"]
+
+
+def test_samples_do_not_depend_on_the_hash_seed():
+    code = ("from tarl.algebra import sample_relations;"
+            "print(sorted((k, sorted(v)) for k, v in"
+            " sample_relations(5, ['x', 'yy'], seed=4, trial=77).items()))")
+    outs = []
+    for hash_seed in ("1", "2"):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("[('x', [")
+
+
+def test_sample_stream_is_pinned():
+    # (n, name, seed, trial) -> the n*n-bit word; a change here changes
+    # every sampled verdict and counterexample
+    table = {(2, "x", 0, 0): 9, (2, "y", 0, 0): 0, (3, "x", 0, 1): 116,
+             (4, "p", 7, 499): 6831, (5, "q", 3, 500): 19481455,
+             (6, "x", 1, 2 ** 20): 25419713319}
+    for (n, name, seed, trial), word in table.items():
+        assert int(algebra._sample_block(n, name, seed, [trial])[0]) == word
+
+
+def _splitmix_word(n, name, seed, trial):
+    """The sampled word in Python integers, the reference for numpy's
+    wrapping uint64 arithmetic."""
+    mask = 2 ** 64 - 1
+    key = int.from_bytes(hashlib.blake2b(f"{seed}:{name}".encode(), digest_size=8).digest(),
+                         "little")
+    z = (key + (trial + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+    return (z ^ z >> 31) >> (64 - n * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sample_block_agrees_with_python_integers(n):
+    trials = list(range(0, 3000, 7))
+    words = algebra._sample_block(n, "y", 11, trials)
+    assert [int(w) for w in words] == [_splitmix_word(n, "y", 11, t) for t in trials]
+
+
+def test_sampled_bits_are_balanced():
+    words = algebra._sample_block(5, "x", 0, np.arange(10_000))
+    bits = words[:, None] >> np.arange(25, dtype=np.uint64) & 1
+    assert 0.48 <= bits.mean() <= 0.52
+    assert all(0.48 <= share <= 0.52 for share in bits.mean(axis=0))
 
 
 # ------------------------------------------------------------------

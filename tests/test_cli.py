@@ -102,6 +102,13 @@ def test_valid_pass(capsys):
     assert "valid" in out
 
 
+def test_valid_json_counts_valuations(capsys):
+    code, out, _ = run(capsys, "valid", "K5", "contra", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["valid"], payload["valuations"]) == (False, 16 ** 2)  # p, q over 16 subsets
+
+
 def test_valid_refuted_with_witness(capsys):
     code, out, _ = run(capsys, "valid", "K5", "contra")
     assert code == 1
@@ -158,8 +165,11 @@ def test_algebra_test_counterexamples_hold_plain_ints(tmp_path, capsys):
     assert "Counterexample" in out and "np." not in out
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 1
-    assert json.loads(out)["results"][0]["counterexample"] == {
-        "x": [[0, 1], [1, 0], [1, 1]], "y": [[0, 0], [1, 0]]}
+    counterexample = json.loads(out)["results"][0]["counterexample"]
+    assert counterexample == {"x": [[0, 0], [0, 1]], "y": [[0, 0], [0, 1], [1, 0]]}
+    x, y = ({tuple(pair) for pair in counterexample[name]} for name in ("x", "y"))
+    assert ({(a, c) for (a, b) in x for (b2, c) in y if b == b2}
+            != {(a, c) for (a, b) in y for (b2, c) in x if b == b2})
 
 
 def test_algebra_test_unknown_name(capsys):

@@ -57,6 +57,19 @@ def test_parse_errors_carry_position():
         parse_formula("p q")
 
 
+@pytest.mark.parametrize("text, position, found", [
+    ("p ∧ q q", 6, "q"),          # a token after an alias
+    ("r→", 2, "end of input"),    # the end of a text that ends in an alias
+    ("p ∧∧ q", 3, "&"),           # an alias itself
+    ("p ∧ $", 4, "$"),            # a character that starts no token
+    ("p  $", 3, "$"),             # ... at itself, not at the white space before it
+])
+def test_parse_error_positions_index_the_given_text(text, position, found):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert (e.value.position, e.value.found) == (position, found)
+
+
 def test_keyword_o_is_not_an_identifier():
     with pytest.raises(ParseError):
         parse_formula("o -> o")

@@ -191,6 +191,15 @@ def test_commutativity_axioms_fail_in_k5():
         assert not valid_in(K5, get_formula(name).formula).valid, name
 
 
+@pytest.mark.parametrize("text", ["p | ~p", "p -> q -> p", "(p -> q) o r", "~(p & q1) | r"])
+def test_validity_counts_every_valuation(text):
+    f = parse_formula(text)
+    for m in ALL:
+        res = valid_in(m, f)
+        assert type(res.valuations) is int
+        assert res.valuations == len(tables_for(m).hereditary) ** len(variables(f))
+
+
 def test_validity_cap():
     f = parse_formula("a -> b -> c -> d -> e -> f1")
     with pytest.raises(TooManyValuations):
