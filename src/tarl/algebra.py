@@ -265,10 +265,10 @@ class _Masks:
     def decode(self, x) -> frozenset[str]:
         return self.tab.subset_of(self.m, int(x))
 
-    def batches(self, names: list[str], trials: int, seed: int, cap: int):
+    def batches(self, names: list[str], trials: int, seed: int):
         """The whole assignment grid as one batch: carriers are exhausted."""
         size = self.tab.size
-        rows = _grid_rows(size, names, cap)
+        rows = _grid_rows(size, names)
         return [(len(rows), _valuation_grid(names, size, rows))]
 
 
@@ -297,7 +297,7 @@ class _Matrices:
     def decode(self, x) -> frozenset[tuple[int, int]]:
         return frozenset(map(tuple, np.argwhere(x).tolist()))
 
-    def batches(self, names: list[str], trials: int, seed: int, cap: int):
+    def batches(self, names: list[str], trials: int, seed: int):
         """Blocks of at most 500 seeded samples, in trial order."""
         n = self.n
         shifts = np.arange(n * n, dtype=np.uint64)
@@ -385,23 +385,22 @@ class Law:
         return sorted(out)
 
 
-def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0,
-              cap: int = 2 ** 20) -> IdentityResult:
+def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0) -> IdentityResult:
     """Semantic check of a law (with premises) in one algebra: exhaustively
     on complex algebras, on seeded random samples in proper ones.  The
     counterexample is the first failing assignment; `checked` counts the
     assignments that meet the premises, up to the batch that fails."""
-    return _holds(alg, law, law.all_variables(), trials, seed, cap)
+    return _holds(alg, law, law.all_variables(), trials, seed)
 
 
-def _holds(alg, law: Law, names: Sequence[str], trials: int, seed: int,
-           cap: int) -> IdentityResult:
+def _holds(alg, law: Law, names: Sequence[str], trials: int,
+           seed: int) -> IdentityResult:
     """holds_law, given the law's variable names."""
     if trials < 1:  # a sampled law would pass after checking nothing
         raise ValueError(f"trials must be at least 1, got {trials}")
     c = _carrier(alg)
     checked = 0
-    for size, env in c.batches(names, trials, seed, cap):
+    for size, env in c.batches(names, trials, seed):
         keep = np.ones(size, dtype=bool)
         for (l, rel, r) in law.premises:
             keep &= _related(rel, _eval(l, env, c), _eval(r, env, c), c.axes)
@@ -416,8 +415,7 @@ def _holds(alg, law: Law, names: Sequence[str], trials: int, seed: int,
 
 
 def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
-                        trials: int = 500, seed: int = 0,
-                        cap: int = 2 ** 20) -> IdentityResult:
+                        trials: int = 500, seed: int = 0) -> IdentityResult:
     """Identity-containment of the translated formula: id <= translate(f),
     for one assignment if given, otherwise quantified over the carrier."""
     law, names = _identity_law(f)
@@ -426,7 +424,7 @@ def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
         env = {name: c.encode(value) for name, value in assignment.items()}
         ok = bool(_related("<=", c.ident, _eval(law.rhs, env, c), c.axes))
         return IdentityResult(ok, None if ok else dict(assignment), 1)
-    return _holds(alg, law, names, trials, seed, cap)
+    return _holds(alg, law, names, trials, seed)
 
 
 @functools.lru_cache(maxsize=1024)

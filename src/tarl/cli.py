@@ -396,7 +396,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UsageError, models.TooManyValuations, OSError) as e:
+    except (ParseError, UsageError, models.TooManyValuations, OSError,
+            UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

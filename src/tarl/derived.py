@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .formulas import And, Formula, Imp, Neg, Or, desugar_fusion, print_formula
 from .sequents import (
-    AndR, Assertion, Axiom, Cut, ImpL, ImpR, NegL, NegR, OrL, Proof,
-    Sequent, check_proof, goal_sequent, permute_indices, rule_of,
+    AndR, Assertion, Axiom, Cut, ImpL, ImpR, Justification, NegL, NegR, OrL,
+    Proof, Sequent, check_proof, goal_sequent, permute_indices,
     substitute_proof,
 )
 
@@ -66,21 +66,21 @@ class _Builder:
 
     def __init__(self, bound: int):
         self.bound = bound
-        self.lines: list[tuple[Sequent, object]] = []
+        self.lines: list[tuple[Sequent, Justification]] = []
 
     def splice(self, proof: Proof, target: Sequent) -> int:
         """Append a whole proof; return the 1-based line number of target."""
         offset = len(self.lines)
         found = None
         for seq, just in proof.lines:
-            self.lines.append((seq, rule_of(just).shifted(just, offset)))
+            self.lines.append((seq, just.shifted(offset)))
             if seq == target:
                 found = len(self.lines)
         if found is None:
             raise PremiseMismatch(f"spliced proof never derives {target}")
         return found
 
-    def add(self, seq: Sequent, just) -> int:
+    def add(self, seq: Sequent, just: Justification) -> int:
         self.lines.append((seq, just))
         return len(self.lines)
 
@@ -89,7 +89,7 @@ class _Builder:
 
     def discharge(self, line: int, goal: Imp) -> Proof:
         """Finish with => (goal)[0,0] by impR on line, at eigen index 1."""
-        self.add(goal_sequent(goal), ImpR(line, 1))
+        self.add(goal_sequent(goal), ImpR(line, eigen=1))
         return self.done(goal)
 
 
@@ -120,7 +120,7 @@ def _detach(b: _Builder, f: Imp, i: int, j: int, k: int, imp) -> int:
         imp = b.splice(*imp)
     gamma = b.lines[imp - 1][0].left
     return b.add(_seq(gamma | {_a(fa, k, i)}, (_a(fb, k, j),)),
-                 Cut(imp, l3, _a(f, i, j)))
+                 Cut(imp, l3, cut=_a(f, i, j)))
 
 
 # ------------------------------------------------------------------
@@ -146,7 +146,7 @@ def _modusponens(pimp: Proof, pa: Proof) -> Proof:
     la = b.splice(pa, goal_sequent(fa))
     l3 = b.add(_seq((_a(fb, 0, 0),), (_a(fb, 0, 0),)), Axiom())
     l4 = b.add(_seq((_a(fimp, 0, 0),), (_a(fb, 0, 0),)), ImpL(la, l3))
-    b.add(goal_sequent(fb), Cut(limp, l4, _a(fimp, 0, 0)))
+    b.add(goal_sequent(fb), Cut(limp, l4, cut=_a(fimp, 0, 0)))
     return b.done(fb)
 
 
@@ -164,9 +164,9 @@ def _disjunctivesyllogism(por: Proof, pneg: Proof) -> Proof:
     l3 = b.add(_seq((_a(forr, 0, 0),), (_a(fa, 0, 0), _a(fb, 0, 0))),
                OrL(l1, l2))
     l4 = b.add(_seq((), (_a(fa, 0, 0), _a(fb, 0, 0))),
-               Cut(lor, l3, _a(forr, 0, 0)))
+               Cut(lor, l3, cut=_a(forr, 0, 0)))
     l5 = b.add(_seq((_a(fneg, 0, 0),), (_a(fb, 0, 0),)), NegL(l4))
-    b.add(goal_sequent(fb), Cut(lneg, l5, _a(fneg, 0, 0)))
+    b.add(goal_sequent(fb), Cut(lneg, l5, cut=_a(fneg, 0, 0)))
     return b.done(fb)
 
 
@@ -180,7 +180,7 @@ def _transitivity(p1: Proof, p2: Proof) -> Proof:
     l5 = _detach(b, f1, 0, 0, 1, b.splice(p1, goal_sequent(f1)))
     l10 = _detach(b, f2, 0, 0, 1, b.splice(p2, goal_sequent(f2)))
     l11 = b.add(_seq((_a(fa, 1, 0),), (_a(fc, 1, 0),)),
-                Cut(l5, l10, _a(fb, 1, 0)))
+                Cut(l5, l10, cut=_a(fb, 1, 0)))
     return b.discharge(l11, Imp(fa, fc))
 
 
@@ -209,7 +209,7 @@ def _contraposition2(p: Proof) -> Proof:
     l5 = b.add(_seq((_a(f, 1, 1), _a(fb, 1, 0), _a(fa, 0, 1)), ()),
                ImpL(l2, l4))
     l6 = b.add(_seq((_a(fb, 1, 0), _a(fa, 0, 1)), ()),
-               Cut(l1, l5, _a(f, 1, 1)))
+               Cut(l1, l5, cut=_a(f, 1, 1)))
     l7 = b.add(_seq((_a(fb, 1, 0),), (_a(Neg(fa), 1, 0),)), NegR(l6))
     return b.discharge(l7, Imp(fb, Neg(fa)))
 
@@ -231,16 +231,16 @@ def _cutrule(p1: Proof, p2: Proof) -> Proof:
     l8 = b.add(_seq((_a(f2.right, 1, 0),), (_a(fc, 1, 0), _a(fa, 1, 0))),
                OrL(l6, l7))
     l9 = b.add(_seq((_a(fb, 1, 0),), (_a(fc, 1, 0), _a(fa, 1, 0))),
-               Cut(l5, l8, _a(f2.right, 1, 0)))
+               Cut(l5, l8, cut=_a(f2.right, 1, 0)))
     l14 = _detach(b, f1, 0, 0, 1, (p1, goal_sequent(f1)))
     l15 = b.add(_seq((_a(fa, 1, 0),), (_a(fa, 1, 0),)), Axiom())
     l16 = b.add(_seq((_a(fb, 1, 0),), (_a(fb, 1, 0),)), Axiom())
     l17 = b.add(_seq((_a(fa, 1, 0), _a(fb, 1, 0)), (_a(f1.left, 1, 0),)),
                 AndR(l15, l16))
     l18 = b.add(_seq((_a(fa, 1, 0), _a(fb, 1, 0)), (_a(fc, 1, 0),)),
-                Cut(l17, l14, _a(f1.left, 1, 0)))
+                Cut(l17, l14, cut=_a(f1.left, 1, 0)))
     l19 = b.add(_seq((_a(fb, 1, 0),), (_a(fc, 1, 0),)),
-                Cut(l9, l18, _a(fa, 1, 0)))
+                Cut(l9, l18, cut=_a(fa, 1, 0)))
     return b.discharge(l19, Imp(fb, fc))
 
 
@@ -269,11 +269,11 @@ def _suffixing(p: Proof, fc: Formula) -> Proof:
     l6 = b.add(_seq((_a(Imp(fb, fc), 1, 0), _a(fb, 2, 1)), (_a(fc, 2, 0),)),
                ImpL(l3, l5))
     l7 = b.add(_seq((_a(fa, 2, 1),), (_a(fb, 2, 1),)),
-               Cut(l1, l4, _a(f, 1, 1)))
+               Cut(l1, l4, cut=_a(f, 1, 1)))
     l8 = b.add(_seq((_a(Imp(fb, fc), 1, 0), _a(fa, 2, 1)), (_a(fc, 2, 0),)),
-               Cut(l7, l6, _a(fb, 2, 1)))
+               Cut(l7, l6, cut=_a(fb, 2, 1)))
     l9 = b.add(_seq((_a(Imp(fb, fc), 1, 0),), (_a(Imp(fa, fc), 1, 0),)),
-               ImpR(l8, 2))
+               ImpR(l8, eigen=2))
     return b.discharge(l9, Imp(Imp(fb, fc), Imp(fa, fc)))
 
 
@@ -291,7 +291,7 @@ def _cycling(p: Proof) -> Proof:
     l11 = b.add(_seq((_a(fb, 1, 0), _a(Neg(fc), 2, 1)), (_a(Neg(fa), 2, 0),)),
                 NegL(l10))
     l12 = b.add(_seq((_a(fb, 1, 0),), (_a(Imp(Neg(fc), Neg(fa)), 1, 0),)),
-                ImpR(l11, 2))
+                ImpR(l11, eigen=2))
     return b.discharge(l12, Imp(fb, Imp(Neg(fc), Neg(fa))))
 
 

@@ -259,11 +259,13 @@ def verified(m: ModelStructure, v: Valuation, f: Formula) -> bool:
     return m.zero in interpret(m, v, f)
 
 
-def _grid_rows(base: int, names: list[str], cap: int) -> np.ndarray:
-    """Every row of a grid of `base` ** len(names) valuations, if the cap allows."""
+def _grid_rows(base: int, names: list[str]) -> np.ndarray:
+    """Every row of a grid of `base` ** len(names) valuations, if
+    DEFAULT_VALUATION_CAP allows."""
     total = base ** len(names)
-    if total > cap:
-        raise TooManyValuations(f"{total} valuations exceeds cap {cap}")
+    if total > DEFAULT_VALUATION_CAP:
+        raise TooManyValuations(
+            f"{total} valuations exceeds cap {DEFAULT_VALUATION_CAP}")
     return np.arange(total)
 
 
@@ -295,15 +297,14 @@ class ValidityResult:
         return self.valid
 
 
-def valid_in(m: ModelStructure, f: Formula,
-             cap: int = DEFAULT_VALUATION_CAP) -> ValidityResult:
+def valid_in(m: ModelStructure, f: Formula) -> ValidityResult:
     """Exhaustive check over every heredity-closed valuation; the witness is
     the lexicographically first failing one, and `valuations` counts the
     grid rows evaluated."""
     t = tables_for(m)
     names = sorted(variables(f))
     allowed = t.hereditary
-    rows = _grid_rows(len(allowed), names, cap)
+    rows = _grid_rows(len(allowed), names)
     env = _valuation_grid(names, len(allowed), rows, allowed)
     value = _interpret_vec(f, env, t)
     failing = np.nonzero((value >> t.zero_bit & 1) == 0)[0]
@@ -635,7 +636,9 @@ def load_model_file(text: str) -> ModelStructure:
                 star[a] = b
         elif head == "triples":
             triples = set()
-            while i < len(lines):
+            while True:
+                if i == len(lines):
+                    raise ParseError(i, "'end' closing 'triples'")
                 row = lines[i].split("#", 1)[0].strip()
                 i += 1
                 if row == "end":
@@ -661,6 +664,8 @@ def load_model_file(text: str) -> ModelStructure:
                 table_rows.append([
                     frozenset(x.strip() for x in cell.split(",") if x.strip())
                     for cell in cells])
+            if len(table_rows) < len(elements):
+                raise ParseError(i, f"{len(elements)} table rows")
         else:
             raise ParseError(i, "a model file directive", head)
     if name is None or elements is None or zero is None or star is None:

@@ -273,7 +273,8 @@ def _linearize(node: tuple, lines: list, index: dict) -> int:
     if seq in index:
         return index[seq]
     refs = [_linearize(child, lines, index) for child in children]
-    lines.append((seq, rule.make(refs, k)))
+    eigen = k if rule.index == "eigen" else None  # impL's k is not recorded
+    lines.append((seq, rule(*refs, eigen=eigen)))
     index[seq] = len(lines)
     return len(lines)
 

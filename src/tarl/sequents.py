@@ -18,11 +18,15 @@ applied to earlier lines.  The rules:
                          and appears nowhere in Γ, Δ
 
 Each rule is one row of RULES, the only place that says what a rule does.
-A row gives the script name, justification class and number of line
-references; the principal's side and connective; the index the rule takes
-(any k for impL, the eigen index for impR); and the premise function, which
-maps the principal (A)[i,j] (for cut, the cut assertion) and k to each
-premise's left and right actives.
+A row gives the script name and number of line references; the principal's
+side and connective; the index the rule takes (any k for impL, the eigen
+index for impR); and the premise function, which maps the principal (A)[i,j]
+(for cut, the cut assertion) and k to each premise's left and right actives.
+
+Rows build the justifications that cite them: calling a row with a line's
+premise references gives its Justification, as in ImpL(1, 2),
+ImpR(3, eigen=1), Cut(1, 2, cut=a) and Axiom().  The names Axiom ... ImpL
+are the rows themselves.
 
 The checker reads a row forward.  With base the union of the premise sides
 less their actives, each conclusion side must lie between base plus the
@@ -49,7 +53,7 @@ __all__ = [
     "Assertion", "Sequent", "Proof", "CheckReport", "RuleError",
     "Axiom", "Cut", "Weaken", "OrL", "OrR", "AndL", "AndR",
     "NegL", "NegR", "ImpL", "ImpR", "Justification", "Rule", "RULES",
-    "RULE_NAMED", "rule_of", "goal_sequent", "check_step", "check_proof",
+    "RULE_NAMED", "goal_sequent", "check_step", "check_proof",
     "permute_indices", "objects_level", "substitute_proof",
     "parse_proof_script", "format_proof_script", "NotABijection",
     "InvalidProof",
@@ -111,83 +115,14 @@ def goal_sequent(f: Formula) -> Sequent:
 
 
 # ------------------------------------------------------------------
-# Justifications
-# ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Axiom:
-    pass
-
-
-@dataclass(frozen=True)
-class _OneRef:
-    ref: int
-
-
-@dataclass(frozen=True)
-class _TwoRefs:
-    ref1: int
-    ref2: int
-
-
-class Weaken(_OneRef):
-    """weaken r"""
-
-
-class OrR(_OneRef):
-    """orR r"""
-
-
-class AndL(_OneRef):
-    """andL r"""
-
-
-class NegL(_OneRef):
-    """negL r"""
-
-
-class NegR(_OneRef):
-    """negR r"""
-
-
-class OrL(_TwoRefs):
-    """orL r1 r2"""
-
-
-class AndR(_TwoRefs):
-    """andR r1 r2"""
-
-
-class ImpL(_TwoRefs):
-    """impL r1 r2"""
-
-
-@dataclass(frozen=True)
-class ImpR(_OneRef):
-    eigen: int
-
-
-@dataclass(frozen=True)
-class Cut(_TwoRefs):
-    cut: Assertion | None = None  # scripts leave it implicit; combinators name it
-
-
-Justification = (Axiom | Cut | Weaken | OrL | OrR | AndL | AndR
-                 | NegL | NegR | ImpL | ImpR)
-
-
-# ------------------------------------------------------------------
 # The rule table
 # ------------------------------------------------------------------
 
-_REF_FIELDS = ((), ("ref",), ("ref1", "ref2"))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Rule:
-    """One row of the rule table; the module docstring says how it is read."""
+    """One row of the rule table; the module docstring says how it is read.
+    Rows compare by identity, and calling one justifies a line by it."""
     name: str                      # the rule's name in proof scripts
-    just: type                     # its justification class
     refs: int                      # number of premise line references
     side: str | None = None        # "left"/"right": the principal's side
     conn: type | None = None       # the principal's connective
@@ -197,16 +132,22 @@ class Rule:
     keeps_principal: bool = False  # a backward step leaves the principal in
     widens: bool = False           # the conclusion may add any assertion
 
-    def refs_of(self, just) -> list[int]:
-        return [getattr(just, name) for name in _REF_FIELDS[self.refs]]
+    def __call__(self, *refs: int, eigen: int | None = None,
+                 cut: Assertion | None = None) -> "Justification":
+        """This rule applied to the lines refs: impR names its eigen index,
+        cut may name its cut assertion."""
+        if len(refs) != self.refs:
+            raise TypeError(f"{self.name} takes {self.refs} line references, "
+                            f"got {len(refs)}")
+        if (eigen is None) == (self.index == "eigen"):
+            raise TypeError(f"{self.name} takes "
+                            f"{'an' if eigen is None else 'no'} eigen index")
+        if cut is not None and self.name != "cut":
+            raise TypeError(f"{self.name} takes no cut assertion")
+        return Justification(self, refs, eigen, cut)
 
-    def shifted(self, just, offset: int):
-        """just with each line reference moved on by offset."""
-        return replace(just, **{name: getattr(just, name) + offset
-                                for name in _REF_FIELDS[self.refs]})
-
-    def make(self, refs: Sequence[int], k: int | None = None):
-        return self.just(*refs, k) if self.index == "eigen" else self.just(*refs)
+    def __repr__(self) -> str:
+        return self.name
 
     def actives(self, principal: Assertion | None, k: int | None,
                 n: int) -> list[tuple[frozenset, frozenset]]:
@@ -219,42 +160,48 @@ class Rule:
                                                  principal.j, k)]
 
 
+@dataclass(frozen=True)
+class Justification:
+    """A line's rule, its 1-based premise line references, impR's eigen index
+    and the cut assertion (scripts leave it implicit; combinators name it)."""
+    rule: Rule
+    refs: tuple[int, ...]
+    eigen: int | None = None
+    cut: Assertion | None = None
+
+    def shifted(self, offset: int) -> "Justification":
+        """This justification with each line reference moved on by offset."""
+        return replace(self, refs=tuple(ref + offset for ref in self.refs))
+
+
 # premises: (A, i, j, k) -> [(left actives, right actives) per premise], the
 # principal being (A)[i,j], the cut assertion for cut; actives are triples
 # (formula, i, j)
 RULES = (
-    Rule("axiom", Axiom, 0),
-    Rule("weaken", Weaken, 1, widens=True),
-    Rule("cut", Cut, 2,
+    Rule("axiom", 0),
+    Rule("weaken", 1, widens=True),
+    Rule("cut", 2,
          premises=lambda f, i, j, k: [([], [(f, i, j)]), ([(f, i, j)], [])]),
-    Rule("andL", AndL, 1, "left", And, invertible=True,
+    Rule("andL", 1, "left", And, invertible=True,
          premises=lambda f, i, j, k: [([(f.left, i, j), (f.right, i, j)], [])]),
-    Rule("negL", NegL, 1, "left", Neg, invertible=True,
+    Rule("negL", 1, "left", Neg, invertible=True,
          premises=lambda f, i, j, k: [([], [(f.body, j, i)])]),
-    Rule("orR", OrR, 1, "right", Or, invertible=True,
+    Rule("orR", 1, "right", Or, invertible=True,
          premises=lambda f, i, j, k: [([], [(f.left, i, j), (f.right, i, j)])]),
-    Rule("negR", NegR, 1, "right", Neg, invertible=True,
+    Rule("negR", 1, "right", Neg, invertible=True,
          premises=lambda f, i, j, k: [([(f.body, j, i)], [])]),
-    Rule("impR", ImpR, 1, "right", Imp, index="eigen", invertible=True,
+    Rule("impR", 1, "right", Imp, index="eigen", invertible=True,
          premises=lambda f, i, j, k: [([(f.left, k, i)], [(f.right, k, j)])]),
-    Rule("orL", OrL, 2, "left", Or,
+    Rule("orL", 2, "left", Or,
          premises=lambda f, i, j, k: [([(f.left, i, j)], []), ([(f.right, i, j)], [])]),
-    Rule("andR", AndR, 2, "right", And,
+    Rule("andR", 2, "right", And,
          premises=lambda f, i, j, k: [([], [(f.left, i, j)]), ([], [(f.right, i, j)])]),
-    Rule("impL", ImpL, 2, "left", Imp, index="any", keeps_principal=True,
+    Rule("impL", 2, "left", Imp, index="any", keeps_principal=True,
          premises=lambda f, i, j, k: [([], [(f.left, k, i)]), ([(f.right, k, j)], [])]),
 )
 
 RULE_NAMED = {rule.name: rule for rule in RULES}
-_RULE_OF = {rule.just: rule for rule in RULES}
-
-
-def rule_of(just) -> Rule:
-    """The table row of a justification."""
-    try:
-        return _RULE_OF[type(just)]
-    except KeyError:
-        raise TypeError(f"not a justification: {just!r}") from None
+Axiom, Weaken, Cut, AndL, NegL, OrR, NegR, ImpR, OrL, AndR, ImpL = RULES
 
 
 @dataclass
@@ -362,10 +309,10 @@ def _fits(rule: Rule, have: frozenset, least: set, actives, side: int) -> bool:
 
 def _check_rule(concl: Sequent, just: Justification,
                 earlier: Sequence[Sequent], line_no: int, bound: int) -> None:
-    rule = _RULE_OF.get(type(just))
-    if rule is None:
+    if not isinstance(just, Justification):
         raise RuleError(line_no, "ShapeMismatch", f"unknown rule {just!r}")
-    prems = [_get(earlier, ref, line_no) for ref in rule.refs_of(just)]
+    rule = just.rule
+    prems = [_get(earlier, ref, line_no) for ref in just.refs]
     if not prems:
         if concl.is_axiom():
             return
@@ -452,9 +399,10 @@ def _relabel(proof: Proof, assertion: Callable[[Assertion], Assertion],
                        frozenset(map(assertion, s.right)))
 
     def just(j: Justification) -> Justification:
-        changes = {name: assertion(v) for name, v in vars(j).items()
-                   if isinstance(v, Assertion)}
-        if index is not None and rule_of(j).index == "eigen":
+        changes = {}
+        if j.cut is not None:
+            changes["cut"] = assertion(j.cut)
+        if index is not None and j.eigen is not None:
             changes["eigen"] = index(j.eigen)
         return replace(j, **changes) if changes else j
 
@@ -559,7 +507,7 @@ def _parse_justification(text: str, line_no: int, offset: int) -> Justification:
         raise ParseError(offset, f"zero or two references on {name}")
     # omitted references name the immediately preceding lines
     refs = refs[:rule.refs] or [line_no - n for n in range(rule.refs, 0, -1)]
-    return rule.make(refs, eigen)
+    return rule(*refs, eigen=eigen if rule.index == "eigen" else None)
 
 
 def parse_proof_script(text: str) -> tuple[str, Proof]:
@@ -602,9 +550,8 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
 
 
 def _format_justification(j: Justification) -> str:
-    rule = rule_of(j)
-    words = [rule.name, *map(str, rule.refs_of(j))]
-    if rule.index == "eigen":
+    words = [j.rule.name, *map(str, j.refs)]
+    if j.eigen is not None:
         words.append(f"k={j.eigen}")
     return " ".join(words)
 

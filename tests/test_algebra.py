@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tarl import algebra
+from tarl import algebra, models
 from tarl.algebra import (
     IDENT, ONE, ZERO, Comp, Compl, ComplexAlgebra, Conv, DERIVED_LAWS, Ident,
     Join, Law, Meet, One, ProperAlgebra, RVar, TARSKI_AXIOMS, Zero,
@@ -176,10 +176,12 @@ def test_conditional_law_filters_premises():
     assert not holds_law(CK["K3"], unconditional).passed
 
 
-def test_exhaustive_laws_respect_the_cap():
+def test_exhaustive_laws_respect_the_cap(monkeypatch):
+    monkeypatch.setattr(models, "DEFAULT_VALUATION_CAP", 16 ** 4 - 1)
     with pytest.raises(TooManyValuations):
-        holds_law(CK["K5"], get_law("refleq"), cap=16 ** 4 - 1)
-    assert holds_law(CK["K5"], get_law("refleq"), cap=16 ** 4).checked > 0
+        holds_law(CK["K5"], get_law("refleq"))
+    monkeypatch.setattr(models, "DEFAULT_VALUATION_CAP", 16 ** 4)
+    assert holds_law(CK["K5"], get_law("refleq")).checked > 0
 
 
 def test_ra9_random_trials():
@@ -217,7 +219,7 @@ def test_sampling_is_deterministic():
 def test_batched_samples_do_not_depend_on_block_boundaries():
     # trials 499 and 500 sit on either side of the first block boundary
     carrier = algebra._carrier(ProperAlgebra(4))
-    rows = np.concatenate([env["y"] for _, env in carrier.batches(["x", "y"], 1200, 6, 0)])
+    rows = np.concatenate([env["y"] for _, env in carrier.batches(["x", "y"], 1200, 6)])
     assert rows.shape == (1200, 4, 4)
     for t in (0, 499, 500, 1199):
         assert carrier.decode(rows[t]) == sample_relations(4, ["y"], seed=6, trial=t)["y"]

@@ -269,6 +269,15 @@ class BadModel(str):
         return str(path)
 
 
+class NotUtf8(BadModel):
+    """A file, for any command that reads one, whose bytes are not UTF-8."""
+
+    def write(self, directory) -> str:
+        path = directory / "bad.bin"
+        path.write_bytes(b"\xff\xfe\x00")
+        return str(path)
+
+
 def bad_model(elements, star, triple):
     return BadModel(f"model bad\nelements {elements}\nzero 0\nstar {star}\n"
                     f"triples\n0 0 0\n{triple}\nend\n")
@@ -291,6 +300,14 @@ def bad_model(elements, star, triple):
     ("postulates", BadModel(bad_model("0 a", "0:0 a:a", "0 a a") + "zero a\n")),
     ("translate", "id -> q"),
     ("translate", "id -> q", "--json"),
+    ("check", NotUtf8()),
+    ("valid", NotUtf8(), "p"),
+    ("chain", "K3", NotUtf8()),
+    ("algebra-test", NotUtf8()),
+    ("postulates", BadModel("model bad\nelements 0 a\nzero 0\nstar 0:0 a:a\n"
+                            "table\n{0} {a}\n")),
+    ("postulates", BadModel("model bad\nelements 0 a\nzero 0\nstar 0:0 a:a\n"
+                            "triples\n0 0 0\n")),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

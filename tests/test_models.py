@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tarl import models
-from tarl.formulas import And, Fusion, Imp, Neg, Or, Var, parse_formula, variables
+from tarl.formulas import (
+    And, Fusion, Imp, Neg, Or, ParseError, Var, parse_formula, variables,
+)
 from tarl.gen import random_formula
 from tarl.groups import PARTITIONS, build_atom_structure
 from tarl.models import (
@@ -200,10 +202,11 @@ def test_validity_counts_every_valuation(text):
         assert res.valuations == len(tables_for(m).hereditary) ** len(variables(f))
 
 
-def test_validity_cap():
+def test_validity_cap(monkeypatch):
+    monkeypatch.setattr(models, "DEFAULT_VALUATION_CAP", 1000)
     f = parse_formula("a -> b -> c -> d -> e -> f1")
     with pytest.raises(TooManyValuations):
-        valid_in(K1, f, cap=1000)
+        valid_in(K1, f)
 
 
 def test_singleton_lists_match_published_values():
@@ -689,6 +692,17 @@ def test_model_file_crosscheck_mismatch():
     bad = (dump_model_file(K4).rstrip() + "\ntriples\n0 0 0\nend\n")
     with pytest.raises(Exception):
         load_model_file(bad)
+
+
+def test_truncated_model_files_are_parse_errors():
+    head = "model tiny\nelements 0 a a*\nzero 0\nstar 0:0 a:a* a*:a\n"
+    table = head + "table\n{0} {a} {a*}\n{a} {a} {0,a,a*}\n"
+    triples = head + "triples\n0 0 0\n0 a a\n"
+    for text in (table, triples):  # a table row short, and no 'end'
+        with pytest.raises(ParseError):
+            load_model_file(text)
+    assert len(load_model_file(table + "{a*} {0,a,a*} {a*}\n").triples) == 13
+    assert len(load_model_file(triples + "end\n").triples) == 2
 
 
 def test_copied_structure_gets_fresh_tables():

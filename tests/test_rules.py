@@ -50,7 +50,7 @@ def test_backward_step_rechecks_forward(rule, data, left, right):
         k = data.draw(indices) if rule.index else None
     premises = _backward(rule, concl, principal, k, table)
     assert len(premises) == rule.refs
-    just = rule.make(list(range(1, rule.refs + 1)), k)
+    just = rule(*range(1, rule.refs + 1), eigen=k if rule.index == "eigen" else None)
     check_step(premises, (concl, just), BOUND)  # raises RuleError on failure
 
 
@@ -59,7 +59,7 @@ def test_shape_mismatch_names_its_rule(rule):
     p = Assertion(parse_formula("p"), 0, 0)
     premise = Sequent.of((p,), (p,))
     concl = Sequent.of((), (Assertion(parse_formula("q"), 0, 0),))
-    just = rule.make(list(range(1, rule.refs + 1)), 1)
+    just = rule(*range(1, rule.refs + 1), eigen=1 if rule.index == "eigen" else None)
     with pytest.raises(RuleError) as e:
         check_step([premise] * rule.refs, (concl, just), BOUND)
     assert e.value.kind == "ShapeMismatch"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 from tarl.formulas import Imp, Var, parse_formula
 from tarl.registry import corpus_ids, get_corpus_entry
 from tarl.sequents import (
-    Assertion, Axiom, Cut, ImpR, NegR, NotABijection, OrR,
-    Proof, RuleError, Sequent, Weaken, check_proof, check_step,
-    format_proof_script, is_axiom, objects_level, parse_proof_script,
-    permute_indices, substitute_proof,
+    RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, NegR, NotABijection, OrR,
+    Proof, RuleError, Sequent, Weaken, _format_justification,
+    _parse_justification, check_proof, check_step, format_proof_script,
+    is_axiom, objects_level, parse_proof_script, permute_indices,
+    substitute_proof,
 )
 
 
@@ -84,7 +86,7 @@ def test_cut_accepts_either_premise_order():
     concl = seq([a("a", 1, 0), a("b", 1, 0)], [a("c", 1, 0)])
     check_step([p1, p2], (concl, Cut(1, 2)))
     check_step([p2, p1], (concl, Cut(1, 2)))
-    named = Cut(1, 2, a("a & b", 1, 0))
+    named = Cut(1, 2, cut=a("a & b", 1, 0))
     check_step([p1, p2], (concl, named))
 
 
@@ -107,6 +109,45 @@ def test_check_proof_reports_and_never_raises():
     assert not report.valid
     assert report.first_error[0] == 2
     assert report.objects_used == {0}
+
+
+@pytest.mark.parametrize("not_a_justification", ["axiom", None, object()],
+                         ids=["str", "None", "object"])
+def test_check_proof_reports_an_unknown_justification(not_a_justification):
+    lines = [(seq([a("p", 0, 0)], [a("p", 0, 0)]), not_a_justification)]
+    report = check_proof(Proof(lines=lines))
+    assert report.first_error[0] == 1
+    assert report.first_error[1].startswith("ShapeMismatch: unknown rule")
+
+
+P = a("p", 0, 0)
+
+
+@pytest.mark.parametrize("rule, refs, keywords", [
+    pytest.param(Axiom, (1,), {}, id="Axiom(1)"),
+    pytest.param(Weaken, (), {}, id="Weaken()"),
+    pytest.param(Weaken, (1, 2), {}, id="Weaken(1, 2)"),
+    pytest.param(Cut, (1,), {}, id="Cut(1)"),
+    pytest.param(ImpL, (1,), {}, id="ImpL(1)"),
+    pytest.param(ImpR, (1,), {}, id="ImpR(1)"),
+    pytest.param(ImpR, (1, 2), {"eigen": 1}, id="ImpR(1, 2, eigen=1)"),
+    pytest.param(Axiom, (), {"eigen": 0}, id="Axiom(eigen=0)"),
+    pytest.param(NegR, (1,), {"eigen": 1}, id="NegR(1, eigen=1)"),
+    pytest.param(ImpL, (1, 2), {"eigen": 1}, id="ImpL(1, 2, eigen=1)"),
+    pytest.param(Weaken, (1,), {"cut": P}, id="Weaken(1, cut=p)"),
+    pytest.param(AndR, (1, 2), {"cut": P}, id="AndR(1, 2, cut=p)"),
+])
+def test_malformed_justification_is_a_type_error(rule, refs, keywords):
+    with pytest.raises(TypeError):
+        rule(*refs, **keywords)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+def test_every_rule_survives_format_and_parse(rule):
+    eigen = 2 if rule.index == "eigen" else None
+    just = rule(*range(3, 3 + rule.refs), eigen=eigen)
+    text = _format_justification(just)
+    assert _parse_justification(text, 9, 0) == just
 
 
 def test_goal_must_appear():
@@ -160,17 +201,7 @@ def test_weaken_insertion_keeps_validity():
     new_lines = lines[:2] + [(dup_seq, Weaken(2))]
     # shift references in the tail by one
     def shift(j):
-        from tarl import sequents as sq
-        if isinstance(j, (sq.Cut, sq.OrL, sq.AndR, sq.ImpL)):
-            kind = type(j)
-            r1 = j.ref1 + (j.ref1 >= 3)
-            r2 = j.ref2 + (j.ref2 >= 3)
-            return sq.Cut(r1, r2, j.cut) if isinstance(j, sq.Cut) else kind(r1, r2)
-        if isinstance(j, sq.ImpR):
-            return sq.ImpR(j.ref + (j.ref >= 3), j.eigen)
-        if isinstance(j, sq.Axiom):
-            return j
-        return type(j)(j.ref + (j.ref >= 3))
+        return replace(j, refs=tuple(r + (r >= 3) for r in j.refs))
     new_lines += [(s, shift(j)) for s, j in lines[2:]]
     assert check_proof(Proof(lines=new_lines, bound=4)).valid
 
@@ -187,7 +218,7 @@ def test_corpus_mutations_fail():
     # move the final eigenvariable onto an index that occurs in the premise
     s, j = lines[-1]
     broken = lines.copy()
-    broken[-1] = (s, sq.ImpR(j.ref, 0))
+    broken[-1] = (s, sq.ImpR(*j.refs, eigen=0))
     assert not check_proof(Proof(lines=broken, bound=4)).valid
     # drop an assertion from a conclusion
     s, j = lines[5]
