@@ -46,7 +46,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .formulas import (
-    And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError, Var, variables,
+    And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError, Var, file_lines,
+    parse_at, variables,
 )
 from .models import (
     ModelStructure, UnassignedVariable, _grid_rows, _valuation_grid, tables_for,
@@ -460,28 +461,29 @@ class ChainReport:
                 and all(seg[3] is None or seg[3].passed for seg in self.segments))
 
 
-def _relation(text: str, line: str = "") -> tuple[RATerm, str, RATerm]:
-    """The terms and relation of `lhs (=|<=) rhs`; a ParseError shows
-    `line`, the whole line, if given."""
+def _relation(text: str, line: int | None = None,
+              start: int = 0) -> tuple[RATerm, str, RATerm]:
+    """The terms and relation of `lhs (=|<=) rhs`, a text found at start of a
+    larger input: an offset into a string, or a column of a file's line."""
     m = re.match(r"(.*?)(<=|=)(.*)$", text)
     if not m:
-        raise ParseError(0, "'lhs = rhs' or 'lhs <= rhs'", line or text)
-    return parse_ra_term(m.group(1)), m.group(2), parse_ra_term(m.group(3))
+        raise ParseError(start, "'lhs = rhs' or 'lhs <= rhs'", text, line)
+    return (parse_at(parse_ra_term, m.group(1), line, start),
+            m.group(2),
+            parse_at(parse_ra_term, m.group(3), line, start + m.start(3)))
 
 
 def parse_chain(text: str) -> list[Law]:
     """One step per line: `lhs (=|<=) rhs ; tag`, read as a law named by its
     tag.  The tag separator is a semicolon surrounded by spaces,
-    distinguishing it from relative product (written without spaces)."""
+    distinguishing it from relative product (written without spaces).  A
+    ParseError names the line and column at fault."""
     steps = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for n, col, line in file_lines(text):
         body, sep, tag = line.rpartition(" ; ")
         if not sep:
             body, tag = line, ""
-        steps.append(Law(tag.strip(), *_relation(body, line)))
+        steps.append(Law(tag.strip(), *_relation(body, n, col)))
     return steps
 
 

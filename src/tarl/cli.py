@@ -31,6 +31,15 @@ def _checked(make, *args, **kwargs):
         raise UsageError(str(e)) from None
 
 
+def _read(path, parse):
+    """parse(the text of the file at path).  A ValueError on the way, as a
+    ParseError or text that is not UTF-8, is a usage error naming the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}") from None
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, default=_jsonable))
@@ -51,7 +60,7 @@ def _jsonable(obj):
 def _resolve_structure(arg: str) -> models.ModelStructure:
     path = Path(arg)
     if path.exists():
-        m = _checked(models.load_model_file, path.read_text())
+        m = _read(path, models.load_model_file)
         if arg.upper() in registry.structure_names():
             print(f"warning: file {arg} shadows built-in structure "
                   f"{arg.upper()}", file=sys.stderr)
@@ -95,7 +104,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_check(args) -> int:
-    name, proof = parse_proof_script(Path(args.proof_file).read_text())
+    name, proof = _read(args.proof_file, parse_proof_script)
     report = check_proof(proof)
     objs = sorted(report.objects_used)
     payload = {"lemma": name, "valid": report.valid, "objects": objs,
@@ -232,7 +241,7 @@ def cmd_algebra_test(args) -> int:
     path = Path(args.identity)
     if path.exists():
         laws = [algebra.Law(f"step{i}", s.lhs, s.rel, s.rhs)
-                for i, s in enumerate(algebra.parse_chain(path.read_text()), 1)]
+                for i, s in enumerate(_read(path, algebra.parse_chain), 1)]
     else:
         try:
             laws = [algebra.get_law(args.identity)]
@@ -258,7 +267,7 @@ def cmd_algebra_test(args) -> int:
 
 def cmd_chain(args) -> int:
     alg = _resolve_algebra(args.algebra)
-    steps = algebra.parse_chain(Path(args.chain_file).read_text())
+    steps = _read(args.chain_file, algebra.parse_chain)
     report = _checked(algebra.check_chain, {args.algebra: alg}, steps,
                       trials=args.trials, seed=args.seed)
     lines = []

@@ -39,7 +39,8 @@ import weakref
 
 __all__ = [
     "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
-    "ParseError", "Grammar", "FORMULAS", "parse_formula", "print_formula",
+    "ParseError", "file_lines", "end_of_file", "parse_at", "Grammar",
+    "FORMULAS", "parse_formula", "print_formula",
     "desugar_fusion", "is_core", "variables", "shared_variables",
     "substitute",
 ]
@@ -163,14 +164,46 @@ class Fusion(_Binary):
 
 
 class ParseError(ValueError):
-    """Raised on malformed input; carries the offset and what was expected."""
+    """Raised on malformed input; carries where, what was expected and what
+    was found.  In a text, position is an offset into it; in a file, line is
+    the 1-based line number and position the 1-based column in that line."""
 
-    def __init__(self, position: int, expected: str, found: str = ""):
+    def __init__(self, position: int, expected: str, found: str = "",
+                 line: int | None = None):
         self.position = position
         self.expected = expected
         self.found = found
+        self.line = line
+        where = "at position" if line is None else f"line {line}, column"
         shown = f", found {found!r}" if found else ""
-        super().__init__(f"at position {position}: expected {expected}{shown}")
+        super().__init__(f"{where} {position}: expected {expected}{shown}")
+
+
+def file_lines(text: str):
+    """Each line of a file's text that holds more than a '#' comment, as
+    (line number, column where its content starts, content): the line less
+    its comment and the blanks around what is left.  Numbers and columns
+    count from 1."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0]
+        stripped = content.strip()
+        if stripped:
+            yield number, len(content) - len(content.lstrip()) + 1, stripped
+
+
+def end_of_file(text: str, expected: str) -> ParseError:
+    """The error of a file's text that ends where expected should come."""
+    return ParseError(1, expected, "end of file", len(text.splitlines()) + 1)
+
+
+def parse_at(parse, text: str, line: int | None, start: int):
+    """parse(text) for a text found at start of a larger input: an offset
+    into a string (line None) or a column of a file's line.  A ParseError
+    then says where in that input it arose."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        raise ParseError(start + e.position, e.expected, e.found, line) from None
 
 
 # ------------------------------------------------------------------
@@ -190,21 +223,20 @@ class Grammar:
     parentheses group.  A name that is no operator or constant is a
     `variable`.  `bad_token` and `bad_operand` say what was expected where a
     character starts no token and where an operand is missing; `aliases`
-    map a text to its spelling before tokenizing, and error positions are
-    still offsets into the text as given."""
+    map other spellings of a token to it."""
 
     def __init__(self, *, symbols: str, binary: dict, right: type | None,
                  prefix: dict, postfix: dict, constants: dict, variable: type,
                  bad_token: str, bad_operand: str, aliases: dict):
         # a token, or else the first character that starts none; the
         # matches tile the text up to trailing white space
-        self.token = re.compile(rf"\s*(?:({symbols}|{_NAME.pattern})|(\S))")
+        tokens = "|".join((symbols, *map(re.escape, aliases), _NAME.pattern))
+        self.token = re.compile(rf"\s*(?:({tokens})|(\S))")
         self.binary, self.right = binary, right
         self.prefix, self.postfix, self.constants = prefix, postfix, constants
         self.variable = variable
         self.bad_token, self.bad_operand = bad_token, bad_operand
         self.aliases = aliases
-        self.alias = re.compile("|".join(map(re.escape, aliases))) if aliases else None
         self.reserved = frozenset(tok for tok in (*binary, *constants) if _NAME.fullmatch(tok))
         self.spelling = {**{cls: tok for tok, (_, cls, _) in binary.items()},
                          **{cls: tok for tok, cls in (*prefix.items(), *postfix.items())},
@@ -228,41 +260,20 @@ class Grammar:
         return name
 
     def parse(self, text: str):
-        """The tree of text; a ParseError's position is an offset into text."""
-        origin = None  # offsets in text of the characters after aliasing
-        if self.alias and not text.isascii():
-            text, origin = self._unalias(text)
-        tokens = []
+        """The tree of text; a ParseError's position is an offset into text,
+        and what it found is as text spells it."""
+        tokens = []  # (token, its offset, its text), aliases read as their token
         for m in self.token.finditer(text):
             token, bad = m.groups()
             if bad:
-                at = m.start(2)
-                raise ParseError(origin[at] if origin else at, self.bad_token, bad)
-            tokens.append((token, m.start(1)))
-        tokens.append((None, len(text)))  # end of input, at its offset
-        if origin:
-            tokens = [(token, origin[at]) for token, at in tokens]
+                raise ParseError(m.start(2), self.bad_token, bad)
+            tokens.append((self.aliases.get(token, token), m.start(1), token))
+        tokens.append((None, len(text), "end of input"))
         parser = _Parser(self, tokens)
         node = parser.binary(1)
-        tok, at = parser.tokens[parser.pos]
-        if tok is not None:
-            raise ParseError(at, "end of input", tok)
+        if parser.tokens[parser.pos][0] is not None:
+            raise parser.error("end of input")
         return node
-
-    def _unalias(self, text: str) -> tuple[str, list[int]]:
-        """text with each alias replaced by its spelling, and the offset in
-        text of each character of the result and of its end: every
-        character of a spelling comes from the alias's offset."""
-        out, origin, last = [], [], 0
-        for m in self.alias.finditer(text):
-            spelling = self.aliases[m.group()]
-            out += text[last:m.start()], spelling
-            origin += range(last, m.start())
-            origin += [m.start()] * len(spelling)
-            last = m.end()
-        out.append(text[last:])
-        origin += range(last, len(text) + 1)
-        return "".join(out), origin
 
     def show(self, node, operand) -> str:
         """Minimal-parenthesis rendering of node, given operand(child), the
@@ -287,10 +298,15 @@ class Grammar:
 class _Parser:
     """Precedence climbing over one grammar's tokens."""
 
-    def __init__(self, grammar: Grammar, tokens: list[tuple[str | None, int]]):
+    def __init__(self, grammar: Grammar, tokens: list[tuple[str | None, int, str]]):
         self.g = grammar
-        self.tokens = tokens  # ending with (None, the offset of the end)
+        self.tokens = tokens  # ending with the end of input, token None
         self.pos = 0
+
+    def error(self, expected: str) -> ParseError:
+        """A ParseError at the current token, found as the text spells it."""
+        _, at, typed = self.tokens[self.pos]
+        return ParseError(at, expected, typed)
 
     def binary(self, least: int):
         """A tree whose binary operators bind at level least or above."""
@@ -305,22 +321,22 @@ class _Parser:
 
     def unary(self):
         g = self.g
-        tok, at = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tokens[self.pos][0]
         if tok in g.prefix:
+            self.pos += 1
             return g.prefix[tok](self.unary())
         if tok == "(":
-            node = self.binary(1)
-            tok, at = self.tokens[self.pos]
-            if tok != ")":
-                raise ParseError(at, "')'", tok or "end of input")
             self.pos += 1
+            node = self.binary(1)
+            if self.tokens[self.pos][0] != ")":
+                raise self.error("')'")
         elif tok in g.constants:
             node = g.constants[tok]
         elif tok is not None and tok not in g.reserved and _NAME.fullmatch(tok):
             node = g.variable(tok)
         else:
-            raise ParseError(at, g.bad_operand, tok or "end of input")
+            raise self.error(g.bad_operand)
+        self.pos += 1  # past the ')', constant or name
         while self.tokens[self.pos][0] in g.postfix:
             node = g.postfix[self.tokens[self.pos][0]](node)
             self.pos += 1
@@ -334,7 +350,7 @@ FORMULAS = Grammar(
     right=Imp, prefix={"~": Neg}, postfix={}, constants={}, variable=Var,
     bad_token="a connective, '(' or an identifier",
     bad_operand="'~', '(' or an identifier",
-    aliases={"∧": " & ", "∨": " | ", "→": " -> ", "¬": " ~", "∘": " o ", "～": " ~"})
+    aliases={"∧": "&", "∨": "|", "→": "->", "¬": "~", "∘": "o", "～": "~"})
 
 
 def parse_formula(text: str) -> Formula:

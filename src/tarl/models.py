@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formulas import (
-    And, Formula, Fusion, Imp, Neg, Or, ParseError, Var, variables,
+    And, Formula, Fusion, Imp, Neg, Or, ParseError, Var, end_of_file,
+    file_lines, variables,
 )
 
 __all__ = [
@@ -603,24 +604,21 @@ def enumerate_structures(size: int, required):
 # ------------------------------------------------------------------
 
 def load_model_file(text: str) -> ModelStructure:
+    """The structure a model file describes; a ParseError names the line
+    and column at fault."""
     name = None
     elements: tuple[str, ...] | None = None
     zero = None
     star: dict[str, str] | None = None
     triples: set[tuple[str, str, str]] | None = None
     table_rows: list[list[frozenset[str]]] | None = None
-    seen: set[str] = set()
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
+    seen: dict[str, tuple[int, int]] = {}  # each directive's line and column
+    lines = file_lines(text)
+    for n, col, line in lines:
         head, _, rest = line.partition(" ")
         if head in seen:
-            raise ParseError(i, f"one '{head}' line", head)
-        seen.add(head)
+            raise ParseError(col, f"one '{head}' line", head, n)
+        seen[head] = n, col
         if head == "model":
             name = rest.strip()
         elif head == "elements":
@@ -629,56 +627,50 @@ def load_model_file(text: str) -> ModelStructure:
             zero = rest.strip()
         elif head == "star":
             star = {}
-            for pair in rest.split():
-                a, _, b = pair.partition(":")
+            for pair in re.compile(r"\S+").finditer(line, len(head)):
+                a, _, b = pair.group().partition(":")
                 if a in star:
-                    raise ParseError(i, "one image per element in 'star'", pair)
+                    raise ParseError(col + pair.start(), "one image per element in 'star'",
+                                     pair.group(), n)
                 star[a] = b
         elif head == "triples":
             triples = set()
-            while True:
-                if i == len(lines):
-                    raise ParseError(i, "'end' closing 'triples'")
-                row = lines[i].split("#", 1)[0].strip()
-                i += 1
+            for n, col, row in lines:
                 if row == "end":
                     break
-                if not row:
-                    continue
                 parts = row.split()
                 if len(parts) != 3:
-                    raise ParseError(i, "three elements per triple line")
+                    raise ParseError(col, "three elements per triple line", row, n)
                 triples.add((parts[0], parts[1], parts[2]))
+            else:
+                raise end_of_file(text, "'end' closing 'triples'")
         elif head == "table":
             if elements is None:
-                raise ParseError(i, "'elements' before 'table'")
+                raise ParseError(col, "'elements' before 'table'", head, n)
             table_rows = []
-            while len(table_rows) < len(elements) and i < len(lines):
-                row = lines[i].split("#", 1)[0].strip()
-                i += 1
-                if not row:
-                    continue
+            for n, col, row in itertools.islice(lines, len(elements)):
                 cells = re.findall(r"\{([^}]*)\}", row)
                 if len(cells) != len(elements):
-                    raise ParseError(i, f"{len(elements)} cells per table row")
+                    raise ParseError(col, f"{len(elements)} cells per table row", row, n)
                 table_rows.append([
                     frozenset(x.strip() for x in cell.split(",") if x.strip())
                     for cell in cells])
             if len(table_rows) < len(elements):
-                raise ParseError(i, f"{len(elements)} table rows")
+                raise end_of_file(text, f"{len(elements)} table rows")
         else:
-            raise ParseError(i, "a model file directive", head)
+            raise ParseError(col, "a model file directive", head, n)
     if name is None or elements is None or zero is None or star is None:
-        raise ParseError(0, "model, elements, zero and star sections")
+        raise end_of_file(text, "model, elements, zero and star sections")
     if triples is None and table_rows is None:
-        raise ParseError(0, "a 'triples' or 'table' section")
+        raise end_of_file(text, "a 'triples' or 'table' section")
     from_table = None
     if table_rows is not None:
         from_table = {(x, y, z)
                       for x, row in zip(elements, table_rows)
                       for y, cell in zip(elements, row) for z in cell}
     if triples is not None and from_table is not None and set(triples) != from_table:
-        raise ParseError(0, "matching 'triples' and 'table' sections")
+        n, col = max(seen["triples"], seen["table"])
+        raise ParseError(col, "matching 'triples' and 'table' sections", line=n)
     final = triples if triples is not None else from_table
     return ModelStructure(name, elements, zero, star, frozenset(final))
 

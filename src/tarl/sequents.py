@@ -45,8 +45,8 @@ from itertools import starmap
 from typing import Callable, Iterable, Sequence
 
 from .formulas import (
-    Formula, Imp, And, Or, Neg, ParseError,
-    desugar_fusion, is_core, parse_formula, print_formula, substitute,
+    Formula, Imp, And, Or, Neg, ParseError, desugar_fusion, end_of_file,
+    file_lines, is_core, parse_at, parse_formula, print_formula, substitute,
 )
 
 __all__ = [
@@ -97,16 +97,12 @@ class Sequent:
         return frozenset(out)
 
     def is_axiom(self) -> bool:
+        """True when some assertion occurs on both sides (formula and indices equal)."""
         return bool(self.left & self.right)
 
     def __str__(self) -> str:
         fmt = lambda side: ", ".join(str(a) for a in sorted(side, key=Assertion.key))
         return f"{fmt(self.left)} => {fmt(self.right)}".strip()
-
-
-def is_axiom(s: Sequent) -> bool:
-    """True when some assertion occurs on both sides (formula and indices equal)."""
-    return s.is_axiom()
 
 
 def goal_sequent(f: Formula) -> Sequent:
@@ -443,117 +439,99 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # <k>. <sequent> ; <rule> [<refs>] [k=<idx>]
 # with sequents written  (formula)[i,j], ... => ...
 
-_GAP = re.compile(r"[ \t,]*")
-_PAREN = re.compile(r"[()]")
-_INDICES = re.compile(r"\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]")
-_EIGEN = re.compile(r"k\s*=\s*(\d+)")
-_REF = re.compile(r"\d+")
-_LINE = re.compile(r"(\d+)\s*\.\s*(.*?)\s*;\s*(.*)$")
+_HEADER = re.compile(r"lemma\s*(\S+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
+# <k>. <left side> => <right side> ; <rule> <arguments>, where the match
+# also stands without '=>' or ';' so that the reader can say which is missing
+_LINE = re.compile(r"(\d+)\s*\.[\s,]*(?:([^;]*?)=>[\s,]*)?([^;]*?)\s*(?:(;)\s*(\S*)\s*(.*))?$")
+# an assertion and the blanks and commas after it: a formula holds no '[', so
+# it ends at the last ')' before one; the match also stands without [i,j], so
+# that a bad one is reported after the formula is read
+_ASSERTION = re.compile(r"\(([^\[]*)\)\s*(?:\[\s*(\d+)\s*,\s*(\d+)\s*\][\s,]*)?")
+_NEXT = re.compile(r"\s*(=>|\S|$)")  # where an error is: '=>', a character or the end
 
 
-def _split_assertions(text: str, offset: int) -> list[Assertion]:
+def _error(content: str, at: int, expected: str, n: int, col: int) -> ParseError:
+    """A ParseError at what comes next from content[at] on, on line n of a
+    script whose content starts at column col."""
+    m = _NEXT.match(content, at)
+    return ParseError(col + m.start(1), expected, m.group(1) or "end of line", n)
+
+
+def _side(content: str, pos: int, end: int, n: int, col: int) -> list[Assertion]:
+    """The assertions of the sequent side content[pos:end]."""
     out = []
-    pos = _GAP.match(text).end()
-    while pos < len(text):
-        if text[pos] != "(":
-            raise ParseError(offset + pos, "'(' starting an assertion", text[pos])
-        start = pos
-        depth = 0
-        for paren in _PAREN.finditer(text, start):
-            depth += 1 if paren.group() == "(" else -1
-            if depth == 0:
-                pos = paren.end()
-                break
-        else:
-            raise ParseError(offset + start, "balanced parentheses")
-        m = _INDICES.match(text, pos)
-        if not m:
-            raise ParseError(offset + pos, "'[i,j]' after assertion formula")
-        f = desugar_fusion(parse_formula(text[start + 1:pos - 1]))
-        out.append(Assertion(f, int(m.group(1)), int(m.group(2))))
-        pos = _GAP.match(text, m.end()).end()
+    while pos < end:
+        m = _ASSERTION.match(content, pos, end)
+        if m is None:  # no '(', or no ')' before the next '['
+            raise _error(content, pos, "an assertion '(<formula>)[i,j]'", n, col)
+        f = parse_at(parse_formula, m.group(1), n, col + m.start(1))
+        if m.group(2) is None:
+            raise _error(content, m.end(), "'[i,j]' after the formula", n, col)
+        out.append(Assertion(desugar_fusion(f), int(m.group(2)), int(m.group(3))))
+        pos = m.end()
     return out
 
 
-def _parse_sequent(text: str, offset: int) -> Sequent:
-    if "=>" not in text:
-        raise ParseError(offset, "'=>' separating the sequent sides")
-    left_text, right_text = text.split("=>", 1)
-    return Sequent.of(_split_assertions(left_text, offset),
-                      _split_assertions(right_text, offset + len(left_text) + 2))
-
-
-def _parse_justification(text: str, line_no: int, offset: int) -> Justification:
-    parts = text.split()
-    if not parts:
-        raise ParseError(offset, "a rule name")
-    name, args = parts[0], parts[1:]
-    eigen = None
-    refs = []
-    for arg in args:
-        m = _EIGEN.fullmatch(arg)
-        if m:
-            eigen = int(m.group(1))
-        elif _REF.fullmatch(arg):
-            refs.append(int(arg))
-        else:
-            raise ParseError(offset, "a line reference or k=<idx>", arg)
-    rule = RULE_NAMED.get(name)
+def _script_line(content: str, line_no: int, n: int,
+                 col: int) -> tuple[Sequent, Justification]:
+    """Proof line line_no, written as content on line n of a script from
+    column col."""
+    m = _LINE.match(content)
+    if not m:
+        raise ParseError(col, "'<k>. <sequent> ; <rule>'", line=n)
+    if int(m.group(1)) != line_no:
+        raise ParseError(col, f"line number {line_no}", m.group(1), n)
+    if m.group(4) is None:
+        raise _error(content, len(content), "';' and a rule", n, col)
+    if m.group(2) is None:
+        raise _error(content, m.start(4), "'=>' separating the sequent sides", n, col)
+    seq = Sequent.of(_side(content, m.start(2), m.end(2), n, col),
+                     _side(content, m.start(3), m.end(3), n, col))
+    rule = RULE_NAMED.get(m.group(5))
     if rule is None:
-        raise ParseError(offset, "a rule name", name)
-    if rule.index == "eigen" and eigen is None:
-        raise ParseError(offset, f"k=<idx> on {name}")
-    if rule.refs == 2 and len(refs) not in (0, 2):
-        raise ParseError(offset, f"zero or two references on {name}")
-    # omitted references name the immediately preceding lines
-    refs = refs[:rule.refs] or [line_no - n for n in range(rule.refs, 0, -1)]
-    return rule(*refs, eigen=eigen if rule.index == "eigen" else None)
+        raise ParseError(col + m.start(5), "a rule name", m.group(5) or "end of line", n)
+    refs, eigen = [], None
+    for arg in re.finditer(r"\S+", m.group(6)):
+        word = arg.group()
+        if word.isdecimal():
+            refs.append(int(word))
+        elif word.startswith("k=") and word[2:].isdecimal() and eigen is None:
+            eigen = int(word[2:])
+        else:
+            raise ParseError(col + m.start(6) + arg.start(),
+                             "a line reference or one k=<idx>", word, n)
+    try:  # omitted references name the immediately preceding lines
+        just = rule(*(refs or range(line_no - rule.refs, line_no)), eigen=eigen)
+    except TypeError:
+        usage = rule.name + " <ref>" * rule.refs + " k=<idx>" * (rule.index == "eigen")
+        raise ParseError(col + m.start(5), repr(usage), content[m.start(5):], n) from None
+    return seq, just
 
 
 def parse_proof_script(text: str) -> tuple[str, Proof]:
-    """Parse the line-oriented script format; returns (lemma name, proof)."""
-    name = None
-    goal = None
+    """Parse the line-oriented script format; returns (lemma name, proof).
+    A ParseError names the line and column at fault."""
+    name = goal = None
     bound = DEFAULT_BOUND
     lines: list[tuple[Sequent, Justification]] = []
-    offset = 0
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        offset += len(raw) + 1
-        if not stripped:
+    for n, col, content in file_lines(text):
+        if not content.startswith("lemma"):
+            lines.append(_script_line(content, len(lines) + 1, n, col))
             continue
-        if stripped.startswith("lemma"):
-            header = stripped[len("lemma"):].strip()
-            m = re.match(r"(\S+)\s*(?::(.*?))?(?:\bbound\s+(\d+))?$", header)
-            if not m:
-                raise ParseError(offset, "lemma <name> [: <formula>] [bound <n>]")
-            name = m.group(1)
-            if m.group(2) and m.group(2).strip():
-                goal = parse_formula(m.group(2).strip())
-            if m.group(3):
-                bound = int(m.group(3))
-                if not 1 <= bound <= MAX_BOUND:
-                    raise ParseError(offset, f"bound between 1 and {MAX_BOUND}")
-            continue
-        m = _LINE.match(stripped)
+        m = _HEADER.match(content)
         if not m:
-            raise ParseError(offset, "'<k>. <sequent> ; <rule>'")
-        line_no = int(m.group(1))
-        if line_no != len(lines) + 1:
-            raise ParseError(offset, f"line number {len(lines) + 1}", m.group(1))
-        seq = _parse_sequent(m.group(2), offset)
-        just = _parse_justification(m.group(3), line_no, offset)
-        lines.append((seq, just))
+            raise ParseError(col, "'lemma <name> [: <formula>] [bound <n>]'", line=n)
+        name = m.group(1)
+        if m.group(2):
+            goal = parse_at(parse_formula, m.group(2), n, col + m.start(2))
+        if m.group(3):
+            bound = int(m.group(3))
+            if not 1 <= bound <= MAX_BOUND:
+                raise ParseError(col + m.start(3), f"bound between 1 and {MAX_BOUND}",
+                                 m.group(3), n)
     if name is None:
-        raise ParseError(0, "a 'lemma <name>' header")
+        raise end_of_file(text, "a 'lemma <name>' header")
     return name, Proof(lines=lines, bound=bound, goal=goal)
-
-
-def _format_justification(j: Justification) -> str:
-    words = [j.rule.name, *map(str, j.refs)]
-    if j.eigen is not None:
-        words.append(f"k={j.eigen}")
-    return " ".join(words)
 
 
 def format_proof_script(name: str, proof: Proof) -> str:
@@ -564,5 +542,6 @@ def format_proof_script(name: str, proof: Proof) -> str:
         header += f" bound {proof.bound}"
     out = [header]
     for n, (seq, just) in enumerate(proof.lines, start=1):
-        out.append(f"{n}. {seq} ; {_format_justification(just)}")
+        eigen = [] if just.eigen is None else [f"k={just.eigen}"]
+        out.append(f"{n}. {seq} ; " + " ".join([just.rule.name, *map(str, just.refs), *eigen]))
     return "\n".join(out) + "\n"

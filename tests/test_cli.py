@@ -263,8 +263,10 @@ CHAIN = str(data_dir() / "chains" / "ra4.chain")
 class BadModel(str):
     """A model file's text, passed on the command line as a file's path."""
 
+    file_name = "bad.model"
+
     def write(self, directory) -> str:
-        path = directory / "bad.model"
+        path = directory / self.file_name
         path.write_text(self)
         return str(path)
 
@@ -276,6 +278,12 @@ class NotUtf8(BadModel):
         path = directory / "bad.bin"
         path.write_bytes(b"\xff\xfe\x00")
         return str(path)
+
+
+class BadScript(BadModel):
+    """A proof script's text, passed on the command line as a file's path."""
+
+    file_name = "bad.prf"
 
 
 def bad_model(elements, star, triple):
@@ -308,6 +316,9 @@ def bad_model(elements, star, triple):
                             "table\n{0} {a}\n")),
     ("postulates", BadModel("model bad\nelements 0 a\nzero 0\nstar 0:0 a:a\n"
                             "triples\n0 0 0\n")),
+    ("check", BadScript("lemma bad\n1. (p)[0,0] => (p)[0,0] ; axiom 7 k=3\n")),
+    ("check", BadScript("lemma bad\n1. (p)[0,0] => (p)[0,0] ; axiom\n"
+                        "2. (p)[0,0], (q)[0,0] => (p)[0,0] ; weaken 1 9\n")),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

@@ -60,7 +60,7 @@ def test_parse_errors_carry_position():
 @pytest.mark.parametrize("text, position, found", [
     ("p ∧ q q", 6, "q"),          # a token after an alias
     ("r→", 2, "end of input"),    # the end of a text that ends in an alias
-    ("p ∧∧ q", 3, "&"),           # an alias itself
+    ("p ∧∧ q", 3, "∧"),           # an alias, found as it is typed
     ("p ∧ $", 4, "$"),            # a character that starts no token
     ("p  $", 3, "$"),             # ... at itself, not at the white space before it
 ])

@@ -9,9 +9,8 @@ from tarl.formulas import Imp, Var, parse_formula
 from tarl.registry import corpus_ids, get_corpus_entry
 from tarl.sequents import (
     RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, NegR, NotABijection, OrR,
-    Proof, RuleError, Sequent, Weaken, _format_justification,
-    _parse_justification, check_proof, check_step, format_proof_script,
-    is_axiom, objects_level, parse_proof_script, permute_indices,
+    Proof, RuleError, Sequent, Weaken, check_proof, check_step,
+    format_proof_script, objects_level, parse_proof_script, permute_indices,
     substitute_proof,
 )
 
@@ -30,9 +29,9 @@ def test_assertions_must_be_core():
 
 
 def test_axiom_detection():
-    assert is_axiom(seq([a("p", 0, 1)], [a("p", 0, 1)]))
-    assert not is_axiom(seq([a("p", 0, 1)], [a("p", 1, 0)]))
-    assert is_axiom(seq([a("a", 1, 0), a("b", 1, 0)], [a("b", 1, 0)]))
+    assert seq([a("p", 0, 1)], [a("p", 0, 1)]).is_axiom()
+    assert not seq([a("p", 0, 1)], [a("p", 1, 0)]).is_axiom()
+    assert seq([a("a", 1, 0), a("b", 1, 0)], [a("b", 1, 0)]).is_axiom()
 
 
 def test_impr_step_ok():
@@ -146,8 +145,9 @@ def test_malformed_justification_is_a_type_error(rule, refs, keywords):
 def test_every_rule_survives_format_and_parse(rule):
     eigen = 2 if rule.index == "eigen" else None
     just = rule(*range(3, 3 + rule.refs), eigen=eigen)
-    text = _format_justification(just)
-    assert _parse_justification(text, 9, 0) == just
+    line = (seq([P], [P]), just)
+    text = format_proof_script("x", Proof(lines=[line] * 9))
+    assert parse_proof_script(text)[1].lines[8] == line
 
 
 def test_goal_must_appear():
