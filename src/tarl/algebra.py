@@ -17,18 +17,21 @@ Two kinds of finite algebra are supported:
     is the star image, the identity is {0}.  Carriers are tiny, so
     identities are tested exhaustively.
 
-One recursion evaluates a term over a batch of assignments; converse,
-relative product and the constants come from the carrier: lookups in the
-structure's mask tables for complex algebras, boolean n x n matrices
+The evaluator of the term grammar, `TERMS.evaluate`, runs a term over a
+batch of assignments with each carrier's table of operations: lookups in
+the structure's mask tables for complex algebras, boolean n x n matrices
 stacked along a leading batch axis for proper ones.  Laws are tested one
 batch at a time (the whole valuation grid of a complex algebra, blocks of
 500 samples of a proper one), and `eval_term` is a batch of one.
+`translate` is the formula grammar's evaluator, `FORMULAS.evaluate`, with
+term constructors as its operations.
 
 The term grammar is  `+` join, `.` meet, prefix `-` complement, postfix `^`
 converse, `;` relative product, constants `id`, `0`, `1`, with precedence
-`- ^` > `;` > `.` > `+`: the table `TERMS` of the parser and printer that
-formulas use (`tarl.formulas.Grammar`).  A name is read whole (`idle` is a
-variable), and printing a variable named like a constant raises ValueError.
+`^` > `-` > `;` > `.` > `+`: the table `TERMS` of the grammar that formulas
+use (`tarl.formulas.Grammar`), whose printer writes the fewest parentheses
+(`x^^`, `(-x)^`, `-x^`).  A name is read whole (`idle` is a variable), and
+printing a variable named like a constant raises ValueError.
 Terms are frozen dataclasses, not interned like formulas: an interned
 version made a cold `translate` about 8 times slower.  Chain files hold one
 `lhs (=|<=) rhs ; tag` step per line, read as laws named by their tag, and
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -46,12 +50,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .formulas import (
-    And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError, Var, file_lines,
-    parse_at, variables,
+    FORMULAS, And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError,
+    UnassignedVariable, file_lines, parse_at, variables,
 )
-from .models import (
-    ModelStructure, UnassignedVariable, _grid_rows, _valuation_grid, tables_for,
-)
+from .models import ModelStructure, _grid_rows, _valuation_grid, tables_for
 
 __all__ = [
     "RATerm", "RVar", "Join", "Meet", "Compl", "Conv", "Comp",
@@ -158,23 +160,27 @@ def term_variables(t: RATerm) -> frozenset[str]:
 # Translation from formulas
 # ------------------------------------------------------------------
 
+class _TermVariables(dict):
+    """Each formula variable's term: the term variable of its name."""
+
+    def __missing__(self, name: str) -> RVar:
+        return RVar(name)
+
+
+# each connective's term, given the terms of its operands
+_TRANSLATION = {
+    Or: Join, And: Meet,
+    Neg: lambda a: Conv(Compl(a)),
+    Imp: lambda a, b: Compl(Comp(Conv(a), Compl(b))),
+    Fusion: lambda a, b: Comp(b, a),
+}
+
+
 def translate(f: Formula) -> RATerm:
     """Map connectives to relation operations: | to +, & to ., ~ to
     converse-complement, -> to residuation, fusion to relative product in
     the opposite order."""
-    if isinstance(f, Var):
-        return RVar(f.name)
-    if isinstance(f, Or):
-        return Join(translate(f.left), translate(f.right))
-    if isinstance(f, And):
-        return Meet(translate(f.left), translate(f.right))
-    if isinstance(f, Neg):
-        return Conv(Compl(translate(f.body)))
-    if isinstance(f, Imp):
-        return Compl(Comp(Conv(translate(f.left)), Compl(translate(f.right))))
-    if isinstance(f, Fusion):
-        return Comp(translate(f.right), translate(f.left))
-    raise TypeError(f"not a formula: {f!r}")
+    return FORMULAS.evaluate(f, _TermVariables(), _TRANSLATION)
 
 
 # ------------------------------------------------------------------
@@ -189,10 +195,6 @@ class ProperAlgebra:
         if not 2 <= self.base_size <= 6:
             raise ValueError("base size must be within 2..6")
 
-    @property
-    def kind(self) -> str:
-        return "proper"
-
     def describe(self) -> str:
         return f"proper algebra over a {self.base_size}-element base"
 
@@ -200,10 +202,6 @@ class ProperAlgebra:
 @dataclass(frozen=True)
 class ComplexAlgebra:
     structure: ModelStructure
-
-    @property
-    def kind(self) -> str:
-        return "complex"
 
     def describe(self) -> str:
         return f"complex algebra of {self.structure.name}"
@@ -243,6 +241,13 @@ def _sample_block(n: int, name: str, seed: int, trials) -> np.ndarray:
 # Evaluation
 # ------------------------------------------------------------------
 
+def _ops(one, zero, ident, conv, comp) -> dict:
+    """A carrier's operations for TERMS.evaluate, given its constants, its
+    converse and its relative product; the Boolean ones are bitwise."""
+    return {Join: operator.or_, Meet: operator.and_, Compl: lambda x: one ^ x,
+            Conv: conv, Comp: comp, Ident: ident, Zero: zero, One: one}
+
+
 class _Masks:
     """The carrier of a complex algebra: subsets of K as bitmasks."""
     axes = ()                        # one element is one mask
@@ -250,15 +255,9 @@ class _Masks:
     def __init__(self, m: ModelStructure):
         self.m = m
         self.tab = tab = tables_for(m)
-        self.ident = 1 << tab.zero_bit
-        self.zero = 0
-        self.one = tab.all_mask
-
-    def conv(self, x):
-        return self.tab.star[x]
-
-    def comp(self, x, y):
-        return self.tab.fus[y, x]    # X;Y is fusion in the opposite order
+        # X;Y is fusion in the opposite order
+        self.ops = _ops(tab.all_mask, 0, 1 << tab.zero_bit, tab.star.__getitem__,
+                        lambda x, y: tab.fus[y, x])
 
     def encode(self, value) -> int:
         return self.tab.mask_of(self.m, value)
@@ -279,15 +278,9 @@ class _Matrices:
 
     def __init__(self, n: int):
         self.n = n
-        self.ident = np.eye(n, dtype=bool)
-        self.zero = np.zeros((n, n), dtype=bool)
-        self.one = np.ones((n, n), dtype=bool)
-
-    def conv(self, x):
-        return np.swapaxes(x, -1, -2)
-
-    def comp(self, x, y):
-        return (x.astype(np.uint8) @ y.astype(np.uint8)) > 0
+        self.ops = _ops(np.ones((n, n), dtype=bool), np.zeros((n, n), dtype=bool),
+                        np.eye(n, dtype=bool), lambda x: np.swapaxes(x, -1, -2),
+                        lambda x, y: (x.astype(np.uint8) @ y.astype(np.uint8)) > 0)
 
     def encode(self, pairs) -> np.ndarray:
         mat = np.zeros((self.n, self.n), dtype=bool)
@@ -316,44 +309,20 @@ def _carrier(alg):
     return _Masks(alg.structure)
 
 
-def _eval(t: RATerm, env: dict, c):
-    """The value of `t` under a batch of assignments in carrier `c`."""
-    if isinstance(t, RVar):
-        if t.name not in env:
-            raise UnassignedVariable(t.name)
-        return env[t.name]
-    if isinstance(t, Join):
-        return _eval(t.left, env, c) | _eval(t.right, env, c)
-    if isinstance(t, Meet):
-        return _eval(t.left, env, c) & _eval(t.right, env, c)
-    if isinstance(t, Compl):
-        return c.one ^ _eval(t.body, env, c)
-    if isinstance(t, Conv):
-        return c.conv(_eval(t.body, env, c))
-    if isinstance(t, Comp):
-        return c.comp(_eval(t.left, env, c), _eval(t.right, env, c))
-    if isinstance(t, Ident):
-        return c.ident
-    if isinstance(t, Zero):
-        return c.zero
-    if isinstance(t, One):
-        return c.one
-    raise TypeError(f"not a term: {t!r}")
-
-
 def eval_term(alg, assignment: dict, t: RATerm):
     """Evaluation of one assignment, as a batch of one; returns a carrier
     element (a set of pairs for proper algebras, a subset of K for complex
     ones)."""
     c = _carrier(alg)
     env = {name: c.encode(value) for name, value in assignment.items()}
-    return c.decode(_eval(t, env, c))
+    return c.decode(TERMS.evaluate(t, env, c.ops))
 
 
-def _related(rel: str, lhs, rhs, axes: tuple) -> np.ndarray:
-    """Per assignment, whether lhs REL rhs; `axes` are those of one element."""
-    ok = np.equal(lhs if rel == "=" else lhs | rhs, rhs)
-    return ok.all(axis=axes) if axes else ok
+def _related(c, env: dict, lhs: RATerm, rel: str, rhs: RATerm) -> np.ndarray:
+    """Per assignment of a batch env in carrier c, whether lhs REL rhs."""
+    left, right = TERMS.evaluate(lhs, env, c.ops), TERMS.evaluate(rhs, env, c.ops)
+    ok = np.equal(left if rel == "=" else left | right, right)
+    return ok.all(axis=c.axes) if c.axes else ok
 
 
 # ------------------------------------------------------------------
@@ -403,9 +372,9 @@ def _holds(alg, law: Law, names: Sequence[str], trials: int,
     checked = 0
     for size, env in c.batches(names, trials, seed):
         keep = np.ones(size, dtype=bool)
-        for (l, rel, r) in law.premises:
-            keep &= _related(rel, _eval(l, env, c), _eval(r, env, c), c.axes)
-        good = _related(law.rel, _eval(law.lhs, env, c), _eval(law.rhs, env, c), c.axes)
+        for premise in law.premises:
+            keep &= _related(c, env, *premise)
+        good = _related(c, env, law.lhs, law.rel, law.rhs)
         bad = np.nonzero(keep & ~good)[0]
         checked += int(keep.sum())
         if bad.size:
@@ -423,7 +392,7 @@ def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
     if assignment is not None:
         c = _carrier(alg)
         env = {name: c.encode(value) for name, value in assignment.items()}
-        ok = bool(_related("<=", c.ident, _eval(law.rhs, env, c), c.axes))
+        ok = bool(_related(c, env, law.lhs, law.rel, law.rhs))
         return IdentityResult(ok, None if ok else dict(assignment), 1)
     return _holds(alg, law, names, trials, seed)
 
@@ -461,16 +430,16 @@ class ChainReport:
                 and all(seg[3] is None or seg[3].passed for seg in self.segments))
 
 
-def _relation(text: str, line: int | None = None,
-              start: int = 0) -> tuple[RATerm, str, RATerm]:
-    """The terms and relation of `lhs (=|<=) rhs`, a text found at start of a
-    larger input: an offset into a string, or a column of a file's line."""
-    m = re.match(r"(.*?)(<=|=)(.*)$", text)
+def _relation(text: str, end: int | None = None, line: int | None = None,
+              col: int = 0) -> tuple[RATerm, str, RATerm]:
+    """The terms and relation of `lhs (=|<=) rhs`, written as text[:end]; an
+    error is placed as `parse_at` places it."""
+    m = re.match(r"(.*?)(<=|=)(.*)$", text[:end])
     if not m:
-        raise ParseError(start, "'lhs = rhs' or 'lhs <= rhs'", text, line)
-    return (parse_at(parse_ra_term, m.group(1), line, start),
+        raise ParseError(col, "'lhs = rhs' or 'lhs <= rhs'", text[:end], line)
+    return (parse_at(parse_ra_term, text, 0, m.end(1), line, col),
             m.group(2),
-            parse_at(parse_ra_term, m.group(3), line, start + m.start(3)))
+            parse_at(parse_ra_term, text, m.start(3), m.end(3), line, col))
 
 
 def parse_chain(text: str) -> list[Law]:
@@ -483,7 +452,7 @@ def parse_chain(text: str) -> list[Law]:
         body, sep, tag = line.rpartition(" ; ")
         if not sep:
             body, tag = line, ""
-        steps.append(Law(tag.strip(), *_relation(body, n, col)))
+        steps.append(Law(tag.strip(), *_relation(line, len(body), n, col)))
     return steps
 
 

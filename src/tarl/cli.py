@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, UsageError, models.TooManyValuations, OSError,
-            UnicodeDecodeError) as e:
+            UnicodeDecodeError, registry.DataFileError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ in and outputs carry their conclusion as the goal.
 
 from __future__ import annotations
 
-from .formulas import And, Formula, Imp, Neg, Or, desugar_fusion, print_formula
+from .formulas import And, Formula, Imp, Neg, Or, desugar_fusion
 from .sequents import (
     AndR, Assertion, Axiom, Cut, ImpL, ImpR, Justification, NegL, NegR, OrL,
     Proof, Sequent, check_proof, goal_sequent, permute_indices,
@@ -54,11 +54,7 @@ def _admit(proof: Proof, what: str) -> Formula:
     report = check_proof(proof)
     if not report.valid:
         raise InvalidInput(f"{what} fails to check: {report.first_error}")
-    f = conclusion_formula(proof)
-    target = goal_sequent(f)
-    if all(seq != target for seq, _ in proof.lines):
-        raise InvalidInput(f"{what} never derives => ({print_formula(f)})[0,0]")
-    return f
+    return conclusion_formula(proof)
 
 
 class _Builder:

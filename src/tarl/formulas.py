@@ -12,11 +12,11 @@ the other binary connectives to the left.  The Unicode spellings of the
 connectives are accepted as aliases on input.  Fusion is definable:
 A o B abbreviates ~(A -> ~B), and ``desugar_fusion`` performs that rewrite.
 
-The parser and the printer are written once, in ``Grammar``: one tokenizer,
-one precedence-climbing parser and one minimal-parenthesis printer, driven
-by a table of tokens, binding levels and node classes.  ``FORMULAS`` is the
-table of this syntax; ``tarl.algebra.TERMS`` is that of relation-algebra
-terms.
+The syntax is written once, in ``Grammar``: one tokenizer, one
+precedence-climbing parser, one minimal-parenthesis printer and one
+evaluator, driven by a table of tokens, binding levels and node classes.
+``FORMULAS`` is the table of this syntax; ``tarl.algebra.TERMS`` is that of
+relation-algebra terms.
 
 Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): a constructor looks its class and children up in one
@@ -39,7 +39,8 @@ import weakref
 
 __all__ = [
     "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
-    "ParseError", "file_lines", "end_of_file", "parse_at", "Grammar",
+    "ParseError", "UnassignedVariable", "file_lines", "end_of_file",
+    "parse_at", "Grammar",
     "FORMULAS", "parse_formula", "print_formula",
     "desugar_fusion", "is_core", "variables", "shared_variables",
     "substitute",
@@ -179,6 +180,10 @@ class ParseError(ValueError):
         super().__init__(f"{where} {position}: expected {expected}{shown}")
 
 
+class UnassignedVariable(KeyError):
+    """A variable that an evaluation's environment gives no value."""
+
+
 def file_lines(text: str):
     """Each line of a file's text that holds more than a '#' comment, as
     (line number, column where its content starts, content): the line less
@@ -196,14 +201,23 @@ def end_of_file(text: str, expected: str) -> ParseError:
     return ParseError(1, expected, "end of file", len(text.splitlines()) + 1)
 
 
-def parse_at(parse, text: str, line: int | None, start: int):
-    """parse(text) for a text found at start of a larger input: an offset
-    into a string (line None) or a column of a file's line.  A ParseError
-    then says where in that input it arose."""
+_NEXT = re.compile(r"\s*(\S|$)")  # the next character that is not blank
+
+
+def parse_at(parse, source: str, start: int, end: int, line: int | None = None,
+             col: int = 0):
+    """parse(source[start:end]).  A ParseError then says where in source it
+    arose: at an offset into it (line None), or at a column of line when
+    source starts at column col.  An error at the end of the part names
+    the character of source that follows it, if there is one."""
     try:
-        return parse(text)
+        return parse(source[start:end])
     except ParseError as e:
-        raise ParseError(start + e.position, e.expected, e.found, line) from None
+        at, found = start + e.position, e.found
+        after = _NEXT.match(source, end)
+        if found == "end of input" and after.group(1):
+            at, found = after.start(1), after.group(1)
+        raise ParseError(col + at, e.expected, found, line) from None
 
 
 # ------------------------------------------------------------------
@@ -212,7 +226,8 @@ def parse_at(parse, text: str, line: int | None, start: int):
 
 class Grammar:
     """The surface syntax of one kind of tree, as tables read by one
-    tokenizer, one precedence-climbing parser and one printer.
+    tokenizer, one precedence-climbing parser, one printer and one
+    evaluator.
 
     `symbols` is the regular expression of the tokens other than names
     (lower-case identifiers).  `binary` maps a token to (level, class,
@@ -223,7 +238,9 @@ class Grammar:
     parentheses group.  A name that is no operator or constant is a
     `variable`.  `bad_token` and `bad_operand` say what was expected where a
     character starts no token and where an operand is missing; `aliases`
-    map other spellings of a token to it."""
+    map other spellings of a token to it.  Binary nodes hold their operands
+    as `left` and `right`, one-operand nodes as `body`, variables their
+    `name`."""
 
     def __init__(self, *, symbols: str, binary: dict, right: type | None,
                  prefix: dict, postfix: dict, constants: dict, variable: type,
@@ -241,17 +258,24 @@ class Grammar:
         self.spelling = {**{cls: tok for tok, (_, cls, _) in binary.items()},
                          **{cls: tok for tok, cls in (*prefix.items(), *postfix.items())},
                          **{type(node): tok for tok, node in constants.items()}}
-        # for printing: each class's binding level (one-operand nodes bind at
-        # unary, leaves at atom), and each operator's text around and between
-        # its operands with the least level each operand keeps unwrapped
-        unary = max(level for level, _, _ in binary.values()) + 1
-        self.atom = unary + 1
+        # for printing: each class's binding level (prefix nodes bind above
+        # every binary one, postfix nodes above them, leaves at atom), and
+        # each operator's text around and between its operands with the
+        # least level each operand keeps unwrapped
+        prefixed = max(level for level, _, _ in binary.values()) + 1
+        postfixed = prefixed + 1
+        self.atom = postfixed + 1
         self.level = {cls: level for level, cls, _ in binary.values()}
-        self.level.update((cls, unary) for cls in (*prefix.values(), *postfix.values()))
+        self.level.update((cls, prefixed) for cls in prefix.values())
+        self.level.update((cls, postfixed) for cls in postfix.values())
         self.infix = {cls: (shown, level + (cls is right), level + (cls is not right))
                       for level, cls, shown in binary.values()}
-        self.affix = {**{cls: (tok, unary, "") for tok, cls in prefix.items()},
-                      **{cls: ("", self.atom, tok) for tok, cls in postfix.items()}}
+        self.affix = {**{cls: (tok, prefixed, "") for tok, cls in prefix.items()},
+                      **{cls: ("", postfixed, tok) for tok, cls in postfix.items()}}
+        # for evaluating: the number of operands of each class but variables
+        self.arity = {**{type(node): 0 for node in constants.values()},
+                      **{cls: 1 for cls in (*prefix.values(), *postfix.values())},
+                      **{cls: 2 for _, cls, _ in binary.values()}}
 
     def name(self, name) -> str:
         """name, if it can be a variable's: a name that is no token."""
@@ -289,6 +313,28 @@ class Grammar:
         if cls is self.variable:
             return self.name(node.name)
         return self.spelling[cls]
+
+    def evaluate(self, node, env, ops):
+        """The value of node: a variable's is env[its name], a constant's is
+        ops[its class], and an operator's is ops[its class] applied to the
+        values of its operands (operations on masks or matrices, say, or
+        another grammar's constructors).  A name env lacks raises
+        UnassignedVariable, and a value that is no node TypeError."""
+        cls = type(node)
+        if cls is self.variable:
+            try:
+                return env[node.name]
+            except KeyError:
+                raise UnassignedVariable(node.name) from None
+        arity = self.arity.get(cls)
+        if arity == 2:
+            return ops[cls](self.evaluate(node.left, env, ops),
+                            self.evaluate(node.right, env, ops))
+        if arity == 1:
+            return ops[cls](self.evaluate(node.body, env, ops))
+        if arity == 0:
+            return ops[cls]
+        raise TypeError(f"not a node of this grammar: {node!r}")
 
     def _wrap(self, node, strength: int, operand) -> str:
         text = operand(node)

@@ -9,10 +9,12 @@ and a distinguished element 0.  Subsets of K form an algebra under
     ~X     = K minus X*
 
 with variables mapped to subsets subject to heredity (truth propagates
-along R0-successors).  Subsets are bitmasks, each operation is one int64
-lookup table, and one recursion evaluates a formula over an array of
-valuations: the whole grid for `valid_in`, chunks of the singleton grid
-for `find_invalidating_singletons`, a batch of one for `interpret`.  The
+along R0-successors).  Subsets are bitmasks and each operation is one
+int64 lookup table.  The evaluator of the formula grammar,
+`FORMULAS.evaluate`, runs a formula over an array of valuations with these
+lookups as its operations: the whole grid for `valid_in`, chunks of the
+singleton grid for `find_invalidating_singletons`, a batch of one for
+`interpret`.  The
 structure postulates (p1..p6 and friends) are audited, never assumed, so
 deliberately defective structures can be represented and inspected.  The
 audit works on a batch of relations at once, held as a (B, n, n, n) boolean
@@ -24,14 +26,15 @@ one indexed comparison, so `check_postulates` is a batch of one and
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .formulas import (
-    And, Formula, Fusion, Imp, Neg, Or, ParseError, Var, end_of_file,
-    file_lines, variables,
+    FORMULAS, And, Formula, Fusion, Imp, Neg, Or, ParseError,
+    UnassignedVariable, end_of_file, file_lines, variables,
 )
 
 __all__ = [
@@ -55,10 +58,6 @@ _GRID_CHUNK = 1 << 16
 
 POSTULATE_NAMES = ("p1", "p2", "p3", "p4", "p5", "p6",
                    "comm", "p3prime", "p5prime", "normal", "crstar", "peirce")
-
-
-class UnassignedVariable(KeyError):
-    pass
 
 
 class TooManyValuations(ValueError):
@@ -157,6 +156,10 @@ class _Tables:
         # X is hereditary iff {0} o X is within X
         closed = self.fus[1 << self.zero_bit] & ~masks == 0
         self.hereditary = tuple(np.flatnonzero(closed).tolist())
+        # the connectives for FORMULAS.evaluate, on masks or arrays of masks
+        fus, imp = self.fus, self.imp
+        self.ops = {Neg: self.neg.__getitem__, And: operator.and_, Or: operator.or_,
+                    Imp: lambda x, y: imp[x, y], Fusion: lambda x, y: fus[x, y]}
 
     def mask_of(self, m: ModelStructure, subset) -> int:
         acc = 0
@@ -229,31 +232,11 @@ def hereditary_subsets(m: ModelStructure) -> list[int]:
     return list(tables_for(m).hereditary)
 
 
-def _interpret_vec(f: Formula, env: dict, t: _Tables):
-    """J(f) as masks, one per valuation: each variable maps to an array of
-    masks (or one mask, a batch of one), and every operation is a lookup."""
-    if isinstance(f, Var):
-        if f.name not in env:
-            raise UnassignedVariable(f.name)
-        return env[f.name]
-    if isinstance(f, Neg):
-        return t.neg[_interpret_vec(f.body, env, t)]
-    if isinstance(f, And):
-        return _interpret_vec(f.left, env, t) & _interpret_vec(f.right, env, t)
-    if isinstance(f, Or):
-        return _interpret_vec(f.left, env, t) | _interpret_vec(f.right, env, t)
-    if isinstance(f, Imp):
-        return t.imp[_interpret_vec(f.left, env, t), _interpret_vec(f.right, env, t)]
-    if isinstance(f, Fusion):
-        return t.fus[_interpret_vec(f.left, env, t), _interpret_vec(f.right, env, t)]
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def interpret(m: ModelStructure, v: Valuation, f: Formula) -> frozenset[str]:
     """J(f): the set of elements where f holds; fusion is interpreted directly."""
     t = tables_for(m)
     env = {name: t.mask_of(m, val) for name, val in v.assignment.items()}
-    return t.subset_of(m, int(_interpret_vec(f, env, t)))
+    return t.subset_of(m, int(FORMULAS.evaluate(f, env, t.ops)))
 
 
 def verified(m: ModelStructure, v: Valuation, f: Formula) -> bool:
@@ -307,7 +290,7 @@ def valid_in(m: ModelStructure, f: Formula) -> ValidityResult:
     allowed = t.hereditary
     rows = _grid_rows(len(allowed), names)
     env = _valuation_grid(names, len(allowed), rows, allowed)
-    value = _interpret_vec(f, env, t)
+    value = FORMULAS.evaluate(f, env, t.ops)
     failing = np.nonzero((value >> t.zero_bit & 1) == 0)[0]
     if failing.size == 0:
         return ValidityResult(True, valuations=len(rows))
@@ -326,7 +309,7 @@ def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuatio
     for lo in range(0, total, _GRID_CHUNK):
         rows = np.arange(lo, min(lo + _GRID_CHUNK, total))
         env = _valuation_grid(names, len(singles), rows, singles)
-        empty = np.nonzero(_interpret_vec(f, env, t) == 0)[0]
+        empty = np.nonzero(FORMULAS.evaluate(f, env, t.ops) == 0)[0]
         out.extend(_valuation(m, t, env, int(row)) for row in empty)
     return out
 

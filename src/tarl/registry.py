@@ -6,6 +6,8 @@ triples R x y z, which the loader cross-checks; the file's `model` line must
 name the structure.  Proof scripts live under data/corpus, one file per
 lemma, and are cross-checked against the expected objects column.  The
 TARL_DATA environment variable overrides the data directory for both.
+Both kinds of file are read by one loader, once per path, and an error in
+one raises DataFileError naming the file.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .sequents import Proof, parse_proof_script
 
 __all__ = [
     "NamedFormula", "CorpusEntry", "UnknownStructure", "UnknownName",
+    "DataFileError",
     "get_structure", "structure_names", "get_formula", "formula_names",
     "get_corpus_entry", "list_corpus", "corpus_ids", "data_dir",
 ]
@@ -31,6 +34,10 @@ class UnknownStructure(KeyError):
 
 class UnknownName(KeyError):
     pass
+
+
+class DataFileError(ValueError):
+    """A data file that does not read: its path, then what is wrong."""
 
 
 @dataclass(frozen=True)
@@ -54,29 +61,44 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+# keyed on the path, which holds the data directory, so that a change of
+# TARL_DATA reloads; each path then yields one object, which keeps a
+# structure's tables cached on it
+_LOADED: dict[Path, object] = {}
+
+
+def _load(path: Path, parse, kind: str, name: str):
+    """What parse makes of the text of the data file at path, read once.
+    parse returns the name the file declares, which must be name, and the
+    object.  A ValueError on the way is a DataFileError naming the file."""
+    if path not in _LOADED:
+        try:
+            declared, value = parse(path.read_text())
+            if declared != name:
+                raise ValueError(f"declares {kind} {declared!r}, not {name!r}")
+        except ValueError as e:
+            raise DataFileError(f"{path}: {e}") from None
+        _LOADED[path] = value
+    return _LOADED[path]
+
+
 # ------------------------------------------------------------------
 # Structures: one model file each under data/models
 # ------------------------------------------------------------------
 
 STRUCTURE_NAMES = ("K1", "K2", "K3", "K4", "K5")
 
-# keyed on the data directory too, so that a change of TARL_DATA reloads;
-# each name then yields one object, which keeps the tables cached on it
-_STRUCTURE_CACHE: dict[tuple[Path, str], ModelStructure] = {}
+
+def _named_model(text: str) -> tuple[str, ModelStructure]:
+    m = load_model_file(text)
+    return m.name, m
 
 
 def get_structure(name: str) -> ModelStructure:
     key = name.upper()
     if key not in STRUCTURE_NAMES:
         raise UnknownStructure(name)
-    cache_key = (data_dir(), key)
-    if cache_key not in _STRUCTURE_CACHE:
-        path = cache_key[0] / "models" / f"{key}.model"
-        m = load_model_file(path.read_text())
-        if m.name != key:
-            raise ValueError(f"{path} declares model {m.name!r}")
-        _STRUCTURE_CACHE[cache_key] = m
-    return _STRUCTURE_CACHE[cache_key]
+    return _load(data_dir() / "models" / f"{key}.model", _named_model, "model", key)
 
 
 def structure_names() -> list[str]:
@@ -159,10 +181,6 @@ for _id in ["A4", "A7", "t11", "T6", "T8", "t7", "t9", "t13", "t14",
 for _id in ["prefixingA", "t10", "T19", "tq", "assocfusion"]:
     _CORPUS_OBJECTS[_id] = frozenset({0, 1, 2, 3})
 
-# keyed on the data directory too, so that a change of TARL_DATA reloads
-_CORPUS_CACHE: dict[tuple[Path, str], CorpusEntry] = {}
-
-
 def corpus_ids() -> list[str]:
     return list(_CORPUS_OBJECTS)
 
@@ -170,14 +188,9 @@ def corpus_ids() -> list[str]:
 def get_corpus_entry(lemma_id: str) -> CorpusEntry:
     if lemma_id not in _CORPUS_OBJECTS:
         raise UnknownName(lemma_id)
-    key = (data_dir(), lemma_id)
-    if key not in _CORPUS_CACHE:
-        path = key[0] / "corpus" / f"{lemma_id}.prf"
-        name, proof = parse_proof_script(path.read_text())
-        if name != lemma_id:
-            raise ValueError(f"{path} declares lemma {name!r}")
-        _CORPUS_CACHE[key] = CorpusEntry(lemma_id, proof, _CORPUS_OBJECTS[lemma_id])
-    return _CORPUS_CACHE[key]
+    proof = _load(data_dir() / "corpus" / f"{lemma_id}.prf", parse_proof_script,
+                  "lemma", lemma_id)
+    return CorpusEntry(lemma_id, proof, _CORPUS_OBJECTS[lemma_id])
 
 
 def list_corpus() -> list[CorpusEntry]:

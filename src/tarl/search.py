@@ -95,25 +95,6 @@ class SearchOutcome:
         return {name: getattr(self, name) for name in _COUNTERS}
 
 
-class _Budget:
-    """One search's limits and the count of each kind of node."""
-
-    def __init__(self, budget: SearchBudget):
-        self.max_nodes = budget.max_nodes
-        self.max_index = budget.max_index
-        self.nodes = self.axioms = self.cutoffs = 0
-        self.loop_prunes = self.cache_prunes = self.expansions = 0
-        self.canonical_forms = 0
-
-    def tick(self) -> bool:
-        self.nodes += 1
-        return self.nodes <= self.max_nodes
-
-    def outcome(self, status: str, **found) -> SearchOutcome:
-        return SearchOutcome(status, **{name: getattr(self, name) for name in _COUNTERS},
-                             **found)
-
-
 _AXIOM = RULE_NAMED["axiom"]
 
 
@@ -225,35 +206,37 @@ def _steps(seq: Sequent, max_index: int, table: _Table):
 
 
 def _prove(seq: Sequent, parent: Sequent | None, depth: int, seen: frozenset,
-           budget: _Budget, table: _Table, fail_cache: dict) -> tuple | None:
+           budget: SearchBudget, out: SearchOutcome, table: _Table,
+           fail_cache: dict) -> tuple | None:
     """A proof tree of seq, a premise of parent, each node (sequent, rule,
-    k, children), or None."""
-    if not budget.tick():
+    k, children), or None; each node visited is counted on out."""
+    out.nodes += 1
+    if out.nodes > budget.max_nodes:
         raise _OutOfNodes()
     if seq.is_axiom():
-        budget.axioms += 1
+        out.axioms += 1
         return seq, _AXIOM, None, ()
     if depth <= 0:
-        budget.cutoffs += 1
+        out.cutoffs += 1
         return None
     if seq == parent:  # parent's key is in seen
-        budget.loop_prunes += 1
+        out.loop_prunes += 1
         return None
     key = table.canonical(seq)
-    budget.canonical_forms += 1
+    out.canonical_forms += 1
     if key in seen:
-        budget.loop_prunes += 1
+        out.loop_prunes += 1
         return None
     if fail_cache.get(key, -1) >= depth:
-        budget.cache_prunes += 1
+        out.cache_prunes += 1
         return None
-    budget.expansions += 1
+    out.expansions += 1
     seen = seen | {key}
 
     for rule, k, premises in _steps(seq, budget.max_index, table):
         children = []
         for sub in premises:
-            child = _prove(sub, seq, depth - 1, seen, budget, table, fail_cache)
+            child = _prove(sub, seq, depth - 1, seen, budget, out, table, fail_cache)
             if child is None:
                 children = None
                 break
@@ -288,18 +271,21 @@ def _search(goal: Formula, budget: SearchBudget, fail_cache: dict) -> SearchOutc
     """search_proof, with the failure cache passed in."""
     table = _Table()
     root_seq = Sequent(frozenset(), table.single(desugar_fusion(goal), 0, 0))
-    tracker = _Budget(budget)
+    out = SearchOutcome("budget_exhausted")
     try:
-        tree = _prove(root_seq, None, budget.max_depth, frozenset(), tracker, table,
+        tree = _prove(root_seq, None, budget.max_depth, frozenset(), budget, out, table,
                       fail_cache)
     except _OutOfNodes:
-        return tracker.outcome("budget_exhausted")
+        return out
     if tree is None:
-        return tracker.outcome("budget_exhausted" if tracker.cutoffs else "not_found")
+        if not out.cutoffs:
+            out.status = "not_found"
+        return out
     lines: list = []
     _linearize(tree, lines, {})
     proof = Proof(lines=lines, bound=budget.max_index, goal=goal)
     report = check_proof(proof)
     if not report.valid:  # pragma: no cover - soundness guard
         raise AssertionError(f"search produced a bad proof: {report.first_error}")
-    return tracker.outcome("proved", proof=proof, objects=report.objects_used)
+    out.status, out.proof, out.objects = "proved", proof, report.objects_used
+    return out

@@ -464,7 +464,7 @@ def _side(content: str, pos: int, end: int, n: int, col: int) -> list[Assertion]
         m = _ASSERTION.match(content, pos, end)
         if m is None:  # no '(', or no ')' before the next '['
             raise _error(content, pos, "an assertion '(<formula>)[i,j]'", n, col)
-        f = parse_at(parse_formula, m.group(1), n, col + m.start(1))
+        f = parse_at(parse_formula, content, m.start(1), m.end(1), n, col)
         if m.group(2) is None:
             raise _error(content, m.end(), "'[i,j]' after the formula", n, col)
         out.append(Assertion(desugar_fusion(f), int(m.group(2)), int(m.group(3))))
@@ -523,7 +523,7 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
             raise ParseError(col, "'lemma <name> [: <formula>] [bound <n>]'", line=n)
         name = m.group(1)
         if m.group(2):
-            goal = parse_at(parse_formula, m.group(2), n, col + m.start(2))
+            goal = parse_at(parse_formula, content, m.start(2), m.end(2), n, col)
         if m.group(3):
             bound = int(m.group(3))
             if not 1 <= bound <= MAX_BOUND:

@@ -12,11 +12,11 @@ import pytest
 from tarl import algebra, models
 from tarl.algebra import (
     IDENT, ONE, ZERO, Comp, Compl, ComplexAlgebra, Conv, DERIVED_LAWS, Ident,
-    Join, Law, Meet, One, ProperAlgebra, RVar, TARSKI_AXIOMS, Zero,
+    Join, Law, Meet, One, ProperAlgebra, RVar, TARSKI_AXIOMS, TERMS, Zero,
     check_chain, eval_term, get_law, holds_law, parse_chain, parse_ra_term,
     print_ra_term, sample_relations, translate, verified_in_algebra,
 )
-from tarl.formulas import desugar_fusion, parse_formula
+from tarl.formulas import Var, desugar_fusion, parse_formula
 from tarl.gen import random_formula
 from tarl.models import TooManyValuations, Valuation, interpret, op_fusion, op_star
 from tarl.registry import data_dir, get_formula, get_structure, list_corpus
@@ -377,9 +377,39 @@ def test_soundness_bridge_sample():
 
 
 def test_one_unassigned_variable_error():
-    from tarl import algebra, models
+    from tarl import formulas
 
-    assert algebra.UnassignedVariable is models.UnassignedVariable
+    error = formulas.UnassignedVariable
+    assert algebra.UnassignedVariable is models.UnassignedVariable is error
+    k3 = get_structure("K3")
+    with pytest.raises(error, match="q"):
+        interpret(k3, Valuation({"p": frozenset({"0"})}), parse_formula("p -> q"))
+    for alg in (ProperAlgebra(2), CK["K3"]):
+        env = {"x": eval_term(alg, {}, ONE)}
+        with pytest.raises(error, match="y"):
+            eval_term(alg, env, parse_ra_term("x;y"))
+
+
+def test_a_value_that_is_no_node_is_a_type_error():
+    k3 = get_structure("K3")
+    for bad in ("p", None, RVar("p"), Compl(RVar("p"))):
+        with pytest.raises(TypeError):
+            interpret(k3, Valuation({"p": frozenset()}), bad)
+        with pytest.raises(TypeError):
+            translate(bad)
+    for bad in ("x", None, Var("x"), Conv(Var("x"))):
+        for alg in (ProperAlgebra(2), CK["K3"]):
+            with pytest.raises(TypeError):
+                eval_term(alg, {"x": frozenset()}, bad)
+
+
+def test_a_converse_of_a_converse_needs_no_parentheses():
+    for text, shown in [("(x^)^", "x^^"), ("((x;y)^)^", "(x;y)^^"), ("(-x)^", "(-x)^"),
+                        ("-(x^)", "-x^"), ("((-x)^)^", "(-x)^^"), ("-((-x)^)^", "-(-x)^^"),
+                        ("(x + y^^)^", "(x + y^^)^")]:
+        t = parse_ra_term(text)
+        assert print_ra_term(t) == shown
+        assert parse_ra_term(shown) == t
 
 
 # ------------------------------------------------------------------
@@ -489,7 +519,7 @@ def test_proper_terms_agree_with_set_oracle(base):
         want = [proper_oracle(t, env, base) for env in envs]
         assert [eval_term(alg, env, t) for env in envs] == want
         batch = {name: np.array([carrier.encode(env[name]) for env in envs]) for name in names}
-        got = np.broadcast_to(algebra._eval(t, batch, carrier), (len(envs), base, base))
+        got = np.broadcast_to(TERMS.evaluate(t, batch, carrier.ops), (len(envs), base, base))
         assert [carrier.decode(value) for value in got] == want
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -234,12 +235,12 @@ def test_data_dir_override(tmp_path, monkeypatch, capsys):
     (corpus / "t6.prf").write_text((data_dir() / "corpus" / "t6.prf").read_text())
     monkeypatch.setenv("TARL_DATA", str(tmp_path))
     import tarl.registry as registry
-    registry._CORPUS_CACHE.clear()
+    registry._LOADED.clear()
     try:
         code, out, _ = run(capsys, "corpus", "--filter", "t6")
         assert code == 0
     finally:
-        registry._CORPUS_CACHE.clear()
+        registry._LOADED.clear()
 
 
 @pytest.mark.parametrize("model_file", [None, "K3"])
@@ -255,6 +256,35 @@ def test_builtin_structure_missing_from_data_dir(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# (data file, its text before and after an edit, a command that reads it):
+# files that declare another name, and malformed ones
+DATA_FILE_FAULTS = [
+    ("corpus/A2.prf", ("lemma A2 ", "lemma A2x "), ("corpus",)),
+    ("corpus/t6.prf", ("(a)[0,0] ;", "(a)[0 0] ;"), ("corpus", "--filter", "t6")),
+    ("models/K4.model", ("model K4", "model K9"), ("valid", "K4", "contra")),
+    ("models/K4.model", ("a*:a", "a*:a a:a"), ("valid", "K4", "contra")),
+    ("models/K4.model", ("a*:a", "a*:a a:a"), ("sharing", "p", "q")),
+    ("models/K3.model", ("elements 0 a b b*", "elements 0 a b"),
+     ("grouprep", "--partition", "1")),
+]
+
+
+@pytest.mark.parametrize("name, edit, argv", DATA_FILE_FAULTS)
+def test_a_bad_data_file_is_named_in_one_error_line(tmp_path, monkeypatch, capsys,
+                                                    name, edit, argv):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    path = copy / name
+    text = path.read_text()
+    assert edit[0] in text
+    path.write_text(text.replace(*edit))
+    monkeypatch.setenv("TARL_DATA", str(copy))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
 
 
 CHAIN = str(data_dir() / "chains" / "ra4.chain")

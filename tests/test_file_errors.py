@@ -28,6 +28,7 @@ CASES = [
     (parse_proof_script, "lemma\n", 1, 1, ""),
     (parse_proof_script, "lemma x bound 9\n", 1, 15, "9"),
     (parse_proof_script, "lemma x : p &\n", 1, 14, "end of input"),
+    (parse_proof_script, "lemma x : p & bound 3\n", 1, 15, "b"),
     (parse_proof_script, AXIOM, 2, 1, "end of file"),
     (parse_proof_script, script("x. (p)[0,0] => (p)[0,0] ; axiom"), 2, 1, ""),
     (parse_proof_script, script("2. (p)[0,0] => (p)[0,0] ; axiom"), 2, 1, "2"),
@@ -38,10 +39,11 @@ CASES = [
     (parse_proof_script, script("1. (p)[0] => (p)[0,0] ; axiom"), 2, 7, "["),
     (parse_proof_script, script("1. (p)[0,0] => (p) ; axiom"), 2, 20, ";"),
     (parse_proof_script, script("1. (p)[0,0] => (p)[0,0] x ; axiom"), 2, 25, "x"),
-    (parse_proof_script, script("1. (a &)[1,0] => (p)[0,0] ; axiom"), 2, 8, "end of input"),
+    (parse_proof_script, script("1. (a &)[1,0] => (p)[0,0] ; axiom"), 2, 8, ")"),
+    (parse_proof_script, script("1. (a & )[1,0] => (p)[0,0] ; axiom"), 2, 9, ")"),
     (parse_proof_script, script("1. (p ∨∨ q)[0,0] => (p)[0,0] ; axiom"), 2, 8, "∨"),
     (parse_proof_script, script("  1. (p)[0,0] => (q ->)[0,0] ; axiom  # note"), 2, 23,
-     "end of input"),
+     ")"),
     (parse_proof_script, script("1. (p)[0,0] => (p)[0,0] ; foo 1"), 2, 27, "foo"),
     (parse_proof_script, script("1. (p)[0,0] => (p)[0,0] ;"), 2, 26, "end of line"),
     (parse_proof_script, script("1. (p)[0,0] => (p)[0,0] ; weaken x"), 2, 34, "x"),
@@ -66,7 +68,10 @@ CASES = [
     # chain files
     (parse_chain, "x;y ; tag\n", 1, 1, "x;y"),
     (parse_chain, "# a comment\nx;; = y ; tag\n", 2, 3, ";"),
-    (parse_chain, "x = y\n\n   x;y = (y;x ; t  # note\n", 3, 14, "end of input"),
+    (parse_chain, "x = y\n\n   x;y = (y;x ; t  # note\n", 3, 15, ";"),
+    (parse_chain, "x + = y ; t\n", 1, 5, "="),
+    (parse_chain, "x <= y + ; t\n", 1, 10, ";"),
+    (parse_chain, "x = y +\n", 1, 8, "end of input"),
 ]
 
 

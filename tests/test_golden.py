@@ -19,8 +19,8 @@ import random
 from pathlib import Path
 
 from tarl.algebra import (
-    IDENT, ONE, ZERO, Comp, Compl, Conv, Join, Meet, RVar, get_law, law_names,
-    parse_ra_term, print_ra_term, translate,
+    IDENT, ONE, TERMS, ZERO, Comp, Compl, Conv, Join, Meet, RVar, get_law,
+    law_names, parse_ra_term, print_ra_term, translate,
 )
 from tarl.derived import apply_derived_rule
 from tarl.formulas import Neg, ParseError, Var, parse_formula, print_formula, variables
@@ -115,6 +115,16 @@ def _random_term(rng, size):
                                           _random_term(rng, size - 1 - left))
 
 
+def _as_drawn(t):
+    """t printed as when the fuzzed inputs were recorded, when a converse of
+    a converse kept its parentheses, `(x^)^`: the inputs are drawn from this
+    text, so they stay those recorded."""
+    def operand(child):
+        text = _as_drawn(child)
+        return f"({text})" if isinstance(t, Conv) and isinstance(child, Conv) else text
+    return TERMS.show(t, operand)
+
+
 def _fuzzed(rng, printed, pieces):
     """A printed form after up to two edits, each inserting a piece or
     deleting one or two characters, or else a text of random pieces."""
@@ -146,7 +156,7 @@ def terms() -> str:
         out.append(_parsed("F", _fuzzed(rng, printed, _FORMULA_PIECES),
                            parse_formula, print_formula))
     for _ in range(1000):
-        printed = print_ra_term(_random_term(rng, rng.randint(1, 7)))
+        printed = _as_drawn(_random_term(rng, rng.randint(1, 7)))
         out.append(_parsed("R", _fuzzed(rng, printed, _TERM_PIECES),
                            parse_ra_term, print_ra_term))
     goals = [(entry.lemma_id, entry.proof.goal) for entry in list_corpus()]

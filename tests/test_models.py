@@ -8,7 +8,7 @@ import pytest
 
 from tarl import models
 from tarl.formulas import (
-    And, Fusion, Imp, Neg, Or, ParseError, Var, parse_formula, variables,
+    FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var, parse_formula, variables,
 )
 from tarl.gen import random_formula
 from tarl.groups import PARTITIONS, build_atom_structure
@@ -442,7 +442,7 @@ def test_formulas_agree_with_set_oracle():
             want = [formula_oracle(m, env, f) for env in envs]
             assert [interpret(m, Valuation(env), f) for env in envs] == want
             batch = {v: np.array([t.mask_of(m, env[v]) for env in envs]) for v in ("p", "q")}
-            got = models._interpret_vec(f, batch, t)
+            got = FORMULAS.evaluate(f, batch, t.ops)
             assert [t.subset_of(m, int(mask)) for mask in got] == want
 
 
