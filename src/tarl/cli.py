@@ -122,7 +122,7 @@ def cmd_prove(args) -> int:
     budget = _checked(search.SearchBudget, max_depth=args.depth,
                       max_index=args.max_index, max_nodes=args.nodes)
     outcome = search.search_proof(goal, budget)
-    payload = {"status": outcome.status, **outcome.counters()}
+    payload = {"status": outcome.status, "bound": outcome.bound, **outcome.counters()}
     if outcome.proved:
         script = format_proof_script("found", outcome.proof)
         _emit(args, {**payload, "lines": len(outcome.proof.lines), "script": script,
@@ -352,9 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("prove", cmd_prove, help="bounded backward proof search")
     p.add_argument("formula")
-    p.add_argument("--max-index", type=int, default=4)
-    p.add_argument("--depth", type=int, default=16)
-    p.add_argument("--nodes", type=int, default=20000)
+    p.add_argument("--max-index", type=int, default=4,
+                   help="largest index bound (objects) searched, 1..8 (default 4)")
+    p.add_argument("--depth", type=int, default=16,
+                   help="largest depth of a branch of the search (default 16)")
+    p.add_argument("--nodes", type=int, default=20000,
+                   help="nodes visited over all index bounds (default 20000)")
 
     p = add("valid", cmd_valid, help="exhaustive validity in a structure")
     p.add_argument("model")

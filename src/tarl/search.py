@@ -7,8 +7,31 @@ goal with the principal removed (kept, for impL) and the actives added.
 Invertible rows are applied eagerly, without backtracking: first those
 whose principal is on the left (andL, negL), then on the right (orR, negR),
 then impR with the least unused index.  Otherwise the branching rows are
-explored depth-first in table order: orL, andR, then impL over every index
-k.  Cut is never applied.  Every returned proof re-checks.
+explored depth-first: orL, andR, then impL over every index k.  Cut is
+never applied.  Every returned proof re-checks.
+
+Index deepening.  The objects (indices) a proof uses are the logic's own
+measure of its cost, so the search runs passes at bound 1, 2, ... up to
+``max_index``, under one node budget shared by all passes; a proof found at
+bound b uses at most b objects.  Deepening stops after a pass that reached
+no impL and no impR short of an unused index: a larger bound adds no step,
+so the next pass would repeat this one.
+
+Weakening.  When impR has no unused index below the bound, a pass below
+``max_index`` also tries, after the branching steps, weakening away every
+assertion that holds one used index x (some impR principal does not hold
+x), which frees x for impR.  ``weaken`` is a rule, so the proof records the
+step.  This finds proofs with fewer objects than the next pass would use;
+T11's needs it.  The last pass does not weaken: no smaller proof is left to
+prefer, and weakened branches end in depth cutoffs, which would turn a
+``not_found`` verdict into ``budget_exhausted``.
+
+Step triage.  The branching steps are read from their actives before any
+premise is built.  A step is dropped when one of its premises would equal
+its conclusion (an impL whose active is already on its side): that premise
+could only be a loop prune.  The steps with a premise that closes at once
+(an active added on one side is already on the other) are tried first, the
+rest in table order.
 
 A sequent's canonical form is a key that two sequents share exactly when a
 renaming of indices maps one onto the other; it detects loops (a key
@@ -20,24 +43,22 @@ indices by signature, so only indices with equal signatures are permuted
 (individualisation by invariants, as in McKay and Piperno, "Practical
 graph isomorphism, II", 2014).  Keys and signatures are made of ints:
 the key is the sorted tuple of one int per assertion (see ``_Table``).
-
-An impL premise whose actives are already in the context equals its
-conclusion.  Such a sequent is a loop prune without a key: its key is
-its parent's, which is on the branch.  On the benchmark's prove workload
-about three in five of the sequents that reach the loop test are of this
-kind, so a key is computed for two in five.
+Keys do not encode the bound, so each pass has a fresh failure cache.
 
 Formulas are hash-consed (``formulas``), so the codes use each formula's
-``uid`` and steps are ordered by its cached text.  Each search owns a
-table (``_Table``) in which every assertion is made once, so sequent set
-operations reuse stored hashes.  The outcome counts how each node ended
-and how many keys were computed.
+``uid``.  Each search owns a table (``_Table``) in which every assertion is
+made once, so sequent set operations reuse stored hashes.  The table sorts
+the principals of each side once, by their formula's cached text, and
+memoises canonical forms, since sequents recur across passes; it is dropped
+with the search.  The outcome sums over all passes how each node ended and
+how many keys were taken.
 """
 
 from __future__ import annotations
 
 from itertools import chain, groupby, permutations, product, starmap
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .formulas import Formula, desugar_fusion
 from .sequents import RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof
@@ -64,14 +85,15 @@ _COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
 
 @dataclass
 class SearchOutcome:
-    """The verdict and the work done.  Every node visited ends as exactly
-    one of an axiom leaf, a depth cutoff, a loop prune (its canonical form
-    is on the current branch), a cache prune (it failed before with at
-    least this depth left) or an expansion, except the one that runs out
-    of nodes: nodes is their sum, plus 1 when the node budget ran out.
-    canonical_forms, the number of keys computed, is not part of that sum.
-    A found proof comes with the objects (indices) it uses; its level is
-    their number."""
+    """The verdict and the work done, summed over the passes.  Every node
+    visited ends as exactly one of an axiom leaf, a depth cutoff, a loop
+    prune (its canonical form is on the current branch), a cache prune (it
+    failed before in its pass with at least this depth left) or an
+    expansion, except the one that runs out of nodes: nodes is their sum,
+    plus 1 when the node budget ran out.  canonical_forms, the number of
+    keys taken at the key test, is not part of that sum.  bound is the
+    index bound of the last pass.  A found proof comes with the objects
+    (indices) it uses; its level is their number."""
     status: str  # "proved" | "not_found" | "budget_exhausted"
     proof: Proof | None = None
     nodes: int = 0
@@ -82,6 +104,7 @@ class SearchOutcome:
     expansions: int = 0
     canonical_forms: int = 0
     objects: frozenset[int] | None = None
+    bound: int = 0
 
     @property
     def proved(self) -> bool:
@@ -96,25 +119,42 @@ class SearchOutcome:
 
 
 _AXIOM = RULE_NAMED["axiom"]
+_WEAKEN = RULE_NAMED["weaken"]
+_IMPR = RULE_NAMED["impR"]
+_CONNECTIVES = tuple({rule.conn for rule in RULES if rule.conn})
 
 
 class _Table:
-    """One search's one-element assertion sets and canonical forms.
+    """One search's assertions, the order of each side's principals and
+    the canonical forms.
 
     Each assertion is made once, as a one-element set; sequents are unions
     and differences of these sets, which reuse the stored hashes, so an
-    assertion is hashed once per search and not once per node."""
+    assertion is hashed once per search and not once per node.  A side's
+    principals are sorted once, the first time a node has that side."""
 
     def __init__(self):
-        self._singles: dict[tuple[Formula, int, int], frozenset[Assertion]] = {}
+        self._singles: dict[int, frozenset[Assertion]] = {}
+        self._ordered: dict[frozenset[Assertion], list[Assertion]] = {}
+        self._canonical: dict[Sequent, tuple[int, ...]] = {}
 
     def single(self, f: Formula, i: int, j: int) -> frozenset[Assertion]:
-        """{(f)[i,j]}."""
-        key = (f, i, j)
+        """{(f)[i,j]}; i and j are below 8, as max_index is at most 8."""
+        key = f.uid << 6 | i << 3 | j
         one = self._singles.get(key)
         if one is None:
             one = self._singles[key] = frozenset((Assertion(f, i, j),))
         return one
+
+    def ordered(self, side: frozenset[Assertion]) -> list[Assertion]:
+        """The assertions of side that some rule takes as principal (no
+        atom), in ``Assertion.key`` order."""
+        out = self._ordered.get(side)
+        if out is None:
+            out = self._ordered[side] = sorted(
+                [a for a in side if isinstance(a.formula, _CONNECTIVES)],
+                key=Assertion.key)
+        return out
 
     def canonical(self, seq: Sequent) -> tuple[int, ...]:
         """The canonical form of seq (see the module docstring): the sorted
@@ -124,6 +164,9 @@ class _Table:
         is at most 8).  An index's signature holds ``(uid << 1 | side) << 2
         | position`` per occurrence, position 0 for i, 1 for j and 2 for
         both.  When no two signatures are equal there is one ranking."""
+        best = self._canonical.get(seq)
+        if best is not None:
+            return best
         codes = [(a.formula.uid << 1, a.i, a.j) for a in seq.left]
         codes += [(a.formula.uid << 1 | 1, a.i, a.j) for a in seq.right]
         occurs: dict[int, list[int]] = {}
@@ -143,13 +186,13 @@ class _Table:
         else:
             rankings = [list(chain.from_iterable(ranking))
                         for ranking in product(*map(permutations, ties))]
-        best = None
         for ranking in rankings:
             rank = dict(zip(ranking, range(len(ranking))))
             key = tuple(sorted([code << 6 | rank[i] << 3 | rank[j]
                                 for code, i, j in codes]))
             if best is None or key < best:
                 best = key
+        self._canonical[seq] = best
         return best
 
 
@@ -184,71 +227,119 @@ def _backward(rule: Rule, seq: Sequent, principal: Assertion, k: int | None,
                                                      principal.j, k)]
 
 
-def _steps(seq: Sequent, max_index: int, table: _Table):
+def _triage(rule: Rule, a: Assertion, k: int | None, seq: Sequent,
+            table: _Table) -> int | None:
+    """The try order of a branching step, read from its actives: None when
+    a premise would equal seq (the step is dropped), 0 when a premise
+    closes at once, else 1."""
+    order = 1
+    for act_left, act_right in rule.premises(a.formula, a.i, a.j, k):
+        adds = False
+        for f, i, j in act_left:
+            one = table.single(f, i, j)
+            adds = adds or not one <= seq.left
+            order = 0 if one <= seq.right else order
+        for f, i, j in act_right:
+            one = table.single(f, i, j)
+            adds = adds or not one <= seq.right
+            order = 0 if one <= seq.left else order
+        if not adds and rule.keeps_principal:
+            return None
+    return order
+
+
+def _steps(seq: Sequent, run: _Pass):
     """Backward steps (rule, k, premises) to try in turn: the first
-    invertible one alone, or else every branching one."""
-    ordered = {"left": sorted(seq.left, key=Assertion.key),
-               "right": sorted(seq.right, key=Assertion.key)}
+    invertible one alone, or else the branching ones after triage (see the
+    module docstring), then the weaken steps that free an index for impR.
+    A step's premises are built when it is tried.  Sets ``run.deeper`` when
+    a larger bound would add a step."""
+    table = run.table
+    ordered = {"left": table.ordered(seq.left), "right": table.ordered(seq.right)}
+    short = False  # impR found no unused index below the bound
     for phase in _INVERTIBLE:
         for a in ordered[phase[0].side]:
             for rule in phase:
-                if not isinstance(a.formula, rule.conn):
-                    continue
-                k = _fresh_index(seq, (a.i, a.j), max_index) if rule.index else None
-                if rule.index is None or k is not None:
-                    yield rule, k, _backward(rule, seq, a, k, table)
-                    return
+                if isinstance(a.formula, rule.conn) and not short:
+                    k = _fresh_index(seq, (a.i, a.j), run.bound) if rule.index else None
+                    if rule.index is None or k is not None:
+                        yield rule, k, _backward(rule, seq, a, k, table)
+                        return
+                    short = run.deeper = True
+    steps = []
     for rule in _BRANCHING:
         for a in ordered[rule.side]:
             if isinstance(a.formula, rule.conn):
-                for k in range(max_index) if rule.index else (None,):
-                    yield rule, k, _backward(rule, seq, a, k, table)
-
-
-def _prove(seq: Sequent, parent: Sequent | None, depth: int, seen: frozenset,
-           budget: SearchBudget, out: SearchOutcome, table: _Table,
-           fail_cache: dict) -> tuple | None:
-    """A proof tree of seq, a premise of parent, each node (sequent, rule,
-    k, children), or None; each node visited is counted on out."""
-    out.nodes += 1
-    if out.nodes > budget.max_nodes:
-        raise _OutOfNodes()
-    if seq.is_axiom():
-        out.axioms += 1
-        return seq, _AXIOM, None, ()
-    if depth <= 0:
-        out.cutoffs += 1
-        return None
-    if seq == parent:  # parent's key is in seen
-        out.loop_prunes += 1
-        return None
-    key = table.canonical(seq)
-    out.canonical_forms += 1
-    if key in seen:
-        out.loop_prunes += 1
-        return None
-    if fail_cache.get(key, -1) >= depth:
-        out.cache_prunes += 1
-        return None
-    out.expansions += 1
-    seen = seen | {key}
-
-    for rule, k, premises in _steps(seq, budget.max_index, table):
-        children = []
-        for sub in premises:
-            child = _prove(sub, seq, depth - 1, seen, budget, out, table, fail_cache)
-            if child is None:
-                children = None
-                break
-            children.append(child)
-        if children is not None:
-            return seq, rule, k, children
-    fail_cache[key] = depth
-    return None
+                run.deeper |= bool(rule.index)
+                for k in range(run.bound) if rule.index else (None,):
+                    order = _triage(rule, a, k, seq, table)
+                    if order is not None:
+                        steps.append((order, rule, a, k))
+    steps.sort(key=itemgetter(0))  # stable: table order within each class
+    for _, rule, a, k in steps:
+        yield rule, k, _backward(rule, seq, a, k, table)
+    if short and run.weakens:
+        imps = [a for a in ordered["right"] if isinstance(a.formula, _IMPR.conn)]
+        for x in sorted(seq.indices()):
+            if any(x != a.i and x != a.j for a in imps):
+                yield _WEAKEN, None, [Sequent(
+                    frozenset(a for a in seq.left if x != a.i and x != a.j),
+                    frozenset(a for a in seq.right if x != a.i and x != a.j))]
 
 
 class _OutOfNodes(Exception):
     pass
+
+
+class _Pass:
+    """One depth-first search at one index bound, counting on out."""
+
+    def __init__(self, bound: int, budget: SearchBudget, out: SearchOutcome, table: _Table,
+                 fail_cache: dict):
+        self.bound = bound
+        self.weakens = bound < budget.max_index  # try the steps that free an index
+        self.max_nodes = budget.max_nodes
+        self.out = out
+        self.table = table
+        self.fail_cache = fail_cache
+        self.deeper = False  # some node had a step that a larger bound extends
+
+    def prove(self, seq: Sequent, depth: int, seen: frozenset) -> tuple | None:
+        """A proof tree of seq, each node (sequent, rule, k, children), or
+        None; each node visited is counted on out."""
+        out = self.out
+        out.nodes += 1
+        if out.nodes > self.max_nodes:
+            raise _OutOfNodes()
+        if seq.is_axiom():
+            out.axioms += 1
+            return seq, _AXIOM, None, ()
+        if depth <= 0:
+            out.cutoffs += 1
+            return None
+        key = self.table.canonical(seq)
+        out.canonical_forms += 1
+        if key in seen:
+            out.loop_prunes += 1
+            return None
+        if self.fail_cache.get(key, -1) >= depth:
+            out.cache_prunes += 1
+            return None
+        out.expansions += 1
+        seen = seen | {key}
+
+        for rule, k, premises in _steps(seq, self):
+            children = []
+            for sub in premises:
+                child = self.prove(sub, depth - 1, seen)
+                if child is None:
+                    children = None
+                    break
+                children.append(child)
+            if children is not None:
+                return seq, rule, k, children
+        self.fail_cache[key] = depth
+        return None
 
 
 def _linearize(node: tuple, lines: list, index: dict) -> int:
@@ -264,21 +355,27 @@ def _linearize(node: tuple, lines: list, index: dict) -> int:
 
 def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
     """Search for a proof of => (goal)[0,0]; fusion is desugared first."""
-    return _search(goal, budget, {})
+    return _search(goal, budget)
 
 
-def _search(goal: Formula, budget: SearchBudget, fail_cache: dict) -> SearchOutcome:
-    """search_proof, with the failure cache passed in."""
+def _search(goal: Formula, budget: SearchBudget, new_cache=dict,
+            first_bound: int = 1) -> SearchOutcome:
+    """search_proof, with a fresh failure cache from new_cache() for each
+    pass, deepening from first_bound."""
     table = _Table()
     root_seq = Sequent(frozenset(), table.single(desugar_fusion(goal), 0, 0))
     out = SearchOutcome("budget_exhausted")
-    try:
-        tree = _prove(root_seq, None, budget.max_depth, frozenset(), budget, out, table,
-                      fail_cache)
-    except _OutOfNodes:
-        return out
+    for bound in range(first_bound, budget.max_index + 1):
+        out.bound, cutoffs = bound, out.cutoffs
+        run = _Pass(bound, budget, out, table, new_cache())
+        try:
+            tree = run.prove(root_seq, budget.max_depth, frozenset())
+        except _OutOfNodes:
+            return out
+        if tree is not None or not run.deeper:
+            break
     if tree is None:
-        if not out.cutoffs:
+        if out.cutoffs == cutoffs:
             out.status = "not_found"
         return out
     lines: list = []

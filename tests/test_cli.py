@@ -97,6 +97,14 @@ def test_prove_json_reports_the_proof_level(capsys):
     assert (payload["objects"], payload["level"]) == ([0, 1], 2)
 
 
+def test_prove_json_finds_t10_at_its_level(capsys):
+    # t10's goal, written out: "tarl prove t10" reads t10 as a variable
+    code, out, _ = run(capsys, "prove", "(b -> (c -> a)) -> (~(b -> ~c) -> a)", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["level"] == 4 <= payload["bound"]
+
+
 def test_valid_pass(capsys):
     code, out, _ = run(capsys, "valid", "K3", "contr")
     assert code == 0

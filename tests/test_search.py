@@ -7,7 +7,7 @@ from tarl import search
 from tarl.formulas import parse_formula
 from tarl.gen import random_core_formula
 from tarl.models import valid_in
-from tarl.registry import get_formula, get_structure, list_corpus
+from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
 from tarl.search import SearchBudget, search_proof
 from tarl.sequents import Sequent, check_proof
 
@@ -109,13 +109,46 @@ def test_every_node_is_counted_once(text, budget, ran_out):
             <= c["nodes"] - c["axioms"] - c["cutoffs"])
 
 
-def test_a_premise_equal_to_its_conclusion_gets_no_key():
+def test_no_visited_premise_equals_its_conclusion(monkeypatch):
     # impL keeps its principal, so a premise whose active is already in
-    # the context is its conclusion again: a loop prune found without a key
+    # the context would be its conclusion again; triage drops such steps,
+    # and every node that is neither an axiom nor a cutoff gets a key
+    steps, tried = search._steps, []
+
+    def watched(seq, run):
+        for rule, k, premises in steps(seq, run):
+            assert seq not in premises
+            tried.append(rule.name)
+            yield rule, k, premises
+    monkeypatch.setattr(search, "_steps", watched)
     c = search_proof(parse_formula("(p -> q) -> (q -> r) -> p -> r"),
                      SearchBudget(max_depth=6)).counters()
-    assert c["loop_prunes"] > 0
-    assert c["canonical_forms"] < c["nodes"] - c["axioms"] - c["cutoffs"]
+    assert "impL" in tried
+    assert c["canonical_forms"] == c["nodes"] - c["axioms"] - c["cutoffs"]
+
+
+def test_every_corpus_goal_is_proved_at_its_level():
+    for entry in list_corpus():
+        out = search_proof(entry.proof.goal)
+        assert out.proved, entry.lemma_id
+        report = check_proof(out.proof)
+        assert report.valid and out.proof.goal == entry.proof.goal, entry.lemma_id
+        assert out.objects == report.objects_used == entry.expected_objects, entry.lemma_id
+        assert out.level <= out.bound
+
+
+def test_weakening_frees_an_index_for_impR():
+    # T11's corpus proof uses two objects: impR inside impL's first premise
+    # reuses index 0 once the context that holds it is weakened away
+    out = search_proof(get_corpus_entry("T11").proof.goal)
+    assert (out.level, out.bound) == (2, 2)
+    assert "weaken" in [just.rule.name for _, just in out.proof.lines]
+
+
+def test_deepening_stops_when_a_larger_bound_adds_no_step():
+    # no implication: no pass reaches impL or impR, so bound 1 is the last
+    out = search_proof(parse_formula("p & q | ~p"))
+    assert (out.status, out.bound) == ("not_found", 1)
 
 
 @pytest.mark.parametrize("max_index", [2, 3, 4])
@@ -246,6 +279,22 @@ def test_failure_cache_does_not_change_the_verdict():
     for _ in range(200):
         goal = random_core_formula(rng, rng.randint(3, 9), ("p", "q"))
         cached = search_proof(goal, budget)
-        uncached = search._search(goal, budget, _NeverStores())
+        uncached = search._search(goal, budget, _NeverStores)
         assert uncached.counters()["cache_prunes"] == 0
         assert cached.status == uncached.status, goal
+
+
+def test_deepening_agrees_with_one_pass_at_the_largest_bound():
+    rng = random.Random(16)
+    budget = SearchBudget(max_depth=10, max_index=4, max_nodes=10 ** 6)
+    verdicts = set()
+    for _ in range(200):
+        goal = random_core_formula(rng, rng.randint(4, 12), ("p", "q"))
+        deepened = search_proof(goal, budget)
+        one_pass = search._search(goal, budget, first_bound=budget.max_index)
+        assert max(deepened.nodes, one_pass.nodes) <= budget.max_nodes
+        assert deepened.status == one_pass.status, goal
+        if deepened.proved:
+            assert check_proof(deepened.proof).valid
+        verdicts.add(deepened.status)
+    assert {"proved", "not_found"} <= verdicts
