@@ -78,10 +78,6 @@ def _resolve_formula(arg: str) -> Formula:
         return parse_formula(arg)
 
 
-def _fmt_valuation(v: models.Valuation) -> str:
-    return str(v)
-
-
 def _ast(f: Formula) -> dict:
     if isinstance(f, Var):
         return {"var": f.name}
@@ -143,7 +139,7 @@ def cmd_valid(args) -> int:
         return 0
     _emit(args, {"model": m.name, "valid": False, "valuations": result.valuations,
                  "witness": {k: v for k, v in result.witness.assignment.items()}},
-          f"invalid; witness {_fmt_valuation(result.witness)}")
+          f"invalid; witness {result.witness}")
     return 1
 
 
@@ -155,7 +151,7 @@ def cmd_countermodel(args) -> int:
         payload = {"model": m.name,
                    "witnesses": [w.assignment for w in witnesses]}
         if witnesses:
-            lines = "\n".join(_fmt_valuation(w) for w in witnesses)
+            lines = "\n".join(map(str, witnesses))
             _emit(args, payload, f"{len(witnesses)} invalidating singleton "
                                  f"valuation(s):\n{lines}")
             return 1
@@ -168,7 +164,7 @@ def cmd_countermodel(args) -> int:
         return 0
     _emit(args, {"model": m.name,
                  "countermodel": dict(result.witness.assignment)},
-          f"countermodel: {_fmt_valuation(result.witness)}")
+          f"countermodel: {result.witness}")
     return 1
 
 
@@ -299,13 +295,12 @@ def cmd_grouprep(args) -> int:
     k3 = registry.get_structure("K3")
     table_ok = (models.composition_table(m) == models.composition_table(k3)
                 and m.star == k3.star)
-    audit = models.check_postulates(m)
-    ok = (sigma_report.passed and table_ok
-          and audit.passes([f"p{i}" for i in range(1, 7)] + ["peirce"]))
+    postulates_ok = models.check_postulates(m).passes(
+        [f"p{i}" for i in range(1, 7)] + ["peirce"])
+    ok = sigma_report.passed and table_ok and postulates_ok
     human = [models.dump_model_file(m).rstrip(),
              f"table equals K3: {table_ok}",
-             f"postulates p1..p6 + peirce: "
-             f"{audit.passes([f'p{i}' for i in range(1, 7)] + ['peirce'])}",
+             f"postulates p1..p6 + peirce: {postulates_ok}",
              f"sigma homomorphism checks: "
              f"{'all pass' if sigma_report.passed else sigma_report.failures()[:3]}"]
     _emit(args, {"partition": args.partition, "table_equals_K3": table_ok,
@@ -326,7 +321,7 @@ def cmd_sharing(args) -> int:
     _emit(args, {"shared": [], "witness": dict(cert.valuation.assignment),
                  "implication_value": sorted(cert.implication_value)},
           "no shared variable; K4 refutes the implication under "
-          f"{_fmt_valuation(cert.valuation)} (value {set(cert.implication_value) or '{}'})")
+          f"{cert.valuation} (value {set(cert.implication_value) or '{}'})")
     return 1
 
 

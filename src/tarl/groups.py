@@ -11,25 +11,29 @@ partition reproduces the same composition table (the K3 table).
 sigma maps a subset x of the group to the binary relation
 {(k, kh) : k in G, h in x} (right translations); it is an injective
 homomorphism from subsets of G to relations on G, turning the four blocks
-into a concrete partition of G x G.
+into a concrete partition of G x G.  The audit of that claim is the shared
+term evaluator, `TERMS.evaluate`, run twice for each operation of the term
+grammar: once in the complex algebra of the block structure, on every pair
+of unions of blocks, and once on their sigma images, a stack of 21 x 21
+boolean matrices.  The set-based relation operations the audit replaced
+live on in the tests, as its oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
+from .algebra import TERMS, _Masks, _Matrices, parse_ra_term
 from .models import ModelStructure
 
 __all__ = [
     "GroupElement", "IDENTITY", "ALL_ELEMENTS", "gmul", "ginv", "gpow",
     "element_of", "format_element",
     "Partition", "PARTITIONS", "InvalidPartition", "validate_partition",
-    "build_atom_structure",
-    "sigma", "compose_relations", "converse_relation", "full_relation",
-    "identity_relation", "SigmaReport", "check_sigma_homomorphism",
-    "permutation_generators", "permutation_multiplication_agrees",
+    "build_atom_structure", "SigmaReport", "check_sigma_homomorphism",
 ]
 
 
@@ -147,17 +151,17 @@ def validate_partition(p: Partition) -> None:
         raise InvalidPartition("the starred block must hold the inverses")
 
 
+def _blocks(p: Partition) -> dict[str, frozenset[GroupElement]]:
+    """Each atom's block of the group."""
+    return {"0": frozenset({IDENTITY}), "a": p.a_set, "b": p.b_set, "b*": p.bstar_set}
+
+
 def build_atom_structure(p: Partition) -> ModelStructure:
     """The four-block structure: R x y z iff block(z) is a subset of the
     complex product block(x)block(y)."""
     validate_partition(p)
-    blocks = {
-        "0": frozenset({IDENTITY}),
-        "a": p.a_set,
-        "b": p.b_set,
-        "b*": p.bstar_set,
-    }
-    names = ("0", "a", "b", "b*")
+    blocks = _blocks(p)
+    names = tuple(blocks)
     triples = set()
     for x in names:
         for y in names:
@@ -172,30 +176,13 @@ def build_atom_structure(p: Partition) -> ModelStructure:
 
 
 # ------------------------------------------------------------------
-# The right-translation relations
+# The sigma audit: the term evaluator run twice
 # ------------------------------------------------------------------
 
-def sigma(xs) -> frozenset[tuple[GroupElement, GroupElement]]:
-    return frozenset((k, gmul(k, h)) for k in ALL_ELEMENTS for h in xs)
-
-
-def compose_relations(r, s) -> frozenset:
-    adj: dict[GroupElement, set[GroupElement]] = {}
-    for (i, j) in s:
-        adj.setdefault(i, set()).add(j)
-    return frozenset((i, k) for (i, j) in r for k in adj.get(j, ()))
-
-
-def converse_relation(r) -> frozenset:
-    return frozenset((j, i) for (i, j) in r)
-
-
-def full_relation() -> frozenset:
-    return frozenset((h, k) for h in ALL_ELEMENTS for k in ALL_ELEMENTS)
-
-
-def identity_relation() -> frozenset:
-    return frozenset((h, h) for h in ALL_ELEMENTS)
+# One term per operation of the term grammar.  The complex algebra's x;y is
+# fusion y x, while sigma(x);sigma(y) = sigma(xy): the x;y check holds as
+# written because every block structure commutes.
+_OPERATIONS = tuple(map(parse_ra_term, ("x + y", "x . y", "x;y", "-x", "x^", "id", "0", "1")))
 
 
 @dataclass
@@ -211,136 +198,29 @@ class SigmaReport:
 
 
 def check_sigma_homomorphism(p: Partition) -> SigmaReport:
-    """Audit the homomorphism identities of sigma over the four blocks and
-    all unions of blocks, plus the block-level product facts.  Relations
-    live as 21x21 boolean matrices during the audit."""
-    import numpy as np
+    """Whether sigma is a homomorphism on the unions of p's blocks."""
+    return _audit(build_atom_structure(p), _blocks(p))
 
-    validate_partition(p)
+
+def _sigma_stack(m: ModelStructure, blocks: dict[str, frozenset[GroupElement]]) -> np.ndarray:
+    """sig[mask]: sigma of the union of the blocks of the atoms in mask."""
     idx = {e: i for i, e in enumerate(ALL_ELEMENTS)}
-    mul = np.zeros((21, 21), dtype=np.int8)
-    for h in ALL_ELEMENTS:
-        for k in ALL_ELEMENTS:
-            mul[idx[h], idx[k]] = idx[gmul(h, k)]
-    inv = np.array([idx[ginv(h)] for h in ALL_ELEMENTS])
+    sig = np.zeros((1 << len(m.elements), 21, 21), dtype=bool)
+    for i, atom in enumerate(m.elements):
+        rows, cols = zip(*((idx[k], idx[gmul(k, h)]) for h in blocks[atom] for k in ALL_ELEMENTS))
+        sig[np.flatnonzero(np.arange(len(sig)) >> i & 1)[:, None], rows, cols] = True
+    return sig
 
-    def subset_vec(xs) -> np.ndarray:
-        v = np.zeros(21, dtype=bool)
-        for h in xs:
-            v[idx[h]] = True
-        return v
 
-    def sigma_mat(vec: np.ndarray) -> np.ndarray:
-        # row k has ones at columns k*h for h in the subset
-        out = np.zeros((21, 21), dtype=bool)
-        cols = mul[:, np.nonzero(vec)[0]]
-        rows = np.repeat(np.arange(21), cols.shape[1])
-        out[rows, cols.ravel()] = True
-        return out
-
-    def compose(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return (r.astype(np.uint8) @ s.astype(np.uint8)) > 0
-
-    blocks = [subset_vec({IDENTITY}), subset_vec(p.a_set),
-              subset_vec(p.b_set), subset_vec(p.bstar_set)]
-    samples = []
-    for mask in range(16):
-        v = np.zeros(21, dtype=bool)
-        for i in range(4):
-            if mask >> i & 1:
-                v |= blocks[i]
-        samples.append(v)
-    full = np.ones((21, 21), dtype=bool)
-    diag = np.eye(21, dtype=bool)
-    checks: list[tuple[str, bool, object]] = []
-
-    def check(name, ok, witness=None):
-        checks.append((name, bool(ok), witness))
-
-    def names_of(vec):
-        return [format_element(ALL_ELEMENTS[i]) for i in np.nonzero(vec)[0]]
-
-    check("sigma({1}) = diagonal", (sigma_mat(subset_vec({IDENTITY})) == diag).all())
-    for x in samples:
-        sx = sigma_mat(x)
-        star_x = np.zeros(21, dtype=bool)
-        star_x[inv[np.nonzero(x)[0]]] = True
-        check("sigma(G-x) = G^2 - sigma(x)",
-              (sigma_mat(~x) == (full & ~sx)).all(), names_of(x))
-        check("sigma(x*) = sigma(x)^-1",
-              (sigma_mat(star_x) == sx.T).all(), names_of(x))
-    for x in samples:
-        sx = sigma_mat(x)
-        for y in samples:
-            sy = sigma_mat(y)
-            witness = (names_of(x), names_of(y))
-            check("sigma(x|y) = sigma(x)|sigma(y)",
-                  (sigma_mat(x | y) == (sx | sy)).all(), witness)
-            check("sigma(x&y) = sigma(x)&sigma(y)",
-                  (sigma_mat(x & y) == (sx & sy)).all(), witness)
-            product = np.zeros(21, dtype=bool)
-            pairs = mul[np.ix_(np.nonzero(x)[0], np.nonzero(y)[0])]
-            product[pairs.ravel()] = True
-            check("sigma(xy) = sigma(x);sigma(y)",
-                  (sigma_mat(product) == compose(sx, sy)).all(), witness)
-    s0, sa, sb, sbs = (sigma_mat(b) for b in blocks)
-    check("converse(sigma(a)) = sigma(a)", (sa.T == sa).all())
-    check("sigma(a);sigma(a) = GxG", compose(sa, sa).all())
-    check("sigma(b);sigma(b*) = GxG", compose(sb, sbs).all())
-    check("sigma(b*);sigma(b) = GxG", compose(sbs, sb).all())
-    for name, rel in (("a", sa), ("b", sb), ("b*", sbs)):
-        check(f"sigma(0);sigma({name}) = sigma({name})",
-              (compose(s0, rel) == rel).all())
-        check(f"sigma({name});sigma(0) = sigma({name})",
-              (compose(rel, s0) == rel).all())
-    union = s0 | sa | sb | sbs
-    counts = int(s0.sum() + sa.sum() + sb.sum() + sbs.sum())
-    check("blocks partition GxG", union.all() and counts == 21 * 21)
+def _audit(m: ModelStructure, blocks: dict[str, frozenset[GroupElement]]) -> SigmaReport:
+    """Per term operation, the first pair of unions of blocks it fails on."""
+    masks, matrices, sig = _Masks(m), _Matrices(21), _sigma_stack(m, blocks)
+    xs, ys = np.indices((len(sig), len(sig)))
+    checks = []
+    for t in _OPERATIONS:
+        left = sig[np.broadcast_to(TERMS.evaluate(t, {"x": xs, "y": ys}, masks.ops), xs.shape)]
+        right = TERMS.evaluate(t, {"x": sig[xs], "y": sig[ys]}, matrices.ops)
+        bad = np.argwhere(~(left == right).all(axis=(-2, -1)))
+        witness = tuple(sorted(masks.decode(x)) for x in bad[0]) if len(bad) else None
+        checks.append((str(t), not len(bad), witness))
     return SigmaReport(checks)
-
-
-# ------------------------------------------------------------------
-# The permutation presentation on {1..21}
-# ------------------------------------------------------------------
-
-_PERM_F_CYCLES = [(3, 6, 12), (5, 8, 14), (7, 10, 16), (9, 18, 15),
-                  (11, 20, 17), (13, 21, 19)]
-_PERM_G_CYCLES = [(2, 20, 17, 14, 11, 8, 5), (4, 16, 7, 19, 10, 21, 13)]
-
-
-def _perm_from_cycles(cycles) -> dict[int, int]:
-    perm = {i: i for i in range(1, 22)}
-    for cycle in cycles:
-        for i, x in enumerate(cycle):
-            perm[x] = cycle[(i + 1) % len(cycle)]
-    return perm
-
-
-def permutation_generators() -> tuple[dict[int, int], dict[int, int]]:
-    return _perm_from_cycles(_PERM_F_CYCLES), _perm_from_cycles(_PERM_G_CYCLES)
-
-
-def _pmul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    # right action: apply p, then q
-    return {i: q[p[i]] for i in p}
-
-
-def permutation_multiplication_agrees() -> bool:
-    """The permutation pair generates a 21-element group isomorphic to the
-    normal-form presentation, under the apply-left-then-right convention."""
-    pf, pg = permutation_generators()
-
-    def image(x: GroupElement) -> tuple:
-        out = {i: i for i in range(1, 22)}
-        for _ in range(x.a):
-            out = _pmul(out, pf)
-        for _ in range(x.b):
-            out = _pmul(out, pg)
-        return tuple(sorted(out.items()))
-
-    if len({image(x) for x in ALL_ELEMENTS}) != 21:
-        return False
-    return all(
-        image(gmul(x, y)) == tuple(sorted(_pmul(dict(image(x)),
-                                                dict(image(y))).items()))
-        for x, y in itertools.product(ALL_ELEMENTS, repeat=2))

@@ -357,6 +357,8 @@ def bad_model(elements, star, triple):
     ("check", BadScript("lemma bad\n1. (p)[0,0] => (p)[0,0] ; axiom 7 k=3\n")),
     ("check", BadScript("lemma bad\n1. (p)[0,0] => (p)[0,0] ; axiom\n"
                         "2. (p)[0,0], (q)[0,0] => (p)[0,0] ; weaken 1 9\n")),
+    ("grouprep", "--partition", "0"),
+    ("grouprep", "--partition", "9"),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

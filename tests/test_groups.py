@@ -1,17 +1,87 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from tarl import groups
 from tarl.groups import (
     ALL_ELEMENTS, IDENTITY, InvalidPartition, PARTITIONS, Partition,
-    build_atom_structure, check_sigma_homomorphism, compose_relations,
-    converse_relation, element_of, format_element, full_relation, ginv,
-    gmul, gpow, identity_relation, permutation_multiplication_agrees,
-    sigma, validate_partition,
+    GroupElement, build_atom_structure, check_sigma_homomorphism, element_of,
+    format_element, ginv, gmul, gpow, validate_partition,
 )
 from tarl.models import check_postulates, composition_table
 from tarl.registry import get_structure
+
+
+# ------------------------------------------------------------------
+# Oracles: relations on G as sets of pairs, and the group as permutations
+# ------------------------------------------------------------------
+
+def sigma(xs) -> frozenset[tuple[GroupElement, GroupElement]]:
+    return frozenset((k, gmul(k, h)) for k in ALL_ELEMENTS for h in xs)
+
+
+def compose_relations(r, s) -> frozenset:
+    adj: dict[GroupElement, set[GroupElement]] = {}
+    for (i, j) in s:
+        adj.setdefault(i, set()).add(j)
+    return frozenset((i, k) for (i, j) in r for k in adj.get(j, ()))
+
+
+def converse_relation(r) -> frozenset:
+    return frozenset((j, i) for (i, j) in r)
+
+
+def full_relation() -> frozenset:
+    return frozenset((h, k) for h in ALL_ELEMENTS for k in ALL_ELEMENTS)
+
+
+def identity_relation() -> frozenset:
+    return frozenset((h, h) for h in ALL_ELEMENTS)
+
+
+_PERM_F_CYCLES = [(3, 6, 12), (5, 8, 14), (7, 10, 16), (9, 18, 15),
+                  (11, 20, 17), (13, 21, 19)]
+_PERM_G_CYCLES = [(2, 20, 17, 14, 11, 8, 5), (4, 16, 7, 19, 10, 21, 13)]
+
+
+def _perm_from_cycles(cycles) -> dict[int, int]:
+    perm = {i: i for i in range(1, 22)}
+    for cycle in cycles:
+        for i, x in enumerate(cycle):
+            perm[x] = cycle[(i + 1) % len(cycle)]
+    return perm
+
+
+def permutation_generators() -> tuple[dict[int, int], dict[int, int]]:
+    return _perm_from_cycles(_PERM_F_CYCLES), _perm_from_cycles(_PERM_G_CYCLES)
+
+
+def _pmul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    # right action: apply p, then q
+    return {i: q[p[i]] for i in p}
+
+
+def permutation_multiplication_agrees() -> bool:
+    """The permutation pair generates a 21-element group isomorphic to the
+    normal-form presentation, under the apply-left-then-right convention."""
+    pf, pg = permutation_generators()
+
+    def image(x: GroupElement) -> tuple:
+        out = {i: i for i in range(1, 22)}
+        for _ in range(x.a):
+            out = _pmul(out, pf)
+        for _ in range(x.b):
+            out = _pmul(out, pg)
+        return tuple(sorted(out.items()))
+
+    if len({image(x) for x in ALL_ELEMENTS}) != 21:
+        return False
+    return all(
+        image(gmul(x, y)) == tuple(sorted(_pmul(dict(image(x)),
+                                                dict(image(y))).items()))
+        for x, y in itertools.product(ALL_ELEMENTS, repeat=2))
 
 
 def test_group_order_and_identity():
@@ -153,3 +223,40 @@ def test_random_subset_sigma_homomorphism():
         assert sigma(prod) == compose_relations(sigma(xs), sigma(ys))
         assert sigma(xs | ys) == sigma(xs) | sigma(ys)
         assert sigma(xs & ys) == sigma(xs) & sigma(ys)
+
+
+@pytest.mark.parametrize("p", PARTITIONS, ids=lambda p: f"partition{p.id}")
+def test_sigma_stack_agrees_with_the_set_oracle(p):
+    m = build_atom_structure(p)
+    blocks = groups._blocks(p)
+    sig = groups._sigma_stack(m, blocks)
+    assert sig.shape == (16, 21, 21)
+    idx = {e: i for i, e in enumerate(ALL_ELEMENTS)}
+    for mask in range(16):
+        union = frozenset().union(*(blocks[a] for i, a in enumerate(m.elements)
+                                    if mask >> i & 1))
+        expected = np.zeros((21, 21), dtype=bool)
+        for (h, k) in sigma(union):
+            expected[idx[h], idx[k]] = True
+        assert (sig[mask] == expected).all(), mask
+
+
+def test_the_audit_has_one_check_per_term_operation():
+    report = check_sigma_homomorphism(PARTITIONS[0])
+    assert report.checks == [(op, True, None) for op in
+                             ("x + y", "x . y", "x;y", "-x", "x^", "id", "0", "1")]
+
+
+def test_swapping_a_and_b_fails_at_product_and_converse():
+    p = PARTITIONS[0]
+    blocks = groups._blocks(p)
+    report = groups._audit(build_atom_structure(p), dict(blocks, a=blocks["b"], b=blocks["a"]))
+    assert not report.passed
+    assert report.failures() == [("x;y", (["a"], ["a"])), ("x^", (["a"], []))]
+
+
+def test_swapping_b_and_b_star_passes_as_an_automorphism_of_k3():
+    p = PARTITIONS[0]
+    blocks = groups._blocks(p)
+    swapped = dict(blocks, b=blocks["b*"], **{"b*": blocks["b"]})
+    assert groups._audit(build_atom_structure(p), swapped).passed

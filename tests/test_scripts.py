@@ -3,15 +3,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-def test_countermodel_survey_output_is_unchanged():
-    # the survey runs valid_in and find_invalidating_singletons end to end;
-    # its output is pinned, so a changed verdict or witness shows here
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
+def test_script_reproduces_its_golden(script):
+    # every script's output is pinned in tests/golden/<stem>.txt, so a changed
+    # verdict or witness shows here, and a script cannot land without one
+    golden = ROOT / "tests" / "golden" / f"{script.stem}.txt"
+    assert golden.exists(), f"{script.name} has no golden {golden.name}"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "countermodel_survey.py")],
+    proc = subprocess.run([sys.executable, str(script)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (ROOT / "tests" / "golden" / "countermodel_survey.txt").read_text()
+    assert proc.stdout == golden.read_text()
