@@ -26,12 +26,20 @@ reference, so the table cannot grow for the life of the process.  A node
 stores its hash and whether it is fusion-free when it is built, and caches
 its printed text, built from its children's texts, and its variables on
 first use.  Nodes are immutable; pickling and copying return the interned
-node.  ``parse_formula`` is memoised by text.
+node.
+
+``parse_formula`` is memoised by text and by group.  The parser reads each
+token only when it comes to it.  At a '(' it looks the group's inner text
+up in the memo, and after '->' the rest of the enclosing group; a text
+found there is skipped unread, and one parsed is stored.  Proof lines run
+from leaves to goal, so a new formula's subformulas are often in the memo
+already.  A text in the memo parsed cleanly, so skipping it changes no
+error: the first character that starts no token is still reported before
+any syntax error.  The memo is emptied when it holds MEMO_SIZE texts.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 import threading
@@ -43,7 +51,7 @@ __all__ = [
     "parse_at", "Grammar",
     "FORMULAS", "parse_formula", "print_formula",
     "desugar_fusion", "is_core", "variables", "shared_variables",
-    "substitute",
+    "substitution", "substitute",
 ]
 
 _NAME = re.compile(r"[a-z][a-zA-Z0-9_]*")
@@ -202,6 +210,8 @@ def end_of_file(text: str, expected: str) -> ParseError:
 
 
 _NEXT = re.compile(r"\s*(\S|$)")  # the next character that is not blank
+_PARENS = re.compile(r"[()]")
+MEMO_SIZE = 8192  # a parse memo holding this many texts is emptied
 
 
 def parse_at(parse, source: str, start: int, end: int, line: int | None = None,
@@ -232,7 +242,7 @@ class Grammar:
     `symbols` is the regular expression of the tokens other than names
     (lower-case identifiers).  `binary` maps a token to (level, class,
     printed form); a higher level binds tighter, and every class associates
-    to the left except `right`.  `prefix` and `postfix` map a token to a
+    to the left except `right`, which binds loosest, at level 1.  `prefix` and `postfix` map a token to a
     one-operand class, `constants` a token to its node; a postfix operator
     binds tighter than a prefix one, both tighter than any binary one, and
     parentheses group.  A name that is no operator or constant is a
@@ -245,10 +255,10 @@ class Grammar:
     def __init__(self, *, symbols: str, binary: dict, right: type | None,
                  prefix: dict, postfix: dict, constants: dict, variable: type,
                  bad_token: str, bad_operand: str, aliases: dict):
-        # a token, or else the first character that starts none; the
-        # matches tile the text up to trailing white space
+        # a token, or else the first character that starts none, and the
+        # blanks around it; the matches tile the text
         tokens = "|".join((symbols, *map(re.escape, aliases), _NAME.pattern))
-        self.token = re.compile(rf"\s*(?:({tokens})|(\S))")
+        self.token = re.compile(rf"\s*(?:({tokens})|(\S))\s*")
         self.binary, self.right = binary, right
         self.prefix, self.postfix, self.constants = prefix, postfix, constants
         self.variable = variable
@@ -266,6 +276,8 @@ class Grammar:
         postfixed = prefixed + 1
         self.atom = postfixed + 1
         self.level = {cls: level for level, cls, _ in binary.values()}
+        if right is not None and self.level[right] != 1:
+            raise ValueError("the class that groups to the right must bind at level 1")
         self.level.update((cls, prefixed) for cls in prefix.values())
         self.level.update((cls, postfixed) for cls in postfix.values())
         self.infix = {cls: (shown, level + (cls is right), level + (cls is not right))
@@ -283,20 +295,21 @@ class Grammar:
             raise ValueError(f"bad variable name: {name!r}")
         return name
 
-    def parse(self, text: str):
+    def parse(self, text: str, memo: dict | None = None):
         """The tree of text; a ParseError's position is an offset into text,
-        and what it found is as text spells it."""
-        tokens = []  # (token, its offset, its text), aliases read as their token
-        for m in self.token.finditer(text):
-            token, bad = m.groups()
-            if bad:
-                raise ParseError(m.start(2), self.bad_token, bad)
-            tokens.append((self.aliases.get(token, token), m.start(1), token))
-        tokens.append((None, len(text), "end of input"))
-        parser = _Parser(self, tokens)
-        node = parser.binary(1)
-        if parser.tokens[parser.pos][0] is not None:
-            raise parser.error("end of input")
+        and what it found is as text spells it.  A character that starts no
+        token is reported before any other error.
+
+        memo, if given, maps texts to their trees.  text, each parenthesised
+        group in it and each rest of a group after the operator that groups
+        to the right are looked up there before they are read, and stored
+        once parsed; the memo is cleared when it holds MEMO_SIZE texts."""
+        node = None if memo is None else memo.get(text)
+        if node is None:
+            parser = _Parser(self, text, memo)
+            node = parser.whole(0)
+            if parser.tok is not None:
+                raise parser.error("end of input")
         return node
 
     def show(self, node, operand) -> str:
@@ -342,39 +355,93 @@ class Grammar:
 
 
 class _Parser:
-    """Precedence climbing over one grammar's tokens."""
+    """Precedence climbing over one grammar's tokens, each read from the text
+    when the parser comes to it.  With a memo, a tree that runs to the end
+    of the group being read is looked up before it is read (see
+    Grammar.parse)."""
 
-    def __init__(self, grammar: Grammar, tokens: list[tuple[str | None, int, str]]):
-        self.g = grammar
-        self.tokens = tokens  # ending with the end of input, token None
-        self.pos = 0
+    def __init__(self, grammar: Grammar, text: str, memo: dict | None):
+        self.g, self.text, self.memo = grammar, text, memo
+        self.close = {}  # with a memo: the offset of each '(' -> that of its ')'
+        if memo is not None:
+            opened = []
+            for m in _PARENS.finditer(text):
+                if m.group() == "(":
+                    opened.append(m.start())
+                elif opened:
+                    self.close[opened.pop()] = m.start()
+        # where the group being read ends, if there is a memo to look it up in
+        self.end = None if memo is None else len(text)
+
+    def read(self, at: int) -> None:
+        """Read the token at offset at, after any blanks: tok (an alias read
+        as its token, None at the end), its offset, the offset after it and
+        the blanks that follow, and its text as typed."""
+        m = self.g.token.match(self.text, at)
+        if m is None:  # nothing but blanks is left
+            self.tok, self.at, self.typed = None, len(self.text), "end of input"
+            return
+        typed, bad = m.groups()
+        if bad:
+            raise ParseError(m.start(2), self.g.bad_token, bad)
+        self.tok = self.g.aliases.get(typed, typed)
+        self.at, self.after, self.typed = m.start(1), m.end(), typed
 
     def error(self, expected: str) -> ParseError:
-        """A ParseError at the current token, found as the text spells it."""
-        _, at, typed = self.tokens[self.pos]
-        return ParseError(at, expected, typed)
+        """A ParseError at the current token, found as the text spells it;
+        but a character from there on that starts no token comes first.
+        Everything before the current token was read, or was a memo's text
+        that parsed, so it holds no such character."""
+        for m in self.g.token.finditer(self.text, self.at):
+            if m.group(2):
+                return ParseError(m.start(2), self.g.bad_token, m.group(2))
+        return ParseError(self.at, expected, self.typed)
+
+    def whole(self, start: int):
+        """The tree from offset start to the end of the group being read:
+        the memo's, if it has the text, else read and then remembered."""
+        end, memo = self.end, self.memo
+        if end is None:
+            self.read(start)
+            return self.binary(1)
+        text = self.text[start:end]
+        node = memo.get(text)
+        if node is not None:
+            self.read(end)
+            return node
+        self.read(start)
+        node = self.binary(1)
+        if self.at == end:
+            if len(memo) >= MEMO_SIZE:
+                memo.clear()
+            memo[text] = node
+        return node
 
     def binary(self, least: int):
         """A tree whose binary operators bind at level least or above."""
         left = self.unary()
         while True:
-            op = self.g.binary.get(self.tokens[self.pos][0])
+            op = self.g.binary.get(self.tok)
             if op is None or op[0] < least:
                 return left
             level, cls, _ = op
-            self.pos += 1
-            left = cls(left, self.binary(level if cls is self.g.right else level + 1))
+            if cls is self.g.right:  # binds loosest: its operand is the rest
+                left = cls(left, self.whole(self.after))
+            else:
+                self.read(self.after)
+                left = cls(left, self.binary(level + 1))
 
     def unary(self):
         g = self.g
-        tok = self.tokens[self.pos][0]
+        tok = self.tok
         if tok in g.prefix:
-            self.pos += 1
+            self.read(self.after)
             return g.prefix[tok](self.unary())
         if tok == "(":
-            self.pos += 1
-            node = self.binary(1)
-            if self.tokens[self.pos][0] != ")":
+            outer, self.end = self.end, self.close.get(self.at)
+            node = self.whole(self.after)
+            self.end = outer
+            if self.tok != ")":
                 raise self.error("')'")
         elif tok in g.constants:
             node = g.constants[tok]
@@ -382,10 +449,10 @@ class _Parser:
             node = g.variable(tok)
         else:
             raise self.error(g.bad_operand)
-        self.pos += 1  # past the ')', constant or name
-        while self.tokens[self.pos][0] in g.postfix:
-            node = g.postfix[self.tokens[self.pos][0]](node)
-            self.pos += 1
+        self.read(self.after)  # past the ')', constant or name
+        while self.tok in g.postfix:
+            node = g.postfix[self.tok](node)
+            self.read(self.after)
         return node
 
 
@@ -401,12 +468,11 @@ FORMULAS = Grammar(
 
 def parse_formula(text: str) -> Formula:
     """Parse the ASCII (or Unicode-aliased) syntax into a Formula; memoised
-    by text (a ParseError is raised afresh each time)."""
-    return _parse(text)
+    by text and by group (a ParseError is raised afresh each time)."""
+    return FORMULAS.parse(text, _MEMO)
 
 
-# the memo sits behind a plain function, which perfbench's tracer can wrap
-_parse = functools.lru_cache(maxsize=4096)(FORMULAS.parse)
+_MEMO: dict[str, Formula] = {}  # parse_formula's; see Grammar.parse
 
 
 def print_formula(f: Formula) -> str:
@@ -457,10 +523,27 @@ def shared_variables(a: Formula, b: Formula) -> frozenset[str]:
     return variables(a) & variables(b)
 
 
+def substitution(mapping: dict[str, Formula]):
+    """The map f -> f with each variable mapping names replaced by its
+    formula.  The map remembers the image of each node it meets, so a
+    subformula shared by the formulas it is given is substituted once."""
+    images: dict[Formula, Formula] = {}
+
+    def image(f: Formula) -> Formula:
+        out = images.get(f)
+        if out is None:
+            if isinstance(f, Var):
+                out = mapping.get(f.name, f)
+            elif isinstance(f, Neg):
+                out = Neg(image(f.body))
+            else:
+                out = type(f)(image(f.left), image(f.right))
+            images[f] = out
+        return out
+
+    return image
+
+
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Uniformly replace variables by formulas (schema instantiation)."""
-    if isinstance(f, Var):
-        return mapping.get(f.name, f)
-    if isinstance(f, Neg):
-        return Neg(substitute(f.body, mapping))
-    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
+    return substitution(mapping)(f)

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 from .formulas import (
     Formula, Imp, And, Or, Neg, ParseError, desugar_fusion, end_of_file,
-    file_lines, is_core, parse_at, parse_formula, print_formula, substitute,
+    file_lines, is_core, parse_at, parse_formula, print_formula, substitution,
 )
 
 __all__ = [
@@ -61,17 +61,44 @@ __all__ = [
 
 DEFAULT_BOUND = 4
 MAX_BOUND = 8
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class Assertion:
-    formula: Formula
-    i: int
-    j: int
+    """(formula)[i,j]: a fusion-free formula at a pair of object indices.
+    Assertions are immutable; each keeps its hash, that of the triple
+    (formula, i, j), and two are equal when their triples are."""
 
-    def __post_init__(self):
-        if not is_core(self.formula):
+    __slots__ = ("formula", "i", "j", "_hash")
+
+    def __init__(self, formula: Formula, i: int, j: int):
+        if not is_core(formula):
             raise ValueError("assertions carry fusion-free formulas; desugar first")
+        _set(self, "formula", formula)
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "_hash", hash((formula, i, j)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Assertion:
+            return NotImplemented
+        return (self._hash == other._hash and self.formula is other.formula
+                and self.i == other.i and self.j == other.j)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Assertion is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Assertion is immutable")
+
+    def __reduce__(self):
+        return Assertion, (self.formula, self.i, self.j)
+
+    def __repr__(self) -> str:
+        return f"Assertion(formula={self.formula!r}, i={self.i!r}, j={self.j!r})"
 
     def key(self):
         return (print_formula(self.formula), self.i, self.j)
@@ -145,6 +172,10 @@ class Rule:
     def __repr__(self) -> str:
         return self.name
 
+    def __reduce__(self):
+        # pickled and copied as the row of its name, so identity survives
+        return _row, (self.name,)
+
     def actives(self, principal: Assertion | None, k: int | None,
                 n: int) -> list[tuple[frozenset, frozenset]]:
         """Each of the n premises' left and right active assertions."""
@@ -198,6 +229,10 @@ RULES = (
 
 RULE_NAMED = {rule.name: rule for rule in RULES}
 Axiom, Weaken, Cut, AndL, NegL, OrR, NegR, ImpR, OrL, AndR, ImpL = RULES
+
+
+def _row(name: str) -> Rule:
+    return RULE_NAMED[name]
 
 
 @dataclass
@@ -417,16 +452,21 @@ def permute_indices(proof: Proof, perm: dict[int, int]) -> Proof:
 
 
 def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
-    """Instantiate a schematic proof; rule applications survive substitution."""
-    core_map = {name: desugar_fusion(f) for name, f in mapping.items()}
-    goal = substitute(proof.goal, mapping) if proof.goal is not None else None
-    formulas: dict[Formula, Formula] = {}  # each distinct formula once
+    """Instantiate a schematic proof; rule applications survive substitution.
+    Each distinct subformula is substituted once, and each distinct
+    assertion built once."""
+    core = {name: desugar_fusion(f) for name, f in mapping.items()}
+    image = substitution(core)
+    goal = proof.goal  # keeps its fusions, and so do the formulas put in it
+    if goal is not None:
+        goal = (image if core == mapping else substitution(mapping))(goal)
+    made: dict[Assertion, Assertion] = {}
 
     def assertion(a: Assertion) -> Assertion:
-        f = formulas.get(a.formula)
-        if f is None:
-            f = formulas[a.formula] = substitute(a.formula, core_map)
-        return Assertion(f, a.i, a.j)
+        b = made.get(a)
+        if b is None:
+            b = made[a] = Assertion(image(a.formula), a.i, a.j)
+        return b
 
     return _relabel(proof, assertion, None, goal)
 
@@ -439,7 +479,7 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # <k>. <sequent> ; <rule> [<refs>] [k=<idx>]
 # with sequents written  (formula)[i,j], ... => ...
 
-_HEADER = re.compile(r"lemma\s*(\S+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
+_HEADER = re.compile(r"lemma\s+([^\s:]+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
 # <k>. <left side> => <right side> ; <rule> <arguments>, where the match
 # also stands without '=>' or ';' so that the reader can say which is missing
 _LINE = re.compile(r"(\d+)\s*\.[\s,]*(?:([^;]*?)=>[\s,]*)?([^;]*?)\s*(?:(;)\s*(\S*)\s*(.*))?$")
@@ -448,6 +488,7 @@ _LINE = re.compile(r"(\d+)\s*\.[\s,]*(?:([^;]*?)=>[\s,]*)?([^;]*?)\s*(?:(;)\s*(\
 # that a bad one is reported after the formula is read
 _ASSERTION = re.compile(r"\(([^\[]*)\)\s*(?:\[\s*(\d+)\s*,\s*(\d+)\s*\][\s,]*)?")
 _NEXT = re.compile(r"\s*(=>|\S|$)")  # where an error is: '=>', a character or the end
+_WORD = re.compile(r"\S+")
 
 
 def _error(content: str, at: int, expected: str, n: int, col: int) -> ParseError:
@@ -457,25 +498,33 @@ def _error(content: str, at: int, expected: str, n: int, col: int) -> ParseError
     return ParseError(col + m.start(1), expected, m.group(1) or "end of line", n)
 
 
-def _side(content: str, pos: int, end: int, n: int, col: int) -> list[Assertion]:
-    """The assertions of the sequent side content[pos:end]."""
+def _side(content: str, pos: int, end: int, n: int, col: int,
+          made: dict) -> list[Assertion]:
+    """The assertions of the sequent side content[pos:end].  made maps the
+    texts of a script's assertions, formula and indices, to the assertions
+    built from them, so that each is read and built once."""
     out = []
     while pos < end:
         m = _ASSERTION.match(content, pos, end)
         if m is None:  # no '(', or no ')' before the next '['
             raise _error(content, pos, "an assertion '(<formula>)[i,j]'", n, col)
-        f = parse_at(parse_formula, content, m.start(1), m.end(1), n, col)
-        if m.group(2) is None:
-            raise _error(content, m.end(), "'[i,j]' after the formula", n, col)
-        out.append(Assertion(desugar_fusion(f), int(m.group(2)), int(m.group(3))))
+        texts = m.group(1, 2, 3)
+        a = made.get(texts)
+        if a is None:
+            f = parse_at(parse_formula, content, m.start(1), m.end(1), n, col)
+            if m.group(2) is None:
+                raise _error(content, m.end(), "'[i,j]' after the formula", n, col)
+            a = made[texts] = Assertion(desugar_fusion(f), int(m.group(2)),
+                                        int(m.group(3)))
+        out.append(a)
         pos = m.end()
     return out
 
 
-def _script_line(content: str, line_no: int, n: int,
-                 col: int) -> tuple[Sequent, Justification]:
+def _script_line(content: str, line_no: int, n: int, col: int,
+                 made: dict) -> tuple[Sequent, Justification]:
     """Proof line line_no, written as content on line n of a script from
-    column col."""
+    column col; made is as for _side."""
     m = _LINE.match(content)
     if not m:
         raise ParseError(col, "'<k>. <sequent> ; <rule>'", line=n)
@@ -485,13 +534,13 @@ def _script_line(content: str, line_no: int, n: int,
         raise _error(content, len(content), "';' and a rule", n, col)
     if m.group(2) is None:
         raise _error(content, m.start(4), "'=>' separating the sequent sides", n, col)
-    seq = Sequent.of(_side(content, m.start(2), m.end(2), n, col),
-                     _side(content, m.start(3), m.end(3), n, col))
+    seq = Sequent.of(_side(content, m.start(2), m.end(2), n, col, made),
+                     _side(content, m.start(3), m.end(3), n, col, made))
     rule = RULE_NAMED.get(m.group(5))
     if rule is None:
         raise ParseError(col + m.start(5), "a rule name", m.group(5) or "end of line", n)
     refs, eigen = [], None
-    for arg in re.finditer(r"\S+", m.group(6)):
+    for arg in _WORD.finditer(m.group(6)):
         word = arg.group()
         if word.isdecimal():
             refs.append(int(word))
@@ -514,14 +563,20 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
     name = goal = None
     bound = DEFAULT_BOUND
     lines: list[tuple[Sequent, Justification]] = []
+    made: dict[tuple, Assertion] = {}
     for n, col, content in file_lines(text):
         if not content.startswith("lemma"):
-            lines.append(_script_line(content, len(lines) + 1, n, col))
+            lines.append(_script_line(content, len(lines) + 1, n, col, made))
             continue
+        if name is not None:
+            raise ParseError(col, "a proof line: a script has one 'lemma' header",
+                             "lemma", n)
         m = _HEADER.match(content)
         if not m:
             raise ParseError(col, "'lemma <name> [: <formula>] [bound <n>]'", line=n)
         name = m.group(1)
+        if m.group(2) == "":
+            raise _error(content, m.start(2), "a formula", n, col)
         if m.group(2):
             goal = parse_at(parse_formula, content, m.start(2), m.end(2), n, col)
         if m.group(3):

@@ -29,6 +29,9 @@ CASES = [
     (parse_proof_script, "lemma x bound 9\n", 1, 15, "9"),
     (parse_proof_script, "lemma x : p &\n", 1, 14, "end of input"),
     (parse_proof_script, "lemma x : p & bound 3\n", 1, 15, "b"),
+    (parse_proof_script, "lemma x :\n" + AXIOM, 1, 10, "end of line"),
+    (parse_proof_script, "lemmax : p\n" + AXIOM, 1, 1, ""),
+    (parse_proof_script, "lemma x\n" + AXIOM + "lemma x bound 2\n", 3, 1, "lemma"),
     (parse_proof_script, AXIOM, 2, 1, "end of file"),
     (parse_proof_script, script("x. (p)[0,0] => (p)[0,0] ; axiom"), 2, 1, ""),
     (parse_proof_script, script("2. (p)[0,0] => (p)[0,0] ; axiom"), 2, 1, "2"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tarl import formulas as formulas_module
 from tarl.formulas import (
-    And, Fusion, Imp, Neg, Or, ParseError, Var,
+    FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var,
     desugar_fusion, is_core, parse_formula, print_formula,
     shared_variables, substitute, variables,
 )
@@ -240,3 +240,105 @@ def test_parse_error_is_raised_again_with_its_position():
         with pytest.raises(ParseError) as e:
             parse_formula("p & (q -> ")
         assert e.value.position == 10
+
+
+# ------------------------------------------------------------------
+# The parse memo: parse_formula against a parse with no memo
+# ------------------------------------------------------------------
+
+SPELLINGS = {"~": ("~", "¬", "～"), "&": ("&", "∧"), "|": ("|", "∨"),
+             "->": ("->", "→"), "o": (" o ", "∘")}  # ASCII o needs blanks
+CONNECTIVES = {And: ("&", 3), Or: ("|", 2), Imp: ("->", 1), Fusion: ("o", 4)}
+
+
+def spelled(f, rng, least=0):
+    """f in the surface syntax, with blanks, aliases and redundant
+    parentheses drawn from rng; half of the subtrees are printed plainly,
+    so that their texts recur in later texts."""
+    if rng.random() < 0.5:
+        text = print_formula(f)
+        level = 6 if isinstance(f, Var) else 5 if isinstance(f, Neg) else CONNECTIVES[type(f)][1]
+    else:
+        blank = lambda: rng.choice(("", "", " ", "  "))
+        if isinstance(f, Var):
+            text, level = f.name, 6
+        elif isinstance(f, Neg):
+            text, level = rng.choice(SPELLINGS["~"]) + blank() + spelled(f.body, rng, 5), 5
+        else:
+            token, level = CONNECTIVES[type(f)]
+            right = type(f) is Imp
+            text = (spelled(f.left, rng, level + right) + blank()
+                    + rng.choice(SPELLINGS[token]) + blank()
+                    + spelled(f.right, rng, level + (not right)))
+    if level < least or rng.random() < 0.15:
+        text = "(" + text + ")"
+    return text
+
+
+def subformulas(f):
+    """The proper subformulas of f, leaves first."""
+    children = [f.body] if isinstance(f, Neg) else [] if isinstance(f, Var) else [f.left, f.right]
+    for child in children:
+        yield from subformulas(child)
+        yield child
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return (e.position, e.expected, e.found)
+
+
+class CountingMemo(dict):
+    """A memo that counts the lookups that find a text."""
+    hits = 0
+
+    def get(self, key, default=None):
+        found = dict.get(self, key, default)
+        self.hits += found is not default
+        return found
+
+
+def test_memoised_parse_agrees_with_a_parse_without_memo(monkeypatch):
+    memo = CountingMemo()
+    monkeypatch.setattr(formulas_module, "_MEMO", memo)
+    rng = random.Random(18)
+    texts = []
+    for _ in range(300):
+        # a formula after some of its subformulas, as proof lines come
+        f = random_formula(rng, rng.randint(1, 16), ["p", "q", "r", "s"])
+        texts += [spelled(g, rng) for g in subformulas(f) if rng.random() < 0.3]
+        texts.append(spelled(f, rng))
+    for text in texts:
+        assert parse_formula(text) is FORMULAS.parse(text), text
+    whole_hits = sum(text in texts[:k] for k, text in enumerate(texts))
+    assert memo.hits - whole_hits > len(texts) // 4  # groups found in the memo
+    characters = "()$~&|->o∧¬ pq"
+    for text in texts:
+        at = rng.randrange(len(text) + 1)
+        new = rng.choice(characters)
+        for mutant in (text[:at] + new + text[at:], text[:at] + new + text[at + 1:],
+                       text[:at] + text[at + 1:]):
+            assert outcome(parse_formula, mutant) == outcome(FORMULAS.parse, mutant), mutant
+
+
+def test_a_bad_character_wins_over_an_earlier_syntax_error(monkeypatch):
+    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    for memoised in ((), ("q", "-> q $")):
+        for text in memoised:
+            outcome(parse_formula, text)
+        assert outcome(parse_formula, "p -> -> q $") == (
+            10, "a connective, '(' or an identifier", "$")
+    assert outcome(parse_formula, "(q) -> ((q) ->") == (14, "'~', '(' or an identifier",
+                                                         "end of input")
+    assert outcome(parse_formula, "(q) -> ((q) $") == (12, "a connective, '(' or an identifier",
+                                                        "$")
+
+
+def test_the_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    for k in range(20_000):
+        f = parse_formula(f"(p{k} -> q) & (r | p{k})")
+        assert len(formulas_module._MEMO) <= formulas_module.MEMO_SIZE
+    assert f == And(Imp(Var("p19999"), Var("q")), Or(Var("r"), Var("p19999")))

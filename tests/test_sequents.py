@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tarl.formulas import Imp, Var, parse_formula
+from tarl.derived import apply_derived_rule
+from tarl.formulas import Imp, Neg, Var, desugar_fusion, parse_formula, variables
+from tarl.gen import random_formula
 from tarl.registry import corpus_ids, get_corpus_entry
 from tarl.sequents import (
     RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, NegR, NotABijection, OrR,
@@ -265,9 +269,96 @@ def test_script_bound_header():
     assert "IndexOutOfBound" in report.first_error[1]
 
 
+def test_script_header_colon_may_touch_the_name():
+    name, proof = parse_proof_script("lemma a:p->p\n"
+                                     "1. (p)[1,0] => (p)[1,0] ; axiom\n"
+                                     "2. => (p -> p)[0,0] ; impR k=1\n")
+    assert (name, proof.goal) == ("a", parse_formula("p -> p"))
+    assert check_proof(proof).valid
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(corpus_ids()), st.permutations(list(range(4))))
 def test_permutation_invariance_property(lemma, perm):
     proof = get_corpus_entry(lemma).proof
     mapping = dict(enumerate(perm))
     assert check_proof(permute_indices(proof, mapping)).valid
+
+
+# ------------------------------------------------------------------
+# Assertions: stored hash, immutability, pickling
+# ------------------------------------------------------------------
+
+def test_assertion_hash_and_equality_are_those_of_the_triple():
+    triples = [(parse_formula(text), i, j) for text in ("p", "q", "p -> q")
+               for i in range(3) for j in range(3)]
+    for t in triples:
+        assert hash(Assertion(*t)) == hash(t)
+        for u in triples:
+            assert (Assertion(*t) == Assertion(*u)) == (t == u)
+    assert Assertion(*triples[0]) != triples[0]
+    assert len({Assertion(*t) for t in triples + triples}) == len(triples)
+
+
+def test_assertions_are_immutable():
+    x = a("p -> q", 0, 1)
+    for name in ("formula", "i", "j", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 2)
+    with pytest.raises(AttributeError):
+        del x.i
+    assert x == a("p -> q", 0, 1)
+    assert repr(x) == ("Assertion(formula=Imp(left=Var(name='p'), right=Var(name='q')), "
+                       "i=0, j=1)")
+    assert str(x) == "(p -> q)[0,1]"
+    assert x.key() == ("p -> q", 0, 1)
+
+
+def test_assertions_sequents_and_proofs_survive_pickle_and_deepcopy():
+    x = a("~(p & q)", 2, 3)
+    s = seq([x, a("p", 0, 0)], [a("q", 1, 0)])
+    proofs = [get_corpus_entry(lemma).proof for lemma in corpus_ids()]
+    for thing in (x, s, *proofs):
+        for again in (pickle.loads(pickle.dumps(thing)), copy.deepcopy(thing)):
+            assert again == thing
+    for thing in (x, s):
+        assert hash(pickle.loads(pickle.dumps(thing))) == hash(copy.deepcopy(thing)) == hash(thing)
+    for again in (pickle.loads(pickle.dumps(proofs)), copy.deepcopy(proofs)):
+        assert all(check_proof(p).valid for p in again)
+
+
+def substituted(f, mapping):
+    """f with its variables replaced, by a walk with no memo."""
+    if isinstance(f, Var):
+        return mapping.get(f.name, f)
+    if isinstance(f, Neg):
+        return Neg(substituted(f.body, mapping))
+    return type(f)(substituted(f.left, mapping), substituted(f.right, mapping))
+
+
+def test_substitute_proof_agrees_with_substituting_each_assertion():
+    rng = random.Random(18)
+    names = ["p", "q", "r", "s"]
+    proofs = [get_corpus_entry(lemma).proof for lemma in corpus_ids()]
+    # a derived proof, whose justifications name their cut assertions
+    proofs.append(apply_derived_rule("transitivity", [get_corpus_entry("A2").proof,
+                                                      get_corpus_entry("A5").proof], []))
+    assert any(j.cut is not None for _, j in proofs[-1].lines)
+    for proof in proofs:
+        mapping = {v: random_formula(rng, rng.randint(1, 5), names)  # fusions too
+                   for v in sorted(variables(proof.goal))}
+        core = {v: desugar_fusion(f) for v, f in mapping.items()}
+
+        def expected(x):
+            return Assertion(substituted(x.formula, core), x.i, x.j)
+
+        inst = substitute_proof(proof, mapping)
+        assert inst.goal == substituted(proof.goal, mapping)
+        assert inst.bound == proof.bound
+        for (s, j), (t, k) in zip(proof.lines, inst.lines, strict=True):
+            assert t.left == frozenset(map(expected, s.left))
+            assert t.right == frozenset(map(expected, s.right))
+            assert k == (j if j.cut is None else replace(j, cut=expected(j.cut)))
+        report = check_proof(inst)
+        assert report.valid, report.first_error
+        assert report.objects_used == check_proof(proof).objects_used
