@@ -53,7 +53,7 @@ from .formulas import (
     FORMULAS, And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError,
     UnassignedVariable, file_lines, parse_at, variables,
 )
-from .models import ModelStructure, _grid_rows, _valuation_grid, tables_for
+from .models import _GRID_CACHE, ModelStructure, _grid_size, tables_for
 
 __all__ = [
     "RATerm", "RVar", "Join", "Meet", "Compl", "Conv", "Comp",
@@ -263,13 +263,13 @@ class _Masks:
         return self.tab.mask_of(self.m, value)
 
     def decode(self, x) -> frozenset[str]:
-        return self.tab.subset_of(self.m, int(x))
+        return self.tab.subsets[x]
 
     def batches(self, names: list[str], trials: int, seed: int):
         """The whole assignment grid as one batch: carriers are exhausted."""
-        size = self.tab.size
-        rows = _grid_rows(size, names)
-        return [(len(rows), _valuation_grid(names, size, rows))]
+        masks = range(self.tab.size)
+        total = _grid_size(len(masks), len(names))
+        return [(total, dict(zip(names, _GRID_CACHE.block(masks, len(names), 0, total))))]
 
 
 class _Matrices:

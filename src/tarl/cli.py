@@ -133,12 +133,11 @@ def cmd_valid(args) -> int:
     m = _resolve_structure(args.model)
     f = _resolve_formula(args.formula)
     result = models.valid_in(m, f)
+    payload = {"model": m.name, "valid": result.valid, **result.counters()}
     if result.valid:
-        _emit(args, {"model": m.name, "valid": True, "valuations": result.valuations},
-              f"valid in {m.name}")
+        _emit(args, payload, f"valid in {m.name}")
         return 0
-    _emit(args, {"model": m.name, "valid": False, "valuations": result.valuations,
-                 "witness": {k: v for k, v in result.witness.assignment.items()}},
+    _emit(args, {**payload, "witness": result.witness.assignment},
           f"invalid; witness {result.witness}")
     return 1
 
@@ -159,11 +158,11 @@ def cmd_countermodel(args) -> int:
         return 0
     result = models.valid_in(m, f)
     if result.valid:
-        _emit(args, {"model": m.name, "countermodel": None},
+        _emit(args, {"model": m.name, "countermodel": None, **result.counters()},
               "no countermodel (formula is valid)")
         return 0
-    _emit(args, {"model": m.name,
-                 "countermodel": dict(result.witness.assignment)},
+    _emit(args, {"model": m.name, "countermodel": result.witness.assignment,
+                 **result.counters()},
           f"countermodel: {result.witness}")
     return 1
 

@@ -12,9 +12,12 @@ with variables mapped to subsets subject to heredity (truth propagates
 along R0-successors).  Subsets are bitmasks and each operation is one
 int64 lookup table.  The evaluator of the formula grammar,
 `FORMULAS.evaluate`, runs a formula over an array of valuations with these
-lookups as its operations: the whole grid for `valid_in`, chunks of the
-singleton grid for `find_invalidating_singletons`, a batch of one for
-`interpret`.  The
+lookups as its operations, one block of grid rows at a time for `valid_in`
+and `find_invalidating_singletons` and a batch of one for `interpret`.  A
+grid's blocks grow fourfold from `_FIRST_BLOCK` rows to `_GRID_CHUNK`, and
+each block's columns of masks are built once and cached, read-only, in a
+dict emptied once it passes GRID_CACHE_BYTES; `valid_in` stops at the first block that
+holds a failing row.  The
 structure postulates (p1..p6 and friends) are audited, never assumed, so
 deliberately defective structures can be represented and inspected.  The
 audit works on a batch of relations at once, held as a (B, n, n, n) boolean
@@ -53,8 +56,12 @@ DEFAULT_VALUATION_CAP = 2 ** 20
 
 # candidates audited together by enumerate_structures; bounds its memory
 _CHUNK = 1024
-# grid rows evaluated together by find_invalidating_singletons
+# rows in the first block of a valuation grid; each later block has four
+# times as many, up to _GRID_CHUNK
+_FIRST_BLOCK = 1024
 _GRID_CHUNK = 1 << 16
+# the grid block cache is emptied once it holds more bytes than this
+GRID_CACHE_BYTES = 16 << 20
 
 POSTULATE_NAMES = ("p1", "p2", "p3", "p4", "p5", "p6",
                    "comm", "p3prime", "p5prime", "normal", "crstar", "peirce")
@@ -139,6 +146,13 @@ class _Tables:
         self.all_mask = size - 1
         self.zero_bit = m.index(m.zero)
         idx = {e: i for i, e in enumerate(m.elements)}
+        self.bits = {e: 1 << i for e, i in idx.items()}
+        # subsets[mask]: the elements of mask, decoded once and shared; the
+        # subset for mask | 1 << i is the one for mask with element i added
+        subsets = [frozenset()]
+        for e in m.elements:
+            subsets += [s | {e} for s in subsets]
+        self.subsets = tuple(subsets)
         single = np.zeros((n, n), dtype=np.int64)    # [x, y]: {x} o {y}
         need = np.zeros((n, n), dtype=np.int64)      # [x, z]: the y with R z x y
         for (a, b, c) in m.triples:
@@ -164,11 +178,14 @@ class _Tables:
     def mask_of(self, m: ModelStructure, subset) -> int:
         acc = 0
         for e in subset:
-            acc |= 1 << m.index(e)
+            try:
+                acc |= self.bits[e]
+            except KeyError:
+                raise ValueError(f"{e!r} is not an element of {m.name}") from None
         return acc
 
     def subset_of(self, m: ModelStructure, mask: int) -> frozenset[str]:
-        return frozenset(e for i, e in enumerate(m.elements) if mask >> i & 1)
+        return self.subsets[mask]
 
 
 def tables_for(m: ModelStructure) -> _Tables:
@@ -236,39 +253,78 @@ def interpret(m: ModelStructure, v: Valuation, f: Formula) -> frozenset[str]:
     """J(f): the set of elements where f holds; fusion is interpreted directly."""
     t = tables_for(m)
     env = {name: t.mask_of(m, val) for name, val in v.assignment.items()}
-    return t.subset_of(m, int(FORMULAS.evaluate(f, env, t.ops)))
+    return t.subsets[FORMULAS.evaluate(f, env, t.ops)]
 
 
 def verified(m: ModelStructure, v: Valuation, f: Formula) -> bool:
     return m.zero in interpret(m, v, f)
 
 
-def _grid_rows(base: int, names: list[str]) -> np.ndarray:
-    """Every row of a grid of `base` ** len(names) valuations, if
+def _grid_size(base: int, arity: int) -> int:
+    """The rows of a grid of `base` ** `arity` valuations, if
     DEFAULT_VALUATION_CAP allows."""
-    total = base ** len(names)
+    total = base ** arity
     if total > DEFAULT_VALUATION_CAP:
         raise TooManyValuations(
             f"{total} valuations exceeds cap {DEFAULT_VALUATION_CAP}")
-    return np.arange(total)
+    return total
 
 
-def _valuation_grid(names: list[str], base: int, rows: np.ndarray,
-                    allowed: list[int] | None = None) -> dict[str, np.ndarray]:
-    """Columns for the given rows of the grid of every assignment of `base`
-    masks (the list `allowed`, or else 0..base-1), first name most
-    significant, so row order is the lexicographic order of assignments."""
-    env = {name: rows // base ** (len(names) - 1 - pos) % base
-           for pos, name in enumerate(names)}
-    if allowed is None:
-        return env
-    allowed_np = np.array(allowed, dtype=np.int64)
-    return {name: allowed_np[digits] for name, digits in env.items()}
+class _GridCache:
+    """The digit columns of grid blocks, built once each: `columns` maps
+    (allowed masks, arity, lo, hi) to a read-only array, and it is emptied
+    once it holds more than GRID_CACHE_BYTES of them."""
+
+    def __init__(self):
+        self.columns: dict[tuple, np.ndarray] = {}
+        self.nbytes = 0
+
+    def block(self, allowed, arity: int, lo: int, hi: int) -> np.ndarray:
+        """The (arity, hi - lo) masks of rows lo..hi-1 of the grid of every
+        assignment of the masks `allowed` to `arity` variables, the first
+        variable most significant, so row order is the lexicographic order
+        of assignments."""
+        key = (allowed, arity, lo, hi)
+        cols = self.columns.get(key)
+        if cols is None:
+            base = len(allowed)
+            powers = base ** np.arange(arity - 1, -1, -1, dtype=np.int64)
+            digits = np.arange(lo, hi, dtype=np.int64) // powers[:, None] % base
+            cols = np.asarray(allowed, dtype=np.int64)[digits]
+            cols.flags.writeable = False
+            self.columns[key] = cols
+            self.nbytes += cols.nbytes
+            if self.nbytes > GRID_CACHE_BYTES:
+                self.columns.clear()
+                self.nbytes = 0
+        return cols
 
 
-def _valuation(m: ModelStructure, t: _Tables, env: dict[str, np.ndarray],
-               row: int) -> Valuation:
-    return Valuation({name: t.subset_of(m, int(col[row])) for name, col in env.items()})
+_GRID_CACHE = _GridCache()
+
+
+def _blocks(total: int):
+    """(lo, hi) of each block of a grid of `total` rows, in row order."""
+    lo, size = 0, min(_FIRST_BLOCK, _GRID_CHUNK)
+    while lo < total:
+        hi = min(lo + size, total)
+        yield lo, hi
+        lo, size = hi, min(4 * size, _GRID_CHUNK)
+
+
+def _failing_rows(t: _Tables, f: Formula, names: list[str], allowed, total: int,
+                  fails):
+    """For each block of the grid of `allowed` masks over `names`, in row
+    order: the block's end, its columns, and its rows where fails(the value
+    of f) holds, as offsets into the block."""
+    for lo, hi in _blocks(total):
+        cols = _GRID_CACHE.block(allowed, len(names), lo, hi)
+        value = FORMULAS.evaluate(f, dict(zip(names, cols)), t.ops)
+        yield hi, cols, np.flatnonzero(fails(value))
+
+
+def _valuation(t: _Tables, names: list[str], masks) -> Valuation:
+    return Valuation({name: t.subsets[mask] for name, mask in zip(names, masks)})
 
 
 @dataclass
@@ -276,41 +332,44 @@ class ValidityResult:
     valid: bool
     witness: Valuation | None = None
     valuations: int = 0              # grid rows evaluated
+    grid: int = 0                    # rows in the whole grid
 
     def __bool__(self) -> bool:
         return self.valid
 
+    def counters(self) -> dict[str, int]:
+        return {"valuations": self.valuations, "grid": self.grid}
+
 
 def valid_in(m: ModelStructure, f: Formula) -> ValidityResult:
     """Exhaustive check over every heredity-closed valuation; the witness is
-    the lexicographically first failing one, and `valuations` counts the
-    grid rows evaluated."""
+    the lexicographically first failing one.  The grid is evaluated block by
+    block and the first block with a failing row ends the check, so
+    `valuations` counts the rows up to the end of that block (the whole
+    `grid` when f is valid)."""
     t = tables_for(m)
     names = sorted(variables(f))
-    allowed = t.hereditary
-    rows = _grid_rows(len(allowed), names)
-    env = _valuation_grid(names, len(allowed), rows, allowed)
-    value = FORMULAS.evaluate(f, env, t.ops)
-    failing = np.nonzero((value >> t.zero_bit & 1) == 0)[0]
-    if failing.size == 0:
-        return ValidityResult(True, valuations=len(rows))
-    return ValidityResult(False, _valuation(m, t, env, int(failing[0])), len(rows))
+    grid = _grid_size(len(t.hereditary), len(names))
+    for hi, cols, rows in _failing_rows(t, f, names, t.hereditary, grid,
+                                        lambda value: (value >> t.zero_bit & 1) == 0):
+        if rows.size:
+            return ValidityResult(False, _valuation(t, names, cols[:, rows[0]].tolist()),
+                                  hi, grid)
+    return ValidityResult(True, valuations=grid, grid=grid)
 
 
 def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuation]:
     """All singleton-valued valuations sending the whole formula to the
     empty set, in lexicographic order of the assignments.  The grid of
-    hereditary singletons is walked in row chunks, so it needs no cap."""
+    hereditary singletons is walked in the blocks `valid_in` uses, so it
+    needs no cap."""
     t = tables_for(m)
     names = sorted(variables(f))
-    singles = [1 << i for i in range(t.n) if 1 << i in t.hereditary]
-    total = len(singles) ** len(names)
+    singles = tuple(1 << i for i in range(t.n) if 1 << i in t.hereditary)
     out = []
-    for lo in range(0, total, _GRID_CHUNK):
-        rows = np.arange(lo, min(lo + _GRID_CHUNK, total))
-        env = _valuation_grid(names, len(singles), rows, singles)
-        empty = np.nonzero(FORMULAS.evaluate(f, env, t.ops) == 0)[0]
-        out.extend(_valuation(m, t, env, int(row)) for row in empty)
+    for _, cols, rows in _failing_rows(t, f, names, singles, len(singles) ** len(names),
+                                       lambda value: value == 0):
+        out.extend(_valuation(t, names, masks) for masks in cols[:, rows].T.tolist())
     return out
 
 

@@ -134,6 +134,12 @@ def test_unassigned_variable():
         eval_term(ProperAlgebra(3), {}, parse_ra_term("x"))
 
 
+def test_an_unknown_element_is_named():
+    k5 = ComplexAlgebra(get_structure("K5"))
+    with pytest.raises(ValueError, match="'zz' is not an element of K5"):
+        eval_term(k5, {"x": {"zz"}}, parse_ra_term("x;x"))
+
+
 # ------------------------------------------------------------------
 # Identity testing
 # ------------------------------------------------------------------

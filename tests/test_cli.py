@@ -118,6 +118,23 @@ def test_valid_json_counts_valuations(capsys):
     assert (payload["valid"], payload["valuations"]) == (False, 16 ** 2)  # p, q over 16 subsets
 
 
+def test_valid_and_countermodel_json_report_counters(capsys):
+    code, out, _ = run(capsys, "valid", "K1", "(p -> q) o r", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["valuations"], payload["grid"]) == (1024, 16 ** 3)  # one block of 1,024
+    assert payload["witness"] == {"p": [], "q": [], "r": []}
+    code, out, _ = run(capsys, "countermodel", "K1", "(p -> q) o r", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["valuations"], payload["grid"]) == (1024, 16 ** 3)
+    assert payload["countermodel"] == {"p": [], "q": [], "r": []}
+    code, out, _ = run(capsys, "countermodel", "K5", "p -> p", "--json")
+    assert code == 0
+    assert json.loads(out) == {"model": "K5", "countermodel": None,
+                               "valuations": 16, "grid": 16}
+
+
 def test_valid_refuted_with_witness(capsys):
     code, out, _ = run(capsys, "valid", "K5", "contra")
     assert code == 1

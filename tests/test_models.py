@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tarl import models
+from tarl.algebra import ComplexAlgebra, holds_law, parse_chain
 from tarl.formulas import (
     FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var, parse_formula, variables,
 )
@@ -145,6 +146,11 @@ def test_verified_and_unassigned():
         interpret(K4, v, parse_formula("q"))
 
 
+def test_an_unknown_element_is_named():
+    with pytest.raises(ValueError, match="'zz' is not an element of K5"):
+        interpret(K5, val(p={"a", "zz"}), parse_formula("p"))
+
+
 def test_mingle_computation():
     for m in (K1, K2, K3):
         v = val(p={"a"})
@@ -193,13 +199,35 @@ def test_commutativity_axioms_fail_in_k5():
         assert not valid_in(K5, get_formula(name).formula).valid, name
 
 
-@pytest.mark.parametrize("text", ["p | ~p", "p -> q -> p", "(p -> q) o r", "~(p & q1) | r"])
+def _block_end(row: int) -> int:
+    """The end of the grid block, at the default sizes, that holds `row`."""
+    end, size = 0, models._FIRST_BLOCK
+    while end <= row:
+        end, size = end + size, min(4 * size, models._GRID_CHUNK)
+    return end
+
+
+@pytest.mark.parametrize("text", ["p | ~p", "p -> q -> p", "(p -> q) o r", "~(p & q1) | r",
+                                  "p -> p | q & r & s", "p & q & r & s -> ~s"])
 def test_validity_counts_every_valuation(text):
+    """`grid` is the whole grid; `valuations` is the grid when f is valid,
+    and otherwise the end of the block that holds the witness."""
     f = parse_formula(text)
+    names = sorted(variables(f))
     for m in ALL:
+        t = tables_for(m)
         res = valid_in(m, f)
-        assert type(res.valuations) is int
-        assert res.valuations == len(tables_for(m).hereditary) ** len(variables(f))
+        assert type(res.valuations) is type(res.grid) is int
+        assert res.grid == len(t.hereditary) ** len(names)
+        assert res.counters() == {"valuations": res.valuations, "grid": res.grid}
+        if res.valid:
+            assert res.valuations == res.grid
+            continue
+        row = 0
+        for name in names:
+            mask = t.mask_of(m, res.witness.assignment[name])
+            row = row * len(t.hereditary) + t.hereditary.index(mask)
+        assert res.valuations == min(_block_end(row), res.grid)
 
 
 def test_validity_cap(monkeypatch):
@@ -471,23 +499,108 @@ def test_singleton_search_agrees_with_per_combination_loop(monkeypatch, chunk):
                     == [v.assignment for v in per_combination_singletons(m, f)]), (m, f)
 
 
+def first_failing_valuation(m, f) -> Valuation | None:
+    """valid_in's witness as a loop over every assignment in lexicographic
+    order, skipping non-hereditary ones, with the set-valued operations as
+    evaluator."""
+    names = sorted(variables(f))
+    for combo in itertools.product(_by_mask(m), repeat=len(names)):
+        v = Valuation(dict(zip(names, combo)))
+        if is_hereditary(m, v) and m.zero not in formula_oracle(m, v.assignment, f):
+            return v
+    return None
+
+
 def test_valid_in_witness_is_first_failing_valuation():
     rng = random.Random(33)
     for m in _semantic_cases():
-        subsets = _by_mask(m)
         for _ in range(12):
             f = random_formula(rng, rng.randint(1, 9), ["p", "q"][:rng.randint(1, 2)])
-            names = sorted(variables(f))
-            first = None
-            for combo in itertools.product(subsets, repeat=len(names)):
-                v = Valuation(dict(zip(names, combo)))
-                if is_hereditary(m, v) and m.zero not in formula_oracle(m, v.assignment, f):
-                    first = v
-                    break
+            first = first_failing_valuation(m, f)
             got = valid_in(m, f)
             assert got.valid == (first is None), (m, f)
             if first is not None:
                 assert got.witness.assignment == first.assignment, (m, f)
+
+
+def _heredity_twins():
+    """Fresh structures in pairs whose hereditary masks are as many but not
+    the same, so a grid block cached for one of a pair under a key without
+    the masks would give the other wrong valuations."""
+    rng = random.Random(36)
+    twins, waiting = [], {}
+    while len(twins) < 8:
+        m = _random_structure(rng, 3 + len(twins) // 4)
+        key = len(tables_for(m).hereditary)
+        other = waiting.pop(key, None)
+        if other is not None and tables_for(other).hereditary != tables_for(m).hereditary:
+            twins += [other, m]
+        else:
+            waiting[key] = m
+    return twins
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_block_boundaries_keep_witnesses_and_singletons(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(models, "_FIRST_BLOCK", block)
+        monkeypatch.setattr(models, "_GRID_CHUNK", block)
+    rng = random.Random(37)
+    for m in ALL + _heredity_twins():
+        for _ in range(6):
+            f = random_formula(rng, rng.randint(1, 8), ["p", "q", "r"][:rng.randint(1, 3)])
+            first = first_failing_valuation(m, f)
+            got = valid_in(m, f)
+            assert got.valid == (first is None), (m, f)
+            if first is not None:
+                assert got.witness.assignment == first.assignment, (m, f)
+            assert ([v.assignment for v in find_invalidating_singletons(m, f)]
+                    == [v.assignment for v in per_combination_singletons(m, f)]), (m, f)
+
+
+def test_evaluation_never_returns_a_cached_block(monkeypatch):
+    """A bare variable's value is a column of its cached block as is; the
+    results hold decoded subsets, shared with the tables, and no array, and
+    every block is read-only and stays as it was built."""
+    cache = models._GRID_CACHE
+    monkeypatch.setattr(cache, "columns", {})
+    monkeypatch.setattr(cache, "nbytes", 0)
+    t = tables_for(K5)
+    p = parse_formula("p")
+    res = valid_in(K5, p)
+    assert res.witness.assignment["p"] is t.subsets[0]
+    assert type(res.valuations) is int
+    assert find_invalidating_singletons(K5, p) == []
+    law = holds_law(ComplexAlgebra(K5), parse_chain("x <= id")[0])
+    assert law.counterexample["x"] is t.subsets[1 << K5.index("a")]
+    assert cache.columns
+    fresh = models._GridCache()
+    for key, cols in cache.columns.items():
+        assert not cols.flags.writeable
+        assert np.array_equal(cols, fresh.block(*key))
+        with pytest.raises(ValueError):
+            cols[..., 0] = 0
+
+
+def test_grid_cache_is_emptied_past_its_bound(monkeypatch):
+    cache = models._GRID_CACHE
+    monkeypatch.setattr(cache, "columns", {})
+    monkeypatch.setattr(cache, "nbytes", 0)
+    allowed = tuple(range(20))               # a grid of 400 rows over two names
+    block_bytes = 2 * 100 * 8
+    monkeypatch.setattr(models, "GRID_CACHE_BYTES", 3 * block_bytes)
+    for lo in (0, 100, 200):
+        cache.block(allowed, 2, lo, lo + 100)
+    assert cache.nbytes == 3 * block_bytes and len(cache.columns) == 3
+    assert cache.block(allowed, 2, 0, 100) is cache.columns[(allowed, 2, 0, 100)]
+    last = cache.block(allowed, 2, 300, 400)
+    assert (cache.columns, cache.nbytes) == ({}, 0)
+    assert last[:, -1].tolist() == [19, 19]
+    cache.block(allowed, 2, 0, 100)
+    assert list(cache.columns) == [(allowed, 2, 0, 100)]
+    monkeypatch.setattr(models, "GRID_CACHE_BYTES", 0)
+    assert valid_in(K1, parse_formula("p -> p | q & r & s")).valuations == 16 ** 4
+    assert (cache.columns, cache.nbytes) == ({}, 0)
 
 
 # ------------------------------------------------------------------
