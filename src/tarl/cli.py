@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import algebra, models, registry, search
 from .formulas import FORMULAS, Formula, Neg, ParseError, Var, parse_formula, print_formula
-from .sequents import check_proof, format_proof_script, parse_proof_script
+from .sequents import MAX_BOUND, check_proof, format_proof_script, parse_proof_script
 
 
 class UsageError(Exception):
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("prove", cmd_prove, help="bounded backward proof search")
     p.add_argument("formula")
     p.add_argument("--max-index", type=int, default=4,
-                   help="largest index bound (objects) searched, 1..8 (default 4)")
+                   help=f"largest index bound (objects) searched, 1..{MAX_BOUND} (default 4)")
     p.add_argument("--depth", type=int, default=16,
                    help="largest depth of a branch of the search (default 16)")
     p.add_argument("--nodes", type=int, default=20000,

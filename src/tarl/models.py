@@ -184,9 +184,6 @@ class _Tables:
                 raise ValueError(f"{e!r} is not an element of {m.name}") from None
         return acc
 
-    def subset_of(self, m: ModelStructure, mask: int) -> frozenset[str]:
-        return self.subsets[mask]
-
 
 def tables_for(m: ModelStructure) -> _Tables:
     if m._tables is None:

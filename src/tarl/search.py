@@ -61,7 +61,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .formulas import Formula, desugar_fusion
-from .sequents import RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof
+from .sequents import (
+    MAX_BOUND, RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof,
+)
 
 __all__ = ["SearchBudget", "SearchOutcome", "search_proof"]
 
@@ -75,8 +77,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_depth <= 0 or self.max_nodes <= 0:
             raise ValueError("budget fields must be positive")
-        if not 1 <= self.max_index <= 8:
-            raise ValueError("max_index must be within 1..8")
+        if not 1 <= self.max_index <= MAX_BOUND:
+            raise ValueError(f"max_index must be within 1..{MAX_BOUND}")
 
 
 _COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
@@ -139,7 +141,7 @@ class _Table:
         self._canonical: dict[Sequent, tuple[int, ...]] = {}
 
     def single(self, f: Formula, i: int, j: int) -> frozenset[Assertion]:
-        """{(f)[i,j]}; i and j are below 8, as max_index is at most 8."""
+        """{(f)[i,j]}; i and j are below 8, as max_index is at most MAX_BOUND."""
         key = f.uid << 6 | i << 3 | j
         one = self._singles.get(key)
         if one is None:
@@ -161,9 +163,9 @@ class _Table:
         codes ``(uid << 1 | side) << 6 | rank_i << 3 | rank_j`` of its
         assertions, with side 0 for the left and 1 for the right.  The
         ranks fit 3 bits because seq uses at most 8 indices (``max_index``
-        is at most 8).  An index's signature holds ``(uid << 1 | side) << 2
-        | position`` per occurrence, position 0 for i, 1 for j and 2 for
-        both.  When no two signatures are equal there is one ranking."""
+        is at most ``MAX_BOUND`` = 8).  An index's signature holds
+        ``(uid << 1 | side) << 2 | position`` per occurrence, position 0 for
+        i, 1 for j and 2 for both.  When no two signatures are equal there is one ranking."""
         best = self._canonical.get(seq)
         if best is not None:
             return best

@@ -1,10 +1,17 @@
+import random
+from pathlib import Path
+
 import pytest
 
+from tarl import derived
 from tarl.derived import (
     DERIVED_RULES, InvalidInput, PremiseMismatch, apply_derived_rule,
     conclusion_formula,
 )
-from tarl.formulas import Neg, Var, parse_formula
+from tarl.formulas import (
+    Neg, Var, parse_formula, print_formula, substitute, variables,
+)
+from tarl.gen import random_formula
 from tarl.registry import get_corpus_entry
 from tarl.sequents import (
     Assertion, Axiom, Proof, Sequent, check_proof, substitute_proof,
@@ -119,6 +126,19 @@ def test_premise_mismatch():
         apply_derived_rule("nonesuch", [])
 
 
+def test_premise_mismatch_names_input_and_schema():
+    with pytest.raises(PremiseMismatch, match=r"transitivity: input 2 .*b -> c"):
+        apply_derived_rule("transitivity", [proof_of("A2"), proof_of("A2")])
+
+
+def test_empty_input_proof():
+    with pytest.raises(PremiseMismatch, match="no lines and no goal"):
+        apply_derived_rule("contraposition", [Proof(lines=[])])
+    with pytest.raises(InvalidInput, match="GoalMissing"):
+        apply_derived_rule("contraposition",
+                           [Proof(lines=[], goal=parse_formula("a -> a"))])
+
+
 def test_invalid_input_rejected():
     bogus = Proof(lines=[(Sequent.of((), (Assertion(Var("a"), 0, 0),)),
                           Axiom())], goal=Var("a"))
@@ -130,3 +150,54 @@ def test_outputs_compose():
     # feed a combinator output into another combinator
     tr = conclude("transitivity", [proof_of("A2"), proof_of("A5")])
     conclude("contraposition", [tr], expect="~(a | b) -> ~(a & b)")
+
+
+def test_match_inverts_substitute():
+    rng = random.Random(20)
+    for _ in range(300):
+        schema = random_formula(rng, rng.randint(1, 7), ["a", "b", "c"])
+        m = {v: random_formula(rng, rng.randint(1, 5), ["p", "q"])
+             for v in "abc"}
+        f = substitute(schema, m)
+        binding = {}
+        assert derived._match(schema, f, binding), (schema, f)
+        assert binding == {v: m[v] for v in variables(schema)}
+        assert substitute(schema, binding) is f
+
+
+@pytest.mark.parametrize("schema, formula", [
+    ("a -> a", "p -> q"),       # a repeated variable binds one formula
+    ("a & b", "p | q"),         # another connective
+    ("~a", "p"),
+    ("a -> b -> c", "(p -> q) -> r"),
+])
+def test_match_rejects(schema, formula):
+    assert not derived._match(parse_formula(schema), parse_formula(formula), {})
+
+
+@pytest.mark.parametrize("rule, lemmas, params", [
+    ("monotonicfusion", ["A2", "A5"], []),
+    ("affixing", ["A2", "A5"], []),
+    ("prefixingR", ["A2"], ["c"]),
+])
+def test_each_input_and_the_output_are_checked_once(monkeypatch, rule,
+                                                    lemmas, params):
+    calls = []
+
+    def counting(proof):
+        calls.append(proof)
+        return check_proof(proof)
+
+    monkeypatch.setattr(derived, "check_proof", counting)
+    apply_derived_rule(rule, [proof_of(x) for x in lemmas],
+                       [parse_formula(x) for x in params])
+    assert len(calls) == len(lemmas) + 1
+
+
+def test_readme_lists_every_rule():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for name, (premises, params, conclusion, _) in DERIVED_RULES.items():
+        line = (f"  - `{name}`" + "".join(f", parameter `{p}`" for p in params)
+                + ": " + ", ".join(f"`{print_formula(s)}`" for s in premises)
+                + f" gives `{print_formula(conclusion)}`\n")
+        assert line in readme, line

@@ -449,11 +449,11 @@ def test_tables_agree_with_set_operations():
         pairs = list(itertools.product(range(t.size), repeat=2))
         for x, y in rng.sample(pairs, min(len(pairs), 300)):
             xs, ys = subsets[x], subsets[y]
-            assert t.subset_of(m, t.fus[x, y]) == op_fusion(m, xs, ys), m
-            assert t.subset_of(m, t.imp[x, y]) == op_implies(m, xs, ys), m
+            assert t.subsets[t.fus[x, y]] == op_fusion(m, xs, ys), m
+            assert t.subsets[t.imp[x, y]] == op_implies(m, xs, ys), m
         for x, xs in enumerate(subsets):
-            assert t.subset_of(m, t.star[x]) == op_star(m, xs), m
-            assert t.subset_of(m, t.neg[x]) == op_neg(m, xs), m
+            assert t.subsets[t.star[x]] == op_star(m, xs), m
+            assert t.subsets[t.neg[x]] == op_neg(m, xs), m
         assert t.hereditary == tuple(
             x for x, xs in enumerate(subsets) if is_hereditary(m, Valuation({"p": xs})))
         assert all(a.dtype == np.int64 for a in (t.fus, t.imp, t.star, t.neg))
@@ -471,7 +471,7 @@ def test_formulas_agree_with_set_oracle():
             assert [interpret(m, Valuation(env), f) for env in envs] == want
             batch = {v: np.array([t.mask_of(m, env[v]) for env in envs]) for v in ("p", "q")}
             got = FORMULAS.evaluate(f, batch, t.ops)
-            assert [t.subset_of(m, int(mask)) for mask in got] == want
+            assert [t.subsets[int(mask)] for mask in got] == want
 
 
 def per_combination_singletons(m, f) -> list[Valuation]:
@@ -675,7 +675,7 @@ def test_enumerate_heredity_propagation():
         masks = hereditary_subsets(m)
         t = tables_for(m)
         for mask in masks:
-            xs = t.subset_of(m, mask)
+            xs = t.subsets[mask]
             v = Valuation({"p": xs})
             for _ in range(10):
                 f = random_formula(rng, 6, ["p"])
@@ -828,6 +828,6 @@ def test_copied_structure_gets_fresh_tables():
     assert tab is not tables_for(K3)
     for x, y in itertools.product(all_subsets(copy), repeat=2):
         fused = tab.fus[tab.mask_of(copy, x)][tab.mask_of(copy, y)]
-        assert tab.subset_of(copy, fused) == op_fusion(copy, x, y)
+        assert tab.subsets[fused] == op_fusion(copy, x, y)
     with pytest.raises(dataclasses.FrozenInstanceError):
         K3.triples = fewer
