@@ -125,6 +125,15 @@ def cmd_prove(args) -> int:
                      "objects": sorted(outcome.objects), "level": outcome.level},
               script.rstrip())
         return 0
+    if outcome.status == "refuted":
+        cert = outcome.counterexample
+        x = cert["point"]
+        relations = "; ".join(f"{name} = {{{','.join(f'({i},{j})' for i, j in pairs)}}}"
+                              for name, pairs in cert["relations"].items())
+        _emit(args, {**payload, "counterexample": cert},
+              f"refuted after {outcome.nodes} nodes: base {cert['base']}, point {x}: "
+              f"({x},{x}) is outside the goal's relation when {relations}")
+        return 1
     _emit(args, payload, f"{outcome.status} after {outcome.nodes} nodes")
     return 1
 

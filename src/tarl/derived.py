@@ -14,6 +14,8 @@ intermediate proofs that composite rules build through ``_derive``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .formulas import (
     And, Formula, Imp, Neg, Or, Var, desugar_fusion, parse_formula,
     print_formula, substitute,
@@ -105,9 +107,11 @@ class _Builder:
 
 
 def _swap(proof: Proof, x: int, y: int) -> Proof:
-    perm = {i: i for i in range(proof.bound)}
+    """proof with indices x and y exchanged, its bound widened to hold both."""
+    bound = max(proof.bound, x + 1, y + 1)
+    perm = {i: i for i in range(bound)}
     perm[x], perm[y] = y, x
-    return permute_indices(proof, perm)
+    return permute_indices(replace(proof, bound=bound), perm)
 
 
 def _max_bound(*proofs: Proof, at_least: int = 2) -> int:
@@ -340,6 +344,9 @@ def apply_derived_rule(rule: str, inputs: list[Proof],
         raise PremiseMismatch(f"{rule} takes {len(premises)} input proof(s)")
     if len(parameters) != len(names):
         raise PremiseMismatch(f"{rule} takes {len(names)} formula parameter(s)")
+    for name, f in zip(names, parameters):
+        if not isinstance(f, Formula):
+            raise PremiseMismatch(f"{rule}: parameter {name} is not a formula: {f!r}")
     for n, proof in enumerate(inputs, start=1):
         report = check_proof(proof)
         if not report.valid:

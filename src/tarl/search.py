@@ -45,6 +45,22 @@ graph isomorphism, II", 2014).  Keys and signatures are made of ints:
 the key is the sorted tuple of one int per assertion (see ``_Table``).
 Keys do not encode the bound, so each pass has a fresh failure cache.
 
+Refutation at the root.  By the paper's definition a formula is in the
+logic only if its translation contains the identity in every proper
+relation algebra, and every rule preserves that.  So one assignment of
+relations with a point x where (x, x) is outside ``translate(goal)``
+shows that no proof exists at any bound, depth or node budget.  Once a
+search has spent ``REFUTE_AFTER`` nodes, summed over its passes, it
+evaluates ``id <= translate(goal)`` once, on a fixed seeded block of
+samples of the proper algebra on 3 points (``algebra._identity_law``,
+cached per formula, over ``_Matrices``).  If a sample fails, the search
+stops with status ``refuted`` and a counterexample: the base, each
+relation as sorted pairs of ints and the point x, which ``eval_term``
+re-checks from those pairs before the outcome is returned.  Searches that
+stay under ``REFUTE_AFTER`` nodes never pay for the check, which costs
+more than most provable goals take.  Internal nodes are never checked:
+pruning every node this way saved few nodes and took longer.
+
 Formulas are hash-consed (``formulas``), so the codes use each formula's
 ``uid``.  Each search owns a table (``_Table``) in which every assertion is
 made once, so sequent set operations reuse stored hashes.  The table sorts
@@ -60,12 +76,20 @@ from itertools import chain, groupby, permutations, product, starmap
 from dataclasses import dataclass
 from operator import itemgetter
 
+import numpy as np
+
+from .algebra import TERMS, ProperAlgebra, _identity_law, _Matrices, eval_term, translate
 from .formulas import Formula, desugar_fusion
 from .sequents import (
     MAX_BOUND, RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof,
 )
 
-__all__ = ["SearchBudget", "SearchOutcome", "search_proof"]
+__all__ = ["SearchBudget", "SearchOutcome", "search_proof", "REFUTE_AFTER"]
+
+# the node at which a search checks its goal for a refutation, once
+REFUTE_AFTER = 512
+# the samples of that check: this many, on this many points, from this seed
+_REFUTE_SAMPLES, _REFUTE_BASE, _REFUTE_SEED = 64, 3, 0
 
 
 @dataclass(frozen=True)
@@ -82,7 +106,7 @@ class SearchBudget:
 
 
 _COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
-             "expansions", "canonical_forms")
+             "expansions", "canonical_forms", "refutation_checks")
 
 
 @dataclass
@@ -91,12 +115,21 @@ class SearchOutcome:
     visited ends as exactly one of an axiom leaf, a depth cutoff, a loop
     prune (its canonical form is on the current branch), a cache prune (it
     failed before in its pass with at least this depth left) or an
-    expansion, except the one that runs out of nodes: nodes is their sum,
-    plus 1 when the node budget ran out.  canonical_forms, the number of
-    keys taken at the key test, is not part of that sum.  bound is the
-    index bound of the last pass.  A found proof comes with the objects
-    (indices) it uses; its level is their number."""
-    status: str  # "proved" | "not_found" | "budget_exhausted"
+    expansion, except the one at which the search stops early: nodes is
+    their sum, plus 1 when the node budget ran out or the goal was refuted.
+    canonical_forms, the number of keys taken at the key test, is not part
+    of that sum.  bound is the index bound of the last pass.  A found proof
+    comes with the objects (indices) it uses; its level is their number.
+
+    refutation_checks is 1 when the search reached node ``REFUTE_AFTER``
+    and checked its goal in sampled proper relation algebras, else 0.
+    Status ``refuted`` means a sample failed at that node: counterexample
+    holds ``base`` (the points are 0..base-1), ``relations`` (each
+    variable's relation, sorted pairs of ints) and ``point``, an x with
+    (x, x) outside ``translate(goal)``.  The goal is then outside the
+    logic, so no proof exists at any bound, depth or node budget.
+    ``not_found`` says only that the bounded space was searched in full."""
+    status: str  # "proved" | "refuted" | "not_found" | "budget_exhausted"
     proof: Proof | None = None
     nodes: int = 0
     axioms: int = 0
@@ -105,8 +138,10 @@ class SearchOutcome:
     cache_prunes: int = 0
     expansions: int = 0
     canonical_forms: int = 0
+    refutation_checks: int = 0
     objects: frozenset[int] | None = None
     bound: int = 0
+    counterexample: dict | None = None
 
     @property
     def proved(self) -> bool:
@@ -293,14 +328,42 @@ class _OutOfNodes(Exception):
     pass
 
 
+class _Refuted(Exception):
+    """The goal's counterexample, found at the root check."""
+
+
+def _refutation(goal: Formula) -> dict | None:
+    """A counterexample to goal in sampled proper relation algebras (see
+    ``SearchOutcome``), or None when every sample contains the identity."""
+    law, names = _identity_law(goal)
+    c = _Matrices(_REFUTE_BASE)
+    (_, env), = c.batches(list(names), _REFUTE_SAMPLES, _REFUTE_SEED)
+    value = TERMS.evaluate(law.rhs, env, c.ops)
+    bad = np.argwhere(~np.diagonal(value, axis1=-2, axis2=-1))
+    if not bad.size:
+        return None
+    row, x = bad[0].tolist()
+    return {"base": c.n, "point": x,
+            "relations": {name: tuple(sorted(c.decode(env[name][row]))) for name in names}}
+
+
+def _refutes(goal: Formula, cert: dict) -> bool:
+    """Whether cert, read from its pairs alone, puts (x, x) outside
+    translate(goal)."""
+    value = eval_term(ProperAlgebra(cert["base"]), cert["relations"], translate(goal))
+    return (cert["point"], cert["point"]) not in value
+
+
 class _Pass:
     """One depth-first search at one index bound, counting on out."""
 
     def __init__(self, bound: int, budget: SearchBudget, out: SearchOutcome, table: _Table,
-                 fail_cache: dict):
+                 fail_cache: dict, goal: Formula, refute_after: int | None):
         self.bound = bound
         self.weakens = bound < budget.max_index  # try the steps that free an index
         self.max_nodes = budget.max_nodes
+        self.goal = goal
+        self.refute_at = refute_after or 0  # out.nodes is never 0 at the test
         self.out = out
         self.table = table
         self.fail_cache = fail_cache
@@ -313,6 +376,11 @@ class _Pass:
         out.nodes += 1
         if out.nodes > self.max_nodes:
             raise _OutOfNodes()
+        if out.nodes == self.refute_at:
+            out.refutation_checks += 1
+            cert = _refutation(self.goal)
+            if cert is not None:
+                raise _Refuted(cert)
         if seq.is_axiom():
             out.axioms += 1
             return seq, _AXIOM, None, ()
@@ -361,18 +429,25 @@ def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> Search
 
 
 def _search(goal: Formula, budget: SearchBudget, new_cache=dict,
-            first_bound: int = 1) -> SearchOutcome:
+            first_bound: int = 1, refute_after: int | None = REFUTE_AFTER) -> SearchOutcome:
     """search_proof, with a fresh failure cache from new_cache() for each
-    pass, deepening from first_bound."""
+    pass, deepening from first_bound, checking for a refutation at node
+    refute_after (never when None)."""
     table = _Table()
     root_seq = Sequent(frozenset(), table.single(desugar_fusion(goal), 0, 0))
     out = SearchOutcome("budget_exhausted")
     for bound in range(first_bound, budget.max_index + 1):
         out.bound, cutoffs = bound, out.cutoffs
-        run = _Pass(bound, budget, out, table, new_cache())
+        run = _Pass(bound, budget, out, table, new_cache(), goal, refute_after)
         try:
             tree = run.prove(root_seq, budget.max_depth, frozenset())
         except _OutOfNodes:
+            return out
+        except _Refuted as stop:
+            cert = stop.args[0]
+            if not _refutes(goal, cert):  # pragma: no cover - soundness guard
+                raise AssertionError(f"search produced a bad counterexample: {cert}")
+            out.status, out.counterexample = "refuted", cert
             return out
         if tree is not None or not run.deeper:
             break

@@ -81,14 +81,33 @@ def test_prove_failure(capsys):
 @pytest.mark.parametrize("argv, status", [
     (("a & b -> a",), "proved"),
     (("ming", "--depth", "10"), "not_found"),
+    (("~((p -> q) -> ~p)",), "refuted"),
 ])
 def test_prove_json_reports_the_search_counters(capsys, argv, status):
     code, out, _ = run(capsys, "prove", *argv, "--json")
     payload = json.loads(out)
     assert payload["status"] == status
-    assert payload["nodes"] == sum(payload[name] for name in (
+    # the node at which the search refutes its goal ends no other way
+    refuted = status == "refuted"
+    assert payload["nodes"] == refuted + sum(payload[name] for name in (
         "axioms", "cutoffs", "loop_prunes", "cache_prunes", "expansions"))
     assert 0 < payload["canonical_forms"] <= payload["nodes"]
+    assert payload["refutation_checks"] == refuted
+
+
+def test_prove_refuted_names_the_base_and_the_point(capsys):
+    code, out, _ = run(capsys, "prove", "~((p -> q) -> ~p)")
+    assert code == 1
+    assert out.startswith("refuted after 512 nodes: base 3, point 0: (0,0) is outside")
+    assert "p = {(0,1),(1,1)," in out
+
+
+def test_prove_json_reports_the_counterexample(capsys):
+    code, out, _ = run(capsys, "prove", "~((p -> q) -> ~p)", "--json")
+    assert code == 1
+    cert = json.loads(out)["counterexample"]
+    assert (cert["base"], cert["point"], sorted(cert["relations"])) == (3, 0, ["p", "q"])
+    assert cert["relations"]["q"] == [[0, 0], [1, 0], [1, 1], [1, 2]]
 
 
 def test_prove_json_reports_the_proof_level(capsys):

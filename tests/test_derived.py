@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,16 @@ def test_erule_uses_permuted_subproof():
     assert any(s == swapped for s, _ in out.lines)
 
 
+def test_erule_widens_an_input_at_bound_one():
+    # t6 uses object 0 alone, so it checks at bound 1; the swap of 0 and 1
+    # needs index 1, and the permuted input is widened to bound 2
+    narrow = replace(proof_of("t6"), bound=1)
+    assert check_proof(narrow).valid
+    out = conclude("erule", [narrow], params=[Var("q")],
+                   expect="(a | ~a -> q) -> q")
+    assert out.bound == 2
+
+
 def test_suffixing():
     conclude("suffixing", [proof_of("A2")], params=[parse_formula("c")],
              expect="(a -> c) -> (a & b -> c)")
@@ -129,6 +140,11 @@ def test_premise_mismatch():
 def test_premise_mismatch_names_input_and_schema():
     with pytest.raises(PremiseMismatch, match=r"transitivity: input 2 .*b -> c"):
         apply_derived_rule("transitivity", [proof_of("A2"), proof_of("A2")])
+
+
+def test_parameter_that_is_not_a_formula():
+    with pytest.raises(PremiseMismatch, match=r"erule: parameter b is not a formula: 'q'"):
+        apply_derived_rule("erule", [proof_of("t6")], ["q"])
 
 
 def test_empty_input_proof():

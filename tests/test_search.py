@@ -4,11 +4,11 @@ import random
 import pytest
 
 from tarl import search
-from tarl.formulas import parse_formula
+from tarl.formulas import And, Imp, Neg, Or, Var, parse_formula, variables
 from tarl.gen import random_core_formula
 from tarl.models import valid_in
 from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
-from tarl.search import SearchBudget, search_proof
+from tarl.search import REFUTE_AFTER, SearchBudget, search_proof
 from tarl.sequents import Sequent, check_proof
 
 
@@ -273,28 +273,131 @@ class _NeverStores(dict):
         pass
 
 
+# the configurations compared below: their node counts differ, so the root
+# refutation check, which runs at a node count, is off in the comparisons
+_CACHE_RUNS = (7, SearchBudget(max_depth=10, max_index=3), (3, 9), {"new_cache": _NeverStores})
+_DEEPENING_RUNS = (16, SearchBudget(max_depth=10, max_index=4, max_nodes=10 ** 6), (4, 12),
+                   {"first_bound": 4})
+
+
+def _goals(seed, sizes):
+    rng = random.Random(seed)
+    return [random_core_formula(rng, rng.randint(*sizes), ("p", "q")) for _ in range(200)]
+
+
 def test_failure_cache_does_not_change_the_verdict():
-    rng = random.Random(7)
-    budget = SearchBudget(max_depth=10, max_index=3)
-    for _ in range(200):
-        goal = random_core_formula(rng, rng.randint(3, 9), ("p", "q"))
-        cached = search_proof(goal, budget)
-        uncached = search._search(goal, budget, _NeverStores)
+    seed, budget, sizes, _ = _CACHE_RUNS
+    for goal in _goals(seed, sizes):
+        cached = search._search(goal, budget, refute_after=None)
+        uncached = search._search(goal, budget, _NeverStores, refute_after=None)
         assert uncached.counters()["cache_prunes"] == 0
         assert cached.status == uncached.status, goal
 
 
 def test_deepening_agrees_with_one_pass_at_the_largest_bound():
-    rng = random.Random(16)
-    budget = SearchBudget(max_depth=10, max_index=4, max_nodes=10 ** 6)
+    seed, budget, sizes, _ = _DEEPENING_RUNS
     verdicts = set()
-    for _ in range(200):
-        goal = random_core_formula(rng, rng.randint(4, 12), ("p", "q"))
-        deepened = search_proof(goal, budget)
-        one_pass = search._search(goal, budget, first_bound=budget.max_index)
+    for goal in _goals(seed, sizes):
+        deepened = search._search(goal, budget, refute_after=None)
+        one_pass = search._search(goal, budget, first_bound=budget.max_index,
+                                  refute_after=None)
         assert max(deepened.nodes, one_pass.nodes) <= budget.max_nodes
         assert deepened.status == one_pass.status, goal
         if deepened.proved:
             assert check_proof(deepened.proof).valid
         verdicts.add(deepened.status)
     assert {"proved", "not_found"} <= verdicts
+
+
+@pytest.mark.parametrize("runs", [_CACHE_RUNS, _DEEPENING_RUNS], ids=["cache", "deepening"])
+def test_refutations_of_either_configuration_recheck(runs):
+    seed, budget, sizes, configuration = runs
+    refuted = 0
+    for goal in _goals(seed, sizes):
+        for out in (search_proof(goal, budget), search._search(goal, budget, **configuration)):
+            if out.status == "refuted":
+                refuted += 1
+                assert out.nodes == REFUTE_AFTER and out.refutation_checks == 1
+                assert _certifies(goal, out.counterexample), goal
+    assert refuted > 0
+
+
+# ------------------------------------------------------------------
+# The root refutation check
+# ------------------------------------------------------------------
+
+_POINTS = range(3)
+
+
+def _relation(f, rel):
+    """The pairs of {0, 1, 2} that the translation of f denotes when each
+    variable denotes rel[name]: set operations on the definitions, with ~
+    the converse of the complement, -> the residual -(A^;-B) and A o B the
+    relative product B;A."""
+    if isinstance(f, Var):
+        return rel[f.name]
+    if isinstance(f, Neg):
+        body = _relation(f.body, rel)
+        return {(i, j) for i in _POINTS for j in _POINTS if (j, i) not in body}
+    a, b = _relation(f.left, rel), _relation(f.right, rel)
+    if isinstance(f, Or):
+        return a | b
+    if isinstance(f, And):
+        return a & b
+    if isinstance(f, Imp):
+        return {(i, j) for i in _POINTS for j in _POINTS
+                if all((k, j) in b for k in _POINTS if (k, i) in a)}
+    return {(i, j) for i in _POINTS for j in _POINTS
+            if any((i, k) in b and (k, j) in a for k in _POINTS)}
+
+
+def _certifies(goal, cert):
+    """Whether cert is a counterexample to goal on {0, 1, 2} in plain ints:
+    (x, x) outside the goal's relation."""
+    rel = {name: set(pairs) for name, pairs in cert["relations"].items()}
+    x = cert["point"]
+    points = [x] + [v for pairs in rel.values() for pair in pairs for v in pair]
+    return (cert["base"] == 3 and set(rel) == variables(goal)
+            and all(type(v) is int and v in _POINTS for v in points)
+            and (x, x) not in _relation(goal, rel))
+
+
+_PARADOXES = ["a -> (b -> b)", "a -> (b -> a)", "a & ~a -> b", "a -> b | ~b",
+              "(a -> b) | (b -> a)", "a -> (a -> a)"]
+_R_AXIOMS = ["contra", "suff", "perm", "contr", "reduc", "ming"]
+
+
+@pytest.mark.parametrize("goal", [parse_formula(t) for t in _PARADOXES]
+                         + [get_formula(name).formula for name in _R_AXIOMS],
+                         ids=_PARADOXES + _R_AXIOMS)
+def test_the_root_check_refutes_the_paradoxes_and_the_r_axioms(goal):
+    # the paper: the logic avoids the paradoxes of implication and lacks
+    # contraposition and other axioms of R, as proper algebras show
+    cert = search._refutation(goal)
+    assert cert is not None and _certifies(goal, cert)
+
+
+def test_the_root_check_refutes_no_theorem():
+    goals = [entry.proof.goal for entry in list_corpus()]
+    assert len(goals) == 38
+    for goal in goals + [get_formula("reflection").formula]:
+        assert search._refutation(goal) is None, goal
+
+
+def test_the_refuting_node_is_counted_like_the_one_that_runs_out():
+    goal = parse_formula("~((p -> q) -> ~p)")
+    out = search_proof(goal)
+    c = out.counters()
+    assert (out.status, out.nodes, c["refutation_checks"]) == ("refuted", REFUTE_AFTER, 1)
+    assert out.nodes == (c["axioms"] + c["cutoffs"] + c["loop_prunes"]
+                         + c["cache_prunes"] + c["expansions"] + 1)
+    assert out.proof is None and _certifies(goal, out.counterexample)
+
+
+def test_searches_under_the_trigger_never_check():
+    goal = parse_formula("~((p -> q) -> ~p)")
+    out = search_proof(goal, SearchBudget(max_nodes=REFUTE_AFTER - 1))
+    assert (out.status, out.refutation_checks, out.counterexample) == ("budget_exhausted", 0, None)
+    for entry in list_corpus():
+        out = search_proof(entry.proof.goal)
+        assert out.refutation_checks == (out.nodes >= REFUTE_AFTER), entry.lemma_id
