@@ -4,9 +4,10 @@ Each structure is one model file under data/models, holding both its
 singleton composition table (row x, column y holds {x} o {y}) and its
 triples R x y z, which the loader cross-checks; the file's `model` line must
 name the structure.  Proof scripts live under data/corpus, one file per
-lemma, and are cross-checked against the expected objects column.  The
-TARL_DATA environment variable overrides the data directory for both.
-Both kinds of file are read by one loader, once per path, and an error in
+lemma, and are cross-checked against the expected objects column;
+``derived`` reads its rule skeletons, data/rules, through the same loader.
+The TARL_DATA environment variable overrides the data directory for all
+three.  Each file is read by one loader, once per path, and an error in
 one raises DataFileError naming the file.
 """
 

@@ -50,15 +50,15 @@ logic only if its translation contains the identity in every proper
 relation algebra, and every rule preserves that.  So one assignment of
 relations with a point x where (x, x) is outside ``translate(goal)``
 shows that no proof exists at any bound, depth or node budget.  Once a
-search has spent ``REFUTE_AFTER`` nodes, summed over its passes, it
-evaluates ``id <= translate(goal)`` once, on a fixed seeded block of
-samples of the proper algebra on 3 points (``algebra._identity_law``,
-cached per formula, over ``_Matrices``).  If a sample fails, the search
+search has spent ``REFUTE_AFTER`` nodes, summed over its passes, it tests
+the goal once with ``verified_in_algebra`` on a fixed seeded block of
+samples of the proper algebra on 3 points.  If a sample fails, the search
 stops with status ``refuted`` and a counterexample: the base, each
-relation as sorted pairs of ints and the point x, which ``eval_term``
-re-checks from those pairs before the outcome is returned.  Searches that
-stay under ``REFUTE_AFTER`` nodes never pay for the check, which costs
-more than most provable goals take.  Internal nodes are never checked:
+relation as sorted pairs of ints and the least point x with (x, x)
+outside the goal's value, which ``_refutes`` re-checks from those pairs
+before the outcome is returned.  Searches that stay under
+``REFUTE_AFTER`` nodes never pay for the check, which costs more than most
+provable goals take.  Internal nodes are never checked:
 pruning every node this way saved few nodes and took longer.
 
 Formulas are hash-consed (``formulas``), so the codes use each formula's
@@ -76,9 +76,7 @@ from itertools import chain, groupby, permutations, product, starmap
 from dataclasses import dataclass
 from operator import itemgetter
 
-import numpy as np
-
-from .algebra import TERMS, ProperAlgebra, _identity_law, _Matrices, eval_term, translate
+from .algebra import ProperAlgebra, eval_term, translate, verified_in_algebra
 from .formulas import Formula, desugar_fusion
 from .sequents import (
     MAX_BOUND, RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof,
@@ -335,16 +333,14 @@ class _Refuted(Exception):
 def _refutation(goal: Formula) -> dict | None:
     """A counterexample to goal in sampled proper relation algebras (see
     ``SearchOutcome``), or None when every sample contains the identity."""
-    law, names = _identity_law(goal)
-    c = _Matrices(_REFUTE_BASE)
-    (_, env), = c.batches(list(names), _REFUTE_SAMPLES, _REFUTE_SEED)
-    value = TERMS.evaluate(law.rhs, env, c.ops)
-    bad = np.argwhere(~np.diagonal(value, axis1=-2, axis2=-1))
-    if not bad.size:
+    alg = ProperAlgebra(_REFUTE_BASE)
+    found = verified_in_algebra(alg, goal, trials=_REFUTE_SAMPLES, seed=_REFUTE_SEED)
+    if found:
         return None
-    row, x = bad[0].tolist()
-    return {"base": c.n, "point": x,
-            "relations": {name: tuple(sorted(c.decode(env[name][row]))) for name in names}}
+    relations = {name: tuple(sorted(pairs)) for name, pairs in found.counterexample.items()}
+    value = eval_term(alg, relations, translate(goal))
+    point = min(x for x in range(_REFUTE_BASE) if (x, x) not in value)
+    return {"base": _REFUTE_BASE, "point": point, "relations": relations}
 
 
 def _refutes(goal: Formula, cert: dict) -> bool:

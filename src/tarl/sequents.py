@@ -16,6 +16,9 @@ applied to earlier lines.  The rules:
     impR r k=<idx>       from Γ, (A)[k,i] => Δ, (B)[k,j] infer
                          Γ => Δ, (A->B)[i,j], provided k differs from i and j
                          and appears nowhere in Γ, Δ
+    premise              a derived rule's hypothesis => (P)[i,i], which only
+                         the rule skeletons of ``derived`` hold: the checker
+                         rejects it, so that no proof assumes its goal
 
 Each rule is one row of RULES, the only place that says what a rule does.
 A row gives the script name and number of line references; the principal's
@@ -25,7 +28,7 @@ index for impR); and the premise function, which maps the principal (A)[i,j]
 
 Rows build the justifications that cite them: calling a row with a line's
 premise references gives its Justification, as in ImpL(1, 2),
-ImpR(3, eigen=1), Cut(1, 2, cut=a) and Axiom().  The names Axiom ... ImpL
+ImpR(3, eigen=1), Cut(1, 2) and Axiom().  The names Axiom ... Premise
 are the rows themselves.
 
 The checker reads a row forward.  With base the union of the premise sides
@@ -34,7 +37,7 @@ principal and that plus the actives: contexts are sets, so an active may
 also belong to the context.  impR's actives carry the fresh eigen index, so
 none may stay; weaken's conclusion may add anything.  For two-premise rules
 the reference order is immaterial.  The search (search.py) reads the same
-rows backward.
+rows backward, and never takes cut or premise.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .formulas import (
 __all__ = [
     "Assertion", "Sequent", "Proof", "CheckReport", "RuleError",
     "Axiom", "Cut", "Weaken", "OrL", "OrR", "AndL", "AndR",
-    "NegL", "NegR", "ImpL", "ImpR", "Justification", "Rule", "RULES",
+    "NegL", "NegR", "ImpL", "ImpR", "Premise", "Justification", "Rule", "RULES",
     "RULE_NAMED", "goal_sequent", "check_step", "check_proof",
     "permute_indices", "objects_level", "substitute_proof",
     "parse_proof_script", "format_proof_script", "NotABijection",
@@ -155,19 +158,15 @@ class Rule:
     keeps_principal: bool = False  # a backward step leaves the principal in
     widens: bool = False           # the conclusion may add any assertion
 
-    def __call__(self, *refs: int, eigen: int | None = None,
-                 cut: Assertion | None = None) -> "Justification":
-        """This rule applied to the lines refs: impR names its eigen index,
-        cut may name its cut assertion."""
+    def __call__(self, *refs: int, eigen: int | None = None) -> "Justification":
+        """This rule applied to the lines refs; impR names its eigen index."""
         if len(refs) != self.refs:
             raise TypeError(f"{self.name} takes {self.refs} line references, "
                             f"got {len(refs)}")
         if (eigen is None) == (self.index == "eigen"):
             raise TypeError(f"{self.name} takes "
                             f"{'an' if eigen is None else 'no'} eigen index")
-        if cut is not None and self.name != "cut":
-            raise TypeError(f"{self.name} takes no cut assertion")
-        return Justification(self, refs, eigen, cut)
+        return Justification(self, refs, eigen)
 
     def __repr__(self) -> str:
         return self.name
@@ -189,12 +188,11 @@ class Rule:
 
 @dataclass(frozen=True)
 class Justification:
-    """A line's rule, its 1-based premise line references, impR's eigen index
-    and the cut assertion (scripts leave it implicit; combinators name it)."""
+    """A line's rule, its 1-based premise line references and impR's eigen
+    index."""
     rule: Rule
     refs: tuple[int, ...]
     eigen: int | None = None
-    cut: Assertion | None = None
 
     def shifted(self, offset: int) -> "Justification":
         """This justification with each line reference moved on by offset."""
@@ -225,10 +223,11 @@ RULES = (
          premises=lambda f, i, j, k: [([], [(f.left, i, j)]), ([], [(f.right, i, j)])]),
     Rule("impL", 2, "left", Imp, index="any", keeps_principal=True,
          premises=lambda f, i, j, k: [([], [(f.left, k, i)]), ([(f.right, k, j)], [])]),
+    Rule("premise", 0),
 )
 
 RULE_NAMED = {rule.name: rule for rule in RULES}
-Axiom, Weaken, Cut, AndL, NegL, OrR, NegR, ImpR, OrL, AndR, ImpL = RULES
+Axiom, Weaken, Cut, AndL, NegL, OrR, NegR, ImpR, OrL, AndR, ImpL, Premise = RULES
 
 
 def _row(name: str) -> Rule:
@@ -297,9 +296,7 @@ def _principals(rule: Rule, concl: Sequent, just, prems: list[Sequent],
     """The (principal, k) pairs a line may apply its rule to."""
     if rule.premises is None:
         return [(None, None)]
-    if rule.side is None:  # cut: the named assertion, or any the premises share
-        if just.cut is not None:
-            return [(just.cut, None)]
+    if rule.side is None:  # cut: any assertion the premises share
         p, q = prems
         return [(x, None) for x in (p.right & q.left) | (q.right & p.left)]
     ks = (range(bound) if rule.index == "any"
@@ -343,6 +340,9 @@ def _check_rule(concl: Sequent, just: Justification,
     if not isinstance(just, Justification):
         raise RuleError(line_no, "ShapeMismatch", f"unknown rule {just!r}")
     rule = just.rule
+    if rule is Premise:
+        raise RuleError(line_no, "ShapeMismatch", "a premise line is a derived "
+                        "rule's hypothesis, not a step of a proof")
     prems = [_get(earlier, ref, line_no) for ref in just.refs]
     if not prems:
         if concl.is_axiom():
@@ -422,20 +422,16 @@ def objects_level(proof: Proof) -> int:
 
 def _relabel(proof: Proof, assertion: Callable[[Assertion], Assertion],
              index: Callable[[int], int] | None, goal: Formula | None) -> Proof:
-    """Map every assertion, including those a justification names (a cut's),
-    and every eigen index of a proof."""
+    """Map every assertion and every eigen index of a proof."""
 
     def sequent(s: Sequent) -> Sequent:
         return Sequent(frozenset(map(assertion, s.left)),
                        frozenset(map(assertion, s.right)))
 
     def just(j: Justification) -> Justification:
-        changes = {}
-        if j.cut is not None:
-            changes["cut"] = assertion(j.cut)
-        if index is not None and j.eigen is not None:
-            changes["eigen"] = index(j.eigen)
-        return replace(j, **changes) if changes else j
+        if index is None or j.eigen is None:
+            return j
+        return replace(j, eigen=index(j.eigen))
 
     return Proof(lines=[(sequent(s), just(j)) for s, j in proof.lines],
                  bound=proof.bound, goal=goal)

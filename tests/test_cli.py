@@ -45,9 +45,13 @@ def test_check_valid_script(capsys):
     assert out.strip() == "t6: valid, objects {0}"
 
 
-def test_check_invalid_script(tmp_path, capsys):
+@pytest.mark.parametrize("line", [
+    "1. (p)[0,1] => (p)[1,0] ; axiom",
+    "1. => (p)[0,0] ; premise",  # a derived rule's hypothesis proves nothing
+])
+def test_check_invalid_script(tmp_path, capsys, line):
     bad = tmp_path / "bad.prf"
-    bad.write_text("lemma bad\n1. (p)[0,1] => (p)[1,0] ; axiom\n")
+    bad.write_text(f"lemma bad\n{line}\n")
     code, out, _ = run(capsys, "check", str(bad))
     assert code == 1
     assert "INVALID" in out

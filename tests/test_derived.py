@@ -1,4 +1,7 @@
 import random
+import re
+import shutil
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,9 +16,10 @@ from tarl.formulas import (
     Neg, Var, parse_formula, print_formula, substitute, variables,
 )
 from tarl.gen import random_formula
-from tarl.registry import get_corpus_entry
+from tarl.registry import DataFileError, data_dir, get_corpus_entry
 from tarl.sequents import (
-    Assertion, Axiom, Proof, Sequent, check_proof, substitute_proof,
+    Assertion, Axiom, Premise, Proof, Sequent, check_proof, check_step,
+    goal_sequent, parse_proof_script, substitute_proof,
 )
 
 
@@ -153,6 +157,9 @@ def test_empty_input_proof():
     with pytest.raises(InvalidInput, match="GoalMissing"):
         apply_derived_rule("contraposition",
                            [Proof(lines=[], goal=parse_formula("a -> a"))])
+    # unchecked, the same input reaches the splice, which finds no line for it
+    with pytest.raises(PremiseMismatch, match=r"contraposition: input 1 never derives"):
+        derived._derive("contraposition", [Proof(lines=[], goal=parse_formula("a -> a"))], ())
 
 
 def test_invalid_input_rejected():
@@ -192,6 +199,8 @@ def test_match_rejects(schema, formula):
 
 
 @pytest.mark.parametrize("rule, lemmas, params", [
+    ("transitivity", ["A2", "A5"], []),
+    ("cycling", ["t9"], []),
     ("monotonicfusion", ["A2", "A5"], []),
     ("affixing", ["A2", "A5"], []),
     ("prefixingR", ["A2"], ["c"]),
@@ -217,3 +226,52 @@ def test_readme_lists_every_rule():
                 + ": " + ", ".join(f"`{print_formula(s)}`" for s in premises)
                 + f" gives `{print_formula(conclusion)}`\n")
         assert line in readme, line
+
+
+SKELETONS = [rule for rule, (*_, composite) in DERIVED_RULES.items() if composite is None]
+
+
+def test_the_rules_without_a_composite_are_the_skeleton_files():
+    assert len(SKELETONS) == 10
+    assert sorted(p.stem for p in (data_dir() / "rules").glob("*.prf")) == sorted(SKELETONS)
+
+
+@pytest.mark.parametrize("rule", SKELETONS)
+def test_skeleton_premises_and_steps(rule):
+    """A skeleton declares its rule and concludes the rule's conclusion; its
+    premise lines are the rule's premise schemas, one each, each at a
+    diagonal index and cited; and every other line checks, the premise
+    lines taken as hypotheses."""
+    premises, _, conclusion, _ = DERIVED_RULES[rule]
+    name, skeleton = parse_proof_script((data_dir() / "rules" / f"{rule}.prf").read_text())
+    assert name == rule
+    assert skeleton.goal == conclusion
+    assert skeleton.conclusion() == goal_sequent(conclusion)
+    leaves, earlier = {}, []
+    for n, (seq, just) in enumerate(skeleton.lines, start=1):
+        if just.rule is Premise:
+            (leaf,) = seq.right
+            assert not seq.left and leaf.i == leaf.j, (n, str(seq))
+            leaves[n] = leaf.formula
+        else:
+            check_step(earlier, (seq, just), skeleton.bound)
+        earlier.append(seq)
+    assert Counter(leaves.values()) == Counter(premises)
+    cited = {ref for _, just in skeleton.lines for ref in just.refs}
+    assert set(leaves) <= cited
+
+
+@pytest.mark.parametrize("leaf", ["(c)[0,0]", "(a)[0,1]", "(a)[1,1]", "(a)[0,0], (b)[0,0]"])
+def test_a_skeleton_premise_that_fits_no_schema_names_the_file(tmp_path, monkeypatch,
+                                                                leaf):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    path = copy / "rules" / "modusponens.prf"
+    path.write_text(path.read_text().replace("=> (a)[0,0] ; premise",
+                                             f"=> {leaf} ; premise"))
+    pref = proof_of("prefixingA", {"b": parse_formula("a")})
+    monkeypatch.setenv("TARL_DATA", str(copy))
+    with pytest.raises(DataFileError, match=re.escape(f"{path}: line 2: ")):
+        apply_derived_rule("modusponens", [pref, proof_of("A1")])
+    monkeypatch.delenv("TARL_DATA")
+    assert check_proof(apply_derived_rule("modusponens", [pref, proof_of("A1")])).valid
