@@ -7,8 +7,9 @@ in the schema variables whose premise k is a leaf ``=> (P_k)[i,i] ; premise``.
 inverse of ``substitute``), instantiates the skeleton and splices each input
 in place of its leaf with indices 0 and i exchanged.  The three composite
 rules chain other rules through ``_derive`` instead.  Nothing is trusted:
-``check_proof`` rejects every ``premise`` line, and ``apply_derived_rule``
-checks each input and the output once.
+a skeleton's other lines are checked as it loads, ``check_proof`` rejects
+every ``premise`` line, and ``apply_derived_rule`` checks each input and the
+output once.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import replace
 from .formulas import (Formula, Imp, Neg, Var, desugar_fusion, parse_formula,
                        print_formula, substitute)
 from .registry import _load, data_dir, get_corpus_entry
-from .sequents import (Premise, Proof, check_proof, parse_proof_script,
-                       permute_indices, substitute_proof)
+from .sequents import (Premise, Proof, RuleError, check_proof, check_step, goal_sequent,
+                       parse_proof_script, permute_indices, substitute_proof)
 
 __all__ = ["apply_derived_rule", "PremiseMismatch", "InvalidInput",
            "DERIVED_RULES", "conclusion_formula"]
@@ -62,14 +63,16 @@ def _match(schema: Formula, f: Formula, binding: dict[str, Formula]) -> bool:
 
 
 def _skeleton(rule: str) -> tuple[Proof, dict[int, tuple[int, int]]]:
-    """The rule's skeleton, read once, and for each of its premise lines the
-    input k that replaces it and the index i of its leaf (P_k)[i,i]."""
-    premises = DERIVED_RULES[rule][0]
+    """The rule's skeleton, read once and checked line by line, the premise
+    lines taken as hypotheses, and for each of its premise lines the input k
+    that replaces it and the index i of its leaf (P_k)[i,i]."""
+    premises, _, conclusion, _ = DERIVED_RULES[rule]
 
     def read(text: str):
         name, proof = parse_proof_script(text)
-        leaves = {}
-        for n, (seq, just) in enumerate(proof.lines, start=1):
+        leaves, earlier = {}, []
+        for n, line in enumerate(proof.lines, start=1):
+            seq, just = line
             if just.rule is Premise:
                 leaf = next(iter(seq.right), None)
                 if (seq.left or len(seq.right) != 1 or not leaf.i == leaf.j < proof.bound
@@ -77,6 +80,15 @@ def _skeleton(rule: str) -> tuple[Proof, dict[int, tuple[int, int]]]:
                     raise ValueError(f"line {n}: {seq} is not => (P)[i,i], P a premise "
                                      f"of {rule}, i < {proof.bound}")
                 leaves[n] = premises.index(leaf.formula), leaf.i
+            else:
+                try:
+                    check_step(earlier, line, proof.bound)
+                except RuleError as e:
+                    raise ValueError(str(e)) from None
+            earlier.append(seq)
+        if earlier[-1:] != [goal_sequent(conclusion)]:
+            raise ValueError(f"line {len(earlier)}: the skeleton does not end in "
+                             f"=> ({print_formula(conclusion)})[0,0]")
         return name, (proof, leaves)
 
     return _load(data_dir() / "rules" / f"{rule}.prf", read, "lemma", rule)

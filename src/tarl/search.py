@@ -56,10 +56,13 @@ samples of the proper algebra on 3 points.  If a sample fails, the search
 stops with status ``refuted`` and a counterexample: the base, each
 relation as sorted pairs of ints and the least point x with (x, x)
 outside the goal's value, which ``_refutes`` re-checks from those pairs
-before the outcome is returned.  Searches that stay under
-``REFUTE_AFTER`` nodes never pay for the check, which costs more than most
-provable goals take.  Internal nodes are never checked:
-pruning every node this way saved few nodes and took longer.
+before the outcome is returned.  The check costs about as much as ten
+search nodes, close to all that a typical provable goal takes (12 to 20
+nodes), so searches that stay under ``REFUTE_AFTER`` = 64 nodes never pay
+for it; a provable search that reaches it pays roughly 15% more at that
+point, and a refutable one wastes at most 64 nodes before it stops.
+Internal nodes are never checked: pruning every node this way saved few
+nodes and took longer.
 
 Formulas are hash-consed (``formulas``), so the codes use each formula's
 ``uid``.  Each search owns a table (``_Table``) in which every assertion is
@@ -85,7 +88,7 @@ from .sequents import (
 __all__ = ["SearchBudget", "SearchOutcome", "search_proof", "REFUTE_AFTER"]
 
 # the node at which a search checks its goal for a refutation, once
-REFUTE_AFTER = 512
+REFUTE_AFTER = 64
 # the samples of that check: this many, on this many points, from this seed
 _REFUTE_SAMPLES, _REFUTE_BASE, _REFUTE_SEED = 64, 3, 0
 
@@ -120,7 +123,10 @@ class SearchOutcome:
     comes with the objects (indices) it uses; its level is their number.
 
     refutation_checks is 1 when the search reached node ``REFUTE_AFTER``
-    and checked its goal in sampled proper relation algebras, else 0.
+    and checked its goal in sampled proper relation algebras, else 0.  The
+    trigger is 64 because the check costs about ten nodes: a provable
+    search that reaches it pays roughly 15% more there, and a refutable one
+    spends at most 64 nodes.
     Status ``refuted`` means a sample failed at that node: counterexample
     holds ``base`` (the points are 0..base-1), ``relations`` (each
     variable's relation, sorted pairs of ints) and ``point``, an x with

@@ -299,10 +299,13 @@ def _principals(rule: Rule, concl: Sequent, just, prems: list[Sequent],
     if rule.side is None:  # cut: any assertion the premises share
         p, q = prems
         return [(x, None) for x in (p.right & q.left) | (q.right & p.left)]
-    ks = (range(bound) if rule.index == "any"
-          else (just.eigen,) if rule.index == "eigen" else (None,))
-    return [(p, k) for p in getattr(concl, rule.side)
-            if isinstance(p.formula, rule.conn) for k in ks]
+    principals = [p for p in getattr(concl, rule.side) if isinstance(p.formula, rule.conn)]
+    if rule.index == "any":  # impL: k where a premise's right side holds (A)[k,i]
+        return [(p, k) for p in principals
+                for k in {a.i for prem in prems for a in prem.right
+                          if a.formula is p.formula.left and a.j == p.i and a.i < bound}]
+    k = just.eigen if rule.index == "eigen" else None
+    return [(p, k) for p in principals]
 
 
 def _least(rule: Rule, principal: Assertion | None, k: int | None,

@@ -10,6 +10,7 @@ import pytest
 from tarl.cli import main
 from tarl.models import check_postulates
 from tarl.registry import data_dir, get_structure
+from tarl.search import REFUTE_AFTER
 
 
 def run(capsys, *argv):
@@ -102,7 +103,8 @@ def test_prove_json_reports_the_search_counters(capsys, argv, status):
 def test_prove_refuted_names_the_base_and_the_point(capsys):
     code, out, _ = run(capsys, "prove", "~((p -> q) -> ~p)")
     assert code == 1
-    assert out.startswith("refuted after 512 nodes: base 3, point 0: (0,0) is outside")
+    assert out.startswith(f"refuted after {REFUTE_AFTER} nodes: base 3, point 0: "
+                          "(0,0) is outside")
     assert "p = {(0,1),(1,1)," in out
 
 

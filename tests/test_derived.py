@@ -17,6 +17,7 @@ from tarl.formulas import (
 )
 from tarl.gen import random_formula
 from tarl.registry import DataFileError, data_dir, get_corpus_entry
+from tarl.search import REFUTE_AFTER
 from tarl.sequents import (
     Assertion, Axiom, Premise, Proof, Sequent, check_proof, check_step,
     goal_sequent, parse_proof_script, substitute_proof,
@@ -228,6 +229,14 @@ def test_readme_lists_every_rule():
         assert line in readme, line
 
 
+def test_readme_states_the_refutation_trigger_once():
+    # the number is written beside the constant's name, and the other
+    # mentions name the constant, so a new trigger cannot leave README stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert re.findall(r"(\S+) nodes \(`search\.REFUTE_AFTER`", readme) == [str(REFUTE_AFTER)]
+    assert not re.search(r"after [\d,]+ nodes", readme)
+
+
 SKELETONS = [rule for rule, (*_, composite) in DERIVED_RULES.items() if composite is None]
 
 
@@ -275,3 +284,24 @@ def test_a_skeleton_premise_that_fits_no_schema_names_the_file(tmp_path, monkeyp
         apply_derived_rule("modusponens", [pref, proof_of("A1")])
     monkeypatch.delenv("TARL_DATA")
     assert check_proof(apply_derived_rule("modusponens", [pref, proof_of("A1")])).valid
+
+
+@pytest.mark.parametrize("last, error", [
+    ("=> (a & b)[0,0] ; andR 1 5", "line 3: BadRef (reference 5 out of range)"),
+    ("=> (a & b)[0,0] ; orR 2", "line 3: ShapeMismatch (orR shape)"),
+    ("=> (b & a)[0,0] ; andR 2 1", "line 3: the skeleton does not end in => (a & b)[0,0]"),
+])
+def test_a_skeleton_step_that_does_not_check_names_the_file(tmp_path, monkeypatch,
+                                                            last, error):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    path = copy / "rules" / "adjunction.prf"
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "3. => (a & b)[0,0] ; andR 1 2"
+    path.write_text("\n".join(lines[:-1] + ["3. " + last]) + "\n")
+    inputs = [proof_of("t6"), proof_of("A1")]
+    monkeypatch.setenv("TARL_DATA", str(copy))
+    with pytest.raises(DataFileError, match=re.escape(f"{path}: {error}")):
+        apply_derived_rule("adjunction", inputs)
+    monkeypatch.delenv("TARL_DATA")
+    assert check_proof(apply_derived_rule("adjunction", inputs)).valid

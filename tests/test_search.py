@@ -9,7 +9,7 @@ from tarl.gen import random_core_formula
 from tarl.models import valid_in
 from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
 from tarl.search import REFUTE_AFTER, SearchBudget, search_proof
-from tarl.sequents import Sequent, check_proof
+from tarl.sequents import Sequent, check_proof, format_proof_script
 
 
 def test_identity_implication():
@@ -98,7 +98,9 @@ def test_budget_validation():
     ("(p -> q) -> (q -> r) -> p -> r", SearchBudget(max_nodes=100), True),
 ])
 def test_every_node_is_counted_once(text, budget, ran_out):
-    out = search_proof(parse_formula(text), budget)
+    # the root refutation check would end the refutable rows before their
+    # depth and node limits are reached, so it is off here
+    out = search._search(parse_formula(text), budget, refute_after=None)
     c = out.counters()
     assert (out.nodes > budget.max_nodes) == ran_out
     assert out.nodes == (c["axioms"] + c["cutoffs"] + c["loop_prunes"]
@@ -121,8 +123,10 @@ def test_no_visited_premise_equals_its_conclusion(monkeypatch):
             tried.append(rule.name)
             yield rule, k, premises
     monkeypatch.setattr(search, "_steps", watched)
-    c = search_proof(parse_formula("(p -> q) -> (q -> r) -> p -> r"),
-                     SearchBudget(max_depth=6)).counters()
+    # the goal is refutable: with the root check on, the search would stop
+    # before its depth-limited passes reach impL
+    c = search._search(parse_formula("(p -> q) -> (q -> r) -> p -> r"),
+                       SearchBudget(max_depth=6), refute_after=None).counters()
     assert "impL" in tried
     assert c["canonical_forms"] == c["nodes"] - c["axioms"] - c["cutoffs"]
 
@@ -392,6 +396,28 @@ def test_the_refuting_node_is_counted_like_the_one_that_runs_out():
     assert out.nodes == (c["axioms"] + c["cutoffs"] + c["loop_prunes"]
                          + c["cache_prunes"] + c["expansions"] + 1)
     assert out.proof is None and _certifies(goal, out.counterexample)
+
+
+def test_the_trigger_moves_the_check_not_what_it_finds():
+    # the goals and budget of tests/golden/search_outcomes.txt
+    budget, rng = SearchBudget(max_nodes=5000), random.Random(8)
+    goals = [entry.proof.goal for entry in list_corpus()]
+    goals += [random_core_formula(rng, rng.randint(6, 12), ("p", "q")) for _ in range(40)]
+    moved = 0
+    for goal in goals:
+        early = search._search(goal, budget, refute_after=64)
+        late = search._search(goal, budget, refute_after=512)
+        if late.proved or early.proved:
+            assert early.status == late.status == "proved", goal
+            assert (format_proof_script("g", early.proof)
+                    == format_proof_script("g", late.proof)), goal
+            unchecked = {"refutation_checks": 0}
+            assert early.counters() | unchecked == late.counters() | unchecked, goal
+        if late.status == "refuted":
+            assert early.status == "refuted", goal
+            assert early.counterexample == late.counterexample, goal
+        moved += early.status == "refuted" != late.status
+    assert moved > 0
 
 
 def test_searches_under_the_trigger_never_check():

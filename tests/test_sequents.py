@@ -1,12 +1,15 @@
 import copy
 import pickle
 import random
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tarl import sequents
 from tarl.derived import apply_derived_rule
 from tarl.formulas import Imp, Neg, Var, desugar_fusion, parse_formula, variables
 from tarl.gen import random_formula
@@ -368,3 +371,66 @@ def test_substitute_proof_agrees_with_substituting_each_assertion():
         report = check_proof(inst)
         assert report.valid, report.first_error
         assert report.objects_used == check_proof(proof).objects_used
+
+
+# ------------------------------------------------------------------
+# impL reads k from its premises
+# ------------------------------------------------------------------
+
+_PRINCIPALS = sequents._principals
+
+
+def _principals_over_every_k(rule, concl, just, prems, bound):
+    """The checker's impL reading that tries every k below the bound: the
+    oracle of the reading that takes k from a premise's (A)[k,i]."""
+    if rule is not ImpL:
+        return _PRINCIPALS(rule, concl, just, prems, bound)
+    return [(p, k) for p in concl.left if isinstance(p.formula, Imp) for k in range(bound)]
+
+
+def _golden_proofs():
+    """The proofs pinned in tests/golden: every corpus proof, a substitution
+    instance of each and the derived rules' outputs, then search's proofs of
+    the corpus goals and of seeded random goals."""
+    golden = Path(__file__).resolve().parent / "golden"
+    texts = [(golden / name).read_text()
+             for name in ("proof_scripts.txt", "search_outcomes.txt")]
+    return [parse_proof_script(chunk)[1] for text in texts
+            for chunk in re.split(r"(?m)^(?=lemma )", text) if chunk.startswith("lemma")]
+
+
+def _mutant(proof, rng):
+    """proof with one line changed: its references retargeted or swapped, or
+    one of its assertions dropped or moved to another first index.  impL
+    lines are picked more often than the others."""
+    lines = list(proof.lines)
+    impls = [n for n, (_, just) in enumerate(lines) if just.rule is ImpL]
+    n = rng.choice(impls) if impls and rng.random() < 0.7 else rng.randrange(len(lines))
+    s, just = lines[n]
+    kind = rng.randrange(4)
+    if kind < 2 and len(just.refs) > kind:
+        refs = tuple(rng.randint(1, n) for _ in just.refs) if kind == 0 else just.refs[::-1]
+        lines[n] = (s, replace(just, refs=refs))
+    else:
+        sides = [sorted(s.left, key=Assertion.key), sorted(s.right, key=Assertion.key)]
+        side = rng.choice([x for x in sides if x])
+        x = side.pop(rng.randrange(len(side)))
+        if kind % 2 == 0:
+            side.append(Assertion(x.formula, rng.randrange(proof.bound), x.j))
+        lines[n] = (Sequent.of(*sides), just)
+    return replace(proof, lines=lines)
+
+
+def test_impl_reading_k_from_its_premises_agrees_with_every_k(monkeypatch):
+    proofs = _golden_proofs()
+    assert len(proofs) >= 38 * 2 + 13 + 38
+    rng = random.Random(23)
+    mutants = [_mutant(rng.choice(proofs), rng) for _ in range(3000)]
+    ours = [check_proof(p) for p in proofs + mutants]
+    monkeypatch.setattr(sequents, "_principals", _principals_over_every_k)
+    oracle = [check_proof(p) for p in proofs + mutants]
+    assert ours == oracle
+    assert all(r.valid for r in ours[:len(proofs)])
+    # the mutants reach impL's failing path, not only its passing one
+    failed_impl = sum(not r.valid and "impL" in r.first_error[1] for r in ours)
+    assert failed_impl > 300, failed_impl
