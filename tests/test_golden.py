@@ -8,7 +8,9 @@
 - terms.txt: seeded fuzzed formula and relation-algebra texts, each with its
   printed form and repr or its ParseError, and the printed translation of
   every corpus goal, every named formula and seeded random formulas, and
-  every law.
+  every law;
+- script_reader.txt: seeded corpus scripts with one line mutated, each with
+  the proof read back and formatted or the reader's ParseError.
 
 To record the files again after an intended change of output:
 
@@ -27,11 +29,12 @@ from tarl.formulas import Neg, ParseError, Var, parse_formula, print_formula, va
 from tarl.gen import random_core_formula, random_formula
 from tarl.registry import formula_names, get_corpus_entry, get_formula, list_corpus
 from tarl.search import SearchBudget, search_proof
-from tarl.sequents import format_proof_script, substitute_proof
+from tarl.sequents import format_proof_script, parse_proof_script, substitute_proof
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "proof_scripts.txt"
 SEARCH_GOLDEN = Path(__file__).resolve().parent / "golden" / "search_outcomes.txt"
 TERMS_GOLDEN = Path(__file__).resolve().parent / "golden" / "terms.txt"
+READER_GOLDEN = Path(__file__).resolve().parent / "golden" / "script_reader.txt"
 # the counters that say how each node ended; nodes is their sum
 _NODE_COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
                   "expansions")
@@ -174,6 +177,46 @@ def terms() -> str:
     return "".join(out)
 
 
+# characters a mutated script line gains: the script syntax, the formula
+# syntax, a comment, a tab, Unicode aliases and the letters of the header
+_SCRIPT_PIECES = " ,;=>[]()0123456789k=.-~&|#\t∧→lemmabound:pq"
+
+
+def _mutated(rng, line):
+    """line after one to three edits, each inserting, deleting or replacing
+    one character."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(line))
+        edit = rng.randrange(3)
+        if edit == 0:
+            line = line[:at] + rng.choice(_SCRIPT_PIECES) + line[at:]
+        elif edit == 1:
+            line = line[:at] + line[at + 1:]
+        else:
+            line = line[:at] + rng.choice(_SCRIPT_PIECES) + line[at + 1:]
+    return line
+
+
+def script_reader() -> str:
+    rng = random.Random(10)
+    scripts = [(entry.lemma_id, format_proof_script(entry.lemma_id, entry.proof))
+               for entry in list_corpus()]
+    out = []
+    for _ in range(2000):
+        name, text = rng.choice(scripts)
+        lines = text.splitlines()
+        n = rng.randrange(len(lines))
+        lines[n] = _mutated(rng, lines[n])
+        out.append(f"S {name} {n + 1} {lines[n]!r}")
+        try:
+            read, proof = parse_proof_script("\n".join(lines) + "\n")
+        except ParseError as e:
+            out.append(f" ! {e.line} {e.position} {e.expected!r} {e.found!r}\n")
+        else:
+            out.append(f" ok bound {proof.bound}\n{format_proof_script(read, proof)}")
+    return "".join(out)
+
+
 def test_proof_scripts_are_unchanged():
     assert proof_scripts() == GOLDEN.read_text()
 
@@ -186,7 +229,12 @@ def test_terms_are_unchanged():
     assert terms() == TERMS_GOLDEN.read_text()
 
 
+def test_script_reader_is_unchanged():
+    assert script_reader() == READER_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(proof_scripts())
     SEARCH_GOLDEN.write_text(search_outcomes())
     TERMS_GOLDEN.write_text(terms())
+    READER_GOLDEN.write_text(script_reader())
