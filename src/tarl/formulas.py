@@ -59,6 +59,9 @@ _NAME = re.compile(r"[a-z][a-zA-Z0-9_]*")
 # every live node, keyed on (class, *children); children are interned, so a
 # lookup hashes them by their stored hash and compares them by identity
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# the table's own dict of weak references, which the constructors read
+# directly: a live node is found without a call into the table's methods
+_REFS = _TABLE.data
 _LOCK = threading.Lock()  # two threads must not both make a missing node
 _SERIAL = itertools.count()
 _set = object.__setattr__
@@ -135,7 +138,8 @@ class Var(Formula):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        return _TABLE.get(key) or _intern(key)
+        ref = _REFS.get(key)  # a weak reference, which may be dead
+        return ref is not None and ref() or _intern(key)
 
 
 class Neg(Formula):
@@ -144,7 +148,8 @@ class Neg(Formula):
 
     def __new__(cls, body: Formula):
         key = (cls, body)
-        return _TABLE.get(key) or _intern(key)
+        ref = _REFS.get(key)
+        return ref is not None and ref() or _intern(key)
 
 
 class _Binary(Formula):
@@ -153,7 +158,8 @@ class _Binary(Formula):
 
     def __new__(cls, left: Formula, right: Formula):
         key = (cls, left, right)
-        return _TABLE.get(key) or _intern(key)
+        ref = _REFS.get(key)
+        return ref is not None and ref() or _intern(key)
 
 
 class And(_Binary):
@@ -362,16 +368,21 @@ class _Parser:
 
     def __init__(self, grammar: Grammar, text: str, memo: dict | None):
         self.g, self.text, self.memo = grammar, text, memo
-        self.close = {}  # with a memo: the offset of each '(' -> that of its ')'
-        if memo is not None:
-            opened = []
-            for m in _PARENS.finditer(text):
-                if m.group() == "(":
-                    opened.append(m.start())
-                elif opened:
-                    self.close[opened.pop()] = m.start()
+        # with a memo: the offset of each '(' -> that of its ')', found at
+        # the first '(' read; without one, no group is looked up
+        self.close = {} if memo is None else None
         # where the group being read ends, if there is a memo to look it up in
         self.end = None if memo is None else len(text)
+
+    def groups(self) -> dict[int, int]:
+        """The offset of each '(' in the text -> that of its ')'."""
+        close, opened = {}, []
+        for m in _PARENS.finditer(self.text):
+            if m.group() == "(":
+                opened.append(m.start())
+            elif opened:
+                close[opened.pop()] = m.start()
+        return close
 
     def read(self, at: int) -> None:
         """Read the token at offset at, after any blanks: tok (an alias read
@@ -438,6 +449,8 @@ class _Parser:
             self.read(self.after)
             return g.prefix[tok](self.unary())
         if tok == "(":
+            if self.close is None:
+                self.close = self.groups()
             outer, self.end = self.end, self.close.get(self.at)
             node = self.whole(self.after)
             self.end = outer
@@ -445,8 +458,8 @@ class _Parser:
                 raise self.error("')'")
         elif tok in g.constants:
             node = g.constants[tok]
-        elif tok is not None and tok not in g.reserved and _NAME.fullmatch(tok):
-            node = g.variable(tok)
+        elif tok is not None and "a" <= tok[0] <= "z" and tok not in g.reserved:
+            node = g.variable(tok)  # the tokenizer matched the whole name
         else:
             raise self.error(g.bad_operand)
         self.read(self.after)  # past the ')', constant or name

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Sequence
 
 from .formulas import (
     Formula, Imp, And, Or, Neg, ParseError, desugar_fusion, end_of_file,
-    file_lines, is_core, parse_at, parse_formula, print_formula, substitution,
+    file_lines, parse_at, parse_formula, print_formula, substitution,
 )
 
 __all__ = [
@@ -75,7 +75,7 @@ class Assertion:
     __slots__ = ("formula", "i", "j", "_hash")
 
     def __init__(self, formula: Formula, i: int, j: int):
-        if not is_core(formula):
+        if not formula._core:
             raise ValueError("assertions carry fusion-free formulas; desugar first")
         _set(self, "formula", formula)
         _set(self, "i", i)
@@ -110,7 +110,7 @@ class Assertion:
         return f"({print_formula(self.formula)})[{self.i},{self.j}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     left: frozenset[Assertion]
     right: frozenset[Assertion]
@@ -131,8 +131,14 @@ class Sequent:
         return bool(self.left & self.right)
 
     def __str__(self) -> str:
-        fmt = lambda side: ", ".join(str(a) for a in sorted(side, key=Assertion.key))
-        return f"{fmt(self.left)} => {fmt(self.right)}".strip()
+        return f"{_listed(self.left)} => {_listed(self.right)}".strip()
+
+
+def _listed(side: frozenset[Assertion]) -> str:
+    """A sequent side as printed: its assertions in the order of their keys."""
+    if len(side) > 1:
+        side = sorted(side, key=Assertion.key)
+    return ", ".join(map(str, side))
 
 
 def goal_sequent(f: Formula) -> Sequent:
@@ -186,7 +192,7 @@ class Rule:
                                                  principal.j, k)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Justification:
     """A line's rule, its 1-based premise line references and impR's eigen
     index."""
@@ -432,12 +438,10 @@ def _relabel(proof: Proof, assertion: Callable[[Assertion], Assertion],
                        frozenset(map(assertion, s.right)))
 
     def just(j: Justification) -> Justification:
-        if index is None or j.eigen is None:
-            return j
-        return replace(j, eigen=index(j.eigen))
+        return j if j.eigen is None else replace(j, eigen=index(j.eigen))
 
-    return Proof(lines=[(sequent(s), just(j)) for s, j in proof.lines],
-                 bound=proof.bound, goal=goal)
+    lines = [(sequent(s), j if index is None else just(j)) for s, j in proof.lines]
+    return Proof(lines=lines, bound=proof.bound, goal=goal)
 
 
 def permute_indices(proof: Proof, perm: dict[int, int]) -> Proof:
@@ -479,15 +483,18 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # with sequents written  (formula)[i,j], ... => ...
 
 _HEADER = re.compile(r"lemma\s+([^\s:]+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
-# <k>. <left side> => <right side> ; <rule> <arguments>, where the match
-# also stands without '=>' or ';' so that the reader can say which is missing
-_LINE = re.compile(r"(\d+)\s*\.[\s,]*(?:([^;]*?)=>[\s,]*)?([^;]*?)\s*(?:(;)\s*(\S*)\s*(.*))?$")
+# a proof line is <k>. <left side> => <right side> ; <rule> <arguments>: the
+# reader matches the number and the blanks and commas after its dot, then
+# splits the rest at the first ';' and at the first '=>' before it, so that
+# it can say which of the two is missing
+_NUMBER = re.compile(r"(\d+)\s*\.[\s,]*")
+_BLANKS = re.compile(r"[\s,]*")
 # an assertion and the blanks and commas after it: a formula holds no '[', so
 # it ends at the last ')' before one; the match also stands without [i,j], so
 # that a bad one is reported after the formula is read
 _ASSERTION = re.compile(r"\(([^\[]*)\)\s*(?:\[\s*(\d+)\s*,\s*(\d+)\s*\][\s,]*)?")
 _NEXT = re.compile(r"\s*(=>|\S|$)")  # where an error is: '=>', a character or the end
-_WORD = re.compile(r"\S+")
+_WORD = re.compile(r"\S+")  # a rule's name or argument, placed when it is at fault
 
 
 def _error(content: str, at: int, expected: str, n: int, col: int) -> ParseError:
@@ -495,6 +502,13 @@ def _error(content: str, at: int, expected: str, n: int, col: int) -> ParseError
     script whose content starts at column col."""
     m = _NEXT.match(content, at)
     return ParseError(col + m.start(1), expected, m.group(1) or "end of line", n)
+
+
+def _word_at(content: str, semi: int, number: int) -> int:
+    """The offset of word number (from 0) after the ';' at offset semi, or
+    the end of content if there is none."""
+    starts = [m.start() for m in _WORD.finditer(content, semi + 1)]
+    return starts[number] if number < len(starts) else len(content)
 
 
 def _side(content: str, pos: int, end: int, n: int, col: int,
@@ -524,35 +538,41 @@ def _script_line(content: str, line_no: int, n: int, col: int,
                  made: dict) -> tuple[Sequent, Justification]:
     """Proof line line_no, written as content on line n of a script from
     column col; made is as for _side."""
-    m = _LINE.match(content)
+    m = _NUMBER.match(content)
     if not m:
         raise ParseError(col, "'<k>. <sequent> ; <rule>'", line=n)
     if int(m.group(1)) != line_no:
         raise ParseError(col, f"line number {line_no}", m.group(1), n)
-    if m.group(4) is None:
+    start = m.end()
+    semi = content.find(";", start)
+    if semi < 0:
         raise _error(content, len(content), "';' and a rule", n, col)
-    if m.group(2) is None:
-        raise _error(content, m.start(4), "'=>' separating the sequent sides", n, col)
-    seq = Sequent.of(_side(content, m.start(2), m.end(2), n, col, made),
-                     _side(content, m.start(3), m.end(3), n, col, made))
-    rule = RULE_NAMED.get(m.group(5))
+    arrow = content.find("=>", start, semi)
+    if arrow < 0:
+        raise _error(content, semi, "'=>' separating the sequent sides", n, col)
+    seq = Sequent.of(_side(content, start, arrow, n, col, made),
+                     _side(content, _BLANKS.match(content, arrow + 2).end(), semi,
+                           n, col, made))
+    name, *args = content[semi + 1:].split() or ("",)
+    rule = RULE_NAMED.get(name)
     if rule is None:
-        raise ParseError(col + m.start(5), "a rule name", m.group(5) or "end of line", n)
+        raise ParseError(col + _word_at(content, semi, 0), "a rule name",
+                         name or "end of line", n)
     refs, eigen = [], None
-    for arg in _WORD.finditer(m.group(6)):
-        word = arg.group()
+    for number, word in enumerate(args, start=1):
         if word.isdecimal():
             refs.append(int(word))
         elif word.startswith("k=") and word[2:].isdecimal() and eigen is None:
             eigen = int(word[2:])
         else:
-            raise ParseError(col + m.start(6) + arg.start(),
+            raise ParseError(col + _word_at(content, semi, number),
                              "a line reference or one k=<idx>", word, n)
     try:  # omitted references name the immediately preceding lines
         just = rule(*(refs or range(line_no - rule.refs, line_no)), eigen=eigen)
     except TypeError:
         usage = rule.name + " <ref>" * rule.refs + " k=<idx>" * (rule.index == "eigen")
-        raise ParseError(col + m.start(5), repr(usage), content[m.start(5):], n) from None
+        at = _word_at(content, semi, 0)
+        raise ParseError(col + at, repr(usage), content[at:], n) from None
     return seq, just
 
 
@@ -585,6 +605,8 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
                                  m.group(3), n)
     if name is None:
         raise end_of_file(text, "a 'lemma <name>' header")
+    if not lines:
+        raise end_of_file(text, "a proof line")
     return name, Proof(lines=lines, bound=bound, goal=goal)
 
 

@@ -33,6 +33,8 @@ CASES = [
     (parse_proof_script, "lemmax : p\n" + AXIOM, 1, 1, ""),
     (parse_proof_script, "lemma x\n" + AXIOM + "lemma x bound 2\n", 3, 1, "lemma"),
     (parse_proof_script, AXIOM, 2, 1, "end of file"),
+    (parse_proof_script, "lemma x : p -> p\n", 2, 1, "end of file"),
+    (parse_proof_script, "lemma x\n", 2, 1, "end of file"),
     (parse_proof_script, script("x. (p)[0,0] => (p)[0,0] ; axiom"), 2, 1, ""),
     (parse_proof_script, script("2. (p)[0,0] => (p)[0,0] ; axiom"), 2, 1, "2"),
     (parse_proof_script, script("1. (p)[0,0] => (p)[0,0] axiom"), 2, 30, "end of line"),

@@ -5,11 +5,12 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tarl import sequents
+from tarl import algebra, sequents
 from tarl.derived import apply_derived_rule
 from tarl.formulas import Imp, Neg, Var, desugar_fusion, parse_formula, variables
 from tarl.gen import random_formula
@@ -434,3 +435,72 @@ def test_impl_reading_k_from_its_premises_agrees_with_every_k(monkeypatch):
     # the mutants reach impL's failing path, not only its passing one
     failed_impl = sum(not r.valid and "impL" in r.first_error[1] for r in ours)
     assert failed_impl > 300, failed_impl
+
+
+# ------------------------------------------------------------------
+# The semantic audit: every proof line read as a claim about relations
+# ------------------------------------------------------------------
+
+def _audit(proof, base, samples=32, seed=0):
+    """The numbers of the lines of proof that fail the relational reading,
+    which reads no rule: sample a relation on base points for each
+    variable, give each index i a point x_i, and let (A)[i,j] hold when
+    (x_i, x_j) is in translate(A).  A line Γ => Δ holds when, at every
+    tuple of points, some assertion of Δ holds wherever all of Γ do."""
+    carrier = algebra._Matrices(base)
+    assertions = [x for s, _ in proof.lines for x in s.left | s.right]
+    names = sorted(set().union(*(variables(x.formula) for x in assertions)))
+    _, env = next(carrier.batches(names, samples, seed))
+    indices = sorted({i for x in assertions for i in (x.i, x.j)})
+    # index -> the point it is given in each tuple, one axis per index
+    point = dict(zip(indices, np.indices((base,) * len(indices))))
+    relations = {}
+
+    def holds(x):  # per sample and tuple of points: whether x holds
+        if x.formula not in relations:
+            relations[x.formula] = algebra.TERMS.evaluate(
+                algebra.translate(x.formula), env, carrier.ops)
+        return relations[x.formula][:, point[x.i], point[x.j]]
+
+    failed = []
+    for n, (s, _) in enumerate(proof.lines, start=1):
+        gamma = np.ones((samples,) + (base,) * len(indices), dtype=bool)
+        delta = np.zeros_like(gamma)
+        for x in s.left:
+            gamma &= holds(x)
+        for x in s.right:
+            delta |= holds(x)
+        if (gamma & ~delta).any():
+            failed.append(n)
+    return failed
+
+
+def test_the_audit_rejects_lines_that_do_not_hold():
+    for line in ("(p)[0,1] => (p)[1,0]", "=> (p -> p)[0,1]", "(p -> q)[0,0] => (q)[0,0]"):
+        _, proof = parse_proof_script(f"lemma x\n1. {line} ; axiom\n")
+        assert _audit(proof, 2) == [1], line
+
+
+@pytest.mark.parametrize("base", [2, 3, 4])
+def test_every_pinned_proof_line_passes_the_audit(base):
+    """The corpus proofs, their instances, the derived rules' outputs and
+    search's proofs, as pinned in tests/golden."""
+    for proof in _golden_proofs():
+        assert _audit(proof, base) == [], format_proof_script("x", proof)
+
+
+def test_mutated_lines_the_checker_accepts_pass_the_audit():
+    rng = random.Random(24)
+    proofs = _golden_proofs()
+    accepted = 0
+    for _ in range(3000):
+        proof = rng.choice(proofs)
+        mutant = _mutant(proof, rng)
+        report = check_proof(replace(mutant, goal=None))
+        checked = mutant.lines if report.valid else mutant.lines[:report.first_error[0] - 1]
+        if checked != proof.lines[:len(checked)]:  # some changed line checks
+            accepted += 1
+            for base in (2, 3, 4):
+                assert _audit(replace(mutant, lines=checked), base) == [], \
+                    format_proof_script("x", mutant)
+    assert accepted > 400, accepted  # 470 with this seed
