@@ -17,14 +17,16 @@ Two kinds of finite algebra are supported:
     is the star image, the identity is {0}.  Carriers are tiny, so
     identities are tested exhaustively.
 
-The evaluator of the term grammar, `TERMS.evaluate`, runs a term over a
-batch of assignments with each carrier's table of operations: lookups in
-the structure's mask tables for complex algebras, boolean n x n matrices
-stacked along a leading batch axis for proper ones.  Laws are tested one
-batch at a time (the whole valuation grid of a complex algebra, blocks of
-500 samples of a proper one), and `eval_term` is a batch of one.
-`translate` is the formula grammar's evaluator, `FORMULAS.evaluate`, with
-term constructors as its operations.
+Each carrier has a table of operations: lookups in the structure's mask
+tables for complex algebras, boolean n x n matrices stacked along a leading
+batch axis for proper ones.  `TERMS.evaluate` runs a term with them over a
+batch of assignments, and `eval_term` is a batch of one.  The translation of
+formulas is one table, `_connectives`, written over any table of operations:
+read with a carrier's, `FORMULAS.evaluate` gives a formula's value with no
+term built and nothing cached per formula; read with the term constructors,
+it is `translate`.  Laws and formulas are tested one batch at a time (the
+whole valuation grid of a complex algebra, blocks of 500 samples of a
+proper one).
 
 The term grammar is  `+` join, `.` meet, prefix `-` complement, postfix `^`
 converse, `;` relative product, constants `id`, `0`, `1`, with precedence
@@ -40,7 +42,6 @@ are verified step by step and end to end.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import operator
 import re
@@ -167,19 +168,21 @@ class _TermVariables(dict):
         return RVar(name)
 
 
-# each connective's term, given the terms of its operands
-_TRANSLATION = {
-    Or: Join, And: Meet,
-    Neg: lambda a: Conv(Compl(a)),
-    Imp: lambda a, b: Compl(Comp(Conv(a), Compl(b))),
-    Fusion: lambda a, b: Comp(b, a),
-}
+def _connectives(ops: dict) -> dict:
+    """The translation over ops, a table of term operations: | join, & meet,
+    ~ converse-complement, -> residuation, o relative product reversed."""
+    compl, conv, comp = ops[Compl], ops[Conv], ops[Comp]
+    return {Or: ops[Join], And: ops[Meet],
+            Neg: lambda a: conv(compl(a)),
+            Imp: lambda a, b: compl(comp(conv(a), compl(b))),
+            Fusion: lambda a, b: comp(b, a)}
+
+
+_TRANSLATION = _connectives({cls: cls for cls in (Join, Meet, Compl, Conv, Comp)})
 
 
 def translate(f: Formula) -> RATerm:
-    """Map connectives to relation operations: | to +, & to ., ~ to
-    converse-complement, -> to residuation, fusion to relative product in
-    the opposite order."""
+    """f's term: the translation read with the term constructors as operations."""
     return FORMULAS.evaluate(f, _TermVariables(), _TRANSLATION)
 
 
@@ -258,6 +261,7 @@ class _Masks:
         # X;Y is fusion in the opposite order
         self.ops = _ops(tab.all_mask, 0, 1 << tab.zero_bit, tab.star.__getitem__,
                         lambda x, y: tab.fus[y, x])
+        self.connectives = _connectives(self.ops)
 
     def encode(self, value) -> int:
         return self.tab.mask_of(self.m, value)
@@ -281,6 +285,7 @@ class _Matrices:
         self.ops = _ops(np.ones((n, n), dtype=bool), np.zeros((n, n), dtype=bool),
                         np.eye(n, dtype=bool), lambda x: np.swapaxes(x, -1, -2),
                         lambda x, y: (x.astype(np.uint8) @ y.astype(np.uint8)) > 0)
+        self.connectives = _connectives(self.ops)
 
     def encode(self, pairs) -> np.ndarray:
         mat = np.zeros((self.n, self.n), dtype=bool)
@@ -318,9 +323,8 @@ def eval_term(alg, assignment: dict, t: RATerm):
     return c.decode(TERMS.evaluate(t, env, c.ops))
 
 
-def _related(c, env: dict, lhs: RATerm, rel: str, rhs: RATerm) -> np.ndarray:
-    """Per assignment of a batch env in carrier c, whether lhs REL rhs."""
-    left, right = TERMS.evaluate(lhs, env, c.ops), TERMS.evaluate(rhs, env, c.ops)
+def _related(c, left, rel: str, right) -> np.ndarray:
+    """Per assignment of a batch in carrier c, whether the values left REL right."""
     ok = np.equal(left if rel == "=" else left | right, right)
     return ok.all(axis=c.axes) if c.axes else ok
 
@@ -349,10 +353,8 @@ class Law:
     premises: tuple[tuple[RATerm, str, RATerm], ...] = ()
 
     def all_variables(self) -> list[str]:
-        out = term_variables(self.lhs) | term_variables(self.rhs)
-        for (l, _, r) in self.premises:
-            out |= term_variables(l) | term_variables(r)
-        return sorted(out)
+        terms = (self.lhs, self.rhs, *(t for l, _, r in self.premises for t in (l, r)))
+        return sorted(frozenset().union(*map(term_variables, terms)))
 
 
 def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0) -> IdentityResult:
@@ -360,23 +362,26 @@ def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0) -> IdentityResul
     on complex algebras, on seeded random samples in proper ones.  The
     counterexample is the first failing assignment; `checked` counts the
     assignments that meet the premises, up to the batch that fails."""
-    return _holds(alg, law, law.all_variables(), trials, seed)
+    return _holds(alg, law.all_variables(), trials, seed, lambda c, env: [
+        _related(c, TERMS.evaluate(lhs, env, c.ops), rel, TERMS.evaluate(rhs, env, c.ops))
+        for lhs, rel, rhs in (*law.premises, (law.lhs, law.rel, law.rhs))])
 
 
-def _holds(alg, law: Law, names: Sequence[str], trials: int,
-           seed: int) -> IdentityResult:
-    """holds_law, given the law's variable names."""
+def _holds(alg, names: Sequence[str], trials: int, seed: int, test) -> IdentityResult:
+    """The law loop over the batches of assignments to names in alg's
+    carrier c: test(c, env) gives, per assignment of the batch env, whether
+    each premise holds and then whether the conclusion does."""
     if trials < 1:  # a sampled law would pass after checking nothing
         raise ValueError(f"trials must be at least 1, got {trials}")
     c = _carrier(alg)
     checked = 0
     for size, env in c.batches(names, trials, seed):
         keep = np.ones(size, dtype=bool)
-        for premise in law.premises:
-            keep &= _related(c, env, *premise)
-        good = _related(c, env, law.lhs, law.rel, law.rhs)
+        *premises, good = test(c, env)
+        for premise in premises:
+            keep &= premise
         bad = np.nonzero(keep & ~good)[0]
-        checked += int(keep.sum())
+        checked += np.count_nonzero(keep)
         if bad.size:
             row = int(bad[0])
             return IdentityResult(False, {name: c.decode(env[name][row]) for name in names},
@@ -387,21 +392,15 @@ def _holds(alg, law: Law, names: Sequence[str], trials: int,
 def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
                         trials: int = 500, seed: int = 0) -> IdentityResult:
     """Identity-containment of the translated formula: id <= translate(f),
-    for one assignment if given, otherwise quantified over the carrier."""
-    law, names = _identity_law(f)
+    for one assignment if given, otherwise quantified over the carrier.  f
+    is evaluated through the carrier's connectives, so no term is built."""
+    def test(c, env):
+        return [_related(c, c.ops[Ident], "<=", FORMULAS.evaluate(f, env, c.connectives))]
     if assignment is not None:
         c = _carrier(alg)
-        env = {name: c.encode(value) for name, value in assignment.items()}
-        ok = bool(_related(c, env, law.lhs, law.rel, law.rhs))
+        ok = bool(test(c, {name: c.encode(value) for name, value in assignment.items()})[0])
         return IdentityResult(ok, None if ok else dict(assignment), 1)
-    return _holds(alg, law, names, trials, seed)
-
-
-@functools.lru_cache(maxsize=1024)
-def _identity_law(f: Formula) -> tuple[Law, tuple[str, ...]]:
-    """id <= translate(f) and its variable names; formulas are interned and
-    immutable, so an entry cannot go stale."""
-    return Law("adhoc", IDENT, "<=", translate(f)), tuple(sorted(variables(f)))
+    return _holds(alg, sorted(variables(f)), trials, seed, test)
 
 
 # ------------------------------------------------------------------
@@ -476,10 +475,8 @@ def check_chain(algs: dict[str, object], steps: list[Law],
             segment = Law("adhoc", steps[start].lhs, combined, steps[end].rhs)
             checks = [holds_law(alg, segment, trials=trials, seed=seed)
                       for alg in algs.values()]
-            ok = all(c.passed for c in checks)
-            end_to_end = IdentityResult(ok, None if ok else
-                                        next(c.counterexample for c in checks
-                                             if not c.passed))
+            failed = [c.counterexample for c in checks if not c.passed]
+            end_to_end = IdentityResult(not failed, failed[0] if failed else None)
         segments.append((start, end, combined, end_to_end))
         start = end + 1
     return ChainReport(out, segments)
@@ -523,8 +520,4 @@ def law_names() -> list[str]:
 
 
 def get_law(name: str) -> Law:
-    if name in TARSKI_AXIOMS:
-        return TARSKI_AXIOMS[name]
-    if name in DERIVED_LAWS:
-        return DERIVED_LAWS[name]
-    raise KeyError(name)
+    return {**TARSKI_AXIOMS, **DERIVED_LAWS}[name]

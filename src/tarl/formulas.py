@@ -198,12 +198,18 @@ class UnassignedVariable(KeyError):
     """A variable that an evaluation's environment gives no value."""
 
 
+def _lines(text: str) -> list[str]:
+    r"""A file's lines, ended only by \n, \r\n or \r, unlike str.splitlines."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def file_lines(text: str):
     """Each line of a file's text that holds more than a '#' comment, as
     (line number, column where its content starts, content): the line less
     its comment and the blanks around what is left.  Numbers and columns
     count from 1."""
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(_lines(text), start=1):
         content = raw.split("#", 1)[0]
         stripped = content.strip()
         if stripped:
@@ -212,7 +218,7 @@ def file_lines(text: str):
 
 def end_of_file(text: str, expected: str) -> ParseError:
     """The error of a file's text that ends where expected should come."""
-    return ParseError(1, expected, "end of file", len(text.splitlines()) + 1)
+    return ParseError(1, expected, "end of file", len(_lines(text)) + 1)
 
 
 _NEXT = re.compile(r"\s*(\S|$)")  # the next character that is not blank

@@ -382,7 +382,8 @@ def _check_line(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
     concl, just = line
     line_no = len(earlier) + 1
     for idx in indices:
-        if not 0 <= idx < bound:
+        if not 0 <= idx < bound:  # report the least, whatever the set's order
+            idx = min(i for i in indices if not 0 <= i < bound)
             raise RuleError(line_no, "IndexOutOfBound", f"index {idx}")
     _check_rule(concl, just, earlier, line_no, bound)
 

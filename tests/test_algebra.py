@@ -12,14 +12,14 @@ import pytest
 from tarl import algebra, models
 from tarl.algebra import (
     IDENT, ONE, ZERO, Comp, Compl, ComplexAlgebra, Conv, DERIVED_LAWS, Ident,
-    Join, Law, Meet, One, ProperAlgebra, RVar, TARSKI_AXIOMS, TERMS, Zero,
+    IdentityResult, Join, Law, Meet, One, ProperAlgebra, RVar, TARSKI_AXIOMS, TERMS, Zero,
     check_chain, eval_term, get_law, holds_law, parse_chain, parse_ra_term,
     print_ra_term, sample_relations, translate, verified_in_algebra,
 )
-from tarl.formulas import Var, desugar_fusion, parse_formula
+from tarl.formulas import Var, desugar_fusion, parse_formula, variables
 from tarl.gen import random_formula
 from tarl.models import TooManyValuations, Valuation, interpret, op_fusion, op_star
-from tarl.registry import data_dir, get_formula, get_structure, list_corpus
+from tarl.registry import data_dir, formula_names, get_formula, get_structure, list_corpus
 
 SRC = Path(algebra.__file__).resolve().parent.parent
 CK = {name: ComplexAlgebra(get_structure(name))
@@ -303,6 +303,70 @@ def test_single_assignment_mode():
                               assignment={"p": {"a"}, "q": {"a"},
                                           "s": {"a"}, "r": {"b"}})
     assert not res.passed
+
+
+def term_path(alg, f, assignment=None, trials=500):
+    """verified_in_algebra through the translated term: id <= translate(f)
+    tested as a law, or evaluated at one assignment."""
+    t = translate(f)
+    if assignment is None:
+        return holds_law(alg, Law("id", IDENT, "<=", t), trials=trials)
+    ok = eval_term(alg, assignment, IDENT) <= eval_term(alg, assignment, t)
+    return IdentityResult(ok, None if ok else dict(assignment), 1)
+
+
+def _random_assignment(alg, names, rng):
+    if isinstance(alg, ProperAlgebra):
+        return sample_relations(alg.base_size, names, rng.randrange(1000), rng.randrange(1000))
+    elements = alg.structure.elements
+    return {name: frozenset(e for e in elements if rng.random() < 0.5) for name in names}
+
+
+DIFFERENTIAL = ([e.proof.goal for e in list_corpus()]
+                + [get_formula(name).formula for name in formula_names()]
+                + [random_formula(random.Random(n), n % 9 + 2, "pqr") for n in range(300)])
+
+
+@pytest.mark.parametrize("alg", [*CK.values(), *map(ProperAlgebra, (2, 3, 4))],
+                         ids=lambda alg: alg.describe())
+def test_the_formula_path_agrees_with_the_term_path(alg):
+    """The whole grid of a complex algebra, 64 samples of a proper one, and
+    one assignment of each kind: a random one and the counterexample."""
+    assert any(not f._core for f in DIFFERENTIAL)  # fusion is evaluated too
+    rng = random.Random(7)
+    past_cap = 0
+    for f in DIFFERENTIAL:
+        try:
+            want = term_path(alg, f, trials=64)
+        except TooManyValuations:
+            with pytest.raises(TooManyValuations):
+                verified_in_algebra(alg, f, trials=64)
+            past_cap += 1
+            continue
+        assert verified_in_algebra(alg, f, trials=64) == want, f
+        names = sorted(variables(f))
+        for assignment in (_random_assignment(alg, names, rng), want.counterexample):
+            if assignment is not None:
+                assert (verified_in_algebra(alg, f, assignment=assignment)
+                        == term_path(alg, f, assignment)), (f, assignment)
+    assert past_cap == (0 if isinstance(alg, ProperAlgebra) else 1)  # l5shorter
+
+
+def test_verified_in_algebra_builds_no_term(monkeypatch):
+    cases = [(alg, f, assignment) for alg in (CK["K5"], ProperAlgebra(3))
+             for f in DIFFERENTIAL[::50]
+             for assignment in (None, _random_assignment(alg, sorted(variables(f)),
+                                                         random.Random(3)))]
+    want = [verified_in_algebra(alg, f, assignment) for alg, f, assignment in cases]
+
+    def no_term(*args):
+        raise AssertionError("a relation-algebra term was built")
+
+    monkeypatch.setattr(algebra, "translate", no_term)
+    monkeypatch.setattr(algebra.TERMS, "evaluate", no_term)
+    monkeypatch.setattr(algebra, "RVar", no_term)
+    assert [verified_in_algebra(alg, f, assignment) for alg, f, assignment in cases] == want
+    assert not all(r.passed for r in want) and any(r.passed for r in want)
 
 
 # ------------------------------------------------------------------

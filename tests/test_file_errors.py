@@ -88,6 +88,39 @@ def test_a_file_error_names_its_line_and_column(parse, text, line, column, found
     assert str(e.value).startswith(f"line {line}, column {column}: expected ")
 
 
+# what str.splitlines also takes for a line end, and the readers do not
+NOT_LINE_ENDS = "\f\v\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda char: f"U+{ord(char):04X}")
+@pytest.mark.parametrize("parse, text, line, column, found", [
+    # in a comment, in blanks at the end of a line, and alone on a line
+    (parse_proof_script, "lemma x  # a{}b\n" + AXIOM + "2. (p)[0,0] => (p)[0,0] ; bogus\n",
+     3, 27, "bogus"),
+    (parse_proof_script, "lemma x{}\n", 2, 1, "end of file"),
+    (parse_proof_script, "lemma x\n{}\n", 3, 1, "end of file"),
+    (load_model_file, "model m  # a{}b\n" + MODEL[8:] + "zero a\n", 5, 1, "zero"),
+    (load_model_file, MODEL + "triples\n0 0 0{}\n", 7, 1, "end of file"),
+    (parse_chain, "x = x  # a{}b\n\nx + = y ; t\n", 3, 5, "="),
+    (parse_chain, "x = x ; t{}\n{}\nx + = y ; t\n", 3, 5, "="),
+])
+def test_only_newlines_and_returns_end_a_line(char, parse, text, line, column, found):
+    with pytest.raises(ParseError) as e:
+        parse(text.replace("{}", char))
+    assert (e.value.line, e.value.position, e.value.found) == (line, column, found)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=repr)
+def test_every_newline_convention_ends_a_line(end):
+    text = "lemma x\n" + AXIOM + "2. (p)[0,0] => (p)[0,0] ; bogus\n"
+    with pytest.raises(ParseError) as e:
+        parse_proof_script(text.replace("\n", end))
+    assert (e.value.line, e.value.position) == (3, 27)
+    with pytest.raises(ParseError) as e:
+        parse_proof_script(("lemma x\n\n").replace("\n", end))
+    assert e.value.line == 3
+
+
 def test_the_cli_names_the_file(capsys, tmp_path):
     path = tmp_path / "bad.prf"
     path.write_text(script("1. (p)[0,0] => (p)[0,0] ; axiom 7 k=3"))

@@ -1,7 +1,10 @@
 import copy
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,6 +75,19 @@ def test_index_out_of_bound():
     with pytest.raises(RuleError) as e:
         check_step([], (concl, Axiom()), bound=4)
     assert e.value.kind == "IndexOutOfBound"
+
+
+def test_the_least_index_out_of_bound_is_reported_under_any_hash_seed():
+    # a sequent's indices are a set, whose order follows the hash seed
+    code = ("from tarl.sequents import check_proof, parse_proof_script;"
+            "print(check_proof(parse_proof_script("
+            "'lemma x\\n1. (zp)[1,0] => (~p)[18,9] ; axiom\\n')[1]).first_error)")
+    src = str(Path(sequents.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+            for seed in "123456"]
+    assert [run.communicate()[0] for run in runs] == ["(1, 'IndexOutOfBound: index 9')\n"] * 6
 
 
 def test_bad_ref():
@@ -504,3 +520,65 @@ def test_mutated_lines_the_checker_accepts_pass_the_audit():
                 assert _audit(replace(mutant, lines=checked), base) == [], \
                     format_proof_script("x", mutant)
     assert accepted > 400, accepted  # 470 with this seed
+
+
+BOUND = 3
+_FORMULAS = sorted({random_formula(random.Random(n), n % 5 + 1, "pq", allow_fusion=False)
+                    for n in range(60)}, key=str)
+
+
+def _line(rule, rng):
+    """A line that applies rule by its premise function, which the checker
+    may or may not accept: its principal and k are drawn at random, and so
+    are the premises' contexts and what the conclusion drops from them and
+    adds.  Half the assertions drawn are near misses (the principal, its
+    actives and their transposes), so that premises often hold."""
+    a, b = rng.choice(_FORMULAS), rng.choice(_FORMULAS)
+    f = a if rule.conn is None else rule.conn(a) if rule.conn is Neg else rule.conn(a, b)
+    principal = Assertion(f, rng.randrange(BOUND), rng.randrange(BOUND))
+    k = rng.randrange(BOUND)
+    actives = rule.actives(principal, k, rule.refs)
+    near = {principal}.union(*(left | right for left, right in actives))
+    near = sorted(near | {Assertion(x.formula, x.j, x.i) for x in near}, key=Assertion.key)
+
+    def some():
+        return {rng.choice(near) if rng.random() < 0.5 else
+                Assertion(rng.choice(_FORMULAS), rng.randrange(BOUND), rng.randrange(BOUND))
+                for _ in range(rng.randrange(3))}
+
+    premises, left, right = [], set(), set()
+    for active_left, active_right in actives:
+        context_left, context_right = some(), some()
+        premises.append(Sequent.of(context_left | active_left, context_right | active_right))
+        left |= context_left
+        right |= context_right
+    if rule.side:
+        (left if rule.side == "left" else right).add(principal)
+    concl = Sequent.of((left - some()) | some(), (right - some()) | some())
+    return premises, concl, rule(*range(1, rule.refs + 1),
+                                 eigen=k if rule.index == "eigen" else None)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), base=st.integers(2, 3))
+def test_every_rule_is_locally_sound(rule, seed, base):
+    """In one sampled relational assignment, if the premises of a line that
+    the checker accepts hold at every tuple of points, so does its
+    conclusion.  The accepted lines of 40 drawn ones are audited together."""
+    rng = random.Random(seed)
+    lines, accepted = [], []
+    for _ in range(40):
+        premises, concl, just = _line(rule, rng)
+        try:
+            check_step(premises, (concl, just), BOUND)
+        except RuleError:
+            continue
+        # the audit reads no justification: the premises stand as lines of their own
+        accepted.append(range(len(lines) + 1, len(lines) + len(premises) + 2))
+        lines += [(s, just) for s in (*premises, concl)]
+    failed = set(_audit(Proof(lines=lines, bound=BOUND), base, samples=1,
+                        seed=rng.randrange(2 ** 16)))
+    for numbers in accepted:
+        *premises, concl = numbers
+        assert concl not in failed or failed.intersection(premises), lines[concl - 1]
