@@ -17,7 +17,9 @@ Two kinds of finite algebra are supported:
     is the star image, the identity is {0}.  Carriers are tiny, so
     identities are tested exhaustively.
 
-Each carrier has a table of operations: lookups in the structure's mask
+Each algebra has one carrier, built at its first call and shared read-only
+by every later one (a complex algebra's on its structure's tables, a proper
+one's per base size), with a table of operations: lookups in the mask
 tables for complex algebras, boolean n x n matrices stacked along a leading
 batch axis for proper ones.  `TERMS.evaluate` runs a term with them over a
 batch of assignments, and `eval_term` is a batch of one.  The translation of
@@ -42,6 +44,7 @@ are verified step by step and end to end.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 import re
@@ -259,7 +262,7 @@ class _Masks:
         self.m = m
         self.tab = tab = tables_for(m)
         # X;Y is fusion in the opposite order
-        self.ops = _ops(tab.all_mask, 0, 1 << tab.zero_bit, tab.star.__getitem__,
+        self.ops = _ops(tab.all_mask, 0, tab.zero_mask, tab.star.__getitem__,
                         lambda x, y: tab.fus[y, x])
         self.connectives = _connectives(self.ops)
 
@@ -282,8 +285,10 @@ class _Matrices:
 
     def __init__(self, n: int):
         self.n = n
-        self.ops = _ops(np.ones((n, n), dtype=bool), np.zeros((n, n), dtype=bool),
-                        np.eye(n, dtype=bool), lambda x: np.swapaxes(x, -1, -2),
+        constants = np.ones((n, n), bool), np.zeros((n, n), bool), np.eye(n, dtype=bool)
+        for const in constants:          # shared: TERMS.evaluate returns them as they are
+            const.flags.writeable = False
+        self.ops = _ops(*constants, lambda x: np.swapaxes(x, -1, -2),
                         lambda x, y: (x.astype(np.uint8) @ y.astype(np.uint8)) > 0)
         self.connectives = _connectives(self.ops)
 
@@ -308,10 +313,17 @@ class _Matrices:
                 for name in names}
 
 
+_proper_carrier = functools.cache(_Matrices)
+
+
 def _carrier(alg):
+    """alg's one carrier, kept on its structure's tables or per base size."""
     if isinstance(alg, ProperAlgebra):
-        return _Matrices(alg.base_size)
-    return _Masks(alg.structure)
+        return _proper_carrier(alg.base_size)
+    tab = tables_for(alg.structure)
+    if tab.carrier is None:
+        tab.carrier = _Masks(alg.structure)
+    return tab.carrier
 
 
 def eval_term(alg, assignment: dict, t: RATerm):
@@ -337,10 +349,14 @@ def _related(c, left, rel: str, right) -> np.ndarray:
 class IdentityResult:
     passed: bool
     counterexample: dict | None = None
-    checked: int = 0
+    checked: int = 0                 # assignments that meet the premises
+    grid: int = 0                    # assignments evaluated
 
     def __bool__(self) -> bool:
         return self.passed
+
+    def counters(self) -> dict[str, int]:
+        return {"checked": self.checked, "grid": self.grid}
 
 
 @dataclass(frozen=True)
@@ -360,8 +376,8 @@ class Law:
 def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0) -> IdentityResult:
     """Semantic check of a law (with premises) in one algebra: exhaustively
     on complex algebras, on seeded random samples in proper ones.  The
-    counterexample is the first failing assignment; `checked` counts the
-    assignments that meet the premises, up to the batch that fails."""
+    counterexample is the first failing assignment; up to the batch that
+    fails, `checked` counts the assignments meeting the premises, `grid` all."""
     return _holds(alg, law.all_variables(), trials, seed, lambda c, env: [
         _related(c, TERMS.evaluate(lhs, env, c.ops), rel, TERMS.evaluate(rhs, env, c.ops))
         for lhs, rel, rhs in (*law.premises, (law.lhs, law.rel, law.rhs))])
@@ -374,19 +390,20 @@ def _holds(alg, names: Sequence[str], trials: int, seed: int, test) -> IdentityR
     if trials < 1:  # a sampled law would pass after checking nothing
         raise ValueError(f"trials must be at least 1, got {trials}")
     c = _carrier(alg)
-    checked = 0
+    checked = grid = 0
     for size, env in c.batches(names, trials, seed):
         keep = np.ones(size, dtype=bool)
         *premises, good = test(c, env)
         for premise in premises:
             keep &= premise
-        bad = np.nonzero(keep & ~good)[0]
+        bad = (keep & ~good).nonzero()[0]
         checked += np.count_nonzero(keep)
+        grid += size
         if bad.size:
             row = int(bad[0])
             return IdentityResult(False, {name: c.decode(env[name][row]) for name in names},
-                                  checked)
-    return IdentityResult(True, checked=checked)
+                                  checked, grid)
+    return IdentityResult(True, checked=checked, grid=grid)
 
 
 def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
@@ -399,7 +416,7 @@ def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
     if assignment is not None:
         c = _carrier(alg)
         ok = bool(test(c, {name: c.encode(value) for name, value in assignment.items()})[0])
-        return IdentityResult(ok, None if ok else dict(assignment), 1)
+        return IdentityResult(ok, None if ok else dict(assignment), 1, 1)
     return _holds(alg, sorted(variables(f)), trials, seed, test)
 
 

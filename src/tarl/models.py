@@ -10,7 +10,7 @@ and a distinguished element 0.  Subsets of K form an algebra under
 
 with variables mapped to subsets subject to heredity (truth propagates
 along R0-successors).  Subsets are bitmasks and each operation is one
-int64 lookup table.  The evaluator of the formula grammar,
+read-only int64 lookup table.  The evaluator of the formula grammar,
 `FORMULAS.evaluate`, runs a formula over an array of valuations with these
 lookups as its operations, one block of grid rows at a time for `valid_in`
 and `find_invalidating_singletons` and a batch of one for `interpret`.  A
@@ -140,11 +140,10 @@ class _Tables:
         n = len(m.elements)
         if n > 10:
             raise TooManyValuations(f"{n} elements is beyond table support")
-        self.n = n
         size = 1 << n
         self.size = size
         self.all_mask = size - 1
-        self.zero_bit = m.index(m.zero)
+        self.zero_mask = 1 << m.index(m.zero)
         idx = {e: i for i, e in enumerate(m.elements)}
         self.bits = {e: 1 << i for e, i in idx.items()}
         # subsets[mask]: the elements of mask, decoded once and shared; the
@@ -168,8 +167,13 @@ class _Tables:
         for z in range(n):
             self.imp |= ((req[:, z, None] & ~masks) == 0).astype(np.int64) << z
         # X is hereditary iff {0} o X is within X
-        closed = self.fus[1 << self.zero_bit] & ~masks == 0
+        closed = self.fus[self.zero_mask] & ~masks == 0
         self.hereditary = tuple(np.flatnonzero(closed).tolist())
+        self.singletons = tuple(1 << i for i in range(n) if closed[1 << i])
+        self.lacks_zero = masks & self.zero_mask == 0     # [X]: 0 is not in X
+        for table in (self.fus, self.imp, self.star, self.neg, self.lacks_zero):
+            table.flags.writeable = False    # shared by every caller of tables_for
+        self.carrier = None                  # algebra._carrier builds it at first use
         # the connectives for FORMULAS.evaluate, on masks or arrays of masks
         fus, imp = self.fus, self.imp
         self.ops = {Neg: self.neg.__getitem__, And: operator.and_, Or: operator.or_,
@@ -300,24 +304,18 @@ class _GridCache:
 _GRID_CACHE = _GridCache()
 
 
-def _blocks(total: int):
-    """(lo, hi) of each block of a grid of `total` rows, in row order."""
-    lo, size = 0, min(_FIRST_BLOCK, _GRID_CHUNK)
-    while lo < total:
-        hi = min(lo + size, total)
-        yield lo, hi
-        lo, size = hi, min(4 * size, _GRID_CHUNK)
-
-
 def _failing_rows(t: _Tables, f: Formula, names: list[str], allowed, total: int,
                   fails):
     """For each block of the grid of `allowed` masks over `names`, in row
     order: the block's end, its columns, and its rows where fails(the value
     of f) holds, as offsets into the block."""
-    for lo, hi in _blocks(total):
+    lo, size = 0, min(_FIRST_BLOCK, _GRID_CHUNK)
+    while lo < total:
+        hi = min(lo + size, total)
         cols = _GRID_CACHE.block(allowed, len(names), lo, hi)
         value = FORMULAS.evaluate(f, dict(zip(names, cols)), t.ops)
-        yield hi, cols, np.flatnonzero(fails(value))
+        yield hi, cols, fails(value).nonzero()[0]
+        lo, size = hi, min(4 * size, _GRID_CHUNK)
 
 
 def _valuation(t: _Tables, names: list[str], masks) -> Valuation:
@@ -348,7 +346,7 @@ def valid_in(m: ModelStructure, f: Formula) -> ValidityResult:
     names = sorted(variables(f))
     grid = _grid_size(len(t.hereditary), len(names))
     for hi, cols, rows in _failing_rows(t, f, names, t.hereditary, grid,
-                                        lambda value: (value >> t.zero_bit & 1) == 0):
+                                        t.lacks_zero.__getitem__):
         if rows.size:
             return ValidityResult(False, _valuation(t, names, cols[:, rows[0]].tolist()),
                                   hi, grid)
@@ -358,15 +356,15 @@ def valid_in(m: ModelStructure, f: Formula) -> ValidityResult:
 def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuation]:
     """All singleton-valued valuations sending the whole formula to the
     empty set, in lexicographic order of the assignments.  The grid of
-    hereditary singletons is walked in the blocks `valid_in` uses, so it
-    needs no cap."""
+    hereditary singletons is walked in the blocks `valid_in` uses, under
+    the same cap: past it, TooManyValuations before any row is evaluated."""
     t = tables_for(m)
     names = sorted(variables(f))
-    singles = tuple(1 << i for i in range(t.n) if 1 << i in t.hereditary)
+    grid = _grid_size(len(t.singletons), len(names))
     out = []
-    for _, cols, rows in _failing_rows(t, f, names, singles, len(singles) ** len(names),
-                                       lambda value: value == 0):
-        out.extend(_valuation(t, names, masks) for masks in cols[:, rows].T.tolist())
+    for _, cols, rows in _failing_rows(t, f, names, t.singletons, grid, np.logical_not):
+        if rows.size:
+            out.extend(_valuation(t, names, masks) for masks in cols[:, rows].T.tolist())
     return out
 
 

@@ -312,7 +312,7 @@ def term_path(alg, f, assignment=None, trials=500):
     if assignment is None:
         return holds_law(alg, Law("id", IDENT, "<=", t), trials=trials)
     ok = eval_term(alg, assignment, IDENT) <= eval_term(alg, assignment, t)
-    return IdentityResult(ok, None if ok else dict(assignment), 1)
+    return IdentityResult(ok, None if ok else dict(assignment), 1, 1)
 
 
 def _random_assignment(alg, names, rng):
@@ -367,6 +367,78 @@ def test_verified_in_algebra_builds_no_term(monkeypatch):
     monkeypatch.setattr(algebra, "RVar", no_term)
     assert [verified_in_algebra(alg, f, assignment) for alg, f, assignment in cases] == want
     assert not all(r.passed for r in want) and any(r.passed for r in want)
+
+
+def test_a_cached_carrier_gives_what_a_fresh_one_gives(monkeypatch):
+    """Formulas and laws, interleaved across the complex algebras of K1..K5
+    and proper bases 2..6: the same results on each algebra's one carrier
+    as on a carrier built for every call."""
+    algs = [*CK.values(), *map(ProperAlgebra, range(2, 7))]
+    items = [*DIFFERENTIAL, *TARSKI_AXIOMS.values(), *DERIVED_LAWS.values()]
+
+    def results():
+        out = []
+        for item in items:
+            for alg in algs:
+                try:
+                    if isinstance(item, Law):
+                        out.append(holds_law(alg, item, trials=64, seed=5))
+                    else:
+                        out.append(verified_in_algebra(alg, item, trials=64, seed=5))
+                except TooManyValuations as e:
+                    out.append(str(e))
+        return out
+
+    def fresh_carrier(alg):
+        built.append(alg)
+        if isinstance(alg, ProperAlgebra):
+            return algebra._Matrices(alg.base_size)
+        return algebra._Masks(alg.structure)
+
+    cached = results()
+    built = []
+    monkeypatch.setattr(algebra, "_carrier", fresh_carrier)
+    fresh = results()
+    assert len(built) >= len(items) * len(algs)
+    assert cached == fresh           # passed, counterexample, checked and grid
+    assert any(isinstance(r, str) for r in cached)
+    assert not all(r.passed for r in cached if isinstance(r, IdentityResult))
+
+
+def test_algebras_share_one_carrier():
+    import dataclasses
+
+    m = dataclasses.replace(get_structure("K3"))
+    tab = models.tables_for(m)
+    assert tab.carrier is None       # built at the first algebra call, not with the tables
+    c = algebra._carrier(ComplexAlgebra(m))
+    assert tab.carrier is c and algebra._carrier(ComplexAlgebra(m)) is c
+    assert algebra._carrier(ProperAlgebra(4)) is algebra._carrier(ProperAlgebra(4))
+    assert algebra._carrier(ProperAlgebra(4)) is not algebra._carrier(ProperAlgebra(5))
+
+
+def test_shared_carrier_constants_are_read_only():
+    c = algebra._carrier(ProperAlgebra(3))
+    for const in (ONE, ZERO, IDENT):
+        value = TERMS.evaluate(const, {}, c.ops)
+        assert value is c.ops[type(const)]   # returned as they are
+        with pytest.raises(ValueError):
+            value[0, 0] = value[0, 0]
+
+
+def test_identity_results_count_the_assignments_evaluated():
+    k5 = CK["K5"]
+    subsets = 1 << len(k5.structure.elements)
+    law = holds_law(k5, get_law("dra1"))     # x;z <= y;z under x <= y
+    assert law.passed and law.counters() == {"checked": law.checked, "grid": subsets ** 3}
+    assert 0 < law.checked < law.grid
+    sampled = holds_law(ProperAlgebra(3), get_law("ra1"), trials=1200)
+    assert sampled.counters() == {"checked": 1200, "grid": 1200}
+    ming = verified_in_algebra(ProperAlgebra(5), get_formula("ming").formula,
+                               trials=2000, seed=3)
+    assert not ming.passed and ming.grid == 500   # the first block of samples fails
+    one = verified_in_algebra(k5, parse_formula("p -> p"), {"p": frozenset()})
+    assert one.counters() == {"checked": 1, "grid": 1}
 
 
 # ------------------------------------------------------------------

@@ -401,6 +401,7 @@ def bad_model(elements, star, triple):
                         "2. (p)[0,0], (q)[0,0] => (p)[0,0] ; weaken 1 9\n")),
     ("grouprep", "--partition", "0"),
     ("grouprep", "--partition", "9"),
+    ("countermodel", "--singletons", "K1", "a&b&c&d&e&f&g&h&i&j&k&l"),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

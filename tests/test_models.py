@@ -237,6 +237,23 @@ def test_validity_cap(monkeypatch):
         valid_in(K1, f)
 
 
+def test_singleton_search_is_capped(monkeypatch):
+    """K1 has four hereditary singletons: eleven variables make 4^11 rows,
+    past the cap, and the search is refused before any row is evaluated."""
+    assert len(tables_for(K1).singletons) == 4
+    monkeypatch.setattr(models, "_failing_rows", None)
+    with pytest.raises(TooManyValuations, match="4194304 valuations exceeds cap 1048576"):
+        find_invalidating_singletons(K1, parse_formula("&".join("abcdefghijk")))
+
+
+def test_shared_tables_are_read_only():
+    t = tables_for(K3)
+    for table in (t.fus, t.imp, t.star, t.neg, t.lacks_zero):
+        first = (0,) * table.ndim
+        with pytest.raises(ValueError):
+            table[first] = table[first]
+
+
 def test_singleton_lists_match_published_values():
     expected = {
         "contra": [{"p": {"a"}, "q": {"b"}},
