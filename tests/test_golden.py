@@ -10,24 +10,37 @@
   every corpus goal, every named formula and seeded random formulas, and
   every law;
 - script_reader.txt: seeded corpus scripts with one line mutated, each with
-  the proof read back and formatted or the reader's ParseError.
+  the proof read back and formatted or the reader's ParseError;
+- cli.txt: every command of the command line, as text and with --json, on
+  fixed and seeded arguments and on arguments it rejects, each with its exit
+  code, stdout and stderr.
 
 To record the files again after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
+import os
 import random
+import shlex
+import shutil
+import tempfile
 from pathlib import Path
 
 from tarl.algebra import (
     IDENT, ONE, TERMS, ZERO, Comp, Compl, Conv, Join, Meet, RVar, get_law,
     law_names, parse_ra_term, print_ra_term, translate,
 )
+from tarl.cli import main
 from tarl.derived import apply_derived_rule
 from tarl.formulas import Neg, ParseError, Var, parse_formula, print_formula, variables
 from tarl.gen import random_core_formula, random_formula
-from tarl.registry import formula_names, get_corpus_entry, get_formula, list_corpus
+from tarl.registry import (
+    data_dir, formula_names, get_corpus_entry, get_formula, list_corpus,
+    structure_names,
+)
 from tarl.search import SearchBudget, search_proof
 from tarl.sequents import format_proof_script, parse_proof_script, substitute_proof
 
@@ -35,6 +48,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "proof_scripts.txt"
 SEARCH_GOLDEN = Path(__file__).resolve().parent / "golden" / "search_outcomes.txt"
 TERMS_GOLDEN = Path(__file__).resolve().parent / "golden" / "terms.txt"
 READER_GOLDEN = Path(__file__).resolve().parent / "golden" / "script_reader.txt"
+CLI_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.txt"
 # the counters that say how each node ended; nodes is their sum
 _NODE_COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
                   "expansions")
@@ -217,6 +231,104 @@ def script_reader() -> str:
     return "".join(out)
 
 
+def _cli_rows(tmp: Path) -> list[tuple[str, ...]]:
+    """The argument lists of cli(), each run as text and with --json; the
+    files they read are in tmp or the data directory."""
+    data = data_dir()
+    (tmp / "bad.prf").write_text("lemma bad\n1. (p)[0,1] => (p)[1,0] ; axiom\n")
+    (tmp / "comm.chain").write_text("x;y = y;x ; comm\n")
+    (tmp / "mine.model").write_text((data / "models" / "K4.model").read_text())
+    (tmp / "bad.model").write_text("model bad\nelements 0 a\nzero 0\nstar 0:0 a:zz\n"
+                                   "triples\n0 0 0\n0 a a\nend\n")
+    chains = [str(p) for p in sorted((data / "chains").glob("*.chain"))]
+    rng = random.Random(12)
+    randoms = [print_formula(random_core_formula(rng, rng.randint(3, 9), ("p", "q", "r")))
+               for _ in range(6)]
+    rows = [("parse", text) for text in
+            ("(p o q) & r", "p -> p", "~~(p | q) -> r o ~s", "reflection", "p ->", "p $ q")]
+    rows += [("check", str(data / "corpus" / f"{lemma}.prf"))
+             for lemma in ("t6", "reflection", "assocfusion")]
+    rows += [("check", str(tmp / "bad.prf")), ("check", str(tmp / "missing.prf"))]
+    rows += [("prove", goal) for goal in
+             ("a & b -> a", "a -> a", "~((p -> q) -> ~p)", "contra", "mp",
+              "(b -> (c -> a)) -> (~(b -> ~c) -> a)")]
+    rows += [("prove", "ming", "--depth", "10"), ("prove", "a", "--nodes", "0")]
+    rows += [("prove", goal, "--nodes", "500") for goal in randoms[:3]]
+    rows += [("valid", model, f) for model in structure_names()
+             for f in ("contra", "mp", "contr", "p -> p")]
+    rows += [("valid", "K9", "contra"), ("valid", str(tmp / "mine.model"), "suff")]
+    rows += [("countermodel", model, f, *flag) for model in ("K1", "K3", "K5")
+             for f in ("mp", "suff", "p -> p") for flag in ((), ("--singletons",))]
+    rows += [("countermodel", "K4", f) for f in randoms[3:]]
+    rows += [("countermodel", "--singletons", "K1", "a&b&c&d&e&f&g&h&i&j&k&l")]
+    rows += [("postulates", model) for model in structure_names()]
+    rows += [("postulates", str(tmp / "mine.model")), ("postulates", str(tmp / "bad.model"))]
+    rows += [("corpus",), ("corpus", "--filter", "reflection"), ("corpus", "--filter", "nope")]
+    rows += [("translate", f) for f in ("p -> q", "reflection", "~(p o q) | r", "id -> q")]
+    rows += [("algebra-test", law, "--base", "3", "--trials", "50")
+             for law in ("ra1", "ra4", "ra7", "dra1", "refleq")]
+    rows += [("algebra-test", str(tmp / "comm.chain"), "--base", "2", "--trials", "20"),
+             ("algebra-test", "zzz"), ("algebra-test", "ra1", "--base", "1")]
+    rows += [("chain", alg, chain, "--trials", "50") for chain in chains
+             for alg in ("K3", "proper:3")]
+    rows += [("chain", "proper:9", chains[0]), ("chain", "K9", chains[0])]
+    rows += [("grouprep", "--partition", str(n)) for n in range(1, 10)]
+    rows += [("sharing", a, b) for a, b in
+             (("p & q", "p"), ("p", "q"), ("p -> q", "r o s"), ("contra", "mp"))]
+    return rows
+
+
+def _invocation(argv, *paths) -> str:
+    """tarl argv, its exit code, stdout and stderr, with the directories
+    paths, given as (directory, name) pairs, written as their names."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    def shown(text):
+        for path, name in paths:
+            text = text.replace(str(path), name)
+        return text
+    lines = [f"$ tarl {shown(shlex.join(argv))}\n", f"exit {code}\n"]
+    for mark, text in (("|", out.getvalue()), ("!", err.getvalue())):
+        lines += [f"{mark} {line}\n" for line in shown(text).splitlines()]
+        if text and not text.endswith("\n"):
+            lines.append("\\ no newline at end\n")
+    return "".join(lines)
+
+
+@contextlib.contextmanager
+def _env(**changes):
+    """os.environ and the working directory changed for a block."""
+    saved, cwd = dict(os.environ), os.getcwd()
+    os.environ.update({k: str(v) for k, v in changes.items() if k != "cwd"})
+    try:
+        os.chdir(changes.get("cwd", cwd))
+        yield
+    finally:
+        os.chdir(cwd)
+        os.environ.clear()
+        os.environ.update(saved)
+
+
+def cli() -> str:
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name).resolve()
+        paths = ((tmp, "$TMP"), (data_dir(), "$DATA"))
+        out = [_invocation(row + json, *paths)
+               for row in _cli_rows(tmp) for json in ((), ("--json",))]
+        # a file named like a built-in structure shadows it, with a warning
+        (tmp / "k4").write_text((data_dir() / "models" / "K1.model").read_text())
+        with _env(cwd=tmp):
+            out.append(_invocation(("postulates", "k4"), *paths))
+        # a corpus lemma that no longer checks
+        shutil.copytree(data_dir(), tmp / "data")
+        t6 = tmp / "data" / "corpus" / "t6.prf"
+        t6.write_text(t6.read_text().replace("(a)[0,0] => (a)[0,0]", "(a)[0,1] => (a)[0,0]"))
+        with _env(TARL_DATA=tmp / "data"):
+            out += [_invocation(("corpus", *json), *paths) for json in ((), ("--json",))]
+    return "".join(out)
+
+
 def test_proof_scripts_are_unchanged():
     assert proof_scripts() == GOLDEN.read_text()
 
@@ -233,8 +345,13 @@ def test_script_reader_is_unchanged():
     assert script_reader() == READER_GOLDEN.read_text()
 
 
+def test_cli_is_unchanged():
+    assert cli() == CLI_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(proof_scripts())
     SEARCH_GOLDEN.write_text(search_outcomes())
     TERMS_GOLDEN.write_text(terms())
     READER_GOLDEN.write_text(script_reader())
+    CLI_GOLDEN.write_text(cli())
