@@ -397,7 +397,7 @@ def _holds(alg, names: Sequence[str], trials: int, seed: int, test) -> IdentityR
         for premise in premises:
             keep &= premise
         bad = (keep & ~good).nonzero()[0]
-        checked += np.count_nonzero(keep)
+        checked += int(np.count_nonzero(keep))
         grid += size
         if bad.size:
             row = int(bad[0])

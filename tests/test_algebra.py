@@ -441,6 +441,17 @@ def test_identity_results_count_the_assignments_evaluated():
     assert one.counters() == {"checked": 1, "grid": 1}
 
 
+@pytest.mark.parametrize("alg", [CK["K3"], ProperAlgebra(3)], ids=["K3", "proper3"])
+def test_identity_result_counts_are_python_ints(alg):
+    results = [holds_law(alg, get_law("ra1"), trials=50),
+               holds_law(alg, get_law("dra1"), trials=50),
+               verified_in_algebra(alg, get_formula("ming").formula, trials=50),
+               verified_in_algebra(alg, parse_formula("p -> p"), trials=50)]
+    for r in results:
+        assert type(r.checked) is int and type(r.grid) is int
+        assert all(type(n) is int for n in r.counters().values())
+
+
 # ------------------------------------------------------------------
 # Chains
 # ------------------------------------------------------------------

@@ -207,6 +207,14 @@ def test_algebra_test_named_law(capsys):
     assert "Pass" in out
 
 
+def test_algebra_test_json_counts_are_integers(capsys):
+    code, out, _ = run(capsys, "algebra-test", "ra1", "--base", "3", "--trials", "50",
+                       "--json")
+    assert code == 0
+    assert '"checked": 50' in out
+    assert json.loads(out)["results"][0]["checked"] == 50
+
+
 def test_algebra_test_counterexamples_hold_plain_ints(tmp_path, capsys):
     chain = tmp_path / "comm.chain"
     chain.write_text("x;y = y;x ; comm\n")
