@@ -493,7 +493,9 @@ def check_chain(algs: dict[str, object], steps: list[Law],
             checks = [holds_law(alg, segment, trials=trials, seed=seed)
                       for alg in algs.values()]
             failed = [c.counterexample for c in checks if not c.passed]
-            end_to_end = IdentityResult(not failed, failed[0] if failed else None)
+            end_to_end = IdentityResult(not failed, failed[0] if failed else None,
+                                        sum(c.checked for c in checks),
+                                        sum(c.grid for c in checks))
         segments.append((start, end, combined, end_to_end))
         start = end + 1
     return ChainReport(out, segments)

@@ -474,6 +474,19 @@ def test_refleq_chain_end_to_end():
     assert final.passed
 
 
+@pytest.mark.parametrize("algs", [("K3",), ("K3", "K4"), ("K4", "proper3")])
+def test_end_to_end_counts_sum_over_the_algebras(algs):
+    chosen = {name: CK.get(name) or ProperAlgebra(3) for name in algs}
+    steps = chain_steps("ra4")
+    rep = check_chain(chosen, steps, trials=50)
+    (start, end, rel, final) = rep.segments[0]
+    segment = Law("adhoc", steps[start].lhs, rel, steps[end].rhs)
+    checks = [holds_law(alg, segment, trials=50) for alg in chosen.values()]
+    assert final.counters() == {"checked": sum(c.checked for c in checks),
+                                "grid": sum(c.grid for c in checks)}
+    assert final.checked > 0
+
+
 def test_ra7_chain_two_segments():
     rep = check_chain({"K4": CK["K4"]}, chain_steps("ra7"))
     assert rep.passed
