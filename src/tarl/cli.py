@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 when the command's check passes, 1 when a refutation or
-countermodel is found (or a proof is not found), 2 on usage or format
-errors.  All commands are batch and deterministic; --json mirrors the
-library report types.
+Each command returns a Report, (passed, payload, text), and prints nothing:
+its verdict, its --json payload of plain values and its text.  main prints
+one of the two and owns the exit codes: 0 when the verdict passes, 1 when
+not (a refutation, a countermodel, no proof), 2 with one `error:` line on
+usage or format errors.  All commands are batch and deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from pathlib import Path
 from . import algebra, models, registry, search
 from .formulas import FORMULAS, Formula, Neg, ParseError, Var, parse_formula, print_formula
 from .sequents import MAX_BOUND, check_proof, format_proof_script, parse_proof_script
+
+Report = tuple[bool, dict, str]
 
 
 class UsageError(Exception):
@@ -40,21 +43,11 @@ def _read(path, parse):
         raise UsageError(f"{path}: {e}") from None
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, default=_jsonable))
-    else:
-        print(human)
-
-
 def _jsonable(obj):
+    """A payload holds plain values and sets; a set is written sorted."""
     if isinstance(obj, (frozenset, set)):
         return sorted(obj, key=str)
-    if isinstance(obj, Formula):
-        return print_formula(obj)
-    if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} in a report payload")
 
 
 def _resolve_structure(arg: str) -> models.ModelStructure:
@@ -88,32 +81,30 @@ def _ast(f: Formula) -> dict:
 
 
 # ------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns a Report
 # ------------------------------------------------------------------
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> Report:
     f = parse_formula(args.formula)
-    _emit(args, {"formula": print_formula(f), "ast": _ast(f),
-                 "variables": sorted(models.variables(f))},
-          f"{print_formula(f)}\n{json.dumps(_ast(f))}")
-    return 0
+    ast = _ast(f)
+    return (True, {"formula": print_formula(f), "ast": ast,
+                   "variables": sorted(models.variables(f))},
+            f"{print_formula(f)}\n{json.dumps(ast)}")
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Report:
     name, proof = _read(args.proof_file, parse_proof_script)
     report = check_proof(proof)
     objs = sorted(report.objects_used)
     payload = {"lemma": name, "valid": report.valid, "objects": objs,
                "level": report.level, "first_error": report.first_error}
     if report.valid:
-        _emit(args, payload, f"{name}: valid, objects {{{','.join(map(str, objs))}}}")
-        return 0
+        return True, payload, f"{name}: valid, objects {{{','.join(map(str, objs))}}}"
     line, reason = report.first_error
-    _emit(args, payload, f"{name}: INVALID at line {line}: {reason}")
-    return 1
+    return False, payload, f"{name}: INVALID at line {line}: {reason}"
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args) -> Report:
     goal = _resolve_formula(args.formula)
     budget = _checked(search.SearchBudget, max_depth=args.depth,
                       max_index=args.max_index, max_nodes=args.nodes)
@@ -121,131 +112,98 @@ def cmd_prove(args) -> int:
     payload = {"status": outcome.status, "bound": outcome.bound, **outcome.counters()}
     if outcome.proved:
         script = format_proof_script("found", outcome.proof)
-        _emit(args, {**payload, "lines": len(outcome.proof.lines), "script": script,
-                     "objects": sorted(outcome.objects), "level": outcome.level},
-              script.rstrip())
-        return 0
-    if outcome.status == "refuted":
-        cert = outcome.counterexample
-        x = cert["point"]
-        relations = "; ".join(f"{name} = {{{','.join(f'({i},{j})' for i, j in pairs)}}}"
-                              for name, pairs in cert["relations"].items())
-        _emit(args, {**payload, "counterexample": cert},
-              f"refuted after {outcome.nodes} nodes: base {cert['base']}, point {x}: "
-              f"({x},{x}) is outside the goal's relation when {relations}")
-        return 1
-    _emit(args, payload, f"{outcome.status} after {outcome.nodes} nodes")
-    return 1
+        return (True, {**payload, "lines": len(outcome.proof.lines), "script": script,
+                       "objects": sorted(outcome.objects), "level": outcome.level},
+                script.rstrip())
+    if outcome.status != "refuted":
+        return False, payload, f"{outcome.status} after {outcome.nodes} nodes"
+    cert = outcome.counterexample
+    x = cert["point"]
+    relations = "; ".join(f"{name} = {{{','.join(f'({i},{j})' for i, j in pairs)}}}"
+                          for name, pairs in cert["relations"].items())
+    return (False, {**payload, "counterexample": cert},
+            f"refuted after {outcome.nodes} nodes: base {cert['base']}, point {x}: "
+            f"({x},{x}) is outside the goal's relation when {relations}")
 
 
-def cmd_valid(args) -> int:
+def cmd_valid(args) -> Report:
     m = _resolve_structure(args.model)
-    f = _resolve_formula(args.formula)
-    result = models.valid_in(m, f)
+    result = models.valid_in(m, _resolve_formula(args.formula))
     payload = {"model": m.name, "valid": result.valid, **result.counters()}
     if result.valid:
-        _emit(args, payload, f"valid in {m.name}")
-        return 0
-    _emit(args, {**payload, "witness": result.witness.assignment},
-          f"invalid; witness {result.witness}")
-    return 1
+        return True, payload, f"valid in {m.name}"
+    return (False, {**payload, "witness": result.witness.assignment},
+            f"invalid; witness {result.witness}")
 
 
-def cmd_countermodel(args) -> int:
+def cmd_countermodel(args) -> Report:
     m = _resolve_structure(args.model)
     f = _resolve_formula(args.formula)
     if args.singletons:
         witnesses = models.find_invalidating_singletons(m, f)
-        payload = {"model": m.name,
-                   "witnesses": [w.assignment for w in witnesses]}
-        if witnesses:
-            lines = "\n".join(map(str, witnesses))
-            _emit(args, payload, f"{len(witnesses)} invalidating singleton "
-                                 f"valuation(s):\n{lines}")
-            return 1
-        _emit(args, payload, "no invalidating singleton valuation")
-        return 0
+        payload = {"model": m.name, "witnesses": [w.assignment for w in witnesses]}
+        if not witnesses:
+            return True, payload, "no invalidating singleton valuation"
+        return (False, payload, f"{len(witnesses)} invalidating singleton valuation(s):\n"
+                + "\n".join(map(str, witnesses)))
     result = models.valid_in(m, f)
+    payload = {"model": m.name, "countermodel": None, **result.counters()}
     if result.valid:
-        _emit(args, {"model": m.name, "countermodel": None, **result.counters()},
-              "no countermodel (formula is valid)")
-        return 0
-    _emit(args, {"model": m.name, "countermodel": result.witness.assignment,
-                 **result.counters()},
-          f"countermodel: {result.witness}")
-    return 1
+        return True, payload, "no countermodel (formula is valid)"
+    return (False, {**payload, "countermodel": result.witness.assignment},
+            f"countermodel: {result.witness}")
 
 
-def cmd_postulates(args) -> int:
+def cmd_postulates(args) -> Report:
     m = _resolve_structure(args.model)
     report = models.check_postulates(m)
-    human = [f"postulate audit of {m.name}:"]
+    text = [f"postulate audit of {m.name}:"]
     for name in models.POSTULATE_NAMES:
-        status = "pass" if report.flags[name] else "FAIL"
-        extra = ""
-        if not report.flags[name] and name in report.witnesses:
-            extra = f"  witness {report.witnesses[name]}"
-        human.append(f"  {name:8s} {status}{extra}")
+        ok = report.flags[name]
+        witness = report.witnesses.get(name)
+        text.append(f"  {name:8s} {'pass' if ok else 'FAIL'}"
+                    + ("" if ok or witness is None else f"  witness {witness}"))
     if report.peirce_missing:
-        human.append(f"  missing peirce triples: "
-                     f"{[t for t in report.peirce_missing]}")
-    _emit(args, {"model": m.name, "flags": report.flags,
-                 "witnesses": {k: list(v) for k, v in report.witnesses.items()},
-                 "peirce_missing": [list(t) for t in report.peirce_missing]},
-          "\n".join(human))
-    core = [f"p{i}" for i in range(1, 7)]
-    return 0 if report.passes(core) else 1
+        text.append(f"  missing peirce triples: {list(report.peirce_missing)}")
+    payload = {"model": m.name, "flags": report.flags,
+               "witnesses": {k: list(v) for k, v in report.witnesses.items()},
+               "peirce_missing": [list(t) for t in report.peirce_missing]}
+    return report.passes([f"p{i}" for i in range(1, 7)]), payload, "\n".join(text)
 
 
-def cmd_corpus(args) -> int:
-    ids = registry.corpus_ids()
-    if args.filter:
-        ids = [i for i in ids if i == args.filter]
-        if not ids:
-            raise UsageError(f"no corpus lemma named {args.filter!r}")
-    entries = [registry.get_corpus_entry(i) for i in ids]
-    results = []
-    all_ok = True
-    for entry in entries:
+def cmd_corpus(args) -> Report:
+    ids = [i for i in registry.corpus_ids() if not args.filter or i == args.filter]
+    if not ids:
+        raise UsageError(f"no corpus lemma named {args.filter!r}")
+    results, oks = [], []
+    for entry in map(registry.get_corpus_entry, ids):
         report = check_proof(entry.proof)
         objs_ok = frozenset(report.objects_used) == entry.expected_objects
-        ok = report.valid and objs_ok
-        all_ok &= ok
+        oks.append(report.valid and objs_ok)
         results.append({"lemma": entry.lemma_id, "valid": report.valid,
                         "objects": sorted(report.objects_used),
                         "expected_objects": sorted(entry.expected_objects),
                         "objects_match": objs_ok})
-    good = sum(1 for r in results if r["valid"] and r["objects_match"])
-    summary = (f"{good}/{len(results)} valid; objects columns match"
-               if all_ok else f"{good}/{len(results)} valid; MISMATCHES")
-    lines = [summary]
+    all_ok = all(oks)
+    text = [f"{sum(oks)}/{len(oks)} valid; "
+            + ("objects columns match" if all_ok else "MISMATCHES")]
     if args.filter or not all_ok:
-        for r in results:
-            mark = "ok" if r["valid"] and r["objects_match"] else "BAD"
-            lines.append(f"  {r['lemma']:12s} {mark} objects={r['objects']}")
-    _emit(args, {"results": results, "all_ok": all_ok}, "\n".join(lines))
-    return 0 if all_ok else 1
+        text += [f"  {r['lemma']:12s} {'ok' if ok else 'BAD'} objects={r['objects']}"
+                 for r, ok in zip(results, oks)]
+    return all_ok, {"results": results, "all_ok": all_ok}, "\n".join(text)
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args) -> Report:
     f = _resolve_formula(args.formula)
     term = _checked(algebra.print_ra_term, algebra.translate(f))
-    _emit(args, {"formula": print_formula(f), "term": term}, term)
-    return 0
+    return True, {"formula": print_formula(f), "term": term}, term
 
 
-def _resolve_algebra(arg: str):
-    if arg.lower().startswith("proper:"):
-        return _checked(lambda: algebra.ProperAlgebra(int(arg.split(":", 1)[1])))
-    return algebra.ComplexAlgebra(_resolve_structure(arg))
-
-
-def cmd_algebra_test(args) -> int:
+def cmd_algebra_test(args) -> Report:
     alg = _checked(algebra.ProperAlgebra, args.base)
-    path = Path(args.identity)
-    if path.exists():
+    if Path(args.identity).exists():
         laws = [algebra.Law(f"step{i}", s.lhs, s.rel, s.rhs)
-                for i, s in enumerate(_read(path, algebra.parse_chain), 1)]
+                for i, s in enumerate(_read(args.identity, algebra.parse_chain), 1)]
     else:
         try:
             laws = [algebra.get_law(args.identity)]
@@ -253,45 +211,37 @@ def cmd_algebra_test(args) -> int:
             raise UsageError(f"unknown identity {args.identity!r}; known: "
                              + ", ".join(algebra.law_names()))
     results = []
-    ok = True
     for law in laws:
         r = _checked(algebra.holds_law, alg, law, trials=args.trials, seed=args.seed)
-        ok &= r.passed
-        results.append({"law": law.name, "passed": r.passed,
-                        "checked": r.checked,
+        results.append({"law": law.name, "passed": r.passed, "checked": r.checked,
                         "counterexample": r.counterexample})
-    human = "\n".join(
-        f"{r['law']}: {'Pass' if r['passed'] else 'Counterexample'}"
-        + ("" if r["passed"] else f" {r['counterexample']}")
-        for r in results)
-    _emit(args, {"base": args.base, "trials": args.trials, "seed": args.seed,
-                 "results": results}, human)
-    return 0 if ok else 1
+    text = "\n".join(f"{r['law']}: {'Pass' if r['passed'] else 'Counterexample'}"
+                     + ("" if r["passed"] else f" {r['counterexample']}")
+                     for r in results)
+    payload = {"base": args.base, "trials": args.trials, "seed": args.seed,
+               "results": results}
+    return all(r["passed"] for r in results), payload, text
 
 
-def cmd_chain(args) -> int:
-    alg = _resolve_algebra(args.algebra)
+def cmd_chain(args) -> Report:
+    if args.algebra.lower().startswith("proper:"):
+        alg = _checked(lambda: algebra.ProperAlgebra(int(args.algebra.split(":", 1)[1])))
+    else:
+        alg = algebra.ComplexAlgebra(_resolve_structure(args.algebra))
     steps = _read(args.chain_file, algebra.parse_chain)
     report = _checked(algebra.check_chain, {args.algebra: alg}, steps,
                       trials=args.trials, seed=args.seed)
-    lines = []
-    for i, step in enumerate(report.steps, 1):
-        status = "Pass" if step.passed else "FAIL"
-        lines.append(f"step {i}: {step.step.lhs} {step.step.rel} "
-                     f"{step.step.rhs}  [{step.step.name}]  {status}")
-    for (a, b, rel, end) in report.segments:
-        if end is not None:
-            lines.append(f"end-to-end {a + 1}..{b + 1} ({rel}): "
-                         f"{'Pass' if end.passed else 'FAIL'}")
-    _emit(args, {"passed": report.passed,
-                 "steps": [{"lhs": str(s.step.lhs), "rel": s.step.rel,
-                            "rhs": str(s.step.rhs), "tag": s.step.name,
-                            "passed": s.passed} for s in report.steps]},
-          "\n".join(lines))
-    return 0 if report.passed else 1
+    text = [f"step {i}: {s.step.lhs} {s.step.rel} {s.step.rhs}  [{s.step.name}]  "
+            f"{'Pass' if s.passed else 'FAIL'}" for i, s in enumerate(report.steps, 1)]
+    text += [f"end-to-end {a + 1}..{b + 1} ({rel}): {'Pass' if end.passed else 'FAIL'}"
+             for (a, b, rel, end) in report.segments if end is not None]
+    payload = {"passed": report.passed, "steps": [
+        {"lhs": str(s.step.lhs), "rel": s.step.rel, "rhs": str(s.step.rhs),
+         "tag": s.step.name, "passed": s.passed} for s in report.steps]}
+    return report.passed, payload, "\n".join(text)
 
 
-def cmd_grouprep(args) -> int:
+def cmd_grouprep(args) -> Report:
     from . import groups
 
     try:
@@ -305,32 +255,26 @@ def cmd_grouprep(args) -> int:
                 and m.star == k3.star)
     postulates_ok = models.check_postulates(m).passes(
         [f"p{i}" for i in range(1, 7)] + ["peirce"])
-    ok = sigma_report.passed and table_ok and postulates_ok
-    human = [models.dump_model_file(m).rstrip(),
-             f"table equals K3: {table_ok}",
-             f"postulates p1..p6 + peirce: {postulates_ok}",
-             f"sigma homomorphism checks: "
-             f"{'all pass' if sigma_report.passed else sigma_report.failures()[:3]}"]
-    _emit(args, {"partition": args.partition, "table_equals_K3": table_ok,
-                 "sigma_passed": sigma_report.passed,
-                 "model": models.dump_model_file(m)},
-          "\n".join(human))
-    return 0 if ok else 1
+    model = models.dump_model_file(m)
+    sigma = "all pass" if sigma_report.passed else sigma_report.failures()[:3]
+    text = [model.rstrip(), f"table equals K3: {table_ok}",
+            f"postulates p1..p6 + peirce: {postulates_ok}",
+            f"sigma homomorphism checks: {sigma}"]
+    payload = {"partition": args.partition, "table_equals_K3": table_ok,
+               "sigma_passed": sigma_report.passed, "model": model}
+    return sigma_report.passed and table_ok and postulates_ok, payload, "\n".join(text)
 
 
-def cmd_sharing(args) -> int:
-    fa = _resolve_formula(args.formula_a)
-    fb = _resolve_formula(args.formula_b)
-    cert = models.variable_sharing_certificate(fa, fb)
+def cmd_sharing(args) -> Report:
+    cert = models.variable_sharing_certificate(_resolve_formula(args.formula_a),
+                                               _resolve_formula(args.formula_b))
     if isinstance(cert, models.Shared):
-        _emit(args, {"shared": sorted(cert.variables)},
-              f"shared variables: {', '.join(sorted(cert.variables))}")
-        return 0
-    _emit(args, {"shared": [], "witness": dict(cert.valuation.assignment),
-                 "implication_value": sorted(cert.implication_value)},
-          "no shared variable; K4 refutes the implication under "
-          f"{cert.valuation} (value {set(cert.implication_value) or '{}'})")
-    return 1
+        return (True, {"shared": sorted(cert.variables)},
+                f"shared variables: {', '.join(sorted(cert.variables))}")
+    return (False, {"shared": [], "witness": dict(cert.valuation.assignment),
+                    "implication_value": sorted(cert.implication_value)},
+            "no shared variable; K4 refutes the implication under "
+            f"{cert.valuation} (value {set(cert.implication_value) or '{}'})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,14 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        passed, payload, text = args.fn(args)
+        # printed here, so that a failed write (a closed pipe) is an error line
+        print(json.dumps(payload, sort_keys=True, default=_jsonable) if args.json else text)
     except (ParseError, UsageError, models.TooManyValuations, OSError,
             UnicodeDecodeError, registry.DataFileError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tarl.cli import main
+from tarl import cli
+from tarl.cli import build_parser, main
 from tarl.models import check_postulates
 from tarl.registry import data_dir, get_structure
 from tarl.search import REFUTE_AFTER
@@ -417,6 +419,52 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "p -> q"),
+    ("check", str(data_dir() / "corpus" / "t6.prf")),
+    ("prove", "a & b -> a"),
+    ("prove", "~((p -> q) -> ~p)"),
+    ("valid", "K5", "contra"),
+    ("countermodel", "K5", "mp"),
+    ("countermodel", "K5", "mp", "--singletons"),
+    ("postulates", "K5"),
+    ("corpus", "--filter", "t6"),
+    ("translate", "p -> q"),
+    ("algebra-test", "ra1", "--base", "3", "--trials", "20"),
+    ("chain", "K3", CHAIN, "--trials", "20"),
+    ("grouprep", "--partition", "1"),
+    ("sharing", "p", "q"),
+])
+def test_commands_return_a_report_and_print_nothing(capsys, argv):
+    args = build_parser().parse_args(argv)
+    passed, payload, text = args.fn(args)
+    assert capsys.readouterr() == ("", "")
+    assert type(passed) is bool and isinstance(payload, dict) and isinstance(text, str)
+    for flag, shown in (((), text),
+                        (("--json",), json.dumps(payload, sort_keys=True,
+                                                 default=cli._jsonable))):
+        code, out, err = run(capsys, *argv, *flag)
+        assert (code, out, err) == (0 if passed else 1, shown + "\n", "")
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_failed_write_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["corpus"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_a_payload_value_that_is_not_plain_is_a_type_error(monkeypatch):
+    monkeypatch.setattr(cli, "cmd_translate", lambda args: (True, {"value": object()}, ""))
+    with pytest.raises(TypeError):
+        main(["translate", "p", "--json"])
 
 
 def _python_m_tarl(*argv):
