@@ -213,7 +213,6 @@ def test_algebra_test_json_counts_are_integers(capsys):
     code, out, _ = run(capsys, "algebra-test", "ra1", "--base", "3", "--trials", "50",
                        "--json")
     assert code == 0
-    assert '"checked": 50' in out
     assert json.loads(out)["results"][0]["checked"] == 50
 
 

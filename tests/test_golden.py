@@ -28,6 +28,7 @@ import shlex
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from tarl.algebra import (
     IDENT, ONE, TERMS, ZERO, Comp, Compl, Conv, Join, Meet, RVar, get_law,
@@ -296,20 +297,6 @@ def _invocation(argv, *paths) -> str:
     return "".join(lines)
 
 
-@contextlib.contextmanager
-def _env(**changes):
-    """os.environ and the working directory changed for a block."""
-    saved, cwd = dict(os.environ), os.getcwd()
-    os.environ.update({k: str(v) for k, v in changes.items() if k != "cwd"})
-    try:
-        os.chdir(changes.get("cwd", cwd))
-        yield
-    finally:
-        os.chdir(cwd)
-        os.environ.clear()
-        os.environ.update(saved)
-
-
 def cli() -> str:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
@@ -318,13 +305,17 @@ def cli() -> str:
                for row in _cli_rows(tmp) for json in ((), ("--json",))]
         # a file named like a built-in structure shadows it, with a warning
         (tmp / "k4").write_text((data_dir() / "models" / "K1.model").read_text())
-        with _env(cwd=tmp):
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
             out.append(_invocation(("postulates", "k4"), *paths))
+        finally:
+            os.chdir(cwd)
         # a corpus lemma that no longer checks
         shutil.copytree(data_dir(), tmp / "data")
         t6 = tmp / "data" / "corpus" / "t6.prf"
         t6.write_text(t6.read_text().replace("(a)[0,0] => (a)[0,0]", "(a)[0,1] => (a)[0,0]"))
-        with _env(TARL_DATA=tmp / "data"):
+        with mock.patch.dict(os.environ, TARL_DATA=str(tmp / "data")):
             out += [_invocation(("corpus", *json), *paths) for json in ((), ("--json",))]
     return "".join(out)
 
