@@ -153,15 +153,14 @@ class _Tables:
             subsets += [s | {e} for s in subsets]
         self.subsets = tuple(subsets)
         single = np.zeros((n, n), dtype=np.int64)    # [x, y]: {x} o {y}
-        need = np.zeros((n, n), dtype=np.int64)      # [x, z]: the y with R z x y
         for (a, b, c) in m.triples:
             single[idx[a], idx[b]] |= 1 << idx[c]
-            need[idx[b], idx[a]] |= 1 << idx[c]
         self.fus = np.ascontiguousarray(_unions(_unions(single).T).T)
         self.star = _unions(np.array([1 << idx[m.star[e]] for e in m.elements]))
         self.neg = self.all_mask ^ self.star
-        # z is in X->Y iff every y with R z x y for some x in X is in Y
-        req = _unions(need)
+        # z is in X->Y iff every y with R z x y for some x in X is in Y;
+        # single.T[x, z] holds those y for one x
+        req = _unions(single.T)
         masks = np.arange(size)
         self.imp = np.zeros((size, size), dtype=np.int64)
         for z in range(n):

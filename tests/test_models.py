@@ -246,6 +246,26 @@ def test_singleton_search_is_capped(monkeypatch):
         find_invalidating_singletons(K1, parse_formula("&".join("abcdefghijk")))
 
 
+def _eight_element_structure():
+    rng = random.Random(155)
+    elements = tuple("0abcdefg")
+    triples = frozenset(t for t in itertools.product(elements, repeat=3)
+                        if rng.random() < 0.3)
+    return ModelStructure("eight", elements, "0", dict(zip(elements, "0bacdfeg")), triples)
+
+
+def test_tables_are_those_recorded():
+    """sha256 (first 16 hex digits) of the bytes of fus, imp, star and neg,
+    recorded when imp's requirement table was built from a matrix of its own."""
+    recorded = {"K1": "b08d414f3ab9c02f", "K2": "670f1677ee1100be",
+                "K3": "54a60867cb0bf5c2", "K4": "bdc5d8d1953f4457",
+                "K5": "550353741a6ce946", "eight": "57578a5f7bc9050c"}
+    for m in [*ALL, _eight_element_structure()]:
+        t = tables_for(m)
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (t.fus, t.imp, t.star, t.neg)))
+        assert digest.hexdigest()[:16] == recorded[m.name], m.name
+
+
 def test_shared_tables_are_read_only():
     t = tables_for(K3)
     for table in (t.fus, t.imp, t.star, t.neg, t.lacks_zero):
