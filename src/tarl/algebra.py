@@ -26,9 +26,9 @@ batch of assignments, and `eval_term` is a batch of one.  The translation of
 formulas is one table, `_connectives`, written over any table of operations:
 read with a carrier's, `FORMULAS.evaluate` gives a formula's value with no
 term built and nothing cached per formula; read with the term constructors,
-it is `translate`.  Laws and formulas are tested one batch at a time (the
-whole valuation grid of a complex algebra, blocks of 500 samples of a
-proper one).
+it is `translate`.  Laws and formulas are tested one batch at a time: a
+complex algebra's grid in the blocks of `models.grid_blocks` that validity
+walks, a proper one's samples in blocks of 500.
 
 The term grammar is  `+` join, `.` meet, prefix `-` complement, postfix `^`
 converse, `;` relative product, constants `id`, `0`, `1`, with precedence
@@ -39,7 +39,7 @@ printing a variable named like a constant raises ValueError.
 Terms are frozen dataclasses, not interned like formulas: an interned
 version made a cold `translate` about 8 times slower.  Chain files hold one
 `lhs (=|<=) rhs ; tag` step per line, read as laws named by their tag, and
-are verified step by step and end to end.
+are verified step by step and, each run of linked steps, end to end.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .formulas import (
     FORMULAS, And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError,
     UnassignedVariable, file_lines, parse_at, variables,
 )
-from .models import _GRID_CACHE, ModelStructure, _grid_size, tables_for
+from .models import ModelStructure, grid_blocks, tables_for
 
 __all__ = [
     "RATerm", "RVar", "Join", "Meet", "Compl", "Conv", "Comp",
@@ -273,10 +273,8 @@ class _Masks:
         return self.tab.subsets[x]
 
     def batches(self, names: list[str], trials: int, seed: int):
-        """The whole assignment grid as one batch: carriers are exhausted."""
-        masks = range(self.tab.size)
-        total = _grid_size(len(masks), len(names))
-        return [(total, dict(zip(names, _GRID_CACHE.block(masks, len(names), 0, total))))]
+        """Validity's blocks of the grid of every mask: carriers are exhausted."""
+        return grid_blocks(names, range(self.tab.size))
 
 
 class _Matrices:
@@ -302,12 +300,13 @@ class _Matrices:
         return frozenset(map(tuple, np.argwhere(x).tolist()))
 
     def batches(self, names: list[str], trials: int, seed: int):
-        """Blocks of at most 500 seeded samples, in trial order."""
+        """Blocks of at most 500 seeded samples, in trial order, each with the
+        trials up to its end."""
         n = self.n
         shifts = np.arange(n * n, dtype=np.uint64)
         for start in range(0, trials, 500):
             block = np.arange(start, min(start + 500, trials))
-            yield len(block), {
+            yield start + len(block), {
                 name: (_sample_block(n, name, seed, block)[:, None]
                        >> shifts & 1).astype(bool).reshape(-1, n, n)
                 for name in names}
@@ -385,20 +384,21 @@ def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0) -> IdentityResul
 
 def _holds(alg, names: Sequence[str], trials: int, seed: int, test) -> IdentityResult:
     """The law loop over the batches of assignments to names in alg's
-    carrier c: test(c, env) gives, per assignment of the batch env, whether
-    each premise holds and then whether the conclusion does."""
+    carrier c, each with the assignments up to its end: test(c, env) gives,
+    per assignment of the batch env, whether each premise holds and then
+    whether the conclusion does."""
     if trials < 1:  # a sampled law would pass after checking nothing
         raise ValueError(f"trials must be at least 1, got {trials}")
     c = _carrier(alg)
     checked = grid = 0
-    for size, env in c.batches(names, trials, seed):
-        keep = np.ones(size, dtype=bool)
+    for end, env in c.batches(names, trials, seed):
+        keep = np.ones(end - grid, dtype=bool)
         *premises, good = test(c, env)
         for premise in premises:
             keep &= premise
         bad = (keep & ~good).nonzero()[0]
         checked += int(np.count_nonzero(keep))
-        grid += size
+        grid = end
         if bad.size:
             row = int(bad[0])
             return IdentityResult(False, {name: c.decode(env[name][row]) for name in names},
@@ -406,18 +406,12 @@ def _holds(alg, names: Sequence[str], trials: int, seed: int, test) -> IdentityR
     return IdentityResult(True, checked=checked, grid=grid)
 
 
-def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
-                        trials: int = 500, seed: int = 0) -> IdentityResult:
-    """Identity-containment of the translated formula: id <= translate(f),
-    for one assignment if given, otherwise quantified over the carrier.  f
-    is evaluated through the carrier's connectives, so no term is built."""
-    def test(c, env):
-        return [_related(c, c.ops[Ident], "<=", FORMULAS.evaluate(f, env, c.connectives))]
-    if assignment is not None:
-        c = _carrier(alg)
-        ok = bool(test(c, {name: c.encode(value) for name, value in assignment.items()})[0])
-        return IdentityResult(ok, None if ok else dict(assignment), 1, 1)
-    return _holds(alg, sorted(variables(f)), trials, seed, test)
+def verified_in_algebra(alg, f: Formula, trials: int = 500, seed: int = 0) -> IdentityResult:
+    """Identity-containment of the translated formula, id <= translate(f),
+    quantified over the carrier.  f is evaluated through the carrier's
+    connectives, so no term is built."""
+    return _holds(alg, sorted(variables(f)), trials, seed, lambda c, env: [
+        _related(c, c.ops[Ident], "<=", FORMULAS.evaluate(f, env, c.connectives))])
 
 
 # ------------------------------------------------------------------
@@ -426,7 +420,7 @@ def verified_in_algebra(alg, f: Formula, assignment: dict | None = None,
 
 @dataclass
 class StepResult:
-    step: Law                        # named by the step's tag
+    step: Law                        # named by the step's tag, or a segment's span
     results: dict[str, IdentityResult]
 
     @property
@@ -437,13 +431,11 @@ class StepResult:
 @dataclass
 class ChainReport:
     steps: list[StepResult]
-    segments: list[tuple[int, int, str, IdentityResult | None]]
-    # (first step index, last step index, combined relation, end-to-end check)
+    segments: list[StepResult]       # each run of linked steps, end to end
 
     @property
     def passed(self) -> bool:
-        return (all(s.passed for s in self.steps)
-                and all(seg[3] is None or seg[3].passed for seg in self.segments))
+        return all(s.passed for s in self.steps + self.segments)
 
 
 def _relation(text: str, end: int | None = None, line: int | None = None,
@@ -474,11 +466,13 @@ def parse_chain(text: str) -> list[Law]:
 
 def check_chain(algs: dict[str, object], steps: list[Law],
                 trials: int = 500, seed: int = 0) -> ChainReport:
-    out = []
-    for step in steps:
-        results = {name: holds_law(alg, step, trials=trials, seed=seed)
-                   for name, alg in algs.items()}
-        out.append(StepResult(step, results))
+    """Each step, and each run of two or more linked steps (one's rhs is the
+    next one's lhs) end to end, as a law named "<first>..<last>" by its step
+    numbers from 1, checked in every algebra."""
+    def check(law: Law) -> StepResult:
+        return StepResult(law, {name: holds_law(alg, law, trials=trials, seed=seed)
+                                for name, alg in algs.items()})
+    out = [check(step) for step in steps]
     segments = []
     start = 0
     while start < len(steps):
@@ -486,17 +480,10 @@ def check_chain(algs: dict[str, object], steps: list[Law],
         while (end + 1 < len(steps)
                and steps[end].rhs == steps[end + 1].lhs):
             end += 1
-        combined = "=" if all(s.rel == "=" for s in steps[start:end + 1]) else "<="
-        end_to_end = None
         if end > start:
-            segment = Law("adhoc", steps[start].lhs, combined, steps[end].rhs)
-            checks = [holds_law(alg, segment, trials=trials, seed=seed)
-                      for alg in algs.values()]
-            failed = [c.counterexample for c in checks if not c.passed]
-            end_to_end = IdentityResult(not failed, failed[0] if failed else None,
-                                        sum(c.checked for c in checks),
-                                        sum(c.grid for c in checks))
-        segments.append((start, end, combined, end_to_end))
+            combined = "=" if all(s.rel == "=" for s in steps[start:end + 1]) else "<="
+            segments.append(check(Law(f"{start + 1}..{end + 1}", steps[start].lhs,
+                                      combined, steps[end].rhs)))
         start = end + 1
     return ChainReport(out, segments)
 

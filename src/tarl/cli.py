@@ -233,8 +233,8 @@ def cmd_chain(args) -> Report:
                       trials=args.trials, seed=args.seed)
     text = [f"step {i}: {s.step.lhs} {s.step.rel} {s.step.rhs}  [{s.step.name}]  "
             f"{'Pass' if s.passed else 'FAIL'}" for i, s in enumerate(report.steps, 1)]
-    text += [f"end-to-end {a + 1}..{b + 1} ({rel}): {'Pass' if end.passed else 'FAIL'}"
-             for (a, b, rel, end) in report.segments if end is not None]
+    text += [f"end-to-end {s.step.name} ({s.step.rel}): {'Pass' if s.passed else 'FAIL'}"
+             for s in report.segments]
     payload = {"passed": report.passed, "steps": [
         {"lhs": str(s.step.lhs), "rel": s.step.rel, "rhs": str(s.step.rhs),
          "tag": s.step.name, "passed": s.passed} for s in report.steps]}

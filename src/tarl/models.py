@@ -12,15 +12,16 @@ with variables mapped to subsets subject to heredity (truth propagates
 along R0-successors).  Subsets are bitmasks and each operation is one
 read-only int64 lookup table.  The evaluator of the formula grammar,
 `FORMULAS.evaluate`, runs a formula over an array of valuations with these
-lookups as its operations, one block of grid rows at a time for `valid_in`
-and `find_invalidating_singletons` and a batch of one for `interpret`.  A
-grid's blocks grow fourfold from `_FIRST_BLOCK` rows to `_GRID_CHUNK`, and
-each block's columns of masks are built once and cached, read-only, in a
-dict emptied once it passes GRID_CACHE_BYTES; `valid_in` stops at the first block that
-holds a failing row.  The
-structure postulates (p1..p6 and friends) are audited, never assumed, so
-deliberately defective structures can be represented and inspected.  The
-audit works on a batch of relations at once, held as a (B, n, n, n) boolean
+lookups as its operations: a block of grid rows at a time for exhaustive
+checks, a batch of one for `interpret`.  Every exhaustive check walks its
+valuation grid with `grid_blocks`: `valid_in`, `find_invalidating_singletons`
+and the complex algebras of `tarl.algebra`.  A grid's blocks grow fourfold
+from `_FIRST_BLOCK` rows to `_GRID_CHUNK`, and each block's columns of masks
+are built once and cached, read-only, in a dict emptied once it passes
+GRID_CACHE_BYTES; a check stops at the first block that holds a failing
+row.  The structure postulates (p1..p6 and friends) are audited, never
+assumed, so deliberately defective structures can be represented and
+inspected.  The audit works on a batch of relations at once, held as a (B, n, n, n) boolean
 tensor: R o R is a batched boolean matrix product and every postulate is
 one indexed comparison, so `check_postulates` is a batch of one and
 `enumerate_structures` audits thousands of candidates per call.
@@ -260,16 +261,6 @@ def verified(m: ModelStructure, v: Valuation, f: Formula) -> bool:
     return m.zero in interpret(m, v, f)
 
 
-def _grid_size(base: int, arity: int) -> int:
-    """The rows of a grid of `base` ** `arity` valuations, if
-    DEFAULT_VALUATION_CAP allows."""
-    total = base ** arity
-    if total > DEFAULT_VALUATION_CAP:
-        raise TooManyValuations(
-            f"{total} valuations exceeds cap {DEFAULT_VALUATION_CAP}")
-    return total
-
-
 class _GridCache:
     """The digit columns of grid blocks, built once each: `columns` maps
     (allowed masks, arity, lo, hi) to a read-only array, and it is emptied
@@ -303,17 +294,19 @@ class _GridCache:
 _GRID_CACHE = _GridCache()
 
 
-def _failing_rows(t: _Tables, f: Formula, names: list[str], allowed, total: int,
-                  fails):
-    """For each block of the grid of `allowed` masks over `names`, in row
-    order: the block's end, its columns, and its rows where fails(the value
-    of f) holds, as offsets into the block."""
+def grid_blocks(names: list[str], allowed):
+    """The grid of every assignment of the masks `allowed` to `names`, in
+    blocks in row order: for each, the rows up to its end and its columns by
+    name.  A grid past DEFAULT_VALUATION_CAP raises TooManyValuations before
+    the first block."""
+    total = len(allowed) ** len(names)
+    if total > DEFAULT_VALUATION_CAP:
+        raise TooManyValuations(
+            f"{total} valuations exceeds cap {DEFAULT_VALUATION_CAP}")
     lo, size = 0, min(_FIRST_BLOCK, _GRID_CHUNK)
     while lo < total:
         hi = min(lo + size, total)
-        cols = _GRID_CACHE.block(allowed, len(names), lo, hi)
-        value = FORMULAS.evaluate(f, dict(zip(names, cols)), t.ops)
-        yield hi, cols, fails(value).nonzero()[0]
+        yield hi, dict(zip(names, _GRID_CACHE.block(allowed, len(names), lo, hi)))
         lo, size = hi, min(4 * size, _GRID_CHUNK)
 
 
@@ -343,13 +336,13 @@ def valid_in(m: ModelStructure, f: Formula) -> ValidityResult:
     `grid` when f is valid)."""
     t = tables_for(m)
     names = sorted(variables(f))
-    grid = _grid_size(len(t.hereditary), len(names))
-    for hi, cols, rows in _failing_rows(t, f, names, t.hereditary, grid,
-                                        t.lacks_zero.__getitem__):
-        if rows.size:
-            return ValidityResult(False, _valuation(t, names, cols[:, rows[0]].tolist()),
-                                  hi, grid)
-    return ValidityResult(True, valuations=grid, grid=grid)
+    for end, env in grid_blocks(names, t.hereditary):
+        bad = t.lacks_zero[FORMULAS.evaluate(f, env, t.ops)].nonzero()[0]
+        if bad.size:
+            row = int(bad[0])
+            return ValidityResult(False, _valuation(t, names, [env[n].item(row) for n in names]),
+                                  end, len(t.hereditary) ** len(names))
+    return ValidityResult(True, valuations=end, grid=end)
 
 
 def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuation]:
@@ -359,11 +352,12 @@ def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuatio
     the same cap: past it, TooManyValuations before any row is evaluated."""
     t = tables_for(m)
     names = sorted(variables(f))
-    grid = _grid_size(len(t.singletons), len(names))
     out = []
-    for _, cols, rows in _failing_rows(t, f, names, t.singletons, grid, np.logical_not):
+    for _, env in grid_blocks(names, t.singletons):
+        rows = np.logical_not(FORMULAS.evaluate(f, env, t.ops)).nonzero()[0]
         if rows.size:
-            out.extend(_valuation(t, names, masks) for masks in cols[:, rows].T.tolist())
+            out.extend(_valuation(t, names, masks)
+                       for masks in zip(*[env[n][rows].tolist() for n in names]))
     return out
 
 

@@ -11,12 +11,12 @@ import pytest
 
 from tarl import algebra, models
 from tarl.algebra import (
-    IDENT, ONE, ZERO, Comp, Compl, ComplexAlgebra, Conv, DERIVED_LAWS, Ident,
+    IDENT, ONE, ZERO, ChainReport, Comp, Compl, ComplexAlgebra, Conv, DERIVED_LAWS, Ident,
     IdentityResult, Join, Law, Meet, One, ProperAlgebra, RVar, TARSKI_AXIOMS, TERMS, Zero,
     check_chain, eval_term, get_law, holds_law, parse_chain, parse_ra_term,
     print_ra_term, sample_relations, translate, verified_in_algebra,
 )
-from tarl.formulas import Var, desugar_fusion, parse_formula, variables
+from tarl.formulas import FORMULAS, Var, desugar_fusion, parse_formula, variables
 from tarl.gen import random_formula
 from tarl.models import TooManyValuations, Valuation, interpret, op_fusion, op_star
 from tarl.registry import data_dir, formula_names, get_formula, get_structure, list_corpus
@@ -298,21 +298,16 @@ def test_reflection_verified_in_k3_for_all_assignments():
     assert verified_in_algebra(CK["K3"], refl).passed
 
 
-def test_single_assignment_mode():
-    res = verified_in_algebra(CK["K1"], get_formula("reflection").formula,
-                              assignment={"p": {"a"}, "q": {"a"},
-                                          "s": {"a"}, "r": {"b"}})
-    assert not res.passed
+def test_reflection_fails_at_one_assignment_in_k1():
+    assignment = {"p": {"a"}, "q": {"a"}, "s": {"a"}, "r": {"b"}}
+    refl = translate(get_formula("reflection").formula)
+    assert not eval_term(CK["K1"], assignment, IDENT) <= eval_term(CK["K1"], assignment, refl)
 
 
-def term_path(alg, f, assignment=None, trials=500):
+def term_path(alg, f, trials=500):
     """verified_in_algebra through the translated term: id <= translate(f)
-    tested as a law, or evaluated at one assignment."""
-    t = translate(f)
-    if assignment is None:
-        return holds_law(alg, Law("id", IDENT, "<=", t), trials=trials)
-    ok = eval_term(alg, assignment, IDENT) <= eval_term(alg, assignment, t)
-    return IdentityResult(ok, None if ok else dict(assignment), 1, 1)
+    tested as a law."""
+    return holds_law(alg, Law("id", IDENT, "<=", translate(f)), trials=trials)
 
 
 def _random_assignment(alg, names, rng):
@@ -330,9 +325,11 @@ DIFFERENTIAL = ([e.proof.goal for e in list_corpus()]
 @pytest.mark.parametrize("alg", [*CK.values(), *map(ProperAlgebra, (2, 3, 4))],
                          ids=lambda alg: alg.describe())
 def test_the_formula_path_agrees_with_the_term_path(alg):
-    """The whole grid of a complex algebra, 64 samples of a proper one, and
-    one assignment of each kind: a random one and the counterexample."""
+    """The whole grid of a complex algebra and 64 samples of a proper one;
+    and the formula's value through the carrier's connectives against its
+    term's at two assignments, a random one and the counterexample."""
     assert any(not f._core for f in DIFFERENTIAL)  # fusion is evaluated too
+    c = algebra._carrier(alg)
     rng = random.Random(7)
     past_cap = 0
     for f in DIFFERENTIAL:
@@ -347,17 +344,15 @@ def test_the_formula_path_agrees_with_the_term_path(alg):
         names = sorted(variables(f))
         for assignment in (_random_assignment(alg, names, rng), want.counterexample):
             if assignment is not None:
-                assert (verified_in_algebra(alg, f, assignment=assignment)
-                        == term_path(alg, f, assignment)), (f, assignment)
+                env = {name: c.encode(value) for name, value in assignment.items()}
+                assert (c.decode(FORMULAS.evaluate(f, env, c.connectives))
+                        == eval_term(alg, assignment, translate(f))), (f, assignment)
     assert past_cap == (0 if isinstance(alg, ProperAlgebra) else 1)  # l5shorter
 
 
 def test_verified_in_algebra_builds_no_term(monkeypatch):
-    cases = [(alg, f, assignment) for alg in (CK["K5"], ProperAlgebra(3))
-             for f in DIFFERENTIAL[::50]
-             for assignment in (None, _random_assignment(alg, sorted(variables(f)),
-                                                         random.Random(3)))]
-    want = [verified_in_algebra(alg, f, assignment) for alg, f, assignment in cases]
+    cases = [(alg, f) for alg in (CK["K5"], ProperAlgebra(3)) for f in DIFFERENTIAL[::50]]
+    want = [verified_in_algebra(alg, f) for alg, f in cases]
 
     def no_term(*args):
         raise AssertionError("a relation-algebra term was built")
@@ -365,7 +360,7 @@ def test_verified_in_algebra_builds_no_term(monkeypatch):
     monkeypatch.setattr(algebra, "translate", no_term)
     monkeypatch.setattr(algebra.TERMS, "evaluate", no_term)
     monkeypatch.setattr(algebra, "RVar", no_term)
-    assert [verified_in_algebra(alg, f, assignment) for alg, f, assignment in cases] == want
+    assert [verified_in_algebra(alg, f) for alg, f in cases] == want
     assert not all(r.passed for r in want) and any(r.passed for r in want)
 
 
@@ -437,8 +432,6 @@ def test_identity_results_count_the_assignments_evaluated():
     ming = verified_in_algebra(ProperAlgebra(5), get_formula("ming").formula,
                                trials=2000, seed=3)
     assert not ming.passed and ming.grid == 500   # the first block of samples fails
-    one = verified_in_algebra(k5, parse_formula("p -> p"), {"p": frozenset()})
-    assert one.counters() == {"checked": 1, "grid": 1}
 
 
 @pytest.mark.parametrize("alg", [CK["K3"], ProperAlgebra(3)], ids=["K3", "proper3"])
@@ -452,6 +445,42 @@ def test_identity_result_counts_are_python_ints(alg):
         assert all(type(n) is int for n in r.counters().values())
 
 
+def test_complex_checks_do_not_depend_on_block_size(monkeypatch):
+    """Blocks of 7 rows give each check in the complex algebras of K3..K5
+    the verdict and counterexample that the default blocks give."""
+    formulas = [f for f in (*(get_formula(n).formula for n in formula_names()),
+                            *DIFFERENTIAL[::10]) if len(variables(f)) <= 3]
+    laws = [law for law in (*TARSKI_AXIOMS.values(), *DERIVED_LAWS.values())
+            if len(law.all_variables()) <= 3]
+    laws.append(parse_chain("x;y . z <= w")[0])        # fails in the first block
+
+    def results():
+        return [(r.passed, r.counterexample) for alg in (CK["K3"], CK["K4"], CK["K5"])
+                for r in [*(verified_in_algebra(alg, f) for f in formulas),
+                          *(holds_law(alg, law) for law in laws)]]
+
+    want = results()
+    monkeypatch.setattr(models, "_FIRST_BLOCK", 7)
+    monkeypatch.setattr(models, "_GRID_CHUNK", 7)
+    assert results() == want
+    assert any(passed for passed, _ in want) and not all(passed for passed, _ in want)
+
+
+def test_a_failing_complex_check_counts_up_to_its_block():
+    """K5's complex algebra has 16 ** 4 assignments to four variables; a
+    check that fails in the first block of 1,024 evaluates that block only,
+    and one that passes evaluates them all."""
+    k5 = CK["K5"]
+    failing = verified_in_algebra(k5, parse_formula("s -> p & q & r"))
+    assert not failing.passed and failing.counters() == {"checked": 1024, "grid": 1024}
+    law = algebra._law("mono", "x;z <= y;w", ["x <= y"])
+    under_premise = holds_law(k5, law)
+    assert not under_premise.passed and under_premise.grid == 1024
+    assert 0 < under_premise.checked < 1024
+    assert holds_law(k5, get_law("refleq")).counters() == {"checked": 16 ** 4,
+                                                           "grid": 16 ** 4}
+
+
 # ------------------------------------------------------------------
 # Chains
 # ------------------------------------------------------------------
@@ -463,34 +492,45 @@ def chain_steps(name):
 def test_ra4_chain():
     rep = check_chain({"K3": CK["K3"]}, chain_steps("ra4"))
     assert rep.passed
-    assert rep.segments == [(0, 3, "=", rep.segments[0][3])]
+    [segment] = rep.segments
+    assert (segment.step.name, segment.step.rel, segment.passed) == ("1..4", "=", True)
 
 
 def test_refleq_chain_end_to_end():
-    rep = check_chain({"K3": CK["K3"], "K4": CK["K4"]}, chain_steps("refleq"))
+    steps = chain_steps("refleq")
+    rep = check_chain({"K3": CK["K3"], "K4": CK["K4"]}, steps)
     assert rep.passed
-    (start, end, rel, final) = rep.segments[0]
-    assert (start, end, rel) == (0, 7, "<=")
-    assert final.passed
+    [segment] = rep.segments
+    assert segment.step == Law("1..8", steps[0].lhs, "<=", steps[7].rhs)
+    assert list(segment.results) == ["K3", "K4"] and segment.passed
 
 
 @pytest.mark.parametrize("algs", [("K3",), ("K3", "K4"), ("K4", "proper3")])
-def test_end_to_end_counts_sum_over_the_algebras(algs):
+def test_segments_are_checked_in_each_algebra_like_steps(algs):
     chosen = {name: CK.get(name) or ProperAlgebra(3) for name in algs}
     steps = chain_steps("ra4")
-    rep = check_chain(chosen, steps, trials=50)
-    (start, end, rel, final) = rep.segments[0]
-    segment = Law("adhoc", steps[start].lhs, rel, steps[end].rhs)
-    checks = [holds_law(alg, segment, trials=50) for alg in chosen.values()]
-    assert final.counters() == {"checked": sum(c.checked for c in checks),
-                                "grid": sum(c.grid for c in checks)}
-    assert final.checked > 0
+    [segment] = check_chain(chosen, steps, trials=50).segments
+    law = Law("1..4", steps[0].lhs, "=", steps[3].rhs)
+    assert segment.results == {name: holds_law(alg, law, trials=50)
+                               for name, alg in chosen.items()}
+    assert all(r.checked > 0 for r in segment.results.values())
 
 
 def test_ra7_chain_two_segments():
     rep = check_chain({"K4": CK["K4"]}, chain_steps("ra7"))
     assert rep.passed
-    assert [(s[0], s[1]) for s in rep.segments] == [(0, 4), (5, 8)]
+    assert [s.step.name for s in rep.segments] == ["1..5", "6..9"]
+
+
+def test_a_failing_segment_fails_the_chain():
+    steps = parse_chain("x = x + y ; wrong\nx + y = y + x ; ra1")
+    rep = check_chain({"K4": CK["K4"]}, steps)
+    assert [s.passed for s in rep.steps] == [False, True]
+    [segment] = rep.segments
+    assert segment.step.name == "1..2" and not segment.passed
+    assert segment.results["K4"].counterexample is not None
+    assert not rep.passed
+    assert not ChainReport(rep.steps[1:], rep.segments).passed   # the segment alone
 
 
 def test_corrupted_chain_fails_with_witness():

@@ -241,7 +241,7 @@ def test_singleton_search_is_capped(monkeypatch):
     """K1 has four hereditary singletons: eleven variables make 4^11 rows,
     past the cap, and the search is refused before any row is evaluated."""
     assert len(tables_for(K1).singletons) == 4
-    monkeypatch.setattr(models, "_failing_rows", None)
+    monkeypatch.setattr(models, "_GRID_CACHE", None)     # no block may be built
     with pytest.raises(TooManyValuations, match="4194304 valuations exceeds cap 1048576"):
         find_invalidating_singletons(K1, parse_formula("&".join("abcdefghijk")))
 
