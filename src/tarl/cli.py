@@ -237,7 +237,9 @@ def cmd_chain(args) -> Report:
              for s in report.segments]
     payload = {"passed": report.passed, "steps": [
         {"lhs": str(s.step.lhs), "rel": s.step.rel, "rhs": str(s.step.rhs),
-         "tag": s.step.name, "passed": s.passed} for s in report.steps]}
+         "tag": s.step.name, "passed": s.passed} for s in report.steps],
+        "segments": [{"span": s.step.name, "rel": s.step.rel, "passed": s.passed}
+                     for s in report.segments]}
     return report.passed, payload, "\n".join(text)
 
 

@@ -245,6 +245,18 @@ def test_chain(capsys):
     assert "end-to-end" in out
 
 
+def test_chain_json_lists_the_segments_its_text_prints(capsys, tmp_path):
+    chain = data_dir() / "chains" / "ra4.chain"
+    code, out, _ = run(capsys, "chain", "K3", str(chain), "--json")
+    assert code == 0
+    assert json.loads(out)["segments"] == [{"span": "1..4", "rel": "=", "passed": True}]
+    broken = tmp_path / "broken.chain"
+    broken.write_text("x = x + y ; wrong\nx + y = y + x ; ra1\n")
+    code, out, _ = run(capsys, "chain", "K4", str(broken), "--json")
+    assert code == 1
+    assert json.loads(out)["segments"] == [{"span": "1..2", "rel": "=", "passed": False}]
+
+
 def test_grouprep(capsys):
     code, out, _ = run(capsys, "grouprep", "--partition", "2")
     assert code == 0
