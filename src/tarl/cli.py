@@ -85,7 +85,7 @@ def _ast(f: Formula) -> dict:
 # ------------------------------------------------------------------
 
 def cmd_parse(args) -> Report:
-    f = parse_formula(args.formula)
+    f = _resolve_formula(args.formula)
     ast = _ast(f)
     return (True, {"formula": print_formula(f), "ast": ast,
                    "variables": sorted(models.variables(f))},

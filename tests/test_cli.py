@@ -10,8 +10,9 @@ import pytest
 
 from tarl import cli
 from tarl.cli import build_parser, main
+from tarl.formulas import print_formula
 from tarl.models import check_postulates
-from tarl.registry import data_dir, get_structure
+from tarl.registry import data_dir, get_formula, get_structure
 from tarl.search import REFUTE_AFTER
 
 
@@ -33,6 +34,12 @@ def test_parse_json(capsys):
     payload = json.loads(out)
     assert payload["formula"] == "p -> p"
     assert payload["ast"]["op"] == "->"
+
+
+def test_parse_resolves_a_named_formula(capsys):
+    code, out, _ = run(capsys, "parse", "reflection", "--json")
+    assert code == 0
+    assert json.loads(out)["formula"] == print_formula(get_formula("reflection").formula)
 
 
 def test_parse_error_exit_2(capsys):
