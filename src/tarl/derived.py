@@ -3,22 +3,21 @@
 ``DERIVED_RULES`` gives each rule's premise schemas, parameter names and
 conclusion schema.  A rule's skeleton, ``data/rules/<name>.prf``, is a proof
 in the schema variables whose premise k is a leaf ``=> (P_k)[i,i] ; premise``.
-``_derive`` matches each input's conclusion to its premise (``_match``, the
-inverse of ``substitute``), instantiates the skeleton and splices each input
-in place of its leaf with indices 0 and i exchanged.  The three composite
-rules chain other rules through ``_derive`` instead.  Nothing is trusted:
-a skeleton's other lines are checked as it loads, ``check_proof`` rejects
-every ``premise`` line, and ``apply_derived_rule`` checks each input and the
-output once.
+``apply_derived_rule`` matches each input's conclusion to its premise
+(``_match``, the inverse of ``substitute``), instantiates the skeleton and
+splices each input in place of its leaf with indices 0 and i exchanged.
+Nothing is trusted: a skeleton's other lines are checked as it loads,
+``check_proof`` rejects every ``premise`` line, and ``apply_derived_rule``
+checks each input and the output once.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .formulas import (Formula, Imp, Neg, Var, desugar_fusion, parse_formula,
-                       print_formula, substitute)
-from .registry import _load, data_dir, get_corpus_entry
+from .formulas import (Formula, Neg, Var, desugar_fusion, parse_formula, print_formula,
+                       substitute)
+from .registry import _load, data_dir
 from .sequents import (Premise, Proof, RuleError, check_proof, check_step, goal_sequent,
                        parse_proof_script, permute_indices, substitute_proof)
 
@@ -66,7 +65,7 @@ def _skeleton(rule: str) -> tuple[Proof, dict[int, tuple[int, int]]]:
     """The rule's skeleton, read once and checked line by line, the premise
     lines taken as hypotheses, and for each of its premise lines the input k
     that replaces it and the index i of its leaf (P_k)[i,i]."""
-    premises, _, conclusion, _ = DERIVED_RULES[rule]
+    premises, _, conclusion = DERIVED_RULES[rule]
 
     def read(text: str):
         name, proof = parse_proof_script(text)
@@ -118,63 +117,24 @@ def _splice(rule: str, inputs: list[Proof], binding: dict, goal: Formula) -> Pro
     return Proof(lines, max(skeleton.bound, *(p.bound for p in inputs)), goal)
 
 
-def _prefixingR(p, *, a, b, c) -> Proof:
-    axiom = get_corpus_entry("prefixingA").proof  # (a->b) -> ((c->a) -> (c->b))
-    return _derive("modusponens", [substitute_proof(axiom, {"a": a, "b": b, "c": c}), p], ())
-
-
-def _affixing(p1, p2, *, a, b, c, d) -> Proof:
-    return _derive("transitivity", [_derive("suffixing", [p1], [c]),
-                                    _derive("prefixingR", [p2], [a])], ())
-
-
-def _monotonicfusion(p1, p2, *, a, b, c, d) -> Proof:
-    contra_cd = _derive("contraposition", [p2], ())      # ~D -> ~C
-    step4 = _derive("suffixing", [p1], [Neg(d)])         # (B->~D) -> (A->~D)
-    step5 = _derive("prefixingR", [contra_cd], [a])      # (A->~D) -> (A->~C)
-    step6 = _derive("prefixingR", [step5], [Imp(b, Neg(d))])
-    step7 = _derive("modusponens", [step6, step4], ())   # (B->~D) -> (A->~C)
-    return _derive("contraposition", [step7], ())        # ~(A->~C) -> ~(B->~D)
-
-
-# name: (premise schemas, parameter names, conclusion schema, composite),
-# where a rule with no composite function is its skeleton
+# name: (premise schemas, parameter names, conclusion schema)
 DERIVED_RULES = {
-    name: (tuple(map(parse_formula, premises)), params,
-           parse_formula(conclusion), composite)
-    for name, (premises, params, conclusion, composite) in {
-        "adjunction": (["a", "b"], (), "a & b", None),
-        "modusponens": (["a -> b", "a"], (), "b", None),
-        "disjunctivesyllogism": (["a | b", "~a"], (), "b", None),
-        "transitivity": (["a -> b", "b -> c"], (), "a -> c", None),
-        "contraposition": (["a -> b"], (), "~b -> ~a", None),
-        "contraposition2": (["a -> ~b"], (), "b -> ~a", None),
-        "cut": (["a & b -> c", "b -> c | a"], (), "b -> c", None),
-        "erule": (["a"], ("b",), "(a -> b) -> b", None),
-        "suffixing": (["a -> b"], ("c",), "(b -> c) -> (a -> c)", None),
-        "cycling": (["a -> (b -> c)"], (), "b -> (~c -> ~a)", None),
-        "prefixingR": (["a -> b"], ("c",), "(c -> a) -> (c -> b)", _prefixingR),
-        "affixing": (["a -> b", "c -> d"], (), "(b -> c) -> (a -> d)", _affixing),
-        "monotonicfusion": (["a -> b", "c -> d"], (), "a o c -> b o d",
-                            _monotonicfusion),
+    name: (tuple(map(parse_formula, premises)), params, parse_formula(conclusion))
+    for name, (premises, params, conclusion) in {
+        "adjunction": (["a", "b"], (), "a & b"),
+        "modusponens": (["a -> b", "a"], (), "b"),
+        "disjunctivesyllogism": (["a | b", "~a"], (), "b"),
+        "transitivity": (["a -> b", "b -> c"], (), "a -> c"),
+        "contraposition": (["a -> b"], (), "~b -> ~a"),
+        "contraposition2": (["a -> ~b"], (), "b -> ~a"),
+        "cut": (["a & b -> c", "b -> c | a"], (), "b -> c"),
+        "erule": (["a"], ("b",), "(a -> b) -> b"),
+        "suffixing": (["a -> b"], ("c",), "(b -> c) -> (a -> c)"),
+        "cycling": (["a -> (b -> c)"], (), "b -> (~c -> ~a)"),
+        "prefixingR": (["a -> b"], ("c",), "(c -> a) -> (c -> b)"),
+        "affixing": (["a -> b", "c -> d"], (), "(b -> c) -> (a -> d)"),
+        "monotonicfusion": (["a -> b", "c -> d"], (), "a o c -> b o d"),
     }.items()}
-
-
-def _derive(rule: str, inputs: list[Proof], params) -> Proof:
-    """Match the inputs to the rule's premises and build its conclusion;
-    neither the inputs nor the output are checked here."""
-    premises, names, conclusion, composite = DERIVED_RULES[rule]
-    binding = {name: desugar_fusion(f) for name, f in zip(names, params)}
-    for n, (schema, proof) in enumerate(zip(premises, inputs), start=1):
-        if not _match(schema, conclusion_formula(proof), binding):
-            raise PremiseMismatch(f"{rule}: input {n} does not prove an "
-                                  f"instance of {print_formula(schema)}")
-    goal = desugar_fusion(substitute(conclusion, binding))
-    out = (composite(*inputs, **binding) if composite
-           else _splice(rule, inputs, binding, goal))
-    if out.goal is not goal:  # pragma: no cover - would be a construction bug
-        raise AssertionError(f"{rule} built a proof of {out.goal}, not {goal}")
-    return out
 
 
 def apply_derived_rule(rule: str, inputs: list[Proof],
@@ -183,7 +143,7 @@ def apply_derived_rule(rule: str, inputs: list[Proof],
     the rule's conclusion."""
     if rule not in DERIVED_RULES:
         raise PremiseMismatch(f"unknown derived rule {rule!r}")
-    premises, names, _, _ = DERIVED_RULES[rule]
+    premises, names, conclusion = DERIVED_RULES[rule]
     if len(inputs) != len(premises):
         raise PremiseMismatch(f"{rule} takes {len(premises)} input proof(s)")
     if len(parameters) != len(names):
@@ -195,7 +155,12 @@ def apply_derived_rule(rule: str, inputs: list[Proof],
         report = check_proof(proof)
         if not report.valid:
             raise InvalidInput(f"input {n} fails to check: {report.first_error}")
-    out = _derive(rule, inputs, parameters)
+    binding = {name: desugar_fusion(f) for name, f in zip(names, parameters)}
+    for n, (schema, proof) in enumerate(zip(premises, inputs), start=1):
+        if not _match(schema, conclusion_formula(proof), binding):
+            raise PremiseMismatch(f"{rule}: input {n} does not prove an "
+                                  f"instance of {print_formula(schema)}")
+    out = _splice(rule, inputs, binding, desugar_fusion(substitute(conclusion, binding)))
     report = check_proof(out)
     if not report.valid:  # pragma: no cover - would be a construction bug
         raise AssertionError(f"combinator emitted a bad proof: {report.first_error}")

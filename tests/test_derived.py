@@ -13,14 +13,14 @@ from tarl.derived import (
     conclusion_formula,
 )
 from tarl.formulas import (
-    Neg, Var, parse_formula, print_formula, substitute, variables,
+    Imp, Neg, Var, desugar_fusion, parse_formula, print_formula, substitute, variables,
 )
 from tarl.gen import random_formula
-from tarl.registry import DataFileError, data_dir, get_corpus_entry
+from tarl.registry import DataFileError, data_dir, get_corpus_entry, list_corpus
 from tarl.search import REFUTE_AFTER
 from tarl.sequents import (
     Assertion, Axiom, Premise, Proof, Sequent, check_proof, check_step,
-    goal_sequent, parse_proof_script, substitute_proof,
+    format_proof_script, goal_sequent, parse_proof_script, substitute_proof,
 )
 
 
@@ -133,6 +133,53 @@ def test_disjunctive_syllogism_composite():
     conclude("disjunctivesyllogism", [flipped, not_not], expect="p -> p")
 
 
+def _prefixing(p, c):
+    """(c -> a) -> (c -> b) from p proving a -> b: modus ponens on an
+    instance of the prefixing axiom."""
+    f = conclusion_formula(p)
+    axiom = proof_of("prefixingA", {"a": f.left, "b": f.right, "c": c})
+    return apply_derived_rule("modusponens", [axiom, p])
+
+
+def _affixing(p1, p2):
+    (a, _), (c, _) = [(f.left, f.right) for f in map(conclusion_formula, (p1, p2))]
+    return apply_derived_rule("transitivity", [apply_derived_rule("suffixing", [p1], [c]),
+                                               _prefixing(p2, a)])
+
+
+def _monotonicfusion(p1, p2):
+    (a, b), (_, d) = [(f.left, f.right) for f in map(conclusion_formula, (p1, p2))]
+    contra_cd = apply_derived_rule("contraposition", [p2])           # ~d -> ~c
+    step4 = apply_derived_rule("suffixing", [p1], [Neg(d)])          # (b->~d) -> (a->~d)
+    step6 = _prefixing(_prefixing(contra_cd, a), Imp(b, Neg(d)))
+    step7 = apply_derived_rule("modusponens", [step6, step4])        # (b->~d) -> (a->~c)
+    return apply_derived_rule("contraposition", [step7])             # ~(a->~c) -> ~(b->~d)
+
+
+@pytest.mark.parametrize("rule, chain", [
+    ("prefixingR", _prefixing),
+    ("affixing", _affixing),
+    ("monotonicfusion", _monotonicfusion),
+])
+def test_skeletons_agree_with_chains_of_the_other_rules(rule, chain):
+    """prefixingR, affixing and monotonicfusion restated as chains of other
+    rules give the same proof, line for line, as their skeletons on seeded
+    instances of corpus implications."""
+    rng = random.Random(30)
+    implications = [e for e in list_corpus() if isinstance(desugar_fusion(e.proof.goal), Imp)]
+    premises, params, _ = DERIVED_RULES[rule]
+    for _ in range(50):
+        inputs = []
+        for _ in premises:
+            proof = rng.choice(implications).proof
+            inputs.append(substitute_proof(proof, {
+                v: random_formula(rng, rng.randint(1, 4), ["p", "q", "r"])
+                for v in variables(proof.goal)}))
+        extra = [random_formula(rng, rng.randint(1, 4), ["p", "q"]) for _ in params]
+        assert (format_proof_script(rule, apply_derived_rule(rule, inputs, extra))
+                == format_proof_script(rule, chain(*inputs, *extra)))
+
+
 def test_premise_mismatch():
     with pytest.raises(PremiseMismatch):
         apply_derived_rule("modusponens", [proof_of("t6"), proof_of("A1")])
@@ -160,7 +207,8 @@ def test_empty_input_proof():
                            [Proof(lines=[], goal=parse_formula("a -> a"))])
     # unchecked, the same input reaches the splice, which finds no line for it
     with pytest.raises(PremiseMismatch, match=r"contraposition: input 1 never derives"):
-        derived._derive("contraposition", [Proof(lines=[], goal=parse_formula("a -> a"))], ())
+        derived._splice("contraposition", [Proof(lines=[], goal=parse_formula("a -> a"))],
+                        {"a": Var("a"), "b": Var("a")}, parse_formula("~a -> ~a"))
 
 
 def test_invalid_input_rejected():
@@ -222,7 +270,7 @@ def test_each_input_and_the_output_are_checked_once(monkeypatch, rule,
 
 def test_readme_lists_every_rule():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    for name, (premises, params, conclusion, _) in DERIVED_RULES.items():
+    for name, (premises, params, conclusion) in DERIVED_RULES.items():
         line = (f"  - `{name}`" + "".join(f", parameter `{p}`" for p in params)
                 + ": " + ", ".join(f"`{print_formula(s)}`" for s in premises)
                 + f" gives `{print_formula(conclusion)}`\n")
@@ -237,21 +285,17 @@ def test_readme_states_the_refutation_trigger_once():
     assert not re.search(r"after [\d,]+ nodes", readme)
 
 
-SKELETONS = [rule for rule, (*_, composite) in DERIVED_RULES.items() if composite is None]
+def test_every_rule_is_a_skeleton_file():
+    assert sorted(p.stem for p in (data_dir() / "rules").glob("*.prf")) == sorted(DERIVED_RULES)
 
 
-def test_the_rules_without_a_composite_are_the_skeleton_files():
-    assert len(SKELETONS) == 10
-    assert sorted(p.stem for p in (data_dir() / "rules").glob("*.prf")) == sorted(SKELETONS)
-
-
-@pytest.mark.parametrize("rule", SKELETONS)
+@pytest.mark.parametrize("rule", DERIVED_RULES)
 def test_skeleton_premises_and_steps(rule):
     """A skeleton declares its rule and concludes the rule's conclusion; its
     premise lines are the rule's premise schemas, one each, each at a
     diagonal index and cited; and every other line checks, the premise
     lines taken as hypotheses."""
-    premises, _, conclusion, _ = DERIVED_RULES[rule]
+    premises, _, conclusion = DERIVED_RULES[rule]
     name, skeleton = parse_proof_script((data_dir() / "rules" / f"{rule}.prf").read_text())
     assert name == rule
     assert skeleton.goal == conclusion
