@@ -55,7 +55,7 @@ import numpy as np
 
 from .formulas import (
     FORMULAS, And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError,
-    UnassignedVariable, file_lines, parse_at, variables,
+    UnassignedVariable, end_of_file, file_lines, parse_at, variables,
 )
 from .models import ModelStructure, grid_blocks, tables_for
 
@@ -454,13 +454,16 @@ def parse_chain(text: str) -> list[Law]:
     """One step per line: `lhs (=|<=) rhs ; tag`, read as a law named by its
     tag.  The tag separator is a semicolon surrounded by spaces,
     distinguishing it from relative product (written without spaces).  A
-    ParseError names the line and column at fault."""
+    ParseError names the line and column at fault; a file with no step is
+    one."""
     steps = []
     for n, col, line in file_lines(text):
         body, sep, tag = line.rpartition(" ; ")
         if not sep:
             body, tag = line, ""
         steps.append(Law(tag.strip(), *_relation(line, len(body), n, col)))
+    if not steps:
+        raise end_of_file(text, "a chain step")
     return steps
 
 

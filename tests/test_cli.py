@@ -394,6 +394,12 @@ class BadScript(BadModel):
     file_name = "bad.prf"
 
 
+class BadChain(BadModel):
+    """A chain file's text, passed on the command line as a file's path."""
+
+    file_name = "bad.chain"
+
+
 def bad_model(elements, star, triple):
     return BadModel(f"model bad\nelements {elements}\nzero 0\nstar {star}\n"
                     f"triples\n0 0 0\n{triple}\nend\n")
@@ -430,6 +436,8 @@ def bad_model(elements, star, triple):
     ("grouprep", "--partition", "0"),
     ("grouprep", "--partition", "9"),
     ("countermodel", "--singletons", "K1", "a&b&c&d&e&f&g&h&i&j&k&l"),
+    ("chain", "K3", BadChain("# no step\n")),
+    ("algebra-test", BadChain("")),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

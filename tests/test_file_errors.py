@@ -77,6 +77,8 @@ CASES = [
     (parse_chain, "x + = y ; t\n", 1, 5, "="),
     (parse_chain, "x <= y + ; t\n", 1, 10, ";"),
     (parse_chain, "x = y +\n", 1, 8, "end of input"),
+    (parse_chain, "", 1, 1, "end of file"),
+    (parse_chain, "# a comment\n\n   # another\n", 4, 1, "end of file"),
 ]
 
 
@@ -129,6 +131,17 @@ def test_the_cli_names_the_file(capsys, tmp_path):
     assert out.out == ""
     assert out.err == (f"error: {path}: line 2, column 27: expected 'axiom', "
                        f"found 'axiom 7 k=3'\n")
+
+
+@pytest.mark.parametrize("argv", [("chain", "K3"), ("algebra-test",)])
+def test_a_chain_file_with_no_step_is_an_error(capsys, tmp_path, argv):
+    path = tmp_path / "empty.chain"
+    path.write_text("# no step\n")
+    assert main([*argv, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {path}: line 2, column 1: expected a chain step, "
+                       f"found 'end of file'\n")
 
 
 # each mutation of a script line: the new line and the 0-based span of the
