@@ -93,7 +93,7 @@ def _skeleton(rule: str) -> tuple[Proof, dict[int, tuple[int, int]]]:
     return _load(data_dir() / "rules" / f"{rule}.prf", read, "lemma", rule)
 
 
-def _splice(rule: str, inputs: list[Proof], binding: dict, goal: Formula) -> Proof:
+def _splice(rule: str, inputs: list[Proof], binding: dict) -> Proof:
     """The rule's skeleton under binding, each premise line replaced by its
     input, and references to it by the input's last line that derives it."""
     skeleton, leaves = _skeleton(rule)
@@ -114,6 +114,7 @@ def _splice(rule: str, inputs: list[Proof], binding: dict, goal: Formula) -> Pro
         if not derives:
             raise PremiseMismatch(f"{rule}: input {k + 1} never derives {seq}")
         at.append(derives[-1])
+    goal = desugar_fusion(substitute(DERIVED_RULES[rule][2], binding))
     return Proof(lines, max(skeleton.bound, *(p.bound for p in inputs)), goal)
 
 
@@ -143,7 +144,7 @@ def apply_derived_rule(rule: str, inputs: list[Proof],
     the rule's conclusion."""
     if rule not in DERIVED_RULES:
         raise PremiseMismatch(f"unknown derived rule {rule!r}")
-    premises, names, conclusion = DERIVED_RULES[rule]
+    premises, names, _ = DERIVED_RULES[rule]
     if len(inputs) != len(premises):
         raise PremiseMismatch(f"{rule} takes {len(premises)} input proof(s)")
     if len(parameters) != len(names):
@@ -160,7 +161,7 @@ def apply_derived_rule(rule: str, inputs: list[Proof],
         if not _match(schema, conclusion_formula(proof), binding):
             raise PremiseMismatch(f"{rule}: input {n} does not prove an "
                                   f"instance of {print_formula(schema)}")
-    out = _splice(rule, inputs, binding, desugar_fusion(substitute(conclusion, binding)))
+    out = _splice(rule, inputs, binding)
     report = check_proof(out)
     if not report.valid:  # pragma: no cover - would be a construction bug
         raise AssertionError(f"combinator emitted a bad proof: {report.first_error}")

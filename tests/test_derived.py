@@ -208,7 +208,7 @@ def test_empty_input_proof():
     # unchecked, the same input reaches the splice, which finds no line for it
     with pytest.raises(PremiseMismatch, match=r"contraposition: input 1 never derives"):
         derived._splice("contraposition", [Proof(lines=[], goal=parse_formula("a -> a"))],
-                        {"a": Var("a"), "b": Var("a")}, parse_formula("~a -> ~a"))
+                        {"a": Var("a"), "b": Var("a")})
 
 
 def test_invalid_input_rejected():
