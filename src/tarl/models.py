@@ -88,19 +88,21 @@ class ModelStructure:
                                       compare=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        known = set(self.elements)
+        if len(known) != len(self.elements):
             raise ValueError("elements must be distinct")
-        if self.zero not in self.elements:
+        if self.zero not in known:
             raise ValueError("zero must be an element")
-        if set(self.star) != set(self.elements):
+        if self.star.keys() != known:
             raise ValueError("star must be a total map on the elements")
-        outside = set(self.star.values()) - set(self.elements)
+        outside = set(self.star.values()) - known
         if outside:
             raise ValueError(f"star maps to unknown element {min(outside)}")
-        for t in self.triples:
-            for e in t:
-                if e not in self.elements:
-                    raise ValueError(f"triple {t} mentions unknown element {e}")
+        if not known.issuperset(itertools.chain.from_iterable(self.triples)):
+            # the least bad triple, so the message does not follow the hash seed
+            t = min(t for t in self.triples if not known.issuperset(t))
+            e = next(e for e in t if e not in known)
+            raise ValueError(f"triple {t} mentions unknown element {e}")
 
     def index(self, e: str) -> int:
         return self.elements.index(e)
@@ -431,24 +433,26 @@ def _tensor(m: ModelStructure) -> tuple[np.ndarray, np.ndarray, int]:
     """The relation of `m` as a batch of one, its star as indices, 0's index."""
     idx = {e: i for i, e in enumerate(m.elements)}
     n = len(m.elements)
-    R = np.zeros((1, n, n, n), dtype=bool)
-    for t in m.triples:
-        R[(0,) + tuple(idx[e] for e in t)] = True
+    R = np.zeros(n ** 3, dtype=bool)
+    R[[(idx[a] * n + idx[b]) * n + idx[c] for a, b, c in m.triples]] = True
     star = np.array([idx[m.star[e]] for e in m.elements])
-    return R, star, idx[m.zero]
+    return R.reshape(1, n, n, n), star, idx[m.zero]
 
 
 def check_postulates(m: ModelStructure) -> PostulateReport:
     """Decide every postulate on `m` as a batch of one.  Witnesses are the
     lexicographically least failures in element order; `peirce_missing` is
-    every missing Peirce image, in element order."""
+    every missing Peirce image, in element order.  Only those are decoded:
+    the flat C-order index of a failure is its tuple's digits base n."""
     R, star, zero = _tensor(m)
+    n = len(m.elements)
     flags: dict[str, bool] = {}
     witnesses: dict[str, tuple] = {}
     missing: tuple = ()
     for name, fail in _failures(R, star, zero, POSTULATE_NAMES).items():
-        where = [tuple(m.elements[i] for i in w)
-                 for w in np.argwhere(fail[0]).tolist()]
+        hits = np.flatnonzero(fail[0])[:None if name == "peirce" else 1].tolist()
+        where = [tuple(m.elements[i // n ** k % n] for k in range(fail.ndim - 2, -1, -1))
+                 for i in hits]
         flags[name] = not where
         if where:
             witnesses[name] = where[0]
@@ -619,13 +623,11 @@ def enumerate_structures(size: int, required):
         ok = np.ones(len(R), dtype=bool)
         for fail in _failures(R, star, 0, required).values():
             ok &= ~fail.reshape(len(R), -1).any(axis=1)
-        for row in R[ok].reshape(-1, size ** 3):
-            yield ModelStructure(
-                name=f"enum{size}_{count}",
-                elements=elems,
-                zero=elems[0],
-                star={elems[a]: elems[b] for a, b in enumerate(star.tolist())},
-                triples=frozenset(named[t] for t in np.flatnonzero(row)))
+        # one star map per chunk; a yield makes no numpy call, its row is a list
+        images = {elems[a]: elems[b] for a, b in enumerate(star.tolist())}
+        for row in R[ok].reshape(-1, size ** 3).tolist():
+            yield ModelStructure(f"enum{size}_{count}", elems, elems[0], dict(images),
+                                 frozenset(itertools.compress(named, row)))
             count += 1
 
 

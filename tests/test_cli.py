@@ -438,6 +438,8 @@ def bad_model(elements, star, triple):
     ("countermodel", "--singletons", "K1", "a&b&c&d&e&f&g&h&i&j&k&l"),
     ("chain", "K3", BadChain("# no step\n")),
     ("algebra-test", BadChain("")),
+    ("postulates", BadModel("model bad\nelements 0 a\nzero 0\nstar 0:0 a:a\n"
+                            "triples\n0 0 0\n0 x a\na y 0\nz a a\nend\n")),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

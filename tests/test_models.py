@@ -1,7 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,7 +440,8 @@ def test_audit_agrees_with_oracle():
 
 
 def test_audit_reports_plain_values():
-    for m in ALL + [build_atom_structure(PARTITIONS[0])]:
+    # the seeded cases fail most postulates, so their witnesses are decoded
+    for m in _audit_cases():
         r = check_postulates(m)
         assert all(type(ok) is bool for ok in r.flags.values())
         for t in [*r.witnesses.values(), *r.peirce_missing]:
@@ -740,6 +745,17 @@ def test_enumerate_refuses_a_large_query_at_once():
     assert time.perf_counter() - start < 0.5
 
 
+def test_enumerated_structures_own_their_values():
+    found = enumerate_structures(2, ())
+    first, second = next(found), next(found)
+    assert first.star == second.star
+    first.star["0"] = "1"
+    assert second.star == {"0": "0", "1": "1"}
+    for m in enumerate_structures(3, P1_P6):
+        assert all(type(t) is tuple and len(t) == 3 and all(type(e) is str for e in t)
+                   for t in m.triples)
+
+
 @pytest.mark.parametrize("size", [0, -1])
 def test_enumerate_needs_an_element(size):
     with pytest.raises(ValueError):
@@ -853,6 +869,42 @@ def test_truncated_model_files_are_parse_errors():
             load_model_file(text)
     assert len(load_model_file(table + "{a*} {0,a,a*} {a*}\n").triples) == 13
     assert len(load_model_file(triples + "end\n").triples) == 2
+
+
+@pytest.mark.parametrize("elements, zero, star, triples, message", [
+    (("0", "a", "0"), "0", {"0": "0", "a": "a"}, (), "elements must be distinct"),
+    (("0", "a"), "z", {"0": "0", "a": "a"}, (), "zero must be an element"),
+    (("0", "a"), "0", {"0": "0"}, (), "star must be a total map on the elements"),
+    (("0", "a"), "0", {"0": "0", "a": "a", "b": "b"}, (),
+     "star must be a total map on the elements"),
+    (("0", "a"), "0", {"0": "zz", "a": "b"}, (), "star maps to unknown element b"),
+    (("0", "a"), "0", {"0": "0", "a": "a"}, [("0", "0", "0"), ("a", "a", "w")],
+     "triple ('a', 'a', 'w') mentions unknown element w"),
+    (("0", "a"), "0", {"0": "0", "a": "a"}, [("0", "x", "a"), ("a", "y", "0"), ("z", "a", "a")],
+     "triple ('0', 'x', 'a') mentions unknown element x"),
+])
+def test_invalid_structures_are_refused(elements, zero, star, triples, message):
+    with pytest.raises(ValueError) as e:
+        ModelStructure("bad", elements, zero, star, frozenset(triples))
+    assert str(e.value) == message
+
+
+BAD_TRIPLES = ("model bad\nelements 0 a\nzero 0\nstar 0:0 a:a\n"
+               "triples\n0 0 0\n0 x a\na y 0\nz a a\nend\n")
+
+
+def test_the_least_bad_triple_is_reported_under_any_hash_seed():
+    # the triples are a set, whose order follows the hash seed
+    code = ("import sys; from tarl.models import load_model_file\n"
+            "try: load_model_file(sys.argv[1])\n"
+            "except ValueError as e: print(e)")
+    src = str(Path(models.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", code, BAD_TRIPLES], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}).stdout
+            for seed in "01"]
+    assert outs == ["triple ('0', 'x', 'a') mentions unknown element x\n"] * 2
 
 
 def test_copied_structure_gets_fresh_tables():
