@@ -837,6 +837,35 @@ def test_size4_enumeration_under_the_cap():
     assert all(oracle_postulates(m).passes(required) for m in found)
 
 
+K5_SET = ("p1", "p2", "p4", "p6", "p3prime", "p5prime", "normal", "crstar")
+# sha256 of the repr of [(star.tolist(), R.tobytes())] over the chunks of
+# _candidates, recorded from the enumerator that closed orbits over tuples
+CANDIDATE_DIGESTS = {
+    (2, ()): "21620da28dec2b05a3ea62fcb0d5df75eddda44367b1a5426d18051ca61c4f52",
+    (2, ("p1",)): "60882efc50441de14bb0382be333354233c39de3a0902b2d0700b72c4255e058",
+    (2, ("comm",)): "738ef402238b5d4383b75374cb5425eef41e7c29582f285dc078a9b74940e558",
+    (2, ("normal",)): "ed5fd89d177141dc74d4fa82a175ed38d8049b7fc87cf74f2e9bab308bc56be1",
+    (2, P1_P6): "a633dc8c0ff8b77eb8e628ade2730c46d294478ca8e24fab6583bf50a02e866d",
+    (3, P1_P6 + ("comm",)):
+        "bff1350c16546e475197dac0f9080dee81e1503741b2e119592991797d745f5c",
+    (3, P1_P6 + ("normal", "comm")):
+        "0c26b552ac8786d410249c005cfbd30a32e401383888fdafeaa5b67f17122cab",
+    (3, ("crstar", "p5", "comm")):
+        "237b25e10788f568046198af3eb0216b37050cb8da967e729e1268a998217fc8",
+    (4, P1_P6 + ("comm", "normal", "crstar")):
+        "85c6793ea37b5fe0ac738437556223bda563ce555d8daf484111855d96a058d0",
+    (4, K5_SET): "781e4c19ceaa649cb873d989a08f7194a164dedada80367665ebd0c7cfadc656",
+}
+
+
+@pytest.mark.parametrize("size,required", list(CANDIDATE_DIGESTS))
+def test_candidate_stream_is_pinned(size, required):
+    stream = [(star.tolist(), R.tobytes())
+              for star, R in models._candidates(size, frozenset(required))]
+    digest = hashlib.sha256(repr(stream).encode()).hexdigest()
+    assert digest == CANDIDATE_DIGESTS[size, required]
+
+
 # ------------------------------------------------------------------
 # Model files
 # ------------------------------------------------------------------
