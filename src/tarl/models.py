@@ -146,20 +146,18 @@ class _Tables:
         size = 1 << n
         self.size = size
         self.all_mask = size - 1
-        self.zero_mask = 1 << m.index(m.zero)
-        idx = {e: i for i, e in enumerate(m.elements)}
-        self.bits = {e: 1 << i for e, i in idx.items()}
+        R, star, zero = _tensor(m)
+        self.zero_mask = 1 << zero
+        self.bits = {e: 1 << i for i, e in enumerate(m.elements)}
         # subsets[mask]: the elements of mask, decoded once and shared; the
         # subset for mask | 1 << i is the one for mask with element i added
         subsets = [frozenset()]
         for e in m.elements:
             subsets += [s | {e} for s in subsets]
         self.subsets = tuple(subsets)
-        single = np.zeros((n, n), dtype=np.int64)    # [x, y]: {x} o {y}
-        for (a, b, c) in m.triples:
-            single[idx[a], idx[b]] |= 1 << idx[c]
+        single = R[0] @ (1 << np.arange(n))            # [x, y]: {x} o {y}
         self.fus = np.ascontiguousarray(_unions(_unions(single).T).T)
-        self.star = _unions(np.array([1 << idx[m.star[e]] for e in m.elements]))
+        self.star = _unions(1 << star)
         self.neg = self.all_mask ^ self.star
         # z is in X->Y iff every y with R z x y for some x in X is in Y;
         # single.T[x, z] holds those y for one x
@@ -508,97 +506,61 @@ def variable_sharing_certificate(a: Formula, b: Formula):
 # Structure enumeration (auditable brute force under a candidate cap)
 # ------------------------------------------------------------------
 
-def _involutions(n: int, fix_zero: bool):
-    def go(rest, acc):
-        if not rest:
-            yield dict(acc)
-            return
-        a = rest[0]
-        yield from go(rest[1:], acc + [(a, a)])
-        for b in rest[1:]:
-            yield from go([x for x in rest[1:] if x != b], acc + [(a, b), (b, a)])
-    items = list(range(n))
-    if fix_zero:
-        for s in go(items[1:], [(0, 0)]):
-            yield s
-    else:
-        yield from go(items, [])
-
-
 def _candidates(size: int, required: frozenset):
     """The candidate relations of an enumeration, as (star, R) pairs: star is
     the index array of an involution and R a (C, size, size, size) boolean
-    tensor of at most `_CHUNK` relations.  p1/p2/crstar seed triples in or
-    out, and p5/p5'/comm close triples into orbits; every union of the free
-    orbits with the seeded ones is a candidate, in ascending order of its
-    free-orbit bitmask.  The orbits of the star maps are found first, one
-    map at a time, and a query raises TooManyValuations at the first map
-    that takes the count past DEFAULT_VALUATION_CAP, before any chunk is
-    built."""
-    idx = range(size)
-    all_triples = list(itertools.product(idx, repeat=3))
-    position = {t: i for i, t in enumerate(all_triples)}
-    forced_in = set()
-    forced_out = set()
-    if "p1" in required or "crstar" in required:
-        forced_in |= {(0, a, a) for a in idx}
-    if "p2" in required:
-        forced_in |= {(a, a, a) for a in idx}
-    if "crstar" in required:
-        forced_out |= {(0, a, b) for a in idx for b in idx if a != b}
-    forced = forced_in | forced_out
-    plans = []                       # (star, seeded orbits, free orbits)
+    tensor of at most `_CHUNK` relations.  The star maps are the permutations
+    of the elements that are their own inverse (and fix 0 under normal), in
+    lexicographic order.  A triple is its flat index, as in `_tensor`:
+    p1/p2/crstar seed triples in or out as masks, and p5/p5'/comm are each a
+    permutation of the indices that closes triples into orbits, each labelled
+    by its least index.  Every union of the free orbits with the seeded ones
+    is a candidate, in ascending order of its free-orbit bitmask, whose bit i
+    is the orbit with the i-th least label.  The orbits of the star maps are
+    found first, one map at a time, and a query raises TooManyValuations at
+    the first map that takes the count past DEFAULT_VALUATION_CAP, before any
+    chunk is built."""
+    n = size
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    triples = np.arange(n ** 3)
+    forced_in = (a == 0) & (b == c) & bool(required & {"p1", "crstar"})
+    forced_in |= (a == b) & (b == c) & ("p2" in required)
+    forced_out = (a == 0) & (b != c) & ("crstar" in required)
+    plans = []                       # (star, seeded in, free, bit, candidates)
     total = 0
-    for star in _involutions(size, fix_zero=("normal" in required)):
-        transforms = []
-        if "p5" in required:
-            transforms.append(lambda t: (t[0], star[t[2]], star[t[1]]))
-        if "p5prime" in required:
-            transforms.append(lambda t: (star[t[2]], t[0], star[t[1]]))
-        if "comm" in required:
-            transforms.append(lambda t: (t[1], t[0], t[2]))
-        orbit_of = {}
-        orbits = []
-        for t in all_triples:
-            if t in orbit_of:
-                continue
-            orbit = {t}
-            frontier = [t]
-            while frontier:
-                cur = frontier.pop()
-                for tr in transforms:
-                    nxt = tr(cur)
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-            orbits.append(frozenset(orbit))
-            for u in orbit:
-                orbit_of[u] = orbit
-        if any(o & forced_in and o & forced_out for o in orbits):
+    for star in itertools.permutations(range(n)):
+        if any(star[j] != i for i, j in enumerate(star)):
             continue
-        free = [o for o in orbits if not o & forced]
-        total += 1 << len(free)
+        if "normal" in required and star[0]:
+            continue
+        star = np.array(star)
+        perms = [perm for name, perm in (
+            ("p5", (a * n + star[c]) * n + star[b]),
+            ("p5prime", (star[c] * n + a) * n + star[b]),
+            ("comm", (b * n + a) * n + c)) if name in required]
+        label, last = triples, None
+        while last is None or (label != last).any():
+            last = label
+            for perm in perms:
+                label = np.minimum(label, label[perm])
+        seeded_in = np.bincount(label[forced_in], minlength=n ** 3) > 0
+        seeded_out = np.bincount(label[forced_out], minlength=n ** 3) > 0
+        if (seeded_in & seeded_out).any():
+            continue
+        free = (label == triples) & ~seeded_in & ~seeded_out
+        count = 1 << int(free.sum())
+        total += count
         if total > DEFAULT_VALUATION_CAP:
             raise TooManyValuations(
                 f"more than {DEFAULT_VALUATION_CAP} candidates (the cap)")
-        plans.append((star, [o for o in orbits if o & forced_in], free))
-    for star, fixed_in, free in plans:
-        # a candidate's word takes free orbit i iff its bit i is set
-        base = np.zeros(len(all_triples), dtype=bool)
-        is_free = np.zeros(len(all_triples), dtype=bool)
-        bit = np.zeros(len(all_triples), dtype=np.uint64)
-        for t in itertools.chain.from_iterable(fixed_in):
-            base[position[t]] = True
-        for i, orbit in enumerate(free):
-            for t in orbit:
-                is_free[position[t]] = True
-                bit[position[t]] = i
-        star_idx = np.array([star[a] for a in idx])
-        count = 1 << len(free)
+        # a triple of the i-th free orbit is in a candidate iff bit i of its word is set
+        bit = (np.cumsum(free) - free)[label].astype(np.uint64)
+        plans.append((star, seeded_in[label], free[label], bit, count))
+    for star, base, is_free, bit, count in plans:
         for lo in range(0, count, _CHUNK):
             words = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
             R = base | is_free & (words[:, None] >> bit & 1).astype(bool)
-            yield star_idx, R.reshape(-1, size, size, size)
+            yield star, R.reshape(-1, n, n, n)
 
 
 def enumerate_structures(size: int, required):
@@ -661,6 +623,9 @@ def load_model_file(text: str) -> ModelStructure:
             star = {}
             for pair in re.compile(r"\S+").finditer(line, len(head)):
                 a, _, b = pair.group().partition(":")
+                if not re.fullmatch(r"[^:]+:[^:]+", pair.group()):
+                    raise ParseError(col + pair.start(), "'<element>:<image>' in 'star'",
+                                     pair.group(), n)
                 if a in star:
                     raise ParseError(col + pair.start(), "one image per element in 'star'",
                                      pair.group(), n)

@@ -440,6 +440,7 @@ def bad_model(elements, star, triple):
     ("algebra-test", BadChain("")),
     ("postulates", BadModel("model bad\nelements 0 a\nzero 0\nstar 0:0 a:a\n"
                             "triples\n0 0 0\n0 x a\na y 0\nz a a\nend\n")),
+    ("postulates", bad_model("0 a", "0:0 a", "0 a a")),
 ])
 def test_bad_arguments_exit_2_with_one_error_line(capsys, tmp_path, argv):
     argv = [a.write(tmp_path) if isinstance(a, BadModel) else a for a in argv]

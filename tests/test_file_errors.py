@@ -61,6 +61,10 @@ CASES = [
     # model files
     (load_model_file, MODEL + "zero a\n", 5, 1, "zero"),
     (load_model_file, "model m\nelements 0 a\nzero 0\nstar 0:0 a:a  0:a\n", 4, 15, "0:a"),
+    (load_model_file, "model m\nelements 0 a\nzero 0\nstar 0:0 a\n", 4, 10, "a"),
+    (load_model_file, "model m\nelements 0 a\nzero 0\nstar 0:0 a:a:a\n", 4, 10, "a:a:a"),
+    (load_model_file, "model m\nelements 0 a\nzero 0\nstar 0: a:a\n", 4, 6, "0:"),
+    (load_model_file, "model m\nelements 0 a\nzero 0\nstar 0:0 :a\n", 4, 10, ":a"),
     (load_model_file, MODEL + "triples\n0 0 0\n 0 a\nend\n", 7, 2, "0 a"),
     (load_model_file, MODEL + "triples\n0 0 0\n", 7, 1, "end of file"),
     (load_model_file, "model m\ntable\n", 2, 1, "table"),

@@ -866,6 +866,35 @@ def test_candidate_stream_is_pinned(size, required):
     assert digest == CANDIDATE_DIGESTS[size, required]
 
 
+# the postulates _candidates builds its candidates to meet; p6 holds too,
+# since every star map is an involution
+BUILT = ("p1", "p2", "p5", "p5prime", "comm", "crstar", "normal")
+
+
+@pytest.mark.parametrize("size,candidates", [(2, 2648), (3, 448352), (4, 413696)])
+def test_candidates_meet_the_postulates_they_are_built_for(monkeypatch, size, candidates):
+    # every query of at most 2**16 candidates, in all `candidates` of them
+    monkeypatch.setattr(models, "DEFAULT_VALUATION_CAP", 1 << 16)
+    audited = 0
+    for k in range(len(BUILT) + 1):
+        for required in itertools.combinations(BUILT, k):
+            try:
+                for star, R in models._candidates(size, frozenset(required)):
+                    fails = models._failures(R, star, 0, set(required) | {"p6"})
+                    assert not any(f.any() for f in fails.values()), required
+                    audited += len(R)
+            except TooManyValuations:
+                pass
+    assert audited == candidates
+
+
+def test_k5_set_enumeration_under_the_cap():
+    assert sum(len(R) for _, R in models._candidates(4, frozenset(K5_SET))) == 1024
+    found = list(enumerate_structures(4, K5_SET))
+    assert len(found) == 318
+    assert all(oracle_postulates(m).passes(K5_SET) for m in found)
+
+
 # ------------------------------------------------------------------
 # Model files
 # ------------------------------------------------------------------
