@@ -6,7 +6,10 @@ normal forms f^a g^b (a mod 3, b mod 7), multiplied by
 elements into an inverse-closed 6-block and a 7-block plus its inverses
 turns {0,a,b,b*} into a ternary-relation structure via
 R x y z  iff  block(z) is contained in block(x)block(y); every listed
-partition reproduces the same composition table (the K3 table).
+partition reproduces the same composition table (the K3 table).  The
+products come from `_PRODUCT`, the 21 x 21 table of element indices built
+once from gmul, and blocks and their complex products are bitmasks over
+ALL_ELEMENTS; sigma images read the same table.
 
 sigma maps a subset x of the group to the binary relation
 {(k, kh) : k in G, h in x} (right translations); it is an injective
@@ -156,23 +159,30 @@ def _blocks(p: Partition) -> dict[str, frozenset[GroupElement]]:
     return {"0": frozenset({IDENTITY}), "a": p.a_set, "b": p.b_set, "b*": p.bstar_set}
 
 
+# _PRODUCT[i, j]: the index in ALL_ELEMENTS of ALL_ELEMENTS[i] * ALL_ELEMENTS[j]
+_INDEX = {x: i for i, x in enumerate(ALL_ELEMENTS)}
+_PRODUCT = np.array([[_INDEX[gmul(x, y)] for y in ALL_ELEMENTS] for x in ALL_ELEMENTS])
+_PRODUCT.flags.writeable = False
+
+
 def build_atom_structure(p: Partition) -> ModelStructure:
     """The four-block structure: R x y z iff block(z) is a subset of the
-    complex product block(x)block(y)."""
+    complex product block(x)block(y).  Blocks and their products are
+    bitmasks over ALL_ELEMENTS, the products read from `_PRODUCT`."""
     validate_partition(p)
     blocks = _blocks(p)
     names = tuple(blocks)
-    triples = set()
-    for x in names:
-        for y in names:
-            product = {gmul(h, k) for h in blocks[x] for k in blocks[y]}
-            for z in names:
-                if blocks[z] <= product:
-                    triples.add((x, y, z))
+    member = np.zeros((len(names), 21), dtype=bool)       # [atom, element]
+    for i, atom in enumerate(names):
+        member[i, [_INDEX[x] for x in blocks[atom]]] = True
+    masks = member @ (1 << np.arange(21))
+    pairs = member[:, None, :, None] & member[None, :, None, :]     # [x, y, h, k]
+    product = np.bitwise_or.reduce(np.where(pairs, 1 << _PRODUCT, 0), axis=(2, 3))
+    holds = masks & ~product[:, :, None] == 0                        # [x, y, z]
     return ModelStructure(
         name=f"grouprep{p.id}", elements=names, zero="0",
         star={"0": "0", "a": "a", "b": "b*", "b*": "b"},
-        triples=frozenset(triples))
+        triples=frozenset((names[x], names[y], names[z]) for x, y, z in zip(*holds.nonzero())))
 
 
 # ------------------------------------------------------------------
@@ -204,11 +214,12 @@ def check_sigma_homomorphism(p: Partition) -> SigmaReport:
 
 def _sigma_stack(m: ModelStructure, blocks: dict[str, frozenset[GroupElement]]) -> np.ndarray:
     """sig[mask]: sigma of the union of the blocks of the atoms in mask."""
-    idx = {e: i for i, e in enumerate(ALL_ELEMENTS)}
     sig = np.zeros((1 << len(m.elements), 21, 21), dtype=bool)
+    k = np.arange(21)
     for i, atom in enumerate(m.elements):
-        rows, cols = zip(*((idx[k], idx[gmul(k, h)]) for h in blocks[atom] for k in ALL_ELEMENTS))
-        sig[np.flatnonzero(np.arange(len(sig)) >> i & 1)[:, None], rows, cols] = True
+        hs = [_INDEX[h] for h in blocks[atom]]
+        sig[np.flatnonzero(np.arange(len(sig)) >> i & 1)[:, None, None],
+            k[:, None], _PRODUCT[k[:, None], hs]] = True
     return sig
 
 

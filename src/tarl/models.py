@@ -21,15 +21,21 @@ are built once and cached, read-only, in a dict emptied once it passes
 GRID_CACHE_BYTES; a check stops at the first block that holds a failing
 row.  The structure postulates (p1..p6 and friends) are audited, never
 assumed, so deliberately defective structures can be represented and
-inspected.  The audit works on a batch of relations at once, held as a (B, n, n, n) boolean
-tensor: R o R is a batched boolean matrix product and every postulate is
-one indexed comparison, so `check_postulates` is a batch of one and
-`enumerate_structures` audits thousands of candidates per call.
+inspected.  The audit works on a batch of relations at once, held as a
+(B, n, n, n) boolean tensor, and each postulate is one comparison on it:
+p5, p5' and comm gather the flat relation through permutations of the
+triples that the enumerator shares, and p3, p3' and p4 first compose
+relations as a batched matrix product.  `check_postulates` is a batch of
+one.  `enumerate_structures` audits each chunk of candidates cheapest
+postulate first, and each later one only on the candidates that passed the
+ones before.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -43,7 +49,8 @@ from .formulas import (
 
 __all__ = [
     "ModelStructure", "Valuation", "PostulateReport", "ValidityResult",
-    "Shared", "SemanticWitness", "ClosureViolation", "UnassignedVariable",
+    "Shared", "SemanticWitness", "ClosureViolation", "InvalidStructure",
+    "UnassignedVariable",
     "TooManyValuations", "composition_table",
     "op_fusion", "op_implies", "op_star", "op_neg",
     "interpret", "verified", "valid_in", "find_invalidating_singletons",
@@ -76,6 +83,15 @@ class ClosureViolation(AssertionError):
     pass
 
 
+class InvalidStructure(ValueError):
+    """Fields of a ModelStructure that do not fit together; `field` names
+    the one at fault."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ModelStructure:
     name: str
@@ -90,19 +106,19 @@ class ModelStructure:
     def __post_init__(self):
         known = set(self.elements)
         if len(known) != len(self.elements):
-            raise ValueError("elements must be distinct")
+            raise InvalidStructure("elements", "elements must be distinct")
         if self.zero not in known:
-            raise ValueError("zero must be an element")
+            raise InvalidStructure("zero", "zero must be an element")
         if self.star.keys() != known:
-            raise ValueError("star must be a total map on the elements")
+            raise InvalidStructure("star", "star must be a total map on the elements")
         outside = set(self.star.values()) - known
         if outside:
-            raise ValueError(f"star maps to unknown element {min(outside)}")
+            raise InvalidStructure("star", f"star maps to unknown element {min(outside)}")
         if not known.issuperset(itertools.chain.from_iterable(self.triples)):
             # the least bad triple, so the message does not follow the hash seed
             t = min(t for t in self.triples if not known.issuperset(t))
             e = next(e for e in t if e not in known)
-            raise ValueError(f"triple {t} mentions unknown element {e}")
+            raise InvalidStructure("triples", f"triple {t} mentions unknown element {e}")
 
     def index(self, e: str) -> int:
         return self.elements.index(e)
@@ -376,12 +392,29 @@ class PostulateReport:
 
 
 def _compose(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """out[i, a, b, c, d] iff some x has left[i, a, b, x] and right[i, x, c, d],
-    as one batched matrix product (float32 counts are exact up to 2**24)."""
-    B, n = left.shape[:2]
-    counts = (left.astype(np.float32).reshape(B, n * n, n)
-              @ right.astype(np.float32).reshape(B, n, n * n))
-    return counts.reshape(B, n, n, n, n) > 0
+    """out[i, *u, *v] iff some x has left[i, *u, x] and right[i, x, *v], as
+    one batched matrix product (float32 counts are exact up to 2**24)."""
+    B, n = right.shape[:2]
+    counts = (left.astype(np.float32).reshape(B, math.prod(left.shape[1:-1]), n)
+              @ right.astype(np.float32).reshape(B, n, math.prod(right.shape[2:])))
+    return counts.reshape(left.shape[:-1] + right.shape[2:]) > 0
+
+
+@functools.lru_cache(maxsize=1024)
+def _closure_maps(star: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """The triple each triple t asks for under p5, p5' and comm, as flat
+    indices (as in `_tensor`): a relation meets the postulate iff R[t]
+    implies R[map[t]] for every t.  Under an involutive star each map is a
+    permutation, whose orbits `_candidates` closes triples into.  Built once
+    per star map and shared, read-only."""
+    n, s = len(star), np.array(star)
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    maps = {"p5": (a * n + s[c]) * n + s[b],          # R a b c: R a c* b*
+            "p5prime": (s[c] * n + a) * n + s[b],     # R a b c: R c* a b*
+            "comm": (b * n + a) * n + c}              # R a b c: R b a c
+    for perm in maps.values():
+        perm.flags.writeable = False
+    return maps
 
 
 def _failures(R: np.ndarray, star: np.ndarray, zero: int,
@@ -393,15 +426,27 @@ def _failures(R: np.ndarray, star: np.ndarray, zero: int,
     [i, *w] is true iff the tuple w of element indices, in the order of the
     postulate's quantifiers, is a counterexample in relation i; for peirce, w
     is a missing image (c, b*, a) of a triple R a b c.  C order of w is
-    element order, so the first true entry is the least witness."""
+    element order, so the first true entry is the least witness.
+
+    Each postulate is built once, as one comparison; where it asks for a
+    fact given another, that is `given > asked`.  p5, p5' and comm gather
+    the flat relation through `_closure_maps`, p4 composes the zero row
+    R[:, zero] with R, and only p3 and p3' build R o R.  Only the named
+    postulates are built; `_passing` names one at a time, in cost order."""
     B, n = R.shape[:2]
     e = np.arange(n)
     wanted = set(names)
-    if wanted & {"p3", "p3prime", "p4"}:
+    flat = R.reshape(B, n ** 3)
+    if wanted & {"p3", "p3prime"}:
         r2 = _compose(R, R)          # R2 a b c d: R a b x and R x c d
+    if wanted & {"p5", "p5prime", "comm"}:
+        maps = _closure_maps(tuple(star.tolist()))
 
     def every(fail):                 # a failure that does not depend on R
-        return np.broadcast_to(fail, (B,) + fail.shape)
+        return np.repeat(fail[None], B, axis=0)
+
+    def closed(name):                # R a b c without the triple it asks for
+        return (flat > flat[:, maps[name]]).reshape(R.shape)
 
     def r2_assoc():                  # R2' a b c d: R b c x and R a x d
         return _compose(R, R.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
@@ -413,18 +458,41 @@ def _failures(R: np.ndarray, star: np.ndarray, zero: int,
     table = {
         "p1": lambda: ~R[:, zero, e, e],
         "p2": lambda: ~R[:, e, e, e],
-        "p3": lambda: r2 & ~r2.transpose(0, 1, 3, 2, 4),
-        "p4": lambda: r2[:, zero] & ~R,
-        "p5": lambda: R & ~R[:, :, star][:, :, :, star].transpose(0, 1, 3, 2),
+        "p3": lambda: r2 > r2.transpose(0, 1, 3, 2, 4),
+        "p4": lambda: _compose(R[:, zero], R) > R,
+        "p5": lambda: closed("p5"),
         "p6": lambda: every(star[star] != e),
-        "comm": lambda: R & ~R.transpose(0, 2, 1, 3),
-        "p3prime": lambda: r2 & ~r2_assoc(),
-        "p5prime": lambda: R & ~R[:, star][:, :, :, star].transpose(0, 2, 3, 1),
+        "comm": lambda: closed("comm"),
+        "p3prime": lambda: r2 > r2_assoc(),
+        "p5prime": lambda: closed("p5prime"),
         "normal": lambda: every((e == zero) & (star[zero] != zero)),
         "crstar": lambda: R[:, zero] != (e[:, None] == e),
-        "peirce": lambda: peirce_images() & ~R,
+        "peirce": lambda: peirce_images() > R,
     }
     return {name: table[name]() for name in POSTULATE_NAMES if name in wanted}
+
+
+# the order in which `_passing` audits the postulates, cheapest first: those
+# that do not read R, then single gathers of it, then compositions
+_COST_ORDER = ("p6", "normal", "p1", "p2", "crstar", "p5", "p5prime", "comm",
+               "p4", "peirce", "p3", "p3prime")
+
+
+def _passing(R: np.ndarray, star: np.ndarray, zero: int, required) -> np.ndarray:
+    """The indices, ascending, of the relations of the batch R that pass
+    every required postulate.  The postulates are audited in `_COST_ORDER`,
+    each by its `_failures` tensor on the relations that passed the ones
+    before it, so a costly postulate sees only the survivors."""
+    rows = np.arange(len(R))
+    for name in _COST_ORDER:
+        if name in required and len(rows):
+            fail = _failures(R, star, zero, (name,))[name].reshape(len(R), -1)
+            # a row passes iff it counts no failure (a float32 product is
+            # faster than `any` along short rows)
+            ok = fail.astype(np.float32) @ np.ones(fail.shape[1], np.float32) == 0
+            if not ok.all():
+                R, rows = R[ok], rows[ok]
+    return rows
 
 
 def _tensor(m: ModelStructure) -> tuple[np.ndarray, np.ndarray, int]:
@@ -448,9 +516,11 @@ def check_postulates(m: ModelStructure) -> PostulateReport:
     witnesses: dict[str, tuple] = {}
     missing: tuple = ()
     for name, fail in _failures(R, star, zero, POSTULATE_NAMES).items():
-        hits = np.flatnonzero(fail[0])[:None if name == "peirce" else 1].tolist()
-        where = [tuple(m.elements[i // n ** k % n] for k in range(fail.ndim - 2, -1, -1))
-                 for i in hits]
+        # flatnonzero without its wrapper; peirce decodes every hit, and a
+        # list per tuple is faster than a generator
+        hits = fail[0].ravel().nonzero()[0][:None if name == "peirce" else 1].tolist()
+        powers = [n ** k for k in range(fail.ndim - 2, -1, -1)]
+        where = [tuple([m.elements[i // p % n] for p in powers]) for i in hits]
         flags[name] = not where
         if where:
             witnesses[name] = where[0]
@@ -533,11 +603,9 @@ def _candidates(size: int, required: frozenset):
             continue
         if "normal" in required and star[0]:
             continue
+        perms = [perm for name, perm in _closure_maps(star).items()
+                 if name in required]
         star = np.array(star)
-        perms = [perm for name, perm in (
-            ("p5", (a * n + star[c]) * n + star[b]),
-            ("p5prime", (star[c] * n + a) * n + star[b]),
-            ("comm", (b * n + a) * n + c)) if name in required]
         label, last = triples, None
         while last is None or (label != last).any():
             last = label
@@ -570,8 +638,11 @@ def enumerate_structures(size: int, required):
     even when p6 is not required.  Exhaustive over the raw encoding of
     `_candidates` (no isomorphism reduction), which refuses a query of more
     than DEFAULT_VALUATION_CAP candidates with TooManyValuations.  Each chunk
-    of candidates is audited as one boolean tensor, for the required
-    postulates only, and a structure is built only for those that pass."""
+    of candidates is audited as one boolean tensor by `_passing`, for every
+    required postulate: the cheap ones first (p6 and normal, then single
+    gathers of R), the compositions (p4, peirce, p3, p3') last and only on
+    the candidates still passing.  A structure is built only for those that
+    pass them all, in candidate order."""
     required = frozenset(required)
     unknown = required - set(POSTULATE_NAMES)
     if unknown:
@@ -582,12 +653,9 @@ def enumerate_structures(size: int, required):
     named = list(itertools.product(elems, repeat=3))
     count = 0
     for star, R in _candidates(size, required):
-        ok = np.ones(len(R), dtype=bool)
-        for fail in _failures(R, star, 0, required).values():
-            ok &= ~fail.reshape(len(R), -1).any(axis=1)
         # one star map per chunk; a yield makes no numpy call, its row is a list
         images = {elems[a]: elems[b] for a, b in enumerate(star.tolist())}
-        for row in R[ok].reshape(-1, size ** 3).tolist():
+        for row in R[_passing(R, star, 0, required)].reshape(-1, size ** 3).tolist():
             yield ModelStructure(f"enum{size}_{count}", elems, elems[0], dict(images),
                                  frozenset(itertools.compress(named, row)))
             count += 1
@@ -599,7 +667,8 @@ def enumerate_structures(size: int, required):
 
 def load_model_file(text: str) -> ModelStructure:
     """The structure a model file describes; a ParseError names the line
-    and column at fault."""
+    and column at fault.  Whether the sections fit together is checked by
+    ModelStructure, and its error is placed at the section it names."""
     name = None
     elements: tuple[str, ...] | None = None
     zero = None
@@ -669,7 +738,13 @@ def load_model_file(text: str) -> ModelStructure:
         n, col = max(seen["triples"], seen["table"])
         raise ParseError(col, "matching 'triples' and 'table' sections", line=n)
     final = triples if triples is not None else from_table
-    return ModelStructure(name, elements, zero, star, frozenset(final))
+    try:
+        return ModelStructure(name, elements, zero, star, frozenset(final))
+    except InvalidStructure as e:
+        # the directive that gave the field; triples may come from a table
+        head = e.field if e.field in seen else "table"
+        n, col = seen[head]
+        raise ParseError(col, f"a valid '{head}' section ({e})", head, n) from None
 
 
 def dump_model_file(m: ModelStructure) -> str:

@@ -22,6 +22,11 @@ def script(line):
     return "lemma x\n" + line + "\n"
 
 
+def fitted(elements, zero, star):
+    """A model file whose every line parses, with no triples."""
+    return f"model m\nelements {elements}\nzero {zero}\nstar {star}\ntriples\nend\n"
+
+
 # reader, text, line, column, found
 CASES = [
     # proof scripts
@@ -74,6 +79,15 @@ CASES = [
     (load_model_file, "model m\nelements 0 a\n", 3, 1, "end of file"),
     (load_model_file, MODEL, 5, 1, "end of file"),
     (load_model_file, MODEL + "triples\n0 0 0\nend\ntable\n{0} {a}\n{a} {0,a}\n", 8, 1, ""),
+    # sections that do not fit together, placed at the section at fault
+    (load_model_file, fitted("0 a", "0", "0:0"), 4, 1, "star"),
+    (load_model_file, fitted("0 a", "0", "0:0 a:zz"), 4, 1, "star"),
+    (load_model_file, fitted("0 a", "0", "0:0 a:a b:b"), 4, 1, "star"),
+    (load_model_file, fitted("0 a", "b", "0:0 a:a"), 3, 1, "zero"),
+    (load_model_file, "model m\n  elements 0 a 0\nzero 0\nstar 0:0 a:a\ntriples\nend\n",
+     2, 3, "elements"),
+    (load_model_file, MODEL + "triples\n0 0 0\n0 x a\nend\n", 5, 1, "triples"),
+    (load_model_file, MODEL + "table\n{0} {a}\n{a} {0,q}\n", 5, 1, "table"),
     # chain files
     (parse_chain, "x;y ; tag\n", 1, 1, "x;y"),
     (parse_chain, "# a comment\nx;; = y ; tag\n", 2, 3, ";"),

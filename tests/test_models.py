@@ -895,6 +895,70 @@ def test_k5_set_enumeration_under_the_cap():
     assert all(oracle_postulates(m).passes(K5_SET) for m in found)
 
 
+def _star_maps(rng, n):
+    """Two random involutions and a random map, as index arrays."""
+    maps = []
+    for _ in range(2):
+        order, star = rng.permutation(n), np.arange(n)
+        for a, b in zip(order[::2], order[1::2]):
+            if rng.random() < 0.5:
+                star[a], star[b] = b, a
+        maps.append(star)
+    return maps + [rng.integers(0, n, n)]
+
+
+def _relations(rng, n, count=48):
+    """Relations from empty to full: full ones less random holes, at a
+    density drawn per relation, so that some pass each postulate."""
+    holes = rng.choice([0.0, 0.01, 0.05, 0.2, 0.6, 1.0], size=(count, 1, 1, 1))
+    return rng.random((count, n, n, n)) >= holes
+
+
+def test_passing_keeps_exactly_the_rows_every_tensor_clears():
+    # _passing audits cheap postulates first, each on the survivors of the
+    # ones before; it must keep what the whole audit at once keeps, in order
+    rng = np.random.default_rng(33)
+    rejected = dict.fromkeys(POSTULATE_NAMES, 0)   # rows each postulate drops first
+    kept = 0
+    for n in range(1, 5):
+        for zero in range(n):
+            for star in _star_maps(rng, n):
+                for k in (12, 1, 2, 4, 6):
+                    required = [str(x) for x in rng.choice(POSTULATE_NAMES, k, replace=False)]
+                    R = _relations(rng, n)
+                    fails = models._failures(R, star, zero, required)
+                    clean = np.ones(len(R), dtype=bool)
+                    for name in models._COST_ORDER:
+                        if name in fails:
+                            ok = ~fails[name].reshape(len(R), -1).any(axis=1)
+                            rejected[name] += int((clean & ~ok).sum())
+                            clean &= ok
+                    rows = models._passing(R, star, zero, required)
+                    assert rows.tolist() == np.flatnonzero(clean).tolist(), (n, required)
+                    kept += len(rows)
+    assert min(rejected.values()) > 0, rejected
+    assert kept > 0
+
+
+# the fancy-index and transpose forms that the flat gathers of _failures replaced
+OLD_CLOSURES = {
+    "p5": lambda R, star: R & ~R[:, :, star][:, :, :, star].transpose(0, 1, 3, 2),
+    "p5prime": lambda R, star: R & ~R[:, star][:, :, :, star].transpose(0, 2, 3, 1),
+    "comm": lambda R, star: R & ~R.transpose(0, 2, 1, 3),
+}
+
+
+def test_closure_gathers_match_the_index_forms():
+    rng = np.random.default_rng(34)
+    for n in range(1, 5):
+        for star in _star_maps(rng, n):
+            R = _relations(rng, n, 16)
+            fails = models._failures(R, star, 0, OLD_CLOSURES)
+            for name, old in OLD_CLOSURES.items():
+                assert fails[name].shape == R.shape
+                assert np.array_equal(fails[name], old(R, star)), (n, star, name)
+
+
 # ------------------------------------------------------------------
 # Model files
 # ------------------------------------------------------------------
@@ -962,7 +1026,8 @@ def test_the_least_bad_triple_is_reported_under_any_hash_seed():
                            text=True, check=True,
                            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}).stdout
             for seed in "01"]
-    assert outs == ["triple ('0', 'x', 'a') mentions unknown element x\n"] * 2
+    assert outs == ["line 5, column 1: expected a valid 'triples' section (triple "
+                    "('0', 'x', 'a') mentions unknown element x), found 'triples'\n"] * 2
 
 
 def test_copied_structure_gets_fresh_tables():
