@@ -38,7 +38,9 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -97,28 +99,48 @@ class ModelStructure:
     name: str
     elements: tuple[str, ...]
     zero: str
-    star: dict[str, str]
+    # a read-only view of the structure's own copy of the map it was given
+    star: Mapping[str, str]
     triples: frozenset[tuple[str, str, str]]
     # built on first use by tables_for; the fields it derives from are frozen
     _tables: "_Tables | None" = field(default=None, init=False, repr=False,
                                       compare=False)
 
     def __post_init__(self):
+        star = dict(self.star)
+        object.__setattr__(self, "star", MappingProxyType(star))
         known = set(self.elements)
         if len(known) != len(self.elements):
             raise InvalidStructure("elements", "elements must be distinct")
         if self.zero not in known:
             raise InvalidStructure("zero", "zero must be an element")
-        if self.star.keys() != known:
+        if star.keys() != known:
             raise InvalidStructure("star", "star must be a total map on the elements")
-        outside = set(self.star.values()) - known
-        if outside:
+        if not known.issuperset(star.values()):
+            outside = set(star.values()) - known
             raise InvalidStructure("star", f"star maps to unknown element {min(outside)}")
         if not known.issuperset(itertools.chain.from_iterable(self.triples)):
             # the least bad triple, so the message does not follow the hash seed
             t = min(t for t in self.triples if not known.issuperset(t))
             e = next(e for e in t if e not in known)
             raise InvalidStructure("triples", f"triple {t} mentions unknown element {e}")
+
+    @classmethod
+    def _unchecked(cls, name, elements, zero, star, triples) -> "ModelStructure":
+        """A structure whose fields fit together by construction, built
+        without `__post_init__`: `star` must already be a read-only view of a
+        map that nothing else holds.  Only the enumerator builds structures
+        this way: the checks were most of the cost of one of its yields."""
+        m = object.__new__(cls)
+        m.__dict__.update(name=name, elements=elements, zero=zero, star=star,
+                          triples=triples, _tables=None)
+        return m
+
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild from the fields, so the copy has
+        # its own star map and builds its own tables (a view does not pickle)
+        return type(self), (self.name, self.elements, self.zero, dict(self.star),
+                            self.triples)
 
     def index(self, e: str) -> int:
         return self.elements.index(e)
@@ -388,7 +410,9 @@ class PostulateReport:
     peirce_missing: tuple[tuple[str, str, str], ...]
 
     def passes(self, names) -> bool:
-        return all(self.flags[n] for n in names)
+        """Whether every postulate of the collection `names` holds; a bare
+        string, or a name not in POSTULATE_NAMES, is refused."""
+        return all(self.flags[n] for n in _postulate_set(names))
 
 
 def _compose(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -576,7 +600,19 @@ def variable_sharing_certificate(a: Formula, b: Formula):
 # Structure enumeration (auditable brute force under a candidate cap)
 # ------------------------------------------------------------------
 
-def _candidates(size: int, required: frozenset):
+def _postulate_set(names) -> frozenset:
+    """`names` as a set of postulate names; a bare string, or a name not in
+    POSTULATE_NAMES, is refused."""
+    if isinstance(names, str):
+        raise TypeError(f"postulates are a collection of names, not the string {names!r}")
+    names = frozenset(names)
+    unknown = names - set(POSTULATE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown postulates: {sorted(unknown)}")
+    return names
+
+
+def _candidates(size: int, required):
     """The candidate relations of an enumeration, as (star, R) pairs: star is
     the index array of an involution and R a (C, size, size, size) boolean
     tensor of at most `_CHUNK` relations.  The star maps are the permutations
@@ -586,10 +622,21 @@ def _candidates(size: int, required: frozenset):
     permutation of the indices that closes triples into orbits, each labelled
     by its least index.  Every union of the free orbits with the seeded ones
     is a candidate, in ascending order of its free-orbit bitmask, whose bit i
-    is the orbit with the i-th least label.  The orbits of the star maps are
-    found first, one map at a time, and a query raises TooManyValuations at
-    the first map that takes the count past DEFAULT_VALUATION_CAP, before any
-    chunk is built."""
+    is the orbit with the i-th least label.
+
+    The call plans the whole query before it returns the generator of
+    chunks: it checks the arguments and `_CHUNK`, which must be a power of
+    two, and finds the orbits of the star maps one map at a time, raising
+    TooManyValuations at the first map that takes the count past
+    DEFAULT_VALUATION_CAP.  A star map's first chunk is one table, yielded
+    as it is (read-only); each later chunk is that table OR-ed with one n**3
+    row, since its words differ from the first chunk's only in the bits
+    above those of `_CHUNK - 1`."""
+    required = _postulate_set(required)
+    if size < 1:
+        raise ValueError(f"a structure needs at least one element, not {size}")
+    if _CHUNK < 1 or _CHUNK & (_CHUNK - 1):
+        raise ValueError(f"the chunk size must be a power of two, not {_CHUNK}")
     n = size
     a, b, c = np.indices((n, n, n)).reshape(3, -1)
     triples = np.arange(n ** 3)
@@ -624,40 +671,54 @@ def _candidates(size: int, required: frozenset):
         # a triple of the i-th free orbit is in a candidate iff bit i of its word is set
         bit = (np.cumsum(free) - free)[label].astype(np.uint64)
         plans.append((star, seeded_in[label], free[label], bit, count))
+    return _chunks(plans, n)
+
+
+def _chunks(plans, n: int):
+    """The chunks of each (star, base, is_free, bit, count) plan of
+    `_candidates`, in order.  Word lo + j, for lo a multiple of the power of
+    two `_CHUNK` and j < `_CHUNK`, is lo | j, so its relation is the first
+    chunk's row j OR-ed with the row of lo; count is a power of two, so
+    every chunk after the first is full."""
     for star, base, is_free, bit, count in plans:
-        for lo in range(0, count, _CHUNK):
-            words = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
-            R = base | is_free & (words[:, None] >> bit & 1).astype(bool)
-            yield star, R.reshape(-1, n, n, n)
+        words = np.arange(min(_CHUNK, count), dtype=np.uint64)
+        low = (base | is_free & (words[:, None] >> bit & 1).astype(bool)).reshape(-1, n, n, n)
+        low.flags.writeable = False          # every later chunk of this map reads it
+        yield star, low
+        for lo in range(_CHUNK, count, _CHUNK):
+            high = is_free & (np.uint64(lo) >> bit & 1).astype(bool)
+            yield star, low | high.reshape(n, n, n)
 
 
 def enumerate_structures(size: int, required):
     """Yield every structure on `size` elements with an involutive star
     whose audit passes the required postulates, named enum{size}_0,
-    enum{size}_1, ...  Star maps that are not involutions are never tried,
-    even when p6 is not required.  Exhaustive over the raw encoding of
-    `_candidates` (no isomorphism reduction), which refuses a query of more
-    than DEFAULT_VALUATION_CAP candidates with TooManyValuations.  Each chunk
-    of candidates is audited as one boolean tensor by `_passing`, for every
-    required postulate: the cheap ones first (p6 and normal, then single
-    gathers of R), the compositions (p4, peirce, p3, p3') last and only on
-    the candidates still passing.  A structure is built only for those that
-    pass them all, in candidate order."""
-    required = frozenset(required)
-    unknown = required - set(POSTULATE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown postulates: {sorted(unknown)}")
-    if size < 1:
-        raise ValueError(f"a structure needs at least one element, not {size}")
+    enum{size}_1, ...  `required` is a collection of names from
+    POSTULATE_NAMES, never a bare string.  Star maps that are not
+    involutions are never tried, even when p6 is not required.  Exhaustive
+    over the raw encoding of `_candidates` (no isomorphism reduction), which
+    refuses a bad argument, or a query of more than DEFAULT_VALUATION_CAP
+    candidates with TooManyValuations, when the first structure is asked
+    for and before any chunk is built.  Each chunk of candidates is one
+    table OR-ed with one row, and is audited as one boolean tensor by
+    `_passing`, for every required postulate: the cheap ones first (p6 and
+    normal, then single gathers of R), the compositions (p4, peirce, p3,
+    p3') last and only on the candidates still passing.  A structure is
+    built only for those that pass them all, in candidate order.  Its
+    fields fit together by construction, so it skips the checks of
+    `__post_init__` (`ModelStructure._unchecked`), and the structures of one
+    chunk share its one read-only map of star images."""
+    required = _postulate_set(required)
+    chunks = _candidates(size, required)
     elems = tuple(str(i) for i in range(size))
     named = list(itertools.product(elems, repeat=3))
     count = 0
-    for star, R in _candidates(size, required):
+    for star, R in chunks:
         # one star map per chunk; a yield makes no numpy call, its row is a list
-        images = {elems[a]: elems[b] for a, b in enumerate(star.tolist())}
+        images = MappingProxyType({elems[a]: elems[b] for a, b in enumerate(star.tolist())})
         for row in R[_passing(R, star, 0, required)].reshape(-1, size ** 3).tolist():
-            yield ModelStructure(f"enum{size}_{count}", elems, elems[0], dict(images),
-                                 frozenset(itertools.compress(named, row)))
+            yield ModelStructure._unchecked(f"enum{size}_{count}", elems, elems[0], images,
+                                            frozenset(itertools.compress(named, row)))
             count += 1
 
 

@@ -749,8 +749,9 @@ def test_enumerated_structures_own_their_values():
     found = enumerate_structures(2, ())
     first, second = next(found), next(found)
     assert first.star == second.star
-    first.star["0"] = "1"
-    assert second.star == {"0": "0", "1": "1"}
+    with pytest.raises(TypeError):
+        first.star["0"] = "1"
+    assert first.star == second.star == {"0": "0", "1": "1"}
     for m in enumerate_structures(3, P1_P6):
         assert all(type(t) is tuple and len(t) == 3 and all(type(e) is str for e in t)
                    for t in m.triples)
@@ -762,12 +763,43 @@ def test_enumerate_needs_an_element(size):
         next(enumerate_structures(size, ()))
 
 
+@pytest.mark.parametrize("size,required,error", [
+    (0, (), ValueError), (-1, (), ValueError), (2, ("p1", "p7"), ValueError),
+    (2, "p1", TypeError), (4, ("p1",), TooManyValuations)])
+def test_candidates_refuse_a_bad_query_at_the_call(size, required, error):
+    # the whole query is planned before the generator is returned
+    with pytest.raises(error):
+        models._candidates(size, required)
+    with pytest.raises(error):
+        next(enumerate_structures(size, required))
+
+
+def test_passes_refuses_a_string_and_unknown_names():
+    report = check_postulates(K1)
+    with pytest.raises(TypeError, match="not the string 'p1'"):
+        report.passes("p1")
+    with pytest.raises(ValueError, match=r"unknown postulates: \['p7'\]"):
+        report.passes(["p1", "p7"])
+    assert report.passes(iter(["p1", "p2"]))
+
+
 P1_P6 = ("p1", "p2", "p3", "p4", "p5", "p6")
 # every size-2 query of the benchmark's enumerate workload and its size-3
 # queries with few candidates
 FAST_QUERIES = [(2, ()), (2, ("p1",)), (2, ("comm",)), (2, ("normal",)),
                 (2, P1_P6), (3, P1_P6 + ("comm",)),
                 (3, P1_P6 + ("normal", "comm")), (3, ("crstar", "p5", "comm"))]
+
+
+@pytest.mark.parametrize("size,required", [(2, ()), (3, P1_P6)])
+def test_enumerated_structures_pass_the_checked_constructor(size, required):
+    # the enumerator skips __post_init__; each structure it builds must be
+    # one that the checks accept and that equals its checked rebuild
+    for m in enumerate_structures(size, required):
+        checked = ModelStructure(m.name, m.elements, m.zero, dict(m.star), m.triples)
+        assert checked == m and checked.same_as(m)
+        assert type(m.star) is type(checked.star) and m._tables is None
+    assert tables_for(m).fus.tolist() == tables_for(checked).fus.tolist()
 
 
 def _listing(structures):
@@ -864,6 +896,29 @@ def test_candidate_stream_is_pinned(size, required):
               for star, R in models._candidates(size, frozenset(required))]
     digest = hashlib.sha256(repr(stream).encode()).hexdigest()
     assert digest == CANDIDATE_DIGESTS[size, required]
+
+
+@pytest.mark.parametrize("size,required", list(CANDIDATE_DIGESTS))
+def test_candidate_stream_does_not_depend_on_the_chunk_size(monkeypatch, size, required):
+    # chunks of 1 and 8 put every bit, or all but the lowest three, in the
+    # row OR-ed onto a star map's first chunk; 1024 holds any map here whole
+    streams = []
+    for chunk in (1, 8, 64, 1024):
+        monkeypatch.setattr(models, "_CHUNK", chunk)
+        pairs = list(models._candidates(size, frozenset(required)))
+        assert all(0 < len(R) <= chunk for _, R in pairs)
+        assert not pairs[0][1].flags.writeable      # later chunks are read off it
+        streams.append((np.concatenate([np.tile(star, (len(R), 1)) for star, R in pairs]),
+                        np.concatenate([R for _, R in pairs])))
+    for stars, rows in streams[:-1]:
+        assert np.array_equal(stars, streams[-1][0])
+        assert np.array_equal(rows, streams[-1][1])
+
+
+def test_candidates_refuse_a_chunk_that_is_not_a_power_of_two(monkeypatch):
+    monkeypatch.setattr(models, "_CHUNK", 7)
+    with pytest.raises(ValueError, match="power of two, not 7"):
+        models._candidates(2, ())
 
 
 # the postulates _candidates builds its candidates to meet; p6 holds too,
@@ -1043,3 +1098,38 @@ def test_copied_structure_gets_fresh_tables():
         assert tab.subsets[fused] == op_fusion(copy, x, y)
     with pytest.raises(dataclasses.FrozenInstanceError):
         K3.triples = fewer
+
+
+def test_star_map_cannot_change_under_cached_tables():
+    import dataclasses
+
+    images = dict(K4.star)
+    m = ModelStructure("K4copy", K4.elements, K4.zero, images, K4.triples)
+    f = parse_formula("(p -> p) -> q | ~q")
+    before = valid_in(m, f).valid
+    images["a"], images["a*"] = "a", "a*"      # the caller's dict is not the map
+    for key, image in (("a", "a"), ("a*", "a*"), ("zz", "a")):
+        with pytest.raises(TypeError):
+            m.star[key] = image
+    assert dict(m.star) == dict(K4.star)
+    assert valid_in(m, f).valid == before == valid_in(dataclasses.replace(K4), f).valid
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy", "replace"])
+def test_copies_of_a_structure_build_their_own_tables(how):
+    import copy
+    import dataclasses
+    import pickle
+
+    m = dataclasses.replace(K4)
+    tables_for(m)
+    again = {"pickle": lambda: pickle.loads(pickle.dumps(m)),
+             "deepcopy": lambda: copy.deepcopy(m), "copy": lambda: copy.copy(m),
+             "replace": lambda: dataclasses.replace(m)}[how]()
+    assert again == m and again.same_as(m) and again is not m
+    assert again._tables is None
+    assert tables_for(again) is not tables_for(m)
+    with pytest.raises(TypeError):
+        again.star["a"] = "a"
+    f = parse_formula("(p -> p) -> q | ~q")
+    assert valid_in(again, f).valid == valid_in(m, f).valid
