@@ -261,8 +261,12 @@ class _Masks:
     def __init__(self, m: ModelStructure):
         self.m = m
         self.tab = tab = tables_for(m)
+        # the identity as a numpy value: a Python int operand is converted
+        # on every operation with an array of masks
+        ident = np.array(tab.zero_mask)
+        ident.flags.writeable = False
         # X;Y is fusion in the opposite order
-        self.ops = _ops(tab.all_mask, 0, tab.zero_mask, tab.star.__getitem__,
+        self.ops = _ops(tab.all_mask, 0, ident, tab.star.__getitem__,
                         lambda x, y: tab.fus[y, x])
         self.connectives = _connectives(self.ops)
 
@@ -392,12 +396,19 @@ def _holds(alg, names: Sequence[str], trials: int, seed: int, test) -> IdentityR
     c = _carrier(alg)
     checked = grid = 0
     for end, env in c.batches(names, trials, seed):
-        keep = np.ones(end - grid, dtype=bool)
         *premises, good = test(c, env)
-        for premise in premises:
-            keep &= premise
-        bad = (keep & ~good).nonzero()[0]
-        checked += int(np.count_nonzero(keep))
+        if premises:
+            # every row of the block, though a premise without variables
+            # is one value
+            keep = np.ones(end - grid, dtype=bool)
+            for premise in premises:
+                keep &= premise
+            bad = (keep & ~good).nonzero()[0]
+            checked += int(np.count_nonzero(keep))
+        else:
+            # a law without variables is one value for the whole block
+            bad = (~good).ravel().nonzero()[0]
+            checked += end - grid
         grid = end
         if bad.size:
             row = int(bad[0])

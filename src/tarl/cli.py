@@ -165,10 +165,8 @@ def cmd_postulates(args) -> Report:
                     + ("" if ok or witness is None else f"  witness {witness}"))
     if report.peirce_missing:
         text.append(f"  missing peirce triples: {list(report.peirce_missing)}")
-    payload = {"model": m.name, "flags": report.flags,
-               "witnesses": {k: list(v) for k, v in report.witnesses.items()},
-               "peirce_missing": [list(t) for t in report.peirce_missing]}
-    return report.passes([f"p{i}" for i in range(1, 7)]), payload, "\n".join(text)
+    return (report.passes([f"p{i}" for i in range(1, 7)]),
+            {"model": m.name, **report.payload()}, "\n".join(text))
 
 
 def cmd_corpus(args) -> Report:

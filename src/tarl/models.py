@@ -21,26 +21,28 @@ are built once and cached, read-only, in a dict emptied once it passes
 GRID_CACHE_BYTES; a check stops at the first block that holds a failing
 row.  The structure postulates (p1..p6 and friends) are audited, never
 assumed, so deliberately defective structures can be represented and
-inspected.  The audit works on a batch of relations at once, held as a
-(B, n, n, n) boolean tensor, and each postulate is one comparison on it:
-p5, p5' and comm gather the flat relation through permutations of the
-triples that the enumerator shares, and p3, p3' and p4 first compose
-relations as a batched matrix product.  `check_postulates` is a batch of
-one.  `enumerate_structures` audits each chunk of candidates cheapest
-postulate first, and each later one only on the candidates that passed the
-ones before.
+inspected.  Each postulate is one row of a table built once per star map
+and zero: for each counterexample position, the index of the fact it is
+given and of the fact it asks, out of a relation's facts (the flat
+relation, True, False, R o R and R2'), and the position fails when the
+given fact holds and the asked one does not.  p5, p5' and comm ask through
+the permutations of the triples that the enumerator shares.
+`check_postulates` audits one structure with one comparison over every
+row; `enumerate_structures` audits each chunk of candidates, held as a
+(B, n, n, n) boolean tensor, one row at a time, cheapest postulate first,
+and each later one only on the candidates that passed the ones before.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -414,14 +416,17 @@ class PostulateReport:
         string, or a name not in POSTULATE_NAMES, is refused."""
         return all(self.flags[n] for n in _postulate_set(names))
 
+    def payload(self) -> dict:
+        """The report in plain values, tuples as lists, for `--json`."""
+        return {"flags": dict(self.flags),
+                "witnesses": {k: list(v) for k, v in self.witnesses.items()},
+                "peirce_missing": [list(t) for t in self.peirce_missing]}
+
 
 def _compose(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """out[i, *u, *v] iff some x has left[i, *u, x] and right[i, x, *v], as
-    one batched matrix product (float32 counts are exact up to 2**24)."""
-    B, n = right.shape[:2]
-    counts = (left.astype(np.float32).reshape(B, math.prod(left.shape[1:-1]), n)
-              @ right.astype(np.float32).reshape(B, n, math.prod(right.shape[2:])))
-    return counts.reshape(left.shape[:-1] + right.shape[2:]) > 0
+    """out[i, u, v] iff some x has left[i, u, x] and right[i, x, v], as one
+    batched matrix product (float32 counts are exact up to 2**24)."""
+    return left.astype(np.float32) @ right.astype(np.float32) > 0
 
 
 @functools.lru_cache(maxsize=1024)
@@ -441,81 +446,224 @@ def _closure_maps(star: tuple[int, ...]) -> dict[str, np.ndarray]:
     return maps
 
 
+# the blocks of an audit's facts, in their order (see `_Audit`)
+_R, _TRUE, _FALSE, _RR, _R2P = range(5)
+
+
+def _facts(R: np.ndarray, compose: bool = True) -> np.ndarray:
+    """The facts of each relation of the batch R, as one (B, F) array: the
+    flat relation, True, False, then R o R and R2' from one matrix product
+    of R's rows [(a, b), x] with its columns [x, (c, d)] and [x, (a, d)]
+    side by side.  Without `compose`, the facts stop after False."""
+    B, n = R.shape[:2]
+    parts = [R.reshape(B, -1), np.repeat(np.array([[True, False]]), B, axis=0)]
+    if compose:
+        # right[x, (c, d)] is R x c d, and right[x, n*n + (a, d)] is R a x d
+        right = np.concatenate([R, R.transpose(0, 2, 1, 3)], axis=2).reshape(B, n, 2 * n * n)
+        both = _compose(R.reshape(B, n * n, n), right)
+        parts.append(both.reshape(B, n * n, 2, n * n).transpose(0, 2, 1, 3).reshape(B, -1))
+    return np.concatenate(parts, axis=1)
+
+
+def _block(R: np.ndarray, block: int, lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi-1 of one block of the facts of each relation of the
+    batch R, as a (B, hi - lo) array: a slice of the flat relation, or of a
+    composition, whose entries lo..hi-1 (multiples of n*n) are rows
+    lo/n**2..hi/n**2 of its product, so only those rows are composed."""
+    B, n = R.shape[:2]
+    if block == _R:
+        return R.reshape(B, -1)[:, lo:hi]
+    right = R if block == _RR else R.transpose(0, 2, 1, 3)
+    rows = R.reshape(B, n * n, n)[:, lo // n ** 2:hi // n ** 2]
+    return _compose(rows, right.reshape(B, n, n * n)).reshape(B, -1)
+
+
+def _reader(block: int, index: np.ndarray, offsets, n: int):
+    """How `_passing` reads the facts `index`, all in `block`: a constant, or
+    (block, lo, hi, gather) for the block's entries lo..hi-1, the least span
+    of whole n*n rows that holds them, and the gather into that span, None
+    when the facts are the whole span in order."""
+    if block in (_TRUE, _FALSE):
+        return np.bool_(block == _TRUE)
+    local = index - offsets[block]
+    row = n * n
+    lo, hi = int(local.min()) // row * row, -(-(int(local.max()) + 1) // row) * row
+    if local.size == hi - lo and (local == np.arange(lo, hi)).all():
+        return block, lo, hi, None
+    gather = local - lo
+    gather.flags.writeable = False
+    return block, lo, hi, gather
+
+
+class _Row(NamedTuple):
+    shape: tuple[int, ...]           # the postulate's quantifiers, n each
+    powers: list[int]                # the place value of each quantifier in C order
+    start: int                       # where the row begins in the table's arrays
+    given: np.ndarray                # [position]: the index of the fact given
+    asked: np.ndarray                # [position]: the index of the fact asked
+
+
+class _Audit:
+    """The postulates on relations over 0..n-1 with star map `star` and zero
+    `zero`, as one row each of a table of gathers, in POSTULATE_NAMES order;
+    built once per (star, zero) by `_audit_table` and shared, read-only.
+
+    The facts of a relation (`_facts`) are one vector: the flat relation
+    (n**3, as in `_tensor`), True, False, R o R (n**4, R2 a b c d: R a b x
+    and R x c d) and R2' (n**4, held at [b, c, a, d]; R2' a b c d: R b c x
+    and R a x d); block k starts at offsets[k].  A row lists its
+    postulate's counterexample positions in C order, each as the index of
+    the fact it is given and of the fact it asks; a position fails when
+    given > asked.  `given` and `asked` are all rows end to end, and row k
+    is positions starts[k]..starts[k+1]-1.  The only state that changes is
+    the cache of `plan`."""
+
+    def __init__(self, star: tuple[int, ...], zero: int):
+        n, s = len(star), np.array(star)
+        self.n = n
+        self.offsets = offsets = np.cumsum([0, n ** 3, 1, 1, n ** 4])
+        true, false = offsets[_TRUE], offsets[_FALSE]
+
+        def at(block, *digits):      # the index of a tuple of a block's entries
+            return offsets[block] + np.ravel_multi_index(digits, (n,) * len(digits))
+
+        e = np.arange(n)
+        i, j = np.indices((n, n)).reshape(2, -1)
+        a, b, c = np.indices((n, n, n)).reshape(3, -1)
+        w, x, y, z = np.indices((n, n, n, n)).reshape(4, -1)
+        every = np.full(n, true)
+        maps = _closure_maps(star)
+        rows = {                     # name: (quantifiers, given, asked)
+            "p1": (1, every, at(_R, zero, e, e)),                         # R 0 a a
+            "p2": (1, every, at(_R, e, e, e)),                            # R a a a
+            "p3": (4, at(_RR, w, x, y, z), at(_RR, w, y, x, z)),          # R2 a b c d: R2 a c b d
+            "p4": (3, at(_RR, zero, a, b, c), at(_R, a, b, c)),           # R2 0 a b c: R a b c
+            "p5": (3, at(_R, a, b, c), maps["p5"]),                       # R a b c: R a c* b*
+            "p6": (1, every, np.where(s[s] == e, true, false)),           # a** = a
+            "comm": (3, at(_R, a, b, c), maps["comm"]),                   # R a b c: R b a c
+            "p3prime": (4, at(_RR, w, x, y, z), at(_R2P, x, y, w, z)),    # R2 a b c d: R2' a b c d
+            "p5prime": (3, at(_R, a, b, c), maps["p5prime"]),             # R a b c: R c* a b*
+            "normal": (1, every, np.where((e == zero) & (s[zero] != zero), false, true)),
+            "crstar": (2, np.where(i == j, true, at(_R, zero, i, j)),      # R 0 a b iff a = b
+                       np.where(i == j, at(_R, zero, i, j), false)),
+            "peirce": (3, at(_R, a, b, c), at(_R, c, s[b], a)),           # R a b c: R c b* a
+        }
+        self.given = np.concatenate([given for _, given, _ in rows.values()])
+        self.asked = np.concatenate([asked for _, _, asked in rows.values()])
+        self.starts = np.cumsum([0] + [n ** arity for arity, _, _ in rows.values()])
+        for table in (self.offsets, self.given, self.asked, self.starts):
+            table.flags.writeable = False
+        starts = self.starts.tolist()
+        self.rows = {name: _Row((n,) * arity, [n ** p for p in range(arity - 1, -1, -1)], start,
+                                self.given[start:end], self.asked[start:end])
+                     for (name, (arity, _, _)), start, end in zip(rows.items(), starts, starts[1:])}
+        self._plans: dict[str, tuple] = {}
+
+    def plan(self, name: str) -> tuple[bool | None, tuple]:
+        """How `_passing` reads a row, built at its first use: (fixed,
+        terms).  The row's positions are split by the pair of blocks they
+        read.  A position given False or asked True never fails, and one
+        given True and asked False always does; `fixed` says whether the
+        star map alone fails the row (p6 and normal read no relation), and
+        is None when the relation decides.  Each other pair of blocks is one
+        term: its given and asked readers (`_reader`) and a vector of ones
+        as long as its positions."""
+        if name not in self._plans:
+            row, n, offsets = self.rows[name], self.n, self.offsets
+            # the blocks of each position's given and asked facts, as g * 8 + k
+            pairs = (offsets.searchsorted(row.given, "right") * 8
+                     + offsets.searchsorted(row.asked, "right") - 9)
+            codes = sorted(set(pairs.tolist()))
+            always, terms = False, []
+            for g, k in (divmod(code, 8) for code in codes):
+                if g == _FALSE or k == _TRUE:        # never fails
+                    continue
+                if (g, k) == (_TRUE, _FALSE):        # fails whatever the relation
+                    always = True
+                    continue
+                given, asked = row.given, row.asked
+                if len(codes) > 1:
+                    part = pairs == g * 8 + k
+                    given, asked = given[part], asked[part]
+                terms.append((_reader(g, given, offsets, n), _reader(k, asked, offsets, n),
+                              np.ones(len(given), np.float32)))
+            self._plans[name] = True if always else None if terms else False, tuple(terms)
+        return self._plans[name]
+
+
+# a table holds about 22,000 indices at n = 8 (170 KB)
+_audit_table = functools.lru_cache(maxsize=128)(_Audit)
+
+
 def _failures(R: np.ndarray, star: np.ndarray, zero: int,
               names) -> dict[str, np.ndarray]:
-    """Where each named postulate fails, for a batch of relations on 0..n-1.
+    """Where each named postulate fails, for a batch of relations on 0..n-1:
+    the evaluator of the rows of `_audit_table`.
 
     R[i, a, b, c] says that R a b c holds in relation i; star[a] is the index
     of a*, and zero the index of 0.  In the tensor of a postulate, entry
     [i, *w] is true iff the tuple w of element indices, in the order of the
     postulate's quantifiers, is a counterexample in relation i; for peirce, w
-    is a missing image (c, b*, a) of a triple R a b c.  C order of w is
-    element order, so the first true entry is the least witness.
-
-    Each postulate is built once, as one comparison; where it asks for a
-    fact given another, that is `given > asked`.  p5, p5' and comm gather
-    the flat relation through `_closure_maps`, p4 composes the zero row
-    R[:, zero] with R, and only p3 and p3' build R o R.  Only the named
-    postulates are built; `_passing` names one at a time, in cost order."""
-    B, n = R.shape[:2]
-    e = np.arange(n)
-    wanted = set(names)
-    flat = R.reshape(B, n ** 3)
-    if wanted & {"p3", "p3prime"}:
-        r2 = _compose(R, R)          # R2 a b c d: R a b x and R x c d
-    if wanted & {"p5", "p5prime", "comm"}:
-        maps = _closure_maps(tuple(star.tolist()))
-
-    def every(fail):                 # a failure that does not depend on R
-        return np.repeat(fail[None], B, axis=0)
-
-    def closed(name):                # R a b c without the triple it asks for
-        return (flat > flat[:, maps[name]]).reshape(R.shape)
-
-    def r2_assoc():                  # R2' a b c d: R b c x and R a x d
-        return _compose(R, R.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
-
-    def peirce_images():             # some R a b c has image (c, b*, a) = (u, v, w)
-        hits = (star == e[:, None]).astype(np.float32)       # [v, b]: b* = v
-        return hits @ R.transpose(0, 3, 2, 1).astype(np.float32) > 0
-
-    table = {
-        "p1": lambda: ~R[:, zero, e, e],
-        "p2": lambda: ~R[:, e, e, e],
-        "p3": lambda: r2 > r2.transpose(0, 1, 3, 2, 4),
-        "p4": lambda: _compose(R[:, zero], R) > R,
-        "p5": lambda: closed("p5"),
-        "p6": lambda: every(star[star] != e),
-        "comm": lambda: closed("comm"),
-        "p3prime": lambda: r2 > r2_assoc(),
-        "p5prime": lambda: closed("p5prime"),
-        "normal": lambda: every((e == zero) & (star[zero] != zero)),
-        "crstar": lambda: R[:, zero] != (e[:, None] == e),
-        "peirce": lambda: peirce_images() > R,
-    }
-    return {name: table[name]() for name in POSTULATE_NAMES if name in wanted}
+    is a triple R a b c whose image (c, b*, a) is missing.  C order of w is
+    element order, so the first true entry is the least witness.  Each is
+    one comparison of two gathers from the batch's facts, which compose R
+    only when a named postulate reads R o R or R2'."""
+    audit = _audit_table(tuple(star.tolist()), zero)
+    rows = {name: row for name, row in audit.rows.items() if name in set(names)}
+    facts = _facts(R, any(max(row.given.max(), row.asked.max()) >= audit.offsets[_RR]
+                          for row in rows.values()))
+    return {name: (facts[:, row.given] > facts[:, row.asked]).reshape((len(R),) + row.shape)
+            for name, row in rows.items()}
 
 
 # the order in which `_passing` audits the postulates, cheapest first: those
 # that do not read R, then single gathers of it, then compositions
 _COST_ORDER = ("p6", "normal", "p1", "p2", "crstar", "p5", "p5prime", "comm",
-               "p4", "peirce", "p3", "p3prime")
+               "peirce", "p4", "p3", "p3prime")
+
+
+def _read(R: np.ndarray, reader, blocks: dict) -> np.ndarray:
+    """The facts a `_reader` names, for each relation of the batch R; the
+    block spans it reads are kept in `blocks`, so a row composes each once."""
+    if not isinstance(reader, tuple):
+        return reader
+    block, lo, hi, gather = reader
+    span = blocks.get((block, lo, hi))
+    if span is None:
+        span = blocks[block, lo, hi] = _block(R, block, lo, hi)
+    return span if gather is None else span[:, gather]
 
 
 def _passing(R: np.ndarray, star: np.ndarray, zero: int, required) -> np.ndarray:
     """The indices, ascending, of the relations of the batch R that pass
-    every required postulate.  The postulates are audited in `_COST_ORDER`,
-    each by its `_failures` tensor on the relations that passed the ones
-    before it, so a costly postulate sees only the survivors."""
+    every required postulate.  The postulates are read off the rows of
+    `_audit_table` in `_COST_ORDER`, each on the relations that passed the
+    ones before it, so a costly postulate sees only the survivors.  A row
+    that reads no relation (p6, normal) is decided once for the batch; each
+    other term compares its two readers: a whole span of a block in order
+    is read as it is, anything else by one gather, and a composition only
+    over the rows its span needs (p4 composes R[:, zero] with R)."""
+    audit = _audit_table(tuple(star.tolist()), zero)
     rows = np.arange(len(R))
     for name in _COST_ORDER:
-        if name in required and len(rows):
-            fail = _failures(R, star, zero, (name,))[name].reshape(len(R), -1)
-            # a row passes iff it counts no failure (a float32 product is
-            # faster than `any` along short rows)
-            ok = fail.astype(np.float32) @ np.ones(fail.shape[1], np.float32) == 0
-            if not ok.all():
-                R, rows = R[ok], rows[ok]
+        if name not in required:
+            continue
+        fixed, terms = audit.plan(name)
+        if fixed is not None:
+            if fixed:
+                return rows[:0]
+            continue
+        if not len(rows):
+            break
+        blocks: dict = {}
+        bad = 0
+        for given, asked, ones in terms:
+            # a float32 product counts a row's failures faster than `any`
+            # along short rows
+            bad = bad + (_read(R, given, blocks) > _read(R, asked, blocks)).astype(np.float32) @ ones
+        ok = bad == 0
+        if not ok.all():
+            R, rows = R[ok], rows[ok]
     return rows
 
 
@@ -530,26 +678,35 @@ def _tensor(m: ModelStructure) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def check_postulates(m: ModelStructure) -> PostulateReport:
-    """Decide every postulate on `m` as a batch of one.  Witnesses are the
-    lexicographically least failures in element order; `peirce_missing` is
-    every missing Peirce image, in element order.  Only those are decoded:
-    the flat C-order index of a failure is its tuple's digits base n."""
+    """Decide every postulate on `m` with one comparison of its facts, given
+    against asked, over every row of `_audit_table` end to end, and one
+    `nonzero`.  `searchsorted` finds where each postulate's failures begin
+    among the hits, and only the first of each is decoded (the C-order index
+    of a position is its tuple's digits base n), so witnesses are the
+    lexicographically least failures in element order.  Peirce's failing
+    triples ask for their missing images, whose flat indices sort them in
+    element order: `peirce_missing` is each once, and its witness the least."""
     R, star, zero = _tensor(m)
-    n = len(m.elements)
+    audit = _audit_table(tuple(star.tolist()), zero)
+    facts = _facts(R)[0]
+    hits = (facts[audit.given] > facts[audit.asked]).nonzero()[0]
+    ends = hits.searchsorted(audit.starts).tolist()
+    n, elems = len(m.elements), m.elements
     flags: dict[str, bool] = {}
     witnesses: dict[str, tuple] = {}
     missing: tuple = ()
-    for name, fail in _failures(R, star, zero, POSTULATE_NAMES).items():
-        # flatnonzero without its wrapper; peirce decodes every hit, and a
-        # list per tuple is faster than a generator
-        hits = fail[0].ravel().nonzero()[0][:None if name == "peirce" else 1].tolist()
-        powers = [n ** k for k in range(fail.ndim - 2, -1, -1)]
-        where = [tuple([m.elements[i // p % n] for p in powers]) for i in hits]
-        flags[name] = not where
-        if where:
-            witnesses[name] = where[0]
+    for (name, row), lo, hi in zip(audit.rows.items(), ends, ends[1:]):
+        flags[name] = lo == hi
+        if lo == hi:
+            continue
         if name == "peirce":
-            missing = tuple(where)
+            images = sorted(set(audit.asked[hits[lo:hi]].tolist()))
+            missing = tuple([(elems[i // n ** 2], elems[i // n % n], elems[i % n])
+                             for i in images])
+            witnesses[name] = missing[0]
+        else:
+            position = int(hits[lo]) - row.start
+            witnesses[name] = tuple([elems[position // p % n] for p in row.powers])
     return PostulateReport(flags, witnesses, missing)
 
 
@@ -702,8 +859,9 @@ def enumerate_structures(size: int, required):
     for and before any chunk is built.  Each chunk of candidates is one
     table OR-ed with one row, and is audited as one boolean tensor by
     `_passing`, for every required postulate: the cheap ones first (p6 and
-    normal, then single gathers of R), the compositions (p4, peirce, p3,
-    p3') last and only on the candidates still passing.  A structure is
+    normal once for the chunk, then single gathers of R, peirce among
+    them), the compositions (p4, p3, p3') last and only on the candidates
+    still passing.  A structure is
     built only for those that pass them all, in candidate order.  Its
     fields fit together by construction, so it skips the checks of
     `__post_init__` (`ModelStructure._unchecked`), and the structures of one

@@ -481,6 +481,24 @@ def test_a_failing_complex_check_counts_up_to_its_block():
                                                            "grid": 16 ** 4}
 
 
+@pytest.mark.parametrize("alg,rows", [(CK["K5"], 1), (ProperAlgebra(3), 1200)],
+                         ids=["K5", "proper3"])
+def test_a_law_without_variables_counts_every_row(alg, rows):
+    """A law, or a premise, without variables is one value for a whole
+    block: a complex algebra has one assignment to no variables, and a
+    proper algebra's blocks of 500 samples have one value each."""
+    assert holds_law(alg, algebra._law("c", "id <= 1"), trials=1200).counters() == {
+        "checked": rows, "grid": rows}
+    failing = holds_law(alg, algebra._law("c", "1 <= id"), trials=1200)
+    assert (failing.passed, failing.counterexample) == (False, {})
+    assert failing.counters() == {"checked": min(rows, 500), "grid": min(rows, 500)}
+    kept = holds_law(alg, algebra._law("p", "x <= x", ["id <= 1"]), trials=1200)
+    dropped = holds_law(alg, algebra._law("p", "x <= id", ["1 <= id"]), trials=1200)
+    grid = 16 if rows == 1 else rows             # K5's four elements, or the samples
+    assert kept.counters() == {"checked": grid, "grid": grid}
+    assert dropped.passed and dropped.counters() == {"checked": 0, "grid": grid}
+
+
 # ------------------------------------------------------------------
 # Chains
 # ------------------------------------------------------------------

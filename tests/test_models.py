@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -446,6 +447,16 @@ def test_audit_reports_plain_values():
         assert all(type(ok) is bool for ok in r.flags.values())
         for t in [*r.witnesses.values(), *r.peirce_missing]:
             assert type(t) is tuple and all(type(e) is str for e in t)
+
+
+def test_postulate_payload_is_plain_values():
+    for m in ALL + _audit_cases()[:50]:
+        r = check_postulates(m)
+        payload = r.payload()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload == {"flags": r.flags,
+                           "witnesses": {k: list(v) for k, v in r.witnesses.items()},
+                           "peirce_missing": [list(t) for t in r.peirce_missing]}
 
 
 # ------------------------------------------------------------------
@@ -993,6 +1004,70 @@ def test_passing_keeps_exactly_the_rows_every_tensor_clears():
                     kept += len(rows)
     assert min(rejected.values()) > 0, rejected
     assert kept > 0
+
+
+def _structure_of(R, star, zero):
+    """The structure on elements "0".."n-1" whose relation is the boolean
+    (n, n, n) array R, with star map and zero as indices."""
+    elements = tuple(str(i) for i in range(len(R)))
+    return ModelStructure("batch", elements, elements[zero],
+                          {elements[a]: elements[b] for a, b in enumerate(star)},
+                          frozenset((elements[a], elements[b], elements[c])
+                                    for a, b, c in zip(*np.nonzero(R))))
+
+
+def test_batched_failures_agree_with_the_audit_of_each_row():
+    # _failures reads a whole batch from the table's rows; check_postulates,
+    # tied to the set-based oracle, reads one structure at a time
+    rng = np.random.default_rng(35)
+    audited = 0
+    for n in range(1, 5):
+        for zero in range(n):
+            for star in _star_maps(rng, n):         # two involutions, one arbitrary map
+                R = _relations(rng, n, 12)
+                fails = models._failures(R, star, zero, POSTULATE_NAMES)
+                assert list(fails) == list(POSTULATE_NAMES)
+                for i, relation in enumerate(R):
+                    flags = check_postulates(_structure_of(relation, star, zero)).flags
+                    assert {name: not f[i].any() for name, f in fails.items()} == flags
+                    audited += 1
+    assert audited == 360
+
+
+class _Unreadable:
+    """A batch of relations that only tells its length: any other use of it
+    is an error."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the relations were read (.{name})")
+
+    def __getitem__(self, key):
+        raise AssertionError("the relations were read")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the relations were read")
+
+
+def test_passing_decides_p6_and_normal_from_the_star_map_alone():
+    not_involutive = np.array([1, 1, 2])     # 0** = 1
+    moves_zero = np.array([1, 0, 2])         # an involution with 0* = 1
+    involution = np.array([0, 2, 1])
+    everything = POSTULATE_NAMES
+    assert models._passing(_Unreadable(64), not_involutive, 0, everything).tolist() == []
+    assert models._passing(_Unreadable(64), moves_zero, 0, ("normal", "p3", "p4")).tolist() == []
+    assert models._passing(_Unreadable(64), moves_zero, 0, ("p6", "normal")).tolist() == []
+    # 2* = 2, so the same map with zero 2 passes both, again unread
+    assert models._passing(_Unreadable(5), moves_zero, 2, ("p6", "normal")).tolist() == [0, 1, 2, 3, 4]
+    assert models._passing(_Unreadable(3), involution, 0, ("normal",)).tolist() == [0, 1, 2]
+    # past p6 and normal, the relations decide
+    full = np.ones((4, 1, 1, 1), dtype=bool)
+    assert models._passing(full, np.array([0]), 0, everything).tolist() == [0, 1, 2, 3]
 
 
 # the fancy-index and transpose forms that the flat gathers of _failures replaced
