@@ -434,8 +434,9 @@ def _closure_maps(star: tuple[int, ...]) -> dict[str, np.ndarray]:
     """The triple each triple t asks for under p5, p5' and comm, as flat
     indices (as in `_tensor`): a relation meets the postulate iff R[t]
     implies R[map[t]] for every t.  Under an involutive star each map is a
-    permutation, whose orbits `_candidates` closes triples into.  Built once
-    per star map and shared, read-only."""
+    permutation, whose orbits `_candidates` closes triples into; the audit
+    table's rows for those postulates ask through them.  Built once per
+    star map and shared, read-only."""
     n, s = len(star), np.array(star)
     a, b, c = np.indices((n, n, n)).reshape(3, -1)
     maps = {"p5": (a * n + s[c]) * n + s[b],          # R a b c: R a c* b*
