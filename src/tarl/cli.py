@@ -109,7 +109,8 @@ def cmd_prove(args) -> Report:
     budget = _checked(search.SearchBudget, max_depth=args.depth,
                       max_index=args.max_index, max_nodes=args.nodes)
     outcome = search.search_proof(goal, budget)
-    payload = {"status": outcome.status, "bound": outcome.bound, **outcome.counters()}
+    payload = {"status": outcome.status, "limit": outcome.limit, "bound": outcome.bound,
+               **outcome.counters()}
     if outcome.proved:
         script = format_proof_script("found", outcome.proof)
         return (True, {**payload, "lines": len(outcome.proof.lines), "script": script,

@@ -65,19 +65,29 @@ Internal nodes are never checked: pruning every node this way saved few
 nodes and took longer.
 
 Formulas are hash-consed (``formulas``), so the codes use each formula's
-``uid``.  Each search owns a table (``_Table``) in which every assertion is
-made once, so sequent set operations reuse stored hashes.  The table sorts
-the principals of each side once, by their formula's cached text, and
-memoises canonical forms, since sequents recur across passes; it is dropped
-with the search.  The outcome sums over all passes how each node ended and
-how many keys were taken.
+``uid``.  Each search owns a table (``_Table``) that gives each assertion a
+bit the first time it is made, and a sequent in the search is a pair of
+ints, the masks of its left and right sides.  A sequent is an axiom when
+its masks share a bit.  A premise is its conclusion with the principal's
+bit cleared (impL keeps it) and the actives' bits set, and triage tests
+the actives' bits against the sides.  Index x is used when a side meets
+``holds[x]``, the bits of the assertions that hold x; weakening clears
+those bits.  The table keeps the active masks of each rule, principal and
+index, sorts the principals of each side once, by their formula's cached
+text, and memoises canonical forms on the masks, since sequents recur
+across passes; it is dropped with the search.  Only the sequents of a
+found proof are read back as ``Sequent``s, which ``check_proof``
+re-checks.  The outcome sums over all passes how each node ended and how
+many keys were taken.
 """
 
 from __future__ import annotations
 
-from itertools import chain, groupby, permutations, product, starmap
+from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from itertools import chain, groupby, permutations, product, starmap
+from operator import itemgetter, or_
 
 from .algebra import ProperAlgebra, eval_term, translate, verified_in_algebra
 from .formulas import Formula, desugar_fusion
@@ -132,7 +142,10 @@ class SearchOutcome:
     variable's relation, sorted pairs of ints) and ``point``, an x with
     (x, x) outside ``translate(goal)``.  The goal is then outside the
     logic, so no proof exists at any bound, depth or node budget.
-    ``not_found`` says only that the bounded space was searched in full."""
+    ``not_found`` says only that the bounded space was searched in full.
+    limit says why a search ended ``budget_exhausted``: "nodes" when the
+    node budget ran out, "depth" when the last pass ended on depth
+    cutoffs; it is None for every other status."""
     status: str  # "proved" | "refuted" | "not_found" | "budget_exhausted"
     proof: Proof | None = None
     nodes: int = 0
@@ -146,6 +159,7 @@ class SearchOutcome:
     objects: frozenset[int] | None = None
     bound: int = 0
     counterexample: dict | None = None
+    limit: str | None = None  # "nodes" | "depth"
 
     @property
     def proved(self) -> bool:
@@ -166,38 +180,72 @@ _CONNECTIVES = tuple({rule.conn for rule in RULES if rule.conn})
 
 
 class _Table:
-    """One search's assertions, the order of each side's principals and
-    the canonical forms.
+    """One search's assertions, the actives of its rule applications, the
+    order of each side's principals and the canonical forms.
 
-    Each assertion is made once, as a one-element set; sequents are unions
-    and differences of these sets, which reuse the stored hashes, so an
-    assertion is hashed once per search and not once per node.  A side's
-    principals are sorted once, the first time a node has that side."""
+    Each assertion gets a bit the first time it is made, and a sequent is
+    the pair (left, right) of the masks of its sides.  ``holds[x]`` has the
+    bits of the assertions that hold index x.  A side's principals are
+    sorted once, the first time a node has them."""
 
     def __init__(self):
-        self._singles: dict[int, frozenset[Assertion]] = {}
-        self._ordered: dict[frozenset[Assertion], list[Assertion]] = {}
-        self._canonical: dict[Sequent, tuple[int, ...]] = {}
+        self._bits: dict[int, int] = {}
+        self._made: list[Assertion] = []
+        # each bit's canonical code, (uid << 1 | side, i, j), per side
+        self._codes: tuple[list, list] = ([], [])
+        self._connectives = 0  # the bits of assertions some rule takes as principal
+        self.holds = [0] * MAX_BOUND
+        self._actives: dict[tuple, list[tuple[int, int]]] = {}
+        self._ordered: dict[int, list[Assertion]] = {}
+        self._canonical: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def single(self, f: Formula, i: int, j: int) -> frozenset[Assertion]:
-        """{(f)[i,j]}; i and j are below 8, as max_index is at most MAX_BOUND."""
+    def bit(self, f: Formula, i: int, j: int) -> int:
+        """The mask of (f)[i,j] alone; i and j are below 8, as max_index is
+        at most MAX_BOUND."""
         key = f.uid << 6 | i << 3 | j
-        one = self._singles.get(key)
+        one = self._bits.get(key)
         if one is None:
-            one = self._singles[key] = frozenset((Assertion(f, i, j),))
+            one = self._bits[key] = 1 << len(self._made)
+            self._made.append(Assertion(f, i, j))
+            self._codes[0].append((f.uid << 1, i, j))
+            self._codes[1].append((f.uid << 1 | 1, i, j))
+            if isinstance(f, _CONNECTIVES):
+                self._connectives |= one
+            holds = self.holds
+            holds[i] |= one
+            holds[j] |= one
         return one
 
-    def ordered(self, side: frozenset[Assertion]) -> list[Assertion]:
-        """The assertions of side that some rule takes as principal (no
-        atom), in ``Assertion.key`` order."""
-        out = self._ordered.get(side)
+    def encode(self, side: Iterable[Assertion]) -> int:
+        """The mask of a set of assertions."""
+        return reduce(or_, [self.bit(a.formula, a.i, a.j) for a in side], 0)
+
+    def actives(self, rule: Rule, a: Assertion, k: int | None) -> list[tuple[int, int]]:
+        """The masks of each premise's left and right actives when rule has
+        principal a and index k."""
+        key = rule, a, k
+        out = self._actives.get(key)
         if out is None:
-            out = self._ordered[side] = sorted(
-                [a for a in side if isinstance(a.formula, _CONNECTIVES)],
-                key=Assertion.key)
+            bit = self.bit
+            out = self._actives[key] = [
+                (reduce(or_, starmap(bit, left), 0), reduce(or_, starmap(bit, right), 0))
+                for left, right in rule.premises(a.formula, a.i, a.j, k)]
         return out
 
-    def canonical(self, seq: Sequent) -> tuple[int, ...]:
+    def decode(self, mask: int) -> frozenset[Assertion]:
+        """The assertions of a mask."""
+        return frozenset(_picked(self._made, mask))
+
+    def ordered(self, side: int) -> list[Assertion]:
+        """The assertions of side that some rule takes as principal (no
+        atom), in ``Assertion.key`` order."""
+        side &= self._connectives
+        out = self._ordered.get(side)
+        if out is None:
+            out = self._ordered[side] = sorted(_picked(self._made, side), key=Assertion.key)
+        return out
+
+    def canonical(self, seq: tuple[int, int]) -> tuple[int, ...]:
         """The canonical form of seq (see the module docstring): the sorted
         codes ``(uid << 1 | side) << 6 | rank_i << 3 | rank_j`` of its
         assertions, with side 0 for the left and 1 for the right.  The
@@ -208,8 +256,7 @@ class _Table:
         best = self._canonical.get(seq)
         if best is not None:
             return best
-        codes = [(a.formula.uid << 1, a.i, a.j) for a in seq.left]
-        codes += [(a.formula.uid << 1 | 1, a.i, a.j) for a in seq.right]
+        codes = _picked(self._codes[0], seq[0]) + _picked(self._codes[1], seq[1])
         occurs: dict[int, list[int]] = {}
         for code, i, j in codes:
             code <<= 2
@@ -237,10 +284,21 @@ class _Table:
         return best
 
 
-def _fresh_index(seq: Sequent, avoid: tuple[int, int], max_index: int) -> int | None:
-    used = seq.indices()
+def _picked(items: list, mask: int) -> list:
+    """The items at the positions of the bits set in mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def _fresh_index(seq: tuple[int, int], avoid: tuple[int, int], max_index: int,
+                 table: _Table) -> int | None:
+    used = seq[0] | seq[1]
     for k in range(max_index):
-        if k not in used and k not in avoid:
+        if not used & table.holds[k] and k not in avoid:
             return k
     return None
 
@@ -252,57 +310,49 @@ _INVERTIBLE = [phase for phase in (
 _BRANCHING = [r for r in RULES if r.side and not r.invertible]
 
 
-def _backward(rule: Rule, seq: Sequent, principal: Assertion, k: int | None,
-              table: _Table) -> list[Sequent]:
+def _backward(rule: Rule, seq: tuple[int, int], principal: Assertion, k: int | None,
+              table: _Table) -> list[tuple[int, int]]:
     """The premises from which rule concludes seq with this principal."""
-    left, right = seq.left, seq.right
+    left, right = seq
     if not rule.keeps_principal:
-        drop = table.single(principal.formula, principal.i, principal.j)
+        keep = ~table.bit(principal.formula, principal.i, principal.j)
         if rule.side == "left":
-            left = left - drop
+            left &= keep
         else:
-            right = right - drop
-    return [Sequent(left.union(*starmap(table.single, act_left)),
-                    right.union(*starmap(table.single, act_right)))
-            for act_left, act_right in rule.premises(principal.formula, principal.i,
-                                                     principal.j, k)]
+            right &= keep
+    return [(left | act_left, right | act_right)
+            for act_left, act_right in table.actives(rule, principal, k)]
 
 
-def _triage(rule: Rule, a: Assertion, k: int | None, seq: Sequent,
+def _triage(rule: Rule, a: Assertion, k: int | None, seq: tuple[int, int],
             table: _Table) -> int | None:
     """The try order of a branching step, read from its actives: None when
     a premise would equal seq (the step is dropped), 0 when a premise
     closes at once, else 1."""
+    left, right = seq
     order = 1
-    for act_left, act_right in rule.premises(a.formula, a.i, a.j, k):
-        adds = False
-        for f, i, j in act_left:
-            one = table.single(f, i, j)
-            adds = adds or not one <= seq.left
-            order = 0 if one <= seq.right else order
-        for f, i, j in act_right:
-            one = table.single(f, i, j)
-            adds = adds or not one <= seq.right
-            order = 0 if one <= seq.left else order
-        if not adds and rule.keeps_principal:
+    for act_left, act_right in table.actives(rule, a, k):
+        if rule.keeps_principal and not (act_left & ~left or act_right & ~right):
             return None
+        if act_left & right or act_right & left:
+            order = 0
     return order
 
 
-def _steps(seq: Sequent, run: _Pass):
+def _steps(seq: tuple[int, int], run: _Pass):
     """Backward steps (rule, k, premises) to try in turn: the first
     invertible one alone, or else the branching ones after triage (see the
     module docstring), then the weaken steps that free an index for impR.
     A step's premises are built when it is tried.  Sets ``run.deeper`` when
     a larger bound would add a step."""
     table = run.table
-    ordered = {"left": table.ordered(seq.left), "right": table.ordered(seq.right)}
+    ordered = {"left": table.ordered(seq[0]), "right": table.ordered(seq[1])}
     short = False  # impR found no unused index below the bound
     for phase in _INVERTIBLE:
         for a in ordered[phase[0].side]:
             for rule in phase:
                 if isinstance(a.formula, rule.conn) and not short:
-                    k = _fresh_index(seq, (a.i, a.j), run.bound) if rule.index else None
+                    k = _fresh_index(seq, (a.i, a.j), run.bound, table) if rule.index else None
                     if rule.index is None or k is not None:
                         yield rule, k, _backward(rule, seq, a, k, table)
                         return
@@ -321,11 +371,10 @@ def _steps(seq: Sequent, run: _Pass):
         yield rule, k, _backward(rule, seq, a, k, table)
     if short and run.weakens:
         imps = [a for a in ordered["right"] if isinstance(a.formula, _IMPR.conn)]
-        for x in sorted(seq.indices()):
-            if any(x != a.i and x != a.j for a in imps):
-                yield _WEAKEN, None, [Sequent(
-                    frozenset(a for a in seq.left if x != a.i and x != a.j),
-                    frozenset(a for a in seq.right if x != a.i and x != a.j))]
+        left, right = seq
+        for x, holds in enumerate(table.holds):
+            if (left | right) & holds and any(x != a.i and x != a.j for a in imps):
+                yield _WEAKEN, None, [(left & ~holds, right & ~holds)]
 
 
 class _OutOfNodes(Exception):
@@ -371,8 +420,8 @@ class _Pass:
         self.fail_cache = fail_cache
         self.deeper = False  # some node had a step that a larger bound extends
 
-    def prove(self, seq: Sequent, depth: int, seen: frozenset) -> tuple | None:
-        """A proof tree of seq, each node (sequent, rule, k, children), or
+    def prove(self, seq: tuple[int, int], depth: int, seen: frozenset) -> tuple | None:
+        """A proof tree of seq, each node (masks, rule, k, children), or
         None; each node visited is counted on out."""
         out = self.out
         out.nodes += 1
@@ -383,7 +432,7 @@ class _Pass:
             cert = _refutation(self.goal)
             if cert is not None:
                 raise _Refuted(cert)
-        if seq.is_axiom():
+        if seq[0] & seq[1]:
             out.axioms += 1
             return seq, _AXIOM, None, ()
         if depth <= 0:
@@ -414,13 +463,16 @@ class _Pass:
         return None
 
 
-def _linearize(node: tuple, lines: list, index: dict) -> int:
+def _linearize(node: tuple, lines: list, index: dict, table: _Table) -> int:
+    """Appends the lines of a proof tree, each node's sequent read back from
+    its masks, and returns the node's line number."""
     seq, rule, k, children = node
     if seq in index:
         return index[seq]
-    refs = [_linearize(child, lines, index) for child in children]
+    refs = [_linearize(child, lines, index, table) for child in children]
     eigen = k if rule.index == "eigen" else None  # impL's k is not recorded
-    lines.append((seq, rule(*refs, eigen=eigen)))
+    lines.append((Sequent(table.decode(seq[0]), table.decode(seq[1])),
+                  rule(*refs, eigen=eigen)))
     index[seq] = len(lines)
     return len(lines)
 
@@ -436,7 +488,7 @@ def _search(goal: Formula, budget: SearchBudget, new_cache=dict,
     pass, deepening from first_bound, checking for a refutation at node
     refute_after (never when None)."""
     table = _Table()
-    root_seq = Sequent(frozenset(), table.single(desugar_fusion(goal), 0, 0))
+    root_seq = (0, table.encode([Assertion(desugar_fusion(goal), 0, 0)]))
     out = SearchOutcome("budget_exhausted")
     for bound in range(first_bound, budget.max_index + 1):
         out.bound, cutoffs = bound, out.cutoffs
@@ -444,6 +496,7 @@ def _search(goal: Formula, budget: SearchBudget, new_cache=dict,
         try:
             tree = run.prove(root_seq, budget.max_depth, frozenset())
         except _OutOfNodes:
+            out.limit = "nodes"
             return out
         except _Refuted as stop:
             cert = stop.args[0]
@@ -456,9 +509,11 @@ def _search(goal: Formula, budget: SearchBudget, new_cache=dict,
     if tree is None:
         if out.cutoffs == cutoffs:
             out.status = "not_found"
+        else:
+            out.limit = "depth"
         return out
     lines: list = []
-    _linearize(tree, lines, {})
+    _linearize(tree, lines, {}, table)
     proof = Proof(lines=lines, bound=budget.max_index, goal=goal)
     report = check_proof(proof)
     if not report.valid:  # pragma: no cover - soundness guard

@@ -107,6 +107,16 @@ def test_prove_json_reports_the_search_counters(capsys, argv, status):
         "axioms", "cutoffs", "loop_prunes", "cache_prunes", "expansions"))
     assert 0 < payload["canonical_forms"] <= payload["nodes"]
     assert payload["refutation_checks"] == refuted
+    assert payload["limit"] is None
+
+
+@pytest.mark.parametrize("flag, limit", [("--nodes", "nodes"), ("--depth", "depth")])
+def test_prove_json_says_which_limit_stopped_the_search(capsys, flag, limit):
+    code, out, _ = run(capsys, "prove", "(b -> (c -> a)) -> (~(b -> ~c) -> a)",
+                       flag, "5", "--json")
+    payload = json.loads(out)
+    assert code == 1
+    assert (payload["status"], payload["limit"]) == ("budget_exhausted", limit)
 
 
 def test_prove_refuted_names_the_base_and_the_point(capsys):

@@ -37,18 +37,21 @@ def principal_of(rule, data):
 @given(data=st.data(), left=contexts, right=contexts)
 def test_backward_step_rechecks_forward(rule, data, left, right):
     principal = principal_of(rule, data)
-    table = _Table()  # search builds premises from its table
+    table = _Table()  # search builds premises as masks of its table
     if rule.side == "left":
         concl = Sequent(left | {principal}, right)
     else:
         concl = Sequent(left, right | {principal})
+    masks = (table.encode(concl.left), table.encode(concl.right))
     if rule.index == "eigen":
-        k = _fresh_index(concl, (principal.i, principal.j), BOUND)
+        k = _fresh_index(masks, (principal.i, principal.j), BOUND, table)
         if k is None:
             return
+        assert k not in concl.indices() | {principal.i, principal.j}
     else:
         k = data.draw(indices) if rule.index else None
-    premises = _backward(rule, concl, principal, k, table)
+    premises = [Sequent(table.decode(left), table.decode(right))
+                for left, right in _backward(rule, masks, principal, k, table)]
     assert len(premises) == rule.refs
     just = rule(*range(1, rule.refs + 1), eigen=k if rule.index == "eigen" else None)
     check_step(premises, (concl, just), BOUND)  # raises RuleError on failure

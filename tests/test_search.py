@@ -1,15 +1,17 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from tarl import search
-from tarl.formulas import And, Imp, Neg, Or, Var, parse_formula, variables
+from tarl.formulas import And, Imp, Neg, Or, Var, parse_formula, substitute, variables
 from tarl.gen import random_core_formula
 from tarl.models import valid_in
 from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
 from tarl.search import REFUTE_AFTER, SearchBudget, search_proof
-from tarl.sequents import Sequent, check_proof, format_proof_script
+from tarl.sequents import Assertion, Sequent, check_proof, format_proof_script
 
 
 def test_identity_implication():
@@ -76,6 +78,21 @@ def test_soundness_spot_check():
 def test_unprovable_nontheorem_reports_not_found():
     out = search_proof(parse_formula("p -> q"), SearchBudget(max_depth=8))
     assert out.status == "not_found"
+
+
+@pytest.mark.parametrize("budget, limit", [
+    (SearchBudget(max_nodes=5), "nodes"),
+    (SearchBudget(max_depth=5), "depth"),
+    (SearchBudget(), None),
+], ids=["nodes", "depth", "proved"])
+def test_an_exhausted_search_says_which_limit_stopped_it(budget, limit):
+    out = search_proof(parse_formula("(b -> (c -> a)) -> (~(b -> ~c) -> a)"), budget)
+    assert out.limit == limit
+    assert out.status == ("proved" if limit is None else "budget_exhausted")
+    # a node-limited search stops at the node past its budget; a
+    # depth-limited one ends its last pass with cutoffs and nodes to spare
+    assert (out.nodes > budget.max_nodes) == (limit == "nodes")
+    assert (out.cutoffs > 0) == (limit == "depth")
 
 
 def test_budget_validation():
@@ -199,25 +216,33 @@ def _subformulas(f, out):
     return out
 
 
-def _renamed(table, seq, ren):
+def _renamed(seq, ren):
     def move(side):
-        return [a for b in side for a in table.single(b.formula, ren[b.i], ren[b.j])]
+        return [Assertion(b.formula, ren[b.i], ren[b.j]) for b in side]
     return Sequent.of(move(seq.left), move(seq.right))
 
 
-def _random_sequent(rng, table, pool, bound, max_used):
+def _random_sequent(rng, pool, bound, max_used):
     used = rng.sample(range(bound), rng.randint(1, 3))
 
     def side():
-        return [a for _ in range(rng.randint(0, 4))
-                for a in table.single(rng.choice(pool), rng.choice(used), rng.choice(used))]
+        return [Assertion(rng.choice(pool), rng.choice(used), rng.choice(used))
+                for _ in range(rng.randint(0, 4))]
     seq = Sequent.of(side(), side())
     spare = [x for x in range(bound) if x not in used]
     if len(spare) >= len(used) and 2 * len(used) <= max_used and rng.random() < 0.5:
         # add a copy on fresh indices: each index ties with its image
-        copy = _renamed(table, seq, dict(zip(used, rng.sample(spare, len(used)))))
+        copy = _renamed(seq, dict(zip(used, rng.sample(spare, len(used)))))
         seq = Sequent(seq.left | copy.left, seq.right | copy.right)
     return seq
+
+
+def _key(table, seq):
+    """The canonical form of seq, through the masks of its sides, which
+    read back as its sides."""
+    masks = (table.encode(seq.left), table.encode(seq.right))
+    assert (table.decode(masks[0]), table.decode(masks[1])) == (seq.left, seq.right)
+    return table.canonical(masks)
 
 
 @pytest.mark.parametrize("bound", [4, 6, 8])
@@ -232,16 +257,16 @@ def test_canonical_form_matches_the_injection_oracle(bound):
     oracle_of: dict = {}
     ours_of: dict = {}
     for _ in range(150):
-        seq = _random_sequent(rng, table, pool, bound, max_used)
+        seq = _random_sequent(rng, pool, bound, max_used)
         used = sorted(seq.indices())
         image = rng.sample(range(bound), len(used))
-        variants = [seq, _renamed(table, seq, dict(zip(used, image)))]
+        variants = [seq, _renamed(seq, dict(zip(used, image)))]
         # a near miss: one assertion's indices swapped
         if seq.left:
             a = next(iter(seq.left))
-            variants.append(Sequent(seq.left - {a} | table.single(a.formula, a.j, a.i),
+            variants.append(Sequent(seq.left - {a} | {Assertion(a.formula, a.j, a.i)},
                                     seq.right))
-        keys = [table.canonical(s) for s in variants]
+        keys = [_key(table, s) for s in variants]
         assert keys[0] == keys[1]  # invariant under renaming
         for s, key in zip(variants, keys):
             oracle = _oracle_key(s, bound, fids)
@@ -257,18 +282,18 @@ def test_canonical_form_reads_back_as_a_renaming():
     # the next, also when ranks reach 7
     table = search._Table()
     a = parse_formula("a")
-    chain = Sequent.of([x for n in range(7) for x in table.single(a, n, n + 1)])
+    chain = Sequent.of([Assertion(a, n, n + 1) for n in range(7)])
     rng = random.Random(8)
     pool = _subformulas(parse_formula("(a -> b) & ~(b -> a)"), [])
-    for seq in [chain] + [_random_sequent(rng, table, pool, 8, 8) for _ in range(50)]:
-        key = table.canonical(seq)
+    for seq in [chain] + [_random_sequent(rng, pool, 8, 8) for _ in range(50)]:
+        key = _key(table, seq)
         formula = {x.formula.uid: x.formula for x in seq.left | seq.right}
         sides = ([], [])
         for code in key:
-            sides[code >> 6 & 1].extend(table.single(formula[code >> 7], code >> 3 & 7,
-                                                     code & 7))
-        assert table.canonical(Sequent.of(*sides)) == key
-    key = table.canonical(chain)
+            sides[code >> 6 & 1].append(Assertion(formula[code >> 7], code >> 3 & 7,
+                                                  code & 7))
+        assert _key(table, Sequent.of(*sides)) == key
+    key = _key(table, chain)
     assert {code >> 3 & 7 for code in key} | {code & 7 for code in key} == set(range(8))
 
 
@@ -427,3 +452,48 @@ def test_searches_under_the_trigger_never_check():
     for entry in list_corpus():
         out = search_proof(entry.proof.goal)
         assert out.refutation_checks == (out.nodes >= REFUTE_AFTER), entry.lemma_id
+
+
+# ------------------------------------------------------------------
+# Outcomes pinned by digest
+# ------------------------------------------------------------------
+
+def corpus_instances(seed, count):
+    """count seeded substitution instances of the corpus goals: goal
+    i % 38 with each variable, in sorted order, replaced by a random core
+    formula over p, q, r of 1 to 6 nodes."""
+    rng = random.Random(seed)
+    goals = [entry.proof.goal for entry in list_corpus()]
+    return [substitute(goal, {v: random_core_formula(rng, rng.randint(1, 6), "pqr")
+                              for v in sorted(variables(goal))})
+            for goal in itertools.islice(itertools.cycle(goals), count)]
+
+
+def outcome_digest(goals, budget=SearchBudget()):
+    """sha256 over each goal's search outcome: status, every counter, bound,
+    objects, proof script and counterexample, in plain values."""
+    digest = hashlib.sha256()
+    for goal in goals:
+        out = search_proof(goal, budget)
+        row = [out.status, out.counters(), out.bound,
+               None if out.objects is None else sorted(out.objects),
+               format_proof_script("g", out.proof) if out.proved else None,
+               out.counterexample]
+        digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# recorded before sequents in the search became masks of the search's table
+_OUTCOME_DIGEST = "72c319849f8e4fa676d5f12adc69ed9e6e5974e633a646c0cf81bc5f9aa2edf6"
+# the 400 instances of corpus_instances(11, 400) at the default budget, which
+# CI checks outside Tier-1 (about 10 s)
+INSTANCES_DIGEST = "203eab3665651b68835d00a70a64dc109c42ef3467c095da0eaf2815588cff26"
+
+
+def test_search_outcomes_match_their_digest():
+    # 76 corpus instances and 60 random formulas at 1,000 nodes: every
+    # status, and searches stopped by either limit
+    rng = random.Random(13)
+    goals = corpus_instances(12, 76)
+    goals += [random_core_formula(rng, rng.randint(6, 12), "pqr") for _ in range(60)]
+    assert outcome_digest(goals, SearchBudget(max_nodes=1000)) == _OUTCOME_DIGEST
