@@ -483,7 +483,8 @@ def outcome_digest(goals, budget=SearchBudget()):
     return digest.hexdigest()
 
 
-# recorded before sequents in the search became masks of the search's table
+# both digests were recorded with the frozenset-sequent search that the mask
+# search replaced, so any outcome that moves fails them
 _OUTCOME_DIGEST = "72c319849f8e4fa676d5f12adc69ed9e6e5974e633a646c0cf81bc5f9aa2edf6"
 # the 400 instances of corpus_instances(11, 400) at the default budget, which
 # CI checks outside Tier-1 (about 10 s)
