@@ -31,6 +31,13 @@ the permutations of the triples that the enumerator shares.
 row; `enumerate_structures` audits each chunk of candidates, held as a
 (B, n, n, n) boolean tensor, one row at a time, cheapest postulate first,
 and each later one only on the candidates that passed the ones before.
+Its candidates are closed under the postulates that the required ones
+imply (`_IMPLIED`): p1, p3 and p4 imply comm, since R a b c and R 0 a a
+give R2 0 a b c, p3 turns that into R2 0 b a c and p4 into R b a c.  The
+implied postulates only drop candidates that cannot pass; the required
+ones are all audited.  A closed orbit is numbered by the largest label of
+the unclosed orbits it holds, so the structures and their order are those
+of the candidates without the implication.
 """
 
 from __future__ import annotations
@@ -104,8 +111,11 @@ class ModelStructure:
     # a read-only view of the structure's own copy of the map it was given
     star: Mapping[str, str]
     triples: frozenset[tuple[str, str, str]]
-    # built on first use by tables_for; the fields it derives from are frozen
+    # built on first use by tables_for and _tensor; the fields they derive
+    # from are frozen
     _tables: "_Tables | None" = field(default=None, init=False, repr=False,
+                                      compare=False)
+    _relation: "tuple | None" = field(default=None, init=False, repr=False,
                                       compare=False)
 
     def __post_init__(self):
@@ -135,7 +145,7 @@ class ModelStructure:
         this way: the checks were most of the cost of one of its yields."""
         m = object.__new__(cls)
         m.__dict__.update(name=name, elements=elements, zero=zero, star=star,
-                          triples=triples, _tables=None)
+                          triples=triples, _tables=None, _relation=None)
         return m
 
     def __reduce__(self):
@@ -668,14 +678,23 @@ def _passing(R: np.ndarray, star: np.ndarray, zero: int, required) -> np.ndarray
     return rows
 
 
-def _tensor(m: ModelStructure) -> tuple[np.ndarray, np.ndarray, int]:
-    """The relation of `m` as a batch of one, its star as indices, 0's index."""
+def _flat(m: ModelStructure) -> tuple[np.ndarray, np.ndarray, int]:
+    """The relation of `m` as a batch of one, its star as indices, 0's
+    index; the arrays are read-only."""
     idx = {e: i for i, e in enumerate(m.elements)}
     n = len(m.elements)
     R = np.zeros(n ** 3, dtype=bool)
     R[[(idx[a] * n + idx[b]) * n + idx[c] for a, b, c in m.triples]] = True
     star = np.array([idx[m.star[e]] for e in m.elements])
+    R.flags.writeable = star.flags.writeable = False
     return R.reshape(1, n, n, n), star, idx[m.zero]
+
+
+def _tensor(m: ModelStructure) -> tuple[np.ndarray, np.ndarray, int]:
+    """`_flat(m)`, built on first use and held on the structure."""
+    if m._relation is None:
+        object.__setattr__(m, "_relation", _flat(m))
+    return m._relation
 
 
 def check_postulates(m: ModelStructure) -> PostulateReport:
@@ -770,6 +789,12 @@ def _postulate_set(names) -> frozenset:
     return names
 
 
+# (premises, postulate): every relation that meets the premises meets the
+# postulate too.  comm: R a b c and p1's R 0 a a give R2 0 a b c, p3 turns
+# that into R2 0 b a c, and p4 turns that into R b a c
+_IMPLIED = ((frozenset({"p1", "p3", "p4"}), "comm"),)
+
+
 def _candidates(size: int, required):
     """The candidate relations of an enumeration, as (star, R) pairs: star is
     the index array of an involution and R a (C, size, size, size) boolean
@@ -778,9 +803,18 @@ def _candidates(size: int, required):
     lexicographic order.  A triple is its flat index, as in `_tensor`:
     p1/p2/crstar seed triples in or out as masks, and p5/p5'/comm are each a
     permutation of the indices that closes triples into orbits, each labelled
-    by its least index.  Every union of the free orbits with the seeded ones
-    is a candidate, in ascending order of its free-orbit bitmask, whose bit i
-    is the orbit with the i-th least label.
+    by its least index.  The orbits are closed under the required
+    postulates and under those they imply (`_IMPLIED`): a query that
+    requires p1, p3 and p4 closes them under comm too, since R a b c and
+    R 0 a a give R2 0 a b c, p3 gives R2 0 b a c and p4 R b a c.  The seeds
+    fill or empty whole closed orbits.  Every union of the free orbits with
+    the seeded ones is a candidate, in ascending order of its free-orbit
+    bitmask, whose bit i is the orbit with the i-th least top, the largest
+    label that its triples have without the implications.  Comparing two
+    candidates' words then compares the words they have without the
+    implications, so the closed candidates come in the order that they have
+    among the unclosed ones, and a query that implies nothing has the
+    unclosed stream itself (its tops are its labels).
 
     The call plans the whole query before it returns the generator of
     chunks: it checks the arguments and `_CHUNK`, which must be a power of
@@ -795,6 +829,7 @@ def _candidates(size: int, required):
         raise ValueError(f"a structure needs at least one element, not {size}")
     if _CHUNK < 1 or _CHUNK & (_CHUNK - 1):
         raise ValueError(f"the chunk size must be a power of two, not {_CHUNK}")
+    closed = required | {name for premises, name in _IMPLIED if premises <= required}
     n = size
     a, b, c = np.indices((n, n, n)).reshape(3, -1)
     triples = np.arange(n ** 3)
@@ -808,14 +843,17 @@ def _candidates(size: int, required):
             continue
         if "normal" in required and star[0]:
             continue
-        perms = [perm for name, perm in _closure_maps(star).items()
-                 if name in required]
+        maps = _closure_maps(star)
         star = np.array(star)
-        label, last = triples, None
-        while last is None or (label != last).any():
-            last = label
-            for perm in perms:
-                label = np.minimum(label, label[perm])
+        # each triple's orbit label under the required maps, then under the
+        # implied ones too; `top` holds, at each closed label, the largest
+        # unclosed label of its orbit (the label itself when none is implied)
+        label = top = _orbits(triples, [perm for name, perm in maps.items() if name in required])
+        if closed != required:
+            unclosed, label = label, _orbits(label, [perm for name, perm in maps.items()
+                                                     if name in closed])
+            top = np.zeros(n ** 3, dtype=np.intp)
+            np.maximum.at(top, label, unclosed)
         seeded_in = np.bincount(label[forced_in], minlength=n ** 3) > 0
         seeded_out = np.bincount(label[forced_out], minlength=n ** 3) > 0
         if (seeded_in & seeded_out).any():
@@ -826,10 +864,24 @@ def _candidates(size: int, required):
         if total > DEFAULT_VALUATION_CAP:
             raise TooManyValuations(
                 f"more than {DEFAULT_VALUATION_CAP} candidates (the cap)")
-        # a triple of the i-th free orbit is in a candidate iff bit i of its word is set
-        bit = (np.cumsum(free) - free)[label].astype(np.uint64)
+        # a triple of the i-th free orbit, in the order of their tops, is in
+        # a candidate iff bit i of its word is set
+        tops = np.zeros(n ** 3, dtype=bool)
+        tops[top[free]] = True
+        bit = (np.cumsum(tops) - tops)[top[label]].astype(np.uint64)
         plans.append((star, seeded_in[label], free[label], bit, count))
     return _chunks(plans, n)
+
+
+def _orbits(label: np.ndarray, perms) -> np.ndarray:
+    """Each triple's least label over its orbit under the permutations
+    `perms`, starting from `label`."""
+    last = None
+    while last is None or (label != last).any():
+        last = label
+        for perm in perms:
+            label = np.minimum(label, label[perm])
+    return label
 
 
 def _chunks(plans, n: int):
@@ -857,13 +909,18 @@ def enumerate_structures(size: int, required):
     over the raw encoding of `_candidates` (no isomorphism reduction), which
     refuses a bad argument, or a query of more than DEFAULT_VALUATION_CAP
     candidates with TooManyValuations, when the first structure is asked
-    for and before any chunk is built.  Each chunk of candidates is one
-    table OR-ed with one row, and is audited as one boolean tensor by
-    `_passing`, for every required postulate: the cheap ones first (p6 and
-    normal once for the chunk, then single gathers of R, peirce among
-    them), the compositions (p4, p3, p3') last and only on the candidates
-    still passing.  A structure is
-    built only for those that pass them all, in candidate order.  Its
+    for and before any chunk is built.  Its candidates are closed under
+    comm when p1, p3 and p4 are required, since those imply it (R a b c and
+    R 0 a a give R2 0 a b c, p3 gives R2 0 b a c and p4 R b a c): the
+    candidates that are not cannot pass, and the closed orbits are numbered
+    by the largest unclosed orbit label they hold, so the yields, their
+    order and their names are those of the unclosed candidates.  Each chunk
+    of candidates is one table OR-ed with one row, and is audited as one
+    boolean tensor by `_passing`, for every required postulate: the cheap
+    ones first (p6 and normal once for the chunk, then single gathers of R,
+    peirce among them), the compositions (p4, p3, p3') last and only on the
+    candidates still passing.  A structure is built only for those that
+    pass them all, in candidate order.  Its
     fields fit together by construction, so it skips the checks of
     `__post_init__` (`ModelStructure._unchecked`), and the structures of one
     chunk share its one read-only map of star images."""

@@ -808,7 +808,8 @@ def test_enumerated_structures_pass_the_checked_constructor(size, required):
     for m in enumerate_structures(size, required):
         checked = ModelStructure(m.name, m.elements, m.zero, dict(m.star), m.triples)
         assert checked == m and checked.same_as(m)
-        assert type(m.star) is type(checked.star) and m._tables is None
+        assert type(m.star) is type(checked.star)
+        assert m._tables is None and m._relation is None
     assert tables_for(m).fus.tolist() == tables_for(checked).fus.tolist()
 
 
@@ -879,9 +880,70 @@ def test_size4_enumeration_under_the_cap():
     assert all(oracle_postulates(m).passes(required) for m in found)
 
 
+def _unclosed_listing(monkeypatch, size, required):
+    """The listing of the candidates that `_candidates` builds without the
+    implications of `models._IMPLIED`, filtered by `_passing`, and the
+    number of candidates."""
+    monkeypatch.setattr(models, "_IMPLIED", ())
+    elems = tuple(str(i) for i in range(size))
+    named = list(itertools.product(elems, repeat=3))
+    listing, candidates = [], 0
+    for star, R in models._candidates(size, frozenset(required)):
+        candidates += len(R)
+        images = sorted((elems[a], elems[b]) for a, b in enumerate(star.tolist()))
+        for row in R[models._passing(R, star, 0, required)].reshape(-1, size ** 3).tolist():
+            listing.append((f"enum{size}_{len(listing)}", images,
+                            sorted(itertools.compress(named, row))))
+    return listing, candidates
+
+
+@pytest.mark.parametrize("size,required,found,unclosed", [
+    (2, P1_P6, 4, 24), (3, P1_P6, 29, 57344),
+    (3, ("p1", "p3", "p4", "p5"), 75, 229376),
+    (3, ("p1", "p3", "p4", "p5", "crstar"), 35, 16384)])
+def test_the_comm_closure_drops_only_candidates_that_fail(monkeypatch, size, required,
+                                                          found, unclosed):
+    # p1, p3 and p4 imply comm, so the candidates closed under it are the
+    # unclosed ones that can pass, visited in the same order
+    closed = _listing(enumerate_structures(size, required))
+    listing, candidates = _unclosed_listing(monkeypatch, size, required)
+    assert (len(closed), candidates) == (found, unclosed)
+    assert closed == listing
+
+
+def test_p1_p3_and_p4_imply_comm():
+    elems = ("0", "1")
+    passing = 0
+    for image in (("0", "1"), ("1", "0")):
+        for bits in range(1 << 8):
+            triples = frozenset(t for i, t in enumerate(
+                itertools.product(elems, repeat=3)) if bits >> i & 1)
+            report = check_postulates(ModelStructure("b", elems, "0", dict(zip(elems, image)),
+                                                     triples))
+            if report.passes(("p1", "p3", "p4")):
+                assert report.flags["comm"], triples
+                passing += 1
+    assert passing == 16
+
+
+def test_queries_that_imply_comm_reach_size4():
+    # without the implication (4, p1..p6) has more candidates than the cap;
+    # the query with comm visits its orbits in another order
+    def structures(required):
+        return {(tuple(sorted(m.star.items())), m.triples)
+                for m in enumerate_structures(4, required)}
+
+    assert sum(len(R) for _, R in models._candidates(4, frozenset(P1_P6))) == 204800
+    found = structures(P1_P6)
+    assert len(found) == 852 and found == structures(P1_P6 + ("comm",))
+    found = structures(P1_P6 + ("normal", "crstar"))
+    assert len(found) == 256 and found == structures(P1_P6 + ("comm", "normal", "crstar"))
+
+
 K5_SET = ("p1", "p2", "p4", "p6", "p3prime", "p5prime", "normal", "crstar")
 # sha256 of the repr of [(star.tolist(), R.tobytes())] over the chunks of
-# _candidates, recorded from the enumerator that closed orbits over tuples
+# _candidates without the implications of models._IMPLIED, recorded from the
+# enumerator that closed orbits over tuples
 CANDIDATE_DIGESTS = {
     (2, ()): "21620da28dec2b05a3ea62fcb0d5df75eddda44367b1a5426d18051ca61c4f52",
     (2, ("p1",)): "60882efc50441de14bb0382be333354233c39de3a0902b2d0700b72c4255e058",
@@ -900,12 +962,22 @@ CANDIDATE_DIGESTS = {
 }
 
 
+# the same digest of the streams that an implication closes further
+CLOSED_DIGESTS = {
+    (2, P1_P6): "76bac6ea585c7cacd31c2310801b38c617e586e272ebb580fb95dd196406d80f",
+}
+
+
 @pytest.mark.parametrize("size,required", list(CANDIDATE_DIGESTS))
-def test_candidate_stream_is_pinned(size, required):
-    stream = [(star.tolist(), R.tobytes())
-              for star, R in models._candidates(size, frozenset(required))]
-    digest = hashlib.sha256(repr(stream).encode()).hexdigest()
-    assert digest == CANDIDATE_DIGESTS[size, required]
+def test_candidate_stream_is_pinned(monkeypatch, size, required):
+    def digest():
+        stream = [(star.tolist(), R.tobytes())
+                  for star, R in models._candidates(size, frozenset(required))]
+        return hashlib.sha256(repr(stream).encode()).hexdigest()
+
+    assert digest() == CLOSED_DIGESTS.get((size, required), CANDIDATE_DIGESTS[size, required])
+    monkeypatch.setattr(models, "_IMPLIED", ())
+    assert digest() == CANDIDATE_DIGESTS[size, required]
 
 
 @pytest.mark.parametrize("size,required", list(CANDIDATE_DIGESTS))
@@ -1201,9 +1273,24 @@ def test_copies_of_a_structure_build_their_own_tables(how):
              "deepcopy": lambda: copy.deepcopy(m), "copy": lambda: copy.copy(m),
              "replace": lambda: dataclasses.replace(m)}[how]()
     assert again == m and again.same_as(m) and again is not m
-    assert again._tables is None
+    assert again._tables is None and again._relation is None
     assert tables_for(again) is not tables_for(m)
     with pytest.raises(TypeError):
         again.star["a"] = "a"
     f = parse_formula("(p -> p) -> q | ~q")
     assert valid_in(again, f).valid == valid_in(m, f).valid
+
+
+def test_a_structure_builds_its_flat_relation_once(monkeypatch):
+    import dataclasses
+
+    builds = []
+    flat = models._flat
+    monkeypatch.setattr(models, "_flat", lambda m: builds.append(m.name) or flat(m))
+    m = dataclasses.replace(K5)
+    tables_for(m)
+    reports = [check_postulates(m), check_postulates(m)]
+    assert builds == ["K5"]
+    assert reports[0] == reports[1] == oracle_postulates(m)
+    R, star, _ = models._tensor(m)
+    assert not R.flags.writeable and not star.flags.writeable
