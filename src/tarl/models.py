@@ -25,19 +25,15 @@ inspected.  Each postulate is one row of a table built once per star map
 and zero: for each counterexample position, the index of the fact it is
 given and of the fact it asks, out of a relation's facts (the flat
 relation, True, False, R o R and R2'), and the position fails when the
-given fact holds and the asked one does not.  p5, p5' and comm ask through
-the permutations of the triples that the enumerator shares.
-`check_postulates` audits one structure with one comparison over every
-row; `enumerate_structures` audits each chunk of candidates, held as a
-(B, n, n, n) boolean tensor, one row at a time, cheapest postulate first,
-and each later one only on the candidates that passed the ones before.
-Its candidates are closed under the postulates that the required ones
-imply (`_IMPLIED`): p1, p3 and p4 imply comm, since R a b c and R 0 a a
-give R2 0 a b c, p3 turns that into R2 0 b a c and p4 into R b a c.  The
-implied postulates only drop candidates that cannot pass; the required
-ones are all audited.  A closed orbit is numbered by the largest label of
-the unclosed orbits it holds, so the structures and their order are those
-of the candidates without the implication.
+given fact holds and the asked one does not.  p5, p5' and comm ask one
+triple for each triple, and the enumerator reads its orbit permutations
+off those rows.  `check_postulates` audits one structure with one
+comparison over every row; `enumerate_structures` audits each chunk of
+candidates, held as a (B, n, n, n) boolean tensor, one row at a time,
+cheapest postulate first, and each later one only on the candidates that
+passed the ones before.  Its candidates are closed under the postulates
+that the required ones imply (`_IMPLIED`), which only drops candidates
+that cannot pass; the required ones are all audited.
 """
 
 from __future__ import annotations
@@ -439,41 +435,8 @@ def _compose(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left.astype(np.float32) @ right.astype(np.float32) > 0
 
 
-@functools.lru_cache(maxsize=1024)
-def _closure_maps(star: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """The triple each triple t asks for under p5, p5' and comm, as flat
-    indices (as in `_tensor`): a relation meets the postulate iff R[t]
-    implies R[map[t]] for every t.  Under an involutive star each map is a
-    permutation, whose orbits `_candidates` closes triples into; the audit
-    table's rows for those postulates ask through them.  Built once per
-    star map and shared, read-only."""
-    n, s = len(star), np.array(star)
-    a, b, c = np.indices((n, n, n)).reshape(3, -1)
-    maps = {"p5": (a * n + s[c]) * n + s[b],          # R a b c: R a c* b*
-            "p5prime": (s[c] * n + a) * n + s[b],     # R a b c: R c* a b*
-            "comm": (b * n + a) * n + c}              # R a b c: R b a c
-    for perm in maps.values():
-        perm.flags.writeable = False
-    return maps
-
-
 # the blocks of an audit's facts, in their order (see `_Audit`)
 _R, _TRUE, _FALSE, _RR, _R2P = range(5)
-
-
-def _facts(R: np.ndarray, compose: bool = True) -> np.ndarray:
-    """The facts of each relation of the batch R, as one (B, F) array: the
-    flat relation, True, False, then R o R and R2' from one matrix product
-    of R's rows [(a, b), x] with its columns [x, (c, d)] and [x, (a, d)]
-    side by side.  Without `compose`, the facts stop after False."""
-    B, n = R.shape[:2]
-    parts = [R.reshape(B, -1), np.repeat(np.array([[True, False]]), B, axis=0)]
-    if compose:
-        # right[x, (c, d)] is R x c d, and right[x, n*n + (a, d)] is R a x d
-        right = np.concatenate([R, R.transpose(0, 2, 1, 3)], axis=2).reshape(B, n, 2 * n * n)
-        both = _compose(R.reshape(B, n * n, n), right)
-        parts.append(both.reshape(B, n * n, 2, n * n).transpose(0, 2, 1, 3).reshape(B, -1))
-    return np.concatenate(parts, axis=1)
 
 
 def _block(R: np.ndarray, block: int, lo: int, hi: int) -> np.ndarray:
@@ -507,7 +470,6 @@ def _reader(block: int, index: np.ndarray, offsets, n: int):
 
 
 class _Row(NamedTuple):
-    shape: tuple[int, ...]           # the postulate's quantifiers, n each
     powers: list[int]                # the place value of each quantifier in C order
     start: int                       # where the row begins in the table's arrays
     given: np.ndarray                # [position]: the index of the fact given
@@ -519,15 +481,18 @@ class _Audit:
     `zero`, as one row each of a table of gathers, in POSTULATE_NAMES order;
     built once per (star, zero) by `_audit_table` and shared, read-only.
 
-    The facts of a relation (`_facts`) are one vector: the flat relation
-    (n**3, as in `_tensor`), True, False, R o R (n**4, R2 a b c d: R a b x
-    and R x c d) and R2' (n**4, held at [b, c, a, d]; R2' a b c d: R b c x
-    and R a x d); block k starts at offsets[k].  A row lists its
+    The facts of a relation are one vector of blocks (`_block`): the flat
+    relation (n**3, as in `_tensor`), True, False, R o R (n**4, R2 a b c d:
+    R a b x and R x c d) and R2' (n**4, held at [b, c, a, d]; R2' a b c d:
+    R b c x and R a x d); block k starts at offsets[k].  A row lists its
     postulate's counterexample positions in C order, each as the index of
     the fact it is given and of the fact it asks; a position fails when
     given > asked.  `given` and `asked` are all rows end to end, and row k
-    is positions starts[k]..starts[k+1]-1.  The only state that changes is
-    the cache of `plan`."""
+    is positions starts[k]..starts[k+1]-1.  The rows of p5, p5' and comm ask
+    within the flat relation, so their `asked` is a permutation of the
+    triples' flat indices under an involutive star: `_candidates` closes
+    triples into its orbits.  The only state that changes is the cache of
+    `plan`."""
 
     def __init__(self, star: tuple[int, ...], zero: int):
         n, s = len(star), np.array(star)
@@ -543,17 +508,16 @@ class _Audit:
         a, b, c = np.indices((n, n, n)).reshape(3, -1)
         w, x, y, z = np.indices((n, n, n, n)).reshape(4, -1)
         every = np.full(n, true)
-        maps = _closure_maps(star)
         rows = {                     # name: (quantifiers, given, asked)
             "p1": (1, every, at(_R, zero, e, e)),                         # R 0 a a
             "p2": (1, every, at(_R, e, e, e)),                            # R a a a
             "p3": (4, at(_RR, w, x, y, z), at(_RR, w, y, x, z)),          # R2 a b c d: R2 a c b d
             "p4": (3, at(_RR, zero, a, b, c), at(_R, a, b, c)),           # R2 0 a b c: R a b c
-            "p5": (3, at(_R, a, b, c), maps["p5"]),                       # R a b c: R a c* b*
+            "p5": (3, at(_R, a, b, c), at(_R, a, s[c], s[b])),            # R a b c: R a c* b*
             "p6": (1, every, np.where(s[s] == e, true, false)),           # a** = a
-            "comm": (3, at(_R, a, b, c), maps["comm"]),                   # R a b c: R b a c
+            "comm": (3, at(_R, a, b, c), at(_R, b, a, c)),                # R a b c: R b a c
             "p3prime": (4, at(_RR, w, x, y, z), at(_R2P, x, y, w, z)),    # R2 a b c d: R2' a b c d
-            "p5prime": (3, at(_R, a, b, c), maps["p5prime"]),             # R a b c: R c* a b*
+            "p5prime": (3, at(_R, a, b, c), at(_R, s[c], a, s[b])),       # R a b c: R c* a b*
             "normal": (1, every, np.where((e == zero) & (s[zero] != zero), false, true)),
             "crstar": (2, np.where(i == j, true, at(_R, zero, i, j)),      # R 0 a b iff a = b
                        np.where(i == j, at(_R, zero, i, j), false)),
@@ -565,7 +529,7 @@ class _Audit:
         for table in (self.offsets, self.given, self.asked, self.starts):
             table.flags.writeable = False
         starts = self.starts.tolist()
-        self.rows = {name: _Row((n,) * arity, [n ** p for p in range(arity - 1, -1, -1)], start,
+        self.rows = {name: _Row([n ** p for p in range(arity - 1, -1, -1)], start,
                                 self.given[start:end], self.asked[start:end])
                      for (name, (arity, _, _)), start, end in zip(rows.items(), starts, starts[1:])}
         self._plans: dict[str, tuple] = {}
@@ -604,27 +568,6 @@ class _Audit:
 
 # a table holds about 22,000 indices at n = 8 (170 KB)
 _audit_table = functools.lru_cache(maxsize=128)(_Audit)
-
-
-def _failures(R: np.ndarray, star: np.ndarray, zero: int,
-              names) -> dict[str, np.ndarray]:
-    """Where each named postulate fails, for a batch of relations on 0..n-1:
-    the evaluator of the rows of `_audit_table`.
-
-    R[i, a, b, c] says that R a b c holds in relation i; star[a] is the index
-    of a*, and zero the index of 0.  In the tensor of a postulate, entry
-    [i, *w] is true iff the tuple w of element indices, in the order of the
-    postulate's quantifiers, is a counterexample in relation i; for peirce, w
-    is a triple R a b c whose image (c, b*, a) is missing.  C order of w is
-    element order, so the first true entry is the least witness.  Each is
-    one comparison of two gathers from the batch's facts, which compose R
-    only when a named postulate reads R o R or R2'."""
-    audit = _audit_table(tuple(star.tolist()), zero)
-    rows = {name: row for name, row in audit.rows.items() if name in set(names)}
-    facts = _facts(R, any(max(row.given.max(), row.asked.max()) >= audit.offsets[_RR]
-                          for row in rows.values()))
-    return {name: (facts[:, row.given] > facts[:, row.asked]).reshape((len(R),) + row.shape)
-            for name, row in rows.items()}
 
 
 # the order in which `_passing` audits the postulates, cheapest first: those
@@ -705,13 +648,20 @@ def check_postulates(m: ModelStructure) -> PostulateReport:
     of a position is its tuple's digits base n), so witnesses are the
     lexicographically least failures in element order.  Peirce's failing
     triples ask for their missing images, whose flat indices sort them in
-    element order: `peirce_missing` is each once, and its witness the least."""
+    element order: `peirce_missing` is each once, and its witness the least.
+    A structure of more than 32 elements, whose p3 and p3' rows would have
+    more than DEFAULT_VALUATION_CAP positions, raises TooManyValuations
+    before anything is built."""
+    n, elems = len(m.elements), m.elements
+    if n ** 4 > DEFAULT_VALUATION_CAP:
+        raise TooManyValuations(
+            f"{n} elements: {n ** 4} audit positions exceeds cap {DEFAULT_VALUATION_CAP}")
     R, star, zero = _tensor(m)
     audit = _audit_table(tuple(star.tolist()), zero)
-    facts = _facts(R)[0]
+    facts = np.concatenate([R.reshape(-1), [True, False], _block(R, _RR, 0, n ** 4)[0],
+                            _block(R, _R2P, 0, n ** 4)[0]])
     hits = (facts[audit.given] > facts[audit.asked]).nonzero()[0]
     ends = hits.searchsorted(audit.starts).tolist()
-    n, elems = len(m.elements), m.elements
     flags: dict[str, bool] = {}
     witnesses: dict[str, tuple] = {}
     missing: tuple = ()
@@ -802,19 +752,18 @@ def _candidates(size: int, required):
     of the elements that are their own inverse (and fix 0 under normal), in
     lexicographic order.  A triple is its flat index, as in `_tensor`:
     p1/p2/crstar seed triples in or out as masks, and p5/p5'/comm are each a
-    permutation of the indices that closes triples into orbits, each labelled
-    by its least index.  The orbits are closed under the required
-    postulates and under those they imply (`_IMPLIED`): a query that
-    requires p1, p3 and p4 closes them under comm too, since R a b c and
-    R 0 a a give R2 0 a b c, p3 gives R2 0 b a c and p4 R b a c.  The seeds
-    fill or empty whole closed orbits.  Every union of the free orbits with
-    the seeded ones is a candidate, in ascending order of its free-orbit
-    bitmask, whose bit i is the orbit with the i-th least top, the largest
-    label that its triples have without the implications.  Comparing two
-    candidates' words then compares the words they have without the
-    implications, so the closed candidates come in the order that they have
-    among the unclosed ones, and a query that implies nothing has the
-    unclosed stream itself (its tops are its labels).
+    permutation of the indices, the `asked` of its row of `_audit_table`,
+    that closes triples into orbits, each labelled by its least index.  The
+    orbits are closed under the required postulates and under those they
+    imply (`_IMPLIED`), and the seeds fill or empty whole closed orbits.
+    Every union of the free orbits with the seeded ones is a candidate, in
+    ascending order of its free-orbit bitmask, whose bit i is the orbit with
+    the i-th least top, the largest label that its triples have without the
+    implications.  Comparing two candidates' words then compares the words
+    they have without the implications, so the closed candidates come in
+    the order that they have among the unclosed ones, and a query that
+    implies nothing has the unclosed stream itself (its tops are its
+    labels).
 
     The call plans the whole query before it returns the generator of
     chunks: it checks the arguments and `_CHUNK`, which must be a power of
@@ -843,14 +792,15 @@ def _candidates(size: int, required):
             continue
         if "normal" in required and star[0]:
             continue
-        maps = _closure_maps(star)
+        rows = _audit_table(star, 0).rows
+        perms = {name: rows[name].asked for name in ("p5", "p5prime", "comm")}
         star = np.array(star)
         # each triple's orbit label under the required maps, then under the
         # implied ones too; `top` holds, at each closed label, the largest
         # unclosed label of its orbit (the label itself when none is implied)
-        label = top = _orbits(triples, [perm for name, perm in maps.items() if name in required])
+        label = top = _orbits(triples, [perm for name, perm in perms.items() if name in required])
         if closed != required:
-            unclosed, label = label, _orbits(label, [perm for name, perm in maps.items()
+            unclosed, label = label, _orbits(label, [perm for name, perm in perms.items()
                                                      if name in closed])
             top = np.zeros(n ** 3, dtype=np.intp)
             np.maximum.at(top, label, unclosed)
@@ -909,21 +859,23 @@ def enumerate_structures(size: int, required):
     over the raw encoding of `_candidates` (no isomorphism reduction), which
     refuses a bad argument, or a query of more than DEFAULT_VALUATION_CAP
     candidates with TooManyValuations, when the first structure is asked
-    for and before any chunk is built.  Its candidates are closed under
-    comm when p1, p3 and p4 are required, since those imply it (R a b c and
-    R 0 a a give R2 0 a b c, p3 gives R2 0 b a c and p4 R b a c): the
-    candidates that are not cannot pass, and the closed orbits are numbered
-    by the largest unclosed orbit label they hold, so the yields, their
-    order and their names are those of the unclosed candidates.  Each chunk
-    of candidates is one table OR-ed with one row, and is audited as one
+    for and before any chunk is built.  Its candidates are closed under the
+    postulates that the required ones imply (`_IMPLIED`): the candidates
+    that are not cannot pass, and the closed orbits are numbered by the
+    largest unclosed orbit label they hold, so the yields, their order and
+    their names are those of the unclosed candidates.  Names follow the
+    query as stated, and stating a postulate that the others imply can
+    reorder the yields: (4, p1..p6) and (4, p1..p6, comm) give the same 852
+    structures, but their orders first differ at enum4_5.  Each chunk of
+    candidates is one table OR-ed with one row, and is audited as one
     boolean tensor by `_passing`, for every required postulate: the cheap
     ones first (p6 and normal once for the chunk, then single gathers of R,
     peirce among them), the compositions (p4, p3, p3') last and only on the
     candidates still passing.  A structure is built only for those that
-    pass them all, in candidate order.  Its
-    fields fit together by construction, so it skips the checks of
-    `__post_init__` (`ModelStructure._unchecked`), and the structures of one
-    chunk share its one read-only map of star images."""
+    pass them all, in candidate order.  Its fields fit together by
+    construction, so it skips the checks of `__post_init__`
+    (`ModelStructure._unchecked`), and the structures of one chunk share its
+    one read-only map of star images."""
     required = _postulate_set(required)
     chunks = _candidates(size, required)
     elems = tuple(str(i) for i in range(size))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tarl import cli
+from tarl import cli, models
 from tarl.cli import build_parser, main
 from tarl.formulas import print_formula
 from tarl.models import check_postulates
@@ -309,6 +309,24 @@ def test_model_file_resolution(tmp_path, capsys):
     path.write_text(src)
     code, out, _ = run(capsys, "postulates", str(path))
     assert code == 0
+
+
+def test_postulates_refuses_a_model_too_large_to_audit(tmp_path, capsys, monkeypatch):
+    # p3 and p3' have n**4 positions each, about 11 GB of tables at 100
+    # elements: the audit is refused before any table is built
+    def unbuilt(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(models, "_tensor", unbuilt)
+    monkeypatch.setattr(models, "_audit_table", unbuilt)
+    elements = [f"e{i}" for i in range(100)]
+    path = tmp_path / "large.model"
+    path.write_text("model large\nelements " + " ".join(elements) + "\nzero e0\nstar "
+                    + " ".join(f"{e}:{e}" for e in elements) + "\ntriples\nend\n")
+    code = cli.main(["postulates", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unknown_model(capsys):

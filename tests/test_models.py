@@ -458,6 +458,16 @@ def test_postulate_payload_is_plain_values():
         assert payload["flags"] == r.flags and len(payload["witnesses"]) == len(r.witnesses)
 
 
+def test_audit_refuses_more_than_32_elements(monkeypatch):
+    # 32**4 positions is the cap itself; one element more is refused unbuilt
+    monkeypatch.setattr(models, "_audit_table", None)
+    elements = tuple(f"e{i}" for i in range(33))
+    m = ModelStructure("large", elements, "e0", dict(zip(elements, elements)), frozenset())
+    with pytest.raises(TooManyValuations, match="33 elements"):
+        check_postulates(m)
+    assert m._relation is None
+
+
 # ------------------------------------------------------------------
 # Differential tests against the set-valued operations
 # ------------------------------------------------------------------
@@ -1017,8 +1027,8 @@ def test_candidates_meet_the_postulates_they_are_built_for(monkeypatch, size, ca
         for required in itertools.combinations(BUILT, k):
             try:
                 for star, R in models._candidates(size, frozenset(required)):
-                    fails = models._failures(R, star, 0, set(required) | {"p6"})
-                    assert not any(f.any() for f in fails.values()), required
+                    kept = models._passing(R, star, 0, set(required) | {"p6"})
+                    assert kept.tolist() == list(range(len(R))), required
                     audited += len(R)
             except TooManyValuations:
                 pass
@@ -1051,32 +1061,6 @@ def _relations(rng, n, count=48):
     return rng.random((count, n, n, n)) >= holes
 
 
-def test_passing_keeps_exactly_the_rows_every_tensor_clears():
-    # _passing audits cheap postulates first, each on the survivors of the
-    # ones before; it must keep what the whole audit at once keeps, in order
-    rng = np.random.default_rng(33)
-    rejected = dict.fromkeys(POSTULATE_NAMES, 0)   # rows each postulate drops first
-    kept = 0
-    for n in range(1, 5):
-        for zero in range(n):
-            for star in _star_maps(rng, n):
-                for k in (12, 1, 2, 4, 6):
-                    required = [str(x) for x in rng.choice(POSTULATE_NAMES, k, replace=False)]
-                    R = _relations(rng, n)
-                    fails = models._failures(R, star, zero, required)
-                    clean = np.ones(len(R), dtype=bool)
-                    for name in models._COST_ORDER:
-                        if name in fails:
-                            ok = ~fails[name].reshape(len(R), -1).any(axis=1)
-                            rejected[name] += int((clean & ~ok).sum())
-                            clean &= ok
-                    rows = models._passing(R, star, zero, required)
-                    assert rows.tolist() == np.flatnonzero(clean).tolist(), (n, required)
-                    kept += len(rows)
-    assert min(rejected.values()) > 0, rejected
-    assert kept > 0
-
-
 def _structure_of(R, star, zero):
     """The structure on elements "0".."n-1" whose relation is the boolean
     (n, n, n) array R, with star map and zero as indices."""
@@ -1087,22 +1071,32 @@ def _structure_of(R, star, zero):
                                     for a, b, c in zip(*np.nonzero(R))))
 
 
-def test_batched_failures_agree_with_the_audit_of_each_row():
-    # _failures reads a whole batch from the table's rows; check_postulates,
-    # tied to the set-based oracle, reads one structure at a time
-    rng = np.random.default_rng(35)
-    audited = 0
+def test_passing_keeps_exactly_the_rows_every_tensor_clears():
+    # _passing audits cheap postulates first, each on the survivors of the
+    # ones before; it must keep what the audit of each relation on its own
+    # keeps (check_postulates, which test_audit_agrees_with_oracle ties to
+    # the set-based oracle), in order
+    rng = np.random.default_rng(33)
+    rejected = dict.fromkeys(POSTULATE_NAMES, 0)   # rows each postulate drops first
+    kept = 0
     for n in range(1, 5):
         for zero in range(n):
-            for star in _star_maps(rng, n):         # two involutions, one arbitrary map
-                R = _relations(rng, n, 12)
-                fails = models._failures(R, star, zero, POSTULATE_NAMES)
-                assert list(fails) == list(POSTULATE_NAMES)
-                for i, relation in enumerate(R):
-                    flags = check_postulates(_structure_of(relation, star, zero)).flags
-                    assert {name: not f[i].any() for name, f in fails.items()} == flags
-                    audited += 1
-    assert audited == 360
+            for star in _star_maps(rng, n):
+                for k in (12, 1, 2, 4, 6):
+                    required = [str(x) for x in rng.choice(POSTULATE_NAMES, k, replace=False)]
+                    R = _relations(rng, n)
+                    flags = [check_postulates(_structure_of(r, star, zero)).flags for r in R]
+                    clean = np.ones(len(R), dtype=bool)
+                    for name in models._COST_ORDER:
+                        if name in required:
+                            ok = np.array([f[name] for f in flags])
+                            rejected[name] += int((clean & ~ok).sum())
+                            clean &= ok
+                    rows = models._passing(R, star, zero, required)
+                    assert rows.tolist() == np.flatnonzero(clean).tolist(), (n, required)
+                    kept += len(rows)
+    assert min(rejected.values()) > 0, rejected
+    assert kept > 0
 
 
 class _Unreadable:
@@ -1141,7 +1135,7 @@ def test_passing_decides_p6_and_normal_from_the_star_map_alone():
     assert models._passing(full, np.array([0]), 0, everything).tolist() == [0, 1, 2, 3]
 
 
-# the fancy-index and transpose forms that the flat gathers of _failures replaced
+# the fancy-index and transpose forms that the flat gathers of the audit rows replaced
 OLD_CLOSURES = {
     "p5": lambda R, star: R & ~R[:, :, star][:, :, :, star].transpose(0, 1, 3, 2),
     "p5prime": lambda R, star: R & ~R[:, star][:, :, :, star].transpose(0, 2, 3, 1),
@@ -1154,10 +1148,10 @@ def test_closure_gathers_match_the_index_forms():
     for n in range(1, 5):
         for star in _star_maps(rng, n):
             R = _relations(rng, n, 16)
-            fails = models._failures(R, star, 0, OLD_CLOSURES)
+            rows = models._audit_table(tuple(star.tolist()), 0).rows
             for name, old in OLD_CLOSURES.items():
-                assert fails[name].shape == R.shape
-                assert np.array_equal(fails[name], old(R, star)), (n, star, name)
+                fails = R & ~R.reshape(len(R), -1)[:, rows[name].asked].reshape(R.shape)
+                assert np.array_equal(fails, old(R, star)), (n, star, name)
 
 
 # ------------------------------------------------------------------
