@@ -17,28 +17,28 @@ checks, a batch of one for `interpret`.  Every exhaustive check walks its
 valuation grid with `grid_blocks`: `valid_in`, `find_invalidating_singletons`
 and the complex algebras of `tarl.algebra`.  A grid's blocks grow fourfold
 from `_FIRST_BLOCK` rows to `_GRID_CHUNK`, and each block's columns of masks
-are built once and cached, read-only, in a dict emptied once it passes
+are built once and cached, read-only, in a store emptied once it passes
 GRID_CACHE_BYTES; a check stops at the first block that holds a failing
 row.  The structure postulates (p1..p6 and friends) are audited, never
 assumed, so deliberately defective structures can be represented and
 inspected.  Each postulate is one row of a table built once per star map
-and zero: for each counterexample position, the index of the fact it is
-given and of the fact it asks, out of a relation's facts (the flat
-relation, True, False, R o R and R2'), and the position fails when the
-given fact holds and the asked one does not.  p5, p5' and comm ask one
-triple for each triple, and the enumerator reads its orbit permutations
-off those rows.  `check_postulates` audits one structure with one
-comparison over every row; `enumerate_structures` audits each chunk of
-candidates, held as a (B, n, n, n) boolean tensor, one row at a time,
-cheapest postulate first, and each later one only on the candidates that
-passed the ones before.  Its candidates are closed under the postulates
-that the required ones imply (`_IMPLIED`), which only drops candidates
-that cannot pass; the required ones are all audited.
+and zero (and stored as grid blocks are), rows cheapest first: for each
+counterexample position, the index of the fact it is given and of the
+fact it asks, out of a relation's facts (the flat relation, True, False,
+R o R and R2'); it fails when the given fact holds and the asked one does
+not.  The enumerator reads its orbit permutations off the rows of p5, p5'
+and comm, and its seeds and refused star maps off the rows' constant
+sides.  `check_postulates` audits one structure with one comparison over
+every row; `enumerate_structures` audits each chunk of candidates, held as
+a (B, n, n, n) boolean tensor, one row at a time in table order, each
+only on the candidates that passed the ones before.  Its candidates are
+closed under the postulates that the required ones imply (`_IMPLIED`),
+which only drops candidates that cannot pass; the required ones are all
+audited.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import re
@@ -307,34 +307,45 @@ def verified(m: ModelStructure, v: Valuation, f: Formula) -> bool:
     return m.zero in interpret(m, v, f)
 
 
-class _GridCache:
-    """The digit columns of grid blocks, built once each: `columns` maps
-    (allowed masks, arity, lo, hi) to a read-only array, and it is emptied
-    once it holds more than GRID_CACHE_BYTES of them."""
+class _Store:
+    """Read-only values built once each, by key: `columns` maps a key to
+    `build(*key)`, `nbytes` counts their bytes, and the dict is emptied
+    once that passes GRID_CACHE_BYTES, so a value larger than the bound is
+    built, used and not kept."""
 
     def __init__(self):
-        self.columns: dict[tuple, np.ndarray] = {}
+        self.columns: dict = {}
         self.nbytes = 0
 
-    def block(self, allowed, arity: int, lo: int, hi: int) -> np.ndarray:
-        """The (arity, hi - lo) masks of rows lo..hi-1 of the grid of every
-        assignment of the masks `allowed` to `arity` variables, the first
-        variable most significant, so row order is the lexicographic order
-        of assignments."""
-        key = (allowed, arity, lo, hi)
-        cols = self.columns.get(key)
-        if cols is None:
-            base = len(allowed)
-            powers = base ** np.arange(arity - 1, -1, -1, dtype=np.int64)
-            digits = np.arange(lo, hi, dtype=np.int64) // powers[:, None] % base
-            cols = np.asarray(allowed, dtype=np.int64)[digits]
-            cols.flags.writeable = False
-            self.columns[key] = cols
-            self.nbytes += cols.nbytes
+    def get(self, key, build):
+        value = self.columns.get(key)
+        if value is None:
+            value = self.columns[key] = build(*key)
+            self.nbytes += value.nbytes
             if self.nbytes > GRID_CACHE_BYTES:
                 self.columns.clear()
                 self.nbytes = 0
-        return cols
+        return value
+
+
+class _GridCache(_Store):
+    """The digit columns of grid blocks, kept by their arguments."""
+
+    def block(self, allowed, arity: int, lo: int, hi: int) -> np.ndarray:
+        return self.get((allowed, arity, lo, hi), _grid_columns)
+
+
+def _grid_columns(allowed, arity: int, lo: int, hi: int) -> np.ndarray:
+    """The (arity, hi - lo) masks of rows lo..hi-1 of the grid of every
+    assignment of the masks `allowed` to `arity` variables, the first
+    variable most significant, so row order is the lexicographic order of
+    assignments."""
+    base = len(allowed)
+    powers = base ** np.arange(arity - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(lo, hi, dtype=np.int64) // powers[:, None] % base
+    cols = np.asarray(allowed, dtype=np.int64)[digits]
+    cols.flags.writeable = False
+    return cols
 
 
 _GRID_CACHE = _GridCache()
@@ -477,9 +488,9 @@ class _Row(NamedTuple):
 
 
 class _Audit:
-    """The postulates on relations over 0..n-1 with star map `star` and zero
-    `zero`, as one row each of a table of gathers, in POSTULATE_NAMES order;
-    built once per (star, zero) by `_audit_table` and shared, read-only.
+    """The postulates on relations over 0..n-1 with star map `star` and
+    zero `zero`, one row each, cheapest first, of a table of gathers built
+    once per (star, zero) by `_audit_table` and shared, read-only.
 
     The facts of a relation are one vector of blocks (`_block`): the flat
     relation (n**3, as in `_tensor`), True, False, R o R (n**4, R2 a b c d:
@@ -491,8 +502,8 @@ class _Audit:
     is positions starts[k]..starts[k+1]-1.  The rows of p5, p5' and comm ask
     within the flat relation, so their `asked` is a permutation of the
     triples' flat indices under an involutive star: `_candidates` closes
-    triples into its orbits.  The only state that changes is the cache of
-    `plan`."""
+    triples into its orbits, and seeds them from the rows' constant sides
+    (`seeds`).  The only state that changes is the cache of `plan`."""
 
     def __init__(self, star: tuple[int, ...], zero: int):
         n, s = len(star), np.array(star)
@@ -509,25 +520,27 @@ class _Audit:
         w, x, y, z = np.indices((n, n, n, n)).reshape(4, -1)
         every = np.full(n, true)
         rows = {                     # name: (quantifiers, given, asked)
+            "p6": (1, every, np.where(s[s] == e, true, false)),           # a** = a
+            "normal": (1, every, np.where((e == zero) & (s[zero] != zero), false, true)),
             "p1": (1, every, at(_R, zero, e, e)),                         # R 0 a a
             "p2": (1, every, at(_R, e, e, e)),                            # R a a a
-            "p3": (4, at(_RR, w, x, y, z), at(_RR, w, y, x, z)),          # R2 a b c d: R2 a c b d
-            "p4": (3, at(_RR, zero, a, b, c), at(_R, a, b, c)),           # R2 0 a b c: R a b c
-            "p5": (3, at(_R, a, b, c), at(_R, a, s[c], s[b])),            # R a b c: R a c* b*
-            "p6": (1, every, np.where(s[s] == e, true, false)),           # a** = a
-            "comm": (3, at(_R, a, b, c), at(_R, b, a, c)),                # R a b c: R b a c
-            "p3prime": (4, at(_RR, w, x, y, z), at(_R2P, x, y, w, z)),    # R2 a b c d: R2' a b c d
-            "p5prime": (3, at(_R, a, b, c), at(_R, s[c], a, s[b])),       # R a b c: R c* a b*
-            "normal": (1, every, np.where((e == zero) & (s[zero] != zero), false, true)),
             "crstar": (2, np.where(i == j, true, at(_R, zero, i, j)),      # R 0 a b iff a = b
                        np.where(i == j, at(_R, zero, i, j), false)),
+            "p5": (3, at(_R, a, b, c), at(_R, a, s[c], s[b])),            # R a b c: R a c* b*
+            "p5prime": (3, at(_R, a, b, c), at(_R, s[c], a, s[b])),       # R a b c: R c* a b*
+            "comm": (3, at(_R, a, b, c), at(_R, b, a, c)),                # R a b c: R b a c
             "peirce": (3, at(_R, a, b, c), at(_R, c, s[b], a)),           # R a b c: R c b* a
+            "p4": (3, at(_RR, zero, a, b, c), at(_R, a, b, c)),           # R2 0 a b c: R a b c
+            "p3": (4, at(_RR, w, x, y, z), at(_RR, w, y, x, z)),          # R2 a b c d: R2 a c b d
+            "p3prime": (4, at(_RR, w, x, y, z), at(_R2P, x, y, w, z)),    # R2 a b c d: R2' a b c d
         }
         self.given = np.concatenate([given for _, given, _ in rows.values()])
         self.asked = np.concatenate([asked for _, _, asked in rows.values()])
         self.starts = np.cumsum([0] + [n ** arity for arity, _, _ in rows.values()])
         for table in (self.offsets, self.given, self.asked, self.starts):
             table.flags.writeable = False
+        # what `_AUDITS` counts: the gathers, not the plans built later
+        self.nbytes = self.given.nbytes + self.asked.nbytes
         starts = self.starts.tolist()
         self.rows = {name: _Row([n ** p for p in range(arity - 1, -1, -1)], start,
                                 self.given[start:end], self.asked[start:end])
@@ -565,15 +578,28 @@ class _Audit:
             self._plans[name] = True if always else None if terms else False, tuple(terms)
         return self._plans[name]
 
+    def seeds(self, names) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The constant sides of the rows `names`, as `plan` splits them: the
+        triples (flat indices) asked where True is given, which every passing
+        relation has, those given where False is asked, which none has, and
+        whether a position is given True and asked False, which none passes."""
+        true, false = self.offsets[_TRUE], self.offsets[_FALSE]
+        given = np.concatenate([self.given[:0], *(self.rows[name].given for name in names)])
+        asked = np.concatenate([self.asked[:0], *(self.rows[name].asked for name in names)])
+        given_true, asked_false = given == true, asked == false
+        return (asked[given_true & (asked < true)], given[asked_false & (given < true)],
+                bool((given_true & asked_false).any()))
 
-# a table holds about 22,000 indices at n = 8 (170 KB)
-_audit_table = functools.lru_cache(maxsize=128)(_Audit)
+
+# a table holds about 22,000 indices at n = 8 (170 KB) and 4.5 million at
+# n = 32 (36 MB, more than the store keeps)
+_AUDITS = _Store()
 
 
-# the order in which `_passing` audits the postulates, cheapest first: those
-# that do not read R, then single gathers of it, then compositions
-_COST_ORDER = ("p6", "normal", "p1", "p2", "crstar", "p5", "p5prime", "comm",
-               "peirce", "p4", "p3", "p3prime")
+def _audit_table(star: tuple[int, ...], zero: int) -> _Audit:
+    """The `_Audit` of (star, zero), built at its first use and kept in
+    `_AUDITS`."""
+    return _AUDITS.get((star, zero), _Audit)
 
 
 def _read(R: np.ndarray, reader, blocks: dict) -> np.ndarray:
@@ -591,17 +617,15 @@ def _read(R: np.ndarray, reader, blocks: dict) -> np.ndarray:
 def _passing(R: np.ndarray, star: np.ndarray, zero: int, required) -> np.ndarray:
     """The indices, ascending, of the relations of the batch R that pass
     every required postulate.  The postulates are read off the rows of
-    `_audit_table` in `_COST_ORDER`, each on the relations that passed the
-    ones before it, so a costly postulate sees only the survivors.  A row
-    that reads no relation (p6, normal) is decided once for the batch; each
-    other term compares its two readers: a whole span of a block in order
-    is read as it is, anything else by one gather, and a composition only
-    over the rows its span needs (p4 composes R[:, zero] with R)."""
+    `_audit_table` in order, cheapest first, each on the relations that
+    passed the ones before it, so a costly postulate sees only the
+    survivors.  A row that reads no relation (p6, normal) is decided once
+    for the batch; each other term compares its two readers: a whole span
+    of a block in order is read as it is, anything else by one gather, and
+    a composition only over the rows its span needs (p4: R[:, zero] o R)."""
     audit = _audit_table(tuple(star.tolist()), zero)
     rows = np.arange(len(R))
-    for name in _COST_ORDER:
-        if name not in required:
-            continue
+    for name in [name for name in audit.rows if name in required]:
         fixed, terms = audit.plan(name)
         if fixed is not None:
             if fixed:
@@ -662,7 +686,7 @@ def check_postulates(m: ModelStructure) -> PostulateReport:
                             _block(R, _R2P, 0, n ** 4)[0]])
     hits = (facts[audit.given] > facts[audit.asked]).nonzero()[0]
     ends = hits.searchsorted(audit.starts).tolist()
-    flags: dict[str, bool] = {}
+    flags: dict[str, bool] = dict.fromkeys(POSTULATE_NAMES)   # keys in report order
     witnesses: dict[str, tuple] = {}
     missing: tuple = ()
     for (name, row), lo, hi in zip(audit.rows.items(), ends, ends[1:]):
@@ -677,7 +701,7 @@ def check_postulates(m: ModelStructure) -> PostulateReport:
         else:
             position = int(hits[lo]) - row.start
             witnesses[name] = tuple([elems[position // p % n] for p in row.powers])
-    return PostulateReport(flags, witnesses, missing)
+    return PostulateReport(flags, {n: witnesses[n] for n in flags if n in witnesses}, missing)
 
 
 # ------------------------------------------------------------------
@@ -748,10 +772,10 @@ _IMPLIED = ((frozenset({"p1", "p3", "p4"}), "comm"),)
 def _candidates(size: int, required):
     """The candidate relations of an enumeration, as (star, R) pairs: star is
     the index array of an involution and R a (C, size, size, size) boolean
-    tensor of at most `_CHUNK` relations.  The star maps are the permutations
-    of the elements that are their own inverse (and fix 0 under normal), in
-    lexicographic order.  A triple is its flat index, as in `_tensor`:
-    p1/p2/crstar seed triples in or out as masks, and p5/p5'/comm are each a
+    tensor of at most `_CHUNK` relations.  The star maps are the involutions
+    of the elements that no required row refuses, in lexicographic order.  A
+    triple is its flat index, as in `_tensor`; the rows' constant sides seed
+    triples in or out (`_Audit.seeds`), and p5/p5'/comm are each a
     permutation of the indices, the `asked` of its row of `_audit_table`,
     that closes triples into orbits, each labelled by its least index.  The
     orbits are closed under the required postulates and under those they
@@ -780,33 +804,26 @@ def _candidates(size: int, required):
         raise ValueError(f"the chunk size must be a power of two, not {_CHUNK}")
     closed = required | {name for premises, name in _IMPLIED if premises <= required}
     n = size
-    a, b, c = np.indices((n, n, n)).reshape(3, -1)
     triples = np.arange(n ** 3)
-    forced_in = (a == 0) & (b == c) & bool(required & {"p1", "crstar"})
-    forced_in |= (a == b) & (b == c) & ("p2" in required)
-    forced_out = (a == 0) & (b != c) & ("crstar" in required)
     plans = []                       # (star, seeded in, free, bit, candidates)
     total = 0
     for star in itertools.permutations(range(n)):
         if any(star[j] != i for i, j in enumerate(star)):
             continue
-        if "normal" in required and star[0]:
-            continue
-        rows = _audit_table(star, 0).rows
-        perms = {name: rows[name].asked for name in ("p5", "p5prime", "comm")}
+        audit = _audit_table(star, 0)
+        forced_in, forced_out, refused = audit.seeds(required)
+        perms = {name: audit.rows[name].asked for name in ("p5", "p5prime", "comm")}
         star = np.array(star)
         # each triple's orbit label under the required maps, then under the
         # implied ones too; `top` holds, at each closed label, the largest
         # unclosed label of its orbit (the label itself when none is implied)
-        label = top = _orbits(triples, [perm for name, perm in perms.items() if name in required])
-        if closed != required:
-            unclosed, label = label, _orbits(label, [perm for name, perm in perms.items()
-                                                     if name in closed])
-            top = np.zeros(n ** 3, dtype=np.intp)
-            np.maximum.at(top, label, unclosed)
+        unclosed = _orbits(triples, [perm for name, perm in perms.items() if name in required])
+        label = _orbits(unclosed, [perm for name, perm in perms.items() if name in closed])
+        top = np.zeros(n ** 3, dtype=np.intp)
+        np.maximum.at(top, label, unclosed)
         seeded_in = np.bincount(label[forced_in], minlength=n ** 3) > 0
         seeded_out = np.bincount(label[forced_out], minlength=n ** 3) > 0
-        if (seeded_in & seeded_out).any():
+        if refused or (seeded_in & seeded_out).any():
             continue
         free = (label == triples) & ~seeded_in & ~seeded_out
         count = 1 << int(free.sum())
@@ -859,7 +876,8 @@ def enumerate_structures(size: int, required):
     over the raw encoding of `_candidates` (no isomorphism reduction), which
     refuses a bad argument, or a query of more than DEFAULT_VALUATION_CAP
     candidates with TooManyValuations, when the first structure is asked
-    for and before any chunk is built.  Its candidates are closed under the
+    for and before any chunk is built.  Its candidates are seeded from the
+    constant sides of the required audit rows and closed under the
     postulates that the required ones imply (`_IMPLIED`): the candidates
     that are not cannot pass, and the closed orbits are numbered by the
     largest unclosed orbit label they hold, so the yields, their order and
@@ -868,12 +886,12 @@ def enumerate_structures(size: int, required):
     reorder the yields: (4, p1..p6) and (4, p1..p6, comm) give the same 852
     structures, but their orders first differ at enum4_5.  Each chunk of
     candidates is one table OR-ed with one row, and is audited as one
-    boolean tensor by `_passing`, for every required postulate: the cheap
-    ones first (p6 and normal once for the chunk, then single gathers of R,
-    peirce among them), the compositions (p4, p3, p3') last and only on the
-    candidates still passing.  A structure is built only for those that
-    pass them all, in candidate order.  Its fields fit together by
-    construction, so it skips the checks of `__post_init__`
+    boolean tensor by `_passing`, one required row at a time in table
+    order, cheapest first (p6 and normal once for the chunk, then single
+    gathers of R, peirce among them), the compositions (p4, p3, p3') last
+    and only on the candidates still passing.  A structure is built only
+    for those that pass them all, in candidate order.  Its fields fit
+    together by construction, so it skips the checks of `__post_init__`
     (`ModelStructure._unchecked`), and the structures of one chunk share its
     one read-only map of star images."""
     required = _postulate_set(required)

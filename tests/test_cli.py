@@ -329,6 +329,18 @@ def test_postulates_refuses_a_model_too_large_to_audit(tmp_path, capsys, monkeyp
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_valid_refuses_a_model_too_large_for_its_tables(tmp_path, capsys):
+    # the subset tables stop at 10 elements
+    elements = [f"e{i}" for i in range(11)]
+    path = tmp_path / "eleven.model"
+    path.write_text("model eleven\nelements " + " ".join(elements) + "\nzero e0\nstar "
+                    + " ".join(f"{e}:{e}" for e in elements) + "\ntriples\nend\n")
+    code, out, err = run(capsys, "valid", str(path), "contra")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "11 elements is beyond table support" in err
+
+
 def test_unknown_model(capsys):
     code, _, err = run(capsys, "valid", "K9", "contra")
     assert code == 2

@@ -211,6 +211,26 @@ def test_empty_input_proof():
                         {"a": Var("a"), "b": Var("a")})
 
 
+def test_conclusion_formula_without_a_goal_reads_the_last_line():
+    bare = replace(proof_of("A1"), goal=None)
+    assert conclusion_formula(bare) == parse_formula("a -> a")
+    conclude("contraposition", [bare], expect="~a -> ~a")
+    # the last line must be => (F)[0,0]: not a left side, nor other indices
+    with pytest.raises(PremiseMismatch, match=r"does not end in => \(F\)\[0,0\]"):
+        conclusion_formula(replace(bare, lines=bare.lines[:1]))
+    _, away = parse_proof_script("lemma away\n1. (a)[0,1] => (a)[0,1] ; axiom\n"
+                                 "2. => (a -> a)[1,1] ; impR k=0\n")
+    with pytest.raises(PremiseMismatch, match="does not conclude at indices 0,0"):
+        conclusion_formula(away)
+
+
+def test_wrong_number_of_inputs_or_parameters():
+    with pytest.raises(PremiseMismatch, match=r"transitivity takes 2 input proof\(s\)"):
+        apply_derived_rule("transitivity", [proof_of("A2")])
+    with pytest.raises(PremiseMismatch, match=r"erule takes 1 formula parameter\(s\)"):
+        apply_derived_rule("erule", [proof_of("t6")])
+
+
 def test_invalid_input_rejected():
     bogus = Proof(lines=[(Sequent.of((), (Assertion(Var("a"), 0, 0),)),
                           Axiom())], goal=Var("a"))

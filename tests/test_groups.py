@@ -142,6 +142,27 @@ def test_all_partitions_build_the_same_structure():
                               "normal", "crstar", "peirce"])
 
 
+def test_out_of_range_and_malformed_elements_are_refused():
+    with pytest.raises(ValueError, match="out of range"):
+        GroupElement(3, 0)
+    with pytest.raises(ValueError, match="bad group element"):
+        element_of("h")
+
+
+def test_validate_partition_refuses_overlaps_and_an_open_six_block():
+    p = PARTITIONS[0]
+    x, f = min(p.b_set), element_of("f")
+    # x in two blocks, so one element is in none
+    overlap = Partition(99, p.a_set, p.b_set, p.bstar_set - {min(p.bstar_set)} | {x})
+    with pytest.raises(InvalidPartition, match="must partition"):
+        validate_partition(overlap)
+    # f and x change blocks: still a partition, but f's inverse stays behind
+    assert f in p.a_set and ginv(f) in p.a_set
+    swapped = Partition(99, p.a_set - {f} | {x}, p.b_set - {x} | {f}, p.bstar_set)
+    with pytest.raises(InvalidPartition, match="closed under inverses"):
+        validate_partition(swapped)
+
+
 def test_corrupted_partition_rejected_or_differs():
     p = PARTITIONS[0]
     moved = next(iter(p.b_set))

@@ -1087,7 +1087,7 @@ def test_passing_keeps_exactly_the_rows_every_tensor_clears():
                     R = _relations(rng, n)
                     flags = [check_postulates(_structure_of(r, star, zero)).flags for r in R]
                     clean = np.ones(len(R), dtype=bool)
-                    for name in models._COST_ORDER:
+                    for name in models._audit_table(tuple(star.tolist()), zero).rows:
                         if name in required:
                             ok = np.array([f[name] for f in flags])
                             rejected[name] += int((clean & ~ok).sum())
@@ -1152,6 +1152,64 @@ def test_closure_gathers_match_the_index_forms():
             for name, old in OLD_CLOSURES.items():
                 fails = R & ~R.reshape(len(R), -1)[:, rows[name].asked].reshape(R.shape)
                 assert np.array_equal(fails, old(R, star)), (n, star, name)
+
+
+# the seed masks that _candidates wrote by hand before it read them off the
+# constant sides of the audit rows: triples forced in, triples forced out,
+# and whether the star map is refused
+def OLD_SEEDS(n, star, required):
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    forced_in = (a == 0) & (b == c) & bool(required & {"p1", "crstar"})
+    forced_in |= (a == b) & (b == c) & ("p2" in required)
+    forced_out = (a == 0) & (b != c) & ("crstar" in required)
+    return forced_in, forced_out, "normal" in required and star[0] != 0
+
+
+def test_seeds_read_off_the_rows_match_the_hand_written_masks():
+    # the other rows have no constant side under an involution, so adding
+    # them changes nothing
+    seeding = ("p1", "p2", "crstar", "normal")
+    others = frozenset(POSTULATE_NAMES) - set(seeding)
+    for n in range(1, 5):
+        for star in itertools.permutations(range(n)):
+            if any(star[j] != i for i, j in enumerate(star)):
+                continue
+            audit = models._audit_table(star, 0)
+            for k in range(len(seeding) + 1):
+                for required in map(frozenset, itertools.combinations(seeding, k)):
+                    want_in, want_out, want_refused = OLD_SEEDS(n, star, required)
+                    for names in (required, required | others):
+                        forced_in, forced_out, refused = audit.seeds(names)
+                        got_in, got_out = np.zeros((2, n ** 3), dtype=bool)
+                        got_in[forced_in] = got_out[forced_out] = True
+                        assert np.array_equal(got_in, want_in), (star, names)
+                        assert np.array_equal(got_out, want_out), (star, names)
+                        assert refused == want_refused, (star, names)
+
+
+def test_audit_tables_are_kept_within_the_store_bound(monkeypatch):
+    store = models._AUDITS
+    monkeypatch.setattr(store, "columns", {})
+    monkeypatch.setattr(store, "nbytes", 0)
+    table_bytes = models._Audit((0, 1, 2), 0).nbytes
+    monkeypatch.setattr(models, "GRID_CACHE_BYTES", 2 * table_bytes)
+    rng = random.Random(39)
+    elements = ("0", "1", "2")
+    triples = frozenset(t for t in itertools.product(elements, repeat=3) if rng.random() < 0.6)
+    structures = [ModelStructure("s", elements, "0", dict(zip(elements, images)), triples)
+                  for images in itertools.product(elements, repeat=3)]
+    reports, kept = [], set()
+    for m in structures:
+        reports.append(check_postulates(m))
+        assert store.nbytes == sum(t.nbytes for t in store.columns.values())
+        assert store.nbytes <= 2 * table_bytes
+        kept.add(len(store.columns))
+    assert kept == {0, 1, 2}
+    assert [check_postulates(m) for m in structures] == reports
+    # a table larger than the bound is built, used and not kept
+    monkeypatch.setattr(models, "GRID_CACHE_BYTES", table_bytes - 1)
+    assert check_postulates(structures[5]) == reports[5]
+    assert (store.columns, store.nbytes) == ({}, 0)
 
 
 # ------------------------------------------------------------------

@@ -33,6 +33,11 @@ def test_structure_lookup_errors():
         get_formula("nonesuch")
 
 
+def test_unknown_corpus_entry():
+    with pytest.raises(UnknownName):
+        get_corpus_entry("nonesuch")
+
+
 def test_k1_table_cells():
     k1 = get_structure("K1")
     assert cell(k1, "a", "a") == {"0", "a", "b"}

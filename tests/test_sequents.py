@@ -19,8 +19,8 @@ from tarl.formulas import Imp, Neg, Var, desugar_fusion, parse_formula, variable
 from tarl.gen import random_formula
 from tarl.registry import corpus_ids, get_corpus_entry
 from tarl.sequents import (
-    RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, NegR, NotABijection, OrR,
-    Proof, RuleError, Sequent, Weaken, check_proof, check_step,
+    RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, InvalidProof, NegR, NotABijection,
+    OrR, Proof, RuleError, Sequent, Weaken, check_proof, check_step,
     format_proof_script, objects_level, parse_proof_script, permute_indices,
     substitute_proof,
 )
@@ -75,6 +75,15 @@ def test_index_out_of_bound():
     with pytest.raises(RuleError) as e:
         check_step([], (concl, Axiom()), bound=4)
     assert e.value.kind == "IndexOutOfBound"
+
+
+def test_an_eigen_index_past_the_bound_is_reported():
+    _, proof = parse_proof_script("lemma far : a -> a bound 4\n"
+                                  "1. (a)[1,0] => (a)[1,0] ; axiom\n"
+                                  "2. => (a -> a)[0,0] ; impR k=9\n")
+    assert check_proof(proof).first_error == (2, "IndexOutOfBound: eigen index 9")
+    with pytest.raises(InvalidProof, match="eigen index 9"):
+        objects_level(proof)
 
 
 def test_the_least_index_out_of_bound_is_reported_under_any_hash_seed():
@@ -294,6 +303,15 @@ def test_script_bound_header():
     report = check_proof(proof2)
     assert not report.valid
     assert "IndexOutOfBound" in report.first_error[1]
+
+
+def test_format_writes_a_bound_that_is_not_the_default():
+    proof = replace(get_corpus_entry("A1").proof, bound=5)
+    text = format_proof_script("A1", proof)
+    assert text.splitlines()[0] == "lemma A1 : a -> a bound 5"
+    name, again = parse_proof_script(text)
+    assert (name, again.bound, again.goal) == ("A1", 5, proof.goal)
+    assert [seq for seq, _ in again.lines] == [seq for seq, _ in proof.lines]
 
 
 def test_script_header_colon_may_touch_the_name():
