@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_checker
 from tarl import algebra, sequents
 from tarl.derived import apply_derived_rule
 from tarl.formulas import Imp, Neg, Var, desugar_fusion, parse_formula, variables
@@ -469,6 +470,67 @@ def test_impl_reading_k_from_its_premises_agrees_with_every_k(monkeypatch):
     # the mutants reach impL's failing path, not only its passing one
     failed_impl = sum(not r.valid and "impL" in r.first_error[1] for r in ours)
     assert failed_impl > 300, failed_impl
+
+
+# ------------------------------------------------------------------
+# The reference checker: the calculus read again, over text triples
+# ------------------------------------------------------------------
+
+def _fault(proof, rng):
+    """proof with a fault that _mutant does not make: a reference to its
+    own line or a later one, an index at the bound, another eigen index on
+    an impR line, or a goal that no line derives."""
+    lines = list(proof.lines)
+    n = rng.randrange(len(lines))
+    s, just = lines[n]
+    kind = rng.randrange(4)
+    if kind == 0 and just.refs:
+        refs = list(just.refs)
+        refs[rng.randrange(len(refs))] = rng.randint(n + 1, len(lines) + 1)
+        lines[n] = (s, replace(just, refs=tuple(refs)))
+    elif kind == 1:
+        x = min(s.left | s.right, key=Assertion.key)
+        moved = Assertion(x.formula, x.i, proof.bound)
+        lines[n] = (Sequent(*(side - {x} | {moved} if x in side else side
+                              for side in (s.left, s.right))), just)
+    elif kind == 2 and any(j.rule is ImpR for _, j in lines):
+        n = rng.choice([m for m, (_, j) in enumerate(lines) if j.rule is ImpR])
+        s, just = lines[n]
+        lines[n] = (s, replace(just, eigen=rng.randrange(proof.bound + 1)))
+    else:
+        return replace(proof, goal=Imp(Var("p"), proof.goal or Var("p")))
+    return replace(proof, lines=lines)
+
+
+def test_the_reference_checker_agrees_on_pinned_proofs_and_mutants():
+    proofs = _golden_proofs()
+    rng = random.Random(25)
+    faulty = [_mutant(rng.choice(proofs), rng) for _ in range(400)]
+    faulty += [_fault(rng.choice(proofs), rng) for _ in range(200)]
+    for proof in proofs + faulty:
+        assert reference_checker.agrees(proof, check_proof(proof)), \
+            format_proof_script("x", proof)
+    # every kind of error but EigenvariableViolation, which the unit
+    # examples below reach
+    kinds = {reference_checker.check(p)[3] for p in faulty}
+    assert kinds == {None, "BadRef", "IndexOutOfBound", "ShapeMismatch", "NotAxiom",
+                     "GoalMissing"}, kinds
+
+
+def test_the_reference_checker_reads_each_fault_of_the_unit_examples():
+    cases = {
+        "1. (a)[1,0], (b)[1,1] => (a)[1,0] ; axiom\n"
+        "2. (b)[1,1] => (a -> a)[0,0] ; impR k=1": "EigenvariableViolation",
+        "1. (p)[1,0] => (p)[1,1] ; axiom": "NotAxiom",
+        "1. (p)[0,0] => (p)[0,0] ; axiom\n2. (p)[0,0] => (p)[0,0] ; weaken 2": "BadRef",
+        "1. (p)[0,7] => (p)[0,7] ; axiom": "IndexOutOfBound",
+        "1. (p)[1,0] => (p)[1,0] ; axiom\n2. => (p -> p)[0,0] ; impR k=5": "IndexOutOfBound",
+        "1. => (p)[0,0] ; premise": "ShapeMismatch",
+    }
+    for lines, kind in cases.items():
+        _, proof = parse_proof_script(f"lemma x\n{lines}\n")
+        assert reference_checker.check(proof)[3] == kind, lines
+        assert reference_checker.agrees(proof, check_proof(proof)), lines
 
 
 # ------------------------------------------------------------------
