@@ -40,6 +40,7 @@ any syntax error.  The memo is emptied when it holds MEMO_SIZE texts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import threading
@@ -542,25 +543,27 @@ def shared_variables(a: Formula, b: Formula) -> frozenset[str]:
     return variables(a) & variables(b)
 
 
+def _image(images: dict, mapping: dict, f: Formula) -> Formula:
+    """f with each variable mapping names replaced by its formula; images
+    holds the image of each node met so far."""
+    out = images.get(f)
+    if out is None:
+        if isinstance(f, Var):
+            out = mapping.get(f.name, f)
+        elif isinstance(f, Neg):
+            out = Neg(_image(images, mapping, f.body))
+        else:
+            out = type(f)(_image(images, mapping, f.left), _image(images, mapping, f.right))
+        images[f] = out
+    return out
+
+
 def substitution(mapping: dict[str, Formula]):
     """The map f -> f with each variable mapping names replaced by its
     formula.  The map remembers the image of each node it meets, so a
-    subformula shared by the formulas it is given is substituted once."""
-    images: dict[Formula, Formula] = {}
-
-    def image(f: Formula) -> Formula:
-        out = images.get(f)
-        if out is None:
-            if isinstance(f, Var):
-                out = mapping.get(f.name, f)
-            elif isinstance(f, Neg):
-                out = Neg(image(f.body))
-            else:
-                out = type(f)(image(f.left), image(f.right))
-            images[f] = out
-        return out
-
-    return image
+    subformula shared by the formulas it is given is substituted once.  It
+    holds no reference to itself, so its images go when it does."""
+    return functools.partial(_image, {}, mapping)
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:

@@ -321,11 +321,17 @@ class _Store:
         value = self.columns.get(key)
         if value is None:
             value = self.columns[key] = build(*key)
-            self.nbytes += value.nbytes
+            self.grew(key, value, value.nbytes)
+        return value
+
+    def grew(self, key, value, nbytes: int) -> None:
+        """Count nbytes that value, kept under key, has taken on; a value
+        not kept (any more) is not counted."""
+        if self.columns.get(key) is value:
+            self.nbytes += nbytes
             if self.nbytes > GRID_CACHE_BYTES:
                 self.columns.clear()
                 self.nbytes = 0
-        return value
 
 
 class _GridCache(_Store):
@@ -503,11 +509,12 @@ class _Audit:
     within the flat relation, so their `asked` is a permutation of the
     triples' flat indices under an involutive star: `_candidates` closes
     triples into its orbits, and seeds them from the rows' constant sides
-    (`seeds`).  The only state that changes is the cache of `plan`."""
+    (`seeds`).  The only state that changes is the cache of `plan`, whose
+    arrays `nbytes` counts along with the table's."""
 
     def __init__(self, star: tuple[int, ...], zero: int):
         n, s = len(star), np.array(star)
-        self.n = n
+        self.n, self.key = n, (star, zero)
         self.offsets = offsets = np.cumsum([0, n ** 3, 1, 1, n ** 4])
         true, false = offsets[_TRUE], offsets[_FALSE]
 
@@ -539,8 +546,9 @@ class _Audit:
         self.starts = np.cumsum([0] + [n ** arity for arity, _, _ in rows.values()])
         for table in (self.offsets, self.given, self.asked, self.starts):
             table.flags.writeable = False
-        # what `_AUDITS` counts: the gathers, not the plans built later
-        self.nbytes = self.given.nbytes + self.asked.nbytes
+        # what `_AUDITS` counts, until `plan` adds its arrays
+        self.nbytes = sum(table.nbytes for table in (self.offsets, self.given,
+                                                     self.asked, self.starts))
         starts = self.starts.tolist()
         self.rows = {name: _Row([n ** p for p in range(arity - 1, -1, -1)], start,
                                 self.given[start:end], self.asked[start:end])
@@ -576,6 +584,12 @@ class _Audit:
                 terms.append((_reader(g, given, offsets, n), _reader(k, asked, offsets, n),
                               np.ones(len(given), np.float32)))
             self._plans[name] = True if always else None if terms else False, tuple(terms)
+            # the plan's own arrays: each term's vector of ones and gathers
+            grown = sum(ones.nbytes + sum(reader[3].nbytes for reader in readers
+                                          if isinstance(reader, tuple) and reader[3] is not None)
+                        for *readers, ones in terms)
+            self.nbytes += grown
+            _AUDITS.grew(self.key, self, grown)
         return self._plans[name]
 
     def seeds(self, names) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -291,12 +291,6 @@ class InvalidProof(ValueError):
 # Rule checking: the table read forward
 # ------------------------------------------------------------------
 
-def _get(earlier: Sequence[Sequent], ref: int, line_no: int) -> Sequent:
-    if not 1 <= ref <= len(earlier):
-        raise RuleError(line_no, "BadRef", f"reference {ref} out of range")
-    return earlier[ref - 1]
-
-
 def _principals(rule: Rule, concl: Sequent, just, prems: list[Sequent],
                 bound: int) -> list[tuple[Assertion | None, int | None]]:
     """The (principal, k) pairs a line may apply its rule to."""
@@ -314,45 +308,72 @@ def _principals(rule: Rule, concl: Sequent, just, prems: list[Sequent],
     return [(p, k) for p in principals]
 
 
-def _least(rule: Rule, principal: Assertion | None, k: int | None,
-           prems: Sequence[Sequent]):
-    """For each order of the premises that holds the actives, yield the
-    conclusion's least reading, left and right: the premise sides less their
-    actives, plus the principal.  Also yield the actives."""
-    actives = rule.actives(principal, k, len(prems))
-    for order in (prems, prems[::-1])[:len(prems)]:  # either premise first
-        left, right = set(), set()
-        for prem, (act_left, act_right) in zip(order, actives):
-            if not (act_left <= prem.left and act_right <= prem.right):
-                break
-            left |= prem.left - act_left
-            right |= prem.right - act_right
-        else:
-            if rule.side:
-                (left if rule.side == "left" else right).add(principal)
-            yield left, right, actives
+def _adds_at_most(have: frozenset, held: frozenset, principal: Assertion) -> bool:
+    """have <= held + the principal, which have holds."""
+    extra = have - held
+    return not extra or (len(extra) == 1 and principal in extra)
 
 
-def _fits(rule: Rule, have: frozenset, least: set, actives, side: int) -> bool:
-    """least <= have <= least + the actives on this side, in one pass over
-    have.  impR keeps no active, as its actives carry the fresh eigen index;
-    weaken may add anything."""
-    extra = have - least
-    if len(have) - len(extra) != len(least):  # part of least is missing
+def _follows_one(rule: Rule, concl: Sequent, prem: Sequent, actives,
+                 principal: Assertion | None) -> bool:
+    """Whether concl follows from prem by rule on principal, given the
+    premise's left and right actives: each conclusion side holds the
+    premise's side less its actives, plus the principal on its side, and
+    else only actives; impR's holds no active, and weaken's anything."""
+    act_left, act_right = actives
+    if not (act_left <= prem.left and act_right <= prem.right):
         return False
-    return rule.widens or not extra or (
-        rule.index != "eigen" and extra <= set().union(*(a[side] for a in actives)))
+    left, right = concl.left, concl.right
+    if rule.widens:
+        return prem.left <= left and prem.right <= right
+    base_left = prem.left - act_left if act_left else prem.left
+    base_right = prem.right - act_right if act_right else prem.right
+    if rule.index == "eigen":  # the principal is on the right
+        return (left == base_left and base_right <= right
+                and len(right) == len(base_right) + (principal not in base_right))
+    if rule.side == "left":
+        return (base_left <= left and _adds_at_most(left, prem.left, principal)
+                and base_right <= right <= prem.right)
+    return (base_left <= left <= prem.left
+            and base_right <= right and _adds_at_most(right, prem.right, principal))
 
 
-def _check_rule(concl: Sequent, just: Justification,
-                earlier: Sequence[Sequent], line_no: int, bound: int) -> None:
+def _follows_two(rule: Rule, concl: Sequent, first: Sequent, second: Sequent,
+                 actives, principal: Assertion | None) -> bool:
+    """Whether concl follows from first and second, in that order, by rule
+    on principal (cut's has none), given each premise's left and right
+    actives: as for _follows_one, with the two premises' sides joined."""
+    (left1, right1), (left2, right2) = actives
+    if not (left1 <= first.left and right1 <= first.right
+            and left2 <= second.left and right2 <= second.right):
+        return False
+    left, right = concl.left, concl.right
+    if not ((first.left - left1) | (second.left - left2) <= left
+            and (first.right - right1) | (second.right - right2) <= right):
+        return False
+    if rule.side == "left":
+        return (_adds_at_most(left, first.left | second.left, principal)
+                and right <= first.right | second.right)
+    if rule.side == "right":
+        return (left <= first.left | second.left
+                and _adds_at_most(right, first.right | second.right, principal))
+    return left <= first.left | second.left and right <= first.right | second.right
+
+
+def _check_rule(concl: Sequent, just: Justification, earlier: Sequence[Sequent],
+                line_no: int, bound: int, indices: frozenset[int]) -> None:
+    """Raise the RuleError of line line_no, concl by just, if it has one;
+    indices are concl's."""
     if not isinstance(just, Justification):
         raise RuleError(line_no, "ShapeMismatch", f"unknown rule {just!r}")
     rule = just.rule
     if rule is Premise:
         raise RuleError(line_no, "ShapeMismatch", "a premise line is a derived "
                         "rule's hypothesis, not a step of a proof")
-    prems = [_get(earlier, ref, line_no) for ref in just.refs]
+    for ref in just.refs:
+        if not 1 <= ref <= len(earlier):
+            raise RuleError(line_no, "BadRef", f"reference {ref} out of range")
+    prems = [earlier[ref - 1] for ref in just.refs]
     if not prems:
         if concl.is_axiom():
             return
@@ -361,15 +382,18 @@ def _check_rule(concl: Sequent, just: Justification,
         raise RuleError(line_no, "IndexOutOfBound", f"eigen index {just.eigen}")
     stale = False
     for principal, k in _principals(rule, concl, just, prems, bound):
-        for left, right, actives in _least(rule, principal, k, prems):
-            if not (_fits(rule, concl.left, left, actives, 0)
-                    and _fits(rule, concl.right, right, actives, 1)):
+        actives = rule.actives(principal, k, len(prems))
+        if len(prems) == 1:
+            if not _follows_one(rule, concl, prems[0], actives[0], principal):
                 continue
-            # the principal carries i and j, so this keeps k apart from them too
-            if rule.index == "eigen" and any(k in (a.i, a.j) for a in left | right):
-                stale = True
-                continue
-            return
+        elif not (_follows_two(rule, concl, *prems, actives, principal)
+                  or _follows_two(rule, concl, *prems[::-1], actives, principal)):
+            continue
+        # the principal carries i and j, so this keeps k apart from them too
+        if rule.index == "eigen" and k in indices:
+            stale = True
+            continue
+        return
     if stale:
         raise RuleError(line_no, "EigenvariableViolation",
                         f"index {just.eigen} not fresh")
@@ -385,7 +409,7 @@ def _check_line(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
         if not 0 <= idx < bound:  # report the least, whatever the set's order
             idx = min(i for i in indices if not 0 <= i < bound)
             raise RuleError(line_no, "IndexOutOfBound", f"index {idx}")
-    _check_rule(concl, just, earlier, line_no, bound)
+    _check_rule(concl, just, earlier, line_no, bound, indices)
 
 
 def check_step(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
@@ -410,8 +434,7 @@ def check_proof(proof: Proof) -> CheckReport:
                 first_error = (n, f"{e.kind}: {e.detail}" if e.detail else e.kind)
         earlier.append(seq)
     if first_error is None and proof.goal is not None:
-        target = proof.goal_sequent()
-        if all(seq != target for seq, _ in proof.lines):
+        if proof.goal_sequent() not in earlier:
             first_error = (len(proof.lines), "GoalMissing")
     return CheckReport(valid=first_error is None,
                        objects_used=frozenset(objects),
@@ -535,10 +558,66 @@ def _side(content: str, pos: int, end: int, n: int, col: int,
     return out
 
 
-def _script_line(content: str, line_no: int, n: int, col: int,
-                 made: dict) -> tuple[Sequent, Justification]:
-    """Proof line line_no, written as content on line n of a script from
-    column col; made is as for _side."""
+def _split_assertion(text: str) -> Assertion | None:
+    """The assertion text, written '(<formula>)[i,j]', or None if it is not
+    written so or its formula does not parse."""
+    if text[:1] != "(" or text[-1:] != "]":
+        return None
+    formula, bracket, indices = text[1:-1].rpartition(")[")
+    i, _, j = indices.partition(",")
+    # as _ASSERTION reads it: the formula ends at the last ')' before a '['
+    if not bracket or "[" in formula or not (i.isdecimal() and j.isdecimal()):
+        return None
+    try:
+        f = parse_formula(formula)
+    except ParseError:
+        return None
+    return Assertion(desugar_fusion(f), int(i), int(j))
+
+
+def _split_side(text: str, made: dict, sides: dict) -> frozenset[Assertion] | None:
+    """The sequent side text, its assertions joined by ', ' (a formula holds
+    no ','), or None if it is not written so.  made and sides map the texts
+    of a script's assertions and sides to what was read from them."""
+    side = sides.get(text)
+    if side is None:
+        out = []
+        for piece in text.split(", ") if text else ():
+            a = made.get(piece)
+            if a is None:
+                a = _split_assertion(piece)
+                if a is None:
+                    return None
+                made[piece] = a
+            out.append(a)
+        side = sides[text] = frozenset(out)
+    return side
+
+
+def _split_sequent(content: str, line_no: int, made: dict,
+                   sides: dict) -> tuple[Sequent, int] | None:
+    """Proof line line_no's sequent and the offset of its ';', if content is
+    laid out as format_proof_script writes it, '<k>. <left> => <right> ; ...'
+    with single blanks; else None.  made and sides are as for _split_side."""
+    prefix = f"{line_no}. "
+    semi = content.find(";")
+    if not (semi > len(prefix) and content.startswith(prefix)
+            and content[semi - 1:semi + 2] == " ; "):
+        return None
+    left, arrow, right = content[len(prefix):semi - 1].partition("=>")
+    if not arrow or left[-1:] not in ("", " ") or right[:1] not in ("", " "):
+        return None
+    left, right = _split_side(left[:-1], made, sides), _split_side(right[1:], made, sides)
+    if left is None or right is None:
+        return None
+    return Sequent(left, right), semi
+
+
+def _read_sequent(content: str, line_no: int, n: int, col: int,
+                  made: dict) -> tuple[Sequent, int]:
+    """Proof line line_no's sequent, written as content on line n of a
+    script from column col, and the offset of its ';'; made is as for _side.
+    Raises the ParseError of a line that does not read."""
     m = _NUMBER.match(content)
     if not m:
         raise ParseError(col, "'<k>. <sequent> ; <rule>'", line=n)
@@ -554,6 +633,18 @@ def _script_line(content: str, line_no: int, n: int, col: int,
     seq = Sequent.of(_side(content, start, arrow, n, col, made),
                      _side(content, _BLANKS.match(content, arrow + 2).end(), semi,
                            n, col, made))
+    return seq, semi
+
+
+def _script_line(content: str, line_no: int, n: int, col: int, made: dict,
+                 sides: dict) -> tuple[Sequent, Justification]:
+    """Proof line line_no, written as content on line n of a script from
+    column col.  The line is read by splits if it can be (_split_sequent),
+    and else by the regular expressions, which raise its ParseError.  made
+    maps the texts of a script's assertions to them, as the splits and _side
+    read them, and sides the texts of its sides."""
+    read = _split_sequent(content, line_no, made, sides)
+    seq, semi = read if read is not None else _read_sequent(content, line_no, n, col, made)
     name, *args = content[semi + 1:].split() or ("",)
     rule = RULE_NAMED.get(name)
     if rule is None:
@@ -583,10 +674,11 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
     name = goal = None
     bound = DEFAULT_BOUND
     lines: list[tuple[Sequent, Justification]] = []
-    made: dict[tuple, Assertion] = {}
+    made: dict[str | tuple, Assertion] = {}
+    sides: dict[str, frozenset[Assertion]] = {}
     for n, col, content in file_lines(text):
         if not content.startswith("lemma"):
-            lines.append(_script_line(content, len(lines) + 1, n, col, made))
+            lines.append(_script_line(content, len(lines) + 1, n, col, made, sides))
             continue
         if name is not None:
             raise ParseError(col, "a proof line: a script has one 'lemma' header",
@@ -618,7 +710,14 @@ def format_proof_script(name: str, proof: Proof) -> str:
     if proof.bound != DEFAULT_BOUND:
         header += f" bound {proof.bound}"
     out = [header]
+    sides: dict[frozenset, str] = {}  # each distinct side is printed once
     for n, (seq, just) in enumerate(proof.lines, start=1):
+        left, right = sides.get(seq.left), sides.get(seq.right)
+        if left is None:
+            left = sides[seq.left] = _listed(seq.left)
+        if right is None:
+            right = sides[seq.right] = _listed(seq.right)
         eigen = [] if just.eigen is None else [f"k={just.eigen}"]
-        out.append(f"{n}. {seq} ; " + " ".join([just.rule.name, *map(str, just.refs), *eigen]))
+        out.append(f"{n}. " + f"{left} => {right}".strip() + " ; "
+                   + " ".join([just.rule.name, *map(str, just.refs), *eigen]))
     return "\n".join(out) + "\n"

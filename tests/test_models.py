@@ -1212,6 +1212,44 @@ def test_audit_tables_are_kept_within_the_store_bound(monkeypatch):
     assert (store.columns, store.nbytes) == ({}, 0)
 
 
+def _owned_arrays(value, seen=None) -> dict:
+    """Every numpy array that value holds and that owns its memory, by id:
+    the arrays among its attributes, items and elements, at any depth."""
+    seen = {} if seen is None else seen
+    if isinstance(value, np.ndarray):
+        if value.base is None:
+            seen[id(value)] = value
+        else:  # a view holds the array it views
+            _owned_arrays(value.base, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _owned_arrays(item, seen)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _owned_arrays(item, seen)
+    elif hasattr(value, "__dict__"):
+        _owned_arrays(vars(value), seen)
+    return seen
+
+
+def test_the_audit_store_counts_the_plans_it_holds(monkeypatch):
+    store = models._AUDITS
+    monkeypatch.setattr(store, "columns", {})
+    monkeypatch.setattr(store, "nbytes", 0)
+    audit = models._audit_table(tuple(range(7, -1, -1)), 0)
+    table_bytes = store.nbytes
+    for name in audit.rows:
+        audit.plan(name)
+    held = _owned_arrays(store.columns)
+    assert store.nbytes == audit.nbytes == sum(x.nbytes for x in held.values())
+    assert store.nbytes > table_bytes  # the plans hold gathers of their own
+    # a plan built on a table the store no longer keeps is not counted
+    store.columns.clear()
+    store.nbytes = 0
+    models._Audit(tuple(range(8)), 0).plan("p3")
+    assert store.nbytes == 0
+
+
 # ------------------------------------------------------------------
 # Model files
 # ------------------------------------------------------------------

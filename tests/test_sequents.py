@@ -1,4 +1,6 @@
+import collections
 import copy
+import gc
 import os
 import pickle
 import random
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 import reference_checker
 from tarl import algebra, sequents
 from tarl.derived import apply_derived_rule
-from tarl.formulas import Imp, Neg, Var, desugar_fusion, parse_formula, variables
+from tarl.formulas import (
+    Imp, Neg, ParseError, Var, desugar_fusion, parse_formula, substitute, variables,
+)
 from tarl.gen import random_formula
 from tarl.registry import corpus_ids, get_corpus_entry
 from tarl.sequents import (
@@ -323,6 +327,88 @@ def test_script_header_colon_may_touch_the_name():
     assert check_proof(proof).valid
 
 
+# ------------------------------------------------------------------
+# The reader's two paths: splits of the printed layout, and the regular
+# expressions for every other line, which raise its ParseError
+# ------------------------------------------------------------------
+
+def _read(text):
+    """What parse_proof_script makes of text: (name, proof), or its
+    ParseError's line, column, expectation and finding."""
+    try:
+        return parse_proof_script(text)
+    except ParseError as e:
+        return e.line, e.position, e.expected, e.found
+
+
+def test_a_repeated_assertion_without_its_bracket_is_an_error_where_it_stands():
+    # the memo holds (p)[1,0] from line 1, which must not cover line 2's text
+    head = "lemma x : p -> p\n1. (p)[1,0] => (p)[1,0] ; axiom\n"
+    assert _read(head + "2. (p)[1,0 => (p)[1,0] ; axiom\n") == \
+        (3, 7, "'[i,j]' after the formula", "[")
+    assert _read(head + "2. (q)[1,0], (p)[1,0 => (p)[1,0] ; axiom\n") == \
+        (3, 17, "'[i,j]' after the formula", "[")
+
+
+def test_a_repeated_side_with_a_trailing_comma_or_a_doubled_blank_reads_as_printed():
+    printed = ("lemma x\n1. (p)[1,0], (q)[0,0] => (p)[1,0] ; axiom\n"
+               "2. (p)[1,0], (q)[0,0] => (p)[1,0] ; weaken 1\n"
+               "3. (p)[1,0], (q)[0,0] => (p)[1,0] ; weaken 2\n")
+    written = ("lemma x\n1. (p)[1,0], (q)[0,0] => (p)[1,0] ; axiom\n"
+               "2. (p)[1,0], (q)[0,0], => (p)[1,0], ; weaken 1\n"
+               "3. (p)[1,0],  (q)[0,0] =>  (p)[1,0] ; weaken 2\n")
+    assert _read(written) == _read(printed)
+    assert format_proof_script("x", _read(written)[1]) == printed
+
+
+def test_a_line_number_with_a_leading_zero_reads_as_printed():
+    printed = "lemma x : p -> p\n1. (p)[1,0] => (p)[1,0] ; axiom\n2. => (p -> p)[0,0] ; impR 1 k=1\n"
+    for written in (printed.replace("1. (", "01. ("), printed.replace("2. =>", "02. =>"),
+                    printed.replace("2. =>", "02. =>").replace(" 1 k", " k")):
+        assert _read(written) == _read(printed), written
+
+
+_LINE_CHARACTERS = " ,;.()[]=>-~&|0123456789abcpk"
+
+
+def _mutated_line(line, rng):
+    """line with one character inserted, deleted or replaced, the new one
+    drawn from the characters that proof lines are written in."""
+    at = rng.randrange(len(line))
+    new = rng.choice(_LINE_CHARACTERS)
+    return [line[:at] + new + line[at:], line[:at] + line[at + 1:],
+            line[:at] + new + line[at + 1:]][rng.randrange(3)]
+
+
+def test_the_split_reader_reads_what_the_regular_expressions_read(monkeypatch):
+    # 2,000 printed lines, each mutated once and read after the lines before
+    # it, so that the memo holds their texts
+    rng = random.Random(28)
+    proofs = _golden_proofs()
+    split_sequent, split, taken = sequents._split_sequent, [], collections.Counter()
+
+    def spy(*args):
+        read = split_sequent(*args)
+        split.append(read is not None)
+        return read
+
+    for _ in range(2000):
+        lines = format_proof_script("x", rng.choice(proofs)).splitlines()
+        k = rng.randrange(1, len(lines))
+        text = "\n".join(lines[:k] + [_mutated_line(lines[k], rng)]) + "\n"
+        split.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sequents, "_split_sequent", spy)
+            got = _read(text)
+        assert len(split) == k and all(split[:-1])  # printed lines take the splits
+        with monkeypatch.context() as m:
+            m.setattr(sequents, "_split_sequent", lambda *args: None)
+            assert got == _read(text), text
+        taken[split[-1]] += 1
+    # the splits read many of the mutated lines, and hand many on
+    assert taken[True] > 300 and taken[False] > 300, taken
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(corpus_ids()), st.permutations(list(range(4))))
 def test_permutation_invariance_property(lemma, perm):
@@ -407,6 +493,23 @@ def test_substitute_proof_agrees_with_substituting_each_assertion():
         report = check_proof(inst)
         assert report.valid, report.first_error
         assert report.objects_used == check_proof(proof).objects_used
+
+
+def test_substitution_leaves_no_reference_cycle():
+    # a substitution's images go with it, not at the collector's next run
+    rng = random.Random(26)
+    proofs = [get_corpus_entry(lemma).proof for lemma in corpus_ids()]
+    gc.collect()
+    gc.disable()
+    try:
+        for proof in proofs:
+            mapping = {v: random_formula(rng, rng.randint(1, 5), ["p", "q"])
+                       for v in sorted(variables(proof.goal))}
+            substitute_proof(proof, mapping)
+            substitute(proof.goal, mapping)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------------
