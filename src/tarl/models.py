@@ -605,8 +605,9 @@ class _Audit:
                 bool((given_true & asked_false).any()))
 
 
-# a table holds about 22,000 indices at n = 8 (170 KB) and 4.5 million at
-# n = 32 (36 MB, more than the store keeps)
+# a table holds about 22,000 indices at n = 8 (170 KB, 293 KB with the plans
+# of all twelve rows) and 4.5 million at n = 32 (36 MB, more than the store
+# keeps)
 _AUDITS = _Store()
 
 

@@ -36,8 +36,24 @@ less their actives, each conclusion side must lie between base plus the
 principal and that plus the actives: contexts are sets, so an active may
 also belong to the context.  impR's actives carry the fresh eigen index, so
 none may stay; weaken's conclusion may add anything.  For two-premise rules
-the reference order is immaterial.  The search (search.py) reads the same
-rows backward, and never takes cut or premise.
+the reference order is immaterial.  The checker tests this directly, for
+each principal and k that ``_principals`` offers and the actives that
+``Rule.actives`` builds: the premises must hold their actives, each
+conclusion side must hold base, and it may hold only the premise sides and
+the principal besides.  The one-premise and two-premise forms are written
+out (``_follows_one``, ``_follows_two``).  The search (search.py) reads the
+same rows backward, and never takes cut or premise.
+
+Proof scripts are read a line at a time.  A line laid out as
+``format_proof_script`` writes it, '<k>. ', the sides around ' => ', each
+side's assertions joined by ', ' and each ending in ']', then ' ; ' and the
+rule, is read by plain string splits; a script's memo maps each side's text
+and each assertion's text to what was read from it, so each is read once.
+Any other line goes to the regular-expression reader, which allows any
+blanks and commas between the parts, and which alone raises ParseError: a
+line the splits cannot read, such as one with an error, is read again
+there, so every error is placed as that reader places it.  The printer
+prints each distinct side of a proof once.
 """
 
 from __future__ import annotations
@@ -505,12 +521,16 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # lemma <name> [: <formula>] [bound <n>]
 # <k>. <sequent> ; <rule> [<refs>] [k=<idx>]
 # with sequents written  (formula)[i,j], ... => ...
+#
+# A line as format_proof_script lays it out is read by splits
+# (_split_sequent); the regular expressions below read every other line
+# (_read_sequent) and place its errors.
 
 _HEADER = re.compile(r"lemma\s+([^\s:]+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
 # a proof line is <k>. <left side> => <right side> ; <rule> <arguments>: the
-# reader matches the number and the blanks and commas after its dot, then
-# splits the rest at the first ';' and at the first '=>' before it, so that
-# it can say which of the two is missing
+# regular-expression reader matches the number and the blanks and commas
+# after its dot, then splits the rest at the first ';' and at the first '=>'
+# before it, so that it can say which of the two is missing
 _NUMBER = re.compile(r"(\d+)\s*\.[\s,]*")
 _BLANKS = re.compile(r"[\s,]*")
 # an assertion and the blanks and commas after it: a formula holds no '[', so

@@ -51,27 +51,14 @@ def _follows(concl, prems, principal, side, actives, exact=False):
 
 
 def _either_order(concl, prems, principal, side, actives):
-    """For two premises the order of the references does not matter."""
+    """_follows, with two premises taken in either order."""
     return any(_follows(concl, order, principal, side, actives)
                for order in (prems, prems[::-1])[:len(prems)])
 
 
-def _unary(conn, side, actives_of):
-    """A rule with one premise whose principal has connective conn on side
-    (0 left, 1 right); actives_of(operands, i, j) gives the premise's left
-    and right actives."""
-    def rule(concl, prems, eigen, bound):
-        for text, i, j in concl[side]:
-            c, operands = _parts(text)
-            if c is conn and _follows(concl, prems, (text, i, j), side,
-                                      [actives_of(operands, i, j)]):
-                return "ok"
-        return "ShapeMismatch"
-    return rule
-
-
-def _binary(conn, side, actives_of):
-    """As _unary, for a rule with two premises."""
+def _logical(conn, side, actives_of):
+    """A rule whose principal has connective conn on side (0 left, 1 right);
+    actives_of(operands, i, j) gives each premise's left and right actives."""
     def rule(concl, prems, eigen, bound):
         for text, i, j in concl[side]:
             c, operands = _parts(text)
@@ -130,14 +117,14 @@ def _impR(concl, prems, eigen, bound):
 _CHECKS = {
     "weaken": _weaken,
     "cut": _cut,
-    "orL": _binary(Or, 0, lambda ab, i, j: [({(ab[0], i, j)}, set()),
-                                           ({(ab[1], i, j)}, set())]),
-    "orR": _unary(Or, 1, lambda ab, i, j: (set(), {(ab[0], i, j), (ab[1], i, j)})),
-    "andL": _unary(And, 0, lambda ab, i, j: ({(ab[0], i, j), (ab[1], i, j)}, set())),
-    "andR": _binary(And, 1, lambda ab, i, j: [(set(), {(ab[0], i, j)}),
-                                             (set(), {(ab[1], i, j)})]),
-    "negL": _unary(Neg, 0, lambda a, i, j: (set(), {(a[0], j, i)})),
-    "negR": _unary(Neg, 1, lambda a, i, j: ({(a[0], j, i)}, set())),
+    "orL": _logical(Or, 0, lambda ab, i, j: [({(ab[0], i, j)}, set()),
+                                            ({(ab[1], i, j)}, set())]),
+    "orR": _logical(Or, 1, lambda ab, i, j: [(set(), {(ab[0], i, j), (ab[1], i, j)})]),
+    "andL": _logical(And, 0, lambda ab, i, j: [({(ab[0], i, j), (ab[1], i, j)}, set())]),
+    "andR": _logical(And, 1, lambda ab, i, j: [(set(), {(ab[0], i, j)}),
+                                              (set(), {(ab[1], i, j)})]),
+    "negL": _logical(Neg, 0, lambda a, i, j: [(set(), {(a[0], j, i)})]),
+    "negR": _logical(Neg, 1, lambda a, i, j: [({(a[0], j, i)}, set())]),
     "impL": _impL,
     "impR": _impR,
 }

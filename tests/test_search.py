@@ -469,12 +469,15 @@ def corpus_instances(seed, count):
             for goal in itertools.islice(itertools.cycle(goals), count)]
 
 
-def outcome_digest(goals, budget=SearchBudget()):
+def outcome_digest(goals, budget=SearchBudget(), found=None):
     """sha256 over each goal's search outcome: status, every counter, bound,
-    objects, proof script and counterexample, in plain values."""
+    objects, proof script and counterexample, in plain values.  The proofs
+    found are appended to the list found, if one is given."""
     digest = hashlib.sha256()
     for goal in goals:
         out = search_proof(goal, budget)
+        if out.proved and found is not None:
+            found.append(out.proof)
         row = [out.status, out.counters(), out.bound,
                None if out.objects is None else sorted(out.objects),
                format_proof_script("g", out.proof) if out.proved else None,
