@@ -22,7 +22,7 @@ from tarl.formulas import (
     Imp, Neg, ParseError, Var, desugar_fusion, parse_formula, substitute, variables,
 )
 from tarl.gen import random_formula
-from tarl.registry import corpus_ids, get_corpus_entry
+from tarl.registry import corpus_ids, data_dir, get_corpus_entry
 from tarl.sequents import (
     RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, InvalidProof, NegR, NotABijection,
     OrR, Proof, RuleError, Sequent, Weaken, check_proof, check_step,
@@ -366,6 +366,18 @@ def test_a_line_number_with_a_leading_zero_reads_as_printed():
     for written in (printed.replace("1. (", "01. ("), printed.replace("2. =>", "02. =>"),
                     printed.replace("2. =>", "02. =>").replace(" 1 k", " k")):
         assert _read(written) == _read(printed), written
+
+
+def test_every_shipped_and_pinned_line_takes_the_splits(monkeypatch):
+    def refuse(content, *args):
+        raise AssertionError(f"read by the regular expressions: {content}")
+
+    monkeypatch.setattr(sequents, "_read_sequent", refuse)
+    scripts = sorted(data_dir().rglob("*.prf"))
+    assert len(scripts) == 38 + 13
+    for path in scripts:
+        parse_proof_script(path.read_text())
+    assert sum(len(proof.lines) for proof in _golden_proofs()) == 1291
 
 
 _LINE_CHARACTERS = " ,;.()[]=>-~&|0123456789abcpk"
