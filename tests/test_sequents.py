@@ -594,11 +594,12 @@ def test_impl_reading_k_from_its_premises_agrees_with_every_k(monkeypatch):
 def _fault(proof, rng):
     """proof with a fault that _mutant does not make: a reference to its
     own line or a later one, an index at the bound, another eigen index on
-    an impR line, or a goal that no line derives."""
+    an impR line, an assertion of some line added to a side, or a goal that
+    no line derives."""
     lines = list(proof.lines)
     n = rng.randrange(len(lines))
     s, just = lines[n]
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0 and just.refs:
         refs = list(just.refs)
         refs[rng.randrange(len(refs))] = rng.randint(n + 1, len(lines) + 1)
@@ -612,6 +613,12 @@ def _fault(proof, rng):
         n = rng.choice([m for m, (_, j) in enumerate(lines) if j.rule is ImpR])
         s, just = lines[n]
         lines[n] = (s, replace(just, eigen=rng.randrange(proof.bound + 1)))
+    elif kind == 3:
+        other, _ = rng.choice(lines)
+        x = rng.choice(sorted(other.left | other.right, key=Assertion.key))
+        sides = [s.left, s.right]
+        sides[rng.randrange(2)] |= {x}
+        lines[n] = (Sequent(*sides), just)
     else:
         return replace(proof, goal=Imp(Var("p"), proof.goal or Var("p")))
     return replace(proof, lines=lines)
@@ -630,6 +637,22 @@ def test_the_reference_checker_agrees_on_pinned_proofs_and_mutants():
     kinds = {reference_checker.check(p)[3] for p in faulty}
     assert kinds == {None, "BadRef", "IndexOutOfBound", "ShapeMismatch", "NotAxiom",
                      "GoalMissing"}, kinds
+
+
+def test_the_reference_checker_agrees_when_a_line_gains_an_assertion():
+    # every line that cites premises, with one more assertion of its proof
+    # on one side: rejected unless the rule lets that side hold it
+    rng = random.Random(29)
+    for proof in _golden_proofs():
+        pool = sorted({x for s, _ in proof.lines for x in s.left | s.right}, key=Assertion.key)
+        for n, (s, just) in enumerate(proof.lines):
+            if just.refs:
+                sides = [s.left, s.right]
+                sides[rng.randrange(2)] |= {rng.choice(pool)}
+                fault = replace(proof, lines=proof.lines[:n] + [(Sequent(*sides), just)],
+                                goal=None)
+                assert reference_checker.agrees(fault, check_proof(fault)), \
+                    format_proof_script("x", fault)
 
 
 def test_the_reference_checker_reads_each_fault_of_the_unit_examples():
