@@ -44,21 +44,21 @@ the principal besides.  The one-premise and two-premise forms are written
 out (``_follows_one``, ``_follows_two``).  The search (search.py) reads the
 same rows backward, and never takes cut or premise.
 
-Proof scripts are read a line at a time.  A line laid out as
-``format_proof_script`` writes it, '<k>. ', the sides around ' => ', each
-side's assertions joined by ', ' and each ending in ']', then ' ; ' and the
-rule, is read by plain string splits; a script's memo maps each side's text
-and each assertion's text to what was read from it, so each is read once.
-Any other line goes to the regular-expression reader, which allows any
-blanks and commas between the parts, and which alone raises ParseError: a
-line the splits cannot read, such as one with an error, is read again
-there, so every error is placed as that reader places it.  The printer
-prints each distinct side of a proof once.
+Proof scripts are read a line at a time, by one reader: regular
+expressions find the line's number, its first ';' and the first '=>' before
+it, allowing any blanks and commas between the parts, and place every error
+of the line.  Each side is then read by plain string splits if it is laid
+out as ``format_proof_script`` writes it, its assertions joined by ', ' and
+each ending in ']'; a script's memo maps each side's text and each
+assertion's text to what was read from it, so each is read once.  Any
+other side is walked assertion by assertion, and the walk alone raises a
+side's ParseError.  The printer prints each distinct side of a proof once.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, replace
 from itertools import starmap
 from typing import Callable, Iterable, Sequence
@@ -522,15 +522,15 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # <k>. <sequent> ; <rule> [<refs>] [k=<idx>]
 # with sequents written  (formula)[i,j], ... => ...
 #
-# A line as format_proof_script lays it out is read by splits
-# (_split_sequent); the regular expressions below read every other line
-# (_read_sequent) and place its errors.
+# The regular expressions below find a line's parts and place its errors
+# (_read_sequent); a side laid out as format_proof_script writes it is read
+# by splits (_split_side), and any other side is walked by _ASSERTION (_side).
 
 _HEADER = re.compile(r"lemma\s+([^\s:]+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
 # a proof line is <k>. <left side> => <right side> ; <rule> <arguments>: the
-# regular-expression reader matches the number and the blanks and commas
-# after its dot, then splits the rest at the first ';' and at the first '=>'
-# before it, so that it can say which of the two is missing
+# reader matches the number and the blanks and commas after its dot, then
+# splits the rest at the first ';' and at the first '=>' before it, so that
+# it can say which of the two is missing
 _NUMBER = re.compile(r"(\d+)\s*\.[\s,]*")
 _BLANKS = re.compile(r"[\s,]*")
 # an assertion and the blanks and commas after it: a formula holds no '[', so
@@ -555,44 +555,56 @@ def _word_at(content: str, semi: int, number: int) -> int:
     return starts[number] if number < len(starts) else len(content)
 
 
-def _side(content: str, pos: int, end: int, n: int, col: int,
-          made: dict) -> list[Assertion]:
-    """The assertions of the sequent side content[pos:end].  made maps the
-    texts of a script's assertions, formula and indices, to the assertions
-    built from them, so that each is read and built once."""
+def _int(digits: str) -> int | None:
+    """The number digits writes in decimal, or None if it is not one or has
+    more digits than int reads (sys.get_int_max_str_digits())."""
+    if digits.isdecimal():
+        try:
+            return int(digits)
+        except ValueError:
+            pass
+    return None
+
+
+def _side(content: str, pos: int, end: int, n: int, col: int) -> frozenset[Assertion]:
+    """The assertions of the sequent side content[pos:end], walked one by
+    one past any blanks and commas before them; raises the ParseError of a
+    side that does not read."""
+    pos = _BLANKS.match(content, pos, end).end()
     out = []
     while pos < end:
         m = _ASSERTION.match(content, pos, end)
         if m is None:  # no '(', or no ')' before the next '['
             raise _error(content, pos, "an assertion '(<formula>)[i,j]'", n, col)
-        texts = m.group(1, 2, 3)
-        a = made.get(texts)
-        if a is None:
-            f = parse_at(parse_formula, content, m.start(1), m.end(1), n, col)
-            if m.group(2) is None:
-                raise _error(content, m.end(), "'[i,j]' after the formula", n, col)
-            a = made[texts] = Assertion(desugar_fusion(f), int(m.group(2)),
-                                        int(m.group(3)))
-        out.append(a)
+        f = parse_at(parse_formula, content, m.start(1), m.end(1), n, col)
+        if m.group(2) is None:
+            raise _error(content, m.end(), "'[i,j]' after the formula", n, col)
+        i, j = _int(m.group(2)), _int(m.group(3))
+        if i is None or j is None:  # more digits than int reads
+            g = 2 if i is None else 3
+            raise ParseError(col + m.start(g), f"an index of at most "
+                             f"{sys.get_int_max_str_digits()} digits", m.group(g), n)
+        out.append(Assertion(desugar_fusion(f), i, j))
         pos = m.end()
-    return out
+    return frozenset(out)
 
 
 def _split_assertion(text: str) -> Assertion | None:
     """The assertion text, written '(<formula>)[i,j]', or None if it is not
-    written so or its formula does not parse."""
+    written so or its formula or an index does not read."""
     if text[:1] != "(" or text[-1:] != "]":
         return None
     formula, bracket, indices = text[1:-1].rpartition(")[")
     i, _, j = indices.partition(",")
+    i, j = _int(i), _int(j)
     # as _ASSERTION reads it: the formula ends at the last ')' before a '['
-    if not bracket or "[" in formula or not (i.isdecimal() and j.isdecimal()):
+    if not bracket or "[" in formula or i is None or j is None:
         return None
     try:
         f = parse_formula(formula)
     except ParseError:
         return None
-    return Assertion(desugar_fusion(f), int(i), int(j))
+    return Assertion(desugar_fusion(f), i, j)
 
 
 def _split_side(text: str, made: dict, sides: dict) -> frozenset[Assertion] | None:
@@ -614,34 +626,17 @@ def _split_side(text: str, made: dict, sides: dict) -> frozenset[Assertion] | No
     return side
 
 
-def _split_sequent(content: str, line_no: int, made: dict,
-                   sides: dict) -> tuple[Sequent, int] | None:
-    """Proof line line_no's sequent and the offset of its ';', if content is
-    laid out as format_proof_script writes it, '<k>. <left> => <right> ; ...'
-    with single blanks; else None.  made and sides are as for _split_side."""
-    prefix = f"{line_no}. "
-    semi = content.find(";")
-    if not (semi > len(prefix) and content.startswith(prefix)
-            and content[semi - 1:semi + 2] == " ; "):
-        return None
-    left, arrow, right = content[len(prefix):semi - 1].partition("=>")
-    if not arrow or left[-1:] not in ("", " ") or right[:1] not in ("", " "):
-        return None
-    left, right = _split_side(left[:-1], made, sides), _split_side(right[1:], made, sides)
-    if left is None or right is None:
-        return None
-    return Sequent(left, right), semi
-
-
-def _read_sequent(content: str, line_no: int, n: int, col: int,
-                  made: dict) -> tuple[Sequent, int]:
+def _read_sequent(content: str, line_no: int, n: int, col: int, made: dict,
+                  sides: dict) -> tuple[Sequent, int]:
     """Proof line line_no's sequent, written as content on line n of a
-    script from column col, and the offset of its ';'; made is as for _side.
-    Raises the ParseError of a line that does not read."""
+    script from column col, and the offset of its ';'.  Each side is read
+    by splits, less its outer blanks, if it can be (_split_side, with made
+    and sides), and else walked (_side).  Raises the ParseError of a line
+    that does not read."""
     m = _NUMBER.match(content)
     if not m:
         raise ParseError(col, "'<k>. <sequent> ; <rule>'", line=n)
-    if int(m.group(1)) != line_no:
+    if _int(m.group(1)) != line_no:
         raise ParseError(col, f"line number {line_no}", m.group(1), n)
     start = m.end()
     semi = content.find(";", start)
@@ -650,21 +645,21 @@ def _read_sequent(content: str, line_no: int, n: int, col: int,
     arrow = content.find("=>", start, semi)
     if arrow < 0:
         raise _error(content, semi, "'=>' separating the sequent sides", n, col)
-    seq = Sequent.of(_side(content, start, arrow, n, col, made),
-                     _side(content, _BLANKS.match(content, arrow + 2).end(), semi,
-                           n, col, made))
-    return seq, semi
+    left = _split_side(content[start:arrow].strip(), made, sides)
+    if left is None:
+        left = _side(content, start, arrow, n, col)
+    right = _split_side(content[arrow + 2:semi].strip(), made, sides)
+    if right is None:
+        right = _side(content, arrow + 2, semi, n, col)
+    return Sequent(left, right), semi
 
 
 def _script_line(content: str, line_no: int, n: int, col: int, made: dict,
                  sides: dict) -> tuple[Sequent, Justification]:
     """Proof line line_no, written as content on line n of a script from
-    column col.  The line is read by splits if it can be (_split_sequent),
-    and else by the regular expressions, which raise its ParseError.  made
-    maps the texts of a script's assertions to them, as the splits and _side
-    read them, and sides the texts of its sides."""
-    read = _split_sequent(content, line_no, made, sides)
-    seq, semi = read if read is not None else _read_sequent(content, line_no, n, col, made)
+    column col; made and sides are as for _read_sequent, which reads the
+    sequent."""
+    seq, semi = _read_sequent(content, line_no, n, col, made, sides)
     name, *args = content[semi + 1:].split() or ("",)
     rule = RULE_NAMED.get(name)
     if rule is None:
@@ -672,13 +667,17 @@ def _script_line(content: str, line_no: int, n: int, col: int, made: dict,
                          name or "end of line", n)
     refs, eigen = [], None
     for number, word in enumerate(args, start=1):
-        if word.isdecimal():
-            refs.append(int(word))
-        elif word.startswith("k=") and word[2:].isdecimal() and eigen is None:
-            eigen = int(word[2:])
-        else:
-            raise ParseError(col + _word_at(content, semi, number),
-                             "a line reference or one k=<idx>", word, n)
+        try:
+            if word.isdecimal():
+                refs.append(int(word))
+                continue
+            if word.startswith("k=") and word[2:].isdecimal() and eigen is None:
+                eigen = int(word[2:])
+                continue
+        except ValueError:  # more digits than int reads; _int would cost a
+            pass            # call for every reference of every line
+        raise ParseError(col + _word_at(content, semi, number),
+                         "a line reference or one k=<idx>", word, n)
     try:  # omitted references name the immediately preceding lines
         just = rule(*(refs or range(line_no - rule.refs, line_no)), eigen=eigen)
     except TypeError:
@@ -694,7 +693,7 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
     name = goal = None
     bound = DEFAULT_BOUND
     lines: list[tuple[Sequent, Justification]] = []
-    made: dict[str | tuple, Assertion] = {}
+    made: dict[str, Assertion] = {}
     sides: dict[str, frozenset[Assertion]] = {}
     for n, col, content in file_lines(text):
         if not content.startswith("lemma"):
@@ -712,8 +711,8 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
         if m.group(2):
             goal = parse_at(parse_formula, content, m.start(2), m.end(2), n, col)
         if m.group(3):
-            bound = int(m.group(3))
-            if not 1 <= bound <= MAX_BOUND:
+            bound = _int(m.group(3))
+            if bound not in range(1, MAX_BOUND + 1):  # None if too long to read
                 raise ParseError(col + m.start(3), f"bound between 1 and {MAX_BOUND}",
                                  m.group(3), n)
     if name is None:

@@ -15,6 +15,7 @@ from tarl.registry import corpus_ids, data_dir
 from tarl.sequents import parse_proof_script
 
 AXIOM = "1. (p)[0,0] => (p)[0,0] ; axiom\n"
+LONG = "7" * 5000  # more digits than int reads by default (4,300)
 MODEL = "model m\nelements 0 a\nzero 0\nstar 0:0 a:a\n"
 
 
@@ -63,6 +64,17 @@ CASES = [
     (parse_proof_script, "lemma x\n" + AXIOM + "2. (p)[0,0] => (p)[0,0] ; weaken 1 9\n",
      3, 27, "weaken 1 9"),
     (parse_proof_script, script("1. => (p -> p)[0,0] ; impR 1"), 2, 23, "impR 1"),
+    # a number too long for int, in each field that holds one
+    pytest.param(parse_proof_script, script(LONG + ". (p)[0,0] => (p)[0,0] ; axiom"),
+                 2, 1, LONG, id="long line number"),
+    pytest.param(parse_proof_script, script(f"1. (p)[0,0] => (p)[0,{LONG}] ; axiom"),
+                 2, 22, LONG, id="long index"),
+    pytest.param(parse_proof_script, script(f"1. (p)[0,0] => (p)[0,0] ; weaken {LONG}"),
+                 2, 34, LONG, id="long reference"),
+    pytest.param(parse_proof_script, script(f"1. => (p -> p)[0,0] ; impR k={LONG}"),
+                 2, 28, "k=" + LONG, id="long eigen index"),
+    pytest.param(parse_proof_script, f"lemma x bound {LONG}\n" + AXIOM, 1, 15, LONG,
+                 id="long bound"),
     # model files
     (load_model_file, MODEL + "zero a\n", 5, 1, "zero"),
     (load_model_file, "model m\nelements 0 a\nzero 0\nstar 0:0 a:a  0:a\n", 4, 15, "0:a"),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -328,8 +329,8 @@ def test_script_header_colon_may_touch_the_name():
 
 
 # ------------------------------------------------------------------
-# The reader's two paths: splits of the printed layout, and the regular
-# expressions for every other line, which raise its ParseError
+# The reader's two ways to read a side: splits of the printed layout, and
+# the walk for every other side, which raises its ParseError
 # ------------------------------------------------------------------
 
 def _read(text):
@@ -369,10 +370,10 @@ def test_a_line_number_with_a_leading_zero_reads_as_printed():
 
 
 def test_every_shipped_and_pinned_line_takes_the_splits(monkeypatch):
-    def refuse(content, *args):
-        raise AssertionError(f"read by the regular expressions: {content}")
+    def refuse(content, pos, end, *args):
+        raise AssertionError(f"side walked: {content[pos:end]!r} of {content}")
 
-    monkeypatch.setattr(sequents, "_read_sequent", refuse)
+    monkeypatch.setattr(sequents, "_side", refuse)
     scripts = sorted(data_dir().rglob("*.prf"))
     assert len(scripts) == 38 + 13
     for path in scripts:
@@ -380,43 +381,53 @@ def test_every_shipped_and_pinned_line_takes_the_splits(monkeypatch):
     assert sum(len(proof.lines) for proof in _golden_proofs()) == 1291
 
 
-_LINE_CHARACTERS = " ,;.()[]=>-~&|0123456789abcpk"
+# the characters proof lines are written in, and blanks that str.strip and
+# the regular expressions' \s must both take for blanks
+_LINE_CHARACTERS = " ,;.()[]=>-~&|0123456789abcpk\t\u00a0\u3000\x1c"
 
 
 def _mutated_line(line, rng):
     """line with one character inserted, deleted or replaced, the new one
-    drawn from the characters that proof lines are written in."""
+    drawn from _LINE_CHARACTERS."""
     at = rng.randrange(len(line))
     new = rng.choice(_LINE_CHARACTERS)
     return [line[:at] + new + line[at:], line[:at] + line[at + 1:],
             line[:at] + new + line[at + 1:]][rng.randrange(3)]
 
 
-def test_the_split_reader_reads_what_the_regular_expressions_read(monkeypatch):
-    # 2,000 printed lines, each mutated once and read after the lines before
-    # it, so that the memo holds their texts
-    rng = random.Random(28)
+def _split_against_walk(count, seed):
+    """Read count printed lines of the golden proofs, each mutated once and
+    read after the lines before it, so that the memo holds their texts:
+    with each side read by splits where it can be, and with every side
+    walked.  Assert that both read the same, and that every side of the
+    printed lines takes the splits; return how many mutated lines had both
+    sides read by splits (True) and how many did not (False)."""
+    rng = random.Random(seed)
     proofs = _golden_proofs()
-    split_sequent, split, taken = sequents._split_sequent, [], collections.Counter()
+    split_side, split, taken = sequents._split_side, [], collections.Counter()
 
     def spy(*args):
-        read = split_sequent(*args)
+        read = split_side(*args)
         split.append(read is not None)
         return read
 
-    for _ in range(2000):
+    for _ in range(count):
         lines = format_proof_script("x", rng.choice(proofs)).splitlines()
         k = rng.randrange(1, len(lines))
         text = "\n".join(lines[:k] + [_mutated_line(lines[k], rng)]) + "\n"
         split.clear()
-        with monkeypatch.context() as m:
-            m.setattr(sequents, "_split_sequent", spy)
+        with mock.patch.object(sequents, "_split_side", spy):
             got = _read(text)
-        assert len(split) == k and all(split[:-1])  # printed lines take the splits
-        with monkeypatch.context() as m:
-            m.setattr(sequents, "_split_sequent", lambda *args: None)
+        printed = 2 * (k - 1)  # two sides on each line before the mutated one
+        assert printed <= len(split) <= printed + 2 and all(split[:printed]), text
+        with mock.patch.object(sequents, "_split_side", lambda *args: None):
             assert got == _read(text), text
-        taken[split[-1]] += 1
+        taken[split[printed:] == [True, True]] += 1
+    return taken
+
+
+def test_the_split_reader_reads_what_the_regular_expressions_read():
+    taken = _split_against_walk(2000, 28)
     # the splits read many of the mutated lines, and hand many on
     assert taken[True] > 300 and taken[False] > 300, taken
 
@@ -594,12 +605,12 @@ def test_impl_reading_k_from_its_premises_agrees_with_every_k(monkeypatch):
 def _fault(proof, rng):
     """proof with a fault that _mutant does not make: a reference to its
     own line or a later one, an index at the bound, another eigen index on
-    an impR line, an assertion of some line added to a side, or a goal that
-    no line derives."""
+    an impR line, an assertion of some line added to a side, a goal that no
+    line derives, or an impR step whose eigen index is not fresh."""
     lines = list(proof.lines)
     n = rng.randrange(len(lines))
     s, just = lines[n]
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0 and just.refs:
         refs = list(just.refs)
         refs[rng.randrange(len(refs))] = rng.randint(n + 1, len(lines) + 1)
@@ -619,6 +630,16 @@ def _fault(proof, rng):
         sides = [s.left, s.right]
         sides[rng.randrange(2)] |= {x}
         lines[n] = (Sequent(*sides), just)
+    elif kind == 5 and any(j.rule is ImpR for _, j in lines):
+        # an impR line's premise weakened by (p)[k,k], k its eigen index,
+        # then the same impR step from that line: it fits impR's shape,
+        # but k is in its conclusion
+        concl, just = rng.choice([line for line in lines if line[1].rule is ImpR])
+        stale = frozenset({Assertion(Var("p"), just.eigen, just.eigen)})
+        premise = lines[just.refs[0] - 1][0]
+        lines += [(Sequent(premise.left | stale, premise.right), Weaken(just.refs[0])),
+                  (Sequent(concl.left | stale, concl.right),
+                   ImpR(len(lines) + 1, eigen=just.eigen))]
     else:
         return replace(proof, goal=Imp(Var("p"), proof.goal or Var("p")))
     return replace(proof, lines=lines)
@@ -632,11 +653,9 @@ def test_the_reference_checker_agrees_on_pinned_proofs_and_mutants():
     for proof in proofs + faulty:
         assert reference_checker.agrees(proof, check_proof(proof)), \
             format_proof_script("x", proof)
-    # every kind of error but EigenvariableViolation, which the unit
-    # examples below reach
     kinds = {reference_checker.check(p)[3] for p in faulty}
     assert kinds == {None, "BadRef", "IndexOutOfBound", "ShapeMismatch", "NotAxiom",
-                     "GoalMissing"}, kinds
+                     "GoalMissing", "EigenvariableViolation"}, kinds
 
 
 def test_the_reference_checker_agrees_when_a_line_gains_an_assertion():
