@@ -28,14 +28,14 @@ its printed text, built from its children's texts, and its variables on
 first use.  Nodes are immutable; pickling and copying return the interned
 node.
 
-``parse_formula`` is memoised by text and by group.  The parser reads each
-token only when it comes to it.  At a '(' it looks the group's inner text
-up in the memo, and after '->' the rest of the enclosing group; a text
-found there is skipped unread, and one parsed is stored.  Proof lines run
-from leaves to goal, so a new formula's subformulas are often in the memo
-already.  A text in the memo parsed cleanly, so skipping it changes no
-error: the first character that starts no token is still reported before
-any syntax error.  The memo is emptied when it holds MEMO_SIZE texts.
+There is one formula memo, keyed by text, of weak references to nodes, and
+two write to it: ``parse_formula`` stores each text it parses, and
+``print_formula`` each text when it first builds it.  A whole text printed
+or parsed before is read back with one lookup and no parse while its node
+lives; the memo keeps no node alive.  The parser itself looks up no group
+of a text: it reads every token.  A text in the memo parsed cleanly or was
+printed, so a ParseError is raised afresh each time.  The memo is emptied,
+dead references with the rest, when it holds MEMO_SIZE texts.
 """
 
 from __future__ import annotations
@@ -223,8 +223,7 @@ def end_of_file(text: str, expected: str) -> ParseError:
 
 
 _NEXT = re.compile(r"\s*(\S|$)")  # the next character that is not blank
-_PARENS = re.compile(r"[()]")
-MEMO_SIZE = 8192  # a parse memo holding this many texts is emptied
+MEMO_SIZE = 8192  # the formula memo is emptied when it holds this many texts
 
 
 def parse_at(parse, source: str, start: int, end: int, line: int | None = None,
@@ -255,7 +254,7 @@ class Grammar:
     `symbols` is the regular expression of the tokens other than names
     (lower-case identifiers).  `binary` maps a token to (level, class,
     printed form); a higher level binds tighter, and every class associates
-    to the left except `right`, which binds loosest, at level 1.  `prefix` and `postfix` map a token to a
+    to the left except `right`.  `prefix` and `postfix` map a token to a
     one-operand class, `constants` a token to its node; a postfix operator
     binds tighter than a prefix one, both tighter than any binary one, and
     parentheses group.  A name that is no operator or constant is a
@@ -289,8 +288,6 @@ class Grammar:
         postfixed = prefixed + 1
         self.atom = postfixed + 1
         self.level = {cls: level for level, cls, _ in binary.values()}
-        if right is not None and self.level[right] != 1:
-            raise ValueError("the class that groups to the right must bind at level 1")
         self.level.update((cls, prefixed) for cls in prefix.values())
         self.level.update((cls, postfixed) for cls in postfix.values())
         self.infix = {cls: (shown, level + (cls is right), level + (cls is not right))
@@ -308,21 +305,17 @@ class Grammar:
             raise ValueError(f"bad variable name: {name!r}")
         return name
 
-    def parse(self, text: str, memo: dict | None = None):
-        """The tree of text; a ParseError's position is an offset into text,
-        and what it found is as text spells it.  A character that starts no
-        token is reported before any other error.
-
-        memo, if given, maps texts to their trees.  text, each parenthesised
-        group in it and each rest of a group after the operator that groups
-        to the right are looked up there before they are read, and stored
-        once parsed; the memo is cleared when it holds MEMO_SIZE texts."""
-        node = None if memo is None else memo.get(text)
-        if node is None:
-            parser = _Parser(self, text, memo)
-            node = parser.whole(0)
-            if parser.tok is not None:
-                raise parser.error("end of input")
+    def parse(self, text: str):
+        """The tree of text, read afresh: no memo is looked up, and no group
+        of text is skipped unread (parse_formula adds the formula memo).  A
+        ParseError's position is an offset into text, and what it found is
+        as text spells it.  A character that starts no token is reported
+        before any other error."""
+        parser = _Parser(self, text)
+        parser.read(0)
+        node = parser.binary(1)
+        if parser.tok is not None:
+            raise parser.error("end of input")
         return node
 
     def show(self, node, operand) -> str:
@@ -369,27 +362,11 @@ class Grammar:
 
 class _Parser:
     """Precedence climbing over one grammar's tokens, each read from the text
-    when the parser comes to it.  With a memo, a tree that runs to the end
-    of the group being read is looked up before it is read (see
-    Grammar.parse)."""
+    when the parser comes to it; no part of the text is looked up in a
+    memo."""
 
-    def __init__(self, grammar: Grammar, text: str, memo: dict | None):
-        self.g, self.text, self.memo = grammar, text, memo
-        # with a memo: the offset of each '(' -> that of its ')', found at
-        # the first '(' read; without one, no group is looked up
-        self.close = {} if memo is None else None
-        # where the group being read ends, if there is a memo to look it up in
-        self.end = None if memo is None else len(text)
-
-    def groups(self) -> dict[int, int]:
-        """The offset of each '(' in the text -> that of its ')'."""
-        close, opened = {}, []
-        for m in _PARENS.finditer(self.text):
-            if m.group() == "(":
-                opened.append(m.start())
-            elif opened:
-                close[opened.pop()] = m.start()
-        return close
+    def __init__(self, grammar: Grammar, text: str):
+        self.g, self.text = grammar, text
 
     def read(self, at: int) -> None:
         """Read the token at offset at, after any blanks: tok (an alias read
@@ -408,32 +385,12 @@ class _Parser:
     def error(self, expected: str) -> ParseError:
         """A ParseError at the current token, found as the text spells it;
         but a character from there on that starts no token comes first.
-        Everything before the current token was read, or was a memo's text
-        that parsed, so it holds no such character."""
+        Everything before the current token was read, none of it looked up
+        in a memo, so it holds no such character."""
         for m in self.g.token.finditer(self.text, self.at):
             if m.group(2):
                 return ParseError(m.start(2), self.g.bad_token, m.group(2))
         return ParseError(self.at, expected, self.typed)
-
-    def whole(self, start: int):
-        """The tree from offset start to the end of the group being read:
-        the memo's, if it has the text, else read and then remembered."""
-        end, memo = self.end, self.memo
-        if end is None:
-            self.read(start)
-            return self.binary(1)
-        text = self.text[start:end]
-        node = memo.get(text)
-        if node is not None:
-            self.read(end)
-            return node
-        self.read(start)
-        node = self.binary(1)
-        if self.at == end:
-            if len(memo) >= MEMO_SIZE:
-                memo.clear()
-            memo[text] = node
-        return node
 
     def binary(self, least: int):
         """A tree whose binary operators bind at level least or above."""
@@ -443,11 +400,8 @@ class _Parser:
             if op is None or op[0] < least:
                 return left
             level, cls, _ = op
-            if cls is self.g.right:  # binds loosest: its operand is the rest
-                left = cls(left, self.whole(self.after))
-            else:
-                self.read(self.after)
-                left = cls(left, self.binary(level + 1))
+            self.read(self.after)  # right's right operand may hold right again
+            left = cls(left, self.binary(level + (cls is not self.g.right)))
 
     def unary(self):
         g = self.g
@@ -456,11 +410,8 @@ class _Parser:
             self.read(self.after)
             return g.prefix[tok](self.unary())
         if tok == "(":
-            if self.close is None:
-                self.close = self.groups()
-            outer, self.end = self.end, self.close.get(self.at)
-            node = self.whole(self.after)
-            self.end = outer
+            self.read(self.after)
+            node = self.binary(1)
             if self.tok != ")":
                 raise self.error("')'")
         elif tok in g.constants:
@@ -486,22 +437,37 @@ FORMULAS = Grammar(
     aliases={"∧": "&", "∨": "|", "→": "->", "¬": "~", "∘": "o", "～": "~"})
 
 
+_MEMO: dict[str, weakref.ref] = {}  # text -> its node, weakly; see the module docstring
+
+
+def _remember(text: str, node: Formula) -> None:
+    """Store text's node in the formula memo, emptying the memo first if full."""
+    if len(_MEMO) >= MEMO_SIZE:
+        _MEMO.clear()
+    _MEMO[text] = weakref.ref(node)
+
+
 def parse_formula(text: str) -> Formula:
-    """Parse the ASCII (or Unicode-aliased) syntax into a Formula; memoised
-    by text and by group (a ParseError is raised afresh each time)."""
-    return FORMULAS.parse(text, _MEMO)
-
-
-_MEMO: dict[str, Formula] = {}  # parse_formula's; see Grammar.parse
+    """Parse the ASCII (or Unicode-aliased) syntax into a Formula.  A text
+    parsed or printed before is looked up in the formula memo, if its node
+    is alive; a ParseError is raised afresh each time."""
+    ref = _MEMO.get(text)
+    node = ref and ref()
+    if node is None:
+        node = FORMULAS.parse(text)
+        _remember(text, node)
+    return node
 
 
 def print_formula(f: Formula) -> str:
-    """Minimal-parenthesis rendering; parse_formula(print_formula(f)) == f.
-    Built once per node, from its children's texts."""
+    """Minimal-parenthesis rendering; parse_formula(print_formula(f)) is f.
+    Built once per node, from its children's texts, and then stored in the
+    formula memo, so that parse_formula reads it back with one lookup."""
     text = f._text
     if text is None:
         text = FORMULAS.show(f, print_formula)
         _set(f, "_text", text)
+        _remember(text, f)
     return text
 
 

@@ -137,7 +137,7 @@ def test_seeded_roundtrip_bulk():
     for size in range(1, 15):
         for _ in range(50):
             f = random_formula(rng, size, ["p", "q", "r", "s"])
-            assert parse_formula(print_formula(f)) == f
+            assert FORMULAS.parse(print_formula(f)) == f  # the printer fills parse_formula's memo
 
 
 def test_desugar_preserves_variables_bulk():
@@ -159,7 +159,7 @@ def formulas(draw, max_size=10):
 @settings(max_examples=300, deadline=None)
 @given(formulas())
 def test_roundtrip_property(f):
-    assert parse_formula(print_formula(f)) == f
+    assert FORMULAS.parse(print_formula(f)) == f
 
 
 # ------------------------------------------------------------------
@@ -177,7 +177,7 @@ def shape(f):
 
 def relatives(f, g):
     """f, g and formulas built from them by each route that builds nodes."""
-    out = [f, g, desugar_fusion(f), parse_formula(print_formula(g)),
+    out = [f, g, desugar_fusion(f), FORMULAS.parse(print_formula(g)),
            substitute(f, {"p": g}), substitute(g, {"q": Var("p"), "r": f})]
     out += [desugar_fusion(h) for h in out]
     return out
@@ -251,11 +251,14 @@ SPELLINGS = {"~": ("~", "¬", "～"), "&": ("&", "∧"), "|": ("|", "∨"),
 CONNECTIVES = {And: ("&", 3), Or: ("|", 2), Imp: ("->", 1), Fusion: ("o", 4)}
 
 
-def spelled(f, rng, least=0):
+def spelled(f, rng, least=0, printed=None):
     """f in the surface syntax, with blanks, aliases and redundant
     parentheses drawn from rng; half of the subtrees are printed plainly,
-    so that their texts recur in later texts."""
+    so that their texts recur in later texts.  Each subtree whose text is
+    first built here is appended to the list printed, if one is given."""
     if rng.random() < 0.5:
+        if printed is not None and f._text is None:
+            printed.append(f)
         text = print_formula(f)
         level = 6 if isinstance(f, Var) else 5 if isinstance(f, Neg) else CONNECTIVES[type(f)][1]
     else:
@@ -263,13 +266,14 @@ def spelled(f, rng, least=0):
         if isinstance(f, Var):
             text, level = f.name, 6
         elif isinstance(f, Neg):
-            text, level = rng.choice(SPELLINGS["~"]) + blank() + spelled(f.body, rng, 5), 5
+            text = rng.choice(SPELLINGS["~"]) + blank() + spelled(f.body, rng, 5, printed)
+            level = 5
         else:
             token, level = CONNECTIVES[type(f)]
             right = type(f) is Imp
-            text = (spelled(f.left, rng, level + right) + blank()
+            text = (spelled(f.left, rng, level + right, printed) + blank()
                     + rng.choice(SPELLINGS[token]) + blank()
-                    + spelled(f.right, rng, level + (not right)))
+                    + spelled(f.right, rng, level + (not right), printed))
     if level < least or rng.random() < 0.15:
         text = "(" + text + ")"
     return text
@@ -290,30 +294,35 @@ def outcome(parse, text):
         return (e.position, e.expected, e.found)
 
 
-class CountingMemo(dict):
-    """A memo that counts the lookups that find a text."""
-    hits = 0
+def parser_builds(monkeypatch):
+    """The texts that a formulas._Parser is built for from now on."""
+    texts, parser = [], formulas_module._Parser
 
-    def get(self, key, default=None):
-        found = dict.get(self, key, default)
-        self.hits += found is not default
-        return found
+    def spy(grammar, text):
+        texts.append(text)
+        return parser(grammar, text)
+
+    monkeypatch.setattr(formulas_module, "_Parser", spy)
+    return texts
 
 
 def test_memoised_parse_agrees_with_a_parse_without_memo(monkeypatch):
-    memo = CountingMemo()
-    monkeypatch.setattr(formulas_module, "_MEMO", memo)
+    monkeypatch.setattr(formulas_module, "_MEMO", {})
     rng = random.Random(18)
-    texts = []
+    texts, printed = [], []
     for _ in range(300):
         # a formula after some of its subformulas, as proof lines come
         f = random_formula(rng, rng.randint(1, 16), ["p", "q", "r", "s"])
-        texts += [spelled(g, rng) for g in subformulas(f) if rng.random() < 0.3]
-        texts.append(spelled(f, rng))
+        texts += [spelled(g, rng, printed=printed) for g in subformulas(f) if rng.random() < 0.3]
+        texts.append(spelled(f, rng, printed=printed))
     for text in texts:
         assert parse_formula(text) is FORMULAS.parse(text), text
-    whole_hits = sum(text in texts[:k] for k, text in enumerate(texts))
-    assert memo.hits - whole_hits > len(texts) // 4  # groups found in the memo
+    assert len(printed) > len(texts) // 4
+    with monkeypatch.context() as patch:
+        built = parser_builds(patch)
+        for g in printed:  # the printer stored each text it built
+            assert parse_formula(print_formula(g)) is g
+        assert built == []
     characters = "()$~&|->o∧¬ pq"
     for text in texts:
         at = rng.randrange(len(text) + 1)
@@ -342,3 +351,57 @@ def test_the_memo_stays_within_its_bound(monkeypatch):
         f = parse_formula(f"(p{k} -> q) & (r | p{k})")
         assert len(formulas_module._MEMO) <= formulas_module.MEMO_SIZE
     assert f == And(Imp(Var("p19999"), Var("q")), Or(Var("r"), Var("p19999")))
+
+
+def test_the_memo_stays_within_its_bound_while_printing(monkeypatch):
+    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    for k in range(20_000):
+        text = print_formula(And(Imp(Var(f"p{k}"), Var("q")), Or(Var("r"), Var(f"p{k}"))))
+        assert len(formulas_module._MEMO) <= formulas_module.MEMO_SIZE
+    assert text == "(p19999 -> q) & (r | p19999)"
+
+
+def test_a_printed_formula_is_read_back_without_a_parse(monkeypatch):
+    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    p, q = Var("printed_p"), Var("printed_q")  # no other test uses these
+    f = Imp(And(Fusion(p, Neg(q)), p), Or(Neg(Neg(q)), Imp(q, p)))
+    print_formula(f)  # and so each subformula, each text stored once built
+    built = parser_builds(monkeypatch)
+    for g in [*subformulas(f), f]:
+        if not isinstance(g, Var):  # a variable's text is set when it is built
+            assert parse_formula(print_formula(g)) is g
+    assert built == []
+
+
+def test_a_parsed_formula_leaves_the_intern_table(monkeypatch):
+    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    gc.collect()
+    before = len(formulas_module._TABLE)
+    names = [f"parsed{k}" for k in range(40)]  # no other test uses these
+    text = names[0]
+    for name in names[1:]:
+        text = f"({text} & {name}) -> ~{name}"
+    built = parser_builds(monkeypatch)
+    f = parse_formula(text)
+    assert parse_formula(text) is f and len(built) == 1  # the second from the memo
+    assert len(formulas_module._TABLE) >= before + 4 * len(names) - 3
+    del f
+    gc.collect()
+    assert len(formulas_module._TABLE) <= before  # the memo keeps no node alive
+    assert parse_formula(text) == FORMULAS.parse(text)  # a dead reference is parsed again
+    assert len(built) == 3
+
+
+def test_a_memo_emptied_while_printing_keeps_parses_right(monkeypatch):
+    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    monkeypatch.setattr(formulas_module, "MEMO_SIZE", 16)
+    rng = random.Random(42)
+    fused = [f for f in (random_formula(rng, rng.randint(3, 14), ["p", "q", "r", "s"])
+                         for _ in range(400)) if not is_core(f)]
+    assert len(fused) > 150
+    for f in fused:
+        for g in [*subformulas(f), f]:
+            text = print_formula(g)
+            for written in (text, spelled(g, rng)):
+                assert parse_formula(written) is FORMULAS.parse(written) is g, written
+        assert len(formulas_module._MEMO) <= 16

@@ -11,7 +11,8 @@ from tarl.gen import random_core_formula
 from tarl.models import valid_in
 from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
 from tarl.search import REFUTE_AFTER, SearchBudget, search_proof
-from tarl.sequents import Assertion, Sequent, check_proof, format_proof_script
+from tarl.sequents import (Assertion, Sequent, check_proof, format_proof_script,
+                           substitute_proof)
 
 
 def test_identity_implication():
@@ -458,15 +459,21 @@ def test_searches_under_the_trigger_never_check():
 # Outcomes pinned by digest
 # ------------------------------------------------------------------
 
-def corpus_instances(seed, count):
+def corpus_instances(seed, count, proofs=None):
     """count seeded substitution instances of the corpus goals: goal
     i % 38 with each variable, in sorted order, replaced by a random core
-    formula over p, q, r of 1 to 6 nodes."""
+    formula over p, q, r of 1 to 6 nodes.  The corpus proofs under the same
+    substitutions are appended to the list proofs, if one is given."""
     rng = random.Random(seed)
-    goals = [entry.proof.goal for entry in list_corpus()]
-    return [substitute(goal, {v: random_core_formula(rng, rng.randint(1, 6), "pqr")
-                              for v in sorted(variables(goal))})
-            for goal in itertools.islice(itertools.cycle(goals), count)]
+    out = []
+    for entry in itertools.islice(itertools.cycle(list_corpus()), count):
+        goal = entry.proof.goal
+        mapping = {v: random_core_formula(rng, rng.randint(1, 6), "pqr")
+                   for v in sorted(variables(goal))}
+        out.append(substitute(goal, mapping))
+        if proofs is not None:
+            proofs.append(substitute_proof(entry.proof, mapping))
+    return out
 
 
 def outcome_digest(goals, budget=SearchBudget(), found=None):
