@@ -35,7 +35,9 @@ or parsed before is read back with one lookup and no parse while its node
 lives; the memo keeps no node alive.  The parser itself looks up no group
 of a text: it reads every token.  A text in the memo parsed cleanly or was
 printed, so a ParseError is raised afresh each time.  The memo is emptied,
-dead references with the rest, when it holds MEMO_SIZE texts.
+dead references with the rest, when it holds MEMO_SIZE texts.  The proof
+script reader's assertion memo (``sequents``) is kept by the same helper,
+``_remember``, within the same bound.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def end_of_file(text: str, expected: str) -> ParseError:
 
 
 _NEXT = re.compile(r"\s*(\S|$)")  # the next character that is not blank
-MEMO_SIZE = 8192  # the formula memo is emptied when it holds this many texts
+MEMO_SIZE = 8192  # a text memo is emptied when it holds this many texts
 
 
 def parse_at(parse, source: str, start: int, end: int, line: int | None = None,
@@ -440,11 +442,12 @@ FORMULAS = Grammar(
 _MEMO: dict[str, weakref.ref] = {}  # text -> its node, weakly; see the module docstring
 
 
-def _remember(text: str, node: Formula) -> None:
-    """Store text's node in the formula memo, emptying the memo first if full."""
-    if len(_MEMO) >= MEMO_SIZE:
-        _MEMO.clear()
-    _MEMO[text] = weakref.ref(node)
+def _remember(memo: dict, text: str, value) -> None:
+    """Store a weak reference to text's value in memo, emptying the memo
+    first if it holds MEMO_SIZE texts."""
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[text] = weakref.ref(value)
 
 
 def parse_formula(text: str) -> Formula:
@@ -455,7 +458,7 @@ def parse_formula(text: str) -> Formula:
     node = ref and ref()
     if node is None:
         node = FORMULAS.parse(text)
-        _remember(text, node)
+        _remember(_MEMO, text, node)
     return node
 
 
@@ -467,7 +470,7 @@ def print_formula(f: Formula) -> str:
     if text is None:
         text = FORMULAS.show(f, print_formula)
         _set(f, "_text", text)
-        _remember(text, f)
+        _remember(_MEMO, text, f)
     return text
 
 

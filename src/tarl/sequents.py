@@ -49,23 +49,35 @@ expressions find the line's number, its first ';' and the first '=>' before
 it, allowing any blanks and commas between the parts, and place every error
 of the line.  Each side is then read by plain string splits if it is laid
 out as ``format_proof_script`` writes it, its assertions joined by ', ' and
-each ending in ']'; a script's memo maps each side's text and each
-assertion's text to what was read from it, so each is read once.  Any
-other side is walked assertion by assertion, and the walk alone raises a
-side's ParseError.  The printer prints each distinct side of a proof once.
+each ending in ']'; a script's memo maps each side's text to what was read
+from it, so each side is read once.  Any other side is walked assertion by
+assertion, and the walk alone raises a side's ParseError.  The printer
+prints each distinct side of a proof once.
+
+Assertions have a text memo of their own, kept as the formula memo is
+(``formulas._remember``): a text maps to a weak reference to its
+assertion, and the memo is emptied when it holds MEMO_SIZE texts.  The
+splits look each assertion's text up in it, and store what they read;
+an assertion stores its text when it is first printed, if the splits
+would read that text back to it (indices that are ints, not negative).
+So a printed proof is read back with no assertion rebuilt, while its
+assertions live, and the memo keeps none of them alive.  Substitution and
+permutation map each distinct side of a proof once, so their images share
+sides as their sources do.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+import weakref
 from dataclasses import dataclass, replace
 from itertools import starmap
 from typing import Callable, Iterable, Sequence
 
 from .formulas import (
-    Formula, Imp, And, Or, Neg, ParseError, desugar_fusion, end_of_file,
-    file_lines, parse_at, parse_formula, print_formula, substitution,
+    Formula, Imp, And, Or, Neg, ParseError, _remember, desugar_fusion,
+    end_of_file, file_lines, parse_at, parse_formula, print_formula, substitution,
 )
 
 __all__ = [
@@ -86,9 +98,10 @@ _set = object.__setattr__
 class Assertion:
     """(formula)[i,j]: a fusion-free formula at a pair of object indices.
     Assertions are immutable; each keeps its hash, that of the triple
-    (formula, i, j), and two are equal when their triples are."""
+    (formula, i, j), and two are equal when their triples are.  Its printed
+    text is cached on first use (see __str__)."""
 
-    __slots__ = ("formula", "i", "j", "_hash")
+    __slots__ = ("formula", "i", "j", "_hash", "_text", "__weakref__")
 
     def __init__(self, formula: Formula, i: int, j: int):
         if not formula._core:
@@ -123,7 +136,17 @@ class Assertion:
         return (print_formula(self.formula), self.i, self.j)
 
     def __str__(self) -> str:
-        return f"({print_formula(self.formula)})[{self.i},{self.j}]"
+        """(formula)[i,j], built and cached on first use.  It is then stored
+        in the assertion memo if the reader reads it back to this assertion:
+        when i and j are ints (not bools or numpy integers) and not negative."""
+        text = getattr(self, "_text", None)  # unset until first printed
+        if text is None:
+            i, j = self.i, self.j
+            text = f"({print_formula(self.formula)})[{i},{j}]"
+            _set(self, "_text", text)
+            if type(i) is int and type(j) is int and i >= 0 and j >= 0:
+                _remember(_MEMO, text, self)
+        return text
 
 
 @dataclass(frozen=True, slots=True)
@@ -471,16 +494,21 @@ def objects_level(proof: Proof) -> int:
 
 def _relabel(proof: Proof, assertion: Callable[[Assertion], Assertion],
              index: Callable[[int], int] | None, goal: Formula | None) -> Proof:
-    """Map every assertion and every eigen index of a proof."""
+    """Map every assertion and every eigen index of a proof.  Each distinct
+    side is mapped once, so the image shares sides as the proof does."""
+    images: dict[frozenset, frozenset] = {}
 
-    def sequent(s: Sequent) -> Sequent:
-        return Sequent(frozenset(map(assertion, s.left)),
-                       frozenset(map(assertion, s.right)))
+    def side(s: frozenset) -> frozenset:
+        image = images.get(s)
+        if image is None:
+            image = images[s] = frozenset(map(assertion, s))
+        return image
 
     def just(j: Justification) -> Justification:
         return j if j.eigen is None else replace(j, eigen=index(j.eigen))
 
-    lines = [(sequent(s), j if index is None else just(j)) for s, j in proof.lines]
+    lines = [(Sequent(side(s.left), side(s.right)), j if index is None else just(j))
+             for s, j in proof.lines]
     return Proof(lines=lines, bound=proof.bound, goal=goal)
 
 
@@ -525,6 +553,10 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # The regular expressions below find a line's parts and place its errors
 # (_read_sequent); a side laid out as format_proof_script writes it is read
 # by splits (_split_side), and any other side is walked by _ASSERTION (_side).
+
+# text -> the assertion the reader reads from it, weakly: Assertion.__str__
+# and _split_assertion write it, through the formula memo's helper
+_MEMO: dict[str, weakref.ref] = {}
 
 _HEADER = re.compile(r"lemma\s+([^\s:]+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
 # a proof line is <k>. <left side> => <right side> ; <rule> <arguments>: the
@@ -591,7 +623,8 @@ def _side(content: str, pos: int, end: int, n: int, col: int) -> frozenset[Asser
 
 def _split_assertion(text: str) -> Assertion | None:
     """The assertion text, written '(<formula>)[i,j]', or None if it is not
-    written so or its formula or an index does not read."""
+    written so or its formula or an index does not read.  What it reads is
+    stored in the assertion memo."""
     if text[:1] != "(" or text[-1:] != "]":
         return None
     formula, bracket, indices = text[1:-1].rpartition(")[")
@@ -604,35 +637,40 @@ def _split_assertion(text: str) -> Assertion | None:
         f = parse_formula(formula)
     except ParseError:
         return None
-    return Assertion(desugar_fusion(f), i, j)
+    a = Assertion(desugar_fusion(f), i, j)
+    _remember(_MEMO, text, a)
+    return a
 
 
-def _split_side(text: str, made: dict, sides: dict) -> frozenset[Assertion] | None:
+def _split_side(text: str, sides: dict) -> frozenset[Assertion] | None:
     """The sequent side text, its assertions joined by ', ' (a formula holds
-    no ','), or None if it is not written so.  made and sides map the texts
-    of a script's assertions and sides to what was read from them."""
+    no ','), or None if it is not written so.  sides maps the texts of a
+    script's sides to what was read from them.  Each assertion's text is
+    looked up in the assertion memo, which holds texts printed or read by
+    splits before while their assertions live (see the module docstring),
+    and read by _split_assertion only if it is not there."""
     side = sides.get(text)
     if side is None:
         out = []
         for piece in text.split(", ") if text else ():
-            a = made.get(piece)
+            ref = _MEMO.get(piece)
+            a = ref and ref()
             if a is None:
                 a = _split_assertion(piece)
                 if a is None:
                     return None
-                made[piece] = a
             out.append(a)
         side = sides[text] = frozenset(out)
     return side
 
 
-def _read_sequent(content: str, line_no: int, n: int, col: int, made: dict,
+def _read_sequent(content: str, line_no: int, n: int, col: int,
                   sides: dict) -> tuple[Sequent, int]:
     """Proof line line_no's sequent, written as content on line n of a
     script from column col, and the offset of its ';'.  Each side is read
-    by splits, less its outer blanks, if it can be (_split_side, with made
-    and sides), and else walked (_side).  Raises the ParseError of a line
-    that does not read."""
+    by splits, less its outer blanks, if it can be (_split_side, with
+    sides), and else walked (_side).  Raises the ParseError of a line that
+    does not read."""
     m = _NUMBER.match(content)
     if not m:
         raise ParseError(col, "'<k>. <sequent> ; <rule>'", line=n)
@@ -645,21 +683,20 @@ def _read_sequent(content: str, line_no: int, n: int, col: int, made: dict,
     arrow = content.find("=>", start, semi)
     if arrow < 0:
         raise _error(content, semi, "'=>' separating the sequent sides", n, col)
-    left = _split_side(content[start:arrow].strip(), made, sides)
+    left = _split_side(content[start:arrow].strip(), sides)
     if left is None:
         left = _side(content, start, arrow, n, col)
-    right = _split_side(content[arrow + 2:semi].strip(), made, sides)
+    right = _split_side(content[arrow + 2:semi].strip(), sides)
     if right is None:
         right = _side(content, arrow + 2, semi, n, col)
     return Sequent(left, right), semi
 
 
-def _script_line(content: str, line_no: int, n: int, col: int, made: dict,
+def _script_line(content: str, line_no: int, n: int, col: int,
                  sides: dict) -> tuple[Sequent, Justification]:
     """Proof line line_no, written as content on line n of a script from
-    column col; made and sides are as for _read_sequent, which reads the
-    sequent."""
-    seq, semi = _read_sequent(content, line_no, n, col, made, sides)
+    column col; sides is as for _read_sequent, which reads the sequent."""
+    seq, semi = _read_sequent(content, line_no, n, col, sides)
     name, *args = content[semi + 1:].split() or ("",)
     rule = RULE_NAMED.get(name)
     if rule is None:
@@ -693,11 +730,10 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
     name = goal = None
     bound = DEFAULT_BOUND
     lines: list[tuple[Sequent, Justification]] = []
-    made: dict[str, Assertion] = {}
     sides: dict[str, frozenset[Assertion]] = {}
     for n, col, content in file_lines(text):
         if not content.startswith("lemma"):
-            lines.append(_script_line(content, len(lines) + 1, n, col, made, sides))
+            lines.append(_script_line(content, len(lines) + 1, n, col, sides))
             continue
         if name is not None:
             raise ParseError(col, "a proof line: a script has one 'lemma' header",

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checker
-from tarl import algebra, sequents
+from tarl import algebra, formulas, sequents
 from tarl.derived import apply_derived_rule
 from tarl.formulas import (
     Imp, Neg, ParseError, Var, desugar_fusion, parse_formula, substitute, variables,
@@ -374,6 +375,8 @@ def test_every_shipped_and_pinned_line_takes_the_splits(monkeypatch):
         raise AssertionError(f"side walked: {content[pos:end]!r} of {content}")
 
     monkeypatch.setattr(sequents, "_side", refuse)
+    # the splits, not texts printed before, read every assertion
+    monkeypatch.setattr(sequents, "_MEMO", {})
     scripts = sorted(data_dir().rglob("*.prf"))
     assert len(scripts) == 38 + 13
     for path in scripts:
@@ -397,11 +400,13 @@ def _mutated_line(line, rng):
 
 def _split_against_walk(count, seed):
     """Read count printed lines of the golden proofs, each mutated once and
-    read after the lines before it, so that the memo holds their texts:
-    with each side read by splits where it can be, and with every side
-    walked.  Assert that both read the same, and that every side of the
-    printed lines takes the splits; return how many mutated lines had both
-    sides read by splits (True) and how many did not (False)."""
+    read after the lines before it, so that the script's memo of sides and
+    the assertion memo hold their texts as the reader read them (the memo
+    is emptied after printing): with each side read by splits where it can
+    be, and with every side walked.  Assert that both read the same, and
+    that every side of the printed lines takes the splits; return how many
+    mutated lines had both sides read by splits (True) and how many did not
+    (False)."""
     rng = random.Random(seed)
     proofs = _golden_proofs()
     split_side, split, taken = sequents._split_side, [], collections.Counter()
@@ -416,11 +421,13 @@ def _split_against_walk(count, seed):
         k = rng.randrange(1, len(lines))
         text = "\n".join(lines[:k] + [_mutated_line(lines[k], rng)]) + "\n"
         split.clear()
-        with mock.patch.object(sequents, "_split_side", spy):
+        with mock.patch.object(sequents, "_split_side", spy), \
+                mock.patch.object(sequents, "_MEMO", {}):
             got = _read(text)
         printed = 2 * (k - 1)  # two sides on each line before the mutated one
         assert printed <= len(split) <= printed + 2 and all(split[:printed]), text
-        with mock.patch.object(sequents, "_split_side", lambda *args: None):
+        with mock.patch.object(sequents, "_split_side", lambda *args: None), \
+                mock.patch.object(sequents, "_MEMO", {}):
             assert got == _read(text), text
         taken[split[printed:] == [True, True]] += 1
     return taken
@@ -430,6 +437,138 @@ def test_the_split_reader_reads_what_the_regular_expressions_read():
     taken = _split_against_walk(2000, 28)
     # the splits read many of the mutated lines, and hand many on
     assert taken[True] > 300 and taken[False] > 300, taken
+
+
+# ------------------------------------------------------------------
+# The assertion memo: a printed or read text, read back with one lookup
+# ------------------------------------------------------------------
+
+def split_reads(patch):
+    """The texts that sequents._split_assertion reads from now on."""
+    texts, split = [], sequents._split_assertion
+
+    def spy(text):
+        texts.append(text)
+        return split(text)
+
+    patch.setattr(sequents, "_split_assertion", spy)
+    return texts
+
+
+def _instances(seed, rounds=1):
+    """rounds seeded substitution instances of each corpus proof, each
+    variable replaced by a random formula over p, q, r and s (fusions
+    too); each call builds new assertions."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(rounds):
+        for lemma in corpus_ids():
+            proof = get_corpus_entry(lemma).proof
+            out.append(substitute_proof(proof, {
+                v: random_formula(rng, rng.randint(1, 6), ["p", "q", "r", "s"])
+                for v in sorted(variables(proof.goal))}))
+    return out
+
+
+def test_a_printed_assertion_is_read_back_as_itself_without_a_parse(monkeypatch):
+    monkeypatch.setattr(sequents, "_MEMO", {})
+    for proof in _instances(30):
+        text = format_proof_script("x", proof)
+        with monkeypatch.context() as patch:
+            reads = split_reads(patch)
+            _, again = parse_proof_script(text)
+        assert reads == []
+        for (s, _), (t, _) in zip(proof.lines, again.lines, strict=True):
+            for printed, read in ((s.left, t.left), (s.right, t.right)):
+                assert sorted(map(id, read)) == sorted(map(id, printed))
+
+
+def test_the_assertion_memo_keeps_no_assertion_alive(monkeypatch):
+    monkeypatch.setattr(sequents, "_MEMO", {})
+    proof = max(_instances(31), key=lambda p: len(p.lines))
+    printed = format_proof_script("x", proof)
+    _, walked = parse_proof_script(printed.replace(", ", ",  "))  # not memoised
+    _, split = parse_proof_script(printed.replace("[", "[0"))  # read by splits
+    assertions = [x for p in (proof, walked, split) for s, _ in p.lines for x in s.left | s.right]
+    refs = [weakref.ref(x) for x in assertions]
+    # each distinct assertion's printed text, and its text with the zeros
+    assert len(sequents._MEMO) == 2 * len(set(assertions)) > 20
+    del proof, walked, split, assertions
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert all(ref() is None for ref in sequents._MEMO.values())
+
+
+def test_the_assertion_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(sequents, "_MEMO", {})
+    p = Var("p")
+    for k in range(20_000):
+        str(Assertion(p, k, 0))
+        sequents._split_assertion(f"(p)[0,{k}]")
+        assert len(sequents._MEMO) <= formulas.MEMO_SIZE
+    monkeypatch.setattr(formulas, "MEMO_SIZE", 16)  # one setting for both memos
+    for k in range(100):
+        str(Assertion(p, 1, k))
+        assert len(sequents._MEMO) <= 16
+
+
+@pytest.mark.parametrize("index", [-1, True, np.int64(2)], ids=repr)
+def test_an_assertion_the_splits_do_not_read_back_is_not_remembered(monkeypatch, index):
+    # "(p)[-1,0]" and "(p)[True,0]" do not read, and "(p)[2,0]" reads as
+    # plain ints: the memo must not answer for the reader
+    monkeypatch.setattr(sequents, "_MEMO", {})
+    x = Assertion(Var("p"), index, 0)
+    text = f"lemma x\n1. {x} => {x} ; axiom\n"
+    assert str(x) not in sequents._MEMO
+    warm = _read(text)
+    with mock.patch.object(sequents, "_MEMO", {}):
+        assert _read(text) == warm
+    if isinstance(warm[1], Proof):
+        (s, _), = warm[1].lines
+        assert all(type(y.i) is int and type(y.j) is int for y in s.left | s.right)
+    else:
+        assert warm[2] == "'[i,j]' after the formula", warm
+
+
+def _read_printed(proofs, seed, emptied=False):
+    """Each proof printed and read back, then its printed text with one
+    line mutated read: what each read gives, with the check_proof report of
+    a proof read.  With emptied, both memos are emptied after printing."""
+    rng = random.Random(seed)
+    out = []
+    for proof in proofs:
+        text = format_proof_script("x", proof)
+        lines = text.splitlines()
+        k = rng.randrange(1, len(lines))
+        mutated = "\n".join(lines[:k] + [_mutated_line(lines[k], rng)]) + "\n"
+        if emptied:
+            sequents._MEMO.clear()
+            formulas._MEMO.clear()
+        for written in (text, mutated):
+            got = _read(written)
+            out.append((got, check_proof(got[1]) if isinstance(got[1], Proof) else None))
+        assert out[-2][0] == ("x", proof)
+    return out
+
+
+def test_reading_with_a_warm_an_emptied_and_a_small_memo_agrees(monkeypatch):
+    # each way prints new assertions: the golden proofs and seeded instances
+    reads = {}
+    for way in ("warm", "emptied", "small"):
+        with monkeypatch.context() as patch:
+            patch.setattr(sequents, "_MEMO", {})
+            patch.setattr(formulas, "_MEMO", {})
+            if way == "small":
+                patch.setattr(formulas, "MEMO_SIZE", 16)
+            proofs = _golden_proofs() + _instances(32, 2)
+            split = split_reads(patch)
+            reads[way] = _read_printed(proofs, 33, emptied=way == "emptied")
+        reads[way, "split"] = len(split)
+    assert reads["warm"] == reads["emptied"] == reads["small"]
+    # the mutants reach the errors, and the warm memo spares most reads
+    assert sum(len(got) == 4 for got, _ in reads["warm"]) > 100
+    assert reads["warm", "split"] * 4 < reads["emptied", "split"]
+    assert reads["warm", "split"] < reads["small", "split"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,6 +657,27 @@ def test_substitute_proof_agrees_with_substituting_each_assertion():
         assert report.objects_used == check_proof(proof).objects_used
 
 
+def test_relabelling_maps_each_distinct_side_once():
+    rng = random.Random(34)
+    for proof in _golden_proofs():
+        names = sorted(set().union(*(variables(x.formula) for s, _ in proof.lines
+                                     for x in s.left | s.right)))
+        mapping = {v: desugar_fusion(random_formula(rng, rng.randint(1, 5), ["p", "q"]))
+                   for v in names}
+        perm = dict(enumerate(rng.sample(range(proof.bound), proof.bound)))
+        for image, expected in (
+                (substitute_proof(proof, mapping),
+                 lambda x: Assertion(substituted(x.formula, mapping), x.i, x.j)),
+                (permute_indices(proof, perm),
+                 lambda x: Assertion(x.formula, perm[x.i], perm[x.j]))):
+            images = {}
+            for (s, j), (t, k) in zip(proof.lines, image.lines, strict=True):
+                for side, mapped in ((s.left, t.left), (s.right, t.right)):
+                    assert images.setdefault(side, mapped) is mapped
+                    assert mapped == frozenset(map(expected, side))
+                assert k.rule is j.rule and k.refs == j.refs
+
+
 def test_substitution_leaves_no_reference_cycle():
     # a substitution's images go with it, not at the collector's next run
     rng = random.Random(26)
@@ -553,12 +713,15 @@ def _principals_over_every_k(rule, concl, just, prems, bound):
 def _golden_proofs():
     """The proofs pinned in tests/golden: every corpus proof, a substitution
     instance of each and the derived rules' outputs, then search's proofs of
-    the corpus goals and of seeded random goals."""
+    the corpus goals and of seeded random goals.  They are read with the
+    assertion memo emptied, so that the splits read each assertion, and
+    each call builds new assertions."""
     golden = Path(__file__).resolve().parent / "golden"
     texts = [(golden / name).read_text()
              for name in ("proof_scripts.txt", "search_outcomes.txt")]
-    return [parse_proof_script(chunk)[1] for text in texts
-            for chunk in re.split(r"(?m)^(?=lemma )", text) if chunk.startswith("lemma")]
+    with mock.patch.object(sequents, "_MEMO", {}):
+        return [parse_proof_script(chunk)[1] for text in texts
+                for chunk in re.split(r"(?m)^(?=lemma )", text) if chunk.startswith("lemma")]
 
 
 def _mutant(proof, rng):
@@ -674,7 +837,8 @@ def test_the_reference_checker_agrees_when_a_line_gains_an_assertion():
                     format_proof_script("x", fault)
 
 
-def test_the_reference_checker_reads_each_fault_of_the_unit_examples():
+def test_the_reference_checker_reads_each_fault_of_the_unit_examples(monkeypatch):
+    monkeypatch.setattr(sequents, "_MEMO", {})
     cases = {
         "1. (a)[1,0], (b)[1,1] => (a)[1,0] ; axiom\n"
         "2. (b)[1,1] => (a -> a)[0,0] ; impR k=1": "EigenvariableViolation",
