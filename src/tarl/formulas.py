@@ -36,7 +36,7 @@ lives; the memo keeps no node alive.  The parser itself looks up no group
 of a text: it reads every token.  A text in the memo parsed cleanly or was
 printed, so a ParseError is raised afresh each time.  The memo is emptied,
 dead references with the rest, when it holds MEMO_SIZE texts.  The proof
-script reader's assertion memo (``sequents``) is kept by the same helper,
+script reader's memos (``sequents``) are kept by the same helper,
 ``_remember``, within the same bound.
 """
 
@@ -442,12 +442,12 @@ FORMULAS = Grammar(
 _MEMO: dict[str, weakref.ref] = {}  # text -> its node, weakly; see the module docstring
 
 
-def _remember(memo: dict, text: str, value) -> None:
-    """Store a weak reference to text's value in memo, emptying the memo
-    first if it holds MEMO_SIZE texts."""
+def _remember(memo: dict, text: str, entry) -> None:
+    """Store text's entry in memo, emptying the memo first if it holds
+    MEMO_SIZE texts."""
     if len(memo) >= MEMO_SIZE:
         memo.clear()
-    memo[text] = weakref.ref(value)
+    memo[text] = entry
 
 
 def parse_formula(text: str) -> Formula:
@@ -458,7 +458,7 @@ def parse_formula(text: str) -> Formula:
     node = ref and ref()
     if node is None:
         node = FORMULAS.parse(text)
-        _remember(_MEMO, text, node)
+        _remember(_MEMO, text, weakref.ref(node))
     return node
 
 
@@ -470,7 +470,7 @@ def print_formula(f: Formula) -> str:
     if text is None:
         text = FORMULAS.show(f, print_formula)
         _set(f, "_text", text)
-        _remember(_MEMO, text, f)
+        _remember(_MEMO, text, weakref.ref(f))
     return text
 
 

@@ -61,9 +61,12 @@ splits look each assertion's text up in it, and store what they read;
 an assertion stores its text when it is first printed, if the splits
 would read that text back to it (indices that are ints, not negative).
 So a printed proof is read back with no assertion rebuilt, while its
-assertions live, and the memo keeps none of them alive.  Substitution and
-permutation map each distinct side of a proof once, so their images share
-sides as their sources do.
+assertions live, and the memo keeps none of them alive.  A third memo,
+within the same bound, maps the text of a line after its ';' to the
+Justification read from it, unless the references it omits depend on the
+line: the instances of one proof print the same justifications.
+Substitution and permutation map each distinct side of a proof once, so
+their images share sides as their sources do.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ class Assertion:
             text = f"({print_formula(self.formula)})[{i},{j}]"
             _set(self, "_text", text)
             if type(i) is int and type(j) is int and i >= 0 and j >= 0:
-                _remember(_MEMO, text, self)
+                _remember(_MEMO, text, weakref.ref(self))
         return text
 
 
@@ -557,6 +560,11 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # text -> the assertion the reader reads from it, weakly: Assertion.__str__
 # and _split_assertion write it, through the formula memo's helper
 _MEMO: dict[str, weakref.ref] = {}
+# a line's text after its ';' -> the Justification read from it, unless the
+# references it omits depend on the line (_script_line); a Justification
+# holds only a row of RULES and numbers, so the memo holds it, not a weak
+# reference
+_JUSTIFIED: dict[str, Justification] = {}
 
 _HEADER = re.compile(r"lemma\s+([^\s:]+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
 # a proof line is <k>. <left side> => <right side> ; <rule> <arguments>: the
@@ -638,7 +646,7 @@ def _split_assertion(text: str) -> Assertion | None:
     except ParseError:
         return None
     a = Assertion(desugar_fusion(f), i, j)
-    _remember(_MEMO, text, a)
+    _remember(_MEMO, text, weakref.ref(a))
     return a
 
 
@@ -695,9 +703,15 @@ def _read_sequent(content: str, line_no: int, n: int, col: int,
 def _script_line(content: str, line_no: int, n: int, col: int,
                  sides: dict) -> tuple[Sequent, Justification]:
     """Proof line line_no, written as content on line n of a script from
-    column col; sides is as for _read_sequent, which reads the sequent."""
+    column col; sides is as for _read_sequent, which reads the sequent.
+    The justification is looked up in _JUSTIFIED by its text, and read
+    only if it is not there."""
     seq, semi = _read_sequent(content, line_no, n, col, sides)
-    name, *args = content[semi + 1:].split() or ("",)
+    tail = content[semi + 1:]
+    just = _JUSTIFIED.get(tail)
+    if just is not None:
+        return seq, just
+    name, *args = tail.split() or ("",)
     rule = RULE_NAMED.get(name)
     if rule is None:
         raise ParseError(col + _word_at(content, semi, 0), "a rule name",
@@ -721,6 +735,8 @@ def _script_line(content: str, line_no: int, n: int, col: int,
         usage = rule.name + " <ref>" * rule.refs + " k=<idx>" * (rule.index == "eigen")
         at = _word_at(content, semi, 0)
         raise ParseError(col + at, repr(usage), content[at:], n) from None
+    if refs or not rule.refs:  # else the references depend on line_no
+        _remember(_JUSTIFIED, tail, just)
     return seq, just
 
 

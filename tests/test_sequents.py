@@ -401,9 +401,9 @@ def _mutated_line(line, rng):
 def _split_against_walk(count, seed):
     """Read count printed lines of the golden proofs, each mutated once and
     read after the lines before it, so that the script's memo of sides and
-    the assertion memo hold their texts as the reader read them (the memo
-    is emptied after printing): with each side read by splits where it can
-    be, and with every side walked.  Assert that both read the same, and
+    the assertion and justification memos hold their texts as the reader
+    read them (the memos are emptied after printing): with each side read
+    by splits where it can be, and with every side walked.  Assert that both read the same, and
     that every side of the printed lines takes the splits; return how many
     mutated lines had both sides read by splits (True) and how many did not
     (False)."""
@@ -422,12 +422,14 @@ def _split_against_walk(count, seed):
         text = "\n".join(lines[:k] + [_mutated_line(lines[k], rng)]) + "\n"
         split.clear()
         with mock.patch.object(sequents, "_split_side", spy), \
-                mock.patch.object(sequents, "_MEMO", {}):
+                mock.patch.object(sequents, "_MEMO", {}), \
+                mock.patch.object(sequents, "_JUSTIFIED", {}):
             got = _read(text)
         printed = 2 * (k - 1)  # two sides on each line before the mutated one
         assert printed <= len(split) <= printed + 2 and all(split[:printed]), text
         with mock.patch.object(sequents, "_split_side", lambda *args: None), \
-                mock.patch.object(sequents, "_MEMO", {}):
+                mock.patch.object(sequents, "_MEMO", {}), \
+                mock.patch.object(sequents, "_JUSTIFIED", {}):
             assert got == _read(text), text
         taken[split[printed:] == [True, True]] += 1
     return taken
@@ -530,10 +532,32 @@ def test_an_assertion_the_splits_do_not_read_back_is_not_remembered(monkeypatch,
         assert warm[2] == "'[i,j]' after the formula", warm
 
 
+def test_a_justification_is_read_once_unless_its_references_depend_on_its_line(monkeypatch):
+    monkeypatch.setattr(sequents, "_JUSTIFIED", {})
+    head = "lemma x\n1. (p)[1,0] => (p)[1,0] ; axiom\n"
+    _, first = parse_proof_script(head + "2. (p)[1,0] => (p)[1,0], (q)[0,0] ; weaken 1\n")
+    _, again = parse_proof_script(head + "2. (p)[1,0] => (p)[1,0] ; axiom\n"
+                                  "3. (p)[1,0] => (p)[1,0], (q)[0,0] ; weaken 1\n")
+    assert again.lines[2][1] is first.lines[1][1]
+    assert sorted(sequents._JUSTIFIED) == [" axiom", " weaken 1"]
+    # omitted references name the lines just before each line
+    _, omitted = parse_proof_script(head + "2. (p)[1,0] => (p)[1,0] ; weaken\n"
+                                    "3. (p)[1,0] => (p)[1,0] ; weaken\n"
+                                    "4. => (p -> p)[0,0] ; impR k=1\n"
+                                    "5. => (p -> p)[0,0] ; impR k=1\n")
+    assert [j.refs for _, j in omitted.lines[1:]] == [(1,), (2,), (3,), (4,)]
+    assert sorted(sequents._JUSTIFIED) == [" axiom", " weaken 1"]
+    monkeypatch.setattr(formulas, "MEMO_SIZE", 16)  # the bound of every memo
+    for k in range(1, 100):  # 99 texts, told apart by the blanks in them
+        parse_proof_script(head + f"2. (p)[1,0] => (p)[1,0] ; weaken{' ' * k}1\n")
+        assert len(sequents._JUSTIFIED) <= 16
+
+
 def _read_printed(proofs, seed, emptied=False):
     """Each proof printed and read back, then its printed text with one
     line mutated read: what each read gives, with the check_proof report of
-    a proof read.  With emptied, both memos are emptied after printing."""
+    a proof read.  With emptied, the formula, assertion and justification
+    memos are emptied after printing."""
     rng = random.Random(seed)
     out = []
     for proof in proofs:
@@ -543,6 +567,7 @@ def _read_printed(proofs, seed, emptied=False):
         mutated = "\n".join(lines[:k] + [_mutated_line(lines[k], rng)]) + "\n"
         if emptied:
             sequents._MEMO.clear()
+            sequents._JUSTIFIED.clear()
             formulas._MEMO.clear()
         for written in (text, mutated):
             got = _read(written)
@@ -557,6 +582,7 @@ def test_reading_with_a_warm_an_emptied_and_a_small_memo_agrees(monkeypatch):
     for way in ("warm", "emptied", "small"):
         with monkeypatch.context() as patch:
             patch.setattr(sequents, "_MEMO", {})
+            patch.setattr(sequents, "_JUSTIFIED", {})
             patch.setattr(formulas, "_MEMO", {})
             if way == "small":
                 patch.setattr(formulas, "MEMO_SIZE", 16)
@@ -714,12 +740,13 @@ def _golden_proofs():
     """The proofs pinned in tests/golden: every corpus proof, a substitution
     instance of each and the derived rules' outputs, then search's proofs of
     the corpus goals and of seeded random goals.  They are read with the
-    assertion memo emptied, so that the splits read each assertion, and
-    each call builds new assertions."""
+    assertion and justification memos emptied, so that the reader reads
+    each assertion and justification, and each call builds new ones."""
     golden = Path(__file__).resolve().parent / "golden"
     texts = [(golden / name).read_text()
              for name in ("proof_scripts.txt", "search_outcomes.txt")]
-    with mock.patch.object(sequents, "_MEMO", {}):
+    with mock.patch.object(sequents, "_MEMO", {}), \
+            mock.patch.object(sequents, "_JUSTIFIED", {}):
         return [parse_proof_script(chunk)[1] for text in texts
                 for chunk in re.split(r"(?m)^(?=lemma )", text) if chunk.startswith("lemma")]
 
