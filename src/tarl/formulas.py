@@ -20,13 +20,18 @@ relation-algebra terms.
 
 Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): a constructor looks its class and children up in one
-table with weak values and returns the live node if there is one, so each
-formula exists once and equality is identity.  No node outlives its last
-reference, so the table cannot grow for the life of the process.  A node
-stores its hash and whether it is fusion-free when it is built, and caches
-its printed text, built from its children's texts, and its variables on
-first use.  Nodes are immutable; pickling and copying return the interned
-node.
+plain dict of weak references and returns the live node if there is one,
+so each formula exists once and equality is identity.  A hash-consed value
+may be hashed by its unique tag, and a node's identity is one: nodes hash
+as objects do, in C, and so do the tuples that hold them.  The order of a
+set of nodes then follows their addresses, so no output may follow it.
+Each reference holds its key, and when its node goes one shared callback
+removes the entry if the reference there is dead, so a node that has
+taken the key since stays.  No node outlives its last reference, so the
+table cannot grow for the life of the process.  A node stores whether it
+is fusion-free when it is built, and caches its printed text, built from
+its children's texts, and its variables on first use.  Nodes are
+immutable; pickling and copying return the interned node.
 
 There is one formula memo, keyed by text, of weak references to nodes, and
 two write to it: ``parse_formula`` stores each text it parses, and
@@ -47,6 +52,7 @@ import itertools
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 
 __all__ = [
     "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
@@ -59,12 +65,16 @@ __all__ = [
 
 _NAME = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
-# every live node, keyed on (class, *children); children are interned, so a
-# lookup hashes them by their stored hash and compares them by identity
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# the table's own dict of weak references, which the constructors read
-# directly: a live node is found without a call into the table's methods
-_REFS = _TABLE.data
+
+class _Ref(weakref.ref):
+    """A weak reference to a node that holds the node's key in _TABLE.
+    Unlike weakref.KeyedRef it is built by C code alone."""
+    __slots__ = ("key",)
+
+
+# every live node, keyed on (class, *children), as a _Ref; children are
+# interned, so a lookup hashes and compares them by identity
+_TABLE: dict[tuple, _Ref] = {}
 _LOCK = threading.Lock()  # two threads must not both make a missing node
 _SERIAL = itertools.count()
 _set = object.__setattr__
@@ -73,17 +83,13 @@ _set = object.__setattr__
 class Formula:
     """Base class of the interned, immutable formula nodes.
 
-    Each node is built once (see the module docstring), so equality is
-    identity.  A node keeps its hash, the same as a frozen dataclass of its
-    fields would have, its ``uid`` (a serial number never reused in this
-    process) and whether it is fusion-free; its printed text and its
-    variables are filled in on first use."""
+    Each node is built once (see the module docstring), so equality and
+    hashing are those of its identity.  A node keeps its ``uid`` (a serial
+    number never reused in this process) and whether it is fusion-free;
+    its printed text and its variables are filled in on first use."""
 
-    __slots__ = ("_hash", "_core", "uid", "_text", "_vars", "__weakref__")
+    __slots__ = ("_core", "uid", "_text", "_vars", "__weakref__")
     _fields: tuple[str, ...] = ()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -108,11 +114,19 @@ class Formula:
         return self
 
 
+def _forget(ref: _Ref) -> None:
+    """The callback of a node's reference: remove ref's key from the table
+    if the reference there is dead, in one atomic call, so that a live
+    node that has taken the key since is kept."""
+    _remove_dead_weakref(_TABLE, ref.key)
+
+
 def _intern(key: tuple) -> Formula:
     """The node of key = (class, *children): the live one, or a new one."""
     cls, *children = key
     with _LOCK:
-        node = _TABLE.get(key)
+        ref = _TABLE.get(key)
+        node = ref and ref()
         if node is not None:
             return node
         if cls is Var:
@@ -126,12 +140,13 @@ def _intern(key: tuple) -> Formula:
         node = object.__new__(cls)
         for field, child in zip(cls._fields, children):
             _set(node, field, child)
-        _set(node, "_hash", hash(key[1:]))
         _set(node, "_core", core)
         _set(node, "uid", next(_SERIAL))
         _set(node, "_text", text)
         _set(node, "_vars", None)
-        _TABLE[key] = node
+        ref = _Ref(node, _forget)
+        ref.key = key
+        _TABLE[key] = ref
         return node
 
 
@@ -141,7 +156,7 @@ class Var(Formula):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        ref = _REFS.get(key)  # a weak reference, which may be dead
+        ref = _TABLE.get(key)  # a weak reference, which may be dead
         return ref is not None and ref() or _intern(key)
 
 
@@ -151,7 +166,7 @@ class Neg(Formula):
 
     def __new__(cls, body: Formula):
         key = (cls, body)
-        ref = _REFS.get(key)
+        ref = _TABLE.get(key)
         return ref is not None and ref() or _intern(key)
 
 
@@ -161,7 +176,7 @@ class _Binary(Formula):
 
     def __new__(cls, left: Formula, right: Formula):
         key = (cls, left, right)
-        ref = _REFS.get(key)
+        ref = _TABLE.get(key)
         return ref is not None and ref() or _intern(key)
 
 

@@ -208,13 +208,20 @@ class Rule:
 
     def __call__(self, *refs: int, eigen: int | None = None) -> "Justification":
         """This rule applied to the lines refs; impR names its eigen index."""
-        if len(refs) != self.refs:
-            raise TypeError(f"{self.name} takes {self.refs} line references, "
-                            f"got {len(refs)}")
-        if (eigen is None) == (self.index == "eigen"):
-            raise TypeError(f"{self.name} takes "
-                            f"{'an' if eigen is None else 'no'} eigen index")
+        misfit = self.misfit(refs, eigen)
+        if misfit:
+            raise TypeError(misfit)
         return Justification(self, refs, eigen)
+
+    def misfit(self, refs: tuple, eigen) -> str:
+        """Why this rule cannot cite the lines refs with that eigen index,
+        or '' if it can: the count of references, or an eigen index given
+        or missing."""
+        if len(refs) != self.refs:
+            return f"{self.name} takes {self.refs} line references, got {len(refs)}"
+        if (eigen is None) == (self.index == "eigen"):
+            return f"{self.name} takes {'an' if eigen is None else 'no'} eigen index"
+        return ""
 
     def __repr__(self) -> str:
         return self.name
@@ -412,7 +419,12 @@ def _check_rule(concl: Sequent, just: Justification, earlier: Sequence[Sequent],
     if rule is Premise:
         raise RuleError(line_no, "ShapeMismatch", "a premise line is a derived "
                         "rule's hypothesis, not a step of a proof")
+    misfit = rule.misfit(just.refs, just.eigen)
+    if misfit:
+        raise RuleError(line_no, "ShapeMismatch", misfit)
     for ref in just.refs:
+        if not isinstance(ref, int):
+            raise RuleError(line_no, "BadRef", f"reference {ref!r} is no line number")
         if not 1 <= ref <= len(earlier):
             raise RuleError(line_no, "BadRef", f"reference {ref} out of range")
     prems = [earlier[ref - 1] for ref in just.refs]
@@ -420,7 +432,7 @@ def _check_rule(concl: Sequent, just: Justification, earlier: Sequence[Sequent],
         if concl.is_axiom():
             return
         raise RuleError(line_no, "NotAxiom", "no assertion common to both sides")
-    if rule.index == "eigen" and not 0 <= just.eigen < bound:
+    if rule.index == "eigen" and not (isinstance(just.eigen, int) and 0 <= just.eigen < bound):
         raise RuleError(line_no, "IndexOutOfBound", f"eigen index {just.eigen}")
     stale = False
     for principal, k in _principals(rule, concl, just, prems, bound):

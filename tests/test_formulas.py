@@ -2,6 +2,9 @@ import copy
 import gc
 import pickle
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -197,11 +200,14 @@ def test_identity_equality_is_structural_equality(f, g):
                 assert hash(a) == hash(b)
 
 
-def test_hash_is_that_of_the_fields():
-    f = parse_formula("p & ~q")
-    assert hash(f) == hash((f.left, f.right))
-    assert hash(f.right) == hash((f.right.body,))
-    assert hash(Var("p")) == hash(("p",))
+def test_a_node_hashes_by_its_identity():
+    f = parse_formula("(p o q) & r -> ~s")
+    for g in [*subformulas(f), f]:
+        assert hash(g) == object.__hash__(g)
+        assert type(g)(*(getattr(g, name) for name in g._fields)) is g
+        for same in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert same is g
+    assert And(Var("p"), Neg(Var("q"))) is parse_formula("p & ~q")
 
 
 def test_pickle_and_copy_return_the_interned_node():
@@ -233,6 +239,80 @@ def test_intern_table_shrinks_after_the_last_reference_goes():
     del f
     gc.collect()
     assert len(formulas_module._TABLE) <= before
+
+
+def test_forget_removes_only_a_dead_entry():
+    class Node:  # a referent that can die, unlike a node other tests may hold
+        pass
+
+    def dead_ref(key):
+        gone = Node()
+        ref = formulas_module._Ref(gone)
+        ref.key = key
+        return ref  # dead once returned
+
+    live = Var("forget_live")  # no other test uses these names
+    late = dead_ref((Var, "forget_live"))
+    formulas_module._forget(late)  # a dead node's callback, run late
+    assert formulas_module._TABLE[late.key]() is live
+    assert Var("forget_live") is live
+    dead = dead_ref((Var, "forget_dead"))
+    formulas_module._TABLE[dead.key] = dead
+    formulas_module._forget(dead)
+    assert dead.key not in formulas_module._TABLE
+    formulas_module._forget(dead)  # a key no longer there is left alone
+    assert dead.key not in formulas_module._TABLE
+
+
+def test_threads_that_build_and_drop_the_same_formulas_share_each_node():
+    threads, rounds = 8, 400
+    names = [f"stress{k}" for k in range(6)]  # no other test uses these
+    rng = random.Random(7)
+    shapes = [random_formula(rng, rng.randint(2, 12), names) for _ in range(30)]
+    texts = [print_formula(f) for f in shapes]
+    del shapes
+    gc.collect()
+    before = len(formulas_module._TABLE)
+    barrier = threading.Barrier(threads, timeout=30)
+    built = [None] * threads
+    failures = []
+    deadline, stop = time.monotonic() + 1.0, [False]
+
+    def build(t):
+        try:
+            for r in range(rounds):
+                # each thread builds every formula afresh, from its leaves
+                nodes = [FORMULAS.parse(text) for text in texts]
+                built[t] = [g for f in nodes for g in (*subformulas(f), f)]
+                barrier.wait()
+                if t == 0:
+                    # formulas are equal only when they are one node
+                    if any(other != built[0] for other in built[1:]):
+                        failures.append(r)
+                    stop[0] = time.monotonic() > deadline
+                barrier.wait()
+                # dropped while other threads build the next round's nodes
+                built[t] = nodes = None
+                if stop[0]:
+                    break
+        except BaseException as e:  # pragma: no cover - reported below
+            failures.append(e)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    built.clear()
+    gc.collect()
+    assert len(formulas_module._TABLE) == before
 
 
 def test_parse_error_is_raised_again_with_its_position():

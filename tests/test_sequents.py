@@ -26,8 +26,8 @@ from tarl.formulas import (
 from tarl.gen import random_formula
 from tarl.registry import corpus_ids, data_dir, get_corpus_entry
 from tarl.sequents import (
-    RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, InvalidProof, NegR, NotABijection,
-    OrR, Proof, RuleError, Sequent, Weaken, check_proof, check_step,
+    RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, InvalidProof, Justification, NegR,
+    NotABijection, OrR, Proof, RuleError, Sequent, Weaken, check_proof, check_step,
     format_proof_script, objects_level, parse_proof_script, permute_indices,
     substitute_proof,
 )
@@ -186,6 +186,33 @@ P = a("p", 0, 0)
 def test_malformed_justification_is_a_type_error(rule, refs, keywords):
     with pytest.raises(TypeError):
         rule(*refs, **keywords)
+
+
+@pytest.mark.parametrize("just, kind, detail", [
+    pytest.param(Justification(NegR, (1, 1)), "ShapeMismatch",
+                 "negR takes 1 line references, got 2", id="negR 1 1"),
+    pytest.param(Justification(ImpR, (1,)), "ShapeMismatch",
+                 "impR takes an eigen index", id="impR 1"),
+    pytest.param(Justification(ImpR, (1,), "k"), "IndexOutOfBound",
+                 "eigen index k", id="impR 1 k=k"),
+    pytest.param(Justification(Cut, ("x", 1)), "BadRef",
+                 "reference 'x' is no line number", id="cut x 1"),
+    pytest.param(Justification(NegR, (1,), 2), "ShapeMismatch",
+                 "negR takes no eigen index", id="negR 1 k=2"),
+])
+def test_a_justification_its_rule_refuses_is_reported(just, kind, detail):
+    # built directly, as a rule's row would not build it; the checker
+    # reports it as the line's error rather than raising or accepting it
+    prem = seq([a("p", 0, 1)], [a("p", 0, 1)])
+    line = (seq([], [a("p", 0, 1), a("~p", 1, 0)]), just)
+    with pytest.raises(RuleError) as e:
+        check_step([prem], line)
+    assert (e.value.line, e.value.kind, e.value.detail) == (2, kind, detail)
+    report = check_proof(Proof(lines=[(prem, Axiom()), line]))
+    assert report.first_error == (2, f"{kind}: {detail}")
+    if kind == "ShapeMismatch":  # in the words of the row that refuses it
+        with pytest.raises(TypeError, match=f"^{re.escape(detail)}$"):
+            just.rule(*just.refs, eigen=just.eigen)
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
