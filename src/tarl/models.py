@@ -334,13 +334,6 @@ class _Store:
                 self.nbytes = 0
 
 
-class _GridCache(_Store):
-    """The digit columns of grid blocks, kept by their arguments."""
-
-    def block(self, allowed, arity: int, lo: int, hi: int) -> np.ndarray:
-        return self.get((allowed, arity, lo, hi), _grid_columns)
-
-
 def _grid_columns(allowed, arity: int, lo: int, hi: int) -> np.ndarray:
     """The (arity, hi - lo) masks of rows lo..hi-1 of the grid of every
     assignment of the masks `allowed` to `arity` variables, the first
@@ -354,7 +347,7 @@ def _grid_columns(allowed, arity: int, lo: int, hi: int) -> np.ndarray:
     return cols
 
 
-_GRID_CACHE = _GridCache()
+_GRID_CACHE = _Store()  # the digit columns of grid blocks, by their arguments
 
 
 def grid_blocks(names: list[str], allowed):
@@ -369,7 +362,8 @@ def grid_blocks(names: list[str], allowed):
     lo, size = 0, min(_FIRST_BLOCK, _GRID_CHUNK)
     while lo < total:
         hi = min(lo + size, total)
-        yield hi, dict(zip(names, _GRID_CACHE.block(allowed, len(names), lo, hi)))
+        cols = _GRID_CACHE.get((allowed, len(names), lo, hi), _grid_columns)
+        yield hi, dict(zip(names, cols))
         lo, size = hi, min(4 * size, _GRID_CHUNK)
 
 

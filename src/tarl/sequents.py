@@ -47,26 +47,28 @@ same rows backward, and never takes cut or premise.
 Proof scripts are read a line at a time, by one reader: regular
 expressions find the line's number, its first ';' and the first '=>' before
 it, allowing any blanks and commas between the parts, and place every error
-of the line.  Each side is then read by plain string splits if it is laid
-out as ``format_proof_script`` writes it, its assertions joined by ', ' and
-each ending in ']'; a script's memo maps each side's text to what was read
-from it, so each side is read once.  Any other side is walked assertion by
-assertion, and the walk alone raises a side's ParseError.  The printer
-prints each distinct side of a proof once.
+of the line.  Each side is then walked assertion by assertion (``_side``,
+over ``_ASSERTION``, the one grammar of an assertion), and the walk alone
+raises a side's ParseError.  The printer prints each side with ``_listed``.
 
 Assertions have a text memo of their own, kept as the formula memo is
 (``formulas._remember``): a text maps to a weak reference to its
-assertion, and the memo is emptied when it holds MEMO_SIZE texts.  The
-splits look each assertion's text up in it, and store what they read;
-an assertion stores its text when it is first printed, if the splits
-would read that text back to it (indices that are ints, not negative).
-So a printed proof is read back with no assertion rebuilt, while its
-assertions live, and the memo keeps none of them alive.  A third memo,
-within the same bound, maps the text of a line after its ';' to the
-Justification read from it, unless the references it omits depend on the
-line: the instances of one proof print the same justifications.
-Substitution and permutation map each distinct side of a proof once, so
-their images share sides as their sources do.
+assertion, and the memo is emptied when it holds MEMO_SIZE texts.  The walk
+stores each assertion it reads under its text from '(' to ']'; an
+assertion stores its text when it is first printed, if the walk would read
+that text back to it (indices that are ints, not negative).  Before a side
+is walked, it is split at ', ' and each piece looked up in the memo; if
+every piece is there, the side is read with no walk.  A lookup cannot
+disagree with the walk: the walk reads each text in the memo as exactly
+one assertion, that of the memo, and a formula holds no '[' or ',', so the
+walk reads the pieces joined by ', ' as those assertions.  So a printed
+proof is read back with no assertion rebuilt, while its assertions live,
+and the memo keeps none of them alive.  A third memo, within the same
+bound, maps the text of a line after its ';' to the Justification read
+from it, unless the references it omits depend on the line: the instances
+of one proof print the same justifications.  Substitution and permutation
+map each distinct side of a proof once, so their images share sides as
+their sources do.
 """
 
 from __future__ import annotations
@@ -423,7 +425,7 @@ def _check_rule(concl: Sequent, just: Justification, earlier: Sequence[Sequent],
     if misfit:
         raise RuleError(line_no, "ShapeMismatch", misfit)
     for ref in just.refs:
-        if not isinstance(ref, int):
+        if type(ref) is not int:  # nor a bool, which prints as no number
             raise RuleError(line_no, "BadRef", f"reference {ref!r} is no line number")
         if not 1 <= ref <= len(earlier):
             raise RuleError(line_no, "BadRef", f"reference {ref} out of range")
@@ -432,7 +434,7 @@ def _check_rule(concl: Sequent, just: Justification, earlier: Sequence[Sequent],
         if concl.is_axiom():
             return
         raise RuleError(line_no, "NotAxiom", "no assertion common to both sides")
-    if rule.index == "eigen" and not (isinstance(just.eigen, int) and 0 <= just.eigen < bound):
+    if rule.index == "eigen" and not (type(just.eigen) is int and 0 <= just.eigen < bound):
         raise RuleError(line_no, "IndexOutOfBound", f"eigen index {just.eigen}")
     stale = False
     for principal, k in _principals(rule, concl, just, prems, bound):
@@ -566,11 +568,11 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # with sequents written  (formula)[i,j], ... => ...
 #
 # The regular expressions below find a line's parts and place its errors
-# (_read_sequent); a side laid out as format_proof_script writes it is read
-# by splits (_split_side), and any other side is walked by _ASSERTION (_side).
+# (_read_sequent); each side is walked by _ASSERTION (_side), unless every
+# assertion of it is looked up in _MEMO (_lookup_side).
 
-# text -> the assertion the reader reads from it, weakly: Assertion.__str__
-# and _split_assertion write it, through the formula memo's helper
+# text -> the assertion the walk reads from it, weakly: Assertion.__str__
+# and _side write it, through the formula memo's helper
 _MEMO: dict[str, weakref.ref] = {}
 # a line's text after its ';' -> the Justification read from it, unless the
 # references it omits depend on the line (_script_line); a Justification
@@ -587,8 +589,9 @@ _NUMBER = re.compile(r"(\d+)\s*\.[\s,]*")
 _BLANKS = re.compile(r"[\s,]*")
 # an assertion and the blanks and commas after it: a formula holds no '[', so
 # it ends at the last ')' before one; the match also stands without [i,j], so
-# that a bad one is reported after the formula is read
-_ASSERTION = re.compile(r"\(([^\[]*)\)\s*(?:\[\s*(\d+)\s*,\s*(\d+)\s*\][\s,]*)?")
+# that a bad one is reported after the formula is read; the empty group after
+# ']' ends the assertion's text, which the walk stores in _MEMO
+_ASSERTION = re.compile(r"\(([^\[]*)\)\s*(?:\[\s*(\d+)\s*,\s*(\d+)\s*\]()[\s,]*)?")
 _NEXT = re.compile(r"\s*(=>|\S|$)")  # where an error is: '=>', a character or the end
 _WORD = re.compile(r"\S+")  # a rule's name or argument, placed when it is at fault
 
@@ -620,8 +623,9 @@ def _int(digits: str) -> int | None:
 
 def _side(content: str, pos: int, end: int, n: int, col: int) -> frozenset[Assertion]:
     """The assertions of the sequent side content[pos:end], walked one by
-    one past any blanks and commas before them; raises the ParseError of a
-    side that does not read."""
+    one past any blanks and commas before them, each stored in the
+    assertion memo under its text; raises the ParseError of a side that
+    does not read."""
     pos = _BLANKS.match(content, pos, end).end()
     out = []
     while pos < end:
@@ -636,61 +640,32 @@ def _side(content: str, pos: int, end: int, n: int, col: int) -> frozenset[Asser
             g = 2 if i is None else 3
             raise ParseError(col + m.start(g), f"an index of at most "
                              f"{sys.get_int_max_str_digits()} digits", m.group(g), n)
-        out.append(Assertion(desugar_fusion(f), i, j))
+        a = Assertion(desugar_fusion(f), i, j)
+        _remember(_MEMO, content[m.start():m.start(4)], weakref.ref(a))
+        out.append(a)
         pos = m.end()
     return frozenset(out)
 
 
-def _split_assertion(text: str) -> Assertion | None:
-    """The assertion text, written '(<formula>)[i,j]', or None if it is not
-    written so or its formula or an index does not read.  What it reads is
-    stored in the assertion memo."""
-    if text[:1] != "(" or text[-1:] != "]":
-        return None
-    formula, bracket, indices = text[1:-1].rpartition(")[")
-    i, _, j = indices.partition(",")
-    i, j = _int(i), _int(j)
-    # as _ASSERTION reads it: the formula ends at the last ')' before a '['
-    if not bracket or "[" in formula or i is None or j is None:
-        return None
-    try:
-        f = parse_formula(formula)
-    except ParseError:
-        return None
-    a = Assertion(desugar_fusion(f), i, j)
-    _remember(_MEMO, text, weakref.ref(a))
-    return a
+def _lookup_side(text: str) -> frozenset[Assertion] | None:
+    """The assertions of the sequent side text, if each piece of it between
+    ', ' is a text in the assertion memo whose assertion lives; else None,
+    and the side is walked (see the module docstring)."""
+    out = []
+    for piece in text.split(", ") if text else ():
+        ref = _MEMO.get(piece)
+        a = ref and ref()
+        if a is None:
+            return None
+        out.append(a)
+    return frozenset(out)
 
 
-def _split_side(text: str, sides: dict) -> frozenset[Assertion] | None:
-    """The sequent side text, its assertions joined by ', ' (a formula holds
-    no ','), or None if it is not written so.  sides maps the texts of a
-    script's sides to what was read from them.  Each assertion's text is
-    looked up in the assertion memo, which holds texts printed or read by
-    splits before while their assertions live (see the module docstring),
-    and read by _split_assertion only if it is not there."""
-    side = sides.get(text)
-    if side is None:
-        out = []
-        for piece in text.split(", ") if text else ():
-            ref = _MEMO.get(piece)
-            a = ref and ref()
-            if a is None:
-                a = _split_assertion(piece)
-                if a is None:
-                    return None
-            out.append(a)
-        side = sides[text] = frozenset(out)
-    return side
-
-
-def _read_sequent(content: str, line_no: int, n: int, col: int,
-                  sides: dict) -> tuple[Sequent, int]:
+def _read_sequent(content: str, line_no: int, n: int, col: int) -> tuple[Sequent, int]:
     """Proof line line_no's sequent, written as content on line n of a
-    script from column col, and the offset of its ';'.  Each side is read
-    by splits, less its outer blanks, if it can be (_split_side, with
-    sides), and else walked (_side).  Raises the ParseError of a line that
-    does not read."""
+    script from column col, and the offset of its ';'.  Each side, less its
+    outer blanks, is looked up (_lookup_side), and walked (_side) if it is
+    not there.  Raises the ParseError of a line that does not read."""
     m = _NUMBER.match(content)
     if not m:
         raise ParseError(col, "'<k>. <sequent> ; <rule>'", line=n)
@@ -703,22 +678,20 @@ def _read_sequent(content: str, line_no: int, n: int, col: int,
     arrow = content.find("=>", start, semi)
     if arrow < 0:
         raise _error(content, semi, "'=>' separating the sequent sides", n, col)
-    left = _split_side(content[start:arrow].strip(), sides)
+    left = _lookup_side(content[start:arrow].strip())
     if left is None:
         left = _side(content, start, arrow, n, col)
-    right = _split_side(content[arrow + 2:semi].strip(), sides)
+    right = _lookup_side(content[arrow + 2:semi].strip())
     if right is None:
         right = _side(content, arrow + 2, semi, n, col)
     return Sequent(left, right), semi
 
 
-def _script_line(content: str, line_no: int, n: int, col: int,
-                 sides: dict) -> tuple[Sequent, Justification]:
+def _script_line(content: str, line_no: int, n: int, col: int) -> tuple[Sequent, Justification]:
     """Proof line line_no, written as content on line n of a script from
-    column col; sides is as for _read_sequent, which reads the sequent.
-    The justification is looked up in _JUSTIFIED by its text, and read
-    only if it is not there."""
-    seq, semi = _read_sequent(content, line_no, n, col, sides)
+    column col; _read_sequent reads the sequent.  The justification is
+    looked up in _JUSTIFIED by its text, and read only if it is not there."""
+    seq, semi = _read_sequent(content, line_no, n, col)
     tail = content[semi + 1:]
     just = _JUSTIFIED.get(tail)
     if just is not None:
@@ -758,10 +731,9 @@ def parse_proof_script(text: str) -> tuple[str, Proof]:
     name = goal = None
     bound = DEFAULT_BOUND
     lines: list[tuple[Sequent, Justification]] = []
-    sides: dict[str, frozenset[Assertion]] = {}
     for n, col, content in file_lines(text):
         if not content.startswith("lemma"):
-            lines.append(_script_line(content, len(lines) + 1, n, col, sides))
+            lines.append(_script_line(content, len(lines) + 1, n, col))
             continue
         if name is not None:
             raise ParseError(col, "a proof line: a script has one 'lemma' header",
@@ -793,14 +765,8 @@ def format_proof_script(name: str, proof: Proof) -> str:
     if proof.bound != DEFAULT_BOUND:
         header += f" bound {proof.bound}"
     out = [header]
-    sides: dict[frozenset, str] = {}  # each distinct side is printed once
     for n, (seq, just) in enumerate(proof.lines, start=1):
-        left, right = sides.get(seq.left), sides.get(seq.right)
-        if left is None:
-            left = sides[seq.left] = _listed(seq.left)
-        if right is None:
-            right = sides[seq.right] = _listed(seq.right)
         eigen = [] if just.eigen is None else [f"k={just.eigen}"]
-        out.append(f"{n}. " + f"{left} => {right}".strip() + " ; "
+        out.append(f"{n}. {seq} ; "
                    + " ".join([just.rule.name, *map(str, just.refs), *eigen]))
     return "\n".join(out) + "\n"

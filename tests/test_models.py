@@ -636,10 +636,9 @@ def test_evaluation_never_returns_a_cached_block(monkeypatch):
     law = holds_law(ComplexAlgebra(K5), parse_chain("x <= id")[0])
     assert law.counterexample["x"] is t.subsets[1 << K5.index("a")]
     assert cache.columns
-    fresh = models._GridCache()
     for key, cols in cache.columns.items():
         assert not cols.flags.writeable
-        assert np.array_equal(cols, fresh.block(*key))
+        assert np.array_equal(cols, models._grid_columns(*key))
         with pytest.raises(ValueError):
             cols[..., 0] = 0
 
@@ -651,14 +650,18 @@ def test_grid_cache_is_emptied_past_its_bound(monkeypatch):
     allowed = tuple(range(20))               # a grid of 400 rows over two names
     block_bytes = 2 * 100 * 8
     monkeypatch.setattr(models, "GRID_CACHE_BYTES", 3 * block_bytes)
+
+    def block(lo):
+        return cache.get((allowed, 2, lo, lo + 100), models._grid_columns)
+
     for lo in (0, 100, 200):
-        cache.block(allowed, 2, lo, lo + 100)
+        block(lo)
     assert cache.nbytes == 3 * block_bytes and len(cache.columns) == 3
-    assert cache.block(allowed, 2, 0, 100) is cache.columns[(allowed, 2, 0, 100)]
-    last = cache.block(allowed, 2, 300, 400)
+    assert block(0) is cache.columns[(allowed, 2, 0, 100)]
+    last = block(300)
     assert (cache.columns, cache.nbytes) == ({}, 0)
     assert last[:, -1].tolist() == [19, 19]
-    cache.block(allowed, 2, 0, 100)
+    block(0)
     assert list(cache.columns) == [(allowed, 2, 0, 100)]
     monkeypatch.setattr(models, "GRID_CACHE_BYTES", 0)
     assert valid_in(K1, parse_formula("p -> p | q & r & s")).valuations == 16 ** 4

@@ -24,7 +24,7 @@ from tarl.formulas import (
     Imp, Neg, ParseError, Var, desugar_fusion, parse_formula, substitute, variables,
 )
 from tarl.gen import random_formula
-from tarl.registry import corpus_ids, data_dir, get_corpus_entry
+from tarl.registry import corpus_ids, get_corpus_entry
 from tarl.sequents import (
     RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, InvalidProof, Justification, NegR,
     NotABijection, OrR, Proof, RuleError, Sequent, Weaken, check_proof, check_step,
@@ -199,6 +199,11 @@ def test_malformed_justification_is_a_type_error(rule, refs, keywords):
                  "reference 'x' is no line number", id="cut x 1"),
     pytest.param(Justification(NegR, (1,), 2), "ShapeMismatch",
                  "negR takes no eigen index", id="negR 1 k=2"),
+    # a bool is an int, but prints as no number a script reads
+    pytest.param(Justification(NegR, (True,)), "BadRef",
+                 "reference True is no line number", id="negR True"),
+    pytest.param(Justification(ImpR, (1,), True), "IndexOutOfBound",
+                 "eigen index True", id="impR 1 k=True"),
 ])
 def test_a_justification_its_rule_refuses_is_reported(just, kind, detail):
     # built directly, as a rule's row would not build it; the checker
@@ -357,8 +362,8 @@ def test_script_header_colon_may_touch_the_name():
 
 
 # ------------------------------------------------------------------
-# The reader's two ways to read a side: splits of the printed layout, and
-# the walk for every other side, which raises its ParseError
+# The reader: a side looked up in the assertion memo, or else walked, and
+# the walk raises its ParseError
 # ------------------------------------------------------------------
 
 def _read(text):
@@ -397,20 +402,6 @@ def test_a_line_number_with_a_leading_zero_reads_as_printed():
         assert _read(written) == _read(printed), written
 
 
-def test_every_shipped_and_pinned_line_takes_the_splits(monkeypatch):
-    def refuse(content, pos, end, *args):
-        raise AssertionError(f"side walked: {content[pos:end]!r} of {content}")
-
-    monkeypatch.setattr(sequents, "_side", refuse)
-    # the splits, not texts printed before, read every assertion
-    monkeypatch.setattr(sequents, "_MEMO", {})
-    scripts = sorted(data_dir().rglob("*.prf"))
-    assert len(scripts) == 38 + 13
-    for path in scripts:
-        parse_proof_script(path.read_text())
-    assert sum(len(proof.lines) for proof in _golden_proofs()) == 1291
-
-
 # the characters proof lines are written in, and blanks that str.strip and
 # the regular expressions' \s must both take for blanks
 _LINE_CHARACTERS = " ,;.()[]=>-~&|0123456789abcpk\t\u00a0\u3000\x1c"
@@ -425,63 +416,75 @@ def _mutated_line(line, rng):
             line[:at] + new + line[at + 1:]][rng.randrange(3)]
 
 
-def _split_against_walk(count, seed):
+def _lookup_against_walk(count, seed):
     """Read count printed lines of the golden proofs, each mutated once and
-    read after the lines before it, so that the script's memo of sides and
-    the assertion and justification memos hold their texts as the reader
-    read them (the memos are emptied after printing): with each side read
-    by splits where it can be, and with every side walked.  Assert that both read the same, and
-    that every side of the printed lines takes the splits; return how many
-    mutated lines had both sides read by splits (True) and how many did not
-    (False)."""
+    read after the lines before it: with the memos warm, as printing and
+    the reads before leave them, so that each side is looked up where it
+    can be, and with the lookup missing, so that every side is walked.
+    Assert that both read the same; return how many sides of the mutated
+    lines were looked up (True) and how many walked (False)."""
     rng = random.Random(seed)
     proofs = _golden_proofs()
-    split_side, split, taken = sequents._split_side, [], collections.Counter()
+    lookup, found, taken = sequents._lookup_side, [], collections.Counter()
 
-    def spy(*args):
-        read = split_side(*args)
-        split.append(read is not None)
-        return read
+    def spy(text):
+        side = lookup(text)
+        found.append(side is not None)
+        return side
 
     for _ in range(count):
         lines = format_proof_script("x", rng.choice(proofs)).splitlines()
         k = rng.randrange(1, len(lines))
         text = "\n".join(lines[:k] + [_mutated_line(lines[k], rng)]) + "\n"
-        split.clear()
-        with mock.patch.object(sequents, "_split_side", spy), \
-                mock.patch.object(sequents, "_MEMO", {}), \
-                mock.patch.object(sequents, "_JUSTIFIED", {}):
+        found.clear()
+        with mock.patch.object(sequents, "_lookup_side", spy):
             got = _read(text)
-        printed = 2 * (k - 1)  # two sides on each line before the mutated one
-        assert printed <= len(split) <= printed + 2 and all(split[:printed]), text
-        with mock.patch.object(sequents, "_split_side", lambda *args: None), \
+        with mock.patch.object(sequents, "_lookup_side", lambda text: None), \
                 mock.patch.object(sequents, "_MEMO", {}), \
                 mock.patch.object(sequents, "_JUSTIFIED", {}):
             assert got == _read(text), text
-        taken[split[printed:] == [True, True]] += 1
+        taken.update(found[2 * (k - 1):])
     return taken
 
 
-def test_the_split_reader_reads_what_the_regular_expressions_read():
-    taken = _split_against_walk(2000, 28)
-    # the splits read many of the mutated lines, and hand many on
-    assert taken[True] > 300 and taken[False] > 300, taken
+def test_the_lookup_reads_what_the_walk_reads():
+    taken = _lookup_against_walk(2000, 28)
+    # the lookup reads many sides of the mutated lines, and hands many on
+    assert taken[True] > 1000 and taken[False] > 1000, taken
+
+
+def test_a_walked_side_is_looked_up_when_it_is_read_again(monkeypatch):
+    monkeypatch.setattr(sequents, "_MEMO", {})
+    walked = walks(monkeypatch)
+    text = "lemma x\n1. (p o q)[00,1], (p)[1,0] => (p)[1,0] ; axiom\n"
+    _, first = parse_proof_script(text)
+    # the right side is looked up under the text the walk of the left stored
+    assert walked == ["(p o q)[00,1], (p)[1,0] "]
+    (s, _), = first.lines
+    (right,) = s.right
+    assert any(x is right for x in s.left)
+    assert Assertion(desugar_fusion(parse_formula("p o q")), 0, 1) in s.left
+    _, again = parse_proof_script(text)
+    assert walked == ["(p o q)[00,1], (p)[1,0] "]
+    (t, _), = again.lines
+    for side, read in ((s.left, t.left), (s.right, t.right)):
+        assert sorted(map(id, read)) == sorted(map(id, side))
 
 
 # ------------------------------------------------------------------
 # The assertion memo: a printed or read text, read back with one lookup
 # ------------------------------------------------------------------
 
-def split_reads(patch):
-    """The texts that sequents._split_assertion reads from now on."""
-    texts, split = [], sequents._split_assertion
+def walks(patch):
+    """The sides that sequents._side walks from now on, as written."""
+    sides, walk = [], sequents._side
 
-    def spy(text):
-        texts.append(text)
-        return split(text)
+    def spy(content, pos, end, *args):
+        sides.append(content[pos:end])
+        return walk(content, pos, end, *args)
 
-    patch.setattr(sequents, "_split_assertion", spy)
-    return texts
+    patch.setattr(sequents, "_side", spy)
+    return sides
 
 
 def _instances(seed, rounds=1):
@@ -504,7 +507,7 @@ def test_a_printed_assertion_is_read_back_as_itself_without_a_parse(monkeypatch)
     for proof in _instances(30):
         text = format_proof_script("x", proof)
         with monkeypatch.context() as patch:
-            reads = split_reads(patch)
+            reads = walks(patch)
             _, again = parse_proof_script(text)
         assert reads == []
         for (s, _), (t, _) in zip(proof.lines, again.lines, strict=True):
@@ -517,12 +520,12 @@ def test_the_assertion_memo_keeps_no_assertion_alive(monkeypatch):
     proof = max(_instances(31), key=lambda p: len(p.lines))
     printed = format_proof_script("x", proof)
     _, walked = parse_proof_script(printed.replace(", ", ",  "))  # not memoised
-    _, split = parse_proof_script(printed.replace("[", "[0"))  # read by splits
-    assertions = [x for p in (proof, walked, split) for s, _ in p.lines for x in s.left | s.right]
+    _, zeros = parse_proof_script(printed.replace("[", "[0"))  # walked, other texts
+    assertions = [x for p in (proof, walked, zeros) for s, _ in p.lines for x in s.left | s.right]
     refs = [weakref.ref(x) for x in assertions]
     # each distinct assertion's printed text, and its text with the zeros
     assert len(sequents._MEMO) == 2 * len(set(assertions)) > 20
-    del proof, walked, split, assertions
+    del proof, walked, zeros, assertions
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert all(ref() is None for ref in sequents._MEMO.values())
@@ -533,7 +536,8 @@ def test_the_assertion_memo_stays_within_its_bound(monkeypatch):
     p = Var("p")
     for k in range(20_000):
         str(Assertion(p, k, 0))
-        sequents._split_assertion(f"(p)[0,{k}]")
+        text = f"(p)[0,{k}]"
+        sequents._side(text, 0, len(text), 1, 0)
         assert len(sequents._MEMO) <= formulas.MEMO_SIZE
     monkeypatch.setattr(formulas, "MEMO_SIZE", 16)  # one setting for both memos
     for k in range(100):
@@ -542,7 +546,7 @@ def test_the_assertion_memo_stays_within_its_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("index", [-1, True, np.int64(2)], ids=repr)
-def test_an_assertion_the_splits_do_not_read_back_is_not_remembered(monkeypatch, index):
+def test_an_assertion_the_walk_does_not_read_back_is_not_remembered(monkeypatch, index):
     # "(p)[-1,0]" and "(p)[True,0]" do not read, and "(p)[2,0]" reads as
     # plain ints: the memo must not answer for the reader
     monkeypatch.setattr(sequents, "_MEMO", {})
@@ -614,14 +618,14 @@ def test_reading_with_a_warm_an_emptied_and_a_small_memo_agrees(monkeypatch):
             if way == "small":
                 patch.setattr(formulas, "MEMO_SIZE", 16)
             proofs = _golden_proofs() + _instances(32, 2)
-            split = split_reads(patch)
+            walked = walks(patch)
             reads[way] = _read_printed(proofs, 33, emptied=way == "emptied")
-        reads[way, "split"] = len(split)
+        reads[way, "walked"] = len(walked)
     assert reads["warm"] == reads["emptied"] == reads["small"]
-    # the mutants reach the errors, and the warm memo spares most reads
+    # the mutants reach the errors, and the warm memo spares most walks
     assert sum(len(got) == 4 for got, _ in reads["warm"]) > 100
-    assert reads["warm", "split"] * 4 < reads["emptied", "split"]
-    assert reads["warm", "split"] < reads["small", "split"]
+    assert reads["warm", "walked"] * 4 < reads["emptied", "walked"]
+    assert reads["warm", "walked"] < reads["small", "walked"]
 
 
 @settings(max_examples=60, deadline=None)
