@@ -26,7 +26,11 @@ batch of assignments, and `eval_term` is a batch of one.  The translation of
 formulas is one table, `_connectives`, written over any table of operations:
 read with a carrier's, `FORMULAS.evaluate` gives a formula's value with no
 term built and nothing cached per formula; read with the term constructors,
-it is `translate`.  Laws and formulas are tested one batch at a time: a
+it is `translate`.  A complex algebra's carrier runs the translation once,
+when it is built, over every mask and every pair of masks, and keeps the
+results as tables: each connective is then one lookup, a pair (x, y) at
+x << n | y of a flat table, where the translation spends up to four
+operations.  Laws and formulas are tested one batch at a time: a
 complex algebra's grid in the blocks of `models.grid_blocks` that validity
 walks, a proper one's samples in blocks of 500.
 
@@ -255,20 +259,33 @@ def _ops(one, zero, ident, conv, comp) -> dict:
 
 
 class _Masks:
-    """The carrier of a complex algebra: subsets of K as bitmasks."""
+    """The carrier of a complex algebra: subsets of K as bitmasks.  Its
+    connectives are tabulated once: the translation, run over every mask
+    and every pair of masks, gives a table per connective, so each is one
+    lookup, a pair (x, y) at x << n | y of a flat table."""
     axes = ()                        # one element is one mask
 
     def __init__(self, m: ModelStructure):
         self.m = m
         self.tab = tab = tables_for(m)
-        # the identity as a numpy value: a Python int operand is converted
-        # on every operation with an array of masks
-        ident = np.array(tab.zero_mask)
+        # the identity and the shift of a pair's first mask as numpy values:
+        # a Python int operand is converted on every operation with an array
+        # of masks
+        ident, n = np.array(tab.zero_mask), np.array(len(m.elements))
         ident.flags.writeable = False
         # X;Y is fusion in the opposite order
+        fus = tab.fus.reshape(-1)
         self.ops = _ops(tab.all_mask, 0, ident, tab.star.__getitem__,
-                        lambda x, y: tab.fus[y, x])
-        self.connectives = _connectives(self.ops)
+                        lambda x, y: fus[y << n | x])
+        direct = _connectives(self.ops)
+        pairs = np.indices((tab.size, tab.size)).reshape(2, -1)  # pair k is (k >> n, k % 2**n)
+        neg, imp, fusion = (direct[Neg](np.arange(tab.size)),
+                            direct[Imp](*pairs), direct[Fusion](*pairs))
+        for table in (neg, imp, fusion):
+            table.flags.writeable = False
+        self.connectives = {**direct, Neg: neg.__getitem__,
+                            Imp: lambda x, y: imp[x << n | y],
+                            Fusion: lambda x, y: fusion[x << n | y]}
 
     def encode(self, value) -> int:
         return self.tab.mask_of(self.m, value)

@@ -9,8 +9,9 @@ and a distinguished element 0.  Subsets of K form an algebra under
     ~X     = K minus X*
 
 with variables mapped to subsets subject to heredity (truth propagates
-along R0-successors).  Subsets are bitmasks and each operation is one
-read-only int64 lookup table.  The evaluator of the formula grammar,
+along R0-successors).  Subsets are bitmasks and each connective is one
+lookup in a read-only int64 table: a binary one reads a flat view of its
+table at x << n | y, for n elements.  The evaluator of the formula grammar,
 `FORMULAS.evaluate`, runs a formula over an array of valuations with these
 lookups as its operations: a block of grid rows at a time for exhaustive
 checks, a batch of one for `interpret`.  Every exhaustive check walks its
@@ -220,10 +221,14 @@ class _Tables:
         for table in (self.fus, self.imp, self.star, self.neg, self.lacks_zero):
             table.flags.writeable = False    # shared by every caller of tables_for
         self.carrier = None                  # algebra._carrier builds it at first use
-        # the connectives for FORMULAS.evaluate, on masks or arrays of masks
-        fus, imp = self.fus, self.imp
+        # the connectives for FORMULAS.evaluate, on masks or arrays of masks:
+        # each binary one reads a flat view of its table at x << n | y, one
+        # index where [x, y] would take numpy's slower 2-d fancy indexing; n
+        # is a numpy value, as a Python int is converted at every shift
+        fus, imp = self.fus.reshape(-1), self.imp.reshape(-1)
+        n = np.array(n)
         self.ops = {Neg: self.neg.__getitem__, And: operator.and_, Or: operator.or_,
-                    Imp: lambda x, y: imp[x, y], Fusion: lambda x, y: fus[x, y]}
+                    Imp: lambda x, y: imp[x << n | y], Fusion: lambda x, y: fus[x << n | y]}
 
     def mask_of(self, m: ModelStructure, subset) -> int:
         acc = 0
@@ -367,10 +372,6 @@ def grid_blocks(names: list[str], allowed):
         lo, size = hi, min(4 * size, _GRID_CHUNK)
 
 
-def _valuation(t: _Tables, names: list[str], masks) -> Valuation:
-    return Valuation({name: t.subsets[mask] for name, mask in zip(names, masks)})
-
-
 @dataclass
 class ValidityResult:
     valid: bool
@@ -397,8 +398,8 @@ def valid_in(m: ModelStructure, f: Formula) -> ValidityResult:
         bad = t.lacks_zero[FORMULAS.evaluate(f, env, t.ops)].nonzero()[0]
         if bad.size:
             row = int(bad[0])
-            return ValidityResult(False, _valuation(t, names, [env[n].item(row) for n in names]),
-                                  end, len(t.hereditary) ** len(names))
+            witness = Valuation({n: t.subsets[env[n].item(row)] for n in names})
+            return ValidityResult(False, witness, end, len(t.hereditary) ** len(names))
     return ValidityResult(True, valuations=end, grid=end)
 
 
@@ -413,8 +414,8 @@ def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuatio
     for _, env in grid_blocks(names, t.singletons):
         rows = np.logical_not(FORMULAS.evaluate(f, env, t.ops)).nonzero()[0]
         if rows.size:
-            out.extend(_valuation(t, names, masks)
-                       for masks in zip(*[env[n][rows].tolist() for n in names]))
+            cols = [map(t.subsets.__getitem__, env[n][rows].tolist()) for n in names]
+            out.extend(Valuation(dict(zip(names, row))) for row in zip(*cols))
     return out
 
 

@@ -1,7 +1,8 @@
 """Sequents of indexed assertions, the rule table and the proof checker.
 
 An assertion (A)[i,j] is a fusion-free formula tagged with two object
-indices below the proof's bound (4 by default, configurable 1..8).  A proof
+indices below the proof's bound (4 by default, configurable 1..8); an index
+that is a bool is out of bound, since it prints as no number.  A proof
 is a numbered list of sequents, each justified as an axiom or by one rule
 applied to earlier lines.  The rules:
 
@@ -164,10 +165,17 @@ class Sequent:
         return Sequent(frozenset(left), frozenset(right))
 
     def indices(self) -> frozenset[int]:
+        """The object indices of the assertions.  A bool index is kept in
+        place of the int equal to it (True == 1), so the checker sees it."""
         out = set()
         for a in self.left | self.right:
-            out.add(a.i)
-            out.add(a.j)
+            i, j = a.i, a.j
+            out.add(i)
+            out.add(j)
+            if i.__class__ is bool or j.__class__ is bool:
+                every = [x for b in self.left | self.right for x in (b.i, b.j)]
+                bools = {x for x in every if x.__class__ is bool}
+                return frozenset(set(every) - bools | bools)
         return frozenset(out)
 
     def is_axiom(self) -> bool:
@@ -462,8 +470,9 @@ def _check_line(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
     concl, just = line
     line_no = len(earlier) + 1
     for idx in indices:
-        if not 0 <= idx < bound:  # report the least, whatever the set's order
-            idx = min(i for i in indices if not 0 <= i < bound)
+        # a bool prints as no number; report the least, whatever the set's order
+        if idx.__class__ is bool or not 0 <= idx < bound:
+            idx = min(i for i in indices if i.__class__ is bool or not 0 <= i < bound)
             raise RuleError(line_no, "IndexOutOfBound", f"index {idx}")
     _check_rule(concl, just, earlier, line_no, bound, indices)
 

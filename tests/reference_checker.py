@@ -158,8 +158,13 @@ def check(proof):
     """(valid, objects used, first error line, error kind) of proof."""
     lines = [_texts(s) for s, _ in proof.lines]
     objects = set().union(*map(_indices, lines))
-    for n, (concl, (_, just)) in enumerate(zip(lines, proof.lines), start=1):
-        kind = _verdict(n, concl, just, lines, proof.bound)
+    for n, (concl, (sequent, just)) in enumerate(zip(lines, proof.lines), start=1):
+        # a bool index prints as no number; as a set member it may stand
+        # for, or hide behind, the int equal to it, so each is looked at
+        if any(type(x) is bool for a in sequent.left | sequent.right for x in (a.i, a.j)):
+            kind = "IndexOutOfBound"
+        else:
+            kind = _verdict(n, concl, just, lines, proof.bound)
         if kind != "ok":
             return False, frozenset(objects), n, kind
     if proof.goal is not None:

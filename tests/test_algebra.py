@@ -16,10 +16,13 @@ from tarl.algebra import (
     check_chain, eval_term, get_law, holds_law, parse_chain, parse_ra_term,
     print_ra_term, sample_relations, translate, verified_in_algebra,
 )
-from tarl.formulas import FORMULAS, Var, desugar_fusion, parse_formula, variables
+from tarl.formulas import (
+    FORMULAS, And, Fusion, Imp, Neg, Or, Var, desugar_fusion, parse_formula, variables,
+)
 from tarl.gen import random_formula
 from tarl.models import TooManyValuations, Valuation, interpret, op_fusion, op_star
 from tarl.registry import data_dir, formula_names, get_formula, get_structure, list_corpus
+from test_models import seeded_structure
 
 SRC = Path(algebra.__file__).resolve().parent.parent
 CK = {name: ComplexAlgebra(get_structure(name))
@@ -419,6 +422,44 @@ def test_shared_carrier_constants_are_read_only():
         assert value is c.ops[type(const)]   # returned as they are
         with pytest.raises(ValueError):
             value[0, 0] = value[0, 0]
+
+
+def tabulated_connectives_agree(m, masks=None):
+    """Each tabulated connective of m's complex algebra against the
+    translation run directly over the carrier's operations: on every mask,
+    and every pair of masks as a 2-D grid, and with Python ints on every
+    mask and pair drawn from `masks` (every mask when None).  The flat
+    relative product must be fusion in the opposite order on that grid."""
+    c = algebra._Masks(m)
+    direct = algebra._connectives(c.ops)
+    assert c.connectives.keys() == direct.keys()
+    every = np.arange(c.tab.size)
+    xs, ys = np.indices((c.tab.size, c.tab.size))
+    for cls, tabulated in c.connectives.items():
+        operands = (every,) if cls is Neg else (xs, ys)
+        got, want = tabulated(*operands), direct[cls](*operands)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), (m, cls)
+    assert np.array_equal(c.ops[Comp](xs, ys), c.tab.fus[ys, xs]), m
+    masks = list(range(c.tab.size) if masks is None else masks)
+    for x in masks:
+        got, want = c.connectives[Neg](x), direct[Neg](x)
+        assert type(got) is type(want) and got == want, (m, x)
+        for y in masks:
+            for cls in (Imp, Fusion, And, Or):
+                got, want = c.connectives[cls](x, y), direct[cls](x, y)
+                assert type(got) is type(want) and got == want, (m, cls, x, y)
+
+
+def test_tabulated_connectives_agree_with_the_translation():
+    """K1..K5 and seeded structures of sizes 1 to 5, each with the star
+    maps the reversal or arbitrary and 0 anywhere."""
+    rng = random.Random(46)
+    cases = [alg.structure for alg in CK.values()]
+    cases += [seeded_structure(rng, 1 + k % 5) for k in range(40)]
+    assert any(m.zero != m.elements[0] for m in cases)
+    assert any(m.star[m.star[e]] != e for m in cases for e in m.elements)
+    for m in cases:
+        tabulated_connectives_agree(m)
 
 
 def test_identity_results_count_the_assignments_evaluated():

@@ -504,21 +504,57 @@ def _by_mask(m):
 
 
 def test_tables_agree_with_set_operations():
-    rng = random.Random(34)
-    for m in _semantic_cases():
+    """K1..K5 and seeded structures of sizes 1 to 5; fusion and
+    implication through the flat lookups, on every pair of masks."""
+    cases = _semantic_cases()
+    assert any(m.zero != m.elements[0] for m in cases)
+    assert any(m.star[m.star[e]] != e for m in cases for e in m.elements)
+    for m in cases:
         t = tables_for(m)
         subsets = _by_mask(m)
-        pairs = list(itertools.product(range(t.size), repeat=2))
-        for x, y in rng.sample(pairs, min(len(pairs), 300)):
-            xs, ys = subsets[x], subsets[y]
-            assert t.subsets[t.fus[x, y]] == op_fusion(m, xs, ys), m
-            assert t.subsets[t.imp[x, y]] == op_implies(m, xs, ys), m
+        flat_lookups_agree(m)
         for x, xs in enumerate(subsets):
             assert t.subsets[t.star[x]] == op_star(m, xs), m
             assert t.subsets[t.neg[x]] == op_neg(m, xs), m
         assert t.hereditary == tuple(
             x for x, xs in enumerate(subsets) if is_hereditary(m, Valuation({"p": xs})))
         assert all(a.dtype == np.int64 for a in (t.fus, t.imp, t.star, t.neg))
+
+
+def seeded_structure(rng, n):
+    """An n-element structure, n up to 10: elements named out of order, 0
+    anywhere, a star map that is the reversal or arbitrary (involution or
+    not), and a relation of random density."""
+    elements = tuple(rng.sample([f"e{i}" for i in range(n)], n))
+    star = ({e: rng.choice(elements) for e in elements} if rng.random() < 0.5
+            else dict(zip(elements, elements[::-1])))
+    density = rng.choice([0.05, 0.3, 0.6, 0.9, 1.0])
+    triples = frozenset(t for t in itertools.product(elements, repeat=3)
+                        if rng.random() < density)
+    return ModelStructure("r", elements, rng.choice(elements), star, triples)
+
+
+def flat_lookups_agree(m, masks=None):
+    """The flat Imp and Fusion lookups of m's tables against op_implies and
+    op_fusion on every pair of masks drawn from `masks` (every mask when
+    None): called with Python ints, with 1-D arrays of the pairs, and with
+    a column and a row that broadcast to the 2-D grid of them, which the
+    2-D tables' [x, y] must give too."""
+    t = tables_for(m)
+    masks = list(range(t.size) if masks is None else masks)
+    subsets = _by_mask(m)
+    column, row = np.array(masks)[:, None], np.array(masks)[None, :]
+    for cls, op, table in ((Imp, op_implies, t.imp), (Fusion, op_fusion, t.fus)):
+        lookup = t.ops[cls]
+        want = [[op(m, subsets[x], subsets[y]) for y in masks] for x in masks]
+        ints = [[lookup(x, y) for y in masks] for x in masks]
+        assert {type(v) for values in ints for v in values} == {np.int64}, (m, cls)
+        grid = lookup(column, row)
+        flat = lookup(*(a.ravel() for a in np.broadcast_arrays(column, row)))
+        assert flat.dtype == grid.dtype == np.int64, (m, cls)
+        for got in (ints, flat.reshape(grid.shape).tolist(), grid.tolist(),
+                    table[column, row].tolist()):
+            assert [[subsets[v] for v in values] for values in got] == want, (m, cls)
 
 
 def test_formulas_agree_with_set_oracle():

@@ -94,16 +94,52 @@ def test_an_eigen_index_past_the_bound_is_reported():
 
 
 def test_the_least_index_out_of_bound_is_reported_under_any_hash_seed():
-    # a sequent's indices are a set, whose order follows the hash seed
-    code = ("from tarl.sequents import check_proof, parse_proof_script;"
+    # a sequent's indices are a set, whose order follows the hash seed; the
+    # second proof's line 2 has a bool index beside the 1 equal to it
+    code = ("from tarl.formulas import Var;"
+            "from tarl.sequents import Assertion, Axiom, Proof, Sequent, check_proof, "
+            "parse_proof_script;"
             "print(check_proof(parse_proof_script("
-            "'lemma x\\n1. (zp)[1,0] => (~p)[18,9] ; axiom\\n')[1]).first_error)")
+            "'lemma x\\n1. (zp)[1,0] => (~p)[18,9] ; axiom\\n')[1]).first_error);"
+            "x, y = Assertion(Var('p'), True, 0), Assertion(Var('q'), 1, 0);"
+            "ok, bad = Sequent.of([y], [y]), Sequent.of([y, x], [x]);"
+            "print(check_proof(Proof([(ok, Axiom()), (bad, Axiom()), (bad, Axiom())])))")
     src = str(Path(sequents.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
-            for seed in "123456"]
-    assert [run.communicate()[0] for run in runs] == ["(1, 'IndexOutOfBound: index 9')\n"] * 6
+            for seed in "0123456"]
+    want = ("(1, 'IndexOutOfBound: index 9')\n"
+            "CheckReport(valid=False, objects_used=frozenset({0, 1}), "
+            "first_error=(2, 'IndexOutOfBound: index True'))\n")
+    assert [run.communicate()[0] for run in runs] == [want] * 7
+
+
+def test_a_bool_index_is_out_of_bound():
+    # a bool prints as no number ("(p)[True,0]" reads back as no line), and
+    # True == 1: beside a (q)[1,0] the set of the line's indices holds only
+    # one of them, whichever comes first in its hash order
+    x = a("p", True, 0)
+    seen = set()
+    for k in range(40):
+        beside = a(f"q{k}", 1, 0)
+        concl = seq([beside, x], [x])
+        merged = {n for b in concl.left | concl.right for n in (b.i, b.j)}
+        seen.add(type(next(n for n in merged if n == 1)))
+        assert {type(n) for n in concl.indices()} == {int, bool}
+        with pytest.raises(RuleError) as e:
+            check_step([], (concl, Axiom()))
+        assert (e.value.line, e.value.kind, e.value.detail) == (1, "IndexOutOfBound", "index True")
+        proof = Proof([(seq([a("p", 1, 0)], [a("p", 1, 0)]), Axiom()), (concl, Axiom())])
+        report = check_proof(proof)
+        assert report.first_error == (2, "IndexOutOfBound: index True")
+        assert reference_checker.agrees(proof, report)
+    assert seen == {int, bool}       # both orders were met
+    # the least offending index is reported: False before True, True before 9
+    concl = seq([a("p", 0, False), a("q", True, 9)], [a("p", 0, False)])
+    assert check_proof(Proof([(concl, Axiom())])).first_error == (1, "IndexOutOfBound: index False")
+    concl = seq([a("q", True, 9), a("p", 0, 0)], [a("p", 0, 0)])
+    assert check_proof(Proof([(concl, Axiom())])).first_error == (1, "IndexOutOfBound: index True")
 
 
 def test_bad_ref():
