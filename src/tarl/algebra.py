@@ -41,7 +41,10 @@ use (`tarl.formulas.Grammar`), whose printer writes the fewest parentheses
 (`x^^`, `(-x)^`, `-x^`).  A name is read whole (`idle` is a variable), and
 printing a variable named like a constant raises ValueError.
 Terms are frozen dataclasses, not interned like formulas: an interned
-version made a cold `translate` about 8 times slower.  Chain files hold one
+version made a cold `translate` about 8 times slower.  A term keeps the
+program that `TERMS.evaluate` compiles for it in its `_term_program`
+attribute, which no field holds, so equality, hashing and `repr` ignore it.
+Chain files hold one
 `lhs (=|<=) rhs ; tag` step per line, read as laws named by their tag, and
 are verified step by step and, each run of linked steps, end to end.
 """
@@ -58,7 +61,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .formulas import (
-    FORMULAS, And, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError,
+    FORMULAS, And, Env, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError,
     UnassignedVariable, end_of_file, file_lines, parse_at, variables,
 )
 from .models import ModelStructure, grid_blocks, tables_for
@@ -143,7 +146,8 @@ TERMS = Grammar(
     binary={"+": (1, Join, " + "), ".": (2, Meet, " . "), ";": (3, Comp, ";")},
     right=None, prefix={"-": Compl}, postfix={"^": Conv},
     constants={"id": IDENT, "0": ZERO, "1": ONE}, variable=RVar,
-    bad_token="a relation-algebra token", bad_operand="a term", aliases={})
+    bad_token="a relation-algebra token", bad_operand="a term", aliases={},
+    program="_term_program")
 
 
 def parse_ra_term(text: str) -> RATerm:
@@ -151,29 +155,22 @@ def parse_ra_term(text: str) -> RATerm:
 
 
 def print_ra_term(t: RATerm) -> str:
-    return TERMS.show(t, print_ra_term)
+    return TERMS.show(t)
+
+
+_SINGLETONS = Env(lambda name: frozenset((name,)))
+_UNION = {Compl: lambda names: names, Conv: lambda names: names,
+          **dict.fromkeys((Join, Meet, Comp), operator.or_),
+          **dict.fromkeys((Ident, Zero, One), frozenset())}
 
 
 def term_variables(t: RATerm) -> frozenset[str]:
-    if isinstance(t, RVar):
-        return frozenset((t.name,))
-    if isinstance(t, (Compl, Conv)):
-        return term_variables(t.body)
-    if isinstance(t, (Join, Meet, Comp)):
-        return term_variables(t.left) | term_variables(t.right)
-    return frozenset()
+    return TERMS.evaluate(t, _SINGLETONS, _UNION)
 
 
 # ------------------------------------------------------------------
 # Translation from formulas
 # ------------------------------------------------------------------
-
-class _TermVariables(dict):
-    """Each formula variable's term: the term variable of its name."""
-
-    def __missing__(self, name: str) -> RVar:
-        return RVar(name)
-
 
 def _connectives(ops: dict) -> dict:
     """The translation over ops, a table of term operations: | join, & meet,
@@ -186,11 +183,12 @@ def _connectives(ops: dict) -> dict:
 
 
 _TRANSLATION = _connectives({cls: cls for cls in (Join, Meet, Compl, Conv, Comp)})
+_TERM_VARIABLES = Env(RVar)  # each formula variable's term: the term variable of its name
 
 
 def translate(f: Formula) -> RATerm:
     """f's term: the translation read with the term constructors as operations."""
-    return FORMULAS.evaluate(f, _TermVariables(), _TRANSLATION)
+    return FORMULAS.evaluate(f, _TERM_VARIABLES, _TRANSLATION)
 
 
 # ------------------------------------------------------------------
@@ -504,12 +502,15 @@ def check_chain(algs: dict[str, object], steps: list[Law],
         return StepResult(law, {name: holds_law(alg, law, trials=trials, seed=seed)
                                 for name, alg in algs.items()})
     out = [check(step) for step in steps]
+    # terms are compared by their texts, which name each term once (a
+    # term's text reads back as the term), since the equality of frozen
+    # dataclasses recurses once per level of a term
+    texts = [(print_ra_term(step.lhs), print_ra_term(step.rhs)) for step in steps]
     segments = []
     start = 0
     while start < len(steps):
         end = start
-        while (end + 1 < len(steps)
-               and steps[end].rhs == steps[end + 1].lhs):
+        while end + 1 < len(steps) and texts[end][1] == texts[end + 1][0]:
             end += 1
         if end > start:
             combined = "=" if all(s.rel == "=" for s in steps[start:end + 1]) else "<="

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import algebra, models, registry, search
-from .formulas import FORMULAS, Formula, Neg, ParseError, Var, parse_formula, print_formula
+from .formulas import FORMULAS, Env, Formula, Neg, ParseError, parse_formula, print_formula
 from .sequents import MAX_BOUND, check_proof, format_proof_script, parse_proof_script
 
 Report = tuple[bool, dict, str]
@@ -71,13 +71,45 @@ def _resolve_formula(arg: str) -> Formula:
         return parse_formula(arg)
 
 
+def _binary_ast(op: str):
+    return lambda left, right: {"op": op, "left": left, "right": right}
+
+
+_AST_VARIABLES = Env(lambda name: {"var": name})
+_AST = {Neg: lambda body: {"op": "~", "body": body},
+        **{cls: _binary_ast(op) for cls, op in FORMULAS.spelling.items() if cls is not Neg}}
+
+
 def _ast(f: Formula) -> dict:
-    if isinstance(f, Var):
-        return {"var": f.name}
-    op = FORMULAS.spelling[type(f)]
-    if isinstance(f, Neg):
-        return {"op": op, "body": _ast(f.body)}
-    return {"op": op, "left": _ast(f.left), "right": _ast(f.right)}
+    """f's tree as nested dicts, folded: {"var": name} at a variable, and
+    {"op": connective, "body"} or {"op", "left", "right"} at a connective."""
+    return FORMULAS.evaluate(f, _AST_VARIABLES, _AST)
+
+
+def _dumps(value, sort_keys: bool = False) -> str:
+    """json.dumps(value, sort_keys=sort_keys, default=_jsonable), with nested
+    dicts written from an explicit stack of values and _Written pieces: json
+    recurses once per level, and a formula's tree is as deep as it is."""
+    out, todo = [], [value]
+    while todo:
+        item = todo.pop()
+        if type(item) is _Written:
+            out.append(item)
+        elif isinstance(item, dict):
+            pairs = sorted(item.items()) if sort_keys else list(item.items())
+            todo.append(_Written("}"))
+            for n in range(len(pairs) - 1, -1, -1):
+                key, member = pairs[n]  # an int, float, bool or None key as json writes it
+                key = json.dumps(key if isinstance(key, str) else json.dumps(key))
+                todo += member, _Written((", " if n else "") + key + ": ")
+            todo.append(_Written("{"))
+        else:
+            out.append(json.dumps(item, sort_keys=sort_keys, default=_jsonable))
+    return "".join(out)
+
+
+class _Written(str):
+    """Text that _dumps writes as it is."""
 
 
 # ------------------------------------------------------------------
@@ -89,7 +121,7 @@ def cmd_parse(args) -> Report:
     ast = _ast(f)
     return (True, {"formula": print_formula(f), "ast": ast,
                    "variables": sorted(models.variables(f))},
-            f"{print_formula(f)}\n{json.dumps(ast)}")
+            f"{print_formula(f)}\n{_dumps(ast)}")
 
 
 def cmd_check(args) -> Report:
@@ -303,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=int, default=4,
                    help=f"largest index bound (objects) searched, 1..{MAX_BOUND} (default 4)")
     p.add_argument("--depth", type=int, default=16,
-                   help="largest depth of a branch of the search (default 16)")
+                   help=f"largest depth of a branch of the search, 1..{search.MAX_DEPTH} "
+                        "(default 16)")
     p.add_argument("--nodes", type=int, default=20000,
                    help="nodes visited over all index bounds (default 20000)")
 
@@ -356,7 +389,7 @@ def main(argv=None) -> int:
     try:
         passed, payload, text = args.fn(args)
         # printed here, so that a failed write (a closed pipe) is an error line
-        print(json.dumps(payload, sort_keys=True, default=_jsonable) if args.json else text)
+        print(_dumps(payload, sort_keys=True) if args.json else text)
     except (ParseError, UsageError, models.TooManyValuations, OSError,
             UnicodeDecodeError, registry.DataFileError) as e:
         print(f"error: {e}", file=sys.stderr)

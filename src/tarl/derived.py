@@ -50,15 +50,21 @@ def conclusion_formula(proof: Proof) -> Formula:
 
 def _match(schema: Formula, f: Formula, binding: dict[str, Formula]) -> bool:
     """Extend binding so that substitute(schema, binding) is f, if it can
-    be.  Formulas are interned, so a bound variable matches by identity."""
-    if isinstance(schema, Var):
-        return binding.setdefault(schema.name, f) is f
-    if type(schema) is not type(f):
-        return False
-    if isinstance(schema, Neg):
-        return _match(schema.body, f.body, binding)
-    return (_match(schema.left, f.left, binding)
-            and _match(schema.right, f.right, binding))
+    be, walking the two trees side by side, left operands first.  Formulas
+    are interned, so a bound variable matches by identity."""
+    todo = [(schema, f)]
+    while todo:
+        schema, f = todo.pop()
+        if isinstance(schema, Var):
+            if binding.setdefault(schema.name, f) is not f:
+                return False
+        elif type(schema) is not type(f):
+            return False
+        elif isinstance(schema, Neg):
+            todo.append((schema.body, f.body))
+        else:
+            todo += (schema.right, f.right), (schema.left, f.left)
+    return True
 
 
 def _skeleton(rule: str) -> tuple[Proof, dict[int, tuple[int, int]]]:

@@ -13,10 +13,24 @@ connectives are accepted as aliases on input.  Fusion is definable:
 A o B abbreviates ~(A -> ~B), and ``desugar_fusion`` performs that rewrite.
 
 The syntax is written once, in ``Grammar``: one tokenizer, one
-precedence-climbing parser, one minimal-parenthesis printer and one
-evaluator, driven by a table of tokens, binding levels and node classes.
-``FORMULAS`` is the table of this syntax; ``tarl.algebra.TERMS`` is that of
-relation-algebra terms.
+precedence-climbing parser and one fold, ``Grammar.evaluate``, driven by a
+table of tokens, binding levels and node classes.  ``FORMULAS`` is the
+table of this syntax; ``tarl.algebra.TERMS`` is that of relation-algebra
+terms.  Every walk over formulas and terms is that fold, given an
+environment for the variables and a table of operations: semantics,
+translation, the minimal-parenthesis printer (on values (level, text)),
+substitution, ``desugar_fusion`` and ``variables``.  The fold walks the
+tree in post-order from an explicit stack and runs each node's step on a
+stack of values, from which an operator pops its operands' values.  A
+formula keeps the steps of its evaluation once compiled.  A walk may pass
+a memo by node identity, looked up before a node's operands are visited,
+so that a subformula shared in the DAG is folded once: ``variables`` keeps
+each node's names in its ``_vars`` slot, the printer its value (level,
+text) in ``_text``, and a substitution its images in a dict.  The parser climbs
+precedence on explicit stacks too (shunting-yard), so no nesting is too
+deep to read, print or evaluate; a printed text is kept on each node,
+though, so printing a chain takes memory that grows with the square of its
+depth.
 
 Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): a constructor looks its class and children up in one
@@ -30,7 +44,8 @@ removes the entry if the reference there is dead, so a node that has
 taken the key since stays.  No node outlives its last reference, so the
 table cannot grow for the life of the process.  A node stores whether it
 is fusion-free when it is built, and caches its printed text, built from
-its children's texts, and its variables on first use.  Nodes are
+its children's texts, its variables and its evaluation program on first
+use (a variable has its text and its variables from the start).  Nodes are
 immutable; pickling and copying return the interned node.
 
 There is one formula memo, keyed by text, of weak references to nodes, and
@@ -47,8 +62,8 @@ script reader's memos (``sequents``) are kept by the same helper,
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 import re
 import threading
 import weakref
@@ -57,7 +72,7 @@ from _weakref import _remove_dead_weakref
 __all__ = [
     "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
     "ParseError", "UnassignedVariable", "file_lines", "end_of_file",
-    "parse_at", "Grammar",
+    "parse_at", "Grammar", "Env",
     "FORMULAS", "parse_formula", "print_formula",
     "desugar_fusion", "is_core", "variables", "shared_variables",
     "substitution", "substitute",
@@ -86,9 +101,10 @@ class Formula:
     Each node is built once (see the module docstring), so equality and
     hashing are those of its identity.  A node keeps its ``uid`` (a serial
     number never reused in this process) and whether it is fusion-free;
-    its printed text and its variables are filled in on first use."""
+    its printed text, its variables and its program are filled in on first
+    use."""
 
-    __slots__ = ("_core", "uid", "_text", "_vars", "__weakref__")
+    __slots__ = ("_core", "uid", "_text", "_vars", "_program", "__weakref__")
     _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
@@ -129,21 +145,22 @@ def _intern(key: tuple) -> Formula:
         node = ref and ref()
         if node is not None:
             return node
-        if cls is Var:
-            core, text = True, FORMULAS.name(children[0])
+        if cls is Var:  # a variable's printed value and names are known
+            core, shown = True, (FORMULAS.atom, FORMULAS.name(children[0]))
         else:
             for child in children:
                 if not isinstance(child, Formula):
                     raise TypeError(f"not a formula: {child!r}")
             core = cls is not Fusion and all(child._core for child in children)
-            text = None
+            shown = None
         node = object.__new__(cls)
         for field, child in zip(cls._fields, children):
             _set(node, field, child)
         _set(node, "_core", core)
         _set(node, "uid", next(_SERIAL))
-        _set(node, "_text", text)
-        _set(node, "_vars", None)
+        _set(node, "_text", shown)
+        _set(node, "_vars", frozenset(children) if cls is Var else None)
+        _set(node, "_program", None)
         ref = _Ref(node, _forget)
         ref.key = key
         _TABLE[key] = ref
@@ -265,8 +282,8 @@ def parse_at(parse, source: str, start: int, end: int, line: int | None = None,
 
 class Grammar:
     """The surface syntax of one kind of tree, as tables read by one
-    tokenizer, one precedence-climbing parser, one printer and one
-    evaluator.
+    tokenizer, one precedence-climbing parser and one fold, `evaluate`,
+    through which the printer and every other walk over the trees go.
 
     `symbols` is the regular expression of the tokens other than names
     (lower-case identifiers).  `binary` maps a token to (level, class,
@@ -279,42 +296,51 @@ class Grammar:
     character starts no token and where an operand is missing; `aliases`
     map other spellings of a token to it.  Binary nodes hold their operands
     as `left` and `right`, one-operand nodes as `body`, variables their
-    `name`."""
+    `name`.  `program` names the attribute in which each node keeps the
+    program that evaluate compiles for it (each grammar its own, so that a
+    node of one is no node of the other)."""
 
     def __init__(self, *, symbols: str, binary: dict, right: type | None,
                  prefix: dict, postfix: dict, constants: dict, variable: type,
-                 bad_token: str, bad_operand: str, aliases: dict):
+                 bad_token: str, bad_operand: str, aliases: dict, program: str):
         # a token, or else the first character that starts none, and the
         # blanks around it; the matches tile the text
         tokens = "|".join((symbols, *map(re.escape, aliases), _NAME.pattern))
         self.token = re.compile(rf"\s*(?:({tokens})|(\S))\s*")
-        self.binary, self.right = binary, right
+        self.binary = binary
         self.prefix, self.postfix, self.constants = prefix, postfix, constants
-        self.variable = variable
+        self.variable, self.program = variable, program
         self.bad_token, self.bad_operand = bad_token, bad_operand
         self.aliases = aliases
         self.reserved = frozenset(tok for tok in (*binary, *constants) if _NAME.fullmatch(tok))
         self.spelling = {**{cls: tok for tok, (_, cls, _) in binary.items()},
                          **{cls: tok for tok, cls in (*prefix.items(), *postfix.items())},
                          **{type(node): tok for tok, node in constants.items()}}
-        # for printing: each class's binding level (prefix nodes bind above
-        # every binary one, postfix nodes above them, leaves at atom), and
-        # each operator's text around and between its operands with the
-        # least level each operand keeps unwrapped
+        # each class's binding level (prefix nodes bind above every binary
+        # one, postfix nodes above them, leaves at atom), and the least level
+        # that a binary class keeps unwrapped on its right, where the parser
+        # ends its right operand
         prefixed = max(level for level, _, _ in binary.values()) + 1
-        postfixed = prefixed + 1
-        self.atom = postfixed + 1
+        self.atom = prefixed + 2
         self.level = {cls: level for level, cls, _ in binary.values()}
         self.level.update((cls, prefixed) for cls in prefix.values())
-        self.level.update((cls, postfixed) for cls in postfix.values())
-        self.infix = {cls: (shown, level + (cls is right), level + (cls is not right))
-                      for level, cls, shown in binary.values()}
-        self.affix = {**{cls: (tok, prefixed, "") for tok, cls in prefix.items()},
-                      **{cls: ("", postfixed, tok) for tok, cls in postfix.items()}}
-        # for evaluating: the number of operands of each class but variables
+        self.level.update((cls, prefixed + 1) for cls in postfix.values())
+        self.least = {cls: level + (cls is not right) for level, cls, _ in binary.values()}
+        # each class's number of operands, and the step that evaluates it
         self.arity = {**{type(node): 0 for node in constants.values()},
                       **{cls: 1 for cls in (*prefix.values(), *postfix.values())},
                       **{cls: 2 for _, cls, _ in binary.values()}}
+        self.steps = {cls: (arity, cls) for cls, arity in self.arity.items()}
+        # the printer's operations on (level, text): each operand is wrapped
+        # when it binds below the least level its operator keeps unwrapped
+        self.printer = {type(node): (self.atom, tok) for tok, node in constants.items()}
+        for level, cls, shown in binary.values():
+            self.printer[cls] = _infix(level, shown, level + (cls is right), self.least[cls])
+        for tok, cls in prefix.items():
+            self.printer[cls] = _affix(self.level[cls], tok, "")
+        for tok, cls in postfix.items():
+            self.printer[cls] = _affix(self.level[cls], "", tok)
+        self.names = Env(lambda name: (self.atom, self.name(name)))
 
     def name(self, name) -> str:
         """name, if it can be a variable's: a name that is no token."""
@@ -327,60 +353,156 @@ class Grammar:
         of text is skipped unread (parse_formula adds the formula memo).  A
         ParseError's position is an offset into text, and what it found is
         as text spells it.  A character that starts no token is reported
-        before any other error."""
-        parser = _Parser(self, text)
-        parser.read(0)
-        node = parser.binary(1)
-        if parser.tok is not None:
-            raise parser.error("end of input")
-        return node
+        before any other error.  Precedence climbing on explicit stacks
+        (shunting-yard), so no nesting is too deep: `pending` holds the open
+        parentheses and the operators not yet given all their operands, and
+        `operands` the left operands of its binary ones."""
+        p = _Parser(self, text)
+        p.read(0)
+        operands, pending = [], []
+        while True:
+            while p.tok in self.prefix or p.tok == "(":
+                pending.append(self.prefix.get(p.tok, _OPEN))
+                p.read(p.after)
+            node = p.operand()
+            while True:  # after an operand: its postfixes, prefixes and ends
+                p.read(p.after)
+                while p.tok in self.postfix:
+                    node = self.postfix[p.tok](node)
+                    p.read(p.after)
+                while pending and self.arity.get(pending[-1]) == 1:
+                    node = pending.pop()(node)
+                op = self.binary.get(p.tok)
+                level = op[0] if op else 0
+                # each binary operator whose right operand ends here
+                while pending and pending[-1] is not _OPEN and level < self.least[pending[-1]]:
+                    node = pending.pop()(operands.pop(), node)
+                if op:
+                    break
+                if not pending:
+                    if p.tok is not None:
+                        raise p.error("end of input")
+                    return node
+                if p.tok != ")":  # pending ends in the '(' of this group
+                    raise p.error("')'")
+                pending.pop()
+            operands.append(node)
+            pending.append(op[1])
+            p.read(p.after)
 
-    def show(self, node, operand) -> str:
-        """Minimal-parenthesis rendering of node, given operand(child), the
-        text of a child."""
-        cls = type(node)
-        if cls in self.infix:
-            shown, left, right = self.infix[cls]
-            return (self._wrap(node.left, left, operand) + shown
-                    + self._wrap(node.right, right, operand))
-        if cls in self.affix:
-            before, strength, after = self.affix[cls]
-            return before + self._wrap(node.body, strength, operand) + after
-        if cls is self.variable:
-            return self.name(node.name)
-        return self.spelling[cls]
+    def show(self, node, memo=None) -> str:
+        """node's minimal-parenthesis text, folded by the printer; memo, if
+        given, holds printed values (level, text) by node."""
+        return self.evaluate(node, self.names, self.printer, memo)[1]
 
-    def evaluate(self, node, env, ops):
+    def evaluate(self, node, env, ops, memo=None):
         """The value of node: a variable's is env[its name], a constant's is
         ops[its class], and an operator's is ops[its class] applied to the
-        values of its operands (operations on masks or matrices, say, or
-        another grammar's constructors).  A name env lacks raises
-        UnassignedVariable, and a value that is no node TypeError."""
-        cls = type(node)
-        if cls is self.variable:
-            try:
-                return env[node.name]
-            except KeyError:
-                raise UnassignedVariable(node.name) from None
-        arity = self.arity.get(cls)
-        if arity == 2:
-            return ops[cls](self.evaluate(node.left, env, ops),
-                            self.evaluate(node.right, env, ops))
-        if arity == 1:
-            return ops[cls](self.evaluate(node.body, env, ops))
-        if arity == 0:
-            return ops[cls]
-        raise TypeError(f"not a node of this grammar: {node!r}")
+        values of its operands (operations on masks or matrices, say, a
+        grammar's constructors, or the printer).  A name env lacks raises
+        UnassignedVariable, and a value that is no node TypeError.  Nothing
+        recurses (see the module docstring): the steps of a post-order walk
+        (`_steps`) run on a stack of values, each operator popping its
+        operands'.  Without a memo the steps are compiled once per node, and
+        kept on it (`program`).  memo, a mapping by node identity with
+        `get` and no None values, is looked up at each node before its
+        operands are visited and given each value computed, so a shared
+        subtree is folded once."""
+        values = []
+        if memo is not None:
+            value = memo.get(node)
+            if value is not None:
+                return value
+            steps = self._steps(node, memo, values)
+        else:  # a node of another grammar has no program: _steps says so
+            steps = getattr(node, self.program, None)
+            if steps is None:
+                steps = tuple(self._steps(node))
+                _set(node, self.program, steps)
+        arity = 0
+        try:
+            for arity, key in steps:
+                if arity < 0:
+                    values.append(env[key])
+                elif arity == 2:
+                    right = values.pop()
+                    values[-1] = ops[key](values[-1], right)
+                elif arity:
+                    values[-1] = ops[key](values[-1])
+                else:
+                    values.append(ops[key])
+        except KeyError:
+            if arity < 0:
+                raise UnassignedVariable(key) from None
+            raise
+        return values[-1]
 
-    def _wrap(self, node, strength: int, operand) -> str:
-        text = operand(node)
-        return "(" + text + ")" if self.level.get(type(node), self.atom) < strength else text
+    def _steps(self, node, memo=None, values=None):
+        """evaluate's steps for node, from one explicit stack, each node's
+        after its operands', left to right: (arity, class), or (-1, name) at
+        a variable.  A node in memo is no step: its value goes on values and
+        its operands are skipped; each step's value, once evaluate has pushed
+        it, goes in memo."""
+        todo = [node]
+        while todo:
+            n = todo.pop()
+            if n is _OPERANDS_DONE:
+                n = todo.pop()
+                yield self.steps[type(n)]
+            else:
+                if memo is not None:
+                    value = memo.get(n)
+                    if value is not None:
+                        values.append(value)
+                        continue
+                arity = self.arity.get(type(n))
+                if arity:
+                    todo += ((n, _OPERANDS_DONE, n.right, n.left) if arity == 2
+                             else (n, _OPERANDS_DONE, n.body))
+                    continue
+                if type(n) is self.variable:
+                    yield -1, n.name
+                elif arity == 0:
+                    yield self.steps[type(n)]
+                else:
+                    raise TypeError(f"not a node of this grammar: {n!r}")
+            if memo is not None:
+                memo[n] = values[-1]
+
+
+_OPEN = "("  # an open parenthesis among the parser's pending operators
+_OPERANDS_DONE = object()  # on a walk's stack: the node under it has its operands' values
+
+
+def _wrap(value, strength: int) -> str:
+    level, text = value
+    return "(" + text + ")" if level < strength else text
+
+
+def _infix(level: int, shown: str, left: int, right: int):
+    return lambda a, b: (level, _wrap(a, left) + shown + _wrap(b, right))
+
+
+def _affix(level: int, before: str, after: str):
+    return lambda a: (level, before + _wrap(a, level) + after)
+
+
+class Env(dict):
+    """An environment for Grammar.evaluate: its values, and of(name) for
+    any other name."""
+    __slots__ = ("of",)
+
+    def __init__(self, of, values=()):
+        super().__init__(values)
+        self.of = of
+
+    def __missing__(self, name):
+        return self.of(name)
 
 
 class _Parser:
-    """Precedence climbing over one grammar's tokens, each read from the text
-    when the parser comes to it; no part of the text is looked up in a
-    memo."""
+    """The tokens of one text, each read when the parser comes to it; no
+    part of the text is looked up in a memo."""
 
     def __init__(self, grammar: Grammar, text: str):
         self.g, self.text = grammar, text
@@ -409,39 +531,14 @@ class _Parser:
                 return ParseError(m.start(2), self.g.bad_token, m.group(2))
         return ParseError(self.at, expected, self.typed)
 
-    def binary(self, least: int):
-        """A tree whose binary operators bind at level least or above."""
-        left = self.unary()
-        while True:
-            op = self.g.binary.get(self.tok)
-            if op is None or op[0] < least:
-                return left
-            level, cls, _ = op
-            self.read(self.after)  # right's right operand may hold right again
-            left = cls(left, self.binary(level + (cls is not self.g.right)))
-
-    def unary(self):
-        g = self.g
-        tok = self.tok
-        if tok in g.prefix:
-            self.read(self.after)
-            return g.prefix[tok](self.unary())
-        if tok == "(":
-            self.read(self.after)
-            node = self.binary(1)
-            if self.tok != ")":
-                raise self.error("')'")
-        elif tok in g.constants:
-            node = g.constants[tok]
-        elif tok is not None and "a" <= tok[0] <= "z" and tok not in g.reserved:
-            node = g.variable(tok)  # the tokenizer matched the whole name
-        else:
-            raise self.error(g.bad_operand)
-        self.read(self.after)  # past the ')', constant or name
-        while self.tok in g.postfix:
-            node = g.postfix[self.tok](node)
-            self.read(self.after)
-        return node
+    def operand(self):
+        """The constant or variable that the current token names."""
+        g, tok = self.g, self.tok
+        if tok in g.constants:
+            return g.constants[tok]
+        if tok is not None and "a" <= tok[0] <= "z" and tok not in g.reserved:
+            return g.variable(tok)  # the tokenizer matched the whole name
+        raise self.error(g.bad_operand)
 
 
 FORMULAS = Grammar(
@@ -451,7 +548,8 @@ FORMULAS = Grammar(
     right=Imp, prefix={"~": Neg}, postfix={}, constants={}, variable=Var,
     bad_token="a connective, '(' or an identifier",
     bad_operand="'~', '(' or an identifier",
-    aliases={"∧": "&", "∨": "|", "→": "->", "¬": "~", "∘": "o", "～": "~"})
+    aliases={"∧": "&", "∨": "|", "→": "->", "¬": "~", "∘": "o", "～": "~"},
+    program="_program")
 
 
 _MEMO: dict[str, weakref.ref] = {}  # text -> its node, weakly; see the module docstring
@@ -477,32 +575,52 @@ def parse_formula(text: str) -> Formula:
     return node
 
 
+class _Slot:
+    """A memo kept in one slot of each node, None until it is set."""
+
+    def __init__(self, name: str):
+        self.name, self.get = name, operator.attrgetter(name)
+
+    def __setitem__(self, node, value):
+        _set(node, self.name, value)
+
+
+class _Texts(_Slot):
+    """print_formula's memo: each node's printed value (level, text), in
+    its _text slot; each new text also goes in the formula memo."""
+
+    def __setitem__(self, node, value):
+        _set(node, "_text", value)
+        _remember(_MEMO, value[1], weakref.ref(node))
+
+
+_TEXTS = _Texts("_text")
+
+
 def print_formula(f: Formula) -> str:
     """Minimal-parenthesis rendering; parse_formula(print_formula(f)) is f.
     Built once per node, from its children's texts, and then stored in the
     formula memo, so that parse_formula reads it back with one lookup."""
-    text = f._text
-    if text is None:
-        text = FORMULAS.show(f, print_formula)
-        _set(f, "_text", text)
-        _remember(_MEMO, text, weakref.ref(f))
-    return text
+    shown = f._text
+    return FORMULAS.show(f, _TEXTS) if shown is None else shown[1]
 
 
 # ------------------------------------------------------------------
-# Structural helpers
+# Structural helpers: folds
 # ------------------------------------------------------------------
+
+_SAME = Env(Var)  # each variable is itself
+_REBUILT = {cls: cls for cls in (Neg, And, Or, Imp, Fusion)}
+_DESUGARED = {**_REBUILT, Fusion: lambda a, b: Neg(Imp(a, Neg(b)))}
+_SINGLETONS = Env(lambda name: frozenset((name,)))
+_UNION = {Neg: lambda names: names, **dict.fromkeys((And, Or, Imp, Fusion), operator.or_)}
+_VARS = _Slot("_vars")
+
 
 def desugar_fusion(f: Formula) -> Formula:
     """Replace every fusion A o B by ~(A -> ~B), bottom up; a fusion-free
     formula comes back as it is."""
-    if f._core:
-        return f
-    if isinstance(f, Neg):
-        return Neg(desugar_fusion(f.body))
-    if isinstance(f, Fusion):
-        return Neg(Imp(desugar_fusion(f.left), Neg(desugar_fusion(f.right))))
-    return type(f)(desugar_fusion(f.left), desugar_fusion(f.right))
+    return f if f._core else FORMULAS.evaluate(f, _SAME, _DESUGARED, {})
 
 
 def is_core(f: Formula) -> bool:
@@ -511,35 +629,13 @@ def is_core(f: Formula) -> bool:
 
 
 def variables(f: Formula) -> frozenset[str]:
+    """The names of f's variables, kept on each node folded."""
     names = f._vars
-    if names is None:
-        if isinstance(f, Var):
-            names = frozenset((f.name,))
-        elif isinstance(f, Neg):
-            names = variables(f.body)
-        else:
-            names = variables(f.left) | variables(f.right)
-        _set(f, "_vars", names)
-    return names
+    return FORMULAS.evaluate(f, _SINGLETONS, _UNION, _VARS) if names is None else names
 
 
 def shared_variables(a: Formula, b: Formula) -> frozenset[str]:
     return variables(a) & variables(b)
-
-
-def _image(images: dict, mapping: dict, f: Formula) -> Formula:
-    """f with each variable mapping names replaced by its formula; images
-    holds the image of each node met so far."""
-    out = images.get(f)
-    if out is None:
-        if isinstance(f, Var):
-            out = mapping.get(f.name, f)
-        elif isinstance(f, Neg):
-            out = Neg(_image(images, mapping, f.body))
-        else:
-            out = type(f)(_image(images, mapping, f.left), _image(images, mapping, f.right))
-        images[f] = out
-    return out
 
 
 def substitution(mapping: dict[str, Formula]):
@@ -547,7 +643,8 @@ def substitution(mapping: dict[str, Formula]):
     formula.  The map remembers the image of each node it meets, so a
     subformula shared by the formulas it is given is substituted once.  It
     holds no reference to itself, so its images go when it does."""
-    return functools.partial(_image, {}, mapping)
+    env, images = Env(Var, mapping), {}
+    return lambda f: FORMULAS.evaluate(f, env, _REBUILT, images)
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:

@@ -18,8 +18,8 @@ checks, a batch of one for `interpret`.  Every exhaustive check walks its
 valuation grid with `grid_blocks`: `valid_in`, `find_invalidating_singletons`
 and the complex algebras of `tarl.algebra`.  A grid's blocks grow fourfold
 from `_FIRST_BLOCK` rows to `_GRID_CHUNK`, and each block's columns of masks
-are built once and cached, read-only, in a store emptied once it passes
-GRID_CACHE_BYTES; a check stops at the first block that holds a failing
+are built once and cached, read-only, in a store that keeps only the newest
+once it passes GRID_CACHE_BYTES; a check stops at the first block that holds a failing
 row.  The structure postulates (p1..p6 and friends) are audited, never
 assumed, so deliberately defective structures can be represented and
 inspected.  Each postulate is one row of a table built once per star map
@@ -76,7 +76,8 @@ _CHUNK = 1024
 # times as many, up to _GRID_CHUNK
 _FIRST_BLOCK = 1024
 _GRID_CHUNK = 1 << 16
-# the grid block cache is emptied once it holds more bytes than this
+# the grid block cache keeps only its newest block once it holds more bytes
+# than this
 GRID_CACHE_BYTES = 16 << 20
 
 POSTULATE_NAMES = ("p1", "p2", "p3", "p4", "p5", "p6",
@@ -314,9 +315,10 @@ def verified(m: ModelStructure, v: Valuation, f: Formula) -> bool:
 
 class _Store:
     """Read-only values built once each, by key: `columns` maps a key to
-    `build(*key)`, `nbytes` counts their bytes, and the dict is emptied
-    once that passes GRID_CACHE_BYTES, so a value larger than the bound is
-    built, used and not kept."""
+    `build(*key)` and `nbytes` counts their bytes.  Once that passes
+    GRID_CACHE_BYTES the store keeps only the value that passed it, so it
+    holds at most the bound and one value, and a value larger than the
+    bound is built once and kept until the next one is built."""
 
     def __init__(self):
         self.columns: dict = {}
@@ -336,7 +338,8 @@ class _Store:
             self.nbytes += nbytes
             if self.nbytes > GRID_CACHE_BYTES:
                 self.columns.clear()
-                self.nbytes = 0
+                self.columns[key] = value
+                self.nbytes = value.nbytes
 
 
 def _grid_columns(allowed, arity: int, lo: int, hi: int) -> np.ndarray:
@@ -601,8 +604,8 @@ class _Audit:
 
 
 # a table holds about 22,000 indices at n = 8 (170 KB, 293 KB with the plans
-# of all twelve rows) and 4.5 million at n = 32 (36 MB, more than the store
-# keeps)
+# of all twelve rows) and 4.5 million at n = 32 (36 MB, more than the store's
+# bound, so the store then keeps that table alone)
 _AUDITS = _Store()
 
 

@@ -95,10 +95,14 @@ from .sequents import (
     MAX_BOUND, RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof,
 )
 
-__all__ = ["SearchBudget", "SearchOutcome", "search_proof", "REFUTE_AFTER"]
+__all__ = ["SearchBudget", "SearchOutcome", "search_proof", "REFUTE_AFTER", "MAX_DEPTH"]
 
 # the node at which a search checks its goal for a refutation, once
 REFUTE_AFTER = 64
+# the largest max_depth: _Pass.prove and _linearize recurse once per level of
+# the search, and this many levels fit under Python's default recursion
+# limit (1,000 frames) with room for their callers
+MAX_DEPTH = 512
 # the samples of that check: this many, on this many points, from this seed
 _REFUTE_SAMPLES, _REFUTE_BASE, _REFUTE_SEED = 64, 3, 0
 
@@ -112,6 +116,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_depth <= 0 or self.max_nodes <= 0:
             raise ValueError("budget fields must be positive")
+        if self.max_depth > MAX_DEPTH:
+            raise ValueError(f"max_depth must be at most {MAX_DEPTH}")
         if not 1 <= self.max_index <= MAX_BOUND:
             raise ValueError(f"max_index must be within 1..{MAX_BOUND}")
 
@@ -465,11 +471,14 @@ class _Pass:
 
 def _linearize(node: tuple, lines: list, index: dict, table: _Table) -> int:
     """Appends the lines of a proof tree, each node's sequent read back from
-    its masks, and returns the node's line number."""
+    its masks, and returns the node's line number.  It recurses once per
+    level (a comprehension would add a frame of its own)."""
     seq, rule, k, children = node
     if seq in index:
         return index[seq]
-    refs = [_linearize(child, lines, index, table) for child in children]
+    refs = []
+    for child in children:
+        refs.append(_linearize(child, lines, index, table))
     eigen = k if rule.index == "eigen" else None  # impL's k is not recorded
     lines.append((Sequent(table.decode(seq[0]), table.decode(seq[1])),
                   rule(*refs, eigen=eigen)))

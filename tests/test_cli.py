@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tarl import cli, models
 from tarl.cli import build_parser, main
@@ -552,3 +555,33 @@ def test_python_m_tarl_runs_the_cli():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error: ")
+
+
+# chains of each connective and nested parentheses, n deep
+CHAINS = {"~": lambda n: "~" * n + "p", "&": lambda n: " & ".join("p" * (n + 1)),
+          "|": lambda n: " | ".join("p" * (n + 1)), "->": lambda n: " -> ".join("p" * (n + 1)),
+          "o": lambda n: " o ".join("p" * (n + 1)), "()": lambda n: "(" * n + "p" + ")" * n}
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from([("parse",), ("translate",), ("valid", "K3"), ("prove",)]),
+       formula=st.one_of(
+           st.builds(lambda conn, n: CHAINS[conn](n), st.sampled_from(sorted(CHAINS)),
+                     st.integers(0, 3000)),
+           st.text("pqo~&|-> ()∧∨→¬∘", max_size=80),
+           st.text(max_size=30)),
+       flags=st.sampled_from([(), ("--json",)]))
+def test_no_input_makes_a_traceback(command, formula, flags):
+    """Any formula text, however deep, through parse, translate, valid and
+    prove: exit 0 or 1 with nothing on stderr, or exit 2 with one error line
+    and nothing on stdout; main raises nothing.  The text comes after '--',
+    so that argparse reads it as the formula whatever it starts with."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, *flags, "--", formula])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+    else:
+        assert code in (0, 1) and err.getvalue() == "" and out.getvalue()
+    assert "Traceback" not in err.getvalue()

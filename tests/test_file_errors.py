@@ -16,6 +16,7 @@ from tarl.sequents import parse_proof_script
 
 AXIOM = "1. (p)[0,0] => (p)[0,0] ; axiom\n"
 LONG = "7" * 5000  # more digits than int reads by default (4,300)
+DEEP = 3000  # nesting deeper than Python's default recursion limit (1,000)
 MODEL = "model m\nelements 0 a\nzero 0\nstar 0:0 a:a\n"
 
 
@@ -75,6 +76,12 @@ CASES = [
                  2, 28, "k=" + LONG, id="long eigen index"),
     pytest.param(parse_proof_script, f"lemma x bound {LONG}\n" + AXIOM, 1, 15, LONG,
                  id="long bound"),
+    # a formula nested deeper than the recursion limit, read to its error
+    pytest.param(parse_proof_script,
+                 script("1. (" + "(" * DEEP + "p &" + ")" * DEEP + ")[0,0] => (p)[0,0] ; axiom"),
+                 2, 8 + DEEP, ")", id="deep formula"),
+    pytest.param(parse_proof_script, script("1. (" + "~" * DEEP + "p)[0] => (p)[0,0] ; axiom"),
+                 2, 7 + DEEP, "[", id="deep formula, bad indices"),
     # model files
     (load_model_file, MODEL + "zero a\n", 5, 1, "zero"),
     (load_model_file, "model m\nelements 0 a\nzero 0\nstar 0:0 a:a  0:a\n", 4, 15, "0:a"),
@@ -109,6 +116,10 @@ CASES = [
     (parse_chain, "x = y +\n", 1, 8, "end of input"),
     (parse_chain, "", 1, 1, "end of file"),
     (parse_chain, "# a comment\n\n   # another\n", 4, 1, "end of file"),
+    pytest.param(parse_chain, "x = " + "(" * DEEP + "x;" + ")" * DEEP + " ; t\n", 1, 7 + DEEP,
+                 ")", id="deep term"),
+    pytest.param(parse_chain, "x = y ; t\n" + "-" * DEEP + "x = y + ; t\n", 2, 9 + DEEP, ";",
+                 id="deep term, bad right side"),
 ]
 
 
@@ -271,3 +282,22 @@ def test_mutated_corpus_scripts_report_the_token_at_fault():
         if mutation is _double_alias:
             assert e.value.found == "∧", where
         audited[mutation] += 1
+
+
+def test_files_nested_deeper_than_the_recursion_limit_read_and_check(capsys, tmp_path):
+    """A proof script and a chain file whose formula and terms are nested
+    DEEP levels read, check and print as shallow ones do."""
+    f = "~" * DEEP + "p"
+    proof = tmp_path / "deep.prf"
+    proof.write_text(f"lemma deep : {f} -> {f}\n1. ({f})[1,0] => ({f})[1,0] ; axiom\n"
+                     f"2. => ({f} -> {f})[0,0] ; impR 1 k=1\n")
+    assert main(["check", str(proof)]) == 0
+    assert capsys.readouterr() == ("deep: valid, objects {0,1}\n", "")
+    term = "-" * DEEP + "x"
+    chain = tmp_path / "deep.chain"
+    chain.write_text(f"x = {term} ; dneg\n{term} = x ; back\n")
+    for algebra in ("K3", "proper:3"):
+        assert main(["chain", algebra, str(chain), "--trials", "20"]) == 0
+        assert capsys.readouterr() == (f"step 1: x = {term}  [dneg]  Pass\n"
+                                       f"step 2: {term} = x  [back]  Pass\n"
+                                       "end-to-end 1..2 (=): Pass\n", "")

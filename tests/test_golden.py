@@ -136,11 +136,12 @@ def _random_term(rng, size):
 def _as_drawn(t):
     """t printed as when the fuzzed inputs were recorded, when a converse of
     a converse kept its parentheses, `(x^)^`: the inputs are drawn from this
-    text, so they stay those recorded."""
-    def operand(child):
-        text = _as_drawn(child)
-        return f"({text})" if isinstance(t, Conv) and isinstance(child, Conv) else text
-    return TERMS.show(t, operand)
+    text, so they stay those recorded.  The printer folds (level, text)
+    values, and a converse's operand that is a converse is given a level
+    below every other, so that it is wrapped."""
+    conv, level = TERMS.printer[Conv], TERMS.level[Conv]
+    ops = {**TERMS.printer, Conv: lambda body: conv((-1, body[1]) if body[0] == level else body)}
+    return TERMS.evaluate(t, TERMS.names, ops)[1]
 
 
 def _fuzzed(rng, printed, pieces):
@@ -253,7 +254,8 @@ def _cli_rows(tmp: Path) -> list[tuple[str, ...]]:
     rows += [("prove", goal) for goal in
              ("a & b -> a", "a -> a", "~((p -> q) -> ~p)", "contra", "mp",
               "(b -> (c -> a)) -> (~(b -> ~c) -> a)")]
-    rows += [("prove", "ming", "--depth", "10"), ("prove", "a", "--nodes", "0")]
+    rows += [("prove", "ming", "--depth", "10"), ("prove", "a", "--nodes", "0"),
+             ("prove", "p", "--depth", "513")]
     rows += [("prove", goal, "--nodes", "500") for goal in randoms[:3]]
     rows += [("valid", model, f) for model in structure_names()
              for f in ("contra", "mp", "contr", "p -> p")]

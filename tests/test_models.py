@@ -694,14 +694,15 @@ def test_grid_cache_is_emptied_past_its_bound(monkeypatch):
         block(lo)
     assert cache.nbytes == 3 * block_bytes and len(cache.columns) == 3
     assert block(0) is cache.columns[(allowed, 2, 0, 100)]
-    last = block(300)
-    assert (cache.columns, cache.nbytes) == ({}, 0)
+    last = block(300)  # past the bound: the others go, and the newest stays
+    assert (cache.columns, cache.nbytes) == ({(allowed, 2, 300, 400): last}, block_bytes)
     assert last[:, -1].tolist() == [19, 19]
     block(0)
-    assert list(cache.columns) == [(allowed, 2, 0, 100)]
+    assert list(cache.columns) == [(allowed, 2, 300, 400), (allowed, 2, 0, 100)]
     monkeypatch.setattr(models, "GRID_CACHE_BYTES", 0)
     assert valid_in(K1, parse_formula("p -> p | q & r & s")).valuations == 16 ** 4
-    assert (cache.columns, cache.nbytes) == ({}, 0)
+    (kept,) = cache.columns.values()
+    assert cache.nbytes == kept.nbytes
 
 
 # ------------------------------------------------------------------
@@ -1243,12 +1244,42 @@ def test_audit_tables_are_kept_within_the_store_bound(monkeypatch):
         assert store.nbytes == sum(t.nbytes for t in store.columns.values())
         assert store.nbytes <= 2 * table_bytes
         kept.add(len(store.columns))
-    assert kept == {0, 1, 2}
+    assert kept == {1, 2}  # past the bound the store keeps the newest table
     assert [check_postulates(m) for m in structures] == reports
-    # a table larger than the bound is built, used and not kept
+    # a table larger than the bound is built, used and kept alone
     monkeypatch.setattr(models, "GRID_CACHE_BYTES", table_bytes - 1)
     assert check_postulates(structures[5]) == reports[5]
-    assert (store.columns, store.nbytes) == ({}, 0)
+    (table,) = store.columns.values()
+    assert table.key[0] == tuple(structures[5].index(structures[5].star[e])
+                                 for e in structures[5].elements)
+    assert store.nbytes == table.nbytes > table_bytes - 1
+
+
+def test_a_value_past_the_store_bound_is_built_once(monkeypatch):
+    """A table larger than the bound is kept until another is built, so
+    repeated audits of one structure build it once; the plans it grows
+    are counted."""
+    store = models._AUDITS
+    monkeypatch.setattr(store, "columns", {})
+    monkeypatch.setattr(store, "nbytes", 0)
+    monkeypatch.setattr(models, "GRID_CACHE_BYTES", 1000)
+    built = []
+
+    class Counted(models._Audit):
+        def __init__(self, *key):
+            built.append(key)
+            super().__init__(*key)
+
+    monkeypatch.setattr(models, "_Audit", Counted)
+    k3 = get_structure("K3")
+    reports = [check_postulates(k3) for _ in range(3)]
+    assert reports[0] == reports[1] == reports[2]
+    assert len(built) == 1
+    (table,) = store.columns.values()
+    assert store.nbytes == table.nbytes > 1000
+    table.plan("p3")  # a plan grows the table the store keeps, and is counted
+    assert store.nbytes == table.nbytes == sum(x.nbytes for x in _owned_arrays(table).values())
+    assert check_postulates(k3) == reports[0] and len(built) == 1
 
 
 def _owned_arrays(value, seen=None) -> dict:

@@ -10,7 +10,7 @@ from tarl.formulas import And, Imp, Neg, Or, Var, parse_formula, substitute, var
 from tarl.gen import random_core_formula
 from tarl.models import valid_in
 from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
-from tarl.search import REFUTE_AFTER, SearchBudget, search_proof
+from tarl.search import MAX_DEPTH, REFUTE_AFTER, SearchBudget, search_proof
 from tarl.sequents import (Assertion, Sequent, check_proof, format_proof_script,
                            substitute_proof)
 
@@ -101,6 +101,21 @@ def test_budget_validation():
         SearchBudget(max_depth=0)
     with pytest.raises(ValueError):
         SearchBudget(max_index=9)
+    with pytest.raises(ValueError, match=f"^max_depth must be at most {MAX_DEPTH}$"):
+        SearchBudget(max_depth=MAX_DEPTH + 1)
+
+
+def test_a_search_reaches_the_largest_depth():
+    """~p | p | ... | p takes one orR per disjunct p and then one negR, so a
+    proof of it with MAX_DEPTH - 1 of them is MAX_DEPTH + 1 lines on one
+    branch, which the search finds, reads back and re-checks at the largest
+    depth; with more of them every branch ends in a depth cutoff."""
+    budget = SearchBudget(max_depth=MAX_DEPTH)
+    out = search_proof(parse_formula(" | ".join(["~p"] + ["p"] * (MAX_DEPTH - 1))), budget)
+    assert out.proved and len(out.proof.lines) == MAX_DEPTH + 1
+    assert check_proof(out.proof).valid
+    out = search_proof(parse_formula(" | ".join(["~p"] + ["p"] * (MAX_DEPTH + 1))), budget)
+    assert (out.status, out.limit, out.cutoffs) == ("budget_exhausted", "depth", 1)
 
 
 # ------------------------------------------------------------------

@@ -121,8 +121,10 @@ def test_a_bool_index_is_out_of_bound():
     # one of them, whichever comes first in its hash order
     x = a("p", True, 0)
     seen = set()
+    besides = []  # each kept, so that no node takes a freed one's address and hash
     for k in range(40):
         beside = a(f"q{k}", 1, 0)
+        besides.append(beside)
         concl = seq([beside, x], [x])
         merged = {n for b in concl.left | concl.right for n in (b.i, b.j)}
         seen.add(type(next(n for n in merged if n == 1)))
