@@ -30,9 +30,15 @@ it is `translate`.  A complex algebra's carrier runs the translation once,
 when it is built, over every mask and every pair of masks, and keeps the
 results as tables: each connective is then one lookup, a pair (x, y) at
 x << n | y of a flat table, where the translation spends up to four
-operations.  Laws and formulas are tested one batch at a time: a
-complex algebra's grid in the blocks of `models.grid_blocks` that validity
-walks, a proper one's samples in blocks of 500.
+operations.  Laws are tested one batch at a time: a complex algebra's
+grid of every mask in the blocks that validity walks (`models.grid_blocks`,
+over the `models.Grid` its carrier keeps), a proper one's samples in blocks
+of 500.  A formula f in a complex algebra needs no law loop: id <=
+translate(f) holds at an assignment when f's value contains element 0,
+since the identity is {0}, so `verified_in_algebra` runs validity's own
+loop (`models.first_failure`) over that grid with the tabulated
+connectives.  In a proper algebra it is the law id <= translate(f) on
+samples.
 
 The term grammar is  `+` join, `.` meet, prefix `-` complement, postfix `^`
 converse, `;` relative product, constants `id`, `0`, `1`, with precedence
@@ -64,7 +70,7 @@ from .formulas import (
     FORMULAS, And, Env, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError,
     UnassignedVariable, end_of_file, file_lines, parse_at, variables,
 )
-from .models import ModelStructure, grid_blocks, tables_for
+from .models import ModelStructure, Grid, first_failure, grid_blocks, tables_for
 
 __all__ = [
     "RATerm", "RVar", "Join", "Meet", "Compl", "Conv", "Comp",
@@ -284,6 +290,7 @@ class _Masks:
         self.connectives = {**direct, Neg: neg.__getitem__,
                             Imp: lambda x, y: imp[x << n | y],
                             Fusion: lambda x, y: fusion[x << n | y]}
+        self.grid = Grid(range(tab.size))
 
     def encode(self, value) -> int:
         return self.tab.mask_of(self.m, value)
@@ -293,7 +300,7 @@ class _Masks:
 
     def batches(self, names: list[str], trials: int, seed: int):
         """Validity's blocks of the grid of every mask: carriers are exhausted."""
-        return grid_blocks(names, range(self.tab.size))
+        return grid_blocks(names, self.grid)
 
 
 class _Matrices:
@@ -401,13 +408,17 @@ def holds_law(alg, law: Law, trials: int = 1000, seed: int = 0) -> IdentityResul
         for lhs, rel, rhs in (*law.premises, (law.lhs, law.rel, law.rhs))])
 
 
+def _need_trials(trials: int) -> None:
+    if trials < 1:  # a sampled law would pass after checking nothing
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _holds(alg, names: Sequence[str], trials: int, seed: int, test) -> IdentityResult:
     """The law loop over the batches of assignments to names in alg's
     carrier c, each with the assignments up to its end: test(c, env) gives,
     per assignment of the batch env, whether each premise holds and then
     whether the conclusion does."""
-    if trials < 1:  # a sampled law would pass after checking nothing
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _need_trials(trials)
     c = _carrier(alg)
     checked = grid = 0
     for end, env in c.batches(names, trials, seed):
@@ -435,9 +446,17 @@ def _holds(alg, names: Sequence[str], trials: int, seed: int, test) -> IdentityR
 def verified_in_algebra(alg, f: Formula, trials: int = 500, seed: int = 0) -> IdentityResult:
     """Identity-containment of the translated formula, id <= translate(f),
     quantified over the carrier.  f is evaluated through the carrier's
-    connectives, so no term is built."""
-    return _holds(alg, sorted(variables(f)), trials, seed, lambda c, env: [
-        _related(c, c.ops[Ident], "<=", FORMULAS.evaluate(f, env, c.connectives))])
+    connectives, so no term is built.  A complex algebra's identity is {0},
+    so there the check is validity's loop, `models.first_failure`, over
+    every mask; a proper algebra's samples go through the law loop.  Either
+    way a trial count below 1 is refused first."""
+    if isinstance(alg, ProperAlgebra):
+        return _holds(alg, sorted(variables(f)), trials, seed, lambda c, env: [
+            _related(c, c.ops[Ident], "<=", FORMULAS.evaluate(f, env, c.connectives))])
+    _need_trials(trials)
+    c = _carrier(alg)
+    end, _, failing = first_failure(f, c.grid, c.connectives, c.tab.lacks_zero, c.tab.subsets)
+    return IdentityResult(failing is None, failing, end, end)
 
 
 # ------------------------------------------------------------------

@@ -25,6 +25,15 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (an unknown option or command, a
+    missing argument, a bad value) raise UsageError, so that main reports
+    them as it reports every other one; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _checked(make, *args, **kwargs):
     """Build an object from, or call a function on, command-line values; a
     ValueError it raises is a usage error."""
@@ -311,7 +320,7 @@ def cmd_sharing(args) -> Report:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tarl",
         description="Proof checking, proof search, finite countermodels and "
                     "relation-algebra verification for a bounded-variable "
@@ -385,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         passed, payload, text = args.fn(args)
         # printed here, so that a failed write (a closed pipe) is an error line
         print(_dumps(payload, sort_keys=True) if args.json else text)

@@ -14,28 +14,34 @@ lookup in a read-only int64 table: a binary one reads a flat view of its
 table at x << n | y, for n elements.  The evaluator of the formula grammar,
 `FORMULAS.evaluate`, runs a formula over an array of valuations with these
 lookups as its operations: a block of grid rows at a time for exhaustive
-checks, a batch of one for `interpret`.  Every exhaustive check walks its
-valuation grid with `grid_blocks`: `valid_in`, `find_invalidating_singletons`
-and the complex algebras of `tarl.algebra`.  A grid's blocks grow fourfold
-from `_FIRST_BLOCK` rows to `_GRID_CHUNK`, and each block's columns of masks
-are built once and cached, read-only, in a store that keeps only the newest
-once it passes GRID_CACHE_BYTES; a check stops at the first block that holds a failing
-row.  The structure postulates (p1..p6 and friends) are audited, never
-assumed, so deliberately defective structures can be represented and
-inspected.  Each postulate is one row of a table built once per star map
-and zero (and stored as grid blocks are), rows cheapest first: for each
-counterexample position, the index of the fact it is given and of the
-fact it asks, out of a relation's facts (the flat relation, True, False,
-R o R and R2'); it fails when the given fact holds and the asked one does
-not.  The enumerator reads its orbit permutations off the rows of p5, p5'
-and comm, and its seeds and refused star maps off the rows' constant
-sides.  `check_postulates` audits one structure with one comparison over
-every row; `enumerate_structures` audits each chunk of candidates, held as
-a (B, n, n, n) boolean tensor, one row at a time in table order, each
-only on the candidates that passed the ones before.  Its candidates are
-closed under the postulates that the required ones imply (`_IMPLIED`),
-which only drops candidates that cannot pass; the required ones are all
-audited.
+checks, a batch of one for `interpret`.  Every exhaustive check walks a
+valuation grid (`Grid`) block by block and stops at the first block that
+holds a failing row: `valid_in` and `find_invalidating_singletons` the grids
+of hereditary masks and hereditary singletons, which the tables keep, and
+the complex algebras of `tarl.algebra` the grid of every mask, which the
+algebra's carrier keeps.  A grid's blocks grow fourfold from `_FIRST_BLOCK`
+rows to `_GRID_CHUNK`.  The grid keeps each arity's first block itself, as
+read-only columns, with the block size it was built for; each later block
+is built once and cached, read-only, in a store that keeps only the newest
+once it passes GRID_CACHE_BYTES.  `valid_in` and a complex algebra's
+formula check are one loop, `first_failure`: a row fails when its value
+lacks element 0, which is also when it does not contain {0}, the complex
+algebra's identity.  The structure postulates (p1..p6 and friends) are
+audited, never assumed, so deliberately defective structures can be
+represented and inspected.  Each postulate is one row of a table built
+once per star map and zero (and kept in a store, as later grid blocks
+are), rows cheapest first: for each counterexample position, the index of
+the fact it is given and of the fact it asks, out of a relation's facts
+(the flat relation, True, False, R o R and R2'); it fails when the given
+fact holds and the asked one does not.  The enumerator reads its orbit
+permutations off the rows of p5, p5' and comm, and its seeds and refused
+star maps off the rows' constant sides.  `check_postulates` audits one
+structure with one comparison over every row; `enumerate_structures`
+audits each chunk of candidates, held as a (B, n, n, n) boolean tensor,
+one row at a time in table order, each only on the candidates that passed
+the ones before.  Its candidates are closed under the postulates that the
+required ones imply (`_IMPLIED`), which only drops candidates that cannot
+pass; the required ones are all audited.
 """
 
 from __future__ import annotations
@@ -218,6 +224,8 @@ class _Tables:
         closed = self.fus[self.zero_mask] & ~masks == 0
         self.hereditary = tuple(np.flatnonzero(closed).tolist())
         self.singletons = tuple(1 << i for i in range(n) if closed[1 << i])
+        self.hereditary_grid = Grid(self.hereditary)
+        self.singleton_grid = Grid(self.singletons)
         self.lacks_zero = masks & self.zero_mask == 0     # [X]: 0 is not in X
         for table in (self.fus, self.imp, self.star, self.neg, self.lacks_zero):
             table.flags.writeable = False    # shared by every caller of tables_for
@@ -355,24 +363,78 @@ def _grid_columns(allowed, arity: int, lo: int, hi: int) -> np.ndarray:
     return cols
 
 
-_GRID_CACHE = _Store()  # the digit columns of grid blocks, by their arguments
+_GRID_CACHE = _Store()  # the columns of later grid blocks, by their arguments
 
 
-def grid_blocks(names: list[str], allowed):
-    """The grid of every assignment of the masks `allowed` to `names`, in
-    blocks in row order: for each, the rows up to its end and its columns by
-    name.  A grid past DEFAULT_VALUATION_CAP raises TooManyValuations before
-    the first block."""
-    total = len(allowed) ** len(names)
-    if total > DEFAULT_VALUATION_CAP:
-        raise TooManyValuations(
-            f"{total} valuations exceeds cap {DEFAULT_VALUATION_CAP}")
-    lo, size = 0, min(_FIRST_BLOCK, _GRID_CHUNK)
-    while lo < total:
-        hi = min(lo + size, total)
-        cols = _GRID_CACHE.get((allowed, len(names), lo, hi), _grid_columns)
-        yield hi, dict(zip(names, cols))
-        lo, size = hi, min(4 * size, _GRID_CHUNK)
+class Grid:
+    """The grid of every assignment of the masks `allowed` (a tuple or a
+    range) to some variables, the first variable most significant, in
+    blocks that grow fourfold from `_FIRST_BLOCK` rows to `_GRID_CHUNK`.
+    The grid keeps each arity's first block, as a tuple of read-only
+    columns, with the block size it was built for: once that size changes,
+    the block is built again and replaces it.  The blocks after it are kept
+    in `_GRID_CACHE`.  A grid of one row or none keeps nothing, so it keeps
+    blocks for no more arities than the cap allows."""
+
+    def __init__(self, allowed):
+        self.allowed = allowed
+        self.first: dict[int, tuple] = {}    # arity: (block size, end, columns)
+
+    def blocks(self, arity: int):
+        """The rows in the grid for `arity` variables, and its blocks in row
+        order, each as its end and its columns; a grid past
+        DEFAULT_VALUATION_CAP raises TooManyValuations."""
+        total = len(self.allowed) ** arity
+        if total > DEFAULT_VALUATION_CAP:
+            raise TooManyValuations(
+                f"{total} valuations exceeds cap {DEFAULT_VALUATION_CAP}")
+        size = min(_FIRST_BLOCK, _GRID_CHUNK)
+        kept = self.first.get(arity)
+        if kept is None or kept[0] != size:
+            end = min(size, total)
+            kept = size, end, tuple(_grid_columns(self.allowed, arity, 0, end))
+            if total > 1:
+                self.first[arity] = kept
+        _, end, cols = kept
+        if end == total:
+            return total, ((end, cols),)
+        return total, itertools.chain(((end, cols),), self._later(arity, end, total))
+
+    def _later(self, arity: int, lo: int, total: int):
+        """The blocks after the first, which ends at lo."""
+        size = min(4 * lo, _GRID_CHUNK)
+        while lo < total:
+            hi = min(lo + size, total)
+            yield hi, _GRID_CACHE.get((self.allowed, arity, lo, hi), _grid_columns)
+            lo, size = hi, min(4 * size, _GRID_CHUNK)
+
+
+def grid_blocks(names: list[str], grid: Grid):
+    """The blocks of `grid` for the variables `names`, in row order: for
+    each, the rows up to its end and its columns by name.  A grid past
+    DEFAULT_VALUATION_CAP raises TooManyValuations before the first block."""
+    for end, cols in grid.blocks(len(names))[1]:
+        yield end, dict(zip(names, cols))
+
+
+def first_failure(f: Formula, grid: Grid, ops, lacks_zero, subsets):
+    """The validity loop: the rows of `grid` for f's variables are evaluated
+    block by block with the operations `ops`, and a row fails when its value
+    lacks element 0 (`lacks_zero[value]`).  Returns the rows evaluated, up to
+    the end of the first block with a failing row, the rows in the grid, and
+    the first failing row's assignment decoded by `subsets` (None when no
+    row fails).  `valid_in` runs it over the hereditary masks with the mask
+    tables, and a complex algebra's formula check over every mask with its
+    tabulated connectives: its identity is {0}, which a value contains when
+    it holds element 0."""
+    names = sorted(variables(f))
+    total, blocks = grid.blocks(len(names))
+    for end, cols in blocks:
+        bad = lacks_zero[FORMULAS.evaluate(f, dict(zip(names, cols)), ops)]
+        row = bad.argmax()           # the first failing row, or 0 when none fails
+        if bad[row]:
+            return end, total, {name: subsets[col.item(row)] for name, col in zip(names, cols)}
+    return total, total, None
 
 
 @dataclass
@@ -396,14 +458,10 @@ def valid_in(m: ModelStructure, f: Formula) -> ValidityResult:
     `valuations` counts the rows up to the end of that block (the whole
     `grid` when f is valid)."""
     t = tables_for(m)
-    names = sorted(variables(f))
-    for end, env in grid_blocks(names, t.hereditary):
-        bad = t.lacks_zero[FORMULAS.evaluate(f, env, t.ops)].nonzero()[0]
-        if bad.size:
-            row = int(bad[0])
-            witness = Valuation({n: t.subsets[env[n].item(row)] for n in names})
-            return ValidityResult(False, witness, end, len(t.hereditary) ** len(names))
-    return ValidityResult(True, valuations=end, grid=end)
+    end, total, failing = first_failure(f, t.hereditary_grid, t.ops, t.lacks_zero, t.subsets)
+    if failing is None:
+        return ValidityResult(True, valuations=end, grid=total)
+    return ValidityResult(False, Valuation(failing), end, total)
 
 
 def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuation]:
@@ -414,11 +472,11 @@ def find_invalidating_singletons(m: ModelStructure, f: Formula) -> list[Valuatio
     t = tables_for(m)
     names = sorted(variables(f))
     out = []
-    for _, env in grid_blocks(names, t.singletons):
-        rows = np.logical_not(FORMULAS.evaluate(f, env, t.ops)).nonzero()[0]
+    for _, cols in t.singleton_grid.blocks(len(names))[1]:
+        rows = np.logical_not(FORMULAS.evaluate(f, dict(zip(names, cols)), t.ops)).nonzero()[0]
         if rows.size:
-            cols = [map(t.subsets.__getitem__, env[n][rows].tolist()) for n in names]
-            out.extend(Valuation(dict(zip(names, row))) for row in zip(*cols))
+            found = [map(t.subsets.__getitem__, col[rows].tolist()) for col in cols]
+            out.extend(map(Valuation, map(dict, map(zip, itertools.repeat(names), zip(*found)))))
     return out
 
 

@@ -507,6 +507,59 @@ def test_complex_checks_do_not_depend_on_block_size(monkeypatch):
     assert any(passed for passed, _ in want) and not all(passed for passed, _ in want)
 
 
+def law_path(alg, f) -> IdentityResult:
+    """A complex algebra's formula check run through the law loop: id <= f's
+    value through the carrier's connectives, per block of the grid."""
+    return algebra._holds(alg, sorted(variables(f)), 1, 0, lambda c, env: [
+        algebra._related(c, c.ops[Ident], "<=", FORMULAS.evaluate(f, env, c.connectives))])
+
+
+def formula_path_agrees(m, formulas) -> list[IdentityResult]:
+    """verified_in_algebra in m's complex algebra, which runs validity's
+    loop, against the law loop run directly: the same `passed`,
+    counterexample, `checked` and `grid`, or TooManyValuations from both.
+    A trial count below 1 is refused before the cap.  Returns the results."""
+    alg, out = ComplexAlgebra(m), []
+    for f in formulas:
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verified_in_algebra(alg, f, trials=0)
+        try:
+            want = law_path(alg, f)
+        except TooManyValuations:
+            with pytest.raises(TooManyValuations):
+                verified_in_algebra(alg, f)
+            continue
+        got = verified_in_algebra(alg, f)
+        assert (got.passed, got.counterexample, got.checked, got.grid) == (
+            want.passed, want.counterexample, want.checked, want.grid), (m, f)
+        assert type(got.checked) is type(got.grid) is int
+        out.append(got)
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 7, 1])
+def test_the_validity_loop_agrees_with_the_law_loop(monkeypatch, block):
+    """K1..K5 and seeded structures of sizes 1 to 5, with seeded formulas of
+    one to three variables; with small first blocks, failures fall in the
+    later blocks."""
+    if block is not None:
+        monkeypatch.setattr(models, "_FIRST_BLOCK", block)
+    rng = random.Random(49)
+    cases = [alg.structure for alg in CK.values()]
+    cases += [seeded_structure(rng, 1 + k % 5) for k in range(20)]
+    results = []
+    for m in cases:
+        formulas = [random_formula(rng, rng.randint(1, 7), "pqr"[:1 + k % 3]) for k in range(12)]
+        results += formula_path_agrees(m, formulas)
+    passed = [r.passed for r in results]
+    assert any(passed) and not all(passed)
+    if block is not None:
+        assert any(not r.passed and r.grid > block for r in results)
+    # past the cap: trials=0 is still refused first
+    monkeypatch.setattr(models, "DEFAULT_VALUATION_CAP", 15)
+    assert formula_path_agrees(cases[0], [parse_formula("p -> q")]) == []
+
+
 def test_a_failing_complex_check_counts_up_to_its_block():
     """K5's complex algebra has 16 ** 4 assignments to four variables; a
     check that fails in the first block of 1,024 evaluates that block only,

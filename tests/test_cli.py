@@ -585,3 +585,30 @@ def test_no_input_makes_a_traceback(command, formula, flags):
     else:
         assert code in (0, 1) and err.getvalue() == "" and out.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["parse", "-p"], "the following arguments are required: formula"),
+    (["parse"], "the following arguments are required: formula"),
+    (["parse", "p", "-p"], "unrecognized arguments: -p"),
+    (["nosuch"], "invalid choice: 'nosuch'"),
+    ([], "the following arguments are required: command"),
+    (["prove", "p", "--depth", "x"], "argument --depth: invalid int value: 'x'"),
+    (["grouprep"], "the following arguments are required: --partition"),
+])
+def test_argparse_errors_are_one_error_line(capsys, argv, message):
+    """What argparse refuses is reported by main like any other usage error:
+    exit 2, nothing on stdout and one `error:` line, with no usage line
+    and no SystemExit."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["parse", "--help"], ["-h"]])
+def test_help_still_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: tarl") and err == ""

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tarl import models
-from tarl.algebra import ComplexAlgebra, holds_law, parse_chain
+from tarl import algebra, models
+from tarl.algebra import ComplexAlgebra, holds_law, parse_chain, verified_in_algebra
 from tarl.formulas import (
     FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var, parse_formula, variables,
 )
@@ -247,6 +247,7 @@ def test_singleton_search_is_capped(monkeypatch):
     past the cap, and the search is refused before any row is evaluated."""
     assert len(tables_for(K1).singletons) == 4
     monkeypatch.setattr(models, "_GRID_CACHE", None)     # no block may be built
+    monkeypatch.setattr(models, "_grid_columns", None)
     with pytest.raises(TooManyValuations, match="4194304 valuations exceeds cap 1048576"):
         find_invalidating_singletons(K1, parse_formula("&".join("abcdefghijk")))
 
@@ -656,10 +657,24 @@ def test_block_boundaries_keep_witnesses_and_singletons(monkeypatch, block):
                     == [v.assignment for v in per_combination_singletons(m, f)]), (m, f)
 
 
+def _kept_blocks(grid):
+    """Each first block a grid keeps, checked: read-only 1-D columns, at
+    most the size it was built for, equal to `_grid_columns`."""
+    for arity, (size, end, cols) in grid.first.items():
+        assert type(cols) is tuple and len(cols) == arity and end <= size
+        assert all(col.shape == (end,) and not col.flags.writeable for col in cols)
+        assert np.array_equal(np.array(cols).reshape(arity, end),
+                              models._grid_columns(grid.allowed, arity, 0, end))
+        with pytest.raises(ValueError):
+            cols[0][0] = 0
+    return grid.first
+
+
 def test_evaluation_never_returns_a_cached_block(monkeypatch):
-    """A bare variable's value is a column of its cached block as is; the
-    results hold decoded subsets, shared with the tables, and no array, and
-    every block is read-only and stays as it was built."""
+    """A bare variable's value is a column of its block as is; the results
+    hold decoded subsets, shared with the tables, and no array.  Every first
+    block a grid keeps, and every later block in the store, is read-only and
+    stays as it was built."""
     cache = models._GRID_CACHE
     monkeypatch.setattr(cache, "columns", {})
     monkeypatch.setattr(cache, "nbytes", 0)
@@ -671,8 +686,16 @@ def test_evaluation_never_returns_a_cached_block(monkeypatch):
     assert find_invalidating_singletons(K5, p) == []
     law = holds_law(ComplexAlgebra(K5), parse_chain("x <= id")[0])
     assert law.counterexample["x"] is t.subsets[1 << K5.index("a")]
+    # four variables over K5's 16 masks: 65,536 rows, past the first block
+    wide = parse_formula("p -> p | q & r & s")
+    assert valid_in(K5, wide).valid and find_invalidating_singletons(K5, wide) == []
+    assert holds_law(ComplexAlgebra(K5), parse_chain("x . y . z . w <= x")[0]).passed
+    carrier = algebra._carrier(ComplexAlgebra(K5))
+    for grid in (t.hereditary_grid, t.singleton_grid, carrier.grid):
+        assert _kept_blocks(grid)
     assert cache.columns
     for key, cols in cache.columns.items():
+        assert key[2] > 0            # no first block is stored
         assert not cols.flags.writeable
         assert np.array_equal(cols, models._grid_columns(*key))
         with pytest.raises(ValueError):
@@ -680,6 +703,9 @@ def test_evaluation_never_returns_a_cached_block(monkeypatch):
 
 
 def test_grid_cache_is_emptied_past_its_bound(monkeypatch):
+    """The store keeps later blocks under its bound; the first block of a
+    grid is kept by the grid, outside the store, and counts against none of
+    it."""
     cache = models._GRID_CACHE
     monkeypatch.setattr(cache, "columns", {})
     monkeypatch.setattr(cache, "nbytes", 0)
@@ -699,10 +725,65 @@ def test_grid_cache_is_emptied_past_its_bound(monkeypatch):
     assert last[:, -1].tolist() == [19, 19]
     block(0)
     assert list(cache.columns) == [(allowed, 2, 300, 400), (allowed, 2, 0, 100)]
+    # a grid walked to its end with a bound of 0 leaves its last block alone
+    # in the store, and its first block on the grid
     monkeypatch.setattr(models, "GRID_CACHE_BYTES", 0)
+    grid = tables_for(K1).hereditary_grid
     assert valid_in(K1, parse_formula("p -> p | q & r & s")).valuations == 16 ** 4
-    (kept,) = cache.columns.values()
+    ((key, kept),) = cache.columns.items()
     assert cache.nbytes == kept.nbytes
+    assert key == (grid.allowed, 4, 16 ** 4 - kept.shape[1], 16 ** 4)
+    assert _kept_blocks(grid)[4][1] == models._FIRST_BLOCK
+
+
+def test_a_kept_first_block_follows_the_block_size(monkeypatch):
+    """A first block kept at one block size is built again at another: after
+    `_FIRST_BLOCK` changes, every grid's blocks, witnesses, singletons and
+    counts are those of the new size, and each arity walked since keeps one
+    block, built for that size."""
+    rng = random.Random(49)
+    formulas = [random_formula(rng, rng.randint(1 + k % 3, 8), "pqr"[:1 + k % 3])
+                for k in range(24)]
+
+    def results():
+        out = []
+        for m in ALL:
+            t = tables_for(m)
+            for f in formulas:
+                names = sorted(variables(f))
+                lo, size = 0, min(models._FIRST_BLOCK, models._GRID_CHUNK)
+                for hi, env in models.grid_blocks(names, t.hereditary_grid):
+                    assert hi == min(lo + size, len(t.hereditary) ** len(names))
+                    want = models._grid_columns(t.hereditary, len(names), lo, hi)
+                    assert np.array_equal([env[n] for n in names], want), (m, f, lo)
+                    lo, size = hi, min(4 * size, models._GRID_CHUNK)
+                res = valid_in(m, f)
+                singletons = [v.assignment for v in find_invalidating_singletons(m, f)]
+                algebra_result = verified_in_algebra(ComplexAlgebra(m), f)
+                out.append((res.valid, res.witness and res.witness.assignment, singletons,
+                            algebra_result.passed, algebra_result.counterexample))
+                if not res.valid:
+                    row = 0
+                    for name in names:
+                        mask = t.mask_of(m, res.witness.assignment[name])
+                        row = row * len(t.hereditary) + t.hereditary.index(mask)
+                    assert res.valuations == min(_block_end(row), res.grid), (m, f)
+        return out
+
+    walked = {len(variables(f)) for f in formulas}
+    assert walked == {1, 2, 3}
+    want = results()
+    assert any(valid for valid, *_ in want) and not all(valid for valid, *_ in want)
+    for block in (7, 1, 100):
+        monkeypatch.setattr(models, "_FIRST_BLOCK", block)
+        assert results() == want
+        for m in ALL:
+            t = tables_for(m)
+            assert walked <= set(t.hereditary_grid.first)
+            for grid in (t.hereditary_grid, t.singleton_grid,
+                         algebra._carrier(ComplexAlgebra(m)).grid):
+                kept = _kept_blocks(grid)
+                assert all(kept[arity][0] == block for arity in walked if arity in kept)
 
 
 # ------------------------------------------------------------------
