@@ -45,14 +45,14 @@ converse, `;` relative product, constants `id`, `0`, `1`, with precedence
 `^` > `-` > `;` > `.` > `+`: the table `TERMS` of the grammar that formulas
 use (`tarl.formulas.Grammar`), whose printer writes the fewest parentheses
 (`x^^`, `(-x)^`, `-x^`).  A name is read whole (`idle` is a variable), and
-printing a variable named like a constant raises ValueError.
-Terms are frozen dataclasses, not interned like formulas: an interned
-version made a cold `translate` about 8 times slower.  A term keeps the
-program that `TERMS.evaluate` compiles for it in its `_term_program`
-attribute, which no field holds, so equality, hashing and `repr` ignore it.
-Chain files hold one
-`lhs (=|<=) rhs ; tag` step per line, read as laws named by their tag, and
-are verified step by step and, each run of linked steps, end to end.
+printing a variable named like a constant raises ValueError.  Terms are
+interned nodes on the base that formulas use (`tarl.formulas.Node`), so
+equal terms are one object; a term keeps its variables in its `_vars` slot
+and its program for `TERMS.evaluate` in `_term_program`, and a term node
+takes no formula as a child.  Chain files hold one `lhs (=|<=) rhs ; tag`
+step per line, read as laws named by their tag, and are verified step by
+step and, each run of linked steps (one's rhs is the next one's lhs, the
+same node), end to end.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .formulas import (
-    FORMULAS, And, Env, Formula, Fusion, Grammar, Imp, Neg, Or, ParseError,
-    UnassignedVariable, end_of_file, file_lines, parse_at, variables,
+    FORMULAS, And, Env, Formula, Fusion, Grammar, Imp, Neg, Node, Or, ParseError,
+    UnassignedVariable, _set, end_of_file, file_lines, parse_at, variables,
 )
-from .models import ModelStructure, Grid, first_failure, grid_blocks, tables_for
+from .models import ModelStructure, first_failure, grid_blocks, shared_grid, tables_for
 
 __all__ = [
     "RATerm", "RVar", "Join", "Meet", "Compl", "Conv", "Comp",
@@ -89,58 +89,68 @@ __all__ = [
 # Terms
 # ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RATerm:
+class RATerm(Node):
+    """Base class of the term nodes, interned as formulas are; a term
+    keeps its variables and its program once they are computed."""
+
+    __slots__ = ("_term_program",)
+
+    def _start(self, children):
+        _set(self, "_term_program", None)
+
     def __str__(self) -> str:
         return print_ra_term(self)
 
 
-@dataclass(frozen=True)
 class RVar(RATerm):
-    name: str
+    """A term variable.  Any name is taken (translating a formula variable
+    `id` makes RVar("id")); the printer refuses one that is no name of the
+    term grammar."""
+    __slots__ = ("name",)
+    _fields = ("name",)
+    _leaf = True
 
 
-@dataclass(frozen=True)
-class Join(RATerm):
-    left: RATerm
-    right: RATerm
+class _Unary(RATerm):
+    __slots__ = ("body",)
+    _fields = ("body",)
 
 
-@dataclass(frozen=True)
-class Meet(RATerm):
-    left: RATerm
-    right: RATerm
+class _Binary(RATerm):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Compl(RATerm):
-    body: RATerm
+class Join(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Conv(RATerm):
-    body: RATerm
+class Meet(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Comp(RATerm):
-    left: RATerm
-    right: RATerm
+class Comp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Compl(_Unary):
+    __slots__ = ()
+
+
+class Conv(_Unary):
+    __slots__ = ()
+
+
 class Ident(RATerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Zero(RATerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(RATerm):
-    pass
+    __slots__ = ()
 
 
 IDENT = Ident()
@@ -164,14 +174,7 @@ def print_ra_term(t: RATerm) -> str:
     return TERMS.show(t)
 
 
-_SINGLETONS = Env(lambda name: frozenset((name,)))
-_UNION = {Compl: lambda names: names, Conv: lambda names: names,
-          **dict.fromkeys((Join, Meet, Comp), operator.or_),
-          **dict.fromkeys((Ident, Zero, One), frozenset())}
-
-
-def term_variables(t: RATerm) -> frozenset[str]:
-    return TERMS.evaluate(t, _SINGLETONS, _UNION)
+term_variables = TERMS.variables  # the names of a term's variables
 
 
 # ------------------------------------------------------------------
@@ -290,7 +293,7 @@ class _Masks:
         self.connectives = {**direct, Neg: neg.__getitem__,
                             Imp: lambda x, y: imp[x << n | y],
                             Fusion: lambda x, y: fusion[x << n | y]}
-        self.grid = Grid(range(tab.size))
+        self.grid = shared_grid(range(tab.size))
 
     def encode(self, value) -> int:
         return self.tab.mask_of(self.m, value)
@@ -521,15 +524,11 @@ def check_chain(algs: dict[str, object], steps: list[Law],
         return StepResult(law, {name: holds_law(alg, law, trials=trials, seed=seed)
                                 for name, alg in algs.items()})
     out = [check(step) for step in steps]
-    # terms are compared by their texts, which name each term once (a
-    # term's text reads back as the term), since the equality of frozen
-    # dataclasses recurses once per level of a term
-    texts = [(print_ra_term(step.lhs), print_ra_term(step.rhs)) for step in steps]
     segments = []
     start = 0
     while start < len(steps):
         end = start
-        while end + 1 < len(steps) and texts[end][1] == texts[end + 1][0]:
+        while end + 1 < len(steps) and steps[end].rhs is steps[end + 1].lhs:
             end += 1
         if end > start:
             combined = "=" if all(s.rel == "=" for s in steps[start:end + 1]) else "<="

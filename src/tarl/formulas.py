@@ -13,40 +13,36 @@ connectives are accepted as aliases on input.  Fusion is definable:
 A o B abbreviates ~(A -> ~B), and ``desugar_fusion`` performs that rewrite.
 
 The syntax is written once, in ``Grammar``: one tokenizer, one
-precedence-climbing parser and one fold, ``Grammar.evaluate``, driven by a
-table of tokens, binding levels and node classes.  ``FORMULAS`` is the
-table of this syntax; ``tarl.algebra.TERMS`` is that of relation-algebra
-terms.  Every walk over formulas and terms is that fold, given an
-environment for the variables and a table of operations: semantics,
-translation, the minimal-parenthesis printer (on values (level, text)),
-substitution, ``desugar_fusion`` and ``variables``.  The fold walks the
-tree in post-order from an explicit stack and runs each node's step on a
-stack of values, from which an operator pops its operands' values.  A
-formula keeps the steps of its evaluation once compiled.  A walk may pass
-a memo by node identity, looked up before a node's operands are visited,
-so that a subformula shared in the DAG is folded once: ``variables`` keeps
-each node's names in its ``_vars`` slot, the printer its value (level,
-text) in ``_text``, and a substitution its images in a dict.  The parser climbs
-precedence on explicit stacks too (shunting-yard), so no nesting is too
-deep to read, print or evaluate; a printed text is kept on each node,
-though, so printing a chain takes memory that grows with the square of its
-depth.
+shunting-yard parser and one fold, ``Grammar.evaluate``, driven by a table
+of tokens, binding levels and node classes.  ``FORMULAS`` is the table of
+this syntax; ``tarl.algebra.TERMS`` is that of relation-algebra terms.
+Every walk over formulas and terms is that fold, given an environment for
+the variables and a table of operations: semantics, translation, the
+minimal-parenthesis printer (on values (level, text)), substitution,
+``desugar_fusion`` and ``variables``.  The fold walks the tree in
+post-order from an explicit stack and runs each node's step on a stack of
+values; a node keeps its compiled steps.  A walk may pass a memo by node
+identity, looked up before a node's operands are visited, so that a
+subtree shared in the DAG is folded once: ``variables`` keeps each node's
+names in its ``_vars`` slot, the printer its value (level, text) in
+``_text``, and a substitution its images in a dict.  So no nesting is too
+deep to read, print or evaluate; but each formula keeps its printed text,
+so printing a chain takes memory that grows with the square of its depth.
 
-Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
-hash-consing", 2006): a constructor looks its class and children up in one
-plain dict of weak references and returns the live node if there is one,
-so each formula exists once and equality is identity.  A hash-consed value
-may be hashed by its unique tag, and a node's identity is one: nodes hash
-as objects do, in C, and so do the tuples that hold them.  The order of a
-set of nodes then follows their addresses, so no output may follow it.
-Each reference holds its key, and when its node goes one shared callback
-removes the entry if the reference there is dead, so a node that has
-taken the key since stays.  No node outlives its last reference, so the
-table cannot grow for the life of the process.  A node stores whether it
-is fusion-free when it is built, and caches its printed text, built from
-its children's texts, its variables and its evaluation program on first
-use (a variable has its text and its variables from the start).  Nodes are
-immutable; pickling and copying return the interned node.
+Formulas and terms are nodes of one base, ``Node``, hash-consed
+(Filliâtre and Conchon, "Type-safe modular hash-consing", 2006): a
+constructor looks its class and children up in one plain dict of weak
+references, ``_TABLE``, and returns the live node if there is one, so each
+node exists once and equality is identity.  Nodes hash by identity, in C,
+and so do the tuples that hold them, so the order of a set of nodes
+follows their addresses and no output may follow it.  Each reference holds
+its key, and when its node goes one shared callback removes the entry if
+the reference there is dead, so a node that has taken the key since stays.
+No node outlives its last reference, so the table cannot grow for the life
+of the process.  Nodes are immutable and copying returns the node; `repr`
+and pickling walk from explicit stacks, and a pickle holds the node's
+post-order steps.  A formula stores whether it is fusion-free when it is
+built (a variable also its text and its variables).
 
 There is one formula memo, keyed by text, of weak references to nodes, and
 two write to it: ``parse_formula`` stores each text it parses, and
@@ -70,7 +66,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 
 __all__ = [
-    "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
+    "Node", "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
     "ParseError", "UnassignedVariable", "file_lines", "end_of_file",
     "parse_at", "Grammar", "Env",
     "FORMULAS", "parse_formula", "print_formula",
@@ -95,17 +91,22 @@ _SERIAL = itertools.count()
 _set = object.__setattr__
 
 
-class Formula:
-    """Base class of the interned, immutable formula nodes.
+class Node:
+    """Base class of the interned, immutable nodes of formulas and of
+    relation-algebra terms (``tarl.algebra.RATerm``): see the module
+    docstring.  A node class is called with one value per name in its
+    `_fields`, which are nodes of its kind but a variable's name; its kind
+    fills the other slots (`_start`).  `repr` and pickling walk from
+    explicit stacks, so no node is too deep for them."""
 
-    Each node is built once (see the module docstring), so equality and
-    hashing are those of its identity.  A node keeps its ``uid`` (a serial
-    number never reused in this process) and whether it is fusion-free;
-    its printed text, its variables and its program are filled in on first
-    use."""
-
-    __slots__ = ("_core", "uid", "_text", "_vars", "_program", "__weakref__")
+    __slots__ = ("uid", "_vars", "__weakref__")
     _fields: tuple[str, ...] = ()
+    _leaf = False  # a variable: its one field is a name, not a node
+
+    def __init_subclass__(cls):
+        cls.__new__ = staticmethod(_NEW[len(cls._fields)])
+        if Node in cls.__bases__:
+            cls._kind = cls  # a kind of node, whose nodes have children of their kind
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -114,20 +115,75 @@ class Formula:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __str__(self) -> str:
-        return print_formula(self)
+        """Cls(field=value, ...), from a stack of nodes and texts."""
+        pieces, todo = [], [self]
+        while todo:
+            n = todo.pop()
+            if not isinstance(n, Node):
+                pieces.append(n)
+                continue
+            pieces.append(type(n).__name__ + "(")
+            todo.append(")")
+            for i in reversed(range(len(n._fields))):
+                value = getattr(n, n._fields[i])
+                todo += (value if isinstance(value, Node) else repr(value),
+                         (", " if i else "") + n._fields[i] + "=")
+        return "".join(pieces)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        """The node's steps in post-order, each (class, *operands): a leaf's
+        name, or else the numbers of its operands' steps, so that _rebuild
+        makes each node once and no printed text is kept."""
+        steps, number, todo = [], {}, [self]
+        while todo:
+            n = todo.pop()
+            if n in number:
+                continue
+            operands = [getattr(n, field) for field in n._fields]
+            if not n._leaf:
+                missing = [c for c in operands if c not in number]
+                if missing:
+                    todo += (n, *reversed(missing))
+                    continue
+                operands = [number[c] for c in operands]
+            number[n] = len(steps)
+            steps.append((type(n), *operands))
+        return _rebuild, (steps,)
 
     def __copy__(self):
         return self
 
     def __deepcopy__(self, memo):
         return self
+
+
+def _rebuild(steps: list) -> Node:
+    """The node that Node.__reduce__ gave the steps of."""
+    built = []
+    for cls, *operands in steps:
+        built.append(cls(*operands) if cls._leaf else cls(*map(built.__getitem__, operands)))
+    return built[-1]
+
+
+def _new0(cls):
+    key = (cls,)
+    ref = _TABLE.get(key)  # a weak reference, which may be dead
+    return ref is not None and ref() or _intern(key)
+
+
+def _new1(cls, operand):
+    key = (cls, operand)
+    ref = _TABLE.get(key)
+    return ref is not None and ref() or _intern(key)
+
+
+def _new2(cls, left, right):
+    key = (cls, left, right)
+    ref = _TABLE.get(key)
+    return ref is not None and ref() or _intern(key)
+
+
+_NEW = (_new0, _new1, _new2)  # a node class's constructor, by its number of fields
 
 
 def _forget(ref: _Ref) -> None:
@@ -137,7 +193,7 @@ def _forget(ref: _Ref) -> None:
     _remove_dead_weakref(_TABLE, ref.key)
 
 
-def _intern(key: tuple) -> Formula:
+def _intern(key: tuple) -> Node:
     """The node of key = (class, *children): the live one, or a new one."""
     cls, *children = key
     with _LOCK:
@@ -145,56 +201,53 @@ def _intern(key: tuple) -> Formula:
         node = ref and ref()
         if node is not None:
             return node
-        if cls is Var:  # a variable's printed value and names are known
-            core, shown = True, (FORMULAS.atom, FORMULAS.name(children[0]))
-        else:
-            for child in children:
-                if not isinstance(child, Formula):
-                    raise TypeError(f"not a formula: {child!r}")
-            core = cls is not Fusion and all(child._core for child in children)
-            shown = None
+        for child in () if cls._leaf else children:
+            if not isinstance(child, cls._kind):
+                raise TypeError(f"not a {cls._kind.__name__}: {child!r}")
         node = object.__new__(cls)
+        node._start(children)
         for field, child in zip(cls._fields, children):
             _set(node, field, child)
-        _set(node, "_core", core)
         _set(node, "uid", next(_SERIAL))
-        _set(node, "_text", shown)
-        _set(node, "_vars", frozenset(children) if cls is Var else None)
-        _set(node, "_program", None)
+        _set(node, "_vars", frozenset(children) if cls._leaf else None)
         ref = _Ref(node, _forget)
         ref.key = key
         _TABLE[key] = ref
         return node
 
 
+class Formula(Node):
+    """Base class of the formula nodes.  A node keeps whether it is
+    fusion-free; its printed text, its variables and its program are
+    filled in on first use (a variable has its text and its variables from
+    the start)."""
+
+    __slots__ = ("_core", "_text", "_program")
+
+    def _start(self, children):
+        leaf = self._leaf  # a variable's printed value is known
+        _set(self, "_core", leaf or type(self) is not Fusion and all(c._core for c in children))
+        _set(self, "_text", (FORMULAS.atom, FORMULAS.name(*children)) if leaf else None)
+        _set(self, "_program", None)
+
+    def __str__(self) -> str:
+        return print_formula(self)
+
+
 class Var(Formula):
     __slots__ = ("name",)
     _fields = ("name",)
-
-    def __new__(cls, name: str):
-        key = (cls, name)
-        ref = _TABLE.get(key)  # a weak reference, which may be dead
-        return ref is not None and ref() or _intern(key)
+    _leaf = True
 
 
 class Neg(Formula):
     __slots__ = ("body",)
     _fields = ("body",)
 
-    def __new__(cls, body: Formula):
-        key = (cls, body)
-        ref = _TABLE.get(key)
-        return ref is not None and ref() or _intern(key)
-
 
 class _Binary(Formula):
     __slots__ = ("left", "right")
     _fields = ("left", "right")
-
-    def __new__(cls, left: Formula, right: Formula):
-        key = (cls, left, right)
-        ref = _TABLE.get(key)
-        return ref is not None and ref() or _intern(key)
 
 
 class And(_Binary):
@@ -341,6 +394,9 @@ class Grammar:
         for tok, cls in postfix.items():
             self.printer[cls] = _affix(self.level[cls], "", tok)
         self.names = Env(lambda name: (self.atom, self.name(name)))
+        # the fold of `variables`: a constant has none, an operator its operands'
+        self.union = {cls: (frozenset(), lambda names: names, operator.or_)[arity]
+                      for cls, arity in self.arity.items()}
 
     def name(self, name) -> str:
         """name, if it can be a variable's: a name that is no token."""
@@ -389,6 +445,14 @@ class Grammar:
             operands.append(node)
             pending.append(op[1])
             p.read(p.after)
+
+    def variables(self, node) -> frozenset[str]:
+        """The names of node's variables, kept on each node folded (the
+        nodes of both grammars have the slot, so the kind is checked)."""
+        if not isinstance(node, self.variable._kind):
+            raise TypeError(f"not a node of this grammar: {node!r}")
+        names = node._vars
+        return self.evaluate(node, _SINGLETONS, self.union, _VARS) if names is None else names
 
     def show(self, node, memo=None) -> str:
         """node's minimal-parenthesis text, folded by the printer; memo, if
@@ -613,7 +677,6 @@ _SAME = Env(Var)  # each variable is itself
 _REBUILT = {cls: cls for cls in (Neg, And, Or, Imp, Fusion)}
 _DESUGARED = {**_REBUILT, Fusion: lambda a, b: Neg(Imp(a, Neg(b)))}
 _SINGLETONS = Env(lambda name: frozenset((name,)))
-_UNION = {Neg: lambda names: names, **dict.fromkeys((And, Or, Imp, Fusion), operator.or_)}
 _VARS = _Slot("_vars")
 
 
@@ -628,10 +691,7 @@ def is_core(f: Formula) -> bool:
     return f._core
 
 
-def variables(f: Formula) -> frozenset[str]:
-    """The names of f's variables, kept on each node folded."""
-    names = f._vars
-    return FORMULAS.evaluate(f, _SINGLETONS, _UNION, _VARS) if names is None else names
+variables = FORMULAS.variables  # the names of a formula's variables
 
 
 def shared_variables(a: Formula, b: Formula) -> frozenset[str]:

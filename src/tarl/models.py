@@ -49,6 +49,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -224,8 +225,8 @@ class _Tables:
         closed = self.fus[self.zero_mask] & ~masks == 0
         self.hereditary = tuple(np.flatnonzero(closed).tolist())
         self.singletons = tuple(1 << i for i in range(n) if closed[1 << i])
-        self.hereditary_grid = Grid(self.hereditary)
-        self.singleton_grid = Grid(self.singletons)
+        self.hereditary_grid = shared_grid(self.hereditary)
+        self.singleton_grid = shared_grid(self.singletons)
         self.lacks_zero = masks & self.zero_mask == 0     # [X]: 0 is not in X
         for table in (self.fus, self.imp, self.star, self.neg, self.lacks_zero):
             table.flags.writeable = False    # shared by every caller of tables_for
@@ -407,6 +408,19 @@ class Grid:
             hi = min(lo + size, total)
             yield hi, _GRID_CACHE.get((self.allowed, arity, lo, hi), _grid_columns)
             lo, size = hi, min(4 * size, _GRID_CHUNK)
+
+
+_GRIDS = weakref.WeakValueDictionary()  # masks: the live Grid of those masks
+
+
+def shared_grid(masks) -> Grid:
+    """The one live Grid of the masks, so that every table and carrier
+    whose grid holds the same masks shares its first blocks."""
+    masks = tuple(masks)
+    grid = _GRIDS.get(masks)
+    if grid is None:
+        grid = _GRIDS[masks] = Grid(masks)
+    return grid
 
 
 def grid_blocks(names: list[str], grid: Grid):

@@ -97,7 +97,8 @@ from .sequents import (
 
 __all__ = ["SearchBudget", "SearchOutcome", "search_proof", "REFUTE_AFTER", "MAX_DEPTH"]
 
-# the node at which a search checks its goal for a refutation, once
+# the node at which a search checks its goal for a refutation, once (never
+# when 0: out.nodes is never 0 at the test)
 REFUTE_AFTER = 64
 # the largest max_depth: _Pass.prove and _linearize recurse once per level of
 # the search, and this many levels fit under Python's default recursion
@@ -415,15 +416,15 @@ class _Pass:
     """One depth-first search at one index bound, counting on out."""
 
     def __init__(self, bound: int, budget: SearchBudget, out: SearchOutcome, table: _Table,
-                 fail_cache: dict, goal: Formula, refute_after: int | None):
+                 goal: Formula):
         self.bound = bound
         self.weakens = bound < budget.max_index  # try the steps that free an index
         self.max_nodes = budget.max_nodes
         self.goal = goal
-        self.refute_at = refute_after or 0  # out.nodes is never 0 at the test
+        self.refute_at = REFUTE_AFTER
         self.out = out
         self.table = table
-        self.fail_cache = fail_cache
+        self.fail_cache = {}  # keys do not encode the bound, so each pass has its own
         self.deeper = False  # some node had a step that a larger bound extends
 
     def prove(self, seq: tuple[int, int], depth: int, seen: frozenset) -> tuple | None:
@@ -488,20 +489,12 @@ def _linearize(node: tuple, lines: list, index: dict, table: _Table) -> int:
 
 def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
     """Search for a proof of => (goal)[0,0]; fusion is desugared first."""
-    return _search(goal, budget)
-
-
-def _search(goal: Formula, budget: SearchBudget, new_cache=dict,
-            first_bound: int = 1, refute_after: int | None = REFUTE_AFTER) -> SearchOutcome:
-    """search_proof, with a fresh failure cache from new_cache() for each
-    pass, deepening from first_bound, checking for a refutation at node
-    refute_after (never when None)."""
     table = _Table()
     root_seq = (0, table.encode([Assertion(desugar_fusion(goal), 0, 0)]))
     out = SearchOutcome("budget_exhausted")
-    for bound in range(first_bound, budget.max_index + 1):
+    for bound in range(1, budget.max_index + 1):
         out.bound, cutoffs = bound, out.cutoffs
-        run = _Pass(bound, budget, out, table, new_cache(), goal, refute_after)
+        run = _Pass(bound, budget, out, table, goal)
         try:
             tree = run.prove(root_seq, budget.max_depth, frozenset())
         except _OutOfNodes:

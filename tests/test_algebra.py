@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -12,12 +13,12 @@ import pytest
 from tarl import algebra, models
 from tarl.algebra import (
     IDENT, ONE, ZERO, ChainReport, Comp, Compl, ComplexAlgebra, Conv, DERIVED_LAWS, Ident,
-    IdentityResult, Join, Law, Meet, One, ProperAlgebra, RVar, TARSKI_AXIOMS, TERMS, Zero,
-    check_chain, eval_term, get_law, holds_law, parse_chain, parse_ra_term,
-    print_ra_term, sample_relations, translate, verified_in_algebra,
+    IdentityResult, Join, Law, Meet, One, ProperAlgebra, RATerm, RVar, TARSKI_AXIOMS, TERMS,
+    Zero, check_chain, eval_term, get_law, holds_law, parse_chain, parse_ra_term,
+    print_ra_term, sample_relations, term_variables, translate, verified_in_algebra,
 )
 from tarl.formulas import (
-    FORMULAS, And, Fusion, Imp, Neg, Or, Var, desugar_fusion, parse_formula, variables,
+    FORMULAS, And, Fusion, Imp, Neg, Node, Or, Var, desugar_fusion, parse_formula, variables,
 )
 from tarl.gen import random_formula
 from tarl.models import TooManyValuations, Valuation, interpret, op_fusion, op_star
@@ -44,6 +45,16 @@ def test_term_print_roundtrip():
                  "x^;-(x;y) + -y"]:
         t = parse_ra_term(text)
         assert parse_ra_term(print_ra_term(t)) == t
+
+
+def test_terms_are_interned_nodes():
+    assert parse_ra_term("x;(y;z)") is parse_ra_term("x;(y;z)")
+    assert parse_ra_term("x;(y;z)") is Comp(RVar("x"), Comp(RVar("y"), RVar("z")))
+    assert translate(parse_formula("p o q")) is Comp(RVar("q"), RVar("p"))
+    for cls in (RATerm, RVar, Join, Meet, Comp, Compl, Conv, Ident, Zero, One):
+        assert issubclass(cls, Node) and not dataclasses.is_dataclass(cls)
+    with pytest.raises(AttributeError):
+        RVar("x").name = "y"
 
 
 def test_names_that_begin_with_id_are_variables():
@@ -715,7 +726,20 @@ def test_a_value_that_is_no_node_is_a_type_error():
             interpret(k3, Valuation({"p": frozenset()}), bad)
         with pytest.raises(TypeError):
             translate(bad)
-    for bad in ("x", None, Var("x"), Conv(Var("x"))):
+    # a node of one kind takes no child of the other
+    for build in (lambda: Conv(Var("x")), lambda: Join(RVar("x"), Var("x")),
+                  lambda: Neg(RVar("p")), lambda: Imp(Var("p"), IDENT)):
+        with pytest.raises(TypeError):
+            build()
+    # each grammar's variables, though nodes of both keep them in one slot
+    assert variables(Neg(Var("x"))) == {"x"}
+    for bad in ("x", None, Var("x"), Neg(Var("x"))):
+        with pytest.raises(TypeError):
+            term_variables(bad)
+    for bad in ("x", RVar("x"), Conv(RVar("x"))):
+        with pytest.raises(TypeError):
+            variables(bad)
+    for bad in ("x", None, Var("x"), Neg(Var("x"))):
         for alg in (ProperAlgebra(2), CK["K3"]):
             with pytest.raises(TypeError):
                 eval_term(alg, {"x": frozenset()}, bad)

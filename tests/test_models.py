@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -784,6 +785,38 @@ def test_a_kept_first_block_follows_the_block_size(monkeypatch):
                          algebra._carrier(ComplexAlgebra(m)).grid):
                 kept = _kept_blocks(grid)
                 assert all(kept[arity][0] == block for arity in walked if arity in kept)
+
+
+def test_grids_of_the_same_masks_are_one(monkeypatch):
+    """Every table and carrier whose grid holds the same masks shares one
+    Grid, and with it the first blocks it keeps; witnesses, singletons and
+    counts are those of grids of their own."""
+    carriers = {m.name: algebra._carrier(ComplexAlgebra(m)).grid for m in ALL}
+    four = [m for m in ALL if len(m.elements) == 4]
+    assert [m.name for m in four] == ["K1", "K2", "K3", "K5"]
+    grids = [tables_for(m).hereditary_grid for m in four] + [carriers[m.name] for m in four]
+    assert all(g is grids[0] for g in grids) and grids[0].allowed == tuple(range(16))
+    assert tables_for(K4).hereditary_grid is carriers["K4"]
+    singletons = [tables_for(m).singleton_grid for m in four]
+    assert all(g is singletons[0] for g in singletons)
+    rng = random.Random(50)
+    fresh = [seeded_structure(rng, 5) for _ in range(3)]
+    assert len({id(algebra._carrier(ComplexAlgebra(m)).grid) for m in fresh}) == 1
+    formulas = [random_formula(rng, rng.randint(2, 8), "pqr") for _ in range(30)]
+
+    def results(structures):
+        return [(valid_in(m, f), [v.assignment for v in find_invalidating_singletons(m, f)],
+                 verified_in_algebra(ComplexAlgebra(m), f))
+                for m in structures for f in formulas]
+
+    want = results(ALL + fresh)
+    assert any(r[0].valid for r in want) and not all(r[0].valid for r in want)
+    # copies build tables of their own, here on grids of their own
+    monkeypatch.setattr(models, "shared_grid", models.Grid)
+    monkeypatch.setattr(algebra, "shared_grid", models.Grid)
+    copies = [copy.copy(m) for m in ALL + fresh]
+    assert tables_for(copies[0]).hereditary_grid is not grids[0]
+    assert results(copies) == want
 
 
 # ------------------------------------------------------------------

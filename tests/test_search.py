@@ -130,10 +130,10 @@ def test_a_search_reaches_the_largest_depth():
     ("(p -> q) -> (q -> r) -> p -> r", SearchBudget(max_depth=6), False),
     ("(p -> q) -> (q -> r) -> p -> r", SearchBudget(max_nodes=100), True),
 ])
-def test_every_node_is_counted_once(text, budget, ran_out):
+def test_every_node_is_counted_once(text, budget, ran_out, monkeypatch):
     # the root refutation check would end the refutable rows before their
     # depth and node limits are reached, so it is off here
-    out = search._search(parse_formula(text), budget, refute_after=None)
+    out = _search(parse_formula(text), budget, monkeypatch)
     c = out.counters()
     assert (out.nodes > budget.max_nodes) == ran_out
     assert out.nodes == (c["axioms"] + c["cutoffs"] + c["loop_prunes"]
@@ -158,8 +158,8 @@ def test_no_visited_premise_equals_its_conclusion(monkeypatch):
     monkeypatch.setattr(search, "_steps", watched)
     # the goal is refutable: with the root check on, the search would stop
     # before its depth-limited passes reach impL
-    c = search._search(parse_formula("(p -> q) -> (q -> r) -> p -> r"),
-                       SearchBudget(max_depth=6), refute_after=None).counters()
+    c = _search(parse_formula("(p -> q) -> (q -> r) -> p -> r"),
+                SearchBudget(max_depth=6), monkeypatch).counters()
     assert "impL" in tried
     assert c["canonical_forms"] == c["nodes"] - c["axioms"] - c["cutoffs"]
 
@@ -313,16 +313,44 @@ def test_canonical_form_reads_back_as_a_renaming():
     assert {code >> 3 & 7 for code in key} | {code & 7 for code in key} == set(range(8))
 
 
+def _search(goal, budget, monkeypatch, run=search._Pass, refute_after=0):
+    """search_proof with passes of the class run, checking for a refutation
+    at node refute_after (never when 0)."""
+    with monkeypatch.context() as m:
+        m.setattr(search, "_Pass", run)
+        m.setattr(search, "REFUTE_AFTER", refute_after)
+        return search_proof(goal, budget)
+
+
 class _NeverStores(dict):
     def __setitem__(self, key, value):
         pass
 
 
+class _Uncached(search._Pass):
+    """A pass whose failure cache stores nothing."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.fail_cache = _NeverStores()
+
+
+class _LargestBoundOnly(search._Pass):
+    """A pass that, below the budget's largest bound, visits no node and
+    proves nothing, so that a search is one pass at the largest bound."""
+
+    def __init__(self, bound, budget, *args):
+        super().__init__(bound, budget, *args)
+        if bound < budget.max_index:
+            self.deeper = True
+            self.prove = lambda seq, depth, seen: None
+
+
 # the configurations compared below: their node counts differ, so the root
 # refutation check, which runs at a node count, is off in the comparisons
-_CACHE_RUNS = (7, SearchBudget(max_depth=10, max_index=3), (3, 9), {"new_cache": _NeverStores})
+_CACHE_RUNS = (7, SearchBudget(max_depth=10, max_index=3), (3, 9), _Uncached)
 _DEEPENING_RUNS = (16, SearchBudget(max_depth=10, max_index=4, max_nodes=10 ** 6), (4, 12),
-                   {"first_bound": 4})
+                   _LargestBoundOnly)
 
 
 def _goals(seed, sizes):
@@ -330,22 +358,21 @@ def _goals(seed, sizes):
     return [random_core_formula(rng, rng.randint(*sizes), ("p", "q")) for _ in range(200)]
 
 
-def test_failure_cache_does_not_change_the_verdict():
-    seed, budget, sizes, _ = _CACHE_RUNS
+def test_failure_cache_does_not_change_the_verdict(monkeypatch):
+    seed, budget, sizes, uncached_pass = _CACHE_RUNS
     for goal in _goals(seed, sizes):
-        cached = search._search(goal, budget, refute_after=None)
-        uncached = search._search(goal, budget, _NeverStores, refute_after=None)
+        cached = _search(goal, budget, monkeypatch)
+        uncached = _search(goal, budget, monkeypatch, uncached_pass)
         assert uncached.counters()["cache_prunes"] == 0
         assert cached.status == uncached.status, goal
 
 
-def test_deepening_agrees_with_one_pass_at_the_largest_bound():
-    seed, budget, sizes, _ = _DEEPENING_RUNS
+def test_deepening_agrees_with_one_pass_at_the_largest_bound(monkeypatch):
+    seed, budget, sizes, one_pass_only = _DEEPENING_RUNS
     verdicts = set()
     for goal in _goals(seed, sizes):
-        deepened = search._search(goal, budget, refute_after=None)
-        one_pass = search._search(goal, budget, first_bound=budget.max_index,
-                                  refute_after=None)
+        deepened = _search(goal, budget, monkeypatch)
+        one_pass = _search(goal, budget, monkeypatch, one_pass_only)
         assert max(deepened.nodes, one_pass.nodes) <= budget.max_nodes
         assert deepened.status == one_pass.status, goal
         if deepened.proved:
@@ -355,11 +382,12 @@ def test_deepening_agrees_with_one_pass_at_the_largest_bound():
 
 
 @pytest.mark.parametrize("runs", [_CACHE_RUNS, _DEEPENING_RUNS], ids=["cache", "deepening"])
-def test_refutations_of_either_configuration_recheck(runs):
-    seed, budget, sizes, configuration = runs
+def test_refutations_of_either_configuration_recheck(runs, monkeypatch):
+    seed, budget, sizes, run = runs
     refuted = 0
     for goal in _goals(seed, sizes):
-        for out in (search_proof(goal, budget), search._search(goal, budget, **configuration)):
+        for out in (search_proof(goal, budget),
+                    _search(goal, budget, monkeypatch, run, REFUTE_AFTER)):
             if out.status == "refuted":
                 refuted += 1
                 assert out.nodes == REFUTE_AFTER and out.refutation_checks == 1
@@ -439,15 +467,15 @@ def test_the_refuting_node_is_counted_like_the_one_that_runs_out():
     assert out.proof is None and _certifies(goal, out.counterexample)
 
 
-def test_the_trigger_moves_the_check_not_what_it_finds():
+def test_the_trigger_moves_the_check_not_what_it_finds(monkeypatch):
     # the goals and budget of tests/golden/search_outcomes.txt
     budget, rng = SearchBudget(max_nodes=5000), random.Random(8)
     goals = [entry.proof.goal for entry in list_corpus()]
     goals += [random_core_formula(rng, rng.randint(6, 12), ("p", "q")) for _ in range(40)]
     moved = 0
     for goal in goals:
-        early = search._search(goal, budget, refute_after=64)
-        late = search._search(goal, budget, refute_after=512)
+        early = _search(goal, budget, monkeypatch, refute_after=64)
+        late = _search(goal, budget, monkeypatch, refute_after=512)
         if late.proved or early.proved:
             assert early.status == late.status == "proved", goal
             assert (format_proof_script("g", early.proof)
