@@ -50,10 +50,8 @@ two write to it: ``parse_formula`` stores each text it parses, and
 or parsed before is read back with one lookup and no parse while its node
 lives; the memo keeps no node alive.  The parser itself looks up no group
 of a text: it reads every token.  A text in the memo parsed cleanly or was
-printed, so a ParseError is raised afresh each time.  The memo is emptied,
-dead references with the rest, when it holds MEMO_SIZE texts.  The proof
-script reader's memos (``sequents``) are kept by the same helper,
-``_remember``, within the same bound.
+printed, so a ParseError is raised afresh each time.  It is a ``Cache``,
+as every module-level memo and store is.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ __all__ = [
     "Node", "Formula", "Var", "Neg", "And", "Or", "Imp", "Fusion",
     "ParseError", "UnassignedVariable", "file_lines", "end_of_file",
     "parse_at", "Grammar", "Env",
-    "FORMULAS", "parse_formula", "print_formula",
+    "FORMULAS", "parse_formula", "print_formula", "Cache", "CACHES", "clear_caches",
     "desugar_fusion", "is_core", "variables", "shared_variables",
     "substitution", "substitute",
 ]
@@ -310,7 +308,7 @@ def end_of_file(text: str, expected: str) -> ParseError:
 
 
 _NEXT = re.compile(r"\s*(\S|$)")  # the next character that is not blank
-MEMO_SIZE = 8192  # a text memo is emptied when it holds this many texts
+MEMO_SIZE = 8192  # the bound of each text memo, in texts
 
 
 def parse_at(parse, source: str, start: int, end: int, line: int | None = None,
@@ -616,15 +614,51 @@ FORMULAS = Grammar(
     program="_program")
 
 
-_MEMO: dict[str, weakref.ref] = {}  # text -> its node, weakly; see the module docstring
+CACHES: dict[str, Cache] = {}  # every Cache, by its name
 
 
-def _remember(memo: dict, text: str, entry) -> None:
-    """Store text's entry in memo, emptying the memo first if it holds
-    MEMO_SIZE texts."""
-    if len(memo) >= MEMO_SIZE:
-        memo.clear()
-    memo[text] = entry
+class Cache(dict):
+    """A module-level memo or store, listed by name in CACHES, with a bound
+    on its weight: its number of entries, or the sum of weigh(value) over
+    them if weigh is given.  It is emptied before an entry would push the
+    weight past the bound.  Not Caches: the intern table `_TABLE`, which
+    identity equality needs; `models._GRIDS`, which holds nothing alive;
+    `algebra._proper_carrier`, which holds at most five carriers, one per
+    base size 2 to 6."""
+
+    __slots__ = ("name", "bound", "weigh")
+
+    def __init__(self, name: str, bound: float, weigh=None):
+        self.name, self.bound, self.weigh = name, bound, weigh
+        CACHES[name] = self
+
+    @property
+    def weight(self):
+        return len(self) if self.weigh is None else sum(map(self.weigh, self.values()))
+
+    def keep(self, key, value):
+        """Store value under key, emptying the cache first if the entry would
+        push its weight past the bound, and return value."""
+        weigh = self.weigh
+        if (len(self) + 1 if weigh is None else self.weight + weigh(value)) > self.bound:
+            self.clear()
+        self[key] = value
+        return value
+
+    def grew(self, key, value) -> None:
+        """Keep value alone if it, kept under key, has grown past the bound."""
+        if self.get(key) is value and self.weight > self.bound:
+            self.clear()
+            self[key] = value
+
+
+def clear_caches() -> None:
+    """Empty every cache in CACHES."""
+    for cache in CACHES.values():
+        cache.clear()
+
+
+_MEMO = Cache("formulas", MEMO_SIZE)  # text -> its node, weakly; see the module docstring
 
 
 def parse_formula(text: str) -> Formula:
@@ -635,7 +669,7 @@ def parse_formula(text: str) -> Formula:
     node = ref and ref()
     if node is None:
         node = FORMULAS.parse(text)
-        _remember(_MEMO, text, weakref.ref(node))
+        _MEMO.keep(text, weakref.ref(node))
     return node
 
 
@@ -655,7 +689,7 @@ class _Texts(_Slot):
 
     def __setitem__(self, node, value):
         _set(node, "_text", value)
-        _remember(_MEMO, value[1], weakref.ref(node))
+        _MEMO.keep(value[1], weakref.ref(node))
 
 
 _TEXTS = _Texts("_text")

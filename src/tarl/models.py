@@ -22,11 +22,10 @@ the complex algebras of `tarl.algebra` the grid of every mask, which the
 algebra's carrier keeps.  A grid's blocks grow fourfold from `_FIRST_BLOCK`
 rows to `_GRID_CHUNK`.  The grid keeps each arity's first block itself, as
 read-only columns, with the block size it was built for; each later block
-is built once and cached, read-only, in a store that keeps only the newest
-once it passes GRID_CACHE_BYTES.  `valid_in` and a complex algebra's
-formula check are one loop, `first_failure`: a row fails when its value
-lacks element 0, which is also when it does not contain {0}, the complex
-algebra's identity.  The structure postulates (p1..p6 and friends) are
+is built once and kept, read-only, in a store.  `valid_in` and a complex
+algebra's formula check are one loop, `first_failure`: a row fails when its
+value lacks element 0, which is also when it does not contain {0}, the
+complex algebra's identity.  The structure postulates (p1..p6 and friends) are
 audited, never assumed, so deliberately defective structures can be
 represented and inspected.  Each postulate is one row of a table built
 once per star map and zero (and kept in a store, as later grid blocks
@@ -58,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .formulas import (
-    FORMULAS, And, Formula, Fusion, Imp, Neg, Or, ParseError,
-    UnassignedVariable, end_of_file, file_lines, variables,
+    FORMULAS, And, Cache, Formula, Fusion, Imp, Neg, Or, ParseError,
+    UnassignedVariable, end_of_file, file_lines, shared_variables, variables,
 )
 
 __all__ = [
@@ -83,8 +82,7 @@ _CHUNK = 1024
 # times as many, up to _GRID_CHUNK
 _FIRST_BLOCK = 1024
 _GRID_CHUNK = 1 << 16
-# the grid block cache keeps only its newest block once it holds more bytes
-# than this
+# the bound of each array store, in bytes
 GRID_CACHE_BYTES = 16 << 20
 
 POSTULATE_NAMES = ("p1", "p2", "p3", "p4", "p5", "p6",
@@ -322,35 +320,6 @@ def verified(m: ModelStructure, v: Valuation, f: Formula) -> bool:
     return m.zero in interpret(m, v, f)
 
 
-class _Store:
-    """Read-only values built once each, by key: `columns` maps a key to
-    `build(*key)` and `nbytes` counts their bytes.  Once that passes
-    GRID_CACHE_BYTES the store keeps only the value that passed it, so it
-    holds at most the bound and one value, and a value larger than the
-    bound is built once and kept until the next one is built."""
-
-    def __init__(self):
-        self.columns: dict = {}
-        self.nbytes = 0
-
-    def get(self, key, build):
-        value = self.columns.get(key)
-        if value is None:
-            value = self.columns[key] = build(*key)
-            self.grew(key, value, value.nbytes)
-        return value
-
-    def grew(self, key, value, nbytes: int) -> None:
-        """Count nbytes that value, kept under key, has taken on; a value
-        not kept (any more) is not counted."""
-        if self.columns.get(key) is value:
-            self.nbytes += nbytes
-            if self.nbytes > GRID_CACHE_BYTES:
-                self.columns.clear()
-                self.columns[key] = value
-                self.nbytes = value.nbytes
-
-
 def _grid_columns(allowed, arity: int, lo: int, hi: int) -> np.ndarray:
     """The (arity, hi - lo) masks of rows lo..hi-1 of the grid of every
     assignment of the masks `allowed` to `arity` variables, the first
@@ -364,7 +333,8 @@ def _grid_columns(allowed, arity: int, lo: int, hi: int) -> np.ndarray:
     return cols
 
 
-_GRID_CACHE = _Store()  # the columns of later grid blocks, by their arguments
+# the columns of later grid blocks, by their arguments
+_GRID_CACHE = Cache("grid blocks", GRID_CACHE_BYTES, operator.attrgetter("nbytes"))
 
 
 class Grid:
@@ -406,7 +376,9 @@ class Grid:
         size = min(4 * lo, _GRID_CHUNK)
         while lo < total:
             hi = min(lo + size, total)
-            yield hi, _GRID_CACHE.get((self.allowed, arity, lo, hi), _grid_columns)
+            key = self.allowed, arity, lo, hi
+            cols = _GRID_CACHE.get(key)
+            yield hi, _GRID_CACHE.keep(key, _grid_columns(*key)) if cols is None else cols
             lo, size = hi, min(4 * size, _GRID_CHUNK)
 
 
@@ -659,7 +631,7 @@ class _Audit:
                                           if isinstance(reader, tuple) and reader[3] is not None)
                         for *readers, ones in terms)
             self.nbytes += grown
-            _AUDITS.grew(self.key, self, grown)
+            _AUDITS.grew(self.key, self)
         return self._plans[name]
 
     def seeds(self, names) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -676,15 +648,14 @@ class _Audit:
 
 
 # a table holds about 22,000 indices at n = 8 (170 KB, 293 KB with the plans
-# of all twelve rows) and 4.5 million at n = 32 (36 MB, more than the store's
-# bound, so the store then keeps that table alone)
-_AUDITS = _Store()
+# of all twelve rows) and 4.5 million at n = 32 (36 MB, past the store's bound)
+_AUDITS = Cache("audit tables", GRID_CACHE_BYTES, operator.attrgetter("nbytes"))
 
 
 def _audit_table(star: tuple[int, ...], zero: int) -> _Audit:
     """The `_Audit` of (star, zero), built at its first use and kept in
     `_AUDITS`."""
-    return _AUDITS.get((star, zero), _Audit)
+    return _AUDITS.get((star, zero)) or _AUDITS.keep((star, zero), _Audit(star, zero))
 
 
 def _read(R: np.ndarray, reader, blocks: dict) -> np.ndarray:
@@ -811,9 +782,9 @@ def variable_sharing_certificate(a: Formula, b: Formula):
     """Shared variables, or else the canonical refuting valuation on K4."""
     from .registry import get_structure  # deferred; registry builds on models
 
-    shared = variables(a) & variables(b)
+    shared = shared_variables(a, b)
     if shared:
-        return Shared(frozenset(shared))
+        return Shared(shared)
     k4 = get_structure("K4")
     assignment = {}
     vars_a = variables(a)

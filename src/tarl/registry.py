@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .formulas import Formula, parse_formula
+from .formulas import Cache, Formula, parse_formula
 from .models import ModelStructure, load_model_file
 from .sequents import Proof, parse_proof_script
 
@@ -64,8 +64,8 @@ def data_dir() -> Path:
 
 # keyed on the path, which holds the data directory, so that a change of
 # TARL_DATA reloads; each path then yields one object, which keeps a
-# structure's tables cached on it
-_LOADED: dict[Path, object] = {}
+# structure's tables cached on it; unbounded: the files are few
+_LOADED = Cache("data files", float("inf"))
 
 
 def _load(path: Path, parse, kind: str, name: str):
@@ -79,7 +79,7 @@ def _load(path: Path, parse, kind: str, name: str):
                 raise ValueError(f"declares {kind} {declared!r}, not {name!r}")
         except ValueError as e:
             raise DataFileError(f"{path}: {e}") from None
-        _LOADED[path] = value
+        _LOADED.keep(path, value)
     return _LOADED[path]
 
 
@@ -149,16 +149,11 @@ _FORMULA_TEXTS = {
                   "are encoded as distinct identifiers a01..a43"),
 }
 
-_FORMULAS: dict[str, NamedFormula] = {}
-
-
 def get_formula(name: str) -> NamedFormula:
     if name not in _FORMULA_TEXTS:
         raise UnknownName(name)
-    if name not in _FORMULAS:
-        text, provenance = _FORMULA_TEXTS[name]
-        _FORMULAS[name] = NamedFormula(name, parse_formula(text), provenance)
-    return _FORMULAS[name]
+    text, provenance = _FORMULA_TEXTS[name]
+    return NamedFormula(name, parse_formula(text), provenance)
 
 
 def formula_names() -> list[str]:

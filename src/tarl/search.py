@@ -89,8 +89,8 @@ from functools import reduce
 from itertools import chain, groupby, permutations, product, starmap
 from operator import itemgetter, or_
 
-from .algebra import ProperAlgebra, eval_term, translate, verified_in_algebra
-from .formulas import Formula, desugar_fusion
+from .algebra import ProperAlgebra, _proper_carrier, verified_in_algebra
+from .formulas import FORMULAS, Formula, desugar_fusion
 from .sequents import (
     MAX_BOUND, RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof,
 )
@@ -400,16 +400,17 @@ def _refutation(goal: Formula) -> dict | None:
     if found:
         return None
     relations = {name: tuple(sorted(pairs)) for name, pairs in found.counterexample.items()}
-    value = eval_term(alg, relations, translate(goal))
-    point = min(x for x in range(_REFUTE_BASE) if (x, x) not in value)
-    return {"base": _REFUTE_BASE, "point": point, "relations": relations}
+    cert = {"base": _REFUTE_BASE, "point": None, "relations": relations}
+    cert["point"] = _refutes(goal, cert)[0]
+    return cert
 
 
-def _refutes(goal: Formula, cert: dict) -> bool:
-    """Whether cert, read from its pairs alone, puts (x, x) outside
-    translate(goal)."""
-    value = eval_term(ProperAlgebra(cert["base"]), cert["relations"], translate(goal))
-    return (cert["point"], cert["point"]) not in value
+def _refutes(goal: Formula, cert: dict) -> list[int]:
+    """The points x that cert, read from its pairs alone, puts with (x, x)
+    outside translate(goal), folded through the proper carrier's connectives."""
+    c = _proper_carrier(cert["base"])
+    env = {name: c.encode(pairs) for name, pairs in cert["relations"].items()}
+    return (~FORMULAS.evaluate(goal, env, c.connectives).diagonal()).nonzero()[0].tolist()
 
 
 class _Pass:
@@ -502,7 +503,7 @@ def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> Search
             return out
         except _Refuted as stop:
             cert = stop.args[0]
-            if not _refutes(goal, cert):  # pragma: no cover - soundness guard
+            if cert["point"] not in _refutes(goal, cert):  # pragma: no cover - soundness guard
                 raise AssertionError(f"search produced a bad counterexample: {cert}")
             out.status, out.counterexample = "refuted", cert
             return out

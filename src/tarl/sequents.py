@@ -52,10 +52,9 @@ of the line.  Each side is then walked assertion by assertion (``_side``,
 over ``_ASSERTION``, the one grammar of an assertion), and the walk alone
 raises a side's ParseError.  The printer prints each side with ``_listed``.
 
-Assertions have a text memo of their own, kept as the formula memo is
-(``formulas._remember``): a text maps to a weak reference to its
-assertion, and the memo is emptied when it holds MEMO_SIZE texts.  The walk
-stores each assertion it reads under its text from '(' to ']'; an
+Assertions have a text memo of their own, a ``formulas.Cache`` as the
+formula memo is: a text maps to a weak reference to its assertion.  The
+walk stores each assertion it reads under its text from '(' to ']'; an
 assertion stores its text when it is first printed, if the walk would read
 that text back to it (indices that are ints, not negative).  Before a side
 is walked, it is split at ', ' and each piece looked up in the memo; if
@@ -64,8 +63,8 @@ disagree with the walk: the walk reads each text in the memo as exactly
 one assertion, that of the memo, and a formula holds no '[' or ',', so the
 walk reads the pieces joined by ', ' as those assertions.  So a printed
 proof is read back with no assertion rebuilt, while its assertions live,
-and the memo keeps none of them alive.  A third memo, within the same
-bound, maps the text of a line after its ';' to the Justification read
+and the memo keeps none of them alive.  A third memo, a ``Cache`` too,
+maps the text of a line after its ';' to the Justification read
 from it, unless the references it omits depend on the line: the instances
 of one proof print the same justifications.  Substitution and permutation
 map each distinct side of a proof once, so their images share sides as
@@ -82,7 +81,7 @@ from itertools import starmap
 from typing import Callable, Iterable, Sequence
 
 from .formulas import (
-    Formula, Imp, And, Or, Neg, ParseError, _remember, desugar_fusion,
+    Formula, Imp, And, Or, Neg, ParseError, MEMO_SIZE, Cache, desugar_fusion,
     end_of_file, file_lines, parse_at, parse_formula, print_formula, substitution,
 )
 
@@ -151,7 +150,7 @@ class Assertion:
             text = f"({print_formula(self.formula)})[{i},{j}]"
             _set(self, "_text", text)
             if type(i) is int and type(j) is int and i >= 0 and j >= 0:
-                _remember(_MEMO, text, weakref.ref(self))
+                _MEMO.keep(text, weakref.ref(self))
         return text
 
 
@@ -580,14 +579,13 @@ def substitute_proof(proof: Proof, mapping: dict[str, Formula]) -> Proof:
 # (_read_sequent); each side is walked by _ASSERTION (_side), unless every
 # assertion of it is looked up in _MEMO (_lookup_side).
 
-# text -> the assertion the walk reads from it, weakly: Assertion.__str__
-# and _side write it, through the formula memo's helper
-_MEMO: dict[str, weakref.ref] = {}
+# text -> the assertion the walk reads from it, weakly (Assertion.__str__, _side)
+_MEMO = Cache("assertions", MEMO_SIZE)
 # a line's text after its ';' -> the Justification read from it, unless the
 # references it omits depend on the line (_script_line); a Justification
 # holds only a row of RULES and numbers, so the memo holds it, not a weak
 # reference
-_JUSTIFIED: dict[str, Justification] = {}
+_JUSTIFIED = Cache("justifications", MEMO_SIZE)
 
 _HEADER = re.compile(r"lemma\s+([^\s:]+)\s*(?::\s*(.*?))?\s*(?:\bbound\s+(\d+))?$")
 # a proof line is <k>. <left side> => <right side> ; <rule> <arguments>: the
@@ -650,7 +648,7 @@ def _side(content: str, pos: int, end: int, n: int, col: int) -> frozenset[Asser
             raise ParseError(col + m.start(g), f"an index of at most "
                              f"{sys.get_int_max_str_digits()} digits", m.group(g), n)
         a = Assertion(desugar_fusion(f), i, j)
-        _remember(_MEMO, content[m.start():m.start(4)], weakref.ref(a))
+        _MEMO.keep(content[m.start():m.start(4)], weakref.ref(a))
         out.append(a)
         pos = m.end()
     return frozenset(out)
@@ -730,7 +728,7 @@ def _script_line(content: str, line_no: int, n: int, col: int) -> tuple[Sequent,
         at = _word_at(content, semi, 0)
         raise ParseError(col + at, repr(usage), content[at:], n) from None
     if refs or not rule.refs:  # else the references depend on line_no
-        _remember(_JUSTIFIED, tail, just)
+        _JUSTIFIED.keep(tail, just)
     return seq, just
 
 

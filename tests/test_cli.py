@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tarl import cli, models
 from tarl.cli import build_parser, main
-from tarl.formulas import print_formula
+from tarl.formulas import clear_caches, print_formula
 from tarl.models import check_postulates
 from tarl.registry import data_dir, get_formula, get_structure
 from tarl.search import REFUTE_AFTER
@@ -355,13 +355,12 @@ def test_data_dir_override(tmp_path, monkeypatch, capsys):
     corpus.mkdir()
     (corpus / "t6.prf").write_text((data_dir() / "corpus" / "t6.prf").read_text())
     monkeypatch.setenv("TARL_DATA", str(tmp_path))
-    import tarl.registry as registry
-    registry._LOADED.clear()
+    clear_caches()
     try:
         code, out, _ = run(capsys, "corpus", "--filter", "t6")
         assert code == 0
     finally:
-        registry._LOADED.clear()
+        clear_caches()
 
 
 @pytest.mark.parametrize("model_file", [None, "K3"])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tarl import formulas as formulas_module
 from tarl.formulas import (
-    FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var,
+    CACHES, FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var,
     desugar_fusion, is_core, parse_formula, print_formula,
     shared_variables, substitute, variables,
 )
@@ -386,8 +386,9 @@ def parser_builds(monkeypatch):
     return texts
 
 
+@pytest.mark.cache_behaviour
 def test_memoised_parse_agrees_with_a_parse_without_memo(monkeypatch):
-    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    CACHES["formulas"].clear()
     rng = random.Random(18)
     texts, printed = [], []
     for _ in range(300):
@@ -412,8 +413,8 @@ def test_memoised_parse_agrees_with_a_parse_without_memo(monkeypatch):
             assert outcome(parse_formula, mutant) == outcome(FORMULAS.parse, mutant), mutant
 
 
-def test_a_bad_character_wins_over_an_earlier_syntax_error(monkeypatch):
-    monkeypatch.setattr(formulas_module, "_MEMO", {})
+def test_a_bad_character_wins_over_an_earlier_syntax_error():
+    CACHES["formulas"].clear()
     for memoised in ((), ("q", "-> q $")):
         for text in memoised:
             outcome(parse_formula, text)
@@ -425,24 +426,25 @@ def test_a_bad_character_wins_over_an_earlier_syntax_error(monkeypatch):
                                                         "$")
 
 
-def test_the_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(formulas_module, "_MEMO", {})
+def test_the_memo_stays_within_its_bound():
+    CACHES["formulas"].clear()
     for k in range(20_000):
         f = parse_formula(f"(p{k} -> q) & (r | p{k})")
-        assert len(formulas_module._MEMO) <= formulas_module.MEMO_SIZE
+        assert len(CACHES["formulas"]) <= formulas_module.MEMO_SIZE
     assert f == And(Imp(Var("p19999"), Var("q")), Or(Var("r"), Var("p19999")))
 
 
-def test_the_memo_stays_within_its_bound_while_printing(monkeypatch):
-    monkeypatch.setattr(formulas_module, "_MEMO", {})
+def test_the_memo_stays_within_its_bound_while_printing():
+    CACHES["formulas"].clear()
     for k in range(20_000):
         text = print_formula(And(Imp(Var(f"p{k}"), Var("q")), Or(Var("r"), Var(f"p{k}"))))
-        assert len(formulas_module._MEMO) <= formulas_module.MEMO_SIZE
+        assert len(CACHES["formulas"]) <= formulas_module.MEMO_SIZE
     assert text == "(p19999 -> q) & (r | p19999)"
 
 
+@pytest.mark.cache_behaviour
 def test_a_printed_formula_is_read_back_without_a_parse(monkeypatch):
-    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    CACHES["formulas"].clear()
     p, q = Var("printed_p"), Var("printed_q")  # no other test uses these
     f = Imp(And(Fusion(p, Neg(q)), p), Or(Neg(Neg(q)), Imp(q, p)))
     print_formula(f)  # and so each subformula, each text stored once built
@@ -454,7 +456,7 @@ def test_a_printed_formula_is_read_back_without_a_parse(monkeypatch):
 
 
 def test_a_parsed_formula_leaves_the_intern_table(monkeypatch):
-    monkeypatch.setattr(formulas_module, "_MEMO", {})
+    CACHES["formulas"].clear()
     gc.collect()
     before = len(formulas_module._TABLE)
     names = [f"parsed{k}" for k in range(40)]  # no other test uses these
@@ -473,8 +475,8 @@ def test_a_parsed_formula_leaves_the_intern_table(monkeypatch):
 
 
 def test_a_memo_emptied_while_printing_keeps_parses_right(monkeypatch):
-    monkeypatch.setattr(formulas_module, "_MEMO", {})
-    monkeypatch.setattr(formulas_module, "MEMO_SIZE", 16)
+    CACHES["formulas"].clear()
+    monkeypatch.setattr(CACHES["formulas"], "bound", 16)
     rng = random.Random(42)
     fused = [f for f in (random_formula(rng, rng.randint(3, 14), ["p", "q", "r", "s"])
                          for _ in range(400)) if not is_core(f)]
@@ -484,4 +486,4 @@ def test_a_memo_emptied_while_printing_keeps_parses_right(monkeypatch):
             text = print_formula(g)
             for written in (text, spelled(g, rng)):
                 assert parse_formula(written) is FORMULAS.parse(written) is g, written
-        assert len(formulas_module._MEMO) <= 16
+        assert len(CACHES["formulas"]) <= 16

@@ -15,7 +15,7 @@ import pytest
 from tarl import algebra, models
 from tarl.algebra import ComplexAlgebra, holds_law, parse_chain, verified_in_algebra
 from tarl.formulas import (
-    FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var, parse_formula, variables,
+    CACHES, FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var, parse_formula, variables,
 )
 from tarl.gen import random_formula
 from tarl.groups import PARTITIONS, build_atom_structure
@@ -247,7 +247,7 @@ def test_singleton_search_is_capped(monkeypatch):
     """K1 has four hereditary singletons: eleven variables make 4^11 rows,
     past the cap, and the search is refused before any row is evaluated."""
     assert len(tables_for(K1).singletons) == 4
-    monkeypatch.setattr(models, "_GRID_CACHE", None)     # no block may be built
+    CACHES["grid blocks"].clear()                       # no block may be built
     monkeypatch.setattr(models, "_grid_columns", None)
     with pytest.raises(TooManyValuations, match="4194304 valuations exceeds cap 1048576"):
         find_invalidating_singletons(K1, parse_formula("&".join("abcdefghijk")))
@@ -676,9 +676,8 @@ def test_evaluation_never_returns_a_cached_block(monkeypatch):
     hold decoded subsets, shared with the tables, and no array.  Every first
     block a grid keeps, and every later block in the store, is read-only and
     stays as it was built."""
-    cache = models._GRID_CACHE
-    monkeypatch.setattr(cache, "columns", {})
-    monkeypatch.setattr(cache, "nbytes", 0)
+    cache = CACHES["grid blocks"]
+    cache.clear()
     t = tables_for(K5)
     p = parse_formula("p")
     res = valid_in(K5, p)
@@ -694,8 +693,8 @@ def test_evaluation_never_returns_a_cached_block(monkeypatch):
     carrier = algebra._carrier(ComplexAlgebra(K5))
     for grid in (t.hereditary_grid, t.singleton_grid, carrier.grid):
         assert _kept_blocks(grid)
-    assert cache.columns
-    for key, cols in cache.columns.items():
+    assert cache
+    for key, cols in cache.items():
         assert key[2] > 0            # no first block is stored
         assert not cols.flags.writeable
         assert np.array_equal(cols, models._grid_columns(*key))
@@ -707,32 +706,32 @@ def test_grid_cache_is_emptied_past_its_bound(monkeypatch):
     """The store keeps later blocks under its bound; the first block of a
     grid is kept by the grid, outside the store, and counts against none of
     it."""
-    cache = models._GRID_CACHE
-    monkeypatch.setattr(cache, "columns", {})
-    monkeypatch.setattr(cache, "nbytes", 0)
+    cache = CACHES["grid blocks"]
+    cache.clear()
     allowed = tuple(range(20))               # a grid of 400 rows over two names
     block_bytes = 2 * 100 * 8
-    monkeypatch.setattr(models, "GRID_CACHE_BYTES", 3 * block_bytes)
+    monkeypatch.setattr(cache, "bound", 3 * block_bytes)
 
     def block(lo):
-        return cache.get((allowed, 2, lo, lo + 100), models._grid_columns)
+        key = allowed, 2, lo, lo + 100
+        return cache[key] if key in cache else cache.keep(key, models._grid_columns(*key))
 
     for lo in (0, 100, 200):
         block(lo)
-    assert cache.nbytes == 3 * block_bytes and len(cache.columns) == 3
-    assert block(0) is cache.columns[(allowed, 2, 0, 100)]
+    assert cache.weight == 3 * block_bytes and len(cache) == 3
+    assert block(0) is cache[(allowed, 2, 0, 100)]
     last = block(300)  # past the bound: the others go, and the newest stays
-    assert (cache.columns, cache.nbytes) == ({(allowed, 2, 300, 400): last}, block_bytes)
+    assert (cache, cache.weight) == ({(allowed, 2, 300, 400): last}, block_bytes)
     assert last[:, -1].tolist() == [19, 19]
     block(0)
-    assert list(cache.columns) == [(allowed, 2, 300, 400), (allowed, 2, 0, 100)]
+    assert list(cache) == [(allowed, 2, 300, 400), (allowed, 2, 0, 100)]
     # a grid walked to its end with a bound of 0 leaves its last block alone
     # in the store, and its first block on the grid
-    monkeypatch.setattr(models, "GRID_CACHE_BYTES", 0)
+    monkeypatch.setattr(cache, "bound", 0)
     grid = tables_for(K1).hereditary_grid
     assert valid_in(K1, parse_formula("p -> p | q & r & s")).valuations == 16 ** 4
-    ((key, kept),) = cache.columns.items()
-    assert cache.nbytes == kept.nbytes
+    ((key, kept),) = cache.items()
+    assert cache.weight == kept.nbytes
     assert key == (grid.allowed, 4, 16 ** 4 - kept.shape[1], 16 ** 4)
     assert _kept_blocks(grid)[4][1] == models._FIRST_BLOCK
 
@@ -1342,11 +1341,10 @@ def test_seeds_read_off_the_rows_match_the_hand_written_masks():
 
 
 def test_audit_tables_are_kept_within_the_store_bound(monkeypatch):
-    store = models._AUDITS
-    monkeypatch.setattr(store, "columns", {})
-    monkeypatch.setattr(store, "nbytes", 0)
+    store = CACHES["audit tables"]
+    store.clear()
     table_bytes = models._Audit((0, 1, 2), 0).nbytes
-    monkeypatch.setattr(models, "GRID_CACHE_BYTES", 2 * table_bytes)
+    monkeypatch.setattr(store, "bound", 2 * table_bytes)
     rng = random.Random(39)
     elements = ("0", "1", "2")
     triples = frozenset(t for t in itertools.product(elements, repeat=3) if rng.random() < 0.6)
@@ -1355,28 +1353,27 @@ def test_audit_tables_are_kept_within_the_store_bound(monkeypatch):
     reports, kept = [], set()
     for m in structures:
         reports.append(check_postulates(m))
-        assert store.nbytes == sum(t.nbytes for t in store.columns.values())
-        assert store.nbytes <= 2 * table_bytes
-        kept.add(len(store.columns))
+        assert store.weight == sum(t.nbytes for t in store.values())
+        assert store.weight <= 2 * table_bytes
+        kept.add(len(store))
     assert kept == {1, 2}  # past the bound the store keeps the newest table
     assert [check_postulates(m) for m in structures] == reports
     # a table larger than the bound is built, used and kept alone
-    monkeypatch.setattr(models, "GRID_CACHE_BYTES", table_bytes - 1)
+    monkeypatch.setattr(store, "bound", table_bytes - 1)
     assert check_postulates(structures[5]) == reports[5]
-    (table,) = store.columns.values()
+    (table,) = store.values()
     assert table.key[0] == tuple(structures[5].index(structures[5].star[e])
                                  for e in structures[5].elements)
-    assert store.nbytes == table.nbytes > table_bytes - 1
+    assert store.weight == table.nbytes > table_bytes - 1
 
 
 def test_a_value_past_the_store_bound_is_built_once(monkeypatch):
     """A table larger than the bound is kept until another is built, so
     repeated audits of one structure build it once; the plans it grows
     are counted."""
-    store = models._AUDITS
-    monkeypatch.setattr(store, "columns", {})
-    monkeypatch.setattr(store, "nbytes", 0)
-    monkeypatch.setattr(models, "GRID_CACHE_BYTES", 1000)
+    store = CACHES["audit tables"]
+    store.clear()
+    monkeypatch.setattr(store, "bound", 1000)
     built = []
 
     class Counted(models._Audit):
@@ -1389,10 +1386,10 @@ def test_a_value_past_the_store_bound_is_built_once(monkeypatch):
     reports = [check_postulates(k3) for _ in range(3)]
     assert reports[0] == reports[1] == reports[2]
     assert len(built) == 1
-    (table,) = store.columns.values()
-    assert store.nbytes == table.nbytes > 1000
+    (table,) = store.values()
+    assert store.weight == table.nbytes > 1000
     table.plan("p3")  # a plan grows the table the store keeps, and is counted
-    assert store.nbytes == table.nbytes == sum(x.nbytes for x in _owned_arrays(table).values())
+    assert store.weight == table.nbytes == sum(x.nbytes for x in _owned_arrays(table).values())
     assert check_postulates(k3) == reports[0] and len(built) == 1
 
 
@@ -1417,21 +1414,19 @@ def _owned_arrays(value, seen=None) -> dict:
 
 
 def test_the_audit_store_counts_the_plans_it_holds(monkeypatch):
-    store = models._AUDITS
-    monkeypatch.setattr(store, "columns", {})
-    monkeypatch.setattr(store, "nbytes", 0)
+    store = CACHES["audit tables"]
+    store.clear()
     audit = models._audit_table(tuple(range(7, -1, -1)), 0)
-    table_bytes = store.nbytes
+    table_bytes = store.weight
     for name in audit.rows:
         audit.plan(name)
-    held = _owned_arrays(store.columns)
-    assert store.nbytes == audit.nbytes == sum(x.nbytes for x in held.values())
-    assert store.nbytes > table_bytes  # the plans hold gathers of their own
+    held = _owned_arrays(store)
+    assert store.weight == audit.nbytes == sum(x.nbytes for x in held.values())
+    assert store.weight > table_bytes  # the plans hold gathers of their own
     # a plan built on a table the store no longer keeps is not counted
-    store.columns.clear()
-    store.nbytes = 0
+    store.clear()
     models._Audit(tuple(range(8)), 0).plan("p3")
-    assert store.nbytes == 0
+    assert store.weight == 0
 
 
 # ------------------------------------------------------------------

@@ -151,6 +151,7 @@ def test_builtin_structures_are_pinned():
         assert get_structure(name.lower()) is m    # one object keeps its tables
 
 
+@pytest.mark.cache_behaviour
 def test_structures_follow_a_change_of_data_directory(tmp_path, monkeypatch):
     original = get_structure("K4")
     copy = tmp_path / "data"

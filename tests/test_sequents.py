@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import copy
 import gc
 import os
@@ -21,7 +22,8 @@ import reference_checker
 from tarl import algebra, formulas, sequents
 from tarl.derived import apply_derived_rule
 from tarl.formulas import (
-    Imp, Neg, ParseError, Var, desugar_fusion, parse_formula, substitute, variables,
+    CACHES, Imp, Neg, ParseError, Var, clear_caches, desugar_fusion, parse_formula,
+    substitute, variables,
 )
 from tarl.gen import random_formula
 from tarl.registry import corpus_ids, get_corpus_entry
@@ -445,6 +447,15 @@ def test_a_line_number_with_a_leading_zero_reads_as_printed():
 _LINE_CHARACTERS = " ,;.()[]=>-~&|0123456789abcpk\t\u00a0\u3000\x1c"
 
 
+def _emptied(*names):
+    """A context in which the caches names are empty, and after which they
+    hold what they held before it."""
+    stack = contextlib.ExitStack()
+    for name in names:
+        stack.enter_context(mock.patch.dict(CACHES[name], clear=True))
+    return stack
+
+
 def _mutated_line(line, rng):
     """line with one character inserted, deleted or replaced, the new one
     drawn from _LINE_CHARACTERS."""
@@ -478,21 +489,22 @@ def _lookup_against_walk(count, seed):
         with mock.patch.object(sequents, "_lookup_side", spy):
             got = _read(text)
         with mock.patch.object(sequents, "_lookup_side", lambda text: None), \
-                mock.patch.object(sequents, "_MEMO", {}), \
-                mock.patch.object(sequents, "_JUSTIFIED", {}):
+                _emptied("assertions", "justifications"):
             assert got == _read(text), text
         taken.update(found[2 * (k - 1):])
     return taken
 
 
+@pytest.mark.cache_behaviour
 def test_the_lookup_reads_what_the_walk_reads():
     taken = _lookup_against_walk(2000, 28)
     # the lookup reads many sides of the mutated lines, and hands many on
     assert taken[True] > 1000 and taken[False] > 1000, taken
 
 
+@pytest.mark.cache_behaviour
 def test_a_walked_side_is_looked_up_when_it_is_read_again(monkeypatch):
-    monkeypatch.setattr(sequents, "_MEMO", {})
+    CACHES["assertions"].clear()
     walked = walks(monkeypatch)
     text = "lemma x\n1. (p o q)[00,1], (p)[1,0] => (p)[1,0] ; axiom\n"
     _, first = parse_proof_script(text)
@@ -540,8 +552,9 @@ def _instances(seed, rounds=1):
     return out
 
 
+@pytest.mark.cache_behaviour
 def test_a_printed_assertion_is_read_back_as_itself_without_a_parse(monkeypatch):
-    monkeypatch.setattr(sequents, "_MEMO", {})
+    CACHES["assertions"].clear()
     for proof in _instances(30):
         text = format_proof_script("x", proof)
         with monkeypatch.context() as patch:
@@ -553,8 +566,9 @@ def test_a_printed_assertion_is_read_back_as_itself_without_a_parse(monkeypatch)
                 assert sorted(map(id, read)) == sorted(map(id, printed))
 
 
-def test_the_assertion_memo_keeps_no_assertion_alive(monkeypatch):
-    monkeypatch.setattr(sequents, "_MEMO", {})
+@pytest.mark.cache_behaviour
+def test_the_assertion_memo_keeps_no_assertion_alive():
+    CACHES["assertions"].clear()
     proof = max(_instances(31), key=lambda p: len(p.lines))
     printed = format_proof_script("x", proof)
     _, walked = parse_proof_script(printed.replace(", ", ",  "))  # not memoised
@@ -562,37 +576,37 @@ def test_the_assertion_memo_keeps_no_assertion_alive(monkeypatch):
     assertions = [x for p in (proof, walked, zeros) for s, _ in p.lines for x in s.left | s.right]
     refs = [weakref.ref(x) for x in assertions]
     # each distinct assertion's printed text, and its text with the zeros
-    assert len(sequents._MEMO) == 2 * len(set(assertions)) > 20
+    assert len(CACHES["assertions"]) == 2 * len(set(assertions)) > 20
     del proof, walked, zeros, assertions
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert all(ref() is None for ref in sequents._MEMO.values())
+    assert all(ref() is None for ref in CACHES["assertions"].values())
 
 
 def test_the_assertion_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(sequents, "_MEMO", {})
+    CACHES["assertions"].clear()
     p = Var("p")
     for k in range(20_000):
         str(Assertion(p, k, 0))
         text = f"(p)[0,{k}]"
         sequents._side(text, 0, len(text), 1, 0)
-        assert len(sequents._MEMO) <= formulas.MEMO_SIZE
-    monkeypatch.setattr(formulas, "MEMO_SIZE", 16)  # one setting for both memos
+        assert len(CACHES["assertions"]) <= formulas.MEMO_SIZE
+    monkeypatch.setattr(CACHES["assertions"], "bound", 16)
     for k in range(100):
         str(Assertion(p, 1, k))
-        assert len(sequents._MEMO) <= 16
+        assert len(CACHES["assertions"]) <= 16
 
 
 @pytest.mark.parametrize("index", [-1, True, np.int64(2)], ids=repr)
-def test_an_assertion_the_walk_does_not_read_back_is_not_remembered(monkeypatch, index):
+def test_an_assertion_the_walk_does_not_read_back_is_not_kept(index):
     # "(p)[-1,0]" and "(p)[True,0]" do not read, and "(p)[2,0]" reads as
     # plain ints: the memo must not answer for the reader
-    monkeypatch.setattr(sequents, "_MEMO", {})
+    CACHES["assertions"].clear()
     x = Assertion(Var("p"), index, 0)
     text = f"lemma x\n1. {x} => {x} ; axiom\n"
-    assert str(x) not in sequents._MEMO
+    assert str(x) not in CACHES["assertions"]
     warm = _read(text)
-    with mock.patch.object(sequents, "_MEMO", {}):
+    with _emptied("assertions"):
         assert _read(text) == warm
     if isinstance(warm[1], Proof):
         (s, _), = warm[1].lines
@@ -601,32 +615,32 @@ def test_an_assertion_the_walk_does_not_read_back_is_not_remembered(monkeypatch,
         assert warm[2] == "'[i,j]' after the formula", warm
 
 
+@pytest.mark.cache_behaviour
 def test_a_justification_is_read_once_unless_its_references_depend_on_its_line(monkeypatch):
-    monkeypatch.setattr(sequents, "_JUSTIFIED", {})
+    CACHES["justifications"].clear()
     head = "lemma x\n1. (p)[1,0] => (p)[1,0] ; axiom\n"
     _, first = parse_proof_script(head + "2. (p)[1,0] => (p)[1,0], (q)[0,0] ; weaken 1\n")
     _, again = parse_proof_script(head + "2. (p)[1,0] => (p)[1,0] ; axiom\n"
                                   "3. (p)[1,0] => (p)[1,0], (q)[0,0] ; weaken 1\n")
     assert again.lines[2][1] is first.lines[1][1]
-    assert sorted(sequents._JUSTIFIED) == [" axiom", " weaken 1"]
+    assert sorted(CACHES["justifications"]) == [" axiom", " weaken 1"]
     # omitted references name the lines just before each line
     _, omitted = parse_proof_script(head + "2. (p)[1,0] => (p)[1,0] ; weaken\n"
                                     "3. (p)[1,0] => (p)[1,0] ; weaken\n"
                                     "4. => (p -> p)[0,0] ; impR k=1\n"
                                     "5. => (p -> p)[0,0] ; impR k=1\n")
     assert [j.refs for _, j in omitted.lines[1:]] == [(1,), (2,), (3,), (4,)]
-    assert sorted(sequents._JUSTIFIED) == [" axiom", " weaken 1"]
-    monkeypatch.setattr(formulas, "MEMO_SIZE", 16)  # the bound of every memo
+    assert sorted(CACHES["justifications"]) == [" axiom", " weaken 1"]
+    monkeypatch.setattr(CACHES["justifications"], "bound", 16)
     for k in range(1, 100):  # 99 texts, told apart by the blanks in them
         parse_proof_script(head + f"2. (p)[1,0] => (p)[1,0] ; weaken{' ' * k}1\n")
-        assert len(sequents._JUSTIFIED) <= 16
+        assert len(CACHES["justifications"]) <= 16
 
 
 def _read_printed(proofs, seed, emptied=False):
     """Each proof printed and read back, then its printed text with one
     line mutated read: what each read gives, with the check_proof report of
-    a proof read.  With emptied, the formula, assertion and justification
-    memos are emptied after printing."""
+    a proof read.  With emptied, every cache is emptied after printing."""
     rng = random.Random(seed)
     out = []
     for proof in proofs:
@@ -635,9 +649,7 @@ def _read_printed(proofs, seed, emptied=False):
         k = rng.randrange(1, len(lines))
         mutated = "\n".join(lines[:k] + [_mutated_line(lines[k], rng)]) + "\n"
         if emptied:
-            sequents._MEMO.clear()
-            sequents._JUSTIFIED.clear()
-            formulas._MEMO.clear()
+            clear_caches()
         for written in (text, mutated):
             got = _read(written)
             out.append((got, check_proof(got[1]) if isinstance(got[1], Proof) else None))
@@ -645,16 +657,16 @@ def _read_printed(proofs, seed, emptied=False):
     return out
 
 
+@pytest.mark.cache_behaviour
 def test_reading_with_a_warm_an_emptied_and_a_small_memo_agrees(monkeypatch):
     # each way prints new assertions: the golden proofs and seeded instances
     reads = {}
     for way in ("warm", "emptied", "small"):
         with monkeypatch.context() as patch:
-            patch.setattr(sequents, "_MEMO", {})
-            patch.setattr(sequents, "_JUSTIFIED", {})
-            patch.setattr(formulas, "_MEMO", {})
+            clear_caches()
             if way == "small":
-                patch.setattr(formulas, "MEMO_SIZE", 16)
+                for name in ("formulas", "assertions", "justifications"):
+                    patch.setattr(CACHES[name], "bound", 16)
             proofs = _golden_proofs() + _instances(32, 2)
             walked = walks(patch)
             reads[way] = _read_printed(proofs, 33, emptied=way == "emptied")
@@ -814,8 +826,7 @@ def _golden_proofs():
     golden = Path(__file__).resolve().parent / "golden"
     texts = [(golden / name).read_text()
              for name in ("proof_scripts.txt", "search_outcomes.txt")]
-    with mock.patch.object(sequents, "_MEMO", {}), \
-            mock.patch.object(sequents, "_JUSTIFIED", {}):
+    with _emptied("assertions", "justifications"):
         return [parse_proof_script(chunk)[1] for text in texts
                 for chunk in re.split(r"(?m)^(?=lemma )", text) if chunk.startswith("lemma")]
 
@@ -933,8 +944,8 @@ def test_the_reference_checker_agrees_when_a_line_gains_an_assertion():
                     format_proof_script("x", fault)
 
 
-def test_the_reference_checker_reads_each_fault_of_the_unit_examples(monkeypatch):
-    monkeypatch.setattr(sequents, "_MEMO", {})
+def test_the_reference_checker_reads_each_fault_of_the_unit_examples():
+    CACHES["assertions"].clear()
     cases = {
         "1. (a)[1,0], (b)[1,1] => (a)[1,0] ; axiom\n"
         "2. (b)[1,1] => (a -> a)[0,0] ; impR k=1": "EigenvariableViolation",
