@@ -68,7 +68,7 @@ import numpy as np
 
 from .formulas import (
     FORMULAS, And, Env, Formula, Fusion, Grammar, Imp, Neg, Node, Or, ParseError,
-    UnassignedVariable, _set, end_of_file, file_lines, parse_at, variables,
+    UnassignedVariable, end_of_file, file_lines, parse_at, variables,
 )
 from .models import ModelStructure, first_failure, grid_blocks, shared_grid, tables_for
 
@@ -96,10 +96,13 @@ class RATerm(Node):
     __slots__ = ("_term_program",)
 
     def _start(self, children):
-        _set(self, "_term_program", None)
+        _set_program(self, None)
 
     def __str__(self) -> str:
         return print_ra_term(self)
+
+
+_set_program = RATerm._term_program.__set__
 
 
 class RVar(RATerm):

@@ -18,8 +18,8 @@ from dataclasses import replace
 from .formulas import (Formula, Neg, Var, desugar_fusion, parse_formula, print_formula,
                        substitute)
 from .registry import _load, data_dir
-from .sequents import (Premise, Proof, RuleError, check_proof, check_step, goal_sequent,
-                       parse_proof_script, permute_indices, substitute_proof)
+from .sequents import (Justification, Premise, Proof, RuleError, check_proof, check_step,
+                       goal_sequent, parse_proof_script, permute_indices, substitute_proof)
 
 __all__ = ["apply_derived_rule", "PremiseMismatch", "InvalidInput",
            "DERIVED_RULES", "conclusion_formula"]
@@ -106,7 +106,8 @@ def _splice(rule: str, inputs: list[Proof], binding: dict) -> Proof:
     lines, at = [], [0]  # at[n]: the output line of skeleton line n
     for n, (seq, just) in enumerate(substitute_proof(skeleton, binding).lines, start=1):
         if n not in leaves:
-            lines.append((seq, replace(just, refs=tuple(at[r] for r in just.refs))))
+            lines.append((seq, Justification(just.rule, tuple(at[r] for r in just.refs),
+                                             just.eigen)))
             at.append(len(lines))
             continue
         k, i = leaves[n]
@@ -116,10 +117,11 @@ def _splice(rule: str, inputs: list[Proof], binding: dict) -> Proof:
             proof = permute_indices(replace(proof, bound=len(perm)), perm)
         offset = len(lines)
         lines += [(s, j.shifted(offset)) for s, j in proof.lines]
-        derives = [m for m, (s, _) in enumerate(proof.lines, start=offset + 1) if s == seq]
+        # the last of the input's lines that derives seq, scanned from the end
+        derives = next((m for m in range(len(lines), offset, -1) if lines[m - 1][0] == seq), 0)
         if not derives:
             raise PremiseMismatch(f"{rule}: input {k + 1} never derives {seq}")
-        at.append(derives[-1])
+        at.append(derives)
     goal = desugar_fusion(substitute(DERIVED_RULES[rule][2], binding))
     return Proof(lines, max(skeleton.bound, *(p.bound for p in inputs)), goal)
 

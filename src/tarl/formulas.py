@@ -42,7 +42,9 @@ No node outlives its last reference, so the table cannot grow for the life
 of the process.  Nodes are immutable and copying returns the node; `repr`
 and pickling walk from explicit stacks, and a pickle holds the node's
 post-order steps.  A formula stores whether it is fusion-free when it is
-built (a variable also its text and its variables).
+built (a variable also its text and its variables).  Nodes are built by
+the thousand, so each slot is written through its own setter, bound once,
+which costs about half of what `object.__setattr__` costs by name.
 
 There is one formula memo, keyed by text, of weak references to nodes, and
 two write to it: ``parse_formula`` stores each text it parses, and
@@ -86,7 +88,6 @@ class _Ref(weakref.ref):
 _TABLE: dict[tuple, _Ref] = {}
 _LOCK = threading.Lock()  # two threads must not both make a missing node
 _SERIAL = itertools.count()
-_set = object.__setattr__
 
 
 class Node:
@@ -103,6 +104,7 @@ class Node:
 
     def __init_subclass__(cls):
         cls.__new__ = staticmethod(_NEW[len(cls._fields)])
+        cls._setters = tuple(getattr(cls, field).__set__ for field in cls._fields)
         if Node in cls.__bases__:
             cls._kind = cls  # a kind of node, whose nodes have children of their kind
 
@@ -204,10 +206,10 @@ def _intern(key: tuple) -> Node:
                 raise TypeError(f"not a {cls._kind.__name__}: {child!r}")
         node = object.__new__(cls)
         node._start(children)
-        for field, child in zip(cls._fields, children):
-            _set(node, field, child)
-        _set(node, "uid", next(_SERIAL))
-        _set(node, "_vars", frozenset(children) if cls._leaf else None)
+        for set_field, child in zip(cls._setters, children):
+            set_field(node, child)
+        _set_uid(node, next(_SERIAL))
+        _set_vars(node, frozenset(children) if cls._leaf else None)
         ref = _Ref(node, _forget)
         ref.key = key
         _TABLE[key] = ref
@@ -224,12 +226,17 @@ class Formula(Node):
 
     def _start(self, children):
         leaf = self._leaf  # a variable's printed value is known
-        _set(self, "_core", leaf or type(self) is not Fusion and all(c._core for c in children))
-        _set(self, "_text", (FORMULAS.atom, FORMULAS.name(*children)) if leaf else None)
-        _set(self, "_program", None)
+        _set_core(self, leaf or type(self) is not Fusion
+                  and children[0]._core and children[-1]._core)  # one or two children
+        _set_text(self, (FORMULAS.atom, FORMULAS.name(*children)) if leaf else None)
+        _set_program(self, None)
 
     def __str__(self) -> str:
         return print_formula(self)
+
+
+_set_uid, _set_vars, _set_core, _set_text, _set_program = (  # uid and _vars: any node's
+    getattr(Formula, slot).__set__ for slot in ("uid", "_vars", "_core", "_text", "_program"))
 
 
 class Var(Formula):
@@ -361,6 +368,7 @@ class Grammar:
         self.binary = binary
         self.prefix, self.postfix, self.constants = prefix, postfix, constants
         self.variable, self.program = variable, program
+        self.set_program = getattr(variable, program).__set__
         self.bad_token, self.bad_operand = bad_token, bad_operand
         self.aliases = aliases
         self.reserved = frozenset(tok for tok in (*binary, *constants) if _NAME.fullmatch(tok))
@@ -480,7 +488,7 @@ class Grammar:
             steps = getattr(node, self.program, None)
             if steps is None:
                 steps = tuple(self._steps(node))
-                _set(node, self.program, steps)
+                self.set_program(node, steps)
         arity = 0
         try:
             for arity, key in steps:
@@ -676,11 +684,11 @@ def parse_formula(text: str) -> Formula:
 class _Slot:
     """A memo kept in one slot of each node, None until it is set."""
 
-    def __init__(self, name: str):
-        self.name, self.get = name, operator.attrgetter(name)
+    def __init__(self, slot):
+        self.get, self.set = operator.attrgetter(slot.__name__), slot.__set__
 
     def __setitem__(self, node, value):
-        _set(node, self.name, value)
+        self.set(node, value)
 
 
 class _Texts(_Slot):
@@ -688,11 +696,11 @@ class _Texts(_Slot):
     its _text slot; each new text also goes in the formula memo."""
 
     def __setitem__(self, node, value):
-        _set(node, "_text", value)
+        _set_text(node, value)
         _MEMO.keep(value[1], weakref.ref(node))
 
 
-_TEXTS = _Texts("_text")
+_TEXTS = _Texts(Formula._text)
 
 
 def print_formula(f: Formula) -> str:
@@ -711,7 +719,7 @@ _SAME = Env(Var)  # each variable is itself
 _REBUILT = {cls: cls for cls in (Neg, And, Or, Imp, Fusion)}
 _DESUGARED = {**_REBUILT, Fusion: lambda a, b: Neg(Imp(a, Neg(b)))}
 _SINGLETONS = Env(lambda name: frozenset((name,)))
-_VARS = _Slot("_vars")
+_VARS = _Slot(Node._vars)
 
 
 def desugar_fusion(f: Formula) -> Formula:

@@ -30,7 +30,9 @@ index for impR); and the premise function, which maps the principal (A)[i,j]
 Rows build the justifications that cite them: calling a row with a line's
 premise references gives its Justification, as in ImpL(1, 2),
 ImpR(3, eigen=1), Cut(1, 2) and Axiom().  The names Axiom ... Premise
-are the rows themselves.
+are the rows themselves.  Assertions, sequents and justifications are
+immutable and built by the thousand, so each slot is written through its
+own setter, bound once, not by `object.__setattr__` or `dataclasses.replace`.
 
 The checker reads a row forward.  With base the union of the premise sides
 less their actives, each conclusion side must lie between base plus the
@@ -76,7 +78,7 @@ from __future__ import annotations
 import re
 import sys
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterable, Sequence
 
@@ -97,7 +99,6 @@ __all__ = [
 
 DEFAULT_BOUND = 4
 MAX_BOUND = 8
-_set = object.__setattr__
 
 
 class Assertion:
@@ -111,10 +112,10 @@ class Assertion:
     def __init__(self, formula: Formula, i: int, j: int):
         if not formula._core:
             raise ValueError("assertions carry fusion-free formulas; desugar first")
-        _set(self, "formula", formula)
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "_hash", hash((formula, i, j)))
+        _set_formula(self, formula)
+        _set_i(self, i)
+        _set_j(self, j)
+        _set_hash(self, hash((formula, i, j)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -148,16 +149,24 @@ class Assertion:
         if text is None:
             i, j = self.i, self.j
             text = f"({print_formula(self.formula)})[{i},{j}]"
-            _set(self, "_text", text)
+            _set_text(self, text)
             if type(i) is int and type(j) is int and i >= 0 and j >= 0:
                 _MEMO.keep(text, weakref.ref(self))
         return text
 
 
-@dataclass(frozen=True, slots=True)
+_set_formula, _set_i, _set_j, _set_hash, _set_text = (
+    getattr(Assertion, slot).__set__ for slot in ("formula", "i", "j", "_hash", "_text"))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Sequent:
     left: frozenset[Assertion]
     right: frozenset[Assertion]
+
+    def __init__(self, left: frozenset[Assertion], right: frozenset[Assertion]):
+        _set_left(self, left)
+        _set_right(self, right)
 
     @staticmethod
     def of(left: Iterable[Assertion] = (), right: Iterable[Assertion] = ()) -> "Sequent":
@@ -250,7 +259,7 @@ class Rule:
                                                  principal.j, k)]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Justification:
     """A line's rule, its 1-based premise line references and impR's eigen
     index."""
@@ -258,9 +267,19 @@ class Justification:
     refs: tuple[int, ...]
     eigen: int | None = None
 
+    def __init__(self, rule: Rule, refs: tuple[int, ...], eigen: int | None = None):
+        _set_rule(self, rule)
+        _set_refs(self, refs)
+        _set_eigen(self, eigen)
+
     def shifted(self, offset: int) -> "Justification":
         """This justification with each line reference moved on by offset."""
-        return replace(self, refs=tuple(ref + offset for ref in self.refs))
+        return Justification(self.rule, tuple(ref + offset for ref in self.refs), self.eigen)
+
+
+_set_left, _set_right = Sequent.left.__set__, Sequent.right.__set__
+_set_rule, _set_refs, _set_eigen = (
+    getattr(Justification, slot).__set__ for slot in ("rule", "refs", "eigen"))
 
 
 # premises: (A, i, j, k) -> [(left actives, right actives) per premise], the
@@ -498,7 +517,7 @@ def check_proof(proof: Proof) -> CheckReport:
                 first_error = (n, f"{e.kind}: {e.detail}" if e.detail else e.kind)
         earlier.append(seq)
     if first_error is None and proof.goal is not None:
-        if proof.goal_sequent() not in earlier:
+        if proof.goal_sequent() not in reversed(earlier):  # nearly always the last
             first_error = (len(proof.lines), "GoalMissing")
     return CheckReport(valid=first_error is None,
                        objects_used=frozenset(objects),
@@ -530,7 +549,7 @@ def _relabel(proof: Proof, assertion: Callable[[Assertion], Assertion],
         return image
 
     def just(j: Justification) -> Justification:
-        return j if j.eigen is None else replace(j, eigen=index(j.eigen))
+        return j if j.eigen is None else Justification(j.rule, j.refs, index(j.eigen))
 
     lines = [(Sequent(side(s.left), side(s.right)), j if index is None else just(j))
              for s, j in proof.lines]

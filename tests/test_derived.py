@@ -19,8 +19,8 @@ from tarl.gen import random_formula
 from tarl.registry import DataFileError, data_dir, get_corpus_entry, list_corpus
 from tarl.search import REFUTE_AFTER
 from tarl.sequents import (
-    Assertion, Axiom, Premise, Proof, Sequent, check_proof, check_step,
-    format_proof_script, goal_sequent, parse_proof_script, substitute_proof,
+    Assertion, Axiom, Premise, Proof, Sequent, Weaken, check_proof, check_step,
+    format_proof_script, goal_sequent, parse_proof_script, permute_indices, substitute_proof,
 )
 
 
@@ -178,6 +178,51 @@ def test_skeletons_agree_with_chains_of_the_other_rules(rule, chain):
         extra = [random_formula(rng, rng.randint(1, 4), ["p", "q"]) for _ in params]
         assert (format_proof_script(rule, apply_derived_rule(rule, inputs, extra))
                 == format_proof_script(rule, chain(*inputs, *extra)))
+
+
+def _splice_by_replace(rule, inputs, binding):
+    """derived._splice written with dataclasses.replace, and a forward scan
+    for the last line of an input that derives its premise."""
+    skeleton, leaves = derived._skeleton(rule)
+    lines, at = [], [0]
+    for n, (seq, just) in enumerate(substitute_proof(skeleton, binding).lines, start=1):
+        if n not in leaves:
+            lines.append((seq, replace(just, refs=tuple(at[r] for r in just.refs))))
+            at.append(len(lines))
+            continue
+        k, i = leaves[n]
+        proof = inputs[k]
+        if i:
+            perm = {x: x for x in range(max(proof.bound, i + 1))} | {0: i, i: 0}
+            proof = permute_indices(replace(proof, bound=len(perm)), perm)
+        offset = len(lines)
+        lines += [(s, replace(j, refs=tuple(r + offset for r in j.refs))) for s, j in proof.lines]
+        at.append([m for m, (s, _) in enumerate(proof.lines, start=offset + 1) if s == seq][-1])
+    goal = desugar_fusion(substitute(DERIVED_RULES[rule][2], binding))
+    return Proof(lines, max(skeleton.bound, *(p.bound for p in inputs)), goal)
+
+
+@pytest.mark.parametrize("rule, lemmas, params", [
+    ("adjunction", ["t6", "A1"], []), ("transitivity", ["A2", "A5"], []),
+    ("contraposition", ["A2"], []), ("contraposition2", ["t3"], []),
+    ("erule", ["t6"], ["q"]), ("suffixing", ["A2"], ["c"]), ("cycling", ["t9"], []),
+    ("prefixingR", ["A2"], ["c"]), ("affixing", ["A2", "A5"], []),
+    ("monotonicfusion", ["A2", "A5"], []),
+])
+def test_splice_gives_what_replace_gave(rule, lemmas, params):
+    """The splice's lines, justifications included, are those that
+    dataclasses.replace built, also when an input derives its premise
+    twice (its last line again, by weaken), so that the last one counts."""
+    premises, names, _ = DERIVED_RULES[rule]
+    plain = [proof_of(lemma) for lemma in lemmas]
+    twice = [replace(p, lines=[*p.lines, (p.lines[-1][0], Weaken(len(p.lines)))]) for p in plain]
+    binding = dict(zip(names, map(parse_formula, params)))
+    for schema, proof in zip(premises, plain):
+        assert derived._match(schema, conclusion_formula(proof), binding)
+    for inputs in (plain, twice):
+        out = derived._splice(rule, inputs, binding)
+        assert out == _splice_by_replace(rule, inputs, binding)
+        assert check_proof(out).valid
 
 
 def test_premise_mismatch():

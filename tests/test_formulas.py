@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tarl import algebra
 from tarl import formulas as formulas_module
 from tarl.formulas import (
     CACHES, FORMULAS, And, Fusion, Imp, Neg, Or, ParseError, Var,
@@ -225,6 +226,31 @@ def test_nodes_are_immutable():
     with pytest.raises(AttributeError):
         del f.right
     assert repr(f) == "Imp(left=Var(name='p'), right=Var(name='q'))"
+
+
+def test_a_new_node_of_every_class_of_both_grammars_has_every_slot_set():
+    name = "every_slot"  # no other test uses it, so each node below is new
+    for grammar, leaf in ((FORMULAS, Var(name)), (algebra.TERMS, algebra.RVar(name))):
+        for cls, arity in [*grammar.arity.items(), (grammar.variable, -1)]:
+            children = {-1: (name,), 0: (), 1: (leaf,), 2: (leaf, leaf)}[arity]
+            node = cls(*children)
+            slots = {slot for k in cls.__mro__ for slot in k.__dict__.get("__slots__", ())}
+            slots.discard("__weakref__")
+            assert slots == {*cls._fields, "uid", "_vars", "_core", "_text", "_program"} or (
+                slots == {*cls._fields, "uid", "_vars", "_term_program"}), cls
+            for slot in slots:
+                getattr(node, slot)  # raises AttributeError if the slot was never set
+            assert tuple(getattr(node, field) for field in cls._fields) == children
+            assert type(node.uid) is int
+            if arity == 0:  # a constant, built at import and maybe folded since
+                continue
+            assert node._vars == (frozenset(children) if arity < 0 else None), cls
+            if grammar is FORMULAS:
+                assert node._core is (cls is not Fusion), cls
+                assert node._text == ((grammar.atom, name) if arity < 0 else None), cls
+                assert node._program is None
+            else:
+                assert node._term_program is None
 
 
 def test_intern_table_shrinks_after_the_last_reference_goes():

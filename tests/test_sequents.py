@@ -274,6 +274,10 @@ def test_goal_must_appear():
     report = check_proof(Proof(lines=lines, goal=parse_formula("p -> p")))
     assert not report.valid
     assert report.first_error[1] == "GoalMissing"
+    assert check_proof(Proof(lines=[], goal=parse_formula("p"))).first_error == (0, "GoalMissing")
+    # the goal may be derived on any line, not only the last
+    proof = get_corpus_entry("A1").proof
+    assert check_proof(replace(proof, lines=[*proof.lines, *lines])).valid
 
 
 def test_objects_level_examples():
@@ -309,7 +313,13 @@ def test_permutation_invariance_over_corpus():
         perm = list(range(proof.bound))
         rng.shuffle(perm)
         mapping = dict(enumerate(perm))
-        assert check_proof(permute_indices(proof, mapping)).valid
+        permuted = permute_indices(proof, mapping)
+        assert check_proof(permuted).valid
+        # each image, and each justification shifted, is what dataclasses.replace built
+        for (_, j), (_, image) in zip(proof.lines, permuted.lines):
+            for got, want in ((image, j if j.eigen is None else replace(j, eigen=perm[j.eigen])),
+                              (j.shifted(7), replace(j, refs=tuple(r + 7 for r in j.refs)))):
+                assert type(got) is Justification and got == want and hash(got) == hash(want)
 
 
 def test_weaken_insertion_keeps_validity():
@@ -713,6 +723,21 @@ def test_assertions_are_immutable():
                        "i=0, j=1)")
     assert str(x) == "(p -> q)[0,1]"
     assert x.key() == ("p -> q", 0, 1)
+
+
+def test_sequents_and_justifications_are_immutable():
+    s, j = seq([a("p", 0, 1)], [a("p", 0, 1)]), ImpR(1, eigen=2)
+    for thing, names in ((s, ("left", "right")), (j, ("rule", "refs", "eigen"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(thing, name, frozenset())
+            with pytest.raises(AttributeError):
+                delattr(thing, name)
+    assert s == Sequent(left=s.left, right=s.right) and hash(s) == hash((s.left, s.right))
+    assert j == Justification(ImpR, (1,), 2) and hash(j) == hash((ImpR, (1,), 2))
+    assert repr(j) == "Justification(rule=impR, refs=(1,), eigen=2)"
+    assert repr(Axiom()) == "Justification(rule=axiom, refs=(), eigen=None)"
+    assert replace(j, eigen=3) == Justification(rule=ImpR, refs=(1,), eigen=3)
 
 
 def test_assertions_sequents_and_proofs_survive_pickle_and_deepcopy():
