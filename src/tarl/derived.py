@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from .formulas import (Formula, Neg, Var, desugar_fusion, parse_formula, print_formula,
                        substitute)
-from .registry import _load, data_dir
+from .registry import _load
 from .sequents import (Justification, Premise, Proof, RuleError, check_proof, check_step,
                        goal_sequent, parse_proof_script, permute_indices, substitute_proof)
 
@@ -96,7 +96,7 @@ def _skeleton(rule: str) -> tuple[Proof, dict[int, tuple[int, int]]]:
                              f"=> ({print_formula(conclusion)})[0,0]")
         return name, (proof, leaves)
 
-    return _load(data_dir() / "rules" / f"{rule}.prf", read, "lemma", rule)
+    return _load("rules", f"{rule}.prf", read, "lemma", rule)
 
 
 def _splice(rule: str, inputs: list[Proof], binding: dict) -> Proof:

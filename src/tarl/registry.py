@@ -62,25 +62,27 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-# keyed on the path, which holds the data directory, so that a change of
-# TARL_DATA reloads; each path then yields one object, which keeps a
-# structure's tables cached on it; unbounded: the files are few
+# keyed on TARL_DATA, so that a change of it reloads, and the file's folder
+# and name, so that a hit builds no Path; each file then yields one object,
+# which keeps a structure's tables cached on it; unbounded: the files are few
 _LOADED = Cache("data files", float("inf"))
 
 
-def _load(path: Path, parse, kind: str, name: str):
-    """What parse makes of the text of the data file at path, read once.
+def _load(folder: str, file: str, parse, kind: str, name: str):
+    """What parse makes of the text of the data file folder/file, read once.
     parse returns the name the file declares, which must be name, and the
     object.  A ValueError on the way is a DataFileError naming the file."""
-    if path not in _LOADED:
+    value = _LOADED.get(key := (os.environ.get("TARL_DATA") or None, folder, file))
+    if value is None:
+        path = data_dir() / folder / file
         try:
             declared, value = parse(path.read_text())
             if declared != name:
                 raise ValueError(f"declares {kind} {declared!r}, not {name!r}")
         except ValueError as e:
             raise DataFileError(f"{path}: {e}") from None
-        _LOADED.keep(path, value)
-    return _LOADED[path]
+        _LOADED.keep(key, value)
+    return value
 
 
 # ------------------------------------------------------------------
@@ -99,7 +101,7 @@ def get_structure(name: str) -> ModelStructure:
     key = name.upper()
     if key not in STRUCTURE_NAMES:
         raise UnknownStructure(name)
-    return _load(data_dir() / "models" / f"{key}.model", _named_model, "model", key)
+    return _load("models", f"{key}.model", _named_model, "model", key)
 
 
 def structure_names() -> list[str]:
@@ -184,8 +186,7 @@ def corpus_ids() -> list[str]:
 def get_corpus_entry(lemma_id: str) -> CorpusEntry:
     if lemma_id not in _CORPUS_OBJECTS:
         raise UnknownName(lemma_id)
-    proof = _load(data_dir() / "corpus" / f"{lemma_id}.prf", parse_proof_script,
-                  "lemma", lemma_id)
+    proof = _load("corpus", f"{lemma_id}.prf", parse_proof_script, "lemma", lemma_id)
     return CorpusEntry(lemma_id, proof, _CORPUS_OBJECTS[lemma_id])
 
 

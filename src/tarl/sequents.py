@@ -34,18 +34,19 @@ are the rows themselves.  Assertions, sequents and justifications are
 immutable and built by the thousand, so each slot is written through its
 own setter, bound once, not by `object.__setattr__` or `dataclasses.replace`.
 
-The checker reads a row forward.  With base the union of the premise sides
-less their actives, each conclusion side must lie between base plus the
-principal and that plus the actives: contexts are sets, so an active may
-also belong to the context.  impR's actives carry the fresh eigen index, so
-none may stay; weaken's conclusion may add anything.  For two-premise rules
-the reference order is immaterial.  The checker tests this directly, for
-each principal and k that ``_principals`` offers and the actives that
-``Rule.actives`` builds: the premises must hold their actives, each
-conclusion side must hold base, and it may hold only the premise sides and
-the principal besides.  The one-premise and two-premise forms are written
-out (``_follows_one``, ``_follows_two``).  The search (search.py) reads the
-same rows backward, and never takes cut or premise.
+The checker reads a row forward on bit masks, as search reads it backward:
+each check gives the distinct assertions of its proof a bit each, by
+search's key ``uid << 6 | i << 3 | j`` (``_Bits``), so a side is an int.
+Each premise must hold its actives, and each conclusion side must lie
+between least, the premise sides less their actives, and most, the premise
+sides, both with the principal on its side (``_follows``, for one premise
+or two, in either order): an active may also belong to the context.
+impR's actives carry the fresh eigen index, so its most is its least;
+weaken's conclusion may add anything.  The principals are the
+conclusion's assertions of the row's connective on its side (for cut, any
+the premises share); impL takes each k for which a premise's right side
+holds (A)[k,i].  An active with no bit is in no premise.  The search
+(search.py) never takes cut or premise.
 
 Proof scripts are read a line at a time, by one reader: regular
 expressions find the line's number, its first ';' and the first '=>' before
@@ -78,8 +79,7 @@ from __future__ import annotations
 import re
 import sys
 import weakref
-from dataclasses import dataclass
-from itertools import starmap
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Sequence
 
 from .formulas import (
@@ -126,11 +126,11 @@ class Assertion:
         return (self._hash == other._hash and self.formula is other.formula
                 and self.i == other.i and self.j == other.j)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Assertion is immutable")
+    def __setattr__(self, name, value):  # Sequent's and Justification's too
+        raise FrozenInstanceError(f"{self.__class__.__name__} is immutable")
 
     def __delattr__(self, name):
-        raise AttributeError("Assertion is immutable")
+        raise FrozenInstanceError(f"{self.__class__.__name__} is immutable")
 
     def __reduce__(self):
         return Assertion, (self.formula, self.i, self.j)
@@ -175,20 +175,9 @@ class Sequent:
     def indices(self) -> frozenset[int]:
         """The object indices of the assertions.  A bool index is kept in
         place of the int equal to it (True == 1), so the checker sees it."""
-        out = set()
-        for a in self.left | self.right:
-            i, j = a.i, a.j
-            out.add(i)
-            out.add(j)
-            if i.__class__ is bool or j.__class__ is bool:
-                every = [x for b in self.left | self.right for x in (b.i, b.j)]
-                bools = {x for x in every if x.__class__ is bool}
-                return frozenset(set(every) - bools | bools)
-        return frozenset(out)
-
-    def is_axiom(self) -> bool:
-        """True when some assertion occurs on both sides (formula and indices equal)."""
-        return bool(self.left & self.right)
+        every = [x for a in self.left | self.right for x in (a.i, a.j)]
+        bools = {x for x in every if x.__class__ is bool}
+        return frozenset(set(every) - bools | bools)
 
     def __str__(self) -> str:
         return f"{_listed(self.left)} => {_listed(self.right)}".strip()
@@ -248,16 +237,6 @@ class Rule:
         # pickled and copied as the row of its name, so identity survives
         return _row, (self.name,)
 
-    def actives(self, principal: Assertion | None, k: int | None,
-                n: int) -> list[tuple[frozenset, frozenset]]:
-        """Each of the n premises' left and right active assertions."""
-        if self.premises is None:
-            return [(frozenset(), frozenset())] * n
-        return [(frozenset(starmap(Assertion, left)),
-                 frozenset(starmap(Assertion, right)))
-                for left, right in self.premises(principal.formula, principal.i,
-                                                 principal.j, k)]
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class Justification:
@@ -280,6 +259,12 @@ class Justification:
 _set_left, _set_right = Sequent.left.__set__, Sequent.right.__set__
 _set_rule, _set_refs, _set_eigen = (
     getattr(Justification, slot).__set__ for slot in ("rule", "refs", "eigen"))
+
+
+# dataclass's own, for a frozen class with slots, raise TypeError on a name
+# that is no field: they call super() on the class that slots=True replaced
+for _cls in (Sequent, Justification):
+    _cls.__setattr__, _cls.__delattr__ = Assertion.__setattr__, Assertion.__delattr__
 
 
 # premises: (A, i, j, k) -> [(left actives, right actives) per premise], the
@@ -327,9 +312,6 @@ class Proof:
     def conclusion(self) -> Sequent:
         return self.lines[-1][0]
 
-    def goal_sequent(self) -> Sequent | None:
-        return None if self.goal is None else goal_sequent(self.goal)
-
 
 @dataclass
 class CheckReport:
@@ -365,162 +347,179 @@ class InvalidProof(ValueError):
 
 
 # ------------------------------------------------------------------
-# Rule checking: the table read forward
+# Rule checking: the table read forward, on bit masks
 # ------------------------------------------------------------------
 
-def _principals(rule: Rule, concl: Sequent, just, prems: list[Sequent],
-                bound: int) -> list[tuple[Assertion | None, int | None]]:
-    """The (principal, k) pairs a line may apply its rule to."""
-    if rule.premises is None:
-        return [(None, None)]
-    if rule.side is None:  # cut: any assertion the premises share
-        p, q = prems
-        return [(x, None) for x in (p.right & q.left) | (q.right & p.left)]
-    principals = [p for p in getattr(concl, rule.side) if isinstance(p.formula, rule.conn)]
-    if rule.index == "any":  # impL: k where a premise's right side holds (A)[k,i]
-        return [(p, k) for p in principals
-                for k in {a.i for prem in prems for a in prem.right
-                          if a.formula is p.formula.left and a.j == p.i and a.i < bound}]
-    k = just.eigen if rule.index == "eigen" else None
-    return [(p, k) for p in principals]
+class _Bits:
+    """One check's assertions, a bit each, looked up by identity (the checked
+    lines keep them alive): only an object new to the check has its indices
+    tested, so a bool is never taken for the int equal to it.  One with an
+    index that is a bool or out of bound gets a new bit each time and sets
+    ``bad``.  ``holds[x]`` has the bits of the assertions that hold index x,
+    ``kinds`` those of each formula class, ``made`` each bit's (f, i, j)."""
+
+    __slots__ = ("bound", "ids", "keys", "made", "holds", "kinds", "bad")
+
+    def __init__(self, bound: int):
+        self.bound, self.bad, self.holds = bound, False, [0] * bound
+        self.ids, self.keys, self.kinds, self.made = {}, {}, {}, []
+
+    def side(self, side: frozenset[Assertion]) -> int:
+        get, mask = self.ids.get, 0
+        for a in side:
+            bit = get(id(a))
+            mask |= self._new(a) if bit is None else bit
+        return mask
+
+    def _new(self, a: Assertion) -> int:
+        (f, i, j), made, bound = (a.formula, a.i, a.j), self.made, self.bound
+        if not (i.__class__ is j.__class__ is int and 0 <= i < bound and 0 <= j < bound):
+            if bool in (i.__class__, j.__class__) or not {i, j} <= {*range(bound)}:
+                self.bad = True
+                made.append(None)
+                return 1 << len(made) - 1
+            i, j = int(i), int(j)  # numpy integers, say
+        key = f.uid << 6 | i << 3 | j
+        bit = self.keys.get(key)
+        if bit is None:  # else an equal assertion, another object
+            bit = self.keys[key] = 1 << len(made)
+            made.append((f, i, j))
+            self.holds[i] |= bit
+            self.holds[j] |= bit
+            self.kinds[f.__class__] = self.kinds.get(f.__class__, 0) | bit
+        self.ids[id(a)] = bit
+        return bit
 
 
-def _adds_at_most(have: frozenset, held: frozenset, principal: Assertion) -> bool:
-    """have <= held + the principal, which have holds."""
-    extra = have - held
-    return not extra or (len(extra) == 1 and principal in extra)
+def _out_of_bound(seq: Sequent, line_no: int, bound: int) -> RuleError:
+    """Line line_no's RuleError, naming seq's least bad index, whatever the
+    set's order; a bool is one, as it prints as no number."""
+    bad = min(x for x in seq.indices() if x.__class__ is bool or x not in range(bound))
+    return RuleError(line_no, "IndexOutOfBound", f"index {bad}")
 
 
-def _follows_one(rule: Rule, concl: Sequent, prem: Sequent, actives,
-                 principal: Assertion | None) -> bool:
-    """Whether concl follows from prem by rule on principal, given the
-    premise's left and right actives: each conclusion side holds the
-    premise's side less its actives, plus the principal on its side, and
-    else only actives; impR's holds no active, and weaken's anything."""
-    act_left, act_right = actives
-    if not (act_left <= prem.left and act_right <= prem.right):
-        return False
-    left, right = concl.left, concl.right
+def _follows(concl: tuple[int, int], prems: list, actives: list,
+             principal: tuple[int, int], rule: Rule) -> bool:
+    """Whether the masks concl follow by rule from the masks prems, by the
+    least and most of the module docstring, premise m having the actives of
+    masks actives[m], and principal the principal's bit on each side."""
+    least_left, least_right = most_left, most_right = principal
+    for (left, right), (act_left, act_right) in zip(prems, actives):
+        if act_left & ~left or act_right & ~right:
+            return False
+        least_left |= left & ~act_left
+        least_right |= right & ~act_right
+        most_left |= left
+        most_right |= right
     if rule.widens:
-        return prem.left <= left and prem.right <= right
-    base_left = prem.left - act_left if act_left else prem.left
-    base_right = prem.right - act_right if act_right else prem.right
-    if rule.index == "eigen":  # the principal is on the right
-        return (left == base_left and base_right <= right
-                and len(right) == len(base_right) + (principal not in base_right))
-    if rule.side == "left":
-        return (base_left <= left and _adds_at_most(left, prem.left, principal)
-                and base_right <= right <= prem.right)
-    return (base_left <= left <= prem.left
-            and base_right <= right and _adds_at_most(right, prem.right, principal))
+        most_left = most_right = -1  # every bit
+    elif rule.index == "eigen":
+        most_left, most_right = least_left, least_right
+    left, right = concl
+    return not (least_left & ~left or left & ~most_left
+                or least_right & ~right or right & ~most_right)
 
 
-def _follows_two(rule: Rule, concl: Sequent, first: Sequent, second: Sequent,
-                 actives, principal: Assertion | None) -> bool:
-    """Whether concl follows from first and second, in that order, by rule
-    on principal (cut's has none), given each premise's left and right
-    actives: as for _follows_one, with the two premises' sides joined."""
-    (left1, right1), (left2, right2) = actives
-    if not (left1 <= first.left and right1 <= first.right
-            and left2 <= second.left and right2 <= second.right):
-        return False
-    left, right = concl.left, concl.right
-    if not ((first.left - left1) | (second.left - left2) <= left
-            and (first.right - right1) | (second.right - right2) <= right):
-        return False
-    if rule.side == "left":
-        return (_adds_at_most(left, first.left | second.left, principal)
-                and right <= first.right | second.right)
-    if rule.side == "right":
-        return (left <= first.left | second.left
-                and _adds_at_most(right, first.right | second.right, principal))
-    return left <= first.left | second.left and right <= first.right | second.right
-
-
-def _check_rule(concl: Sequent, just: Justification, earlier: Sequence[Sequent],
-                line_no: int, bound: int, indices: frozenset[int]) -> None:
-    """Raise the RuleError of line line_no, concl by just, if it has one;
-    indices are concl's."""
+def _check_rule(table: _Bits, concl: tuple[int, int], just: Justification,
+                lines: list[tuple[int, int]], line_no: int) -> None:
+    """Raise the RuleError of line line_no, of masks concl, by just from the
+    earlier lines, of masks lines, if it has one."""
     if not isinstance(just, Justification):
         raise RuleError(line_no, "ShapeMismatch", f"unknown rule {just!r}")
-    rule = just.rule
+    rule, (left, right) = just.rule, concl
     if rule is Premise:
         raise RuleError(line_no, "ShapeMismatch", "a premise line is a derived "
                         "rule's hypothesis, not a step of a proof")
     misfit = rule.misfit(just.refs, just.eigen)
     if misfit:
         raise RuleError(line_no, "ShapeMismatch", misfit)
+    index, side, premises, prems = rule.index, rule.side, rule.premises, []
     for ref in just.refs:
         if type(ref) is not int:  # nor a bool, which prints as no number
             raise RuleError(line_no, "BadRef", f"reference {ref!r} is no line number")
-        if not 1 <= ref <= len(earlier):
+        if not 1 <= ref < line_no:
             raise RuleError(line_no, "BadRef", f"reference {ref} out of range")
-    prems = [earlier[ref - 1] for ref in just.refs]
+        prems.append(lines[ref - 1])
     if not prems:
-        if concl.is_axiom():
+        if left & right:
             return
         raise RuleError(line_no, "NotAxiom", "no assertion common to both sides")
-    if rule.index == "eigen" and not (type(just.eigen) is int and 0 <= just.eigen < bound):
+    if index == "eigen" and not (type(just.eigen) is int and 0 <= just.eigen < table.bound):
         raise RuleError(line_no, "IndexOutOfBound", f"eigen index {just.eigen}")
-    stale = False
-    for principal, k in _principals(rule, concl, just, prems, bound):
-        actives = rule.actives(principal, k, len(prems))
-        if len(prems) == 1:
-            if not _follows_one(rule, concl, prems[0], actives[0], principal):
+    if premises is None:  # weaken
+        principals = 0
+        if _follows(concl, prems, [(0, 0)], (0, 0), rule):
+            return
+    elif side is None:  # cut: any assertion the premises share
+        (left1, right1), (left2, right2) = prems
+        principals = right1 & left2 | right2 & left1
+    else:
+        principals = (left if side == "left" else right) & table.kinds.get(rule.conn, 0)
+    keys, ks, stale = table.keys, (just.eigen,), False
+    while principals:
+        bit = principals & -principals
+        principals ^= bit
+        f, i, j = table.made[bit.bit_length() - 1]
+        on = (bit, 0) if side == "left" else (0, bit) if side else (0, 0)
+        if index == "any":  # impL: k where a premise's right side holds (A)[k,i]
+            key, rights = f.left.uid << 6 | i, prems[0][1] | prems[1][1]
+            ks = [k for k in range(table.bound) if keys.get(key | k << 3, 0) & rights]
+        for k in ks:
+            actives = []  # an active with no bit is -1, every bit, which no side holds
+            for triples_left, triples_right in premises(f, i, j, k):
+                act_left = act_right = 0
+                for g, x, y in triples_left:
+                    act_left |= keys.get(g.uid << 6 | x << 3 | y, -1)
+                for g, x, y in triples_right:
+                    act_right |= keys.get(g.uid << 6 | x << 3 | y, -1)
+                actives.append((act_left, act_right))
+            if not (_follows(concl, prems, actives, on, rule)
+                    or len(actives) == 2 and _follows(concl, prems, actives[::-1], on, rule)):
                 continue
-        elif not (_follows_two(rule, concl, *prems, actives, principal)
-                  or _follows_two(rule, concl, *prems[::-1], actives, principal)):
-            continue
-        # the principal carries i and j, so this keeps k apart from them too
-        if rule.index == "eigen" and k in indices:
-            stale = True
-            continue
-        return
+            # the principal carries i and j, so this keeps k apart from them too
+            if index == "eigen" and table.holds[k] & (left | right):
+                stale = True
+                continue
+            return
     if stale:
-        raise RuleError(line_no, "EigenvariableViolation",
-                        f"index {just.eigen} not fresh")
+        raise RuleError(line_no, "EigenvariableViolation", f"index {just.eigen} not fresh")
     raise RuleError(line_no, "ShapeMismatch", f"{rule.name} shape")
-
-
-def _check_line(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
-                bound: int, indices: frozenset[int]) -> None:
-    """check_step, given the indices of the line's sequent."""
-    concl, just = line
-    line_no = len(earlier) + 1
-    for idx in indices:
-        # a bool prints as no number; report the least, whatever the set's order
-        if idx.__class__ is bool or not 0 <= idx < bound:
-            idx = min(i for i in indices if i.__class__ is bool or not 0 <= i < bound)
-            raise RuleError(line_no, "IndexOutOfBound", f"index {idx}")
-    _check_rule(concl, just, earlier, line_no, bound, indices)
 
 
 def check_step(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
                bound: int = DEFAULT_BOUND) -> None:
     """Validate one line against earlier sequents; raises RuleError if bad."""
-    _check_line(earlier, line, bound, line[0].indices())
+    table, (seq, just), line_no = _Bits(bound), line, len(earlier) + 1
+    concl = table.side(seq.left), table.side(seq.right)
+    if table.bad:
+        raise _out_of_bound(seq, line_no, bound)
+    _check_rule(table, concl, just, [(table.side(s.left), table.side(s.right))
+                                     for s in earlier], line_no)
 
 
 def check_proof(proof: Proof) -> CheckReport:
     """Check every line; reports rather than raising."""
-    earlier: list[Sequent] = []
-    objects: set[int] = set()
-    first_error = None
-    for n, line in enumerate(proof.lines, start=1):
-        seq, _ = line
-        indices = seq.indices()
-        objects |= indices
-        if first_error is None:
-            try:
-                _check_line(earlier, line, proof.bound, indices)
-            except RuleError as e:
-                first_error = (n, f"{e.kind}: {e.detail}" if e.detail else e.kind)
-        earlier.append(seq)
+    table, lines, first_error, bad = _Bits(proof.bound), [], None, False
+    for n, (seq, just) in enumerate(proof.lines, start=1):
+        concl = table.side(seq.left), table.side(seq.right)
+        try:
+            if table.bad:
+                table.bad, bad = False, True
+                if first_error is None:
+                    raise _out_of_bound(seq, n, proof.bound)
+            elif first_error is None:
+                _check_rule(table, concl, just, lines, n)
+                lines.append(concl)  # the lines' masks, up to the first error
+        except RuleError as e:
+            first_error = (n, f"{e.kind}: {e.detail}" if e.detail else e.kind)
     if first_error is None and proof.goal is not None:
-        if proof.goal_sequent() not in reversed(earlier):  # nearly always the last
+        goal = (0, table.keys.get(desugar_fusion(proof.goal).uid << 6, -1))
+        if goal not in reversed(lines):  # nearly always the last
             first_error = (len(proof.lines), "GoalMissing")
-    return CheckReport(valid=first_error is None,
-                       objects_used=frozenset(objects),
+    # with a bad index, line by line, as a set keeps the first of equal members
+    objects = (set().union(*(seq.indices() for seq, _ in proof.lines)) if bad
+               else {x for x, bits in enumerate(table.holds) if bits})
+    return CheckReport(valid=first_error is None, objects_used=frozenset(objects),
                        first_error=first_error)
 
 

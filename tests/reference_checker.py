@@ -10,6 +10,7 @@ the principal; a context may hold a copy of an active, and impR's may not,
 as impR's actives carry its fresh eigen index.
 
     check(proof) -> (valid, objects used, first error line, error kind)
+    step(earlier, line, bound) -> "ok" or the kind of the line's fault
 
 where the error line and kind are None for a valid proof.
 """
@@ -141,7 +142,7 @@ def _texts(sequent):
 
 def _verdict(n, concl, just, earlier, bound) -> str:
     """ok, or the kind of the first fault of line n."""
-    if any(not 0 <= x < bound for x in _indices(concl)):
+    if any(x not in range(bound) for x in _indices(concl)):  # 1.5 is no index
         return "IndexOutOfBound"
     name = just.rule.name
     if name == "premise":  # a derived rule's hypothesis: no proof assumes it
@@ -154,17 +155,29 @@ def _verdict(n, concl, just, earlier, bound) -> str:
     return _CHECKS[name](concl, prems, just.eigen, bound)
 
 
+def _kind(n, concl, line, earlier, bound) -> str:
+    """ok, or the kind of the fault of line n, (sequent, justification),
+    whose triples are concl, after the triples earlier."""
+    sequent, just = line
+    # a bool index prints as no number; as a set member it may stand for,
+    # or hide behind, the int equal to it, so each is looked at
+    if any(type(x) is bool for a in sequent.left | sequent.right for x in (a.i, a.j)):
+        return "IndexOutOfBound"
+    return _verdict(n, concl, just, earlier, bound)
+
+
+def step(earlier, line, bound) -> str:
+    """ok, or the kind of the fault of line, (sequent, justification), after
+    the sequents earlier: what ``sequents.check_step`` says of it."""
+    return _kind(len(earlier) + 1, _texts(line[0]), line, list(map(_texts, earlier)), bound)
+
+
 def check(proof):
     """(valid, objects used, first error line, error kind) of proof."""
     lines = [_texts(s) for s, _ in proof.lines]
     objects = set().union(*map(_indices, lines))
-    for n, (concl, (sequent, just)) in enumerate(zip(lines, proof.lines), start=1):
-        # a bool index prints as no number; as a set member it may stand
-        # for, or hide behind, the int equal to it, so each is looked at
-        if any(type(x) is bool for a in sequent.left | sequent.right for x in (a.i, a.j)):
-            kind = "IndexOutOfBound"
-        else:
-            kind = _verdict(n, concl, just, lines, proof.bound)
+    for n, (concl, line) in enumerate(zip(lines, proof.lines), start=1):
+        kind = _kind(n, concl, line, lines, proof.bound)
         if kind != "ok":
             return False, frozenset(objects), n, kind
     if proof.goal is not None:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tarl import registry
+from tarl import derived, registry
 from tarl.algebra import ProperAlgebra, verified_in_algebra
 from tarl.formulas import (
     Imp, Var, desugar_fusion, parse_formula, substitute, variables,
@@ -127,6 +127,18 @@ def test_corpus_follows_a_change_of_data_directory(tmp_path, monkeypatch):
     assert len(get_corpus_entry("t6").proof.lines) == 4
     monkeypatch.delenv("TARL_DATA")
     assert len(get_corpus_entry("t6").proof.lines) == 3
+
+
+@pytest.mark.cache_behaviour
+def test_a_loaded_file_is_found_with_no_path_built(monkeypatch):
+    structure, entry = get_structure("K3"), get_corpus_entry("t6")
+    skeleton = derived._skeleton("erule")
+    monkeypatch.setattr(registry, "data_dir", lambda: pytest.fail("a hit built a Path"))
+    assert get_structure("k3") is structure
+    assert get_corpus_entry("t6").proof is entry.proof
+    assert derived._skeleton("erule") is skeleton
+    monkeypatch.setenv("TARL_DATA", "")  # the default data directory, as when unset
+    assert get_structure("K3") is structure
 
 
 # sha256 of the repr of (elements, zero, sorted star items, sorted triples),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import weakref
 from dataclasses import replace
+from itertools import starmap
 from pathlib import Path
 from unittest import mock
 
@@ -49,9 +50,10 @@ def test_assertions_must_be_core():
 
 
 def test_axiom_detection():
-    assert seq([a("p", 0, 1)], [a("p", 0, 1)]).is_axiom()
-    assert not seq([a("p", 0, 1)], [a("p", 1, 0)]).is_axiom()
-    assert seq([a("a", 1, 0), a("b", 1, 0)], [a("b", 1, 0)]).is_axiom()
+    check_step([], (seq([a("p", 0, 1)], [a("p", 0, 1)]), Axiom()))
+    with pytest.raises(RuleError, match="NotAxiom"):
+        check_step([], (seq([a("p", 0, 1)], [a("p", 1, 0)]), Axiom()))
+    check_step([], (seq([a("a", 1, 0), a("b", 1, 0)], [a("b", 1, 0)]), Axiom()))
 
 
 def test_impr_step_ok():
@@ -728,11 +730,13 @@ def test_assertions_are_immutable():
 def test_sequents_and_justifications_are_immutable():
     s, j = seq([a("p", 0, 1)], [a("p", 0, 1)]), ImpR(1, eigen=2)
     for thing, names in ((s, ("left", "right")), (j, ("rule", "refs", "eigen"))):
-        for name in names:
+        for name in (*names, "other", "__dict__"):  # fields and names that are none
             with pytest.raises(AttributeError):
                 setattr(thing, name, frozenset())
             with pytest.raises(AttributeError):
                 delattr(thing, name)
+        assert not hasattr(thing, "other")
+        assert pickle.loads(pickle.dumps(thing)) == copy.deepcopy(thing) == thing
     assert s == Sequent(left=s.left, right=s.right) and hash(s) == hash((s.left, s.right))
     assert j == Justification(ImpR, (1,), 2) and hash(j) == hash((ImpR, (1,), 2))
     assert repr(j) == "Justification(rule=impR, refs=(1,), eigen=2)"
@@ -831,17 +835,6 @@ def test_substitution_leaves_no_reference_cycle():
 # impL reads k from its premises
 # ------------------------------------------------------------------
 
-_PRINCIPALS = sequents._principals
-
-
-def _principals_over_every_k(rule, concl, just, prems, bound):
-    """The checker's impL reading that tries every k below the bound: the
-    oracle of the reading that takes k from a premise's (A)[k,i]."""
-    if rule is not ImpL:
-        return _PRINCIPALS(rule, concl, just, prems, bound)
-    return [(p, k) for p in concl.left if isinstance(p.formula, Imp) for k in range(bound)]
-
-
 def _golden_proofs():
     """The proofs pinned in tests/golden: every corpus proof, a substitution
     instance of each and the derived rules' outputs, then search's proofs of
@@ -878,15 +871,14 @@ def _mutant(proof, rng):
     return replace(proof, lines=lines)
 
 
-def test_impl_reading_k_from_its_premises_agrees_with_every_k(monkeypatch):
+def test_impl_reading_k_from_its_premises_agrees_with_every_k():
+    # the checker tries only the k of an (A)[k,i] on a premise's right side;
+    # the reference checker's impL tries every k below the bound
     proofs = _golden_proofs()
     assert len(proofs) >= 38 * 2 + 13 + 38
     rng = random.Random(23)
     mutants = [_mutant(rng.choice(proofs), rng) for _ in range(3000)]
-    ours = [check_proof(p) for p in proofs + mutants]
-    monkeypatch.setattr(sequents, "_principals", _principals_over_every_k)
-    oracle = [check_proof(p) for p in proofs + mutants]
-    assert ours == oracle
+    ours = _agreeing(proofs + mutants)
     assert all(r.valid for r in ours[:len(proofs)])
     # the mutants reach impL's failing path, not only its passing one
     failed_impl = sum(not r.valid and "impL" in r.first_error[1] for r in ours)
@@ -940,17 +932,35 @@ def _fault(proof, rng):
     return replace(proof, lines=lines)
 
 
-def test_the_reference_checker_agrees_on_pinned_proofs_and_mutants():
+def _faulty(count, seed):
+    """The golden proofs and count seeded faults of them, two made by _mutant
+    to each made by _fault."""
     proofs = _golden_proofs()
-    rng = random.Random(25)
-    faulty = [_mutant(rng.choice(proofs), rng) for _ in range(400)]
-    faulty += [_fault(rng.choice(proofs), rng) for _ in range(200)]
-    for proof in proofs + faulty:
-        assert reference_checker.agrees(proof, check_proof(proof)), \
-            format_proof_script("x", proof)
-    kinds = {reference_checker.check(p)[3] for p in faulty}
-    assert kinds == {None, "BadRef", "IndexOutOfBound", "ShapeMismatch", "NotAxiom",
-                     "GoalMissing", "EigenvariableViolation"}, kinds
+    rng = random.Random(seed)
+    return proofs + [(_fault if n % 3 == 2 else _mutant)(rng.choice(proofs), rng)
+                     for n in range(count)]
+
+
+def _agreeing(proofs):
+    """The check_proof reports on proofs, each of which the reference
+    checker agrees with."""
+    reports = [check_proof(proof) for proof in proofs]
+    for proof, report in zip(proofs, reports):
+        assert reference_checker.agrees(proof, report), format_proof_script("x", proof)
+    return reports
+
+
+def reference_agreement(count, seed):
+    """How many check_proof reports on _faulty(count, seed) end in each error
+    kind (None: valid); the reference checker must agree with each."""
+    return collections.Counter(r.first_error and r.first_error[1].split(":")[0]
+                               for r in _agreeing(_faulty(count, seed)))
+
+
+def test_the_reference_checker_agrees_on_pinned_proofs_and_mutants():
+    kinds = reference_agreement(600, 25)
+    assert set(kinds) == {None, "BadRef", "IndexOutOfBound", "ShapeMismatch", "NotAxiom",
+                          "GoalMissing", "EigenvariableViolation"}, kinds
 
 
 def test_the_reference_checker_agrees_when_a_line_gains_an_assertion():
@@ -984,6 +994,76 @@ def test_the_reference_checker_reads_each_fault_of_the_unit_examples():
         _, proof = parse_proof_script(f"lemma x\n{lines}\n")
         assert reference_checker.check(proof)[3] == kind, lines
         assert reference_checker.agrees(proof, check_proof(proof)), lines
+
+
+# ------------------------------------------------------------------
+# The edges of the checker's bit masks
+# ------------------------------------------------------------------
+
+def _rebuilt(proof, index=int):
+    """proof with every assertion of every line built again, an object of
+    its own, with its indices mapped by index."""
+    def side(s):
+        return frozenset(Assertion(x.formula, index(x.i), index(x.j)) for x in s)
+    return replace(proof, lines=[(Sequent(side(s.left), side(s.right)), just)
+                                 for s, just in proof.lines])
+
+
+def test_index_seven_at_bound_eight():
+    # an index takes three bits of the key uid << 6 | i << 3 | j
+    scripts = {
+        "1. (p)[7,0] => (p)[7,0] ; axiom\n2. => (p -> p)[0,0] ; impR k=7": {0, 7},
+        "1. (p)[0,7] => (p)[0,7] ; axiom\n2. => (p -> p)[7,7] ; impR k=0": {0, 7},
+        "1. (p)[7,7] => (p)[7,7] ; axiom\n2. (p)[7,7], (~p)[7,7] => ; negL": {7},
+        "1. (p)[7,0] => (p)[7,0] ; axiom\n2. (q)[7,0] => (q)[7,0] ; axiom\n"
+        "3. (p)[7,0], (p -> q)[0,0] => (q)[7,0] ; impL 1 2": {0, 7},
+    }
+    for lines, objects in scripts.items():
+        for bound, first_error in ((8, None), (7, (1, "IndexOutOfBound: index 7"))):
+            _, proof = parse_proof_script(f"lemma x bound {bound}\n{lines}\n")
+            report, = _agreeing([proof])
+            assert (report.first_error, report.objects_used) == (first_error, objects), lines
+    _, proof = parse_proof_script("lemma x bound 8\n1. (p)[7,0], (q)[7,7] => (p)[7,0] ; axiom\n"
+                                  "2. (q)[7,7] => (p -> p)[0,0] ; impR k=7\n")
+    assert _agreeing([proof])[0].first_error == (2, "EigenvariableViolation: index 7 not fresh")
+    # the golden proofs and their faults with indices 1 and 7 exchanged
+    swap = {x: x for x in range(8)} | {1: 7, 7: 1}
+    wide = [permute_indices(replace(proof, bound=8), swap) for proof in _faulty(300, 31)]
+    reports = _agreeing(wide)
+    assert sum(r.valid and 7 in r.objects_used for r in reports) > 100
+
+
+def test_numpy_indices_in_bound_read_as_ints():
+    proofs = _faulty(300, 32)
+    wide = [_rebuilt(proof, np.int64) for proof in proofs]
+    assert type(next(iter(wide[0].lines[0][0].right)).i) is np.int64
+    assert _agreeing(wide) == [check_proof(proof) for proof in proofs]
+    half = Assertion(Var("p"), 1.5, 0)  # equal to no index below the bound
+    report, = _agreeing([Proof([(Sequent.of([half], [half]), Axiom())])])
+    assert report.first_error == (1, "IndexOutOfBound: index 1.5")
+
+
+def test_an_assertion_equal_to_an_earlier_one_is_the_same_to_the_checker():
+    proofs = _faulty(300, 33)
+    rebuilt = [_rebuilt(proof) for proof in proofs]
+    slots = [x for proof in rebuilt for s, _ in proof.lines for x in (*s.left, *s.right)]
+    assert len(set(map(id, slots))) == len(slots)  # no object on two lines
+    reports = _agreeing(rebuilt)
+    assert reports == [check_proof(proof) for proof in proofs]
+    assert sum(r.valid for r in reports) > 150
+
+
+def test_check_step_on_premises_no_proof_checked():
+    for proof in _faulty(200, 34):
+        earlier = [s for s, _ in _rebuilt(proof).lines]
+        for n, line in enumerate(proof.lines):
+            try:
+                check_step(earlier[:n], line, proof.bound)
+                kind = "ok"
+            except RuleError as e:
+                kind = e.kind
+            assert kind == reference_checker.step(earlier[:n], line, proof.bound), \
+                format_proof_script("x", proof)
 
 
 # ------------------------------------------------------------------
@@ -1070,7 +1150,10 @@ def _line(rule, rng):
     f = a if rule.conn is None else rule.conn(a) if rule.conn is Neg else rule.conn(a, b)
     principal = Assertion(f, rng.randrange(BOUND), rng.randrange(BOUND))
     k = rng.randrange(BOUND)
-    actives = rule.actives(principal, k, rule.refs)
+    rows = ([([], [])] * rule.refs if rule.premises is None
+            else rule.premises(f, principal.i, principal.j, k))
+    actives = [(frozenset(starmap(Assertion, left)), frozenset(starmap(Assertion, right)))
+               for left, right in rows]
     near = {principal}.union(*(left | right for left, right in actives))
     near = sorted(near | {Assertion(x.formula, x.j, x.i) for x in near}, key=Assertion.key)
 
@@ -1115,3 +1198,19 @@ def test_every_rule_is_locally_sound(rule, seed, base):
     for numbers in accepted:
         *premises, concl = numbers
         assert concl not in failed or failed.intersection(premises), lines[concl - 1]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+def test_check_step_on_drawn_premises_agrees_with_the_reference(rule):
+    rng = random.Random(35)
+    kinds = collections.Counter()
+    for _ in range(200):
+        premises, concl, just = _line(rule, rng)
+        try:
+            check_step(premises, (concl, just), BOUND)
+            kind = "ok"
+        except RuleError as e:
+            kind = e.kind
+        assert kind == reference_checker.step(premises, (concl, just), BOUND), (premises, concl)
+        kinds[kind] += 1
+    assert kinds["ok"] > 0 or rule is sequents.Premise, kinds
