@@ -33,17 +33,10 @@ could only be a loop prune.  The steps with a premise that closes at once
 (an active added on one side is already on the other) are tried first, the
 rest in table order.
 
-A sequent's canonical form is a key that two sequents share exactly when a
-renaming of indices maps one onto the other; it detects loops (a key
-already on the branch) and indexes the failure cache (a key that failed
-with at least as much depth left).  Each index gets a signature that no
-renaming changes, the sorted codes of its occurrences (formula, side and
-position), and the key is the least encoding over the rankings of the
-indices by signature, so only indices with equal signatures are permuted
-(individualisation by invariants, as in McKay and Piperno, "Practical
-graph isomorphism, II", 2014).  Keys and signatures are made of ints:
-the key is the sorted tuple of one int per assertion (see ``_Table``).
-Keys do not encode the bound, so each pass has a fresh failure cache.
+A node's key is its sequent, the pair of masks below: it detects loops (a
+key already on the branch) and indexes the failure cache (a key that
+failed with at least as much depth left).  Keys do not encode the bound,
+so each pass has a fresh failure cache.
 
 Refutation at the root.  By the paper's definition a formula is in the
 logic only if its translation contains the identity in every proper
@@ -64,21 +57,20 @@ point, and a refutable one wastes at most 64 nodes before it stops.
 Internal nodes are never checked: pruning every node this way saved few
 nodes and took longer.
 
-Formulas are hash-consed (``formulas``), so the codes use each formula's
-``uid``.  Each search owns a table (``_Table``) that gives each assertion a
-bit the first time it is made, and a sequent in the search is a pair of
-ints, the masks of its left and right sides.  A sequent is an axiom when
-its masks share a bit.  A premise is its conclusion with the principal's
-bit cleared (impL keeps it) and the actives' bits set, and triage tests
-the actives' bits against the sides.  Index x is used when a side meets
-``holds[x]``, the bits of the assertions that hold x; weakening clears
-those bits.  The table keeps the active masks of each rule, principal and
-index, sorts the principals of each side once, by their formula's cached
-text, and memoises canonical forms on the masks, since sequents recur
-across passes; it is dropped with the search.  Only the sequents of a
-found proof are read back as ``Sequent``s, which ``check_proof``
-re-checks.  The outcome sums over all passes how each node ended and how
-many keys were taken.
+Formulas are hash-consed (``formulas``), so the table keys an assertion by
+its formula's ``uid`` and its indices.  Each search owns a table
+(``_Table``) that gives each assertion a bit the first time it is made,
+and a sequent in the search is a pair of ints, the masks of its left and
+right sides.  A sequent is an axiom when its masks share a bit.  A premise
+is its conclusion with the principal's bit cleared (impL keeps it) and the
+actives' bits set, and triage tests the actives' bits against the sides.
+Index x is used when a side meets ``holds[x]``, the bits of the assertions
+that hold x; weakening clears those bits.  The table keeps the active
+masks of each rule, principal and index, and sorts the principals of each
+side once, by their formula's cached text; it is dropped with the search.
+Only the sequents of a found proof are read back as ``Sequent``s, which
+``check_proof`` re-checks.  The outcome sums over all passes how each node
+ended.
 """
 
 from __future__ import annotations
@@ -86,7 +78,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, groupby, permutations, product, starmap
+from itertools import starmap
 from operator import itemgetter, or_
 
 from .algebra import ProperAlgebra, _proper_carrier, verified_in_algebra
@@ -124,20 +116,19 @@ class SearchBudget:
 
 
 _COUNTERS = ("nodes", "axioms", "cutoffs", "loop_prunes", "cache_prunes",
-             "expansions", "canonical_forms", "refutation_checks")
+             "expansions", "refutation_checks")
 
 
 @dataclass
 class SearchOutcome:
     """The verdict and the work done, summed over the passes.  Every node
     visited ends as exactly one of an axiom leaf, a depth cutoff, a loop
-    prune (its canonical form is on the current branch), a cache prune (it
-    failed before in its pass with at least this depth left) or an
-    expansion, except the one at which the search stops early: nodes is
-    their sum, plus 1 when the node budget ran out or the goal was refuted.
-    canonical_forms, the number of keys taken at the key test, is not part
-    of that sum.  bound is the index bound of the last pass.  A found proof
-    comes with the objects (indices) it uses; its level is their number.
+    prune (its sequent is on the current branch), a cache prune (it failed
+    before in its pass with at least this depth left) or an expansion,
+    except the one at which the search stops early: nodes is their sum,
+    plus 1 when the node budget ran out or the goal was refuted.  bound is
+    the index bound of the last pass.  A found proof comes with the objects
+    (indices) it uses; its level is their number.
 
     refutation_checks is 1 when the search reached node ``REFUTE_AFTER``
     and checked its goal in sampled proper relation algebras, else 0.  The
@@ -161,7 +152,6 @@ class SearchOutcome:
     loop_prunes: int = 0
     cache_prunes: int = 0
     expansions: int = 0
-    canonical_forms: int = 0
     refutation_checks: int = 0
     objects: frozenset[int] | None = None
     bound: int = 0
@@ -187,8 +177,8 @@ _CONNECTIVES = tuple({rule.conn for rule in RULES if rule.conn})
 
 
 class _Table:
-    """One search's assertions, the actives of its rule applications, the
-    order of each side's principals and the canonical forms.
+    """One search's assertions, the actives of its rule applications and
+    the order of each side's principals.
 
     Each assertion gets a bit the first time it is made, and a sequent is
     the pair (left, right) of the masks of its sides.  ``holds[x]`` has the
@@ -198,13 +188,10 @@ class _Table:
     def __init__(self):
         self._bits: dict[int, int] = {}
         self._made: list[Assertion] = []
-        # each bit's canonical code, (uid << 1 | side, i, j), per side
-        self._codes: tuple[list, list] = ([], [])
         self._connectives = 0  # the bits of assertions some rule takes as principal
         self.holds = [0] * MAX_BOUND
         self._actives: dict[tuple, list[tuple[int, int]]] = {}
         self._ordered: dict[int, list[Assertion]] = {}
-        self._canonical: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def bit(self, f: Formula, i: int, j: int) -> int:
         """The mask of (f)[i,j] alone; i and j are below 8, as max_index is
@@ -214,8 +201,6 @@ class _Table:
         if one is None:
             one = self._bits[key] = 1 << len(self._made)
             self._made.append(Assertion(f, i, j))
-            self._codes[0].append((f.uid << 1, i, j))
-            self._codes[1].append((f.uid << 1 | 1, i, j))
             if isinstance(f, _CONNECTIVES):
                 self._connectives |= one
             holds = self.holds
@@ -251,44 +236,6 @@ class _Table:
         if out is None:
             out = self._ordered[side] = sorted(_picked(self._made, side), key=Assertion.key)
         return out
-
-    def canonical(self, seq: tuple[int, int]) -> tuple[int, ...]:
-        """The canonical form of seq (see the module docstring): the sorted
-        codes ``(uid << 1 | side) << 6 | rank_i << 3 | rank_j`` of its
-        assertions, with side 0 for the left and 1 for the right.  The
-        ranks fit 3 bits because seq uses at most 8 indices (``max_index``
-        is at most ``MAX_BOUND`` = 8).  An index's signature holds
-        ``(uid << 1 | side) << 2 | position`` per occurrence, position 0 for
-        i, 1 for j and 2 for both.  When no two signatures are equal there is one ranking."""
-        best = self._canonical.get(seq)
-        if best is not None:
-            return best
-        codes = _picked(self._codes[0], seq[0]) + _picked(self._codes[1], seq[1])
-        occurs: dict[int, list[int]] = {}
-        for code, i, j in codes:
-            code <<= 2
-            if i == j:
-                occurs.setdefault(i, []).append(code | 2)
-            else:
-                occurs.setdefault(i, []).append(code)
-                occurs.setdefault(j, []).append(code | 1)
-        for sig in occurs.values():
-            sig.sort()
-        order = sorted(occurs, key=occurs.__getitem__)
-        ties = [tuple(g) for _, g in groupby(order, key=occurs.__getitem__)]
-        if len(ties) == len(order):
-            rankings = [order]
-        else:
-            rankings = [list(chain.from_iterable(ranking))
-                        for ranking in product(*map(permutations, ties))]
-        for ranking in rankings:
-            rank = dict(zip(ranking, range(len(ranking))))
-            key = tuple(sorted([code << 6 | rank[i] << 3 | rank[j]
-                                for code, i, j in codes]))
-            if best is None or key < best:
-                best = key
-        self._canonical[seq] = best
-        return best
 
 
 def _picked(items: list, mask: int) -> list:
@@ -376,7 +323,7 @@ def _steps(seq: tuple[int, int], run: _Pass):
     steps.sort(key=itemgetter(0))  # stable: table order within each class
     for _, rule, a, k in steps:
         yield rule, k, _backward(rule, seq, a, k, table)
-    if short and run.weakens:
+    if run.weakens:  # no invertible step applied, so each impR here was short
         imps = [a for a in ordered["right"] if isinstance(a.formula, _IMPR.conn)]
         left, right = seq
         for x, holds in enumerate(table.holds):
@@ -446,16 +393,14 @@ class _Pass:
         if depth <= 0:
             out.cutoffs += 1
             return None
-        key = self.table.canonical(seq)
-        out.canonical_forms += 1
-        if key in seen:
+        if seq in seen:
             out.loop_prunes += 1
             return None
-        if self.fail_cache.get(key, -1) >= depth:
+        if self.fail_cache.get(seq, -1) >= depth:
             out.cache_prunes += 1
             return None
         out.expansions += 1
-        seen = seen | {key}
+        seen = seen | {seq}
 
         for rule, k, premises in _steps(seq, self):
             children = []
@@ -467,7 +412,7 @@ class _Pass:
                 children.append(child)
             if children is not None:
                 return seq, rule, k, children
-        self.fail_cache[key] = depth
+        self.fail_cache[seq] = depth
         return None
 
 

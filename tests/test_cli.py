@@ -108,7 +108,7 @@ def test_prove_json_reports_the_search_counters(capsys, argv, status):
     refuted = status == "refuted"
     assert payload["nodes"] == refuted + sum(payload[name] for name in (
         "axioms", "cutoffs", "loop_prunes", "cache_prunes", "expansions"))
-    assert 0 < payload["canonical_forms"] <= payload["nodes"]
+    assert 0 < payload["expansions"] <= payload["nodes"]
     assert payload["refutation_checks"] == refuted
     assert payload["limit"] is None
 

@@ -11,8 +11,7 @@ from tarl.gen import random_core_formula
 from tarl.models import valid_in
 from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
 from tarl.search import MAX_DEPTH, REFUTE_AFTER, SearchBudget, search_proof
-from tarl.sequents import (Assertion, Sequent, check_proof, format_proof_script,
-                           substitute_proof)
+from tarl.sequents import check_proof, format_proof_script, substitute_proof
 
 
 def test_identity_implication():
@@ -101,8 +100,20 @@ def test_budget_validation():
         SearchBudget(max_depth=0)
     with pytest.raises(ValueError):
         SearchBudget(max_index=9)
+    with pytest.raises(ValueError, match="^max_index must be within 1..8$"):
+        SearchBudget(max_index=0)
     with pytest.raises(ValueError, match=f"^max_depth must be at most {MAX_DEPTH}$"):
         SearchBudget(max_depth=MAX_DEPTH + 1)
+
+
+def test_the_smallest_index_bound_is_one_object():
+    # max_index 1 is a valid budget: excluded middle proves with object 0,
+    # and a -> a, whose impR needs a second object, is not found
+    budget = SearchBudget(max_index=1)
+    out = search_proof(parse_formula("a | ~a"), budget)
+    assert out.proved and (out.objects, out.bound) == ({0}, 1)
+    out = search_proof(parse_formula("a -> a"), budget)
+    assert (out.status, out.bound) == ("not_found", 1)
 
 
 def test_a_search_reaches_the_largest_depth():
@@ -119,7 +130,7 @@ def test_a_search_reaches_the_largest_depth():
 
 
 # ------------------------------------------------------------------
-# Counters, canonical forms and the failure cache
+# Counters and the failure cache
 # ------------------------------------------------------------------
 
 @pytest.mark.parametrize("text, budget, ran_out", [
@@ -138,16 +149,13 @@ def test_every_node_is_counted_once(text, budget, ran_out, monkeypatch):
     assert (out.nodes > budget.max_nodes) == ran_out
     assert out.nodes == (c["axioms"] + c["cutoffs"] + c["loop_prunes"]
                          + c["cache_prunes"] + c["expansions"] + ran_out)
-    # every expanded or cache-pruned node has a key; axioms, cutoffs and
-    # premises equal to their conclusion do not
-    assert (c["cache_prunes"] + c["expansions"] <= c["canonical_forms"]
-            <= c["nodes"] - c["axioms"] - c["cutoffs"])
 
 
 def test_no_visited_premise_equals_its_conclusion(monkeypatch):
     # impL keeps its principal, so a premise whose active is already in
     # the context would be its conclusion again; triage drops such steps,
-    # and every node that is neither an axiom nor a cutoff gets a key
+    # and every node that is neither an axiom nor a cutoff is looked up by
+    # its masks and ends as a loop prune, a cache prune or an expansion
     steps, tried = search._steps, []
 
     def watched(seq, run):
@@ -161,7 +169,8 @@ def test_no_visited_premise_equals_its_conclusion(monkeypatch):
     c = _search(parse_formula("(p -> q) -> (q -> r) -> p -> r"),
                 SearchBudget(max_depth=6), monkeypatch).counters()
     assert "impL" in tried
-    assert c["canonical_forms"] == c["nodes"] - c["axioms"] - c["cutoffs"]
+    assert (c["loop_prunes"] + c["cache_prunes"] + c["expansions"]
+            == c["nodes"] - c["axioms"] - c["cutoffs"])
 
 
 def test_every_corpus_goal_is_proved_at_its_level():
@@ -202,115 +211,6 @@ def test_proof_level_is_the_objects_the_proof_uses(max_index):
         assert out.objects == used
         assert out.level == len(used) <= max_index
     assert proved >= 15
-
-
-def _oracle_key(seq, max_index, fids):
-    """Reference canonical form: the least encoded sequent over every
-    injection of the used indices into 0..max_index-1."""
-    def fid(f):
-        return fids.setdefault(f, len(fids))
-
-    used = sorted(seq.indices())
-    left = [(fid(a.formula), a.i, a.j) for a in seq.left]
-    right = [(fid(a.formula), a.i, a.j) for a in seq.right]
-    best = None
-    for image in itertools.permutations(range(max_index), len(used)):
-        ren = dict(zip(used, image))
-        key = (tuple(sorted((f, ren[i], ren[j]) for (f, i, j) in left)),
-               tuple(sorted((f, ren[i], ren[j]) for (f, i, j) in right)))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _subformulas(f, out):
-    out.append(f)
-    for part in (getattr(f, "body", None), getattr(f, "left", None),
-                 getattr(f, "right", None)):
-        if part is not None:
-            _subformulas(part, out)
-    return out
-
-
-def _renamed(seq, ren):
-    def move(side):
-        return [Assertion(b.formula, ren[b.i], ren[b.j]) for b in side]
-    return Sequent.of(move(seq.left), move(seq.right))
-
-
-def _random_sequent(rng, pool, bound, max_used):
-    used = rng.sample(range(bound), rng.randint(1, 3))
-
-    def side():
-        return [Assertion(rng.choice(pool), rng.choice(used), rng.choice(used))
-                for _ in range(rng.randint(0, 4))]
-    seq = Sequent.of(side(), side())
-    spare = [x for x in range(bound) if x not in used]
-    if len(spare) >= len(used) and 2 * len(used) <= max_used and rng.random() < 0.5:
-        # add a copy on fresh indices: each index ties with its image
-        copy = _renamed(seq, dict(zip(used, rng.sample(spare, len(used)))))
-        seq = Sequent(seq.left | copy.left, seq.right | copy.right)
-    return seq
-
-
-def _key(table, seq):
-    """The canonical form of seq, through the masks of its sides, which
-    read back as its sides."""
-    masks = (table.encode(seq.left), table.encode(seq.right))
-    assert (table.decode(masks[0]), table.decode(masks[1])) == (seq.left, seq.right)
-    return table.canonical(masks)
-
-
-@pytest.mark.parametrize("bound", [4, 6, 8])
-def test_canonical_form_matches_the_injection_oracle(bound):
-    rng = random.Random(bound)
-    # at bound 8 the oracle's injections are many: use at most 4 indices
-    max_used = 4 if bound == 8 else bound
-    table = search._Table()
-    goal = parse_formula("(a -> b) & ~(b -> a)")
-    pool = _subformulas(goal, [])[:3]  # few formulas: more tied indices
-    fids: dict = {}
-    oracle_of: dict = {}
-    ours_of: dict = {}
-    for _ in range(150):
-        seq = _random_sequent(rng, pool, bound, max_used)
-        used = sorted(seq.indices())
-        image = rng.sample(range(bound), len(used))
-        variants = [seq, _renamed(seq, dict(zip(used, image)))]
-        # a near miss: one assertion's indices swapped
-        if seq.left:
-            a = next(iter(seq.left))
-            variants.append(Sequent(seq.left - {a} | {Assertion(a.formula, a.j, a.i)},
-                                    seq.right))
-        keys = [_key(table, s) for s in variants]
-        assert keys[0] == keys[1]  # invariant under renaming
-        for s, key in zip(variants, keys):
-            oracle = _oracle_key(s, bound, fids)
-            # equal exactly when the oracle's keys are equal
-            assert oracle_of.setdefault(key, oracle) == oracle
-            assert ours_of.setdefault(oracle, key) == key
-    assert len(ours_of) < 3 * 150  # classes did meet
-
-
-def test_canonical_form_reads_back_as_a_renaming():
-    # each code read back by its fields, (uid << 1 | side) << 6 | rank_i << 3
-    # | rank_j, gives a sequent with the same key: no field overflows into
-    # the next, also when ranks reach 7
-    table = search._Table()
-    a = parse_formula("a")
-    chain = Sequent.of([Assertion(a, n, n + 1) for n in range(7)])
-    rng = random.Random(8)
-    pool = _subformulas(parse_formula("(a -> b) & ~(b -> a)"), [])
-    for seq in [chain] + [_random_sequent(rng, pool, 8, 8) for _ in range(50)]:
-        key = _key(table, seq)
-        formula = {x.formula.uid: x.formula for x in seq.left | seq.right}
-        sides = ([], [])
-        for code in key:
-            sides[code >> 6 & 1].append(Assertion(formula[code >> 7], code >> 3 & 7,
-                                                  code & 7))
-        assert _key(table, Sequent.of(*sides)) == key
-    key = _key(table, chain)
-    assert {code >> 3 & 7 for code in key} | {code & 7 for code in key} == set(range(8))
 
 
 def _search(goal, budget, monkeypatch, run=search._Pass, refute_after=0):
@@ -489,6 +389,32 @@ def test_the_trigger_moves_the_check_not_what_it_finds(monkeypatch):
     assert moved > 0
 
 
+@pytest.mark.parametrize("text", ["~~(p -> ~(q -> q))", "~~~(p -> r)"])
+def test_a_search_keyed_by_its_masks_reaches_the_root_check(text):
+    # a node is pruned only when its exact sequent was seen, not one equal
+    # up to a renaming of indices, so these searches no longer end
+    # not_found under REFUTE_AFTER nodes: they reach the root check, which
+    # refutes them
+    goal = parse_formula(text)
+    out = search_proof(goal, SearchBudget(max_nodes=1000))
+    assert (out.status, out.nodes, out.refutation_checks) == ("refuted", REFUTE_AFTER, 1)
+    assert out.counterexample["point"] in search._refutes(goal, out.counterexample)
+    assert _certifies(goal, out.counterexample)
+
+
+@pytest.mark.parametrize("text", ["~(~p -> p -> ~q)", "~((~r -> ~r) & p)"])
+def test_a_search_keyed_by_its_masks_is_refuted_a_pass_earlier(text):
+    # with every sequent keyed by its masks, the search reaches REFUTE_AFTER
+    # nodes in the pass at bound 3, not 4, and the root check refutes the
+    # goal there
+    goal = parse_formula(text)
+    out = search_proof(goal, SearchBudget(max_nodes=1000))
+    assert (out.status, out.bound, out.nodes, out.refutation_checks) == (
+        "refuted", 3, REFUTE_AFTER, 1)
+    assert out.counterexample["point"] in search._refutes(goal, out.counterexample)
+    assert _certifies(goal, out.counterexample)
+
+
 def test_searches_under_the_trigger_never_check():
     goal = parse_formula("~((p -> q) -> ~p)")
     out = search_proof(goal, SearchBudget(max_nodes=REFUTE_AFTER - 1))
@@ -519,29 +445,37 @@ def corpus_instances(seed, count, proofs=None):
     return out
 
 
-def outcome_digest(goals, budget=SearchBudget(), found=None):
-    """sha256 over each goal's search outcome: status, every counter, bound,
-    objects, proof script and counterexample, in plain values.  The proofs
-    found are appended to the list found, if one is given."""
-    digest = hashlib.sha256()
+def outcome_digests(goals, budget=SearchBudget(), found=None):
+    """Two sha256s over each goal's search outcome, in plain values: the
+    verdict digest hashes status, bound, objects, proof script,
+    counterexample and limit, and the outcome digest hashes these and every
+    counter.  The proofs found are appended to the list found, if one is
+    given."""
+    outcomes, verdicts = hashlib.sha256(), hashlib.sha256()
     for goal in goals:
         out = search_proof(goal, budget)
         if out.proved and found is not None:
             found.append(out.proof)
-        row = [out.status, out.counters(), out.bound,
-               None if out.objects is None else sorted(out.objects),
-               format_proof_script("g", out.proof) if out.proved else None,
-               out.counterexample]
-        digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
-    return digest.hexdigest()
+        verdict = [out.status, out.bound, None if out.objects is None else sorted(out.objects),
+                   format_proof_script("g", out.proof) if out.proved else None,
+                   out.counterexample, out.limit]
+        verdicts.update(json.dumps(verdict, sort_keys=True).encode() + b"\n")
+        outcomes.update(json.dumps(verdict + [out.counters()], sort_keys=True).encode() + b"\n")
+    return outcomes.hexdigest(), verdicts.hexdigest()
 
 
-# both digests were recorded with the frozenset-sequent search that the mask
-# search replaced, so any outcome that moves fails them
-_OUTCOME_DIGEST = "72c319849f8e4fa676d5f12adc69ed9e6e5974e633a646c0cf81bc5f9aa2edf6"
-# the 400 instances of corpus_instances(11, 400) at the default budget, which
-# CI checks outside Tier-1 (about 10 s)
-INSTANCES_DIGEST = "203eab3665651b68835d00a70a64dc109c42ef3467c095da0eaf2815588cff26"
+# the outcome and verdict digests of the set below, recorded with the search
+# keyed by its masks
+_OUTCOME_DIGESTS = ("64d0d2beca9c5479782feeea2c7fd3b8e787beb73961cdcbeed0e31f86144d04",
+                    "8bf56a217efe623c11b8234bdddd2b7f8bcb1b8e048cb76eb9d271edc0cc2419")
+# the outcome digest of the 400 instances of corpus_instances(11, 400) at the
+# default budget, which CI checks outside Tier-1 (about 2 s), recorded with
+# the search keyed by its masks
+INSTANCES_DIGEST = "2a3e22d8d21e62e14d5fc8bf1c756f732f4450b41791987add0a1522f978396e"
+# their verdict digest, recorded with the search keyed by canonical forms up
+# to renaming that the mask keys replaced: a change to the search may move
+# its counters, but no verdict of these 400 instances
+INSTANCES_VERDICT_DIGEST = "9247b3097b76a358a7309c3d7f6bda28b829cb7a54fa5c4c11b75b613381580f"
 
 
 def test_search_outcomes_match_their_digest():
@@ -550,4 +484,4 @@ def test_search_outcomes_match_their_digest():
     rng = random.Random(13)
     goals = corpus_instances(12, 76)
     goals += [random_core_formula(rng, rng.randint(6, 12), "pqr") for _ in range(60)]
-    assert outcome_digest(goals, SearchBudget(max_nodes=1000)) == _OUTCOME_DIGEST
+    assert outcome_digests(goals, SearchBudget(max_nodes=1000)) == _OUTCOME_DIGESTS
