@@ -4,9 +4,10 @@ Backward chaining from the goal sequent, reading the rule table of
 ``sequents`` backward: a row's premise function, given a principal of the
 goal and an index k, yields each premise's actives, and the premise is the
 goal with the principal removed (kept, for impL) and the actives added.
-Invertible rows are applied eagerly, without backtracking: first those
-whose principal is on the left (andL, negL), then on the right (orR, negR),
-then impR with the least unused index.  Otherwise the branching rows are
+Principals are taken in ``Assertion.key`` order.  Invertible rows are
+applied eagerly, without backtracking, to the first principal of the first
+of these that has one: andL or negL on the left, orR or negR on the right,
+impR with the least unused index.  Otherwise the branching rows are
 explored depth-first: orL, andR, then impL over every index k.  Cut is
 never applied.  Every returned proof re-checks.
 
@@ -26,17 +27,16 @@ T11's needs it.  The last pass does not weaken: no smaller proof is left to
 prefer, and weakened branches end in depth cutoffs, which would turn a
 ``not_found`` verdict into ``budget_exhausted``.
 
-Step triage.  The branching steps are read from their actives before any
-premise is built.  A step is dropped when one of its premises would equal
-its conclusion (an impL whose active is already on its side): that premise
-could only be a loop prune.  The steps with a premise that closes at once
-(an active added on one side is already on the other) are tried first, the
-rest in table order.
+Step triage.  A branching step is dropped when one of its premises
+equals its conclusion (an impL whose active is already on its side): that
+premise could only be a loop prune.  The steps with a premise that closes
+at once (an axiom) are tried first, the rest after, each in table order.
 
 A node's key is its sequent, the pair of masks below: it detects loops (a
-key already on the branch) and indexes the failure cache (a key that
-failed with at least as much depth left).  Keys do not encode the bound,
-so each pass has a fresh failure cache.
+key of a node on the branch being expanded, the pass's one set) and
+indexes the failure cache (a key that failed with at least as much depth
+left).  Keys do not encode the bound, so each pass has a fresh failure
+cache.
 
 Refutation at the root.  By the paper's definition a formula is in the
 logic only if its translation contains the identity in every proper
@@ -49,11 +49,13 @@ samples of the proper algebra on 3 points.  If a sample fails, the search
 stops with status ``refuted`` and a counterexample: the base, each
 relation as sorted pairs of ints and the least point x with (x, x)
 outside the goal's value, which ``_refutes`` re-checks from those pairs
-before the outcome is returned.  The check costs about as much as ten
-search nodes, close to all that a typical provable goal takes (12 to 20
-nodes), so searches that stay under ``REFUTE_AFTER`` = 64 nodes never pay
-for it; a provable search that reaches it pays roughly 15% more at that
-point, and a refutable one wastes at most 64 nodes before it stops.
+before the outcome is returned.  The check takes about 0.2 ms, as long as
+40 to 55 search nodes, more than all that a typical provable goal takes
+(12 to 20 nodes), so searches that stay under ``REFUTE_AFTER`` = 64 nodes
+never pay for it; a provable search that reaches it pays about 20% more
+(5% to 60%), and a refutable one wastes at most 64 nodes before it stops
+(the 20 goals of the benchmark's prove workload that reach it, on a
+2-core x86-64 machine with Python 3.11).
 Internal nodes are never checked: pruning every node this way saved few
 nodes and took longer.
 
@@ -63,14 +65,15 @@ its formula's ``uid`` and its indices.  Each search owns a table
 and a sequent in the search is a pair of ints, the masks of its left and
 right sides.  A sequent is an axiom when its masks share a bit.  A premise
 is its conclusion with the principal's bit cleared (impL keeps it) and the
-actives' bits set, and triage tests the actives' bits against the sides.
-Index x is used when a side meets ``holds[x]``, the bits of the assertions
-that hold x; weakening clears those bits.  The table keeps the active
-masks of each rule, principal and index, and sorts the principals of each
-side once, by their formula's cached text; it is dropped with the search.
-Only the sequents of a found proof are read back as ``Sequent``s, which
-``check_proof`` re-checks.  The outcome sums over all passes how each node
-ended.
+actives' bits set.  ``kinds[c]`` has the bits of the assertions of
+connective c, so a rule's principals on a side are the side's mask and its
+connective's; the table sorts the bits of each such mask once, by their
+formula's cached text.  Index x is used when a side meets ``holds[x]``,
+the bits of the assertions that hold x; weakening clears those bits.  The
+table keeps the active masks of each rule, principal and index; it is
+dropped with the search.  Only the sequents of a found proof are read back
+as ``Sequent``s, each distinct side once, which ``check_proof`` re-checks.
+The outcome sums over all passes how each node ended.
 """
 
 from __future__ import annotations
@@ -79,18 +82,20 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import starmap
-from operator import itemgetter, or_
+from operator import or_
 
 from .algebra import ProperAlgebra, _proper_carrier, verified_in_algebra
-from .formulas import FORMULAS, Formula, desugar_fusion
+from .formulas import FORMULAS, And, Formula, Imp, Neg, Or, desugar_fusion
 from .sequents import (
-    MAX_BOUND, RULE_NAMED, RULES, Assertion, Proof, Rule, Sequent, check_proof,
+    MAX_BOUND, RULES, AndL, AndR, Assertion, Axiom, ImpL, ImpR, NegL, NegR, OrL, OrR, Proof,
+    Rule, Sequent, Weaken, check_proof,
 )
 
 __all__ = ["SearchBudget", "SearchOutcome", "search_proof", "REFUTE_AFTER", "MAX_DEPTH"]
 
 # the node at which a search checks its goal for a refutation, once (never
-# when 0: out.nodes is never 0 at the test)
+# when 0: out.nodes is never 0 at the test); the check takes as long as
+# about 50 nodes, and moving the trigger moves verdicts
 REFUTE_AFTER = 64
 # the largest max_depth: _Pass.prove and _linearize recurse once per level of
 # the search, and this many levels fit under Python's default recursion
@@ -132,8 +137,8 @@ class SearchOutcome:
 
     refutation_checks is 1 when the search reached node ``REFUTE_AFTER``
     and checked its goal in sampled proper relation algebras, else 0.  The
-    trigger is 64 because the check costs about ten nodes: a provable
-    search that reaches it pays roughly 15% more there, and a refutable one
+    trigger is 64 because the check costs about 50 nodes: a provable
+    search that reaches it pays about 20% more there, and a refutable one
     spends at most 64 nodes.
     Status ``refuted`` means a sample failed at that node: counterexample
     holds ``base`` (the points are 0..base-1), ``relations`` (each
@@ -170,28 +175,24 @@ class SearchOutcome:
         return {name: getattr(self, name) for name in _COUNTERS}
 
 
-_AXIOM = RULE_NAMED["axiom"]
-_WEAKEN = RULE_NAMED["weaken"]
-_IMPR = RULE_NAMED["impR"]
-_CONNECTIVES = tuple({rule.conn for rule in RULES if rule.conn})
-
-
 class _Table:
     """One search's assertions, the actives of its rule applications and
-    the order of each side's principals.
+    the order of its principals.
 
     Each assertion gets a bit the first time it is made, and a sequent is
     the pair (left, right) of the masks of its sides.  ``holds[x]`` has the
-    bits of the assertions that hold index x.  A side's principals are
-    sorted once, the first time a node has them."""
+    bits of the assertions that hold index x, ``kinds`` those of each
+    connective.  A mask's principals are sorted once, the first time a node
+    has them."""
 
     def __init__(self):
         self._bits: dict[int, int] = {}
         self._made: list[Assertion] = []
-        self._connectives = 0  # the bits of assertions some rule takes as principal
+        self.kinds = dict.fromkeys((rule.conn for rule in RULES if rule.conn), 0)
         self.holds = [0] * MAX_BOUND
         self._actives: dict[tuple, list[tuple[int, int]]] = {}
-        self._ordered: dict[int, list[Assertion]] = {}
+        self._ordered: dict[int, list[int]] = {}
+        self._decoded: dict[int, frozenset[Assertion]] = {}
 
     def bit(self, f: Formula, i: int, j: int) -> int:
         """The mask of (f)[i,j] alone; i and j are below 8, as max_index is
@@ -201,8 +202,9 @@ class _Table:
         if one is None:
             one = self._bits[key] = 1 << len(self._made)
             self._made.append(Assertion(f, i, j))
-            if isinstance(f, _CONNECTIVES):
-                self._connectives |= one
+            kinds = self.kinds
+            if f.__class__ in kinds:
+                kinds[f.__class__] |= one
             holds = self.holds
             holds[i] |= one
             holds[j] |= one
@@ -212,123 +214,126 @@ class _Table:
         """The mask of a set of assertions."""
         return reduce(or_, [self.bit(a.formula, a.i, a.j) for a in side], 0)
 
-    def actives(self, rule: Rule, a: Assertion, k: int | None) -> list[tuple[int, int]]:
+    def actives(self, rule: Rule, one: int, k: int | None) -> list[tuple[int, int]]:
         """The masks of each premise's left and right actives when rule has
-        principal a and index k."""
-        key = rule, a, k
+        the principal of bit one and index k."""
+        key = rule, one, k
         out = self._actives.get(key)
         if out is None:
-            bit = self.bit
+            a, bit = self._made[one.bit_length() - 1], self.bit
             out = self._actives[key] = [
                 (reduce(or_, starmap(bit, left), 0), reduce(or_, starmap(bit, right), 0))
                 for left, right in rule.premises(a.formula, a.i, a.j, k)]
         return out
 
     def decode(self, mask: int) -> frozenset[Assertion]:
-        """The assertions of a mask."""
-        return frozenset(_picked(self._made, mask))
-
-    def ordered(self, side: int) -> list[Assertion]:
-        """The assertions of side that some rule takes as principal (no
-        atom), in ``Assertion.key`` order."""
-        side &= self._connectives
-        out = self._ordered.get(side)
+        """The assertions of a mask, read once per mask."""
+        out = self._decoded.get(mask)
         if out is None:
-            out = self._ordered[side] = sorted(_picked(self._made, side), key=Assertion.key)
+            made = self._made
+            out = self._decoded[mask] = frozenset(made[one.bit_length() - 1]
+                                                  for one in _ones(mask))
+        return out
+
+    def ordered(self, mask: int) -> list[int]:
+        """The bits of mask, one each, in their assertions' ``Assertion.key``
+        order."""
+        out = self._ordered.get(mask)
+        if out is None:
+            made, out = self._made, _ones(mask)
+            if len(out) > 1:  # a key prints a formula
+                out.sort(key=lambda one: made[one.bit_length() - 1].key())
+            self._ordered[mask] = out
         return out
 
 
-def _picked(items: list, mask: int) -> list:
-    """The items at the positions of the bits set in mask, lowest first."""
+def _ones(mask: int) -> list[int]:
+    """The bits set in mask, one each, lowest first."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(items[low.bit_length() - 1])
+        out.append(low)
         mask ^= low
     return out
 
 
-def _fresh_index(seq: tuple[int, int], avoid: tuple[int, int], max_index: int,
-                 table: _Table) -> int | None:
+def _fresh_index(seq: tuple[int, int], max_index: int, table: _Table) -> int | None:
     used = seq[0] | seq[1]
     for k in range(max_index):
-        if not used & table.holds[k] and k not in avoid:
+        if not used & table.holds[k]:
             return k
     return None
 
 
-# invertible rows in the order tried: left, right, then eigen-index rows
-_INVERTIBLE = [phase for phase in (
-    [r for r in RULES if r.invertible and r.side == side and bool(r.index) == eigen]
-    for eigen in (False, True) for side in ("left", "right")) if phase]
-_BRANCHING = [r for r in RULES if r.side and not r.invertible]
-
-
-def _backward(rule: Rule, seq: tuple[int, int], principal: Assertion, k: int | None,
+def _backward(rule: Rule, seq: tuple[int, int], one: int, k: int | None,
               table: _Table) -> list[tuple[int, int]]:
-    """The premises from which rule concludes seq with this principal."""
+    """The premises from which rule concludes seq with the principal of
+    bit one."""
     left, right = seq
     if not rule.keeps_principal:
-        keep = ~table.bit(principal.formula, principal.i, principal.j)
         if rule.side == "left":
-            left &= keep
+            left &= ~one
         else:
-            right &= keep
+            right &= ~one
     return [(left | act_left, right | act_right)
-            for act_left, act_right in table.actives(rule, principal, k)]
+            for act_left, act_right in table.actives(rule, one, k)]
 
 
-def _triage(rule: Rule, a: Assertion, k: int | None, seq: tuple[int, int],
-            table: _Table) -> int | None:
-    """The try order of a branching step, read from its actives: None when
-    a premise would equal seq (the step is dropped), 0 when a premise
-    closes at once, else 1."""
+def _invertible(seq: tuple[int, int], run: _Pass) -> tuple | None:
+    """The first invertible step (rule, principal's bit, k, premises): the
+    key-least principal of andL or negL, else of orR or negR, else of impR
+    with the least unused index; None when there is none.  Sets
+    ``run.deeper`` when impR has no unused index below the bound."""
     left, right = seq
-    order = 1
-    for act_left, act_right in table.actives(rule, a, k):
-        if rule.keeps_principal and not (act_left & ~left or act_right & ~right):
-            return None
-        if act_left & right or act_right & left:
-            order = 0
-    return order
-
-
-def _steps(seq: tuple[int, int], run: _Pass):
-    """Backward steps (rule, k, premises) to try in turn: the first
-    invertible one alone, or else the branching ones after triage (see the
-    module docstring), then the weaken steps that free an index for impR.
-    A step's premises are built when it is tried.  Sets ``run.deeper`` when
-    a larger bound would add a step."""
     table = run.table
-    ordered = {"left": table.ordered(seq[0]), "right": table.ordered(seq[1])}
-    short = False  # impR found no unused index below the bound
-    for phase in _INVERTIBLE:
-        for a in ordered[phase[0].side]:
-            for rule in phase:
-                if isinstance(a.formula, rule.conn) and not short:
-                    k = _fresh_index(seq, (a.i, a.j), run.bound, table) if rule.index else None
-                    if rule.index is None or k is not None:
-                        yield rule, k, _backward(rule, seq, a, k, table)
-                        return
-                    short = run.deeper = True
-    steps = []
-    for rule in _BRANCHING:
-        for a in ordered[rule.side]:
-            if isinstance(a.formula, rule.conn):
-                run.deeper |= bool(rule.index)
-                for k in range(run.bound) if rule.index else (None,):
-                    order = _triage(rule, a, k, seq, table)
-                    if order is not None:
-                        steps.append((order, rule, a, k))
-    steps.sort(key=itemgetter(0))  # stable: table order within each class
-    for _, rule, a, k in steps:
-        yield rule, k, _backward(rule, seq, a, k, table)
+    kinds = table.kinds
+    mask = left & (kinds[And] | kinds[Neg])
+    if mask:
+        one = table.ordered(mask)[0]
+        rule = AndL if one & kinds[And] else NegL
+        return rule, one, None, _backward(rule, seq, one, None, table)
+    mask = right & (kinds[Or] | kinds[Neg])
+    if mask:
+        one = table.ordered(mask)[0]
+        rule = OrR if one & kinds[Or] else NegR
+        return rule, one, None, _backward(rule, seq, one, None, table)
+    mask = right & kinds[Imp]
+    if mask:
+        k = _fresh_index(seq, run.bound, table)
+        if k is not None:
+            one = table.ordered(mask)[0]
+            return ImpR, one, k, _backward(ImpR, seq, one, k, table)
+        run.deeper = True
+    return None
+
+
+def _steps(seq: tuple[int, int], run: _Pass) -> list[tuple]:
+    """The branching steps (rule, principal's bit, k, premises) after
+    triage (see the module docstring), then the weaken steps that free an
+    index for impR.  Sets ``run.deeper`` when a larger bound would add a
+    step."""
+    left, right = seq
+    table, kinds = run.table, run.table.kinds
+    closing, rest = [], []
+    for rule, side in ((OrL, left), (AndR, right), (ImpL, left)):
+        mask = side & kinds[rule.conn]
+        if not mask:
+            continue
+        run.deeper |= bool(rule.index)
+        for one in table.ordered(mask):
+            for k in range(run.bound) if rule.index else (None,):
+                premises = _backward(rule, seq, one, k, table)
+                if seq in premises:  # impL with an active already on its side
+                    continue
+                (l1, r1), (l2, r2) = premises  # a branching rule has two
+                (closing if l1 & r1 or l2 & r2 else rest).append((rule, one, k, premises))
+    steps = closing + rest
     if run.weakens:  # no invertible step applied, so each impR here was short
-        imps = [a for a in ordered["right"] if isinstance(a.formula, _IMPR.conn)]
-        left, right = seq
-        for x, holds in enumerate(table.holds):
-            if (left | right) & holds and any(x != a.i and x != a.j for a in imps):
-                yield _WEAKEN, None, [(left & ~holds, right & ~holds)]
+        imps = right & kinds[Imp]
+        for holds in table.holds:  # holds[x]: x is used and some impR principal lacks x
+            if (left | right) & holds and imps & ~holds:
+                steps.append((Weaken, None, None, [(left & ~holds, right & ~holds)]))
+    return steps
 
 
 class _OutOfNodes(Exception):
@@ -374,8 +379,9 @@ class _Pass:
         self.table = table
         self.fail_cache = {}  # keys do not encode the bound, so each pass has its own
         self.deeper = False  # some node had a step that a larger bound extends
+        self.branch = set()  # the sequents of the nodes on the branch being expanded
 
-    def prove(self, seq: tuple[int, int], depth: int, seen: frozenset) -> tuple | None:
+    def prove(self, seq: tuple[int, int], depth: int) -> tuple | None:
         """A proof tree of seq, each node (masks, rule, k, children), or
         None; each node visited is counted on out."""
         out = self.out
@@ -389,29 +395,32 @@ class _Pass:
                 raise _Refuted(cert)
         if seq[0] & seq[1]:
             out.axioms += 1
-            return seq, _AXIOM, None, ()
+            return seq, Axiom, None, ()
         if depth <= 0:
             out.cutoffs += 1
             return None
-        if seq in seen:
+        branch = self.branch
+        if seq in branch:
             out.loop_prunes += 1
             return None
         if self.fail_cache.get(seq, -1) >= depth:
             out.cache_prunes += 1
             return None
         out.expansions += 1
-        seen = seen | {seq}
-
-        for rule, k, premises in _steps(seq, self):
+        branch.add(seq)
+        step = _invertible(seq, self)
+        for rule, _, k, premises in (step,) if step else _steps(seq, self):
             children = []
             for sub in premises:
-                child = self.prove(sub, depth - 1, seen)
+                child = self.prove(sub, depth - 1)
                 if child is None:
                     children = None
                     break
                 children.append(child)
             if children is not None:
+                branch.discard(seq)
                 return seq, rule, k, children
+        branch.discard(seq)
         self.fail_cache[seq] = depth
         return None
 
@@ -442,7 +451,7 @@ def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> Search
         out.bound, cutoffs = bound, out.cutoffs
         run = _Pass(bound, budget, out, table, goal)
         try:
-            tree = run.prove(root_seq, budget.max_depth, frozenset())
+            tree = run.prove(root_seq, budget.max_depth)
         except _OutOfNodes:
             out.limit = "nodes"
             return out

@@ -44,14 +44,14 @@ def test_backward_step_rechecks_forward(rule, data, left, right):
         concl = Sequent(left, right | {principal})
     masks = (table.encode(concl.left), table.encode(concl.right))
     if rule.index == "eigen":
-        k = _fresh_index(masks, (principal.i, principal.j), BOUND, table)
+        k = _fresh_index(masks, BOUND, table)
         if k is None:
             return
         assert k not in concl.indices() | {principal.i, principal.j}
     else:
         k = data.draw(indices) if rule.index else None
     premises = [Sequent(table.decode(left), table.decode(right))
-                for left, right in _backward(rule, masks, principal, k, table)]
+                for left, right in _backward(rule, masks, table.encode([principal]), k, table)]
     assert len(premises) == rule.refs
     just = rule(*range(1, rule.refs + 1), eigen=k if rule.index == "eigen" else None)
     check_step(premises, (concl, just), BOUND)  # raises RuleError on failure

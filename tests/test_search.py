@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,10 @@ from tarl.gen import random_core_formula
 from tarl.models import valid_in
 from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
 from tarl.search import MAX_DEPTH, REFUTE_AFTER, SearchBudget, search_proof
-from tarl.sequents import check_proof, format_proof_script, substitute_proof
+from tarl.sequents import (
+    AndL, AndR, Assertion, ImpL, ImpR, NegL, NegR, OrL, OrR, Weaken, check_proof,
+    format_proof_script, substitute_proof,
+)
 
 
 def test_identity_implication():
@@ -159,10 +163,10 @@ def test_no_visited_premise_equals_its_conclusion(monkeypatch):
     steps, tried = search._steps, []
 
     def watched(seq, run):
-        for rule, k, premises in steps(seq, run):
+        for rule, one, k, premises in steps(seq, run):
             assert seq not in premises
             tried.append(rule.name)
-            yield rule, k, premises
+            yield rule, one, k, premises
     monkeypatch.setattr(search, "_steps", watched)
     # the goal is refutable: with the root check on, the search would stop
     # before its depth-limited passes reach impL
@@ -243,7 +247,7 @@ class _LargestBoundOnly(search._Pass):
         super().__init__(bound, budget, *args)
         if bound < budget.max_index:
             self.deeper = True
-            self.prove = lambda seq, depth, seen: None
+            self.prove = lambda seq, depth: None
 
 
 # the configurations compared below: their node counts differ, so the root
@@ -293,6 +297,108 @@ def test_refutations_of_either_configuration_recheck(runs, monkeypatch):
                 assert out.nodes == REFUTE_AFTER and out.refutation_checks == 1
                 assert _certifies(goal, out.counterexample), goal
     assert refuted > 0
+
+
+# ------------------------------------------------------------------
+# Step selection against a reference read from the module docstring
+# ------------------------------------------------------------------
+
+def reference_steps(left, right, run):
+    """The steps that the module docstring has search try at the sequent
+    left => right (frozensets of assertions), each (rule, principal, k,
+    premises) with premises as pairs of frozensets: the invertible phases
+    scan each side's principals in Assertion.key order and the first match
+    is the only step; else the branching steps are triaged and stably
+    sorted, closing ones first, and the weaken steps follow.  Sets
+    run.deeper when a larger bound would add a step."""
+    sides = {"left": sorted(left, key=Assertion.key), "right": sorted(right, key=Assertion.key)}
+    used = sorted({x for a in left | right for x in (a.i, a.j)})
+
+    def premises(rule, a, k):
+        out = []
+        for act_left, act_right in rule.premises(a.formula, a.i, a.j, k):
+            gone = set() if rule.keeps_principal else {a}
+            out.append(((left - gone if rule.side == "left" else left)
+                        | {Assertion(*t) for t in act_left},
+                        (right - gone if rule.side == "right" else right)
+                        | {Assertion(*t) for t in act_right}))
+        return out
+
+    for phase in ((AndL, NegL), (OrR, NegR)):
+        for a in sides[phase[0].side]:
+            for rule in phase:
+                if isinstance(a.formula, rule.conn):
+                    return [(rule, a, None, premises(rule, a, None))]
+    imps = [a for a in sides["right"] if isinstance(a.formula, Imp)]
+    if imps:
+        fresh = [k for k in range(run.bound) if k not in used]
+        if fresh:
+            return [(ImpR, imps[0], fresh[0], premises(ImpR, imps[0], fresh[0]))]
+        run.deeper = True
+    triaged = []
+    for rule in (OrL, AndR, ImpL):
+        for a in sides[rule.side]:
+            if isinstance(a.formula, rule.conn):
+                run.deeper |= rule.index is not None
+                for k in range(run.bound) if rule.index else [None]:
+                    found = premises(rule, a, k)
+                    if (left, right) not in found:
+                        closes = any(p_left & p_right for p_left, p_right in found)
+                        triaged.append((not closes, (rule, a, k, found)))
+    triaged.sort(key=lambda step: step[0])
+    steps = [step for _, step in triaged]
+    if run.weakens:
+        for x in used:
+            if any(x not in (a.i, a.j) for a in imps):
+                kept = [frozenset(a for a in side if x not in (a.i, a.j)) for side in (left, right)]
+                steps.append((Weaken, None, None, [tuple(kept)]))
+    return steps
+
+
+class _Recording(search._Pass):
+    """A pass that lists each (pass, sequent) it visits on ``visited`` and
+    checks that its branch set is on return from a node as it was on entry,
+    so empty on return from the root."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.roots = 0
+
+    def prove(self, seq, depth):
+        _Recording.visited.append((self, seq))
+        before = set(self.branch)
+        tree = super().prove(seq, depth)
+        assert self.branch == before
+        if not before:
+            self.roots += 1
+        return tree
+
+
+def test_step_selection_matches_the_reference(monkeypatch):
+    """Every sequent visited by searches of seeded corpus instances at
+    bounds 1 to 4 gets the steps and the deeper flag of the reference."""
+    _Recording.visited, compared, rules = [], 0, set()
+    for max_index in range(1, 5):
+        for goal in corpus_instances(21, 38):
+            _search(goal, SearchBudget(max_index=max_index, max_nodes=300), monkeypatch,
+                    _Recording)
+    passes = {run for run, _ in _Recording.visited}
+    assert all(run.roots <= 1 for run in passes) and sum(run.roots for run in passes) > 100
+    for run, seq in dict.fromkeys(_Recording.visited):
+        if seq[0] & seq[1]:
+            continue
+        decode = run.table.decode
+        fast, slow = (SimpleNamespace(table=run.table, bound=run.bound, weakens=run.weakens,
+                                      deeper=False) for _ in range(2))
+        step = search._invertible(seq, fast)
+        got = [(rule, None if one is None else next(iter(decode(one))), k,
+                [(decode(left), decode(right)) for left, right in premises])
+               for rule, one, k, premises in ([step] if step else search._steps(seq, fast))]
+        assert got == reference_steps(decode(seq[0]), decode(seq[1]), slow), seq
+        assert fast.deeper == slow.deeper, seq
+        compared += 1
+        rules |= {step[0] for step in got}
+    assert compared > 2000 and rules == {AndL, NegL, OrR, NegR, ImpR, OrL, AndR, ImpL, Weaken}
 
 
 # ------------------------------------------------------------------
@@ -469,7 +575,7 @@ def outcome_digests(goals, budget=SearchBudget(), found=None):
 _OUTCOME_DIGESTS = ("64d0d2beca9c5479782feeea2c7fd3b8e787beb73961cdcbeed0e31f86144d04",
                     "8bf56a217efe623c11b8234bdddd2b7f8bcb1b8e048cb76eb9d271edc0cc2419")
 # the outcome digest of the 400 instances of corpus_instances(11, 400) at the
-# default budget, which CI checks outside Tier-1 (about 2 s), recorded with
+# default budget, which CI checks outside Tier-1 (about 1.4 s), recorded with
 # the search keyed by its masks
 INSTANCES_DIGEST = "2a3e22d8d21e62e14d5fc8bf1c756f732f4450b41791987add0a1522f978396e"
 # their verdict digest, recorded with the search keyed by canonical forms up
