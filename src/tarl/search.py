@@ -59,17 +59,15 @@ never pay for it; a provable search that reaches it pays about 20% more
 Internal nodes are never checked: pruning every node this way saved few
 nodes and took longer.
 
-Formulas are hash-consed (``formulas``), so the table keys an assertion by
-its formula's ``uid`` and its indices.  Each search owns a table
-(``_Table``) that gives each assertion a bit the first time it is made,
-and a sequent in the search is a pair of ints, the masks of its left and
-right sides.  A sequent is an axiom when its masks share a bit.  A premise
-is its conclusion with the principal's bit cleared (impL keeps it) and the
-actives' bits set.  ``kinds[c]`` has the bits of the assertions of
-connective c, so a rule's principals on a side are the side's mask and its
-connective's; the table sorts the bits of each such mask once, by their
-formula's cached text.  Index x is used when a side meets ``holds[x]``,
-the bits of the assertions that hold x; weakening clears those bits.  The
+Each search owns a table (``_Table``): the checker's table of assertions
+(``sequents._Bits``, which says how an assertion gets its bit) at bound
+``max_index``, so a sequent in the search is a pair of ints, the masks of
+its left and right sides.  A sequent is an axiom when its masks share a
+bit.  A premise is its conclusion with the principal's bit cleared (impL
+keeps it) and the actives' bits set.  A rule's principals on a side are
+the side's mask and its connective's in ``kinds``; the table sorts the
+bits of each such mask once, by their formula's cached text.  Index x is
+used when a side meets ``holds[x]``; weakening clears those bits.  The
 table keeps the active masks of each rule, principal and index; it is
 dropped with the search.  Only the sequents of a found proof are read back
 as ``Sequent``s, each distinct side once, which ``check_proof`` re-checks.
@@ -78,7 +76,6 @@ The outcome sums over all passes how each node ended.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import starmap
@@ -87,15 +84,15 @@ from operator import or_
 from .algebra import ProperAlgebra, _proper_carrier, verified_in_algebra
 from .formulas import FORMULAS, And, Formula, Imp, Neg, Or, desugar_fusion
 from .sequents import (
-    MAX_BOUND, RULES, AndL, AndR, Assertion, Axiom, ImpL, ImpR, NegL, NegR, OrL, OrR, Proof,
-    Rule, Sequent, Weaken, check_proof,
+    MAX_BOUND, AndL, AndR, Assertion, Axiom, ImpL, ImpR, NegL, NegR, OrL, OrR, Proof, Rule,
+    Sequent, Weaken, _Bits, check_proof,
 )
 
 __all__ = ["SearchBudget", "SearchOutcome", "search_proof", "REFUTE_AFTER", "MAX_DEPTH"]
 
 # the node at which a search checks its goal for a refutation, once (never
-# when 0: out.nodes is never 0 at the test); the check takes as long as
-# about 50 nodes, and moving the trigger moves verdicts
+# when 0: out.nodes is never 0 at the test); the module docstring says what
+# the check costs, and moving the trigger moves verdicts
 REFUTE_AFTER = 64
 # the largest max_depth: _Pass.prove and _linearize recurse once per level of
 # the search, and this many levels fit under Python's default recursion
@@ -136,10 +133,8 @@ class SearchOutcome:
     (indices) it uses; its level is their number.
 
     refutation_checks is 1 when the search reached node ``REFUTE_AFTER``
-    and checked its goal in sampled proper relation algebras, else 0.  The
-    trigger is 64 because the check costs about 50 nodes: a provable
-    search that reaches it pays about 20% more there, and a refutable one
-    spends at most 64 nodes.
+    and checked its goal in sampled proper relation algebras, else 0 (the
+    module docstring says what the check costs).
     Status ``refuted`` means a sample failed at that node: counterexample
     holds ``base`` (the points are 0..base-1), ``relations`` (each
     variable's relation, sorted pairs of ints) and ``point``, an x with
@@ -175,44 +170,16 @@ class SearchOutcome:
         return {name: getattr(self, name) for name in _COUNTERS}
 
 
-class _Table:
-    """One search's assertions, the actives of its rule applications and
-    the order of its principals.
+class _Table(_Bits):
+    """One search's table of assertions (``sequents._Bits``), with what the
+    search reads of it memoized: the actives of each rule application, each
+    mask's principals in order and each mask's assertions."""
 
-    Each assertion gets a bit the first time it is made, and a sequent is
-    the pair (left, right) of the masks of its sides.  ``holds[x]`` has the
-    bits of the assertions that hold index x, ``kinds`` those of each
-    connective.  A mask's principals are sorted once, the first time a node
-    has them."""
+    __slots__ = ("_actives", "_ordered", "_decoded")
 
-    def __init__(self):
-        self._bits: dict[int, int] = {}
-        self._made: list[Assertion] = []
-        self.kinds = dict.fromkeys((rule.conn for rule in RULES if rule.conn), 0)
-        self.holds = [0] * MAX_BOUND
-        self._actives: dict[tuple, list[tuple[int, int]]] = {}
-        self._ordered: dict[int, list[int]] = {}
-        self._decoded: dict[int, frozenset[Assertion]] = {}
-
-    def bit(self, f: Formula, i: int, j: int) -> int:
-        """The mask of (f)[i,j] alone; i and j are below 8, as max_index is
-        at most MAX_BOUND."""
-        key = f.uid << 6 | i << 3 | j
-        one = self._bits.get(key)
-        if one is None:
-            one = self._bits[key] = 1 << len(self._made)
-            self._made.append(Assertion(f, i, j))
-            kinds = self.kinds
-            if f.__class__ in kinds:
-                kinds[f.__class__] |= one
-            holds = self.holds
-            holds[i] |= one
-            holds[j] |= one
-        return one
-
-    def encode(self, side: Iterable[Assertion]) -> int:
-        """The mask of a set of assertions."""
-        return reduce(or_, [self.bit(a.formula, a.i, a.j) for a in side], 0)
+    def __init__(self, bound: int):
+        super().__init__(bound)
+        self._actives, self._ordered, self._decoded = {}, {}, {}
 
     def actives(self, rule: Rule, one: int, k: int | None) -> list[tuple[int, int]]:
         """The masks of each premise's left and right actives when rule has
@@ -220,7 +187,7 @@ class _Table:
         key = rule, one, k
         out = self._actives.get(key)
         if out is None:
-            a, bit = self._made[one.bit_length() - 1], self.bit
+            a, bit = self.made[one.bit_length() - 1], self.bit
             out = self._actives[key] = [
                 (reduce(or_, starmap(bit, left), 0), reduce(or_, starmap(bit, right), 0))
                 for left, right in rule.premises(a.formula, a.i, a.j, k)]
@@ -230,7 +197,7 @@ class _Table:
         """The assertions of a mask, read once per mask."""
         out = self._decoded.get(mask)
         if out is None:
-            made = self._made
+            made = self.made
             out = self._decoded[mask] = frozenset(made[one.bit_length() - 1]
                                                   for one in _ones(mask))
         return out
@@ -240,7 +207,7 @@ class _Table:
         order."""
         out = self._ordered.get(mask)
         if out is None:
-            made, out = self._made, _ones(mask)
+            made, out = self.made, _ones(mask)
             if len(out) > 1:  # a key prints a formula
                 out.sort(key=lambda one: made[one.bit_length() - 1].key())
             self._ordered[mask] = out
@@ -257,9 +224,9 @@ def _ones(mask: int) -> list[int]:
     return out
 
 
-def _fresh_index(seq: tuple[int, int], max_index: int, table: _Table) -> int | None:
+def _fresh_index(seq: tuple[int, int], bound: int, table: _Table) -> int | None:
     used = seq[0] | seq[1]
-    for k in range(max_index):
+    for k in range(bound):
         if not used & table.holds[k]:
             return k
     return None
@@ -444,8 +411,8 @@ def _linearize(node: tuple, lines: list, index: dict, table: _Table) -> int:
 
 def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
     """Search for a proof of => (goal)[0,0]; fusion is desugared first."""
-    table = _Table()
-    root_seq = (0, table.encode([Assertion(desugar_fusion(goal), 0, 0)]))
+    table = _Table(budget.max_index)
+    root_seq = (0, table.bit(desugar_fusion(goal), 0, 0))
     out = SearchOutcome("budget_exhausted")
     for bound in range(1, budget.max_index + 1):
         out.bound, cutoffs = bound, out.cutoffs

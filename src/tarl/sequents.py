@@ -34,9 +34,12 @@ are the rows themselves.  Assertions, sequents and justifications are
 immutable and built by the thousand, so each slot is written through its
 own setter, bound once, not by `object.__setattr__` or `dataclasses.replace`.
 
-The checker reads a row forward on bit masks, as search reads it backward:
-each check gives the distinct assertions of its proof a bit each, by
-search's key ``uid << 6 | i << 3 | j`` (``_Bits``), so a side is an int.
+The checker reads a row forward on bit masks, as search reads it backward,
+and both give each distinct assertion a bit in one table (``_Bits``).
+Formulas are hash-consed (``formulas``), so ``uid << 6 | i << 3 | j`` keys
+(A)[i,j]; an index takes three bits, so a bound is at most 8.  A side is
+an int, the mask of its assertions' bits; ``holds[x]`` is the mask of the
+assertions that hold index x, ``kinds[c]`` that of connective c.
 Each premise must hold its actives, and each conclusion side must lie
 between least, the premise sides less their actives, and most, the premise
 sides, both with the principal on its side (``_follows``, for one premise
@@ -296,6 +299,8 @@ RULES = (
 
 RULE_NAMED = {rule.name: rule for rule in RULES}
 Axiom, Weaken, Cut, AndL, NegL, OrR, NegR, ImpR, OrL, AndR, ImpL, Premise = RULES
+# the rows' connectives, each with a mask in every _Bits
+_CONNECTIVES = tuple(dict.fromkeys(rule.conn for rule in RULES if rule.conn))
 
 
 def _row(name: str) -> Rule:
@@ -351,18 +356,24 @@ class InvalidProof(ValueError):
 # ------------------------------------------------------------------
 
 class _Bits:
-    """One check's assertions, a bit each, looked up by identity (the checked
-    lines keep them alive): only an object new to the check has its indices
-    tested, so a bool is never taken for the int equal to it.  One with an
-    index that is a bool or out of bound gets a new bit each time and sets
-    ``bad``.  ``holds[x]`` has the bits of the assertions that hold index x,
-    ``kinds`` those of each formula class, ``made`` each bit's (f, i, j)."""
+    """The one table of assertions, the checker's and (``search._Table``)
+    the search's: a bit each, by its key (see the module docstring), at
+    indices below bound.  ``bit`` looks a triple up by its key.  ``side``
+    looks the members of a set up by identity (``made`` keeps the first of
+    each key alive, and the checked lines the rest), and only an object new
+    to the table has its indices tested, so a bool is never taken for the
+    int equal to it: one with an index that is a bool or out of bound gets
+    a new bit each time and sets ``bad``.  ``made`` holds each bit's
+    assertion, with int indices (None for a bad one)."""
 
     __slots__ = ("bound", "ids", "keys", "made", "holds", "kinds", "bad")
 
     def __init__(self, bound: int):
+        if not 1 <= bound <= MAX_BOUND:  # an index has three bits of the key
+            raise ValueError(f"bound must be within 1..{MAX_BOUND}")
         self.bound, self.bad, self.holds = bound, False, [0] * bound
-        self.ids, self.keys, self.kinds, self.made = {}, {}, {}, []
+        self.ids, self.keys, self.made = {}, {}, []
+        self.kinds = dict.fromkeys(_CONNECTIVES, 0)
 
     def side(self, side: frozenset[Assertion]) -> int:
         get, mask = self.ids.get, 0
@@ -371,19 +382,25 @@ class _Bits:
             mask |= self._new(a) if bit is None else bit
         return mask
 
+    def bit(self, f: Formula, i: int, j: int) -> int:
+        """The bit of (f)[i,j]; i and j are ints below the bound."""
+        bit = self.keys.get(f.uid << 6 | i << 3 | j)
+        return self._new(Assertion(f, i, j)) if bit is None else bit
+
     def _new(self, a: Assertion) -> int:
-        (f, i, j), made, bound = (a.formula, a.i, a.j), self.made, self.bound
+        (f, i, j), made, bound, kept = (a.formula, a.i, a.j), self.made, self.bound, a
         if not (i.__class__ is j.__class__ is int and 0 <= i < bound and 0 <= j < bound):
             if bool in (i.__class__, j.__class__) or not {i, j} <= {*range(bound)}:
                 self.bad = True
                 made.append(None)
                 return 1 << len(made) - 1
             i, j = int(i), int(j)  # numpy integers, say
+            kept = Assertion(f, i, j)
         key = f.uid << 6 | i << 3 | j
         bit = self.keys.get(key)
         if bit is None:  # else an equal assertion, another object
             bit = self.keys[key] = 1 << len(made)
-            made.append((f, i, j))
+            made.append(kept)
             self.holds[i] |= bit
             self.holds[j] |= bit
             self.kinds[f.__class__] = self.kinds.get(f.__class__, 0) | bit
@@ -454,12 +471,13 @@ def _check_rule(table: _Bits, concl: tuple[int, int], just: Justification,
         (left1, right1), (left2, right2) = prems
         principals = right1 & left2 | right2 & left1
     else:
-        principals = (left if side == "left" else right) & table.kinds.get(rule.conn, 0)
+        principals = (left if side == "left" else right) & table.kinds[rule.conn]
     keys, ks, stale = table.keys, (just.eigen,), False
     while principals:
         bit = principals & -principals
         principals ^= bit
-        f, i, j = table.made[bit.bit_length() - 1]
+        a = table.made[bit.bit_length() - 1]
+        f, i, j = a.formula, a.i, a.j
         on = (bit, 0) if side == "left" else (0, bit) if side else (0, 0)
         if index == "any":  # impL: k where a premise's right side holds (A)[k,i]
             key, rights = f.left.uid << 6 | i, prems[0][1] | prems[1][1]
@@ -498,7 +516,7 @@ def check_step(earlier: Sequence[Sequent], line: tuple[Sequent, Justification],
 
 
 def check_proof(proof: Proof) -> CheckReport:
-    """Check every line; reports rather than raising."""
+    """Check every line; reports, but raises ValueError on a bound outside 1..MAX_BOUND."""
     table, lines, first_error, bad = _Bits(proof.bound), [], None, False
     for n, (seq, just) in enumerate(proof.lines, start=1):
         concl = table.side(seq.left), table.side(seq.right)

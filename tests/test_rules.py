@@ -37,12 +37,12 @@ def principal_of(rule, data):
 @given(data=st.data(), left=contexts, right=contexts)
 def test_backward_step_rechecks_forward(rule, data, left, right):
     principal = principal_of(rule, data)
-    table = _Table()  # search builds premises as masks of its table
+    table = _Table(BOUND)  # search builds premises as masks of its table
     if rule.side == "left":
         concl = Sequent(left | {principal}, right)
     else:
         concl = Sequent(left, right | {principal})
-    masks = (table.encode(concl.left), table.encode(concl.right))
+    masks = (table.side(concl.left), table.side(concl.right))
     if rule.index == "eigen":
         k = _fresh_index(masks, BOUND, table)
         if k is None:
@@ -51,7 +51,7 @@ def test_backward_step_rechecks_forward(rule, data, left, right):
     else:
         k = data.draw(indices) if rule.index else None
     premises = [Sequent(table.decode(left), table.decode(right))
-                for left, right in _backward(rule, masks, table.encode([principal]), k, table)]
+                for left, right in _backward(rule, masks, table.side({principal}), k, table)]
     assert len(premises) == rule.refs
     just = rule(*range(1, rule.refs + 1), eigen=k if rule.index == "eigen" else None)
     check_step(premises, (concl, just), BOUND)  # raises RuleError on failure

@@ -23,7 +23,7 @@ import reference_checker
 from tarl import algebra, formulas, sequents
 from tarl.derived import apply_derived_rule
 from tarl.formulas import (
-    CACHES, Imp, Neg, ParseError, Var, clear_caches, desugar_fusion, parse_formula,
+    CACHES, And, Imp, Neg, ParseError, Var, clear_caches, desugar_fusion, parse_formula,
     substitute, variables,
 )
 from tarl.gen import random_formula
@@ -1035,9 +1035,11 @@ def test_index_seven_at_bound_eight():
 
 def test_numpy_indices_in_bound_read_as_ints():
     proofs = _faulty(300, 32)
-    wide = [_rebuilt(proof, np.int64) for proof in proofs]
-    assert type(next(iter(wide[0].lines[0][0].right)).i) is np.int64
-    assert _agreeing(wide) == [check_proof(proof) for proof in proofs]
+    # a uint8 index left in the table would overflow the key uid << 6 | i << 3 | j
+    for index in (np.int64, np.uint8):
+        wide = [_rebuilt(proof, index) for proof in proofs]
+        assert type(next(iter(wide[0].lines[0][0].right)).i) is index
+        assert _agreeing(wide) == [check_proof(proof) for proof in proofs]
     half = Assertion(Var("p"), 1.5, 0)  # equal to no index below the bound
     report, = _agreeing([Proof([(Sequent.of([half], [half]), Axiom())])])
     assert report.first_error == (1, "IndexOutOfBound: index 1.5")
@@ -1064,6 +1066,67 @@ def test_check_step_on_premises_no_proof_checked():
                 kind = e.kind
             assert kind == reference_checker.step(earlier[:n], line, proof.bound), \
                 format_proof_script("x", proof)
+
+
+def test_a_bound_the_key_cannot_hold_is_refused():
+    # an index takes three bits of the key: at bound 9, (p)[0,8] would be (p)[1,0]
+    line = (seq([a("p", 0, 8)], [a("p", 1, 0)]), Axiom())
+    for bound in (9, 0):
+        with pytest.raises(ValueError, match=r"bound must be within 1\.\.8"):
+            check_step([], line, bound=bound)
+        with pytest.raises(ValueError, match=r"bound must be within 1\.\.8"):
+            check_proof(Proof([line], bound=bound))
+    assert check_proof(Proof([line], bound=8)).first_error == (1, "IndexOutOfBound: index 8")
+
+
+# ------------------------------------------------------------------
+# The one table of assertions, the checker's and the search's
+# ------------------------------------------------------------------
+
+def test_an_assertion_and_its_triple_get_one_bit():
+    table = sequents._Bits(4)
+    x, y = a("p -> q", 1, 2), a("~p", 0, 3)
+    mask = table.side(frozenset([x, y]))
+    imp, neg = table.bit(x.formula, 1, 2), table.bit(y.formula, 0, 3)
+    assert imp | neg == mask and table.made in ([x, y], [y, x])
+    both = table.bit(parse_formula("p & q"), 3, 3)  # a triple first, then its assertion
+    assert both & mask == 0 and table.side(frozenset([a("p & q", 3, 3)])) == both
+    assert (table.kinds[Imp], table.kinds[Neg], table.kinds[And]) == (imp, neg, both)
+    assert table.holds == [neg, imp, imp, neg | both] and not table.bad
+
+
+@pytest.mark.parametrize("index", [np.int64, np.uint8], ids=lambda t: t.__name__)
+def test_an_assertion_with_numpy_indices_gets_the_int_ones_bit(index):
+    table = sequents._Bits(4)
+    x = Assertion(parse_formula("p -> q"), index(1), index(2))
+    bit = table.side(frozenset([x]))
+    assert table.bit(x.formula, 1, 2) == bit and table.holds[1] == table.holds[2] == bit
+    made, = table.made
+    assert made == x and (type(made.i), type(made.j)) == (int, int)
+    assert not table.bad
+
+
+@pytest.mark.parametrize("i", [True, False, 4, -1, np.int64(4)], ids=repr)
+def test_a_bad_index_gets_a_fresh_bit_each_time(i):
+    table = sequents._Bits(4)
+    x = a("p", i, 0)
+    first = table.side(frozenset([x]))
+    assert table.bad
+    second = table.side(frozenset([x]))
+    assert first != second and table.made == [None, None]
+    assert table.holds == [0] * 4 and not any(table.kinds.values())
+
+
+def test_a_table_keeps_the_assertions_it_reads_alive():
+    # side looks an assertion up by its id, which a freed one would hand on
+    table, x = sequents._Bits(4), a("p -> q", 1, 2)
+    ref, bit = weakref.ref(x), table.side(frozenset([x]))
+    del x
+    gc.collect()
+    assert ref() is not None and table.side(frozenset([ref()])) == bit
+    del table
+    gc.collect()
+    assert ref() is None
 
 
 # ------------------------------------------------------------------
