@@ -8,7 +8,7 @@ from .formulas import (
 )
 from .sequents import (
     Assertion, Sequent, Proof, CheckReport, RuleError,
-    check_proof, check_step, permute_indices, objects_level,
+    check_proof, check_step, permute_indices,
     parse_proof_script, format_proof_script, substitute_proof,
 )
 from .derived import apply_derived_rule, DERIVED_RULES

@@ -48,14 +48,16 @@ the goal once with ``verified_in_algebra`` on a fixed seeded block of
 samples of the proper algebra on 3 points.  If a sample fails, the search
 stops with status ``refuted`` and a counterexample: the base, each
 relation as sorted pairs of ints and the least point x with (x, x)
-outside the goal's value, which ``_refutes`` re-checks from those pairs
-before the outcome is returned.  The check takes about 0.2 ms, as long as
-40 to 55 search nodes, more than all that a typical provable goal takes
-(12 to 20 nodes), so searches that stay under ``REFUTE_AFTER`` = 64 nodes
-never pay for it; a provable search that reaches it pays about 20% more
-(5% to 60%), and a refutable one wastes at most 64 nodes before it stops
-(the 20 goals of the benchmark's prove workload that reach it, on a
-2-core x86-64 machine with Python 3.11).
+outside the goal's value.  The certificate is re-read from its pairs
+alone once, where it is made: ``_refutes`` folds the goal through the
+proper carrier's connectives, and its least point is x.  The check takes
+about 0.2 ms, as long as 40 to 55 search nodes, more than all that a
+typical provable goal takes (12 to 20 nodes), so searches that stay
+under ``REFUTE_AFTER`` = 64 nodes never pay for it; a provable search
+that reaches it pays about 20% more (5% to 60%), and a refutable one
+wastes at most 64 nodes before it stops (the 20 goals of the benchmark's
+prove workload that reach it, on a 2-core x86-64 machine with Python
+3.11).
 Internal nodes are never checked: pruning every node this way saved few
 nodes and took longer.
 
@@ -320,7 +322,10 @@ def _refutation(goal: Formula) -> dict | None:
         return None
     relations = {name: tuple(sorted(pairs)) for name, pairs in found.counterexample.items()}
     cert = {"base": _REFUTE_BASE, "point": None, "relations": relations}
-    cert["point"] = _refutes(goal, cert)[0]
+    points = _refutes(goal, cert)
+    if not points:  # soundness guard: the sample and its pairs disagree
+        raise AssertionError(f"search produced a bad counterexample: {cert}")
+    cert["point"] = points[0]
     return cert
 
 
@@ -423,10 +428,7 @@ def search_proof(goal: Formula, budget: SearchBudget = SearchBudget()) -> Search
             out.limit = "nodes"
             return out
         except _Refuted as stop:
-            cert = stop.args[0]
-            if cert["point"] not in _refutes(goal, cert):  # pragma: no cover - soundness guard
-                raise AssertionError(f"search produced a bad counterexample: {cert}")
-            out.status, out.counterexample = "refuted", cert
+            out.status, out.counterexample = "refuted", stop.args[0]
             return out
         if tree is not None or not run.deeper:
             break

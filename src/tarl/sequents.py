@@ -95,9 +95,8 @@ __all__ = [
     "Axiom", "Cut", "Weaken", "OrL", "OrR", "AndL", "AndR",
     "NegL", "NegR", "ImpL", "ImpR", "Premise", "Justification", "Rule", "RULES",
     "RULE_NAMED", "goal_sequent", "check_step", "check_proof",
-    "permute_indices", "objects_level", "substitute_proof",
+    "permute_indices", "substitute_proof",
     "parse_proof_script", "format_proof_script", "NotABijection",
-    "InvalidProof",
 ]
 
 DEFAULT_BOUND = 4
@@ -212,7 +211,6 @@ class Rule:
     conn: type | None = None       # the principal's connective
     premises: Callable | None = None  # see RULES
     index: str | None = None       # "any" k below the bound, or the "eigen" one
-    invertible: bool = False       # search applies it without backtracking
     keeps_principal: bool = False  # a backward step leaves the principal in
     widens: bool = False           # the conclusion may add any assertion
 
@@ -278,15 +276,15 @@ RULES = (
     Rule("weaken", 1, widens=True),
     Rule("cut", 2,
          premises=lambda f, i, j, k: [([], [(f, i, j)]), ([(f, i, j)], [])]),
-    Rule("andL", 1, "left", And, invertible=True,
+    Rule("andL", 1, "left", And,
          premises=lambda f, i, j, k: [([(f.left, i, j), (f.right, i, j)], [])]),
-    Rule("negL", 1, "left", Neg, invertible=True,
+    Rule("negL", 1, "left", Neg,
          premises=lambda f, i, j, k: [([], [(f.body, j, i)])]),
-    Rule("orR", 1, "right", Or, invertible=True,
+    Rule("orR", 1, "right", Or,
          premises=lambda f, i, j, k: [([], [(f.left, i, j), (f.right, i, j)])]),
-    Rule("negR", 1, "right", Neg, invertible=True,
+    Rule("negR", 1, "right", Neg,
          premises=lambda f, i, j, k: [([(f.body, j, i)], [])]),
-    Rule("impR", 1, "right", Imp, index="eigen", invertible=True,
+    Rule("impR", 1, "right", Imp, index="eigen",
          premises=lambda f, i, j, k: [([(f.left, k, i)], [(f.right, k, j)])]),
     Rule("orL", 2, "left", Or,
          premises=lambda f, i, j, k: [([(f.left, i, j)], []), ([(f.right, i, j)], [])]),
@@ -347,10 +345,6 @@ class NotABijection(ValueError):
     pass
 
 
-class InvalidProof(ValueError):
-    pass
-
-
 # ------------------------------------------------------------------
 # Rule checking: the table read forward, on bit masks
 # ------------------------------------------------------------------
@@ -358,12 +352,13 @@ class InvalidProof(ValueError):
 class _Bits:
     """The one table of assertions, the checker's and (``search._Table``)
     the search's: a bit each, by its key (see the module docstring), at
-    indices below bound.  ``bit`` looks a triple up by its key.  ``side``
-    looks the members of a set up by identity (``made`` keeps the first of
-    each key alive, and the checked lines the rest), and only an object new
-    to the table has its indices tested, so a bool is never taken for the
-    int equal to it: one with an index that is a bool or out of bound gets
-    a new bit each time and sets ``bad``.  ``made`` holds each bit's
+    indices below bound, given by ``_new`` alone.  ``bit`` looks a triple
+    up by its key.  ``side`` looks the members of a set up by identity
+    (``made`` keeps the first of each key alive, and the checked lines the
+    rest), and only ``side`` records identities (``ids``) and tests
+    indices, those of an object new to it, so a bool is never taken for
+    the int equal to it: one with an index that is a bool or out of bound
+    gets a new bit each time and sets ``bad``.  ``made`` holds each bit's
     assertion, with int indices (None for a bad one)."""
 
     __slots__ = ("bound", "ids", "keys", "made", "holds", "kinds", "bad")
@@ -384,27 +379,35 @@ class _Bits:
 
     def bit(self, f: Formula, i: int, j: int) -> int:
         """The bit of (f)[i,j]; i and j are ints below the bound."""
-        bit = self.keys.get(f.uid << 6 | i << 3 | j)
-        return self._new(Assertion(f, i, j)) if bit is None else bit
-
-    def _new(self, a: Assertion) -> int:
-        (f, i, j), made, bound, kept = (a.formula, a.i, a.j), self.made, self.bound, a
-        if not (i.__class__ is j.__class__ is int and 0 <= i < bound and 0 <= j < bound):
-            if bool in (i.__class__, j.__class__) or not {i, j} <= {*range(bound)}:
-                self.bad = True
-                made.append(None)
-                return 1 << len(made) - 1
-            i, j = int(i), int(j)  # numpy integers, say
-            kept = Assertion(f, i, j)
         key = f.uid << 6 | i << 3 | j
         bit = self.keys.get(key)
-        if bit is None:  # else an equal assertion, another object
-            bit = self.keys[key] = 1 << len(made)
-            made.append(kept)
-            self.holds[i] |= bit
-            self.holds[j] |= bit
-            self.kinds[f.__class__] = self.kinds.get(f.__class__, 0) | bit
-        self.ids[id(a)] = bit
+        return self._new(Assertion(f, i, j), key) if bit is None else bit
+
+    def _new(self, a: Assertion, key: int | None = None) -> int:
+        """The one maker of bits.  From ``side`` (no key) a is an object new
+        to ``ids``: its indices are tested and its identity recorded.  From
+        ``bit`` its key is new to ``keys``."""
+        (f, i, j), made, kept = (a.formula, a.i, a.j), self.made, a
+        if key is None:
+            bound = self.bound
+            if not (i.__class__ is j.__class__ is int and 0 <= i < bound and 0 <= j < bound):
+                if bool in (i.__class__, j.__class__) or not {i, j} <= {*range(bound)}:
+                    self.bad = True
+                    made.append(None)
+                    return 1 << len(made) - 1
+                i, j = int(i), int(j)  # numpy integers, say
+                kept = Assertion(f, i, j)
+            key = f.uid << 6 | i << 3 | j
+            bit = self.keys.get(key)
+            if bit is not None:  # an equal assertion, another object
+                self.ids[id(a)] = bit
+                return bit
+            self.ids[id(a)] = 1 << len(made)  # the bit made below
+        bit = self.keys[key] = 1 << len(made)
+        made.append(kept)
+        self.holds[i] |= bit
+        self.holds[j] |= bit
+        self.kinds[f.__class__] = self.kinds.get(f.__class__, 0) | bit
         return bit
 
 
@@ -539,14 +542,6 @@ def check_proof(proof: Proof) -> CheckReport:
                else {x for x, bits in enumerate(table.holds) if bits})
     return CheckReport(valid=first_error is None, objects_used=frozenset(objects),
                        first_error=first_error)
-
-
-def objects_level(proof: Proof) -> int:
-    """Number of distinct indices a valid proof uses (its L1..Ln class)."""
-    report = check_proof(proof)
-    if not report.valid:
-        raise InvalidProof(f"proof does not check: {report.first_error}")
-    return report.level
 
 
 # ------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,17 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported))
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_the_package_exports_only_what_its_modules_export():
+    # every name tarl takes from a module is in that module's __all__, so
+    # from tarl.<module> import * gives it too
+    tree = ast.parse(Path(tarl.__file__).read_text())
+    taken = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
+    assert {node.module for node in taken} >= {"formulas", "sequents", "search", "models"}
+    for node in taken:
+        exported = importlib.import_module(f"tarl.{node.module}").__all__
+        assert [a.name for a in node.names if a.name not in exported] == [], node.module
 
 
 # the public functions perfbench's tracer opens spans around: it wraps only

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from tarl.formulas import And, Imp, Neg, Or, Var, parse_formula, substitute, var
 from tarl.gen import random_core_formula
 from tarl.models import valid_in
 from tarl.registry import get_corpus_entry, get_formula, get_structure, list_corpus
-from tarl.search import MAX_DEPTH, REFUTE_AFTER, SearchBudget, search_proof
+from tarl.search import MAX_DEPTH, REFUTE_AFTER, SearchBudget, SearchOutcome, search_proof
 from tarl.sequents import (
     AndL, AndR, Assertion, ImpL, ImpR, NegL, NegR, OrL, OrR, Weaken, check_proof,
     format_proof_script, substitute_proof,
@@ -97,6 +98,12 @@ def test_an_exhausted_search_says_which_limit_stopped_it(budget, limit):
     # depth-limited one ends its last pass with cutoffs and nodes to spare
     assert (out.nodes > budget.max_nodes) == (limit == "nodes")
     assert (out.cutoffs > 0) == (limit == "depth")
+
+
+def test_an_outcomes_bound_is_one_of_its_fields():
+    out = search_proof(parse_formula("p -> p"))
+    assert (out.bound, SearchOutcome("not_found").bound) == (2, 0)
+    assert replace(out, bound=3) != out
 
 
 def test_budget_validation():
@@ -190,9 +197,14 @@ def test_every_corpus_goal_is_proved_at_its_level():
 def test_weakening_frees_an_index_for_impR():
     # T11's corpus proof uses two objects: impR inside impL's first premise
     # reuses index 0 once the context that holds it is weakened away
-    out = search_proof(get_corpus_entry("T11").proof.goal)
+    goal = get_corpus_entry("T11").proof.goal
+    out = search_proof(goal)
     assert (out.level, out.bound) == (2, 2)
     assert "weaken" in [just.rule.name for _, just in out.proof.lines]
+    # the last pass does not weaken (the module docstring says why), so at
+    # max_index 2 the pass at bound 2 finds no proof
+    out = search_proof(goal, SearchBudget(max_index=2))
+    assert (out.status, out.bound, out.nodes) == ("not_found", 2, 7)
 
 
 def test_deepening_stops_when_a_larger_bound_adds_no_step():
@@ -461,6 +473,24 @@ def test_the_root_check_refutes_no_theorem():
     assert len(goals) == 38
     for goal in goals + [get_formula("reflection").formula]:
         assert search._refutation(goal) is None, goal
+
+
+def test_a_counterexample_that_its_pairs_do_not_bear_out_is_refused(monkeypatch):
+    # the certificate is re-read from its pairs where it is made; a sample
+    # that its pairs do not refute is a fault of the search, not a verdict
+    monkeypatch.setattr(search, "_refutes", lambda goal, cert: [])
+    with pytest.raises(AssertionError, match="bad counterexample"):
+        search._refutation(parse_formula(_PARADOXES[0]))
+
+
+def test_a_refuted_search_reads_its_counterexample_once(monkeypatch):
+    calls, refutes = [], search._refutes
+    monkeypatch.setattr(search, "_refutes",
+                        lambda goal, cert: calls.append(goal) or refutes(goal, cert))
+    goal = parse_formula("~((p -> q) -> ~p)")
+    out = search_proof(goal)
+    assert (out.status, calls) == ("refuted", [goal])
+    assert _certifies(goal, out.counterexample)
 
 
 def test_the_refuting_node_is_counted_like_the_one_that_runs_out():

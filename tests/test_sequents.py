@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checker
-from tarl import algebra, formulas, sequents
+from tarl import algebra, formulas, search, sequents
 from tarl.derived import apply_derived_rule
 from tarl.formulas import (
     CACHES, And, Imp, Neg, ParseError, Var, clear_caches, desugar_fusion, parse_formula,
@@ -29,10 +29,9 @@ from tarl.formulas import (
 from tarl.gen import random_formula
 from tarl.registry import corpus_ids, get_corpus_entry
 from tarl.sequents import (
-    RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, InvalidProof, Justification, NegR,
-    NotABijection, OrR, Proof, RuleError, Sequent, Weaken, check_proof, check_step,
-    format_proof_script, objects_level, parse_proof_script, permute_indices,
-    substitute_proof,
+    RULES, AndR, Assertion, Axiom, Cut, ImpL, ImpR, Justification, NegR, NotABijection,
+    OrR, Proof, RuleError, Sequent, Weaken, check_proof, check_step, format_proof_script,
+    goal_sequent, parse_proof_script, permute_indices, substitute_proof,
 )
 
 
@@ -92,9 +91,8 @@ def test_an_eigen_index_past_the_bound_is_reported():
     _, proof = parse_proof_script("lemma far : a -> a bound 4\n"
                                   "1. (a)[1,0] => (a)[1,0] ; axiom\n"
                                   "2. => (a -> a)[0,0] ; impR k=9\n")
-    assert check_proof(proof).first_error == (2, "IndexOutOfBound: eigen index 9")
-    with pytest.raises(InvalidProof, match="eigen index 9"):
-        objects_level(proof)
+    report = check_proof(proof)
+    assert (report.valid, report.first_error) == (False, (2, "IndexOutOfBound: eigen index 9"))
 
 
 def test_the_least_index_out_of_bound_is_reported_under_any_hash_seed():
@@ -282,10 +280,17 @@ def test_goal_must_appear():
     assert check_proof(replace(proof, lines=[*proof.lines, *lines])).valid
 
 
+def test_a_proof_concludes_its_last_line():
+    for lemma in corpus_ids():
+        proof = get_corpus_entry(lemma).proof
+        assert proof.conclusion() is proof.lines[-1][0], lemma
+        assert proof.conclusion() == goal_sequent(proof.goal), lemma
+
+
 def test_objects_level_examples():
-    assert objects_level(get_corpus_entry("t6").proof) == 1
-    assert objects_level(get_corpus_entry("A4").proof) == 3
-    assert objects_level(get_corpus_entry("t10").proof) == 4
+    for lemma, level in (("t6", 1), ("A4", 3), ("t10", 4)):
+        report = check_proof(get_corpus_entry(lemma).proof)
+        assert (report.valid, report.level) == (True, level), lemma
 
 
 def test_permute_identity_is_noop():
@@ -1115,6 +1120,19 @@ def test_a_bad_index_gets_a_fresh_bit_each_time(i):
     second = table.side(frozenset([x]))
     assert first != second and table.made == [None, None]
     assert table.holds == [0] * 4 and not any(table.kinds.values())
+
+
+def test_only_side_records_an_identity():
+    # the search makes its bits through bit, by key, and never looks an
+    # assertion up by identity; the checker's side does
+    table = search._Table(4)  # the search's table, on sequents._Bits
+    bit = table.bit(parse_formula("p -> q"), 1, 2)
+    assert table.ids == {} and table.bit(parse_formula("p -> q"), 1, 2) == bit
+    made, = table.made
+    assert table.side(frozenset([made])) == bit and table.ids == {id(made): bit}
+    other = Assertion(parse_formula("p -> q"), 1, 2)  # equal, another object
+    assert table.side(frozenset([other])) == bit and table.made == [made]
+    assert table.ids == {id(made): bit, id(other): bit} and not table.bad
 
 
 def test_a_table_keeps_the_assertions_it_reads_alive():
