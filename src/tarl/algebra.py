@@ -271,8 +271,10 @@ def _ops(one, zero, ident, conv, comp) -> dict:
 class _Masks:
     """The carrier of a complex algebra: subsets of K as bitmasks.  Its
     connectives are tabulated once: the translation, run over every mask
-    and every pair of masks, gives a table per connective, so each is one
-    lookup, a pair (x, y) at x << n | y of a flat table."""
+    and every pair of masks, gives the tables of negation and implication
+    (which can differ from the structure's), and fusion is the structure's
+    own table, so each is one lookup, a pair (x, y) at x << n | y of a flat
+    table."""
     axes = ()                        # one element is one mask
 
     def __init__(self, m: ModelStructure):
@@ -289,13 +291,12 @@ class _Masks:
                         lambda x, y: fus[y << n | x])
         direct = _connectives(self.ops)
         pairs = np.indices((tab.size, tab.size)).reshape(2, -1)  # pair k is (k >> n, k % 2**n)
-        neg, imp, fusion = (direct[Neg](np.arange(tab.size)),
-                            direct[Imp](*pairs), direct[Fusion](*pairs))
-        for table in (neg, imp, fusion):
+        self.neg = neg = direct[Neg](np.arange(tab.size))
+        self.imp = imp = direct[Imp](*pairs)
+        for table in (neg, imp):
             table.flags.writeable = False
         self.connectives = {**direct, Neg: neg.__getitem__,
-                            Imp: lambda x, y: imp[x << n | y],
-                            Fusion: lambda x, y: fusion[x << n | y]}
+                            Imp: lambda x, y: imp[x << n | y], Fusion: tab.ops[Fusion]}
         self.grid = shared_grid(range(tab.size))
 
     def encode(self, value) -> int:

@@ -1,15 +1,16 @@
 """The 21-element group F21 and its block partitions.
 
-F21 is generated by f and g with f^3 = g^7 = 1 and gf = fg^2; elements are
-normal forms f^a g^b (a mod 3, b mod 7), multiplied by
-(a1,b1)*(a2,b2) = (a1+a2, b1*2^a2 + b2).  Partitioning the 20 non-identity
+F21 is generated by f and g with f^3 = g^7 = 1 and gf = fg^2.  It is one
+read-only table, `PRODUCT`: element 7a + b is the normal form f^a g^b, and
+the product of (a1, b1) and (a2, b2) is (a1 + a2 mod 3, b1*2^a2 + b2 mod 7),
+since moving f past g doubles the g exponent.  Element 0 is the identity,
+and `INVERSE` is read off the table.  Partitioning the 20 non-identity
 elements into an inverse-closed 6-block and a 7-block plus its inverses
 turns {0,a,b,b*} into a ternary-relation structure via
 R x y z  iff  block(z) is contained in block(x)block(y); every listed
-partition reproduces the same composition table (the K3 table).  The
-products come from `_PRODUCT`, the 21 x 21 table of element indices built
-once from gmul, and blocks and their complex products are bitmasks over
-ALL_ELEMENTS; sigma images read the same table.
+partition reproduces the same composition table (the K3 table).  Blocks
+are sets of element indices, and they and their complex products are
+bitmasks over the indices; sigma images read the same table.
 
 sigma maps a subset x of the group to the binary relation
 {(k, kh) : k in G, h in x} (right translations); it is an injective
@@ -33,72 +34,16 @@ from .algebra import TERMS, _Masks, _Matrices, parse_ra_term
 from .models import ModelStructure
 
 __all__ = [
-    "GroupElement", "IDENTITY", "ALL_ELEMENTS", "gmul", "ginv", "gpow",
-    "element_of", "format_element",
+    "PRODUCT", "INVERSE",
     "Partition", "PARTITIONS", "InvalidPartition", "validate_partition",
     "build_atom_structure", "SigmaReport", "check_sigma_homomorphism",
 ]
 
-
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    a: int  # exponent of f, mod 3
-    b: int  # exponent of g, mod 7
-
-    def __post_init__(self):
-        if not (0 <= self.a < 3 and 0 <= self.b < 7):
-            raise ValueError("normal form out of range")
-
-    def __str__(self) -> str:
-        return format_element(self)
-
-
-IDENTITY = GroupElement(0, 0)
-ALL_ELEMENTS = tuple(GroupElement(a, b) for a in range(3) for b in range(7))
-
-
-def gmul(x: GroupElement, y: GroupElement) -> GroupElement:
-    # moving f past g doubles the g exponent: g^b f = f g^(2b)
-    return GroupElement((x.a + y.a) % 3, (x.b * pow(2, y.a, 7) + y.b) % 7)
-
-
-def ginv(x: GroupElement) -> GroupElement:
-    a = (-x.a) % 3
-    return GroupElement(a, (-x.b * pow(2, a, 7)) % 7)
-
-
-def gpow(x: GroupElement, n: int) -> GroupElement:
-    out = IDENTITY
-    for _ in range(n):
-        out = gmul(out, x)
-    return out
-
-
-_ELEMENT_RE = re.compile(r"(?:f(\d*))?(?:g(\d*))?$")
-
-
-def element_of(text: str) -> GroupElement:
-    """Parse 'f2g3', 'g5', 'f', '1' into a normal form."""
-    text = text.strip()
-    if text == "1":
-        return IDENTITY
-    m = _ELEMENT_RE.fullmatch(text)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        raise ValueError(f"bad group element: {text!r}")
-    a = int(m.group(1) or 1) if m.group(1) is not None else 0
-    b = int(m.group(2) or 1) if m.group(2) is not None else 0
-    return GroupElement(a % 3, b % 7)
-
-
-def format_element(x: GroupElement) -> str:
-    if x == IDENTITY:
-        return "1"
-    parts = []
-    if x.a:
-        parts.append("f" if x.a == 1 else f"f{x.a}")
-    if x.b:
-        parts.append("g" if x.b == 1 else f"g{x.b}")
-    return "".join(parts)
+# PRODUCT[x, y]: the index of the product of elements x = 7a + b and y
+_A, _B = np.divmod(np.arange(21), 7)
+PRODUCT = (_A[:, None] + _A) % 3 * 7 + (_B[:, None] * 2 ** _A + _B) % 7
+INVERSE = (PRODUCT == 0).argmax(1)
+PRODUCT.flags.writeable = INVERSE.flags.writeable = False
 
 
 # ------------------------------------------------------------------
@@ -108,17 +53,21 @@ def format_element(x: GroupElement) -> str:
 @dataclass(frozen=True)
 class Partition:
     id: int
-    a_set: frozenset[GroupElement]
-    b_set: frozenset[GroupElement]
-    bstar_set: frozenset[GroupElement]
+    a_set: frozenset[int]        # element indices
+    b_set: frozenset[int]
+    bstar_set: frozenset[int]
 
 
 class InvalidPartition(ValueError):
     pass
 
 
-def _els(text: str) -> frozenset[GroupElement]:
-    return frozenset(element_of(tok) for tok in text.split())
+def _els(text: str) -> frozenset[int]:
+    """The indices 7a + b of the words f^a g^b written 'f2g3', 'g5', 'f', ..."""
+    def exponent(power: str | None) -> int:
+        return int(power[1:] or 1) if power else 0
+    words = (re.fullmatch(r"(f\d?)?(g\d?)?", word).groups() for word in text.split())
+    return frozenset(7 * exponent(f) + exponent(g) for f, g in words)
 
 
 _A_FIRST = _els("f f2 g g2 g5 g6")
@@ -141,43 +90,35 @@ PARTITIONS = tuple(
 
 
 def validate_partition(p: Partition) -> None:
-    non_identity = set(ALL_ELEMENTS) - {IDENTITY}
-    blocks = [p.a_set, p.b_set, p.bstar_set]
     if len(p.a_set) != 6 or len(p.b_set) != 7 or len(p.bstar_set) != 7:
         raise InvalidPartition("block sizes must be 6, 7, 7")
-    union = set().union(*blocks)
-    if union != non_identity or sum(map(len, blocks)) != 20:
+    # 20 elements in blocks of 6 + 7 + 7 cover the 20 only when disjoint
+    if p.a_set | p.b_set | p.bstar_set != set(range(1, len(PRODUCT))):
         raise InvalidPartition("blocks must partition the non-identity elements")
-    if {ginv(x) for x in p.a_set} != set(p.a_set):
+    if {INVERSE[x] for x in p.a_set} != p.a_set:
         raise InvalidPartition("the 6-block must be closed under inverses")
-    if {ginv(x) for x in p.b_set} != set(p.bstar_set):
+    if {INVERSE[x] for x in p.b_set} != p.bstar_set:
         raise InvalidPartition("the starred block must hold the inverses")
 
 
-def _blocks(p: Partition) -> dict[str, frozenset[GroupElement]]:
+def _blocks(p: Partition) -> dict[str, frozenset[int]]:
     """Each atom's block of the group."""
-    return {"0": frozenset({IDENTITY}), "a": p.a_set, "b": p.b_set, "b*": p.bstar_set}
-
-
-# _PRODUCT[i, j]: the index in ALL_ELEMENTS of ALL_ELEMENTS[i] * ALL_ELEMENTS[j]
-_INDEX = {x: i for i, x in enumerate(ALL_ELEMENTS)}
-_PRODUCT = np.array([[_INDEX[gmul(x, y)] for y in ALL_ELEMENTS] for x in ALL_ELEMENTS])
-_PRODUCT.flags.writeable = False
+    return {"0": frozenset({0}), "a": p.a_set, "b": p.b_set, "b*": p.bstar_set}
 
 
 def build_atom_structure(p: Partition) -> ModelStructure:
     """The four-block structure: R x y z iff block(z) is a subset of the
     complex product block(x)block(y).  Blocks and their products are
-    bitmasks over ALL_ELEMENTS, the products read from `_PRODUCT`."""
+    bitmasks over the element indices, the products read from `PRODUCT`."""
     validate_partition(p)
     blocks = _blocks(p)
     names = tuple(blocks)
-    member = np.zeros((len(names), 21), dtype=bool)       # [atom, element]
+    member = np.zeros((len(names), len(PRODUCT)), dtype=bool)     # [atom, element]
     for i, atom in enumerate(names):
-        member[i, [_INDEX[x] for x in blocks[atom]]] = True
-    masks = member @ (1 << np.arange(21))
+        member[i, list(blocks[atom])] = True
+    masks = member @ (1 << np.arange(len(PRODUCT)))
     pairs = member[:, None, :, None] & member[None, :, None, :]     # [x, y, h, k]
-    product = np.bitwise_or.reduce(np.where(pairs, 1 << _PRODUCT, 0), axis=(2, 3))
+    product = np.bitwise_or.reduce(np.where(pairs, 1 << PRODUCT, 0), axis=(2, 3))
     holds = masks & ~product[:, :, None] == 0                        # [x, y, z]
     return ModelStructure(
         name=f"grouprep{p.id}", elements=names, zero="0",
@@ -212,20 +153,19 @@ def check_sigma_homomorphism(p: Partition) -> SigmaReport:
     return _audit(build_atom_structure(p), _blocks(p))
 
 
-def _sigma_stack(m: ModelStructure, blocks: dict[str, frozenset[GroupElement]]) -> np.ndarray:
+def _sigma_stack(m: ModelStructure, blocks: dict[str, frozenset[int]]) -> np.ndarray:
     """sig[mask]: sigma of the union of the blocks of the atoms in mask."""
-    sig = np.zeros((1 << len(m.elements), 21, 21), dtype=bool)
-    k = np.arange(21)
+    k = np.arange(len(PRODUCT))
+    sig = np.zeros((1 << len(m.elements), len(k), len(k)), dtype=bool)
     for i, atom in enumerate(m.elements):
-        hs = [_INDEX[h] for h in blocks[atom]]
         sig[np.flatnonzero(np.arange(len(sig)) >> i & 1)[:, None, None],
-            k[:, None], _PRODUCT[k[:, None], hs]] = True
+            k[:, None], PRODUCT[:, list(blocks[atom])]] = True
     return sig
 
 
-def _audit(m: ModelStructure, blocks: dict[str, frozenset[GroupElement]]) -> SigmaReport:
+def _audit(m: ModelStructure, blocks: dict[str, frozenset[int]]) -> SigmaReport:
     """Per term operation, the first pair of unions of blocks it fails on."""
-    masks, matrices, sig = _Masks(m), _Matrices(21), _sigma_stack(m, blocks)
+    masks, matrices, sig = _Masks(m), _Matrices(len(PRODUCT)), _sigma_stack(m, blocks)
     xs, ys = np.indices((len(sig), len(sig)))
     checks = []
     for t in _OPERATIONS:

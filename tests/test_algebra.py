@@ -114,6 +114,12 @@ def test_translate_commutes_with_desugaring():
 # Evaluation
 # ------------------------------------------------------------------
 
+def test_algebras_describe_themselves():
+    # the benchmark's known-answer messages name an algebra this way
+    assert CK["K3"].describe() == "complex algebra of K3"
+    assert ProperAlgebra(3).describe() == "proper algebra over a 3-element base"
+
+
 def test_proper_eval_examples():
     alg = ProperAlgebra(2)
     conv = parse_ra_term("x^")
@@ -435,6 +441,13 @@ def test_shared_carrier_constants_are_read_only():
             value[0, 0] = value[0, 0]
 
 
+def test_complex_carrier_tables_are_read_only():
+    c = algebra._carrier(CK["K3"])
+    for table in (c.neg, c.imp, c.tab.fus):     # shared by every caller
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+
+
 def tabulated_connectives_agree(m, masks=None):
     """Each tabulated connective of m's complex algebra against the
     translation run directly over the carrier's operations: on every mask,
@@ -643,6 +656,15 @@ def test_ra7_chain_two_segments():
     rep = check_chain({"K4": CK["K4"]}, chain_steps("ra7"))
     assert rep.passed
     assert [s.step.name for s in rep.segments] == ["1..5", "6..9"]
+
+
+def test_unlinked_steps_give_no_segments():
+    # a run is two or more linked steps: a lone step is no segment
+    steps = parse_chain("x = x + 0 ; a\nx + 0 = x ; b\ny = y . y ; c\nx . y = y . x ; d")
+    rep = check_chain({"K4": CK["K4"]}, steps)
+    assert rep.passed and len(rep.steps) == 4
+    assert [s.step.name for s in rep.segments] == ["1..2"]
+    assert check_chain({"K4": CK["K4"]}, steps[2:]).segments == []
 
 
 def test_a_failing_segment_fails_the_chain():
